@@ -1,32 +1,38 @@
-"""Kernel backend selection.
+"""Raw-data arithmetic kernels for polynomials and matrices.
 
-The compiled extension is preferred when present; set ``RECIPROCITY_PURE=1``
-to force the pure-Python kernels (used by the benchmark and for debugging).
-``BACKEND`` reports which implementation is live.
+The package namespace exports the F_p kernels the library calls, from the
+compiled extension ``_core`` when it is built and from ``pure`` otherwise;
+``RECIPROCITY_PURE=1`` forces ``pure``, and ``BACKEND`` says which is live.
+A ``PrimeField`` names this namespace as its ``kernels`` (extension fields
+reach it through their prime field), so each call looks the function up
+here when it runs.  ``_core`` types p as a C ``long long``: a prime above
+``PMAX`` names ``pure`` instead.  Every other ring names ``generic``, which
+has the same functions with the ring in place of p.
 """
 
 from __future__ import annotations
 
 import os
 
+from . import generic, pure
+
 if os.environ.get("RECIPROCITY_PURE"):
-    from . import pure as _impl
+    _impl = pure
 else:
     try:
         from . import _core as _impl  # type: ignore[attr-defined]
     except ImportError:
-        from . import pure as _impl
+        _impl = pure
 
 BACKEND: str = _impl.BACKEND
+PMAX = 2**31 - 1
 
 normalize = _impl.normalize
 add = _impl.add
 sub = _impl.sub
 neg = _impl.neg
-scalar_mul = _impl.scalar_mul
 mul = _impl.mul
 divmod_poly = _impl.divmod_poly
-rem = _impl.rem
 monic = _impl.monic
 gcd = _impl.gcd
 xgcd = _impl.xgcd

@@ -1,0 +1,217 @@
+"""Dense polynomial and matrix arithmetic over any coefficient ring.
+
+Same function names and contracts as ``pure``, with the ring in place of p:
+polynomials are little-endian lists of the ring's raw element data with no
+trailing zeros, matrices are lists of rows, and entries combine through the
+ring's ``_add``, ``_sub``, ``_mul``, ``_neg``, ``_inv``, ``_is_zero`` and
+``_is_invertible``.  Over a local ring, eliminations pivot on units, which
+succeeds exactly when the matrix is invertible.
+"""
+
+from __future__ import annotations
+
+from ..errors import NonUnitError
+
+
+def _normalize(a: list, ring) -> list:
+    n = len(a)
+    while n and ring._is_zero(a[n - 1]):
+        n -= 1
+    return a[:n]
+
+
+def add(a: list, b: list, ring) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = ring._add(out[i], c)
+    return _normalize(out, ring)
+
+
+def sub(a: list, b: list, ring) -> list:
+    return add(a, neg(b, ring), ring)
+
+
+def neg(a: list, ring) -> list:
+    return [ring._neg(c) for c in a]
+
+
+def mul(a: list, b: list, ring) -> list:
+    if not a or not b:
+        return []
+    out = [ring.zero().data] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if ring._is_zero(x):
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = ring._add(out[i + j], ring._mul(x, y))
+    return _normalize(out, ring)
+
+
+def divmod_poly(num: list, den: list, ring) -> tuple[list, list]:
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(num)
+    dd = len(den) - 1
+    if len(r) - 1 < dd:
+        return [], r
+    inv_lead = ring._inv(den[dd])
+    q = [ring.zero().data] * (len(r) - dd)
+    for k in range(len(r) - 1, dd - 1, -1):
+        c = r[k]
+        if not ring._is_zero(c):
+            c = ring._mul(c, inv_lead)
+            q[k - dd] = c
+            for j in range(dd + 1):
+                r[k - dd + j] = ring._sub(r[k - dd + j], ring._mul(c, den[j]))
+    return _normalize(q, ring), _normalize(r, ring)
+
+
+def monic(a: list, ring) -> list:
+    return mul(a, [ring._inv(a[-1])], ring) if a else []
+
+
+def gcd(a: list, b: list, ring) -> list:
+    # a monic remainder at each step keeps Fraction sizes down over Q
+    while b:
+        a, b = b, monic(divmod_poly(a, b, ring)[1], ring)
+    return monic(a, ring)
+
+
+def xgcd(a: list, b: list, ring) -> tuple[list, list, list]:
+    """Monic g and s, t with s*a + t*b = g."""
+    r0, r1 = list(a), list(b)
+    s0, s1 = [ring.one().data], []
+    t0, t1 = [], [ring.one().data]
+    while r1:
+        q, r = divmod_poly(r0, r1, ring)
+        r0, r1 = r1, r
+        s0, s1 = s1, sub(s0, mul(q, s1, ring), ring)
+        t0, t1 = t1, sub(t0, mul(q, t1, ring), ring)
+    if not r0:
+        return [], s0, t0
+    c = [ring._inv(r0[-1])]
+    return mul(r0, c, ring), mul(s0, c, ring), mul(t0, c, ring)
+
+
+def invmod(a: list, m: list, ring) -> list:
+    g, s, _ = xgcd(a, m, ring)
+    if len(g) != 1:
+        raise ZeroDivisionError("element is not invertible modulo the given polynomial")
+    return divmod_poly(s, m, ring)[1]
+
+
+def powmod(a: list, e: int, m: list, ring) -> list:
+    if e < 0:
+        a = invmod(a, m, ring)
+        e = -e
+    result = divmod_poly([ring.one().data], m, ring)[1]
+    base = divmod_poly(a, m, ring)[1]
+    while e:
+        if e & 1:
+            result = divmod_poly(mul(result, base, ring), m, ring)[1]
+        base = divmod_poly(mul(base, base, ring), m, ring)[1]
+        e >>= 1
+    return result
+
+
+def eval_at(a: list, x, ring):
+    acc = ring.zero().data
+    for c in reversed(a):
+        acc = ring._add(ring._mul(acc, x), c)
+    return acc
+
+
+def mat_mul(a: list, b: list, ring) -> list:
+    n, k = len(a), len(b)
+    m = len(b[0]) if b else 0
+    out = [[ring.zero().data] * m for _ in range(n)]
+    for i in range(n):
+        for t in range(k):
+            c = a[i][t]
+            if ring._is_zero(c):
+                continue
+            bt = b[t]
+            oi = out[i]
+            for j in range(m):
+                if not ring._is_zero(bt[j]):
+                    oi[j] = ring._add(oi[j], ring._mul(c, bt[j]))
+    return out
+
+
+def _unit_pivot(m: list, col: int, ring) -> int:
+    """First row at or below col whose entry in col is a unit, or -1."""
+    for r in range(col, len(m)):
+        if ring._is_invertible(m[r][col]):
+            return r
+    return -1
+
+
+def _det_cofactor(m: list, ring):
+    n = len(m)
+    if n == 0:
+        return ring.one().data
+    if n == 1:
+        return m[0][0]
+    det = ring.zero().data
+    for j in range(n):
+        c = m[0][j]
+        if ring._is_zero(c):
+            continue
+        minor = [[m[i][k] for k in range(n) if k != j] for i in range(1, n)]
+        term = ring._mul(c, _det_cofactor(minor, ring))
+        det = ring._add(det, term) if j % 2 == 0 else ring._sub(det, term)
+    return det
+
+
+def mat_det(a: list, ring):
+    """Determinant over a field or a local ring; small blocks without a unit pivot go by cofactors."""
+    n = len(a)
+    m = [list(row) for row in a]
+    det = ring.one().data
+    for col in range(n):
+        pivot = _unit_pivot(m, col, ring)
+        if pivot < 0:
+            if ring.is_field:
+                if all(ring._is_zero(m[r][col]) for r in range(col, n)):
+                    return ring.zero().data
+                raise AssertionError("field element neither zero nor invertible")
+            if n - col <= 6:
+                rest = _det_cofactor([row[col:] for row in m[col:]], ring)
+                return ring._mul(det, rest)
+            raise NonUnitError("matrix has no invertible pivot over the local ring")
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = ring._neg(det)
+        pv = m[col][col]
+        det = ring._mul(det, pv)
+        inv = ring._inv(pv)
+        for r in range(col + 1, n):
+            f = ring._mul(m[r][col], inv)
+            if not ring._is_zero(f):
+                mr, mc = m[r], m[col]
+                for j in range(col, n):
+                    mr[j] = ring._sub(mr[j], ring._mul(f, mc[j]))
+    return det
+
+
+def mat_inv(a: list, ring) -> list:
+    """Inverse over a field or a local ring; ZeroDivisionError when singular."""
+    n = len(a)
+    zero, one = ring.zero().data, ring.one().data
+    m = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = _unit_pivot(m, col, ring)
+        if pivot < 0:
+            raise ZeroDivisionError("matrix is singular (no unit pivot)")
+        m[col], m[pivot] = m[pivot], m[col]
+        inv = ring._inv(m[col][col])
+        m[col] = [ring._mul(c, inv) for c in m[col]]
+        for r in range(n):
+            if r != col and not ring._is_zero(m[r][col]):
+                f = m[r][col]
+                mr, mc = m[r], m[col]
+                for j in range(2 * n):
+                    mr[j] = ring._sub(mr[j], ring._mul(f, mc[j]))
+    return [row[n:] for row in m]

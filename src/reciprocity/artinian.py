@@ -29,6 +29,7 @@ class ArtinianAlgebra(CoefficientRing):
                 raise ValueError(f"invalid generator name {n!r}")
             if order < 2:
                 raise ValueError(f"nilpotency order of {n} must be >= 2")
+        super().__init__()
         self.base = base
         self.generators = gens
         self.orders = tuple(order for _, order in gens)

@@ -62,10 +62,6 @@ class BlockOperator:
             mat_identity(ring, wpos),
         )
 
-    @classmethod
-    def from_blocks(cls, ring, alpha, beta, gamma, delta) -> "BlockOperator":
-        return cls(ring, len(alpha), len(delta), alpha, beta, gamma, delta)
-
     def assemble(self):
         """Full matrix on basis [z^-wneg .. z^-1, z^0 .. z^{wpos-1}]."""
         top = [list(ra) + list(rb) for ra, rb in zip(self.alpha, self.beta)]

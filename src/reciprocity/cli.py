@@ -2,22 +2,24 @@
 
 Exit codes: 0 = value computed / identity verified; 1 = a theorem identity
 was violated (that always means an implementation bug, which makes the
-binary usable as a CI property-test harness); 2 = input error.
-
-The RECIPROCITY_SEED environment variable overrides --seed.
+binary usable as a CI property-test harness); 2 = input error, including a
+``--prec`` too small for what was asked; 3 = internal failure: an exception
+the CLI does not handle (an ``AssertionError``, say), or a
+``PrecisionError`` from a command that chose every precision itself
+(``residue``, ``sweep``, ``verify-gf``, and ``verify-wrl`` or
+``verify-residues`` without ``--local-data``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
+import traceback
 
 from . import corpus
 from .artinian import ArtinianAlgebra
-from .blockops import aggregate_sign, windings_sum_to_zero  # noqa: F401  (CLI passthrough)
 from .curve import (
     AdeleVector,
     RationalFunction,
@@ -29,7 +31,7 @@ from .curve import (
     verify_wrl,
     verify_wrl_local_data,
 )
-from .errors import ReciprocityError
+from .errors import PrecisionError, ReciprocityError
 from .fields import BaseField
 from .laurent import DEFAULT_PRECISION
 from .parsing import (
@@ -43,7 +45,6 @@ from .symbols import (
     LoopMatrix,
     contou_carrere_symbol,
     gelfand_fuchs_cocycle,
-    residue_from_dual_symbol,  # noqa: F401  (CLI passthrough)
     tame_symbol,
     tate_residue,
 )
@@ -51,6 +52,7 @@ from .symbols import (
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,13 +62,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, ring=False, series=False, rational=False):
+    def add_common(p, ring=False, series=False, rational=False, local_data=False):
         if ring:
             p.add_argument("--ring", required=True, help="coefficient ring, e.g. Q[e1,e2]/(e1^2,e2^2)")
         else:
             p.add_argument("--field", default="Q", help="base field: Q, F5, F9:u^2+1")
-        p.add_argument("--prec", type=int, default=DEFAULT_PRECISION, help="working precision")
-        p.add_argument("--seed", type=int, default=None, help="seed for randomized steps")
+        if series or local_data:
+            p.add_argument("--prec", type=int, default=DEFAULT_PRECISION, help="working precision")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         if series or rational:
             p.add_argument("-f", required=False, help="first expression")
@@ -74,6 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if rational:
             p.add_argument("--factored", action="store_true",
                            help="treat -f/-g as products of declared irreducible factors")
+        if local_data:
+            p.add_argument("--local-data", default=None, help="JSON file with raw local expansions")
 
     p = sub.add_parser("symbol-tame", help="signed tame symbol of two series over a field")
     add_common(p, series=True)
@@ -94,12 +98,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-T", required=True, help="integer matrix as JSON")
 
     p = sub.add_parser("verify-wrl", help="verify the Weil reciprocity product")
-    add_common(p, rational=True)
-    p.add_argument("--local-data", default=None, help="JSON file with raw local expansions")
+    add_common(p, rational=True, local_data=True)
 
     p = sub.add_parser("verify-residues", help="verify the residue-theorem sum")
-    add_common(p, rational=True)
-    p.add_argument("--local-data", default=None, help="JSON file with raw local expansions")
+    add_common(p, rational=True, local_data=True)
 
     p = sub.add_parser("verify-gf", help="verify global Gelfand-Fuchs vanishing")
     add_common(p, rational=True)
@@ -108,20 +110,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run seeded random verification instances")
     add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed of the instance generator")
     p.add_argument("--count", type=int, default=50, help="number of instances")
     p.add_argument("--mode", choices=["wrl", "residues", "all"], default="all")
     p.add_argument("--max-degree", type=int, default=5)
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     return parser
-
-
-def _seed_of(args) -> int:
-    env = os.environ.get("RECIPROCITY_SEED")
-    if env is not None:
-        return int(env)
-    if args.seed is not None:
-        return args.seed
-    return 0
 
 
 def _parse_pair(args, field: BaseField):
@@ -269,7 +263,7 @@ def _sweep_instance(payload) -> dict:
 
 
 def _cmd_sweep(args) -> int:
-    seed = _seed_of(args)
+    seed = args.seed
     payloads = [(args.field, seed, i, args.mode, args.max_degree) for i in range(args.count)]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -310,17 +304,31 @@ _HANDLERS = {
 }
 
 
+def _chose_every_precision(args) -> bool:
+    """True when the command set every precision itself, so running short of one is a library fault."""
+    if args.command in ("residue", "sweep", "verify-gf"):
+        return True
+    return args.command in ("verify-wrl", "verify-residues") and not args.local_data
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
+    except PrecisionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL if _chose_every_precision(args) else EXIT_INPUT
     except ReciprocityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (OSError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # the boundary: report any library fault as one
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -568,12 +568,6 @@ def _residue_class_norm(cls: Polynomial, place: Place) -> AlgebraElement:
     return mat_det(_residue_class_matrix(cls, place), place.field)
 
 
-def _residue_class_trace(cls: Polynomial, place: Place) -> AlgebraElement:
-    if place.degree == 1:
-        return cls.coefficient(0)
-    return mat_trace(_residue_class_matrix(cls, place), place.field)
-
-
 def verify_wrl(f: RationalFunction, g: RationalFunction) -> VerificationReport:
     """Product over all relevant places of the signed local factors; must be 1."""
     field = f.field
@@ -765,7 +759,8 @@ def verify_gf_global(s_matrix, t_matrix, f: RationalFunction, g: RationalFunctio
     Degree-1 places and infinity take the full matrix route through the
     local Gelfand-Fuchs cocycle; higher-degree places use the scalar trace
     residue times tr(ST).  The result is cross-checked against tr(ST) times
-    the residue-theorem sum.
+    the residue-theorem sum, whose trace residues are computed once per
+    place and also feed the higher-degree contributions.
 
     At those places f is expanded to O(z^(1 - vg)) and g to O(z^(1 - vf)),
     with vf, vg the valuations there: the z^-1 coefficient of f dg pairs
@@ -782,7 +777,10 @@ def verify_gf_global(s_matrix, t_matrix, f: RationalFunction, g: RationalFunctio
     places = relevant_places(f, g)
     rows = []
     total = field.zero()
+    residue_sum = field.zero()
     for place in places:
+        residue = trace_residue_at_place(h, place)
+        residue_sum = residue_sum + residue
         if place.degree == 1 or place.is_infinite:
             vf = f.valuation_at(place)
             vg = g.valuation_at(place)
@@ -795,12 +793,9 @@ def verify_gf_global(s_matrix, t_matrix, f: RationalFunction, g: RationalFunctio
             b_loop = LoopMatrix.from_tensor(t_m, g_local)
             contrib = gelfand_fuchs_cocycle(a_loop, b_loop, field)
         else:
-            contrib = tr_st * trace_residue_at_place(h, place)
+            contrib = tr_st * residue
         total = total + contrib
         rows.append({"place": str(place), "deg": place.degree, "residue": str(contrib)})
-    residue_sum = field.zero()
-    for place in places:
-        residue_sum = residue_sum + trace_residue_at_place(h, place)
     cross = tr_st * residue_sum
     verified = total.is_zero() and cross.is_zero() and total == cross
     return VerificationReport(

@@ -8,9 +8,12 @@ Three base fields are supported:
   tuples of ints as data (coefficient i of u^i).
 
 Every element is an :class:`AlgebraElement` pointing at its parent ring; the
-parent implements the raw operations on the underlying data.  Values are
-immutable and operations are pure, so everything here is safe to share
-between threads.
+parent implements the raw operations on the underlying data.  Each ring also
+names, once, the module that does its raw polynomial and matrix arithmetic:
+``ring.kernels.fn(..., ring.kernel_arg)``.  A prime field uses the F_p
+kernels of :mod:`reciprocity._kernels` with its p; every other ring uses
+:mod:`reciprocity._kernels.generic` with itself.  Values are immutable and
+operations are pure, so everything here is safe to share between threads.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import _kernels
+from ._kernels import generic
 from .errors import NonUnitError, TowerError
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -56,6 +60,10 @@ class CoefficientRing:
     is_field = False
     characteristic = 0
 
+    def __init__(self):
+        self.kernels = generic
+        self.kernel_arg = self
+
     # raw-data operations; subclasses implement all of them
     def _add(self, a, b):
         raise NotImplementedError
@@ -84,9 +92,6 @@ class CoefficientRing:
     def _str(self, a) -> str:
         raise NotImplementedError
 
-    def element(self, data) -> AlgebraElement:
-        return AlgebraElement(self, data)
-
     def zero(self) -> AlgebraElement:
         return self.from_int(0)
 
@@ -112,6 +117,8 @@ class CoefficientRing:
         raise NotImplementedError
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return isinstance(other, CoefficientRing) and self.signature == other.signature
 
     def __hash__(self):
@@ -191,6 +198,9 @@ class PrimeField(BaseField):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.characteristic = p
+        # the compiled kernels take p as a C long long
+        self.kernels = _kernels if p <= _kernels.PMAX else _kernels.pure
+        self.kernel_arg = p
 
     def _add(self, a, b):
         return (a + b) % self.p
@@ -236,16 +246,17 @@ class PrimeField(BaseField):
         return f"F{self.p}"
 
 
-def _is_irreducible_mod_p(coeffs: list[int], p: int) -> bool:
+def _is_irreducible_mod_p(coeffs: list[int], fp: PrimeField) -> bool:
     """Rabin's test for a monic polynomial given as an int list over F_p."""
     d = len(coeffs) - 1
     if d <= 0:
         return False
     if d == 1:
         return True
+    k, p = fp.kernels, fp.p
     x = [0, 1]
-    xq = _kernels.powmod(x, p**d, coeffs, p)
-    if _kernels.sub(xq, x, p):
+    xq = k.powmod(x, p**d, coeffs, p)
+    if k.sub(xq, x, p):
         return False
     primes = set()
     n = d
@@ -258,8 +269,8 @@ def _is_irreducible_mod_p(coeffs: list[int], p: int) -> bool:
     if n > 1:
         primes.add(n)
     for q in primes:
-        xe = _kernels.powmod(x, p ** (d // q), coeffs, p)
-        if _kernels.gcd(_kernels.sub(xe, x, p), coeffs, p) != [1]:
+        xe = k.powmod(x, p ** (d // q), coeffs, p)
+        if k.gcd(k.sub(xe, x, p), coeffs, p) != [1]:
             return False
     return True
 
@@ -268,6 +279,7 @@ def find_irreducible(p: int, d: int) -> list[int]:
     """Lexicographically first monic irreducible of degree d over F_p."""
     if d == 1:
         return [0, 1]
+    fp = PrimeField(p)
     # iterate constant-first coefficient vectors
     total = p**d
     for code in range(total):
@@ -277,7 +289,7 @@ def find_irreducible(p: int, d: int) -> list[int]:
             coeffs.append(c % p)
             c //= p
         coeffs.append(1)
-        if coeffs[0] != 0 and _is_irreducible_mod_p(coeffs, p):
+        if coeffs[0] != 0 and _is_irreducible_mod_p(coeffs, fp):
             return coeffs
     raise ValueError(f"no irreducible polynomial of degree {d} over F_{p}")
 
@@ -289,14 +301,14 @@ class ExtensionField(BaseField):
     """
 
     def __init__(self, p: int, modulus, name: str = "u"):
+        super().__init__()
         base = PrimeField(p)
-        coeffs = [c % p for c in modulus]
-        coeffs = _kernels.normalize(coeffs)
+        coeffs = base.kernels.normalize([c % p for c in modulus])
         if len(coeffs) < 3:
             raise ValueError("extension modulus must have degree >= 2")
         if coeffs[-1] != 1:
             raise ValueError("extension modulus must be monic")
-        if not _is_irreducible_mod_p(coeffs, p):
+        if not _is_irreducible_mod_p(coeffs, base):
             raise ValueError("extension modulus is not irreducible over F_p")
         self.p = p
         self.characteristic = p
@@ -309,20 +321,20 @@ class ExtensionField(BaseField):
         return tuple(lst) + (0,) * (self.degree - len(lst))
 
     def _add(self, a, b):
-        return self._pad(_kernels.add(list(a), list(b), self.p))
+        return self._pad(self.base.kernels.add(list(a), list(b), self.p))
 
     def _sub(self, a, b):
-        return self._pad(_kernels.sub(list(a), list(b), self.p))
+        return self._pad(self.base.kernels.sub(list(a), list(b), self.p))
 
     def _mul(self, a, b):
-        return self._pad(_kernels.mulmod(list(a), list(b), list(self.modulus), self.p))
+        return self._pad(self.base.kernels.mulmod(list(a), list(b), list(self.modulus), self.p))
 
     def _neg(self, a):
-        return self._pad(_kernels.neg(list(a), self.p))
+        return self._pad(self.base.kernels.neg(list(a), self.p))
 
     def _inv(self, a):
         try:
-            return self._pad(_kernels.invmod(list(a), list(self.modulus), self.p))
+            return self._pad(self.base.kernels.invmod(list(a), list(self.modulus), self.p))
         except ZeroDivisionError:
             raise NonUnitError(f"division by zero in {self!r}") from None
 
@@ -369,10 +381,6 @@ class ExtensionField(BaseField):
         if base == self.base:
             return self.degree
         raise TowerError(f"{self} is not an extension of {base}")
-
-    def coordinates_over_prime(self, a) -> list:
-        """Coordinates of raw data a as a vector over F_p."""
-        return list(a)
 
     @property
     def signature(self):

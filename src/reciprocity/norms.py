@@ -5,19 +5,19 @@ trace) of the k-linear multiplication-by-r map on its parent ring.  Both are
 computed from explicit multiplication matrices; nothing here uses Frobenius
 shortcuts, which stay available to the tests as an independent oracle.
 
-Matrix helpers work over any coefficient ring.  Over fields, determinants
-and inverses run Gaussian elimination (with a kernel fast path modulo p);
-over local rings the pivots are required to be units, which succeeds exactly
-when the matrix is invertible, and small singular cases fall back to
-cofactor expansion.
+Matrix helpers work over any coefficient ring and take and return matrices
+of elements.  Each one unwraps its arguments to raw data once, makes one
+call to the ring's kernels (see :mod:`reciprocity.fields`) and wraps the
+result: Gaussian elimination modulo p over F_p, and the generic elimination
+of :mod:`reciprocity._kernels.generic` elsewhere, which over a local ring
+pivots on units and finishes small blocks without one by cofactors.
 """
 
 from __future__ import annotations
 
-from . import _kernels
 from .artinian import ArtinianAlgebra
 from .errors import NonUnitError, TowerError
-from .fields import AlgebraElement, BaseField, CoefficientRing, ExtensionField, PrimeField, lift
+from .fields import AlgebraElement, BaseField, CoefficientRing, ExtensionField, lift
 
 
 # -- vector space structure over a subfield ---------------------------------
@@ -28,7 +28,6 @@ def vector_basis(ring: CoefficientRing, over: BaseField) -> list[AlgebraElement]
     if ring == over:
         return [over.one()]
     if isinstance(ring, ExtensionField) and over == ring.base:
-        one = over.one()
         return [AlgebraElement(ring, ring._pad([0] * i + [1])) for i in range(ring.degree)]
     if isinstance(ring, ArtinianAlgebra):
         inner = vector_basis(ring.base, over) if ring.base != over else [over.one()]
@@ -67,7 +66,15 @@ def multiplication_matrix(r: AlgebraElement, over: BaseField) -> list[list[Algeb
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-# -- generic matrix helpers --------------------------------------------------
+# -- matrix helpers ----------------------------------------------------------
+
+
+def _unwrap(m, ring: CoefficientRing) -> list[list]:
+    return [[c.data if c.ring is ring else ring.coerce(c).data for c in row] for row in m]
+
+
+def _wrap(m, ring: CoefficientRing) -> list[list[AlgebraElement]]:
+    return [[AlgebraElement(ring, c) for c in row] for row in m]
 
 
 def mat_identity(ring: CoefficientRing, n: int) -> list[list[AlgebraElement]]:
@@ -76,26 +83,7 @@ def mat_identity(ring: CoefficientRing, n: int) -> list[list[AlgebraElement]]:
 
 
 def mat_mul(a, b, ring: CoefficientRing) -> list[list[AlgebraElement]]:
-    if isinstance(ring, PrimeField) and a and b:
-        raw = _kernels.mat_mul(
-            [[c.data for c in row] for row in a], [[c.data for c in row] for row in b], ring.p
-        )
-        return [[AlgebraElement(ring, c) for c in row] for row in raw]
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    z = ring.zero()
-    out = [[z] * m for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            c = a[i][t]
-            if c.is_zero():
-                continue
-            bt = b[t]
-            oi = out[i]
-            for j in range(m):
-                if not bt[j].is_zero():
-                    oi[j] = oi[j] + c * bt[j]
-    return out
+    return _wrap(ring.kernels.mat_mul(_unwrap(a, ring), _unwrap(b, ring), ring.kernel_arg), ring)
 
 
 def mat_add(a, b):
@@ -113,90 +101,17 @@ def mat_trace(a, ring: CoefficientRing) -> AlgebraElement:
     return t
 
 
-def _det_cofactor(m, ring: CoefficientRing) -> AlgebraElement:
-    n = len(m)
-    if n == 0:
-        return ring.one()
-    if n == 1:
-        return m[0][0]
-    det = ring.zero()
-    for j in range(n):
-        c = m[0][j]
-        if c.is_zero():
-            continue
-        minor = [[m[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = c * _det_cofactor(minor, ring)
-        det = det + term if j % 2 == 0 else det - term
-    return det
-
-
 def mat_det(a, ring: CoefficientRing) -> AlgebraElement:
     """Determinant over a field or a local ring."""
-    n = len(a)
-    if n == 0:
-        return ring.one()
-    if isinstance(ring, PrimeField):
-        return AlgebraElement(ring, _kernels.mat_det([[c.data for c in row] for row in a], ring.p))
-    m = [list(row) for row in a]
-    det = ring.one()
-    for col in range(n):
-        pivot = -1
-        for r in range(col, n):
-            if m[r][col].is_invertible():
-                pivot = r
-                break
-        if pivot < 0:
-            if ring.is_field:
-                if all(m[r][col].is_zero() for r in range(col, n)):
-                    return ring.zero()
-                raise AssertionError("field element neither zero nor invertible")
-            if n - col <= 6:
-                rest = _det_cofactor([row[col:] for row in m[col:]], ring)
-                return det * rest
-            raise NonUnitError("matrix has no invertible pivot over the local ring")
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        pv = m[col][col]
-        det = det * pv
-        inv = pv.inverse()
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if not f.is_zero():
-                mr, mc = m[r], m[col]
-                for j in range(col, n):
-                    mr[j] = mr[j] - f * mc[j]
-    return det
+    return AlgebraElement(ring, ring.kernels.mat_det(_unwrap(a, ring), ring.kernel_arg))
 
 
 def mat_inv(a, ring: CoefficientRing) -> list[list[AlgebraElement]]:
     """Inverse over a field or a local ring; raises NonUnitError when singular."""
-    n = len(a)
-    if isinstance(ring, PrimeField):
-        try:
-            raw = _kernels.mat_inv([[c.data for c in row] for row in a], ring.p)
-        except ZeroDivisionError:
-            raise NonUnitError("matrix is singular") from None
-        return [[AlgebraElement(ring, c) for c in row] for row in raw]
-    m = [list(row) + list(idrow) for row, idrow in zip(a, mat_identity(ring, n))]
-    for col in range(n):
-        pivot = -1
-        for r in range(col, n):
-            if m[r][col].is_invertible():
-                pivot = r
-                break
-        if pivot < 0:
-            raise NonUnitError("matrix is singular (no unit pivot)")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = m[col][col].inverse()
-        m[col] = [c * inv for c in m[col]]
-        for r in range(n):
-            if r != col and not m[r][col].is_zero():
-                f = m[r][col]
-                mr, mc = m[r], m[col]
-                for j in range(2 * n):
-                    mr[j] = mr[j] - f * mc[j]
-    return [row[n:] for row in m]
+    try:
+        return _wrap(ring.kernels.mat_inv(_unwrap(a, ring), ring.kernel_arg), ring)
+    except ZeroDivisionError:
+        raise NonUnitError("matrix is singular") from None
 
 
 # -- norms and traces --------------------------------------------------------

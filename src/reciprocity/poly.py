@@ -1,35 +1,48 @@
 """Dense univariate polynomials over any supported coefficient field.
 
-Coefficients are AlgebraElements stored little-endian with no trailing
-zeros.  Over a prime field the ring operations unwrap to int lists and run
-through the kernel backend; other fields use the generic code paths.
+A polynomial keeps its field and, in the private ``_data`` slot, a
+little-endian list of the field's raw element data with no trailing zeros.
+Every arithmetic method makes one call ``field.kernels.fn(..., field.kernel_arg)``
+(see :mod:`reciprocity.fields`), so F_p runs on the F_p kernels and every
+other field on the generic ones, through the same code.  Only the public
+surface boxes: the constructor coerces ints, Fractions and elements, and
+``coeffs``, ``coefficient()`` and ``leading_coefficient()`` return
+:class:`AlgebraElement` values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from . import _kernels
 from .errors import NonUnitError
-from .fields import AlgebraElement, BaseField, PrimeField
+from .fields import AlgebraElement, BaseField
 from .formatting import format_terms, split_sign
 
 
+def _trim(field, data: list) -> list:
+    while data and field._is_zero(data[-1]):
+        data.pop()
+    return data
+
+
+def _from_data(field, data: list) -> "Polynomial":
+    """A polynomial over field with normalized raw data, taken without copying."""
+    out = object.__new__(Polynomial)
+    out.field = field
+    out._data = data
+    return out
+
+
 class Polynomial:
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "_data")
 
     def __init__(self, field: BaseField, coeffs):
-        elems = []
-        for c in coeffs:
-            if not isinstance(c, AlgebraElement):
-                c = field.coerce(c)
-            elif c.ring != field:
-                c = field.coerce(c)
-            elems.append(c)
-        while elems and elems[-1].is_zero():
-            elems.pop()
+        data = [
+            c.data if isinstance(c, AlgebraElement) and c.ring is field else field.coerce(c).data
+            for c in coeffs
+        ]
         self.field = field
-        self.coeffs = tuple(elems)
+        self._data = _trim(field, data)
 
     # -- constructors -------------------------------------------------
 
@@ -56,34 +69,30 @@ class Polynomial:
     # -- basic queries -------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[AlgebraElement, ...]:
+        f = self.field
+        return tuple(AlgebraElement(f, c) for c in self._data)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._data) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._data
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self._data) <= 1
 
     def coefficient(self, i: int) -> AlgebraElement:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self._data):
+            return AlgebraElement(self.field, self._data[i])
         return self.field.zero()
 
     def leading_coefficient(self) -> AlgebraElement:
-        if not self.coeffs:
-            return self.field.zero()
-        return self.coeffs[-1]
+        return self.coefficient(len(self._data) - 1)
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one()
-
-    def _ints(self) -> list[int]:
-        return [c.data for c in self.coeffs]
-
-    def _wrap_ints(self, ints) -> "Polynomial":
-        f = self.field
-        return Polynomial(f, [AlgebraElement(f, c) for c in ints])
+        return bool(self._data) and self.leading_coefficient() == self.field.one()
 
     # -- arithmetic ----------------------------------------------------
 
@@ -98,10 +107,8 @@ class Polynomial:
         other = self._coerce_other(other)
         if other is None:
             return NotImplemented
-        if isinstance(self.field, PrimeField):
-            return self._wrap_ints(_kernels.add(self._ints(), other._ints(), self.field.p))
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(self.field, [self.coefficient(i) + other.coefficient(i) for i in range(n)])
+        f = self.field
+        return _from_data(f, f.kernels.add(self._data, other._data, f.kernel_arg))
 
     __radd__ = __add__
 
@@ -109,10 +116,8 @@ class Polynomial:
         other = self._coerce_other(other)
         if other is None:
             return NotImplemented
-        if isinstance(self.field, PrimeField):
-            return self._wrap_ints(_kernels.sub(self._ints(), other._ints(), self.field.p))
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(self.field, [self.coefficient(i) - other.coefficient(i) for i in range(n)])
+        f = self.field
+        return _from_data(f, f.kernels.sub(self._data, other._data, f.kernel_arg))
 
     def __rsub__(self, other):
         other = self._coerce_other(other)
@@ -121,23 +126,15 @@ class Polynomial:
         return other - self
 
     def __neg__(self):
-        return Polynomial(self.field, [-c for c in self.coeffs])
+        f = self.field
+        return _from_data(f, f.kernels.neg(self._data, f.kernel_arg))
 
     def __mul__(self, other):
         other = self._coerce_other(other)
         if other is None:
             return NotImplemented
-        if isinstance(self.field, PrimeField):
-            return self._wrap_ints(_kernels.mul(self._ints(), other._ints(), self.field.p))
-        if self.is_zero() or other.is_zero():
-            return Polynomial.zero(self.field)
-        out = [self.field.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Polynomial(self.field, out)
+        f = self.field
+        return _from_data(f, f.kernels.mul(self._data, other._data, f.kernel_arg))
 
     __rmul__ = __mul__
 
@@ -157,25 +154,9 @@ class Polynomial:
         other = self._coerce_other(other)
         if other is None:
             return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if isinstance(self.field, PrimeField):
-            q, r = _kernels.divmod_poly(self._ints(), other._ints(), self.field.p)
-            return self._wrap_ints(q), self._wrap_ints(r)
-        rem = list(self.coeffs)
-        dd = other.degree
-        if self.degree < dd:
-            return Polynomial.zero(self.field), self
-        inv_lead = other.leading_coefficient().inverse()
-        q = [self.field.zero()] * (len(rem) - dd)
-        for k in range(len(rem) - 1, dd - 1, -1):
-            c = rem[k]
-            if not c.is_zero():
-                c = c * inv_lead
-                q[k - dd] = c
-                for j in range(dd + 1):
-                    rem[k - dd + j] = rem[k - dd + j] - c * other.coeffs[j]
-        return Polynomial(self.field, q), Polynomial(self.field, rem)
+        f = self.field
+        q, r = f.kernels.divmod_poly(self._data, other._data, f.kernel_arg)
+        return _from_data(f, q), _from_data(f, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -190,95 +171,69 @@ class Polynomial:
         return q
 
     def monic(self) -> "Polynomial":
-        if self.is_zero() or self.is_monic():
-            return self
-        return self * self.leading_coefficient().inverse()
+        f = self.field
+        return _from_data(f, f.kernels.monic(self._data, f.kernel_arg))
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        if isinstance(self.field, PrimeField):
-            return self._wrap_ints(_kernels.gcd(self._ints(), other._ints(), self.field.p))
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, (a % b).monic()
-        return a.monic()
+        f = self.field
+        return _from_data(f, f.kernels.gcd(self._data, other._data, f.kernel_arg))
 
     def xgcd(self, other: "Polynomial"):
         """Monic g and s, t with s*self + t*other = g."""
         f = self.field
-        r0, r1 = self, other
-        s0, s1 = Polynomial.one(f), Polynomial.zero(f)
-        t0, t1 = Polynomial.zero(f), Polynomial.one(f)
-        while not r1.is_zero():
-            q, r = divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-            t0, t1 = t1, t0 - q * t1
-        if r0.is_zero():
-            return r0, s0, t0
-        c = r0.leading_coefficient().inverse()
-        return r0 * c, s0 * c, t0 * c
+        g, s, t = f.kernels.xgcd(self._data, other._data, f.kernel_arg)
+        return _from_data(f, g), _from_data(f, s), _from_data(f, t)
 
     def invmod(self, modulus: "Polynomial") -> "Polynomial":
-        g, s, _ = self.xgcd(modulus)
-        if g.degree != 0:
-            raise NonUnitError("polynomial is not invertible modulo the given modulus")
-        return s % modulus
+        f = self.field
+        try:
+            return _from_data(f, f.kernels.invmod(self._data, modulus._data, f.kernel_arg))
+        except ZeroDivisionError:
+            raise NonUnitError("polynomial is not invertible modulo the given modulus") from None
 
     def pow_mod(self, e: int, modulus: "Polynomial") -> "Polynomial":
-        if isinstance(self.field, PrimeField):
-            return self._wrap_ints(
-                _kernels.powmod(self._ints(), e, modulus._ints(), self.field.p)
-            )
-        if e < 0:
-            return self.invmod(modulus).pow_mod(-e, modulus)
-        result = Polynomial.one(self.field) % modulus
-        base = self % modulus
-        while e:
-            if e & 1:
-                result = (result * base) % modulus
-            base = (base * base) % modulus
-            e >>= 1
-        return result
+        f = self.field
+        try:
+            return _from_data(f, f.kernels.powmod(self._data, e, modulus._data, f.kernel_arg))
+        except ZeroDivisionError:
+            raise NonUnitError("polynomial is not invertible modulo the given modulus") from None
 
     def derivative(self) -> "Polynomial":
         f = self.field
-        return Polynomial(f, [f.from_int(i) * c for i, c in enumerate(self.coeffs)][1:])
+        data = [f._mul(f.from_int(i).data, c) for i, c in enumerate(self._data)][1:]
+        return _from_data(f, _trim(f, data))
 
     def evaluate(self, x):
-        if not isinstance(x, AlgebraElement):
-            x = self.field.coerce(x)
-        acc = x.ring.zero() if x.ring != self.field else self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        f = self.field
+        x = f.coerce(x).data
+        return AlgebraElement(f, f.kernels.eval_at(self._data, x, f.kernel_arg))
 
     def shift(self, a) -> "Polynomial":
         """p(x + a), by repeated synthetic division."""
-        if not isinstance(a, AlgebraElement):
-            a = self.field.coerce(a)
-        b = list(self.coeffs)
+        f = self.field
+        a = f.coerce(a).data
+        b = list(self._data)
         n = len(b)
         for i in range(n):
             for j in range(n - 2, i - 1, -1):
-                b[j] = b[j] + a * b[j + 1]
-        return Polynomial(self.field, b)
+                b[j] = f._add(b[j], f._mul(a, b[j + 1]))
+        return _from_data(f, b)
 
     def reversed_coeffs(self, at_degree: int | None = None) -> "Polynomial":
         """t^d * p(1/t) for d = at_degree (default deg p)."""
         d = self.degree if at_degree is None else at_degree
         if d < self.degree:
             raise ValueError("reversal degree below actual degree")
-        out = [self.field.zero()] * (d + 1)
-        for i, c in enumerate(self.coeffs):
-            out[d - i] = c
-        return Polynomial(self.field, out)
+        f = self.field
+        out = [f.zero().data] * (d + 1 - len(self._data)) + self._data[::-1]
+        return _from_data(f, _trim(f, out))
 
     def valuation_at_zero(self) -> int:
         """Multiplicity of the root x = 0."""
         if self.is_zero():
             raise ValueError("zero polynomial has no valuation")
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
+        for i, c in enumerate(self._data):
+            if not self.field._is_zero(c):
                 return i
         raise AssertionError("unnormalized polynomial")
 
@@ -289,13 +244,14 @@ class Polynomial:
             other = self._coerce_other(other)
             if other is None:
                 return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return self.field == other.field and self._data == other._data
 
     def __hash__(self):
-        return hash((self.field.signature, tuple(self.field._canonical(c.data) for c in self.coeffs)))
+        f = self.field
+        return hash((f.signature, tuple(f._canonical(c) for c in self._data)))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._data)
 
     def to_string(self, var: str = "x") -> str:
         terms = []

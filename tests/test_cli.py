@@ -1,0 +1,65 @@
+import json
+
+import pytest
+
+from reciprocity import cli
+from reciprocity.errors import PrecisionError
+
+WRL = ["verify-wrl", "--field", "F5", "-f", "x+1", "-g", "x+2"]
+PAIR = ["--field", "F5", "-f", "x+1", "-g", "x+2"]
+MATRICES = ["-S", "[[1,0],[0,1]]", "-T", "[[1,0],[0,1]]"]
+
+
+def raising(exc):
+    def fn(*args, **kwargs):
+        raise exc
+
+    return fn
+
+
+@pytest.mark.parametrize("command", ["verify-wrl", "verify-residues"])
+def test_prime_above_64_bits(command, capsys):
+    argv = [command, "--field", "F18446744073709551629", "-f", "x+1", "-g", "x+2"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert "verified: True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("exc", [AssertionError("boom"), RuntimeError("boom")])
+def test_unhandled_exception_is_internal(monkeypatch, capsys, exc):
+    monkeypatch.setattr(cli, "verify_wrl", raising(exc))
+    assert cli.main(WRL) == cli.EXIT_INTERNAL
+    assert "internal error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("verify_wrl", WRL),
+    ("verify_residue_theorem", ["verify-residues", *PAIR]),
+    ("verify_residue_theorem", ["residue", *PAIR]),
+    ("verify_gf_global", ["verify-gf", *PAIR, *MATRICES]),
+    ("verify_wrl", ["sweep", "--field", "F5", "--count", "1", "--mode", "wrl"]),
+])
+def test_precision_error_is_internal_when_the_library_chose_it(monkeypatch, capsys, name, argv):
+    monkeypatch.setattr(cli, name, raising(PrecisionError("beyond the tracked precision")))
+    assert cli.main(argv) == cli.EXIT_INTERNAL
+
+
+def test_precision_error_is_input_when_the_user_chose_it(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(cli, "tame_symbol", raising(PrecisionError("beyond the tracked precision")))
+    assert cli.main(["symbol-tame", "--field", "F5", "-f", "1+z", "-g", "z", "--prec", "2"]) == cli.EXIT_INPUT
+    data = tmp_path / "local.json"
+    data.write_text(json.dumps({"entries": []}))
+    monkeypatch.setattr(cli, "verify_wrl_local_data", raising(PrecisionError("beyond the tracked precision")))
+    assert cli.main(["verify-wrl", "--field", "F5", "--local-data", str(data)]) == cli.EXIT_INPUT
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-gf", *PAIR, *MATRICES, "--seed", "1"],
+    ["verify-wrl", *PAIR, "--seed", "1"],
+    ["residue", *PAIR, "--prec", "8"],
+    ["verify-gf", *PAIR, *MATRICES, "--prec", "8"],
+    ["sweep", "--prec", "8"],
+])
+def test_options_that_would_be_ignored_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2

@@ -353,6 +353,26 @@ class TestGlobalGF:
         residues = {row["place"]: row["residue"] for row in rep.places}
         assert residues["(x + 4)"] == "1" and residues["infinity"] == "4"
 
+    def test_one_trace_residue_per_place(self, F5, monkeypatch):
+        # x^2 + 2 is irreducible over F5, so f has a degree-2 place besides
+        # the degree-1 places and infinity
+        import reciprocity.curve as curve
+
+        f = rf(F5, (2, 0, 1), (0, 1))
+        g = rf(F5, (0, 1), (1, 1))
+        calls = []
+
+        def counted(h, place):
+            calls.append(str(place))
+            return trace_residue_at_place(h, place)
+
+        monkeypatch.setattr(curve, "trace_residue_at_place", counted)
+        rep = verify_gf_global(self.GF_S, self.GF_T, f, g)
+        assert rep.verified, rep.text()
+        places = [str(p) for p in relevant_places(f, g)]
+        assert any(row["deg"] == 2 for row in rep.places)
+        assert sorted(calls) == sorted(places)
+
     def test_cli_unequal_valuations(self, capsys):
         argv = ["verify-gf", "-f", "x^2", "-g", "1/x^3", "--field", "F5",
                 "-S", "[[1,2],[3,4]]", "-T", "[[2,0],[1,1]]"]

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reciprocity.errors import NonUnitError
-from reciprocity.fields import QQ, PrimeField
+from reciprocity.fields import QQ, AlgebraElement, ExtensionField, PrimeField
 from reciprocity.poly import Polynomial
 
 F7 = PrimeField(7)
@@ -87,3 +87,59 @@ def test_divmod_invariant(a_ints, b_ints):
     q, r = divmod(a, b)
     assert q * b + r == a
     assert r.degree < b.degree
+
+
+# one field per arithmetic path: F_p kernels at small, mid and 61-bit p,
+# the generic kernels over F_q and over Q
+PROPERTY_FIELDS = [PrimeField(2), PrimeField(65537), PrimeField(2**61 - 1), ExtensionField(3, [1, 0, 1]), QQ]
+
+
+def elements(field):
+    if isinstance(field, ExtensionField):
+        digits = st.tuples(*[st.integers(0, field.p - 1)] * field.degree)
+        return digits.map(lambda t: AlgebraElement(field, t))
+    if field == QQ:
+        return st.fractions(min_value=-9, max_value=9, max_denominator=9).map(field.coerce)
+    return st.integers(0, field.p - 1).map(field.from_int)
+
+
+def polys(field, max_degree=5):
+    return st.lists(elements(field), max_size=max_degree + 1).map(lambda cs: Polynomial(field, cs))
+
+
+@pytest.mark.parametrize("field", PROPERTY_FIELDS, ids=repr)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_ring_identities(field, data):
+    a, b = data.draw(polys(field)), data.draw(polys(field))
+    x = data.draw(elements(field))
+    for c in a.coeffs:
+        assert isinstance(c, AlgebraElement) and c.ring == field
+    if not b.is_zero():
+        q, r = divmod(a, b)
+        assert a == q * b + r
+        assert r.degree < b.degree
+    g, s, t = a.xgcd(b)
+    assert s * a + t * b == g
+    assert g == a.gcd(b)
+    if b.degree >= 1 and g.degree == 0:
+        assert (a * a.invmod(b)) % b == Polynomial.one(field)
+    elif b.degree >= 1:
+        with pytest.raises(NonUnitError):
+            a.invmod(b)
+    assert (a + b).evaluate(x) == a.evaluate(x) + b.evaluate(x)
+    assert (a * b).evaluate(x) == a.evaluate(x) * b.evaluate(x)
+
+
+def test_identities_above_the_compiled_kernel_bound():
+    # p > 2^64 does not fit the compiled kernels' C integers
+    f = PrimeField(18446744073709551629)
+    a = Polynomial.from_int_coeffs(f, [3, -1, 0, 5, 2**63 + 7])
+    b = Polynomial.from_int_coeffs(f, [1, 0, 1])
+    q, r = divmod(a, b)
+    assert a == q * b + r and r.degree < b.degree
+    h = Polynomial.from_int_coeffs(f, [2**62, 1])
+    assert (a * h).gcd(b * h) == h.monic()
+    g, s, t = a.xgcd(b)
+    assert g == Polynomial.one(f) and s * a + t * b == g
+    assert (a * a.invmod(b)) % b == Polynomial.one(f)
