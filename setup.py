@@ -7,10 +7,11 @@ except ImportError:
 
 # The compiled kernels are optional: the package falls back to the pure
 # Python implementation in reciprocity._kernels.pure when the build fails.
+# Without Cython, the shipped generated C file is compiled instead.
 extensions = [
     Extension(
         "reciprocity._kernels._core",
-        ["src/reciprocity/_kernels/_core.pyx"],
+        ["src/reciprocity/_kernels/_core.pyx" if cythonize else "src/reciprocity/_kernels/_core.c"],
         optional=True,
     )
 ]
@@ -26,5 +27,5 @@ setup(
         },
     )
     if cythonize
-    else [],
+    else extensions,
 )

@@ -1,10 +1,17 @@
 """Artinian local algebras k[e_1..e_r]/(e_i^{n_i}) over an exact base field.
 
-Element data is a dict mapping exponent tuples to nonzero base-field
-elements; the empty dict is zero.  Multiplication truncates every monomial
-in which some exponent reaches its generator's order, so the maximal ideal
-(everything with zero constant coordinate) is nilpotent and an element is
+Element data is a tuple of the base field's raw data (int, Fraction or F_q
+tuple), one coordinate per monomial in ``monomials()`` order; the constant
+coordinate comes first.  Multiplication runs over structure constants
+computed once per algebra: the triples (i, j, k) with monomial_i *
+monomial_j = monomial_k, so every product in which some exponent reaches
+its generator's order is truncated.  The maximal ideal (everything with
+zero constant coordinate) is therefore nilpotent and an element is
 invertible exactly when its residue in the base field is.
+
+Only this module knows the data format; elsewhere coordinates are read and
+built through ``residue``, ``coordinate(s)``, ``from_coordinates``,
+``basis``, ``embed_from_below`` and ``generator``.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import itertools
 
 from .errors import NonUnitError
 from .fields import AlgebraElement, BaseField, CoefficientRing, lift
-from .formatting import format_terms, needs_parens, split_sign
+from .formatting import needs_parens, split_sign
 
 
 class ArtinianAlgebra(CoefficientRing):
@@ -35,92 +42,79 @@ class ArtinianAlgebra(CoefficientRing):
         self.orders = tuple(order for _, order in gens)
         self.names = tuple(names)
         self.characteristic = base.characteristic
-        self.dimension = 1
-        for order in self.orders:
-            self.dimension *= order
+        self._monomials = tuple(itertools.product(*(range(o) for o in self.orders)))
+        self.dimension = len(self._monomials)
+        self._index = {m: i for i, m in enumerate(self._monomials)}
+        # structure constants, grouped by the left factor: (i, ((j, k), ...))
+        table = []
+        for i, a in enumerate(self._monomials):
+            row = tuple(
+                (j, self._index[s])
+                for j, b in enumerate(self._monomials)
+                if (s := tuple(x + y for x, y in zip(a, b))) in self._index
+            )
+            table.append((i, row))
+        self._table = tuple(table)
+        self._zero = (base.zero().data,) * self.dimension
+        self._str_order = sorted(range(self.dimension), key=lambda i: (sum(self._monomials[i]), i))
 
     # smallest M with m^M = 0
     @property
     def nil_index(self) -> int:
         return sum(o - 1 for o in self.orders) + 1
 
-    def monomials(self):
-        return itertools.product(*(range(o) for o in self.orders))
-
-    def _zero_exps(self):
-        return (0,) * len(self.orders)
-
-    def _trim(self, d: dict) -> dict:
-        return {e: v for e, v in d.items() if not v.is_zero()}
+    def monomials(self) -> tuple:
+        return self._monomials
 
     def _add(self, a, b):
-        out = dict(a)
-        for e, v in b.items():
-            if e in out:
-                out[e] = out[e] + v
-            else:
-                out[e] = v
-        return self._trim(out)
+        add = self.base._add
+        return tuple(add(x, y) for x, y in zip(a, b))
 
     def _sub(self, a, b):
-        out = dict(a)
-        for e, v in b.items():
-            if e in out:
-                out[e] = out[e] - v
-            else:
-                out[e] = -v
-        return self._trim(out)
+        sub = self.base._sub
+        return tuple(sub(x, y) for x, y in zip(a, b))
 
     def _neg(self, a):
-        return {e: -v for e, v in a.items()}
+        neg = self.base._neg
+        return tuple(neg(x) for x in a)
 
     def _mul(self, a, b):
-        out: dict = {}
-        orders = self.orders
-        for e1, v1 in a.items():
-            for e2, v2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                if any(x >= o for x, o in zip(e, orders)):
-                    continue
-                prod = v1 * v2
-                if e in out:
-                    out[e] = out[e] + prod
-                else:
-                    out[e] = prod
-        return self._trim(out)
+        base = self.base
+        add, mul, is_zero = base._add, base._mul, base._is_zero
+        live = [not is_zero(y) for y in b]
+        out = list(self._zero)
+        for i, row in self._table:
+            x = a[i]
+            if not is_zero(x):
+                for j, k in row:
+                    if live[j]:
+                        out[k] = add(out[k], mul(x, b[j]))
+        return tuple(out)
 
     def _inv(self, a):
-        z = self._zero_exps()
-        r0 = a.get(z, self.base.zero())
-        if not r0.is_invertible():
+        base = self.base
+        if not base._is_invertible(a[0]):
             raise NonUnitError("element is not invertible (residue is zero)")
-        c = {z: r0.inverse()}
-        u = self._mul(a, c)  # 1 + nilpotent
-        n = dict(u)
-        one = self.base.one()
-        n[z] = n.get(z, self.base.zero()) - one
-        n = self._trim(n)
-        acc = {z: one}
-        power = {z: one}
-        sign = -1
+        c = base._inv(a[0])
+        # a = a_0 (1 - n) with n nilpotent, so 1/a = c (1 + n + n^2 + ...)
+        n = (self._zero[0],) + tuple(base._neg(base._mul(c, x)) for x in a[1:])
+        acc = power = (base.one().data,) + self._zero[1:]
         for _ in range(self.nil_index):
             power = self._mul(power, n)
-            if not power:
+            if power == self._zero:
                 break
-            term = power if sign > 0 else self._neg(power)
-            acc = self._add(acc, term)
-            sign = -sign
-        return self._mul(c, acc)
+            acc = self._add(acc, power)
+        return tuple(base._mul(c, x) for x in acc)
 
     def _is_zero(self, a):
-        return not a
+        return a == self._zero
 
     def _is_invertible(self, a):
-        r0 = a.get(self._zero_exps())
-        return r0 is not None and r0.is_invertible()
+        return self.base._is_invertible(a[0])
 
     def _canonical(self, a):
-        return tuple(sorted((e, self.base._canonical(v.data)) for e, v in a.items()))
+        base = self.base
+        return tuple((m, base._canonical(v)) for m, v in zip(self._monomials, a) if not base._is_zero(v))
 
     def _monomial_str(self, exps) -> str:
         parts = []
@@ -132,13 +126,12 @@ class ArtinianAlgebra(CoefficientRing):
         return "*".join(parts)
 
     def _str(self, a):
-        if not a:
-            return "0"
-        items = sorted(a.items(), key=lambda kv: (sum(kv[0]), kv[0]))
         parts = []
-        for i, (exps, v) in enumerate(items):
-            mono = self._monomial_str(exps)
-            coeff, neg = split_sign(v)
+        for i in self._str_order:
+            if self.base._is_zero(a[i]):
+                continue
+            mono = self._monomial_str(self._monomials[i])
+            coeff, neg = split_sign(AlgebraElement(self.base, a[i]))
             if mono:
                 if coeff == "1":
                     body = mono
@@ -148,21 +141,21 @@ class ArtinianAlgebra(CoefficientRing):
                     body = f"{coeff}*{mono}"
             else:
                 body = coeff
-            if i == 0:
+            if not parts:
                 parts.append(f"-{body}" if neg else body)
             else:
                 parts.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(parts)
+        return " ".join(parts) or "0"
 
     def from_int(self, n):
-        v = self.base.from_int(n)
-        data = {} if v.is_zero() else {self._zero_exps(): v}
-        return AlgebraElement(self, data)
+        return self.embed_from_below(self.base.from_int(n))
 
     def embed_from_below(self, elem: AlgebraElement) -> AlgebraElement:
-        v = lift(elem, self.base)
-        data = {} if v.is_zero() else {self._zero_exps(): v}
-        return AlgebraElement(self, data)
+        return AlgebraElement(self, (lift(elem, self.base).data,) + self._zero[1:])
+
+    def from_coordinates(self, coords) -> AlgebraElement:
+        """The element with the given base-field coordinates, in monomials() order."""
+        return AlgebraElement(self, tuple(self.base.coerce(c).data for c in coords))
 
     def generator(self, name) -> AlgebraElement:
         if isinstance(name, int):
@@ -170,30 +163,30 @@ class ArtinianAlgebra(CoefficientRing):
         else:
             idx = self.names.index(str(name))
         exps = tuple(1 if i == idx else 0 for i in range(len(self.orders)))
-        return AlgebraElement(self, {exps: self.base.one()})
+        return self.basis()[self._index[exps]]
 
     def residue(self, elem: AlgebraElement) -> AlgebraElement:
         """Image in the base field (constant coordinate)."""
-        return elem.data.get(self._zero_exps(), self.base.zero())
+        return AlgebraElement(self.base, elem.data[0])
 
     def is_nilpotent(self, elem: AlgebraElement) -> bool:
         return self.residue(elem).is_zero()
 
     def coordinate(self, elem: AlgebraElement, exps) -> AlgebraElement:
-        return elem.data.get(tuple(exps), self.base.zero())
+        i = self._index.get(tuple(exps))
+        return self.base.zero() if i is None else AlgebraElement(self.base, elem.data[i])
+
+    def coordinates(self, elem: AlgebraElement) -> list[AlgebraElement]:
+        """Base-field coordinates of elem, in monomials() order."""
+        return [AlgebraElement(self.base, v) for v in elem.data]
 
     def basis(self):
-        """Monomial elements in a fixed order."""
-        one = self.base.one()
-        return [AlgebraElement(self, {e: one}) for e in self.monomials()]
+        """Monomial elements in monomials() order."""
+        one, zero = self.base.one().data, self._zero
+        return [AlgebraElement(self, zero[:i] + (one,) + zero[i + 1:]) for i in range(self.dimension)]
 
     def random_element(self, rng):
-        data = {}
-        for e in self.monomials():
-            v = self.base.random_element(rng)
-            if not v.is_zero():
-                data[e] = v
-        return AlgebraElement(self, data)
+        return AlgebraElement(self, tuple(self.base.random_element(rng).data for _ in self._monomials))
 
     @property
     def signature(self):
@@ -209,3 +202,14 @@ class ArtinianAlgebra(CoefficientRing):
 def dual_numbers(base: BaseField, names=("e1", "e2")) -> ArtinianAlgebra:
     """k[e1,e2]/(e1^2,e2^2), the ring used for Lie-algebra computations."""
     return ArtinianAlgebra(base, [(n, 2) for n in names])
+
+
+def dual_coefficient(x: AlgebraElement, what: str) -> AlgebraElement:
+    """c for x = 1 + c*e1*e2 in k[e1,e2]/(e1^2,e2^2); AssertionError otherwise."""
+    ring = x.ring
+    one, c1, c2, c = ring.coordinates(x)
+    if one != ring.base.one():
+        raise AssertionError(f"{what} must be unipotent")
+    if not (c1.is_zero() and c2.is_zero()):
+        raise AssertionError(f"unexpected component in {what}")
+    return c

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import traceback
@@ -114,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=50, help="number of instances")
     p.add_argument("--mode", choices=["wrl", "residues", "all"], default="all")
     p.add_argument("--max-degree", type=int, default=5)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, at most the CPU count")
     return parser
 
 
@@ -265,10 +266,12 @@ def _sweep_instance(payload) -> dict:
 def _cmd_sweep(args) -> int:
     seed = args.seed
     payloads = [(args.field, seed, i, args.mode, args.max_degree) for i in range(args.count)]
-    if args.jobs > 1:
+    # with fork, the pool starts every worker it is allowed
+    jobs = min(args.jobs, os.cpu_count() or 1)
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_instance, payloads))
     else:
         results = [_sweep_instance(p) for p in payloads]

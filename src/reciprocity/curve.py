@@ -280,9 +280,12 @@ class RationalFunction:
             base.factors = tuple((p, -m) for p, m in self.factors)
             base.lead = self.lead.inverse()
             base.trusted = self.trusted
+        # binary powering from base itself, so the factor cache carries through
         out = base
-        for _ in range(k - 1):
-            out = out * base
+        for bit in bin(k)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * base
         return out
 
     def derivative(self) -> "RationalFunction":

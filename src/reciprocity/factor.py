@@ -2,10 +2,10 @@
 
 Over a finite field the full chain runs: squarefree decomposition,
 distinct-degree splitting, then equal-degree splitting (Cantor-Zassenhaus,
-with the trace construction in characteristic 2).  Roots of the degree-one
-part are found by exhaustive search when the field has at most 10^6
-elements, which keeps that path deterministic; the randomized splits use a
-seedable generator with a fixed default seed.
+with the trace construction in characteristic 2) for every degree, roots
+included.  The randomized splits use a seedable generator with a fixed
+default seed, and the factors are returned in a canonical order, so the
+output does not depend on the seed.
 
 Over the rationals only content extraction, Yun's squarefree decomposition
 and rational-root splitting are attempted.  Factors of degree <= 3 without
@@ -24,7 +24,6 @@ from .fields import AlgebraElement, BaseField, ExtensionField, PrimeField, Ratio
 from .poly import Polynomial
 
 DEFAULT_SEED = 0x1718
-_EXHAUSTIVE_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -46,19 +45,6 @@ class Factorization:
 
     def __iter__(self):
         return iter(self.factors)
-
-
-def _field_elements(field):
-    if isinstance(field, PrimeField):
-        for a in range(field.p):
-            yield AlgebraElement(field, a)
-    elif isinstance(field, ExtensionField):
-        import itertools
-
-        for tup in itertools.product(range(field.p), repeat=field.degree):
-            yield AlgebraElement(field, tup)
-    else:
-        raise FactorError(f"cannot enumerate elements of {field!r}")
 
 
 def _frobenius_root(c: AlgebraElement, field) -> AlgebraElement:
@@ -133,26 +119,12 @@ def _distinct_degree(f: Polynomial) -> list[tuple[Polynomial, int]]:
     return out
 
 
-def _roots_exhaustive(f: Polynomial) -> list[AlgebraElement]:
-    roots = []
-    for a in _field_elements(f.field):
-        if f.evaluate(a).is_zero():
-            roots.append(a)
-    return roots
-
-
 def _equal_degree_split(f: Polynomial, d: int, rng: random.Random) -> list[Polynomial]:
     """Monic squarefree f, all irreducible factors of degree d."""
     field = f.field
     q = field.order
     if f.degree == d:
         return [f.monic()]
-    if d == 1 and q <= _EXHAUSTIVE_LIMIT:
-        x = Polynomial.x(field)
-        return sorted(
-            ((x - a).monic() for a in _roots_exhaustive(f)),
-            key=lambda g: g.field._canonical(g.coefficient(0).data),
-        )
     while True:
         r = Polynomial(field, [field.random_element(rng) for _ in range(f.degree)])
         if r.degree < 1:

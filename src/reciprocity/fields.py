@@ -321,16 +321,19 @@ class ExtensionField(BaseField):
         return tuple(lst) + (0,) * (self.degree - len(lst))
 
     def _add(self, a, b):
-        return self._pad(self.base.kernels.add(list(a), list(b), self.p))
+        p = self.p
+        return tuple((x + y) % p for x, y in zip(a, b))
 
     def _sub(self, a, b):
-        return self._pad(self.base.kernels.sub(list(a), list(b), self.p))
+        p = self.p
+        return tuple((x - y) % p for x, y in zip(a, b))
 
     def _mul(self, a, b):
         return self._pad(self.base.kernels.mulmod(list(a), list(b), list(self.modulus), self.p))
 
     def _neg(self, a):
-        return self._pad(self.base.kernels.neg(list(a), self.p))
+        p = self.p
+        return tuple(-x % p for x in a)
 
     def _inv(self, a):
         try:

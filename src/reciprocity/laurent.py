@@ -122,6 +122,15 @@ class LaurentSeries:
             return False
         return self.coeffs[min(self.coeffs)].is_invertible()
 
+    def leading_term(self) -> tuple[int, AlgebraElement]:
+        """(v, c) for the lowest stored term c z^v of a declared unit."""
+        if self.is_zero():
+            raise NonUnitError("cannot factorize the zero series")
+        if not self.is_unit():
+            raise NonUnitError("series is not a declared unit")
+        v = min(self.coeffs)
+        return v, self.coeffs[v]
+
     # -- arithmetic -------------------------------------------------------
 
     def _check_ring(self, other: "LaurentSeries"):
@@ -343,12 +352,7 @@ def unit_factorize(f: LaurentSeries, prec: int | None = None) -> UnitFactorizati
     defaults to the series' own precision, or valuation + DEFAULT_PRECISION
     for exact series.
     """
-    if f.is_zero():
-        raise NonUnitError("cannot factorize the zero series")
-    if not f.is_unit():
-        raise NonUnitError("series is not a declared unit")
-    v = min(f.coeffs)
-    s0 = f.coeffs[v]
+    v, s0 = f.leading_term()
     target = prec
     if target is None:
         target = f.prec if f.prec is not None else v + DEFAULT_PRECISION

@@ -3,7 +3,11 @@
 The norm (resp. trace) of r over a subfield k is the determinant (resp.
 trace) of the k-linear multiplication-by-r map on its parent ring.  Both are
 computed from explicit multiplication matrices; nothing here uses Frobenius
-shortcuts, which stay available to the tests as an independent oracle.
+shortcuts, which stay available to the tests as an independent oracle.  The
+relative norm and trace along the field part of an Artinian ring likewise
+share one matrix, of multiplication over the Artinian ring with the same
+generators over the smaller field.  Artinian coordinates are read and built
+only through the ring's own methods (see :mod:`reciprocity.artinian`).
 
 Matrix helpers work over any coefficient ring and take and return matrices
 of elements.  Each one unwraps its arguments to raw data once, makes one
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 from .artinian import ArtinianAlgebra
 from .errors import NonUnitError, TowerError
-from .fields import AlgebraElement, BaseField, CoefficientRing, ExtensionField, lift
+from .fields import AlgebraElement, BaseField, CoefficientRing, ExtensionField
 
 
 # -- vector space structure over a subfield ---------------------------------
@@ -30,12 +34,8 @@ def vector_basis(ring: CoefficientRing, over: BaseField) -> list[AlgebraElement]
     if isinstance(ring, ExtensionField) and over == ring.base:
         return [AlgebraElement(ring, ring._pad([0] * i + [1])) for i in range(ring.degree)]
     if isinstance(ring, ArtinianAlgebra):
-        inner = vector_basis(ring.base, over) if ring.base != over else [over.one()]
-        out = []
-        for exps in ring.monomials():
-            for b in inner:
-                out.append(AlgebraElement(ring, {exps: lift(b, ring.base)}))
-        return out
+        inner = vector_basis(ring.base, over)
+        return [m * ring.embed_from_below(b) for m in ring.basis() for b in inner]
     raise TowerError(f"{ring!r} is not an algebra over {over!r}")
 
 
@@ -47,14 +47,7 @@ def coordinates(elem: AlgebraElement, over: BaseField) -> list[AlgebraElement]:
     if isinstance(ring, ExtensionField) and over == ring.base:
         return [AlgebraElement(over, c) for c in elem.data]
     if isinstance(ring, ArtinianAlgebra):
-        out = []
-        for exps in ring.monomials():
-            c = ring.coordinate(elem, exps)
-            if ring.base == over:
-                out.append(c)
-            else:
-                out.extend(coordinates(c, over))
-        return out
+        return [x for c in ring.coordinates(elem) for x in coordinates(c, over)]
     raise TowerError(f"{ring!r} is not an algebra over {over!r}")
 
 
@@ -162,8 +155,24 @@ def norm_det_compat(T, over: BaseField):
 # -- relative norm/trace along the residue-field part ------------------------
 
 
-def _artinian_over(base: BaseField, template: ArtinianAlgebra) -> ArtinianAlgebra:
-    return ArtinianAlgebra(base, template.generators)
+def _relative_matrix(elem: AlgebraElement, down_to: BaseField):
+    """Multiplication by elem in A = k'[e..]/(..) over A0 = down_to[e..]/(..).
+
+    A is a free A0-module on the basis vector_basis(k', down_to); returns the
+    matrix of elem in that basis and A0.
+    """
+    ring = elem.ring
+    if not isinstance(ring, ArtinianAlgebra):
+        raise TowerError(f"unsupported ring {ring!r}")
+    kprime = ring.base
+    kprime.extension_degree_over(down_to)  # TowerError unless k' is down_to or above it
+    target = ring if kprime == down_to else ArtinianAlgebra(down_to, ring.generators)
+    cols = []
+    for b in vector_basis(kprime, down_to):
+        parts = [coordinates(c, down_to) for c in ring.coordinates(elem * ring.embed_from_below(b))]
+        cols.append([target.from_coordinates(row) for row in zip(*parts)])
+    n = len(cols)
+    return [[cols[j][i] for j in range(n)] for i in range(n)], target
 
 
 def relative_norm(elem: AlgebraElement, down_to: BaseField) -> AlgebraElement:
@@ -174,55 +183,13 @@ def relative_norm(elem: AlgebraElement, down_to: BaseField) -> AlgebraElement:
     A as a free A0-module with basis the field basis of k'.  For plain field
     elements it reduces to algebra_norm.
     """
-    ring = elem.ring
-    if isinstance(ring, BaseField):
+    if isinstance(elem.ring, BaseField):
         return algebra_norm(elem, down_to)
-    if not isinstance(ring, ArtinianAlgebra):
-        raise TowerError(f"unsupported ring {ring!r}")
-    kprime = ring.base
-    if kprime == down_to:
-        return elem
-    if not (isinstance(kprime, ExtensionField) and kprime.base == down_to):
-        raise TowerError(f"{kprime!r} is not an extension of {down_to!r}")
-    target = _artinian_over(down_to, ring)
-    d = kprime.degree
-    # columns: elem * u^j expressed over the field basis, coefficients in target
-    cols = []
-    for j in range(d):
-        uj = AlgebraElement(kprime, kprime._pad([0] * j + [1]))
-        prod = elem * lift(uj, ring)
-        col = [dict() for _ in range(d)]
-        for exps, c in prod.data.items():
-            for i, ci in enumerate(c.data):
-                if ci:
-                    col[i][exps] = AlgebraElement(down_to, ci)
-        cols.append([AlgebraElement(target, dict(col_i)) for col_i in col])
-    matrix = [[cols[j][i] for j in range(d)] for i in range(d)]
-    return mat_det(matrix, target)
+    return mat_det(*_relative_matrix(elem, down_to))
 
 
 def relative_trace(elem: AlgebraElement, down_to: BaseField) -> AlgebraElement:
     """Trace counterpart of relative_norm."""
-    ring = elem.ring
-    if isinstance(ring, BaseField):
+    if isinstance(elem.ring, BaseField):
         return algebra_trace(elem, down_to)
-    if not isinstance(ring, ArtinianAlgebra):
-        raise TowerError(f"unsupported ring {ring!r}")
-    kprime = ring.base
-    if kprime == down_to:
-        return elem
-    if not (isinstance(kprime, ExtensionField) and kprime.base == down_to):
-        raise TowerError(f"{kprime!r} is not an extension of {down_to!r}")
-    target = _artinian_over(down_to, ring)
-    d = kprime.degree
-    total = target.zero()
-    for j in range(d):
-        uj = AlgebraElement(kprime, kprime._pad([0] * j + [1]))
-        prod = elem * lift(uj, ring)
-        data = {}
-        for exps, c in prod.data.items():
-            ci = c.data[j]
-            if ci:
-                data[exps] = AlgebraElement(down_to, ci)
-        total = total + AlgebraElement(target, data)
-    return total
+    return mat_trace(*_relative_matrix(elem, down_to))

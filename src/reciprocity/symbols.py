@@ -19,11 +19,11 @@ closes the list.
 
 from __future__ import annotations
 
-from .artinian import ArtinianAlgebra, dual_numbers
+from .artinian import ArtinianAlgebra, dual_coefficient, dual_numbers
 from .blockops import lie_cocycle, multiplication_operator
 from .errors import DomainError, NonUnitError, WindowError
 from .fields import AlgebraElement, BaseField, lift
-from .laurent import LaurentSeries, cc_factorize, unit_factorize
+from .laurent import LaurentSeries, cc_factorize
 from .norms import algebra_norm, algebra_trace, relative_norm
 
 SymbolValue = AlgebraElement
@@ -40,13 +40,15 @@ def winding_number(g: LaurentSeries, base: BaseField) -> int:
 
 
 def local_commutator(S: LaurentSeries, T: LaurentSeries, base: BaseField) -> SymbolValue:
-    """Norm_{k'/base}((S^{v(T)} / T^{v(S)})(0)); carries no sign."""
+    """Norm_{k'/base}((S^{v(T)} / T^{v(S)})(0)); carries no sign.
+
+    Only the valuations and leading coefficients of S and T enter.
+    """
     if S.ring != T.ring or not isinstance(S.ring, BaseField):
         raise DomainError("both series must be units over one coefficient field")
-    fS = unit_factorize(S)
-    fT = unit_factorize(T)
-    value = fS.leading ** fT.valuation * fT.leading ** (-fS.valuation)
-    return algebra_norm(value, base)
+    vS, lS = S.leading_term()
+    vT, lT = T.leading_term()
+    return algebra_norm(lS**vT * lT ** (-vS), base)
 
 
 def tame_symbol(f: LaurentSeries, g: LaurentSeries, base: BaseField) -> SymbolValue:
@@ -135,16 +137,7 @@ def residue_from_dual_symbol(
     e1, e2 = duals.generator(0), duals.generator(1)
     f = LaurentSeries.one(duals) + alpha.map_coefficients(lambda c: lift(c, duals) * e1, duals)
     g = LaurentSeries.one(duals) + beta.map_coefficients(lambda c: lift(c, duals) * e2, duals)
-    cc = contou_carrere_symbol(f, g, base)
-    target = cc.ring
-    if not isinstance(target, ArtinianAlgebra):
-        raise AssertionError("symbol did not return an Artinian element")
-    if target.residue(cc) != target.base.one():
-        raise AssertionError("dual symbol must be unipotent")
-    for exps, v in cc.data.items():
-        if exps not in ((0, 0), (1, 1)) and not v.is_zero():
-            raise AssertionError("unexpected component in dual symbol")
-    return target.coordinate(cc, (1, 1))
+    return dual_coefficient(contou_carrere_symbol(f, g, base), "dual symbol")
 
 
 def residue_coefficient(

@@ -63,3 +63,33 @@ def test_options_that_would_be_ignored_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+
+
+def test_sweep_jobs_capped_at_cpu_count(monkeypatch, capsys):
+    import concurrent.futures
+
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    argv = ["sweep", "--field", "F5", "--count", "2", "--mode", "wrl", "--max-degree", "2"]
+    assert cli.main([*argv, "--jobs", "100000"]) == cli.EXIT_OK
+    assert cli.main([*argv, "--jobs", "2"]) == cli.EXIT_OK
+    assert started == [2, 2]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    assert cli.main([*argv, "--jobs", "100000"]) == cli.EXIT_OK
+    assert started == [2, 2]
+    assert "2/2 passed" in capsys.readouterr().out

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -378,3 +379,39 @@ class TestGlobalGF:
                 "-S", "[[1,2],[3,4]]", "-T", "[[2,0],[1,1]]"]
         assert cli_main(argv) == 0
         assert "error" not in capsys.readouterr().err
+
+
+class TestRationalPower:
+    def test_binary_powering(self, F5, monkeypatch):
+        f = rf(F5, (1, 2), (3, 0, 1))
+        expected = {}
+        for e in (1, 2, 3, 5, 8, 13, 100, -7):
+            base = f if e > 0 else rf(F5, (1,)) / f
+            value = base
+            for _ in range(abs(e) - 1):
+                value = value * base
+            expected[e] = value
+        calls = []
+        original = RationalFunction.__mul__
+
+        def counting(self, other):
+            calls.append(other)
+            return original(self, other)
+
+        monkeypatch.setattr(RationalFunction, "__mul__", counting)
+        for e, value in expected.items():
+            calls.clear()
+            assert f**e == value
+            assert len(calls) <= 2 * math.log2(abs(e))
+
+    def test_factored_power_keeps_scaled_factors(self, F5):
+        x = Polynomial.x(F5)
+        pairs = [(x + 1, 2), (x**2 + 2, -1)]
+        f = RationalFunction.from_factored(F5, 3, pairs)
+        plain = RationalFunction(F5, f.num, f.den)
+        for e in (5, -5):
+            g = f**e
+            assert g == plain**e
+            assert g.factors == tuple((p, m * e) for p, m in f.factors)
+            assert g.lead == F5.from_int(3) ** e
+            assert plain.factors is None and (plain**e).factors is None

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reciprocity.artinian import ArtinianAlgebra, dual_numbers
 from reciprocity.errors import NonUnitError, TowerError
@@ -13,6 +14,7 @@ from reciprocity.fields import (
     is_prime,
     lift,
 )
+from reciprocity.parsing import parse_series
 
 
 def test_primality():
@@ -130,3 +132,50 @@ def test_random_elements_live_in_ring(rng, F9):
         assert x.ring == A
         y = F9.random_element(rng)
         assert y.ring == F9
+
+
+ARTINIAN_BASES = {"Q": QQ, "F7": PrimeField(7), "F9": ExtensionField(3, [1, 0, 1])}
+ARTINIAN_SHAPES = [[("e", 2)], [("e1", 2), ("e2", 2)], [("a", 3), ("b", 2)]]
+
+
+def _base_elements(base):
+    if base == QQ:
+        return st.fractions(min_value=-9, max_value=9, max_denominator=9).map(QQ.coerce)
+    ints = st.integers(0, base.characteristic - 1)
+    if isinstance(base, ExtensionField):
+        u = base.generator()
+        return st.tuples(ints, ints).map(lambda t: t[0] + t[1] * u)
+    return ints.map(base.from_int)
+
+
+def _naive_mul(A, x, y):
+    """Product through exponent dicts, truncating at the generator orders."""
+    monos = list(A.monomials())
+    out = {}
+    for m1, a in zip(monos, A.coordinates(x)):
+        for m2, b in zip(monos, A.coordinates(y)):
+            e = tuple(i + j for i, j in zip(m1, m2))
+            if all(i < o for i, o in zip(e, A.orders)):
+                out[e] = out.get(e, A.base.zero()) + a * b
+    return A.from_coordinates([out.get(m, A.base.zero()) for m in monos])
+
+
+@pytest.mark.parametrize("shape", ARTINIAN_SHAPES, ids=lambda s: ",".join(n for n, _ in s))
+@pytest.mark.parametrize("base_name", sorted(ARTINIAN_BASES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_artinian_ring_laws(base_name, shape, data):
+    A = ArtinianAlgebra(ARTINIAN_BASES[base_name], shape)
+    coords = st.lists(_base_elements(A.base), min_size=A.dimension, max_size=A.dimension)
+    x, y, z = (A.from_coordinates(data.draw(coords)) for _ in range(3))
+    assert x * y == _naive_mul(A, x, y)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert (x - y) + y == x and x + (-x) == A.zero()
+    nilpotent = x - A.embed_from_below(A.residue(x))
+    with pytest.raises(NonUnitError):
+        nilpotent.inverse()
+    assert nilpotent ** A.nil_index == A.zero()
+    if x.is_invertible():
+        assert x * x.inverse() == A.one()
+    assert parse_series(str(x), A).coefficient(0) == x

@@ -6,7 +6,7 @@ from reciprocity.artinian import ArtinianAlgebra, dual_numbers
 from reciprocity.corpus import random_laurent_polynomial, random_principal_unit, random_unit_series
 from reciprocity.errors import DomainError, NonUnitError
 from reciprocity.fields import QQ, ExtensionField, PrimeField, lift
-from reciprocity.laurent import LaurentSeries
+from reciprocity.laurent import LaurentSeries, unit_factorize
 from reciprocity.norms import algebra_norm, algebra_trace
 from reciprocity.symbols import (
     LoopMatrix,
@@ -66,6 +66,17 @@ class TestLocalCommutator:
     def test_rejects_non_units(self, Q):
         with pytest.raises(NonUnitError):
             local_commutator(LaurentSeries.zero(Q), zpow(Q, 1), Q)
+        with pytest.raises(NonUnitError):
+            local_commutator(zpow(Q, 1), LaurentSeries.zero(Q, prec=4), Q)
+
+    def test_agrees_with_unit_factorization(self, rng, F9, F3):
+        for field, base in ((F9, F3), (F9, F9)):
+            for _ in range(20):
+                s = random_unit_series(rng, field)
+                t = random_unit_series(rng, field)
+                fs, ft = unit_factorize(s), unit_factorize(t)
+                value = fs.leading**ft.valuation * ft.leading ** (-fs.valuation)
+                assert local_commutator(s, t, base) == algebra_norm(value, base)
 
 
 class TestTameSymbol:
