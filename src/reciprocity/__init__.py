@@ -54,7 +54,7 @@ from .errors import (
     TowerError,
     WindowError,
 )
-from .factor import Factorization, is_irreducible, poly_factor, poly_invmod
+from .factor import Factorization, is_irreducible, poly_factor
 from .fields import QQ, AlgebraElement, BaseField, ExtensionField, PrimeField, RationalField
 from .laurent import (
     DEFAULT_PRECISION,

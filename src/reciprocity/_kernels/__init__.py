@@ -2,7 +2,8 @@
 
 The package namespace exports the F_p kernels the library calls, from the
 compiled extension ``_core`` when it is built and from ``pure`` otherwise;
-``RECIPROCITY_PURE=1`` forces ``pure``, and ``BACKEND`` says which is live.
+``RECIPROCITY_PURE=1`` forces ``pure`` (any value other than unset, empty
+or 1 is a ``ValueError`` at import), and ``BACKEND`` says which is live.
 A ``PrimeField`` names this namespace as its ``kernels`` (extension fields
 reach it through their prime field), so each call looks the function up
 here when it runs.  ``_core`` types p as a C ``long long``: a prime above
@@ -16,7 +17,10 @@ import os
 
 from . import generic, pure
 
-if os.environ.get("RECIPROCITY_PURE"):
+_FORCE_PURE = os.environ.get("RECIPROCITY_PURE", "")
+if _FORCE_PURE not in ("", "1"):
+    raise ValueError(f"RECIPROCITY_PURE must be unset, empty or 1, not {_FORCE_PURE!r}")
+if _FORCE_PURE:
     _impl = pure
 else:
     try:

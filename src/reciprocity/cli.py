@@ -314,9 +314,15 @@ def _chose_every_precision(args) -> bool:
     return args.command in ("verify-wrl", "verify-residues") and not args.local_data
 
 
+# built on the first call and reused: parse_args keeps no state between calls
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except PrecisionError as exc:

@@ -269,11 +269,6 @@ def poly_factor(f: Polynomial, seed: int | None = None) -> Factorization:
     return Factorization(field, lead, tuple(factors))
 
 
-def poly_invmod(a: Polynomial, m: Polynomial) -> Polynomial:
-    """b with a*b = 1 (mod m), deg b < deg m; requires gcd(a, m) = 1."""
-    return a.invmod(m)
-
-
 def is_irreducible(f: Polynomial, seed: int | None = None):
     """True/False over finite fields; over Q returns None when uncertifiable."""
     if f.degree < 1:

@@ -5,7 +5,10 @@ Three base fields are supported:
 * the rationals, with :class:`fractions.Fraction` data,
 * prime fields F_p, with int data in ``[0, p)``,
 * extension fields F_p[u]/(m) for a monic irreducible m, with fixed-length
-  tuples of ints as data (coefficient i of u^i).
+  tuples of ints as data (coefficient i of u^i).  A field of at most
+  ``TABLE_MAX_ORDER`` (2^16) elements multiplies and inverts through
+  discrete-log tables of a primitive element; a larger one calls the F_p
+  kernels ``mulmod``/``invmod``.
 
 Every element is an :class:`AlgebraElement` pointing at its parent ring; the
 parent implements the raw operations on the underlying data.  Each ring also
@@ -19,12 +22,16 @@ operations are pure, so everything here is safe to share between threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from . import _kernels
 from ._kernels import generic
 from .errors import NonUnitError, TowerError
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# extension fields with at most this many elements multiply by log tables
+TABLE_MAX_ORDER = 2**16
 
 
 def is_prime(n: int) -> bool:
@@ -246,6 +253,19 @@ class PrimeField(BaseField):
         return f"F{self.p}"
 
 
+def _prime_divisors(n: int) -> set[int]:
+    primes = set()
+    q = 2
+    while q * q <= n:
+        while n % q == 0:
+            primes.add(q)
+            n //= q
+        q += 1
+    if n > 1:
+        primes.add(n)
+    return primes
+
+
 def _is_irreducible_mod_p(coeffs: list[int], fp: PrimeField) -> bool:
     """Rabin's test for a monic polynomial given as an int list over F_p."""
     d = len(coeffs) - 1
@@ -258,17 +278,7 @@ def _is_irreducible_mod_p(coeffs: list[int], fp: PrimeField) -> bool:
     xq = k.powmod(x, p**d, coeffs, p)
     if k.sub(xq, x, p):
         return False
-    primes = set()
-    n = d
-    q = 2
-    while q * q <= n:
-        while n % q == 0:
-            primes.add(q)
-            n //= q
-        q += 1
-    if n > 1:
-        primes.add(n)
-    for q in primes:
+    for q in _prime_divisors(d):
         xe = k.powmod(x, p ** (d // q), coeffs, p)
         if k.gcd(k.sub(xe, x, p), coeffs, p) != [1]:
             return False
@@ -294,10 +304,46 @@ def find_irreducible(p: int, d: int) -> list[int]:
     raise ValueError(f"no irreducible polynomial of degree {d} over F_{p}")
 
 
+@lru_cache(maxsize=32)
+def _log_tables(p: int, modulus: tuple[int, ...]) -> tuple[dict, list]:
+    """Discrete-log tables of F_p[u]/(m) for a primitive element g.
+
+    ``log`` maps each nonzero element tuple to its exponent in [0, q-1), and
+    ``exp`` lists g^0 .. g^(q-2) twice, so a sum of two logs indexes it
+    directly.  g is the first nonconstant element, in base-p order, with
+    g^((q-1)/r) != 1 for every prime r | q-1, and the tables are one walk of
+    its powers (Huber, "Some comments on Zech's logarithms", 1990).  Every
+    field with this p and m shares the cached tables, so nothing may mutate
+    them.
+    """
+    m, d = list(modulus), len(modulus) - 1
+    n = p**d - 1
+    exponents = [n // r for r in _prime_divisors(n)]
+    for code in range(p, p**d):
+        g = _kernels.normalize([code // p**i % p for i in range(d)])
+        if all(_kernels.powmod(g, e, m, p) != [1] for e in exponents):
+            break
+    log, exp, x = {}, [], (1,) + (0,) * (d - 1)
+    for i in range(n):
+        log[x] = i
+        exp.append(x)
+        # x*g by Horner in u; y*u mod m is a shift minus top * m
+        y = [g[-1] * t % p for t in x]
+        for c in reversed(g[:-1]):
+            top = y[-1]
+            y = [(a - top * b + c * t) % p for a, b, t in zip([0] + y[:-1], m, x)]
+        x = tuple(y)
+    return log, exp + exp
+
+
 class ExtensionField(BaseField):
     """F_p[u]/(m) for monic irreducible m; element data is a tuple of ints.
 
     The tuple always has length deg(m); index i holds the coefficient of u^i.
+    Sums are coordinate-wise.  With at most ``TABLE_MAX_ORDER`` elements,
+    products and inverses are lookups in the discrete-log tables of
+    ``_log_tables``; above that they call the F_p kernels.  Each field binds
+    one of the two paths in ``__init__``.
     """
 
     def __init__(self, p: int, modulus, name: str = "u"):
@@ -316,6 +362,12 @@ class ExtensionField(BaseField):
         self.modulus = tuple(coeffs)
         self.degree = len(coeffs) - 1
         self.name = name
+        self._zero = (0,) * self.degree
+        self._one = (1,) + self._zero[1:]
+        if self.order <= TABLE_MAX_ORDER:
+            self._log, self._exp = _log_tables(p, self.modulus)
+            self._units = self.order - 1
+            self._mul, self._inv = self._mul_by_logs, self._inv_by_logs
 
     def _pad(self, lst):
         return tuple(lst) + (0,) * (self.degree - len(lst))
@@ -331,6 +383,13 @@ class ExtensionField(BaseField):
     def _mul(self, a, b):
         return self._pad(self.base.kernels.mulmod(list(a), list(b), list(self.modulus), self.p))
 
+    def _mul_by_logs(self, a, b):
+        log = self._log
+        i, j = log.get(a), log.get(b)
+        if i is None or j is None:
+            return self._zero
+        return self._exp[i + j]
+
     def _neg(self, a):
         p = self.p
         return tuple(-x % p for x in a)
@@ -340,6 +399,12 @@ class ExtensionField(BaseField):
             return self._pad(self.base.kernels.invmod(list(a), list(self.modulus), self.p))
         except ZeroDivisionError:
             raise NonUnitError(f"division by zero in {self!r}") from None
+
+    def _inv_by_logs(self, a):
+        i = self._log.get(a)
+        if i is None:
+            raise NonUnitError(f"division by zero in {self!r}")
+        return self._exp[self._units - i]
 
     def _is_zero(self, a):
         return not any(a)
@@ -357,7 +422,9 @@ class ExtensionField(BaseField):
         return format_terms(terms, self.name, descending=True)
 
     def from_int(self, n):
-        return AlgebraElement(self, self._pad([n % self.p] if n % self.p else []))
+        n %= self.p
+        data = self._zero if n == 0 else self._one if n == 1 else (n,) + self._zero[1:]
+        return AlgebraElement(self, data)
 
     def coerce(self, x):
         if isinstance(x, AlgebraElement) and x.ring == self.base:
@@ -466,16 +533,18 @@ class AlgebraElement:
     def __pow__(self, e: int):
         if not isinstance(e, int):
             return NotImplemented
+        if e == 0:
+            return self.ring.one()
         base = self
         if e < 0:
             base = base.inverse()
             e = -e
-        result = self.ring.one()
-        while e:
-            if e & 1:
+        # binary powering from base itself: x**1 multiplies nothing, x**2 once
+        result = base
+        for bit in bin(e)[3:]:
+            result = result * result
+            if bit == "1":
                 result = result * base
-            base = base * base
-            e >>= 1
         return result
 
     def inverse(self) -> "AlgebraElement":

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import reciprocity
 
 from reciprocity import cli
 from reciprocity.errors import PrecisionError
@@ -93,3 +98,28 @@ def test_sweep_jobs_capped_at_cpu_count(monkeypatch, capsys):
     assert cli.main([*argv, "--jobs", "100000"]) == cli.EXIT_OK
     assert started == [2, 2]
     assert "2/2 passed" in capsys.readouterr().out
+
+
+def run_alone(argv):
+    """(exit code, stdout) of argv in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(reciprocity.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "reciprocity", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout
+
+
+def test_repeated_main_calls_match_separate_runs(capsys):
+    # the parser is built once per process; no call may see another's flags
+    runs = [
+        ["verify-wrl", "--json", "--field", "F5", "-f", "x+1", "-g", "x+2"],
+        ["symbol-tame", "--field", "F7", "-f", "1+z", "-g", "z", "--prec", "4"],
+        ["residue", "--field", "F6", "-f", "x", "-g", "x+1"],
+        ["verify-wrl", "--field", "F7", "-f", "x", "-g", "x+3"],
+    ]
+    in_process = []
+    for argv in runs:
+        code = cli.main(argv)
+        in_process.append((code, capsys.readouterr().out))
+    assert [code for code, _ in in_process] == [cli.EXIT_OK, cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_OK]
+    assert in_process == [run_alone(argv) for argv in runs]

@@ -149,7 +149,7 @@ class TestWRL:
             rep = verify_wrl(f, g)
             assert rep.verified, rep.text()
 
-    def test_uncertified_辞factorization_rejected(self, Q):
+    def test_uncertified_factorization_rejected(self, Q):
         hard = rf(Q, (1, 1, 0, 0, 1))  # x^4+x+1: cannot certify automatically
         with pytest.raises(FactorError):
             relevant_places(hard, rf(Q, (1,)))

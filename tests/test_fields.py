@@ -1,15 +1,20 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reciprocity import fields
+from reciprocity._kernels import pure
 from reciprocity.artinian import ArtinianAlgebra, dual_numbers
 from reciprocity.errors import NonUnitError, TowerError
 from reciprocity.fields import (
     QQ,
+    TABLE_MAX_ORDER,
     AlgebraElement,
     ExtensionField,
     PrimeField,
+    RationalField,
     find_irreducible,
     is_prime,
     lift,
@@ -179,3 +184,98 @@ def test_artinian_ring_laws(base_name, shape, data):
     if x.is_invertible():
         assert x * x.inverse() == A.one()
     assert parse_series(str(x), A).coefficient(0) == x
+
+
+@pytest.mark.parametrize("ring", [PrimeField(101), RationalField(), ExtensionField(3, [1, 0, 1])], ids=repr)
+def test_power_multiplications(ring, monkeypatch):
+    x = ring.coerce(Fraction(3, 2)) if ring == QQ else ring.from_int(3)
+    if isinstance(ring, ExtensionField):
+        x = x + ring.generator()
+    expected = {}
+    for e in (1, 2, 3, 5, 8, 13, 100, -7):
+        base = x if e > 0 else x.inverse()
+        value = base
+        for _ in range(abs(e) - 1):
+            value = value * base
+        expected[e] = value
+    calls = []
+    original = ring._mul
+
+    def counting(a, b):
+        calls.append(a)
+        return original(a, b)
+
+    monkeypatch.setattr(ring, "_mul", counting)
+    for e, value in expected.items():
+        calls.clear()
+        assert x**e == value
+        assert len(calls) <= 2 * math.log2(abs(e))
+    expected[0] = ring.one()
+    for e, count in ((0, 0), (1, 0), (2, 1)):
+        calls.clear()
+        assert x**e == expected[e]
+        assert len(calls) == count
+    with pytest.raises(NonUnitError):
+        ring.zero() ** -1
+
+
+TABLE_FIELDS = {q: ExtensionField(p, find_irreducible(p, d))
+                for q, p, d in ((4, 2, 2), (8, 2, 3), (9, 3, 2), (243, 3, 5), (256, 2, 8))}
+
+
+@pytest.mark.parametrize("q", sorted(TABLE_FIELDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_log_tables_match_the_kernels(q, data):
+    F = TABLE_FIELDS[q]
+    p, m = F.p, list(F.modulus)
+    elems = st.tuples(*[st.integers(0, p - 1)] * F.degree)
+    a, b = data.draw(elems), data.draw(elems)
+    ka, kb = pure.normalize(list(a)), pure.normalize(list(b))
+    assert F._mul(a, b) == F._pad(pure.mulmod(ka, kb, m, p))
+    if any(a):
+        assert F._inv(a) == F._pad(pure.invmod(ka, m, p))
+    else:
+        with pytest.raises(NonUnitError, match=f"division by zero in F{q}"):
+            F._inv(a)
+        with pytest.raises(NonUnitError):
+            AlgebraElement(F, a).inverse()
+
+
+@pytest.mark.parametrize("q", sorted(TABLE_FIELDS))
+def test_log_tables_are_a_bijection(q):
+    F = TABLE_FIELDS[q]
+    log, exp = fields._log_tables(F.p, F.modulus)
+    n = q - 1
+    assert len(exp) == 2 * n and exp[n:] == exp[:n]
+    nonzero = {F._pad([code // F.p**i % F.p for i in range(F.degree)]) for code in range(1, q)}
+    assert set(exp[:n]) == nonzero and len(nonzero) == n
+    assert all(log[t] == i for i, t in enumerate(exp[:n]))
+    assert F.from_int(0).data == F._zero and F.from_int(1).data == exp[0]
+
+
+def _no_tables(p, modulus):
+    raise AssertionError("a log table was built")
+
+
+def _field_without_tables(p, d):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields, "_log_tables", _no_tables)
+        return ExtensionField(p, find_irreducible(p, d))
+
+
+@pytest.mark.parametrize("p, d", [(257, 2), (2**31 - 1, 2)], ids=["F257^2", "F(2^31-1)^2"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_large_fields_keep_the_kernels(p, d, data):
+    F = _field_without_tables(p, d)
+    assert F.order > TABLE_MAX_ORDER
+    x = AlgebraElement(F, data.draw(st.tuples(*[st.integers(0, p - 1)] * d).filter(any)))
+    assert x * x.inverse() == F.one()
+    with pytest.raises(NonUnitError):
+        F.zero().inverse()
+
+
+def test_fields_up_to_the_threshold_build_tables():
+    with pytest.raises(AssertionError, match="log table"):
+        _field_without_tables(3, 2)

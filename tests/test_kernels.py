@@ -1,9 +1,13 @@
 """The compiled kernels must agree with the pure-Python reference exactly."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import reciprocity
 from reciprocity._kernels import pure
 
 try:
@@ -99,3 +103,20 @@ def test_pure_backend_env(monkeypatch):
             if k.startswith("reciprocity._kernels"):
                 del sys.modules[k]
         sys.modules.update(saved)
+
+
+@pytest.mark.parametrize("value", [None, "", "1", "0", "yes", "true", " 1"])
+def test_pure_backend_env_is_strict(value):
+    env = {k: v for k, v in os.environ.items() if k != "RECIPROCITY_PURE"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(reciprocity.__file__))
+    if value is not None:
+        env["RECIPROCITY_PURE"] = value
+    proc = subprocess.run([sys.executable, "-c", "import reciprocity._kernels as k; print(k.BACKEND)"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    if value in (None, "", "1"):
+        assert proc.returncode == 0, proc.stderr
+        default = "python" if core is None else "compiled"
+        assert proc.stdout.strip() == ("python" if value == "1" else default)
+    else:
+        assert proc.returncode != 0
+        assert "ValueError: RECIPROCITY_PURE must be" in proc.stderr
