@@ -6,7 +6,7 @@ Three base fields are supported:
 * prime fields F_p, with int data in ``[0, p)``,
 * extension fields F_p[u]/(m) for a monic irreducible m, with fixed-length
   tuples of ints as data (coefficient i of u^i).  A field of at most
-  ``TABLE_MAX_ORDER`` (2^16) elements multiplies and inverts through
+  ``TABLE_MAX_ORDER`` (256) elements multiplies and inverts through
   discrete-log tables of a primitive element; a larger one calls the F_p
   kernels ``mulmod``/``invmod``.
 
@@ -30,8 +30,9 @@ from .errors import NonUnitError, TowerError
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# extension fields with at most this many elements multiply by log tables
-TABLE_MAX_ORDER = 2**16
+# extension fields with at most this many elements multiply by log tables;
+# 256 is the largest order at which building them was measured to pay off
+TABLE_MAX_ORDER = 256
 
 
 def is_prime(n: int) -> bool:
@@ -327,12 +328,8 @@ def _log_tables(p: int, modulus: tuple[int, ...]) -> tuple[dict, list]:
     for i in range(n):
         log[x] = i
         exp.append(x)
-        # x*g by Horner in u; y*u mod m is a shift minus top * m
-        y = [g[-1] * t % p for t in x]
-        for c in reversed(g[:-1]):
-            top = y[-1]
-            y = [(a - top * b + c * t) % p for a, b, t in zip([0] + y[:-1], m, x)]
-        x = tuple(y)
+        y = _kernels.mulmod(list(x), g, m, p)
+        x = tuple(y) + (0,) * (d - len(y))
     return log, exp + exp
 
 

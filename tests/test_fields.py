@@ -264,7 +264,7 @@ def _field_without_tables(p, d):
         return ExtensionField(p, find_irreducible(p, d))
 
 
-@pytest.mark.parametrize("p, d", [(257, 2), (2**31 - 1, 2)], ids=["F257^2", "F(2^31-1)^2"])
+@pytest.mark.parametrize("p, d", [(2, 9), (257, 2), (2**31 - 1, 2)], ids=["F512", "F257^2", "F(2^31-1)^2"])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_large_fields_keep_the_kernels(p, d, data):
@@ -276,6 +276,7 @@ def test_large_fields_keep_the_kernels(p, d, data):
         F.zero().inverse()
 
 
-def test_fields_up_to_the_threshold_build_tables():
+@pytest.mark.parametrize("p, d", [(3, 2), (2, 8)], ids=["F9", "F256"])
+def test_fields_up_to_the_threshold_build_tables(p, d):
     with pytest.raises(AssertionError, match="log table"):
-        _field_without_tables(3, 2)
+        _field_without_tables(p, d)
