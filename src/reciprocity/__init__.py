@@ -17,13 +17,11 @@ from ._kernels import BACKEND as KERNEL_BACKEND
 from .artinian import ArtinianAlgebra, dual_numbers
 from .blockops import (
     BlockOperator,
-    aggregate_sign,
     cocycle_commutator,
     cocycle_det,
     lie_cocycle,
     lie_cocycle_dual,
     multiplication_operator,
-    windings_sum_to_zero,
 )
 from .curve import (
     AdeleVector,

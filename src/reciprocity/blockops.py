@@ -219,14 +219,3 @@ def lie_cocycle_dual(s1: BlockOperator, s2: BlockOperator) -> SymbolValue:
     t2 = s2.lift_dual(d, e2)
     ratio = cocycle_det(t1, t2) * cocycle_det(t2, t1).inverse()
     return dual_coefficient(ratio, "dual commutator ratio")
-
-
-def aggregate_sign(w_pairs) -> int:
-    """(-1)^(sum of w_x(S) * w_x(T)) over the listed places."""
-    total = sum(int(a) * int(b) for a, b in w_pairs)
-    return -1 if total % 2 else 1
-
-
-def windings_sum_to_zero(ws) -> bool:
-    """Degree-zero check: the local winding numbers of a global unit add to 0."""
-    return sum(int(w) for w in ws) == 0

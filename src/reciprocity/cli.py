@@ -22,10 +22,7 @@ import traceback
 from . import corpus
 from .artinian import ArtinianAlgebra
 from .curve import (
-    AdeleVector,
-    RationalFunction,
     divisor_of,
-    sigma_perp_forward,
     verify_gf_global,
     verify_residue_theorem,
     verify_residues_local_data,

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-from .errors import DomainError, FactorError, PrecisionError, TowerError
+from .errors import DomainError, FactorError, TowerError
 from .factor import is_irreducible, poly_factor
-from .fields import AlgebraElement, BaseField, CoefficientRing, ExtensionField, PrimeField, RationalField
+from .fields import AlgebraElement, BaseField, ExtensionField, PrimeField, power
 from .laurent import LaurentSeries
 from .norms import mat_det, mat_mul, mat_trace
 from .poly import Polynomial
-from .symbols import LoopMatrix, gelfand_fuchs_cocycle, residue_coefficient
+from .symbols import LoopMatrix, gelfand_fuchs_cocycle, residue_coefficient, tame_symbol
 
 _EXPANSION_MARGIN = 4
 
@@ -137,10 +137,11 @@ class RationalFunction:
             den = Polynomial.one(field)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        g = num.gcd(den)
-        if g.degree > 0:
-            num = num.exact_divide(g)
-            den = den.exact_divide(g)
+        if den.degree > 0:
+            g = num.gcd(den)
+            if g.degree > 0:
+                num = num.exact_divide(g)
+                den = den.exact_divide(g)
         lc = den.leading_coefficient()
         if not lc == field.one():
             inv = lc.inverse()
@@ -204,48 +205,46 @@ class RationalFunction:
 
     # -- arithmetic (factor caches survive mul/div/pow) ------------------
 
-    def _merged_factors(self, other: "RationalFunction", flip: int):
+    def _coerce(self, other):
+        """other as a RationalFunction over this field, or None."""
+        if isinstance(other, (int, AlgebraElement)):
+            return RationalFunction.constant(self.field, self.field.coerce(other))
+        return other if isinstance(other, RationalFunction) else None
+
+    def _with_factors(self, out: "RationalFunction", other: "RationalFunction", flip: int):
+        """out, given the factor cache of self * other^flip when both operands have one."""
         if self.factors is None or other.factors is None:
-            return None, None
+            return out
         merged = {p: e for p, e in self.factors}
         for p, e in other.factors:
             merged[p] = merged.get(p, 0) + flip * e
-        lead = self.lead * (other.lead if flip > 0 else other.lead.inverse())
-        return tuple(sorted(((p, e) for p, e in merged.items() if e),
-                            key=lambda pe: (pe[0].degree, str(pe[0])))), lead
+        out.factors = tuple(sorted(((p, e) for p, e in merged.items() if e),
+                                   key=lambda pe: (pe[0].degree, str(pe[0]))))
+        out.lead = self.lead * (other.lead if flip > 0 else other.lead.inverse())
+        out.trusted = tuple(set(self.trusted) | set(other.trusted))
+        return out
 
     def __mul__(self, other):
-        if isinstance(other, (int, AlgebraElement)):
-            other = RationalFunction.constant(self.field, self.field.coerce(other))
-        if not isinstance(other, RationalFunction):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         out = RationalFunction(self.field, self.num * other.num, self.den * other.den)
-        fac, lead = self._merged_factors(other, +1)
-        if fac is not None:
-            out.factors, out.lead = fac, lead
-            out.trusted = tuple(set(self.trusted) | set(other.trusted))
-        return out
+        return self._with_factors(out, other, +1)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, AlgebraElement)):
-            other = RationalFunction.constant(self.field, self.field.coerce(other))
-        if not isinstance(other, RationalFunction):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by the zero function")
         out = RationalFunction(self.field, self.num * other.den, self.den * other.num)
-        fac, lead = self._merged_factors(other, -1)
-        if fac is not None:
-            out.factors, out.lead = fac, lead
-            out.trusted = tuple(set(self.trusted) | set(other.trusted))
-        return out
+        return self._with_factors(out, other, -1)
 
     def __add__(self, other):
-        if isinstance(other, (int, AlgebraElement)):
-            other = RationalFunction.constant(self.field, self.field.coerce(other))
-        if not isinstance(other, RationalFunction):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         return RationalFunction(
             self.field, self.num * other.den + other.num * self.den, self.den * other.den
@@ -254,9 +253,8 @@ class RationalFunction:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, AlgebraElement)):
-            other = RationalFunction.constant(self.field, self.field.coerce(other))
-        if not isinstance(other, RationalFunction):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         return RationalFunction(
             self.field, self.num * other.den - other.num * self.den, self.den * other.den
@@ -275,18 +273,12 @@ class RationalFunction:
         if e == 0:
             return RationalFunction.constant(self.field, 1)
         base = self if e > 0 else RationalFunction(self.field, self.den, self.num)
-        k = abs(e)
-        if base.factors is None and self.factors is not None and e < 0:
+        if e < 0 and self.factors is not None:
             base.factors = tuple((p, -m) for p, m in self.factors)
             base.lead = self.lead.inverse()
             base.trusted = self.trusted
-        # binary powering from base itself, so the factor cache carries through
-        out = base
-        for bit in bin(k)[3:]:
-            out = out * out
-            if bit == "1":
-                out = out * base
-        return out
+        # powering from base itself, so the factor cache carries through
+        return power(base, abs(e))
 
     def derivative(self) -> "RationalFunction":
         num = self.num.derivative() * self.den - self.num * self.den.derivative()
@@ -299,9 +291,8 @@ class RationalFunction:
         return self.num.evaluate(a) / d
 
     def __eq__(self, other):
-        if isinstance(other, (int, AlgebraElement)):
-            other = RationalFunction.constant(self.field, self.field.coerce(other))
-        if not isinstance(other, RationalFunction):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         return self.field == other.field and self.num == other.num and self.den == other.den
 
@@ -353,45 +344,31 @@ class RationalFunction:
                 if p == place.poly:
                     return e
             return 0
-        v = 0
-        p = place.poly
-        work = self.num
-        while not work.is_zero():
-            q, r = divmod(work, p)
-            if not r.is_zero():
-                break
-            v += 1
-            work = q
-        work = self.den
-        while not work.is_zero():
-            q, r = divmod(work, p)
-            if not r.is_zero():
-                break
-            v -= 1
-            work = q
-        return v
+        return _divide_out(self.num, place.poly)[0] - _divide_out(self.den, place.poly)[0]
 
     def unit_value_at(self, place: Place) -> Polynomial:
         """Representative of (self / p^{v}) (P) in k[x]/(p) at a finite place."""
         if place.is_infinite:
             raise DomainError("use leading_unit_at_infinity for the infinite place")
         p = place.poly
-
-        def strip(poly: Polynomial) -> Polynomial:
-            while True:
-                q, r = divmod(poly, p)
-                if r.is_zero() and not poly.is_zero():
-                    poly = q
-                else:
-                    return poly
-
-        num1 = strip(self.num) % p
-        den1 = strip(self.den) % p
+        num1 = _divide_out(self.num, p)[1] % p
+        den1 = _divide_out(self.den, p)[1] % p
         return (num1 * den1.invmod(p)) % p
 
     def leading_unit_at_infinity(self) -> AlgebraElement:
         """Value of self * x^{v_infinity} at infinity: lc(num)/lc(den)."""
         return self.num.leading_coefficient() / self.den.leading_coefficient()
+
+
+def _divide_out(poly: Polynomial, p: Polynomial) -> tuple[int, Polynomial]:
+    """(m, poly / p^m) for the largest m with p^m | poly; the zero polynomial gives m = 0."""
+    m = 0
+    while poly:
+        q, r = divmod(poly, p)
+        if r:
+            break
+        m, poly = m + 1, q
+    return m, poly
 
 
 # -- divisors and places ------------------------------------------------------
@@ -429,31 +406,24 @@ def local_expansion(f: RationalFunction, place: Place, prec: int) -> LaurentSeri
     """
     if f.is_zero():
         return LaurentSeries.zero(f.field, prec)
-    field = f.field
     if place.is_infinite:
-        dn, dd = f.num.degree, f.den.degree
-        num_rev = f.num.reversed_coeffs()
-        den_rev = f.den.reversed_coeffs()
-        num_s = LaurentSeries(field, dict(enumerate(c for c in num_rev.coeffs)))
-        den_s = LaurentSeries(field, dict(enumerate(c for c in den_rev.coeffs)))
-        rel = prec - (dd - dn) + _EXPANSION_MARGIN
-        inv = den_s.inverse(rel_prec=max(rel, 1))
-        return (num_s * inv).shift(dd - dn).truncate(prec)
-    if place.degree != 1:
+        # f(1/t) = t^s rev(num)(t) / rev(den)(t)
+        num_t, den_t = f.num.reversed_coeffs(), f.den.reversed_coeffs()
+        s = f.den.degree - f.num.degree
+    elif place.degree == 1:
+        a = -place.poly.coefficient(0)
+        num_t, den_t = f.num.shift(a), f.den.shift(a)
+        s = 0
+    else:
         raise DomainError(
             "digit expansions exist only at degree-1 places and infinity; "
             "higher-degree places expose valuation and unit value instead"
         )
-    a = -place.poly.coefficient(0)
-    num_t = f.num.shift(a)
-    den_t = f.den.shift(a)
-    vn = num_t.valuation_at_zero()
-    vd = den_t.valuation_at_zero()
-    num_s = LaurentSeries(field, dict(enumerate(num_t.coeffs)))
-    den_s = LaurentSeries(field, dict(enumerate(den_t.coeffs)))
-    rel = prec - (vn - vd) + vd + _EXPANSION_MARGIN
-    inv = den_s.inverse(rel_prec=max(rel, 1))
-    return (num_s * inv).truncate(prec)
+    vn, vd = num_t.valuation_at_zero(), den_t.valuation_at_zero()
+    num_s = LaurentSeries(f.field, dict(enumerate(num_t.coeffs)))
+    den_s = LaurentSeries(f.field, dict(enumerate(den_t.coeffs)))
+    inv = den_s.inverse(rel_prec=max(prec - s - (vn - vd) + vd + _EXPANSION_MARGIN, 1))
+    return (num_s * inv).shift(s).truncate(prec)
 
 
 # -- residues -----------------------------------------------------------------
@@ -475,20 +445,10 @@ def trace_residue_at_place(h: RationalFunction, place: Place) -> AlgebraElement:
     if place.degree == 1:
         exp = local_expansion(h, place, 1)
         return exp.coefficient(-1)
-    p = place.poly
-    m = 0
-    den = h.den
-    while True:
-        q, r = divmod(den, p)
-        if r.is_zero() and not den.is_zero():
-            m += 1
-            den = q
-        else:
-            break
+    m, q_part = _divide_out(h.den, place.poly)
     if m == 0:
         return field.zero()
-    pm = p**m
-    q_part = h.den.exact_divide(pm)
+    pm = place.poly**m
     a_part = (h.num * q_part.invmod(pm)) % pm
     principal = RationalFunction(field, a_part, pm)
     exp = local_expansion(principal, Place.infinity(field), 2)
@@ -533,7 +493,6 @@ class VerificationReport:
 
 def wrl_local_factor(f: RationalFunction, g: RationalFunction, place: Place) -> AlgebraElement:
     """(-1)^{v(f)v(g)deg(P)} Norm_{k(P)/k}((f^{v(g)} / g^{v(f)})(P))."""
-    field = f.field
     vf = f.valuation_at(place)
     vg = g.valuation_at(place)
     if place.is_infinite:
@@ -541,34 +500,22 @@ def wrl_local_factor(f: RationalFunction, g: RationalFunction, place: Place) -> 
         cg = g.leading_unit_at_infinity()
         value = cf**vg * cg ** (-vf)
     else:
-        if vf == 0 and vg == 0:
-            value = field.one()
-        else:
-            p = place.poly
-            uf = f.unit_value_at(place)
-            ug = g.unit_value_at(place)
-            cls = (uf.pow_mod(vg, p) * ug.pow_mod(-vf, p)) % p
-            value = _residue_class_norm(cls, place)
+        p = place.poly
+        uf = f.unit_value_at(place)
+        ug = g.unit_value_at(place)
+        cls = (uf.pow_mod(vg, p) * ug.pow_mod(-vf, p)) % p
+        value = _residue_class_norm(cls, place)
     if (vf * vg * place.degree) % 2:
         return -value
     return value
 
 
-def _residue_class_matrix(cls: Polynomial, place: Place):
+def _residue_class_norm(cls: Polynomial, place: Place) -> AlgebraElement:
+    """Norm_{k(P)/k} of cls mod P: the determinant of multiplication by cls on k[x]/(P)."""
     p = place.poly
     d = p.degree
-    cols = []
-    for j in range(d):
-        xj = Polynomial(p.field, [0] * j + [1])
-        prod = (cls * xj) % p
-        cols.append([prod.coefficient(i) for i in range(d)])
-    return [[cols[j][i] for j in range(d)] for i in range(d)]
-
-
-def _residue_class_norm(cls: Polynomial, place: Place) -> AlgebraElement:
-    if place.degree == 1:
-        return cls.coefficient(0)
-    return mat_det(_residue_class_matrix(cls, place), place.field)
+    cols = [(cls * Polynomial(p.field, [0] * j + [1])) % p for j in range(d)]
+    return mat_det([[col.coefficient(i) for col in cols] for i in range(d)], place.field)
 
 
 def verify_wrl(f: RationalFunction, g: RationalFunction) -> VerificationReport:
@@ -638,8 +585,6 @@ def verify_wrl_local_data(entries, base: BaseField) -> VerificationReport:
     lives over its entry's field.  The aggregation is the same signed
     product; correctness of the global input is the caller's business.
     """
-    from .symbols import tame_symbol
-
     rows = []
     product = base.one()
     for idx, (kprime, fs, gs) in enumerate(entries):
@@ -800,7 +745,7 @@ def verify_gf_global(s_matrix, t_matrix, f: RationalFunction, g: RationalFunctio
         total = total + contrib
         rows.append({"place": str(place), "deg": place.degree, "residue": str(contrib)})
     cross = tr_st * residue_sum
-    verified = total.is_zero() and cross.is_zero() and total == cross
+    verified = total.is_zero() and cross.is_zero()
     return VerificationReport(
         kind="gelfand-fuchs-global",
         input={"f": str(f), "g": str(g), "n": len(s_m), "field": repr(field)},

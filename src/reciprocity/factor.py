@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import FactorError
 from .fields import AlgebraElement, BaseField, ExtensionField, PrimeField, RationalField
@@ -183,7 +184,7 @@ def _rational_roots(f: Polynomial) -> list[Fraction]:
     # scale to integer coefficients
     denom = 1
     for c in f.coeffs:
-        denom = denom * c.data.denominator // _gcd_int(denom, c.data.denominator)
+        denom = denom * c.data.denominator // gcd(denom, c.data.denominator)
     ints = [int(c.data * denom) for c in f.coeffs]
     while ints and ints[0] == 0:
         ints = ints[1:]  # x = 0 handled by caller through valuation stripping
@@ -191,7 +192,7 @@ def _rational_roots(f: Polynomial) -> list[Fraction]:
         return []
     g = 0
     for c in ints:
-        g = _gcd_int(g, c)
+        g = gcd(g, c)
     ints = [c // g for c in ints]
     a0, an = abs(ints[0]), abs(ints[-1])
     roots = set()
@@ -204,13 +205,6 @@ def _rational_roots(f: Polynomial) -> list[Fraction]:
                 if num == 0:
                     roots.add(cand)
     return sorted(roots)
-
-
-def _gcd_int(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n: int) -> list[int]:

@@ -17,6 +17,10 @@ names, once, the module that does its raw polynomial and matrix arithmetic:
 kernels of :mod:`reciprocity._kernels` with its p; every other ring uses
 :mod:`reciprocity._kernels.generic` with itself.  Values are immutable and
 operations are pure, so everything here is safe to share between threads.
+
+:func:`power` is the one binary-powering loop of the package: elements,
+polynomials, rational functions and Laurent series all raise to positive
+exponents through it.
 """
 
 from __future__ import annotations
@@ -286,10 +290,32 @@ def _is_irreducible_mod_p(coeffs: list[int], fp: PrimeField) -> bool:
     return True
 
 
+def power(x, e: int):
+    """x**e for e >= 1 by binary powering, low bit first.
+
+    It starts from x itself and skips the last squaring, so x**1 multiplies
+    nothing and x**2 once.  A truncated series takes its prec from the order
+    of the products; this is the order the series layer has always used.
+    """
+    result = None
+    while True:
+        if e & 1:
+            result = x if result is None else result * x
+        e >>= 1
+        if not e:
+            return result
+        x = x * x
+
+
 def find_irreducible(p: int, d: int) -> list[int]:
-    """Lexicographically first monic irreducible of degree d over F_p."""
+    """Lexicographically first monic irreducible of degree d over F_p, as a new list."""
+    return list(_first_irreducible(p, d))
+
+
+@lru_cache(maxsize=32)
+def _first_irreducible(p: int, d: int) -> tuple[int, ...]:
     if d == 1:
-        return [0, 1]
+        return (0, 1)
     fp = PrimeField(p)
     # iterate constant-first coefficient vectors
     total = p**d
@@ -301,7 +327,7 @@ def find_irreducible(p: int, d: int) -> list[int]:
             c //= p
         coeffs.append(1)
         if coeffs[0] != 0 and _is_irreducible_mod_p(coeffs, fp):
-            return coeffs
+            return tuple(coeffs)
     raise ValueError(f"no irreducible polynomial of degree {d} over F_{p}")
 
 
@@ -532,17 +558,9 @@ class AlgebraElement:
             return NotImplemented
         if e == 0:
             return self.ring.one()
-        base = self
         if e < 0:
-            base = base.inverse()
-            e = -e
-        # binary powering from base itself: x**1 multiplies nothing, x**2 once
-        result = base
-        for bit in bin(e)[3:]:
-            result = result * result
-            if bit == "1":
-                result = result * base
-        return result
+            return power(self.inverse(), -e)
+        return power(self, e)
 
     def inverse(self) -> "AlgebraElement":
         return AlgebraElement(self.ring, self.ring._inv(self.data))

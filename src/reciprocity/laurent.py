@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .artinian import ArtinianAlgebra
 from .errors import DomainError, NonUnitError, PrecisionError
-from .fields import AlgebraElement, CoefficientRing
+from .fields import AlgebraElement, CoefficientRing, power
 from .formatting import format_terms, split_sign
 
 DEFAULT_PRECISION = 32
@@ -152,9 +152,7 @@ class LaurentSeries:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, AlgebraElement)):
-            other = LaurentSeries.constant(self.ring, self.ring.coerce(other))
-        if not isinstance(other, LaurentSeries):
+        if not isinstance(other, (int, AlgebraElement, LaurentSeries)):
             return NotImplemented
         return self + (-other)
 
@@ -233,15 +231,9 @@ class LaurentSeries:
     def power(self, n: int, rel_prec: int | None = None) -> "LaurentSeries":
         if n < 0:
             return self.inverse(rel_prec).power(-n)
-        result = LaurentSeries.one(self.ring, None)
-        base = self
-        e = n
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        if n == 0:
+            return LaurentSeries.one(self.ring, None)
+        return power(self, n)
 
     def __pow__(self, n: int):
         return self.power(n)
@@ -367,15 +359,8 @@ def unit_factorize(f: LaurentSeries, prec: int | None = None) -> UnitFactorizati
         if ci.is_zero():
             continue
         tail.append((i, ci))
-        # divide by (1 + ci z^i): multiply by its geometric inverse
-        inv_terms = {0: f.ring.one()}
-        k = 1
-        power = -ci
-        while i * k < n_rel:
-            inv_terms[i * k] = power
-            power = power * (-ci)
-            k += 1
-        u = (u * LaurentSeries(f.ring, inv_terms)).truncate(n_rel)
+        factor = LaurentSeries(f.ring, {0: f.ring.one(), i: ci})
+        u = (u * factor.inverse(n_rel)).truncate(n_rel)
     return UnitFactorization(f.ring, s0, v, tuple(tail), target)
 
 

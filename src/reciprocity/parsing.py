@@ -14,6 +14,7 @@ modulus picks the lexicographically first irreducible).  Ring specs:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 
 from .artinian import ArtinianAlgebra
 from .curve import RationalFunction
@@ -312,12 +313,27 @@ def _ring_names(ring) -> dict:
     return names
 
 
+def _bounded_depth(parse):
+    """parse, with input nested deeper than the interpreter's stack an ExpressionError."""
+
+    @wraps(parse)
+    def bounded(*args, **kwargs):
+        try:
+            return parse(*args, **kwargs)
+        except RecursionError:
+            raise ExpressionError("expression nests too deeply") from None
+
+    return bounded
+
+
+@_bounded_depth
 def parse_rational(text: str, field: BaseField) -> RationalFunction:
     """Parse a rational function in x over the field."""
     ast = parse_ast(text)
     return _RationalContext(field, _ring_names(field)).eval(ast)
 
 
+@_bounded_depth
 def parse_series(text: str, ring, prec: int = DEFAULT_PRECISION) -> LaurentSeries:
     """Parse a Laurent series in z over the coefficient ring."""
     ast = parse_ast(text, series_var="z")
@@ -333,6 +349,7 @@ def parse_polynomial(text: str, field: BaseField, var: str = "x") -> Polynomial:
     return rf.num
 
 
+@_bounded_depth
 def parse_factored_rational(text: str, field: BaseField) -> RationalFunction:
     """Parse a product of declared-irreducible factors into a cached form.
 

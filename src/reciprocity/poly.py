@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NonUnitError
-from .fields import AlgebraElement, BaseField
+from .fields import AlgebraElement, BaseField, power
 from .formatting import format_terms, split_sign
 
 
@@ -141,14 +141,9 @@ class Polynomial:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        if e == 0:
+            return Polynomial.one(self.field)
+        return power(self, e)
 
     def __divmod__(self, other):
         other = self._coerce_other(other)

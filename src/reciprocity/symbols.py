@@ -3,9 +3,8 @@
 Multiplicative side: the unsigned commutator Norm((S^{v(T)}/T^{v(S)})(0)),
 its signed tame-symbol variant, and the Contou-Carrère symbol over an
 Artinian coefficient ring.  The sign (-1)^{v(S)v(T)[k':k]} is deliberately
-NOT part of the unsigned commutator; globally it is aggregated separately
-(see blockops.aggregate_sign), and the tame symbol folds it in the way the
-classical formula does.
+NOT part of the unsigned commutator; the tame symbol folds it in the way
+the classical formula does.
 
 Additive side: residues of alpha d(beta) by three independent routes --
 the z^{-1} coefficient, the block-operator trace tr(gamma_2 beta_1 -
@@ -18,6 +17,8 @@ closes the list.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 from .artinian import ArtinianAlgebra, dual_coefficient, dual_numbers
 from .blockops import lie_cocycle, multiplication_operator
@@ -98,7 +99,7 @@ def contou_carrere_symbol(
             for j, b in neg:
                 if j == 0 or b.is_zero():
                     continue
-                d = _gcd(i, j)
+                d = gcd(i, j)
                 t = a ** (j // d) * b ** (i // d)
                 if t.is_zero():
                     continue
@@ -109,15 +110,6 @@ def contou_carrere_symbol(
     denominator = double_product(fac_g.pos, fac_f.neg)
     value = numerator * denominator.inverse()
     return relative_norm(value, base)
-
-
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    if a == 0:
-        return b
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def residue_from_dual_symbol(
@@ -192,34 +184,23 @@ def tate_residue(f1: LaurentSeries, f2: LaurentSeries, window: int) -> SymbolVal
 
 
 class LoopMatrix:
-    """A square matrix of Laurent series; optionally a pure tensor S (x) alpha."""
+    """A square matrix of Laurent series."""
 
-    __slots__ = ("ring", "n", "entries", "tensor")
+    __slots__ = ("ring", "n", "entries")
 
-    def __init__(self, ring, entries, tensor=None):
+    def __init__(self, ring, entries):
         self.ring = ring
         self.n = len(entries)
         for row in entries:
             if len(row) != self.n:
                 raise DomainError("loop matrices must be square")
         self.entries = tuple(tuple(row) for row in entries)
-        self.tensor = tensor
-        if tensor is not None:
-            s, alpha = tensor
-            for i in range(self.n):
-                for j in range(self.n):
-                    expected = alpha * s[i][j]
-                    if not expected.agrees_with(self.entries[i][j]):
-                        raise DomainError("pure-tensor data does not expand to the entries")
 
     @classmethod
     def from_tensor(cls, s, alpha: LaurentSeries) -> "LoopMatrix":
+        """The pure tensor S (x) alpha: entry (i, j) is alpha * S[i][j]."""
         ring = alpha.ring
-        entries = []
-        for row in s:
-            entries.append([alpha * ring.coerce(c) for c in row])
-        coerced = [[ring.coerce(c) for c in row] for row in s]
-        return cls(ring, entries, tensor=(coerced, alpha))
+        return cls(ring, [[alpha * ring.coerce(c) for c in row] for row in s])
 
     @classmethod
     def zero(cls, ring, n: int) -> "LoopMatrix":

@@ -5,13 +5,11 @@ import pytest
 from reciprocity.artinian import dual_numbers
 from reciprocity.blockops import (
     BlockOperator,
-    aggregate_sign,
     cocycle_commutator,
     cocycle_det,
     lie_cocycle,
     lie_cocycle_dual,
     multiplication_operator,
-    windings_sum_to_zero,
 )
 from reciprocity.corpus import random_block_operator, random_laurent_polynomial
 from reciprocity.errors import DomainError, NonUnitError, WindowError
@@ -170,15 +168,3 @@ def test_window_stability_doubling(Q):
         multiplication_operator(f, 2 * w, 2 * w), multiplication_operator(g, 2 * w, 2 * w)
     )
     assert a1 == a2
-
-
-def test_sign_aggregate():
-    assert aggregate_sign([(1, 1)]) == -1
-    assert aggregate_sign([(1, 1), (-1, -1)]) == 1
-    assert aggregate_sign([]) == 1
-
-
-def test_winding_sum():
-    assert windings_sum_to_zero([1, -1])
-    assert windings_sum_to_zero([0, 0, 0])
-    assert not windings_sum_to_zero([2, -1])

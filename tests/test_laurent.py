@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from reciprocity.corpus import random_laurent_polynomial, random_principal_unit,
 from reciprocity.errors import NonUnitError, PrecisionError
 from reciprocity.fields import QQ, PrimeField
 from reciprocity.laurent import LaurentSeries, cc_factorize, is_principal_unit, unit_factorize
+from reciprocity.parsing import parse_ring_spec, parse_series
 
 
 def LQ(coeffs, prec=None):
@@ -170,3 +172,66 @@ def test_str_and_json():
     assert data == {"low": -1, "prec": 5, "coeffs": {"-1": "3", "1": "2"}}
     exact = LQ({0: 1})
     assert exact.to_json()["prec"] is None
+
+
+def test_power_multiplications(monkeypatch):
+    x = LQ({-1: 2, 1: 1})
+    expected = {0: LQ({0: 1})}
+    for e in (1, 2, 3, 5, 8, 13, 40):
+        value = x
+        for _ in range(e - 1):
+            value = value * x
+        expected[e] = value
+    calls = []
+    original = LaurentSeries.__mul__
+
+    def counting(a, b):
+        calls.append(a)
+        return original(a, b)
+
+    monkeypatch.setattr(LaurentSeries, "__mul__", counting)
+    for e, value in expected.items():
+        calls.clear()
+        assert x.power(e) == value
+        assert len(calls) <= 2 * math.log2(max(e, 1))
+        if e <= 2:
+            assert len(calls) == max(e - 1, 0)
+
+
+def reference_power(s: LaurentSeries, n: int) -> LaurentSeries:
+    """The earlier LaurentSeries.power loop for n >= 0: low bit first, from one."""
+    result = LaurentSeries.one(s.ring, None)
+    base = s
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
+POWER_RINGS = {"Q": QQ, "F7[e,d]/(e^3,d^2)": parse_ring_spec("F7[e,d]/(e^3,d^2)")}
+
+
+@pytest.mark.parametrize("spec", sorted(POWER_RINGS))
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(-3, 4), unique=True, max_size=5),
+    st.randoms(use_true_random=False),
+    st.integers(-2, 7),
+    st.integers(1, 12),
+)
+def test_power_matches_the_earlier_loop(spec, support, rng, prec, n):
+    """Truncated series keep both their coefficients and their prec."""
+    ring = POWER_RINGS[spec]
+    s = LaurentSeries(ring, {e: ring.random_element(rng) for e in support}, prec)
+    got, want = s.power(n), reference_power(s, n)
+    assert got.prec == want.prec
+    assert got.coeffs == want.coeffs
+
+
+def test_power_prec_depends_on_the_order_of_products():
+    """A nilpotent lead dies in some partial products, and prec follows the lows of those."""
+    ring = POWER_RINGS["F7[e,d]/(e^3,d^2)"]
+    s = parse_series("(5*d + 6*e + e*d + e^2 + 5*e^2*d)*z^-2 + O(z^2)", ring)
+    assert s.power(12).prec == reference_power(s, 12).prec == -12

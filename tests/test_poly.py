@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -143,3 +145,29 @@ def test_identities_above_the_compiled_kernel_bound():
     g, s, t = a.xgcd(b)
     assert g == Polynomial.one(f) and s * a + t * b == g
     assert (a * a.invmod(b)) % b == Polynomial.one(f)
+
+
+def test_power_multiplications(monkeypatch):
+    x = P7(3, 1, 2)
+    expected = {0: P7(1)}
+    for e in (1, 2, 3, 5, 8, 13, 100):
+        value = x
+        for _ in range(e - 1):
+            value = value * x
+        expected[e] = value
+    calls = []
+    original = Polynomial.__mul__
+
+    def counting(a, b):
+        calls.append(a)
+        return original(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    for e, value in expected.items():
+        calls.clear()
+        assert x**e == value
+        assert len(calls) <= 2 * math.log2(max(e, 1))
+        if e <= 2:
+            assert len(calls) == max(e - 1, 0)
+    with pytest.raises(ValueError):
+        x**-1
