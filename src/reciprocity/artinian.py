@@ -10,7 +10,7 @@ zero constant coordinate) is therefore nilpotent and an element is
 invertible exactly when its residue in the base field is.
 
 Only this module knows the data format; elsewhere coordinates are read and
-built through ``residue``, ``coordinate(s)``, ``from_coordinates``,
+built through ``residue``, ``coordinates``, ``from_coordinates``,
 ``basis``, ``embed_from_below`` and ``generator``.
 """
 
@@ -171,10 +171,6 @@ class ArtinianAlgebra(CoefficientRing):
 
     def is_nilpotent(self, elem: AlgebraElement) -> bool:
         return self.residue(elem).is_zero()
-
-    def coordinate(self, elem: AlgebraElement, exps) -> AlgebraElement:
-        i = self._index.get(tuple(exps))
-        return self.base.zero() if i is None else AlgebraElement(self.base, elem.data[i])
 
     def coordinates(self, elem: AlgebraElement) -> list[AlgebraElement]:
         """Base-field coordinates of elem, in monomials() order."""

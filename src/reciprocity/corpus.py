@@ -41,7 +41,7 @@ def random_rational_pair(rng: random.Random, field: BaseField, max_degree: int =
             quad = Polynomial(field, [field.random_element(rng), field.random_element(rng), field.one()])
             if is_irreducible(quad):
                 break
-        f = f * RationalFunction(field, quad)
+        f = f * quad
     if f.is_zero() or g.is_zero():
         return random_rational_pair(rng, field, max_degree, force_higher_place)
     return f, g

@@ -200,15 +200,14 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
-
     # -- arithmetic (factor caches survive mul/div/pow) ------------------
 
     def _coerce(self, other):
         """other as a RationalFunction over this field, or None."""
         if isinstance(other, (int, AlgebraElement)):
-            return RationalFunction.constant(self.field, self.field.coerce(other))
+            other = Polynomial.constant(self.field, self.field.coerce(other))
+        if isinstance(other, Polynomial):
+            return RationalFunction(self.field, other)
         return other if isinstance(other, RationalFunction) else None
 
     def _with_factors(self, out: "RationalFunction", other: "RationalFunction", flip: int):
@@ -291,7 +290,8 @@ class RationalFunction:
         return self.num.evaluate(a) / d
 
     def __eq__(self, other):
-        other = self._coerce(other)
+        # a Polynomial never equals a RationalFunction: their hashes differ
+        other = None if isinstance(other, Polynomial) else self._coerce(other)
         if other is None:
             return NotImplemented
         return self.field == other.field and self.num == other.num and self.den == other.den

@@ -3,7 +3,8 @@
 A series stores a dict {exponent: nonzero coefficient}, together with a
 precision bound ``prec``: coefficients at exponents >= prec are unknown.
 ``prec=None`` means the series is exact (finite support, every coefficient
-known).  Negative support is always finite and explicit.
+known).  Negative support is always finite and explicit.  An int or ring
+element added to or multiplied by a series acts as the constant series.
 
 Precision is tracked, never guessed: a product knows its coefficients only
 up to min(low_f + prec_g, low_g + prec_f), and asking for a coefficient at
@@ -164,8 +165,7 @@ class LaurentSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, AlgebraElement)):
-            c = self.ring.coerce(other)
-            return LaurentSeries(self.ring, {e: v * c for e, v in self.coeffs.items()}, self.prec)
+            other = LaurentSeries.constant(self.ring, self.ring.coerce(other))
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         self._check_ring(other)

@@ -6,6 +6,11 @@ exponent, parentheses, and declared generator names.  Series expressions
 may end in `+ O(z^N)`, which truncates the precision to N; printing a
 series emits the same marker, so text output round-trips.
 
+Evaluation: integers and generator names are coefficient-ring elements, and
+`+ - *` stay in the operands' own types until the variable enters.  Only `/`
+and a negative `^` lift to the top type: RationalFunction for rational input,
+and for series `inverse`/`power` at the parse precision.
+
 Field specs: `Q`, `F5`, `F9:u^2+1` (modulus over F_p in `u`; omitted
 modulus picks the lexicographically first irreducible).  Ring specs:
 `Q[e1,e2]/(e1^2,e2^2)` with one pure-power relation per generator.
@@ -13,6 +18,8 @@ modulus picks the lexicographically first irreducible).  Ring specs:
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from functools import wraps
 
@@ -32,6 +39,9 @@ class Token:
     kind: str  # INT NAME OP LPAREN RPAREN EOF
     text: str
     column: int
+
+
+_PUNCTUATION = {"(": "LPAREN", ")": "RPAREN", **dict.fromkeys("+-*/^", "OP")}
 
 
 def _tokenize(text: str) -> list[Token]:
@@ -56,14 +66,8 @@ def _tokenize(text: str) -> list[Token]:
                 j += 1
             tokens.append(Token("NAME", text[i:j], col))
             i = j
-        elif ch in "+-*/^":
-            tokens.append(Token("OP", ch, col))
-            i += 1
-        elif ch == "(":
-            tokens.append(Token("LPAREN", ch, col))
-            i += 1
-        elif ch == ")":
-            tokens.append(Token("RPAREN", ch, col))
+        elif ch in _PUNCTUATION:
+            tokens.append(Token(_PUNCTUATION[ch], ch, col))
             i += 1
         else:
             raise ExpressionError(f"unexpected character {ch!r}", column=col)
@@ -229,87 +233,88 @@ def parse_ast(text: str, series_var: str | None = None):
 # -- evaluation ---------------------------------------------------------------
 
 
-class _RationalContext:
-    def __init__(self, field: BaseField, names: dict):
-        self.field = field
-        self.names = names
-
-    def eval(self, node):
-        if isinstance(node, Num):
-            return RationalFunction.constant(self.field, node.value)
-        if isinstance(node, Name):
-            if node.name == "x":
-                return RationalFunction.x(self.field)
-            if node.name in self.names:
-                return RationalFunction.constant(self.field, self.names[node.name])
-            raise ExpressionError(f"unknown name {node.name!r}", column=node.column)
-        if isinstance(node, Neg):
-            return -self.eval(node.child)
-        if isinstance(node, Pow):
-            return self.eval(node.base) ** node.exponent
-        if isinstance(node, BigO):
-            raise ExpressionError("O(...) is only meaningful in series expressions")
-        if isinstance(node, BinOp):
-            left = self.eval(node.left)
-            right = self.eval(node.right)
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            if node.op == "/":
-                return left / right
-        raise AssertionError(f"unhandled node {node!r}")
+# every binary operator but `/`, which ``divide`` takes to the top type
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
-class _SeriesContext:
-    def __init__(self, ring, names: dict, prec: int):
+class _Evaluator:
+    """The one AST walk; subclasses say how ``/`` and a negative ``^`` reach the top type."""
+
+    def __init__(self, ring, var: str, x):
         self.ring = ring
-        self.names = names
-        self.prec = prec
+        self.names = _ring_names(ring)
+        self.var = var
+        self.x = x
 
     def eval(self, node):
         if isinstance(node, Num):
-            return LaurentSeries.constant(self.ring, node.value)
+            return self.ring.from_int(node.value)
         if isinstance(node, Name):
-            if node.name == "z":
-                return LaurentSeries.monomial(self.ring, 1)
+            if node.name == self.var:
+                return self.x
             if node.name in self.names:
-                return LaurentSeries.constant(self.ring, self.names[node.name])
+                return self.names[node.name]
             raise ExpressionError(f"unknown name {node.name!r}", column=node.column)
         if isinstance(node, Neg):
             return -self.eval(node.child)
         if isinstance(node, Pow):
-            return self.eval(node.base).power(node.exponent, rel_prec=self.prec)
+            base = self.eval(node.base)
+            return base**node.exponent if node.exponent >= 0 else self.power(base, node.exponent)
         if isinstance(node, BigO):
             return LaurentSeries.zero(self.ring, node.exponent)
-        if isinstance(node, BinOp):
-            left = self.eval(node.left)
-            right = self.eval(node.right)
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            if node.op == "/":
-                return left * right.inverse(rel_prec=self.prec)
-        raise AssertionError(f"unhandled node {node!r}")
+        left = self.eval(node.left)
+        right = self.eval(node.right)
+        return _OPERATORS.get(node.op, self.divide)(left, right)
+
+
+class _RationalEvaluator(_Evaluator):
+    def __init__(self, field: BaseField, var: str = "x"):
+        super().__init__(field, var, Polynomial.x(field))
+
+    def polynomial(self, value, error: Exception | None) -> Polynomial:
+        """value as a Polynomial; raises error if it has a denominator."""
+        if isinstance(value, RationalFunction):
+            if value.den.degree != 0:
+                raise error
+            return value.num
+        return value if isinstance(value, Polynomial) else Polynomial.constant(self.ring, value)
+
+    def lift(self, value) -> RationalFunction:
+        if isinstance(value, RationalFunction):
+            return value
+        return RationalFunction(self.ring, self.polynomial(value, None))
+
+    def divide(self, left, right):
+        return self.lift(left) / right
+
+    def power(self, base, e: int):
+        return self.lift(base) ** e
+
+
+class _SeriesEvaluator(_Evaluator):
+    def __init__(self, ring, prec: int):
+        super().__init__(ring, "z", LaurentSeries.monomial(ring, 1))
+        self.prec = prec
+
+    def lift(self, value) -> LaurentSeries:
+        return value if isinstance(value, LaurentSeries) else LaurentSeries.constant(self.ring, value)
+
+    def divide(self, left, right):
+        return left * self.lift(right).inverse(rel_prec=self.prec)
+
+    def power(self, base, e: int):
+        return self.lift(base).power(e, rel_prec=self.prec)
 
 
 def _ring_names(ring) -> dict:
+    """Generator name -> element of ring, for the Artinian and F_q generators."""
     names = {}
     base = ring
     if isinstance(ring, ArtinianAlgebra):
-        for i, name in enumerate(ring.names):
-            names[name] = ring.generator(i)
+        names = {name: ring.generator(i) for i, name in enumerate(ring.names)}
         base = ring.base
     if isinstance(base, ExtensionField):
-        gen = base.generator()
-        if isinstance(ring, ArtinianAlgebra):
-            gen = ring.embed_from_below(gen)
-        names[base.name] = gen
+        names[base.name] = ring.coerce(base.generator())
     return names
 
 
@@ -329,24 +334,23 @@ def _bounded_depth(parse):
 @_bounded_depth
 def parse_rational(text: str, field: BaseField) -> RationalFunction:
     """Parse a rational function in x over the field."""
-    ast = parse_ast(text)
-    return _RationalContext(field, _ring_names(field)).eval(ast)
+    evaluator = _RationalEvaluator(field)
+    return evaluator.lift(evaluator.eval(parse_ast(text)))
 
 
 @_bounded_depth
 def parse_series(text: str, ring, prec: int = DEFAULT_PRECISION) -> LaurentSeries:
     """Parse a Laurent series in z over the coefficient ring."""
-    ast = parse_ast(text, series_var="z")
-    return _SeriesContext(ring, _ring_names(ring), prec).eval(ast)
+    evaluator = _SeriesEvaluator(ring, prec)
+    return evaluator.lift(evaluator.eval(parse_ast(text, series_var="z")))
 
 
+@_bounded_depth
 def parse_polynomial(text: str, field: BaseField, var: str = "x") -> Polynomial:
-    """Parse a polynomial (a rational function with trivial denominator)."""
-    normalized = text.replace(var, "x") if var != "x" else text
-    rf = parse_rational(normalized, field)
-    if rf.den.degree != 0:
-        raise ExpressionError("expected a polynomial, found a denominator")
-    return rf.num
+    """Parse a polynomial in var over the field."""
+    evaluator = _RationalEvaluator(field, var)
+    value = evaluator.eval(parse_ast(text))
+    return evaluator.polynomial(value, ExpressionError("expected a polynomial, found a denominator"))
 
 
 @_bounded_depth
@@ -358,17 +362,14 @@ def parse_factored_rational(text: str, field: BaseField) -> RationalFunction:
     declared factor (its leading coefficient joins the constant).
     """
     ast = parse_ast(text)
+    evaluator = _RationalEvaluator(field)
     constant = [field.one()]
     factors: dict[Polynomial, int] = {}
 
     def walk(node, power: int):
-        if isinstance(node, BinOp) and node.op == "*":
+        if isinstance(node, BinOp) and node.op in "*/":
             walk(node.left, power)
-            walk(node.right, power)
-            return
-        if isinstance(node, BinOp) and node.op == "/":
-            walk(node.left, power)
-            walk(node.right, -power)
+            walk(node.right, power if node.op == "*" else -power)
             return
         if isinstance(node, Pow):
             walk(node.base, power * node.exponent)
@@ -380,10 +381,8 @@ def parse_factored_rational(text: str, field: BaseField) -> RationalFunction:
         if isinstance(node, Num):
             constant[0] = constant[0] * field.from_int(node.value) ** power
             return
-        value = _RationalContext(field, _ring_names(field)).eval(node)
-        if value.den.degree != 0:
-            raise FactorError("factored input must be a product of polynomial factors")
-        poly = value.num
+        error = FactorError("factored input must be a product of polynomial factors")
+        poly = evaluator.polynomial(evaluator.eval(node), error)
         if poly.is_zero():
             raise FactorError("zero factor in factored input")
         lc = poly.leading_coefficient()
@@ -436,17 +435,21 @@ def parse_field_spec(spec: str) -> BaseField:
 
 
 def _prime_power(q: int):
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            d = 0
-            n = q
-            while n % p == 0:
-                n //= p
-                d += 1
-            return (p, d) if n == 1 else (None, None)
-        p += 1
-    return (q, 1)
+    """(p, d) with q = p^d, p prime and d >= 2, or (None, None); exact roots, no trial division."""
+    d = 1
+    for r in filter(is_prime, range(2, q.bit_length() + 1)):
+        while (p := _integer_root(q, r)) ** r == q:
+            q, d = p, d * r
+    return (q, d) if d > 1 and is_prime(q) else (None, None)
+
+
+def _integer_root(n: int, d: int) -> int:
+    """floor(n^(1/d)), by Newton's method from a float estimate above it."""
+    e = math.log2(n) / d + 1e-9
+    x = int(2**e) + 2 if e < 1000 else 1 << -(-n.bit_length() // d)
+    while (y := ((d - 1) * x + n // x ** (d - 1)) // d) < x:
+        x = y
+    return x
 
 
 def parse_ring_spec(spec: str):

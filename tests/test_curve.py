@@ -415,3 +415,16 @@ class TestRationalPower:
             assert g.factors == tuple((p, m * e) for p, m in f.factors)
             assert g.lead == F5.from_int(3) ** e
             assert plain.factors is None and (plain**e).factors is None
+
+
+def test_polynomial_operands_lift_but_never_compare_equal():
+    F7 = PrimeField(7)
+    x = Polynomial.x(F7)
+    f = RationalFunction(F7, x + 1, x)
+    assert f * x == RationalFunction(F7, x + 1) == x * f
+    assert f + x == RationalFunction(F7, x**2 + x + 1, x) == x + f
+    assert x - f == RationalFunction(F7, x**2 - x - 1, x)
+    assert f / (x + 1) == RationalFunction(F7, Polynomial.one(F7), x)
+    # equal values of different types stay unequal, as their hashes differ
+    assert RationalFunction(F7, x) != x and x != RationalFunction(F7, x)
+    assert RationalFunction(F7, x) == RationalFunction.x(F7)

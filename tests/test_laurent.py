@@ -235,3 +235,14 @@ def test_power_prec_depends_on_the_order_of_products():
     ring = POWER_RINGS["F7[e,d]/(e^3,d^2)"]
     s = parse_series("(5*d + 6*e + e*d + e^2 + 5*e^2*d)*z^-2 + O(z^2)", ring)
     assert s.power(12).prec == reference_power(s, 12).prec == -12
+
+
+@pytest.mark.parametrize("spec", ["Q", "F7[e,d]/(e^3,d^2)"])
+def test_zero_scalar_gives_the_exact_zero(spec):
+    ring = parse_ring_spec(spec)
+    s = parse_series("z + O(z^3)", ring)
+    zero = LaurentSeries.zero(ring)
+    for scalar in (0, ring.zero()):
+        assert s * scalar == zero == scalar * s
+        assert s * scalar == s * LaurentSeries.constant(ring, 0)
+    assert s * 3 == s * LaurentSeries.constant(ring, 3) == LaurentSeries(ring, {1: 3}, 3)

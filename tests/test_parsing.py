@@ -1,14 +1,32 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from reciprocity import cli
+import reciprocity
+from reciprocity import cli, parsing
+from reciprocity.artinian import ArtinianAlgebra
 from reciprocity.corpus import random_laurent_polynomial, random_rational_pair
 from reciprocity.curve import RationalFunction
-from reciprocity.errors import ExpressionError
+from reciprocity.errors import ExpressionError, ReciprocityError
 from reciprocity.fields import QQ, ExtensionField, find_irreducible
 from reciprocity.laurent import LaurentSeries
-from reciprocity.parsing import parse_field_spec, parse_rational, parse_ring_spec, parse_series
+from reciprocity.parsing import (
+    BigO,
+    Name,
+    Neg,
+    Num,
+    Pow,
+    parse_ast,
+    parse_factored_rational,
+    parse_field_spec,
+    parse_rational,
+    parse_ring_spec,
+    parse_series,
+)
+from reciprocity.poly import Polynomial
 
 FIELDS = ["Q", "F7", "F9:u^2+1"]
 RINGS = FIELDS + ["F7[e,d]/(e^3,d^2)"]
@@ -59,7 +77,7 @@ def test_find_irreducible_hands_out_copies():
     assert find_irreducible(2, 8) == first[:-1]
 
 
-@pytest.mark.parametrize("spec", ["F6", "F1", "F9:u^3+1", "F7:u^2+1", "G5"])
+@pytest.mark.parametrize("spec", ["F6", "F1", "F9:u^3+1", "F7:u^2+1", "G5", "F9:x^2+1"])
 def test_bad_field_specs(spec):
     with pytest.raises(ExpressionError):
         parse_field_spec(spec)
@@ -91,3 +109,164 @@ def test_deep_factored_input_is_an_input_error(capsys):
     argv = ["residue", "--factored", "--field", "Q", "-f=" + DEEP["sum"], "-g=x"]
     assert cli.main(argv) == cli.EXIT_INPUT
     assert "nests too deeply" in capsys.readouterr().err
+
+
+# -- the one evaluator against the per-grammar evaluators it replaced ----------
+
+
+def reference_names(ring) -> dict:
+    names = {}
+    base = ring
+    if isinstance(ring, ArtinianAlgebra):
+        for i, name in enumerate(ring.names):
+            names[name] = ring.generator(i)
+        base = ring.base
+    if isinstance(base, ExtensionField):
+        gen = base.generator()
+        if isinstance(ring, ArtinianAlgebra):
+            gen = ring.embed_from_below(gen)
+        names[base.name] = gen
+    return names
+
+
+def reference_evaluate(node, ring, prec=None):
+    """node with every leaf a RationalFunction (prec None) or a LaurentSeries in z."""
+    names = reference_names(ring)
+
+    def leaf(c):
+        if prec is None:
+            return RationalFunction.constant(ring, c)
+        return LaurentSeries.constant(ring, c)
+
+    def walk(node):
+        if isinstance(node, Num):
+            return leaf(node.value)
+        if isinstance(node, Name):
+            if node.name == ("x" if prec is None else "z"):
+                return RationalFunction.x(ring) if prec is None else LaurentSeries.monomial(ring, 1)
+            if node.name in names:
+                return leaf(names[node.name])
+            raise ExpressionError(f"unknown name {node.name!r}", column=node.column)
+        if isinstance(node, Neg):
+            return -walk(node.child)
+        if isinstance(node, Pow):
+            base = walk(node.base)
+            return base**node.exponent if prec is None else base.power(node.exponent, rel_prec=prec)
+        if isinstance(node, BigO):
+            return LaurentSeries.zero(ring, node.exponent)
+        left, right = walk(node.left), walk(node.right)
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return left * right
+        return left / right if prec is None else left * right.inverse(rel_prec=prec)
+
+    return walk(node)
+
+
+def random_expression(rng, leaves, depth: int) -> str:
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(leaves)
+    kind = rng.choice("+-*/^n")
+    if kind == "^":
+        return f"({random_expression(rng, leaves, depth - 1)})^{rng.randint(-2, 2)}"
+    if kind == "n":
+        return f"-({random_expression(rng, leaves, depth - 1)})"
+    left, right = (random_expression(rng, leaves, depth - 1) for _ in range(2))
+    return f"({left}) {kind} ({right})"
+
+
+def outcome(fn, *args):
+    """(str, value) of fn(*args), or the type of the exception it raises."""
+    try:
+        value = fn(*args)
+    except (ReciprocityError, ArithmeticError, ValueError) as exc:
+        return type(exc)
+    return str(value), value
+
+
+EVAL_FIELDS = ["Q", "F7", "F9:u^2+1"]
+EVAL_RINGS = EVAL_FIELDS + ["F7[e,d]/(e^3,d^2)", "Q[e]/(e^2)"]
+CONSTANTS = ["0", "1", "2", "3", "6"]
+
+
+@pytest.mark.parametrize("spec", EVAL_FIELDS)
+def test_rational_evaluator_matches_reference(spec, monkeypatch):
+    field = parse_field_spec(spec)
+    leaves = CONSTANTS + ["x", "x", "x"] + (["u"] if "u" in spec else [])
+    rng = random.Random(f"evaluator:rational:{spec}")
+    for _ in range(150):
+        text = random_expression(rng, leaves, 4)
+        reference = outcome(reference_evaluate, parse_ast(text), field)
+        assert outcome(parse_rational, text, field) == reference, text
+    for _ in range(150):
+        text = random_expression(rng, leaves, 3)
+        got = outcome(parse_factored_rational, text, field)
+        with monkeypatch.context() as m:
+            m.setattr(parsing._Evaluator, "eval", lambda self, node: reference_evaluate(node, self.ring))
+            want = outcome(parse_factored_rational, text, field)
+        assert got == want, text
+        if isinstance(got, tuple):
+            assert (got[1].factors, got[1].lead) == (want[1].factors, want[1].lead), text
+
+
+@pytest.mark.parametrize("spec", EVAL_RINGS)
+def test_series_evaluator_matches_reference(spec):
+    ring = parse_ring_spec(spec)
+    names = [name for name in ("u", "e", "d") if name in spec]
+    leaves = CONSTANTS + names + ["z", "z", "z", "O(z^2)", "O(z^-1)", "(1 + z)", "(z^-1 + 2 + O(z^3))"]
+    rng = random.Random(f"evaluator:series:{spec}")
+    for _ in range(200):
+        text = random_expression(rng, leaves, 4)
+        reference = outcome(reference_evaluate, parse_ast(text, series_var="z"), ring, 6)
+        assert outcome(parse_series, text, ring, 6) == reference, text
+
+
+def test_rational_pins_over_f7():
+    F7 = parse_field_spec("F7")
+    x = Polynomial.x(F7)
+    assert parse_rational("x + 1/x", F7) == RationalFunction(F7, x**2 + 1, x)
+    assert parse_rational("(x^2 - 1)/(x - 1)", F7) == RationalFunction(F7, x + 1)
+    assert parse_rational("x/2", F7) == RationalFunction(F7, x * 4)
+    assert [str(parse_rational(t, F7)) for t in ("x + 1/x", "(x^2 - 1)/(x - 1)", "x/2")] == [
+        "(x^2 + 1)/x", "x + 1", "4*x"]
+
+
+def test_prime_power_matches_trial_division():
+    def trial(q):
+        p = next(p for p in range(2, q + 1) if q % p == 0)
+        d = 0
+        while q % p == 0:
+            q //= p
+            d += 1
+        return (p, d) if q == 1 and d > 1 else (None, None)
+
+    for q in range(2, 5000):
+        assert parsing._prime_power(q) == trial(q), q
+    assert parsing._prime_power(2**127 - 1) == (None, None)  # a prime: d = 1
+    assert parsing._prime_power(3**200) == (3, 200)
+    assert parsing._prime_power((2**61 - 1) ** 6) == (2**61 - 1, 6)
+    assert parsing._prime_power((2**61 - 1) ** 6 * 2) == (None, None)
+    for n in (10**40 + 1, 2**1000 - 1, 3**500 + 5):
+        for d in (2, 3, 5, 7, 97, 1009):
+            root = parsing._integer_root(n, d)
+            assert root**d <= n < (root + 1) ** d, (n, d)
+
+
+def test_large_field_specs_answer_at_once():
+    # trial division would take minutes on both: the smallest prime factor is 2^31 - 1
+    src = os.path.dirname(os.path.dirname(reciprocity.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    p = 2**31 - 1
+    build = f"from reciprocity.parsing import parse_field_spec; print(parse_field_spec('F{p * p}').order)"
+    proc = subprocess.run([sys.executable, "-c", build], capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == p * p
+    q = p * (2**61 - 1)
+    argv = ["verify-wrl", "--field", f"F{q}", "-f", "x", "-g", "x+1"]
+    run = f"import sys; from reciprocity import cli; sys.exit(cli.main({argv!r}))"
+    proc = subprocess.run([sys.executable, "-c", run], capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 2
+    assert "not a prime power" in proc.stderr
