@@ -4,8 +4,9 @@ Same function names and contracts as ``pure``, with the ring in place of p:
 polynomials are little-endian lists of the ring's raw element data with no
 trailing zeros, matrices are lists of rows, and entries combine through the
 ring's ``_add``, ``_sub``, ``_mul``, ``_neg``, ``_inv``, ``_is_zero`` and
-``_is_invertible``.  Over a local ring, eliminations pivot on units, which
-succeeds exactly when the matrix is invertible.
+``_is_invertible``; the constants are the ring's stored raw ``_zero`` and
+``_one``.  Over a local ring, eliminations pivot on units, which succeeds
+exactly when the matrix is invertible.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def neg(a: list, ring) -> list:
 def mul(a: list, b: list, ring) -> list:
     if not a or not b:
         return []
-    out = [ring.zero().data] * (len(a) + len(b) - 1)
+    out = [ring._zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if ring._is_zero(x):
             continue
@@ -57,7 +58,7 @@ def divmod_poly(num: list, den: list, ring) -> tuple[list, list]:
     if len(r) - 1 < dd:
         return [], r
     inv_lead = ring._inv(den[dd])
-    q = [ring.zero().data] * (len(r) - dd)
+    q = [ring._zero] * (len(r) - dd)
     for k in range(len(r) - 1, dd - 1, -1):
         c = r[k]
         if not ring._is_zero(c):
@@ -82,8 +83,8 @@ def gcd(a: list, b: list, ring) -> list:
 def xgcd(a: list, b: list, ring) -> tuple[list, list, list]:
     """Monic g and s, t with s*a + t*b = g."""
     r0, r1 = list(a), list(b)
-    s0, s1 = [ring.one().data], []
-    t0, t1 = [], [ring.one().data]
+    s0, s1 = [ring._one], []
+    t0, t1 = [], [ring._one]
     while r1:
         q, r = divmod_poly(r0, r1, ring)
         r0, r1 = r1, r
@@ -103,21 +104,21 @@ def invmod(a: list, m: list, ring) -> list:
 
 
 def powmod(a: list, e: int, m: list, ring) -> list:
+    """a^e mod m, left to right like ``pure.powmod``: square, then multiply by the base."""
     if e < 0:
         a = invmod(a, m, ring)
         e = -e
-    result = divmod_poly([ring.one().data], m, ring)[1]
     base = divmod_poly(a, m, ring)[1]
-    while e:
-        if e & 1:
+    result = divmod_poly([ring._one], m, ring)[1]
+    for bit in bin(e)[2:]:
+        result = divmod_poly(mul(result, result, ring), m, ring)[1]
+        if bit == "1":
             result = divmod_poly(mul(result, base, ring), m, ring)[1]
-        base = divmod_poly(mul(base, base, ring), m, ring)[1]
-        e >>= 1
     return result
 
 
 def eval_at(a: list, x, ring):
-    acc = ring.zero().data
+    acc = ring._zero
     for c in reversed(a):
         acc = ring._add(ring._mul(acc, x), c)
     return acc
@@ -126,7 +127,7 @@ def eval_at(a: list, x, ring):
 def mat_mul(a: list, b: list, ring) -> list:
     n, k = len(a), len(b)
     m = len(b[0]) if b else 0
-    out = [[ring.zero().data] * m for _ in range(n)]
+    out = [[ring._zero] * m for _ in range(n)]
     for i in range(n):
         for t in range(k):
             c = a[i][t]
@@ -151,10 +152,10 @@ def _unit_pivot(m: list, col: int, ring) -> int:
 def _det_cofactor(m: list, ring):
     n = len(m)
     if n == 0:
-        return ring.one().data
+        return ring._one
     if n == 1:
         return m[0][0]
-    det = ring.zero().data
+    det = ring._zero
     for j in range(n):
         c = m[0][j]
         if ring._is_zero(c):
@@ -169,13 +170,13 @@ def mat_det(a: list, ring):
     """Determinant over a field or a local ring; small blocks without a unit pivot go by cofactors."""
     n = len(a)
     m = [list(row) for row in a]
-    det = ring.one().data
+    det = ring._one
     for col in range(n):
         pivot = _unit_pivot(m, col, ring)
         if pivot < 0:
             if ring.is_field:
                 if all(ring._is_zero(m[r][col]) for r in range(col, n)):
-                    return ring.zero().data
+                    return ring._zero
                 raise AssertionError("field element neither zero nor invertible")
             if n - col <= 6:
                 rest = _det_cofactor([row[col:] for row in m[col:]], ring)
@@ -199,7 +200,7 @@ def mat_det(a: list, ring):
 def mat_inv(a: list, ring) -> list:
     """Inverse over a field or a local ring; ZeroDivisionError when singular."""
     n = len(a)
-    zero, one = ring.zero().data, ring.one().data
+    zero, one = ring._zero, ring._one
     m = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(a)]
     for col in range(n):
         pivot = _unit_pivot(m, col, ring)

@@ -3,7 +3,8 @@
 Polynomials over F_p are plain lists of ints in ``[0, p)``, little-endian
 (index = exponent), with no trailing zeros; ``[]`` is the zero polynomial.
 Matrices are lists of row lists.  These functions are the reference
-semantics; the compiled module ``_core`` mirrors them exactly.
+semantics; the compiled module ``_core`` mirrors them exactly (``powmod``
+loops in the other bit order there, with the same results).
 """
 
 from __future__ import annotations
@@ -127,16 +128,23 @@ def mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
 
 
 def powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
+    """a^e mod m by left-to-right binary powering.
+
+    For each bit of e from the top: square, then multiply by the reduced
+    base when the bit is set.  Every multiply has the base as one factor, so
+    a base of degree <= 1 (x for x^q) costs O(deg m) per set bit instead of
+    a full product.  ``_core`` keeps the right-to-left loop; a^e mod m is
+    unique, so both give the same list.
+    """
     if e < 0:
         a = invmod(a, m, p)
         e = -e
-    result = rem([1], m, p)
     base = rem(a, m, p)
-    while e:
-        if e & 1:
+    result = rem([1], m, p)
+    for bit in bin(e)[2:]:
+        result = mulmod(result, result, m, p)
+        if bit == "1":
             result = mulmod(result, base, m, p)
-        base = mulmod(base, base, m, p)
-        e >>= 1
     return result
 
 

@@ -55,7 +55,8 @@ class ArtinianAlgebra(CoefficientRing):
             )
             table.append((i, row))
         self._table = tuple(table)
-        self._zero = (base.zero().data,) * self.dimension
+        self._zero = (base._zero,) * self.dimension
+        self._one = (base._one,) + self._zero[1:]
         self._str_order = sorted(range(self.dimension), key=lambda i: (sum(self._monomials[i]), i))
 
     # smallest M with m^M = 0
@@ -98,7 +99,7 @@ class ArtinianAlgebra(CoefficientRing):
         c = base._inv(a[0])
         # a = a_0 (1 - n) with n nilpotent, so 1/a = c (1 + n + n^2 + ...)
         n = (self._zero[0],) + tuple(base._neg(base._mul(c, x)) for x in a[1:])
-        acc = power = (base.one().data,) + self._zero[1:]
+        acc = power = self._one
         for _ in range(self.nil_index):
             power = self._mul(power, n)
             if power == self._zero:
@@ -178,7 +179,7 @@ class ArtinianAlgebra(CoefficientRing):
 
     def basis(self):
         """Monomial elements in monomials() order."""
-        one, zero = self.base.one().data, self._zero
+        one, zero = self.base._one, self._zero
         return [AlgebraElement(self, zero[:i] + (one,) + zero[i + 1:]) for i in range(self.dimension)]
 
     def random_element(self, rng):

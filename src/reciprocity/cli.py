@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import random
+import shlex
 import sys
 import traceback
 
@@ -260,6 +261,12 @@ def _sweep_instance(payload) -> dict:
     return out
 
 
+def _reproducer(spec: str, result: dict) -> str:
+    """The command that reruns the first failed check of a sweep instance."""
+    command = "verify-residues" if result.get("wrl", True) and not result.get("residues", True) else "verify-wrl"
+    return shlex.join(["reciprocity", command, "--field", spec, "-f", result["f"], "-g", result["g"]])
+
+
 def _cmd_sweep(args) -> int:
     seed = args.seed
     payloads = [(args.field, seed, i, args.mode, args.max_degree) for i in range(args.count)]
@@ -287,7 +294,7 @@ def _cmd_sweep(args) -> int:
     else:
         print(f"sweep {args.mode} over {args.field}: {passed}/{args.count} passed (seed {seed})")
         for r in summary["failures"]:
-            print(f"  FAILED #{r['index']}: f={r['f']} g={r['g']}")
+            print(f"  FAILED #{r['index']}: {_reproducer(args.field, r)}")
     return EXIT_OK if passed == args.count else EXIT_VIOLATION
 
 

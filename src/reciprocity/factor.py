@@ -3,7 +3,9 @@
 Over a finite field the full chain runs: squarefree decomposition,
 distinct-degree splitting, then equal-degree splitting (Cantor-Zassenhaus,
 with the trace construction in characteristic 2) for every degree, roots
-included.  The randomized splits use a seedable generator with a fixed
+included.  Distinct-degree splitting raises x to the q-th power mod f once
+and steps from x^(q^d) to x^(q^(d+1)) by one product with the Frobenius
+matrix of f.  The randomized splits use a seedable generator with a fixed
 default seed, and the factors are returned in a canonical order, so the
 output does not depend on the seed.
 
@@ -22,7 +24,7 @@ from math import gcd
 
 from .errors import FactorError
 from .fields import AlgebraElement, BaseField, ExtensionField, PrimeField, RationalField
-from .poly import Polynomial
+from .poly import Polynomial, _from_data, _trim
 
 DEFAULT_SEED = 0x1718
 
@@ -98,23 +100,49 @@ def _squarefree_finite(f: Polynomial) -> list[tuple[Polynomial, int]]:
     return merged
 
 
+def _padded(g: Polynomial, n: int) -> list:
+    """The raw coefficients of g, padded with zeros to n entries."""
+    return g._data + [g.field._zero] * (n - len(g._data))
+
+
+def _frobenius_matrix(xq: Polynomial, f: Polynomial) -> list[list]:
+    """Rows x^(q*i) mod f for i < deg f, each padded to deg f entries."""
+    powers = [Polynomial.one(f.field), xq]
+    while len(powers) < f.degree:
+        powers.append((powers[-1] * xq) % f)
+    return [_padded(g, f.degree) for g in powers]
+
+
 def _distinct_degree(f: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Squarefree monic f -> [(product of irreducibles of degree d, d)]."""
+    """Squarefree monic f -> [(product of irreducibles of degree d, d)].
+
+    Step d takes gcd(rest, h - x) with h = x^(q^d) mod f.  The only power
+    is x^q mod f, one ``pow_mod``; from it comes the Frobenius matrix Q of
+    f, whose row i is x^(q*i) mod f.  Since c^q = c for every c in F_q,
+    h(x)^q = sum h_i x^(q*i), so each later step is the vector-matrix
+    product h <- h*Q, one ``mat_mul`` (von zur Gathen and Shoup, "Computing
+    Frobenius maps and factoring polynomials", 1992).  h stays reduced mod
+    f, not mod rest: the gcd with rest is the same.
+    """
     field = f.field
-    q = field.order
     out = []
-    h = Polynomial.x(field)
     x = Polynomial.x(field)
+    h = frobenius = None
     d = 0
     rest = f
     while rest.degree > 2 * (d + 1) - 1:
         d += 1
-        h = h.pow_mod(q, rest)
+        if h is None:
+            h = x.pow_mod(field.order, f)
+        else:
+            if frobenius is None:
+                frobenius = _frobenius_matrix(h, f)
+            row = field.kernels.mat_mul([_padded(h, f.degree)], frobenius, field.kernel_arg)[0]
+            h = _from_data(field, _trim(field, row))
         g = rest.gcd(h - x)
         if g.degree >= 1:
             out.append((g.monic(), d))
             rest = rest.exact_divide(g)
-            h = h % rest
     if rest.degree >= 1:
         out.append((rest.monic(), rest.degree))
     return out

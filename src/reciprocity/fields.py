@@ -32,7 +32,11 @@ from . import _kernels
 from ._kernels import generic
 from .errors import NonUnitError, TowerError
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin to the first 13 prime bases is exact below this bound
+# (psi_13 of OEIS A014233), and base 43 rejects psi_13 itself; field specs
+# at or above it are rejected before any primality test
+PRIME_TEST_BOUND = 3317044064679887385961981
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 
 # extension fields with at most this many elements multiply by log tables;
 # 256 is the largest order at which building them was measured to pay off
@@ -40,10 +44,10 @@ TABLE_MAX_ORDER = 256
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin with fixed witnesses; deterministic for n < 3.3e24."""
+    """Miller-Rabin with fixed witnesses; deterministic for n < PRIME_TEST_BOUND (3.3e24)."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_WITNESSES:
         if n == q:
             return True
         if n % q == 0:
@@ -67,7 +71,10 @@ def is_prime(n: int) -> bool:
 
 
 class CoefficientRing:
-    """Common protocol for every coefficient ring in the tower."""
+    """Common protocol for every coefficient ring in the tower.
+
+    Each subclass stores the raw data of 0 and 1 as ``_zero`` and ``_one``.
+    """
 
     is_field = False
     characteristic = 0
@@ -105,10 +112,10 @@ class CoefficientRing:
         raise NotImplementedError
 
     def zero(self) -> AlgebraElement:
-        return self.from_int(0)
+        return AlgebraElement(self, self._zero)
 
     def one(self) -> AlgebraElement:
-        return self.from_int(1)
+        return AlgebraElement(self, self._one)
 
     def from_int(self, n: int) -> AlgebraElement:
         raise NotImplementedError
@@ -156,6 +163,7 @@ class RationalField(BaseField):
     """The field of rational numbers; element data is Fraction."""
 
     characteristic = 0
+    _zero, _one = Fraction(0), Fraction(1)
 
     def _add(self, a, b):
         return a + b
@@ -204,6 +212,8 @@ class RationalField(BaseField):
 
 class PrimeField(BaseField):
     """F_p for a prime p; element data is an int in [0, p)."""
+
+    _zero, _one = 0, 1
 
     def __init__(self, p: int):
         if not is_prime(p):

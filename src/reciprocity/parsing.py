@@ -25,9 +25,9 @@ from functools import wraps
 
 from .artinian import ArtinianAlgebra
 from .curve import RationalFunction
-from .errors import ExpressionError, FactorError
+from .errors import DomainError, ExpressionError, FactorError
 from .factor import is_irreducible
-from .fields import BaseField, ExtensionField, PrimeField, QQ, find_irreducible, is_prime
+from .fields import PRIME_TEST_BOUND, BaseField, ExtensionField, PrimeField, QQ, find_irreducible, is_prime
 from .laurent import DEFAULT_PRECISION, LaurentSeries
 from .poly import Polynomial
 
@@ -419,6 +419,9 @@ def parse_field_spec(spec: str) -> BaseField:
         raise ExpressionError(f"unknown field spec {spec!r}") from None
     if q < 2:
         raise ExpressionError(f"invalid field size {q}")
+    if q >= PRIME_TEST_BOUND:
+        # above it is_prime is no longer exact, and gets slow long before int() gives up
+        raise DomainError(f"field size of {q.bit_length()} bits is too large: q must be below {PRIME_TEST_BOUND}")
     if is_prime(q):
         if modulus_text is not None:
             raise ExpressionError("prime fields take no modulus")

@@ -220,7 +220,7 @@ class Polynomial:
         if d < self.degree:
             raise ValueError("reversal degree below actual degree")
         f = self.field
-        out = [f.zero().data] * (d + 1 - len(self._data)) + self._data[::-1]
+        out = [f._zero] * (d + 1 - len(self._data)) + self._data[::-1]
         return _from_data(f, _trim(f, out))
 
     def valuation_at_zero(self) -> int:

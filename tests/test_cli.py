@@ -123,3 +123,31 @@ def test_repeated_main_calls_match_separate_runs(capsys):
         in_process.append((code, capsys.readouterr().out))
     assert [code for code, _ in in_process] == [cli.EXIT_OK, cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_OK]
     assert in_process == [run_alone(argv) for argv in runs]
+
+
+class FailedReport:
+    verified = False
+
+
+@pytest.mark.parametrize("mode, verifier, command", [
+    ("wrl", "verify_wrl", "verify-wrl"),
+    ("residues", "verify_residue_theorem", "verify-residues"),
+    ("all", "verify_residue_theorem", "verify-residues"),
+    ("all", "verify_wrl", "verify-wrl"),
+])
+def test_sweep_failure_prints_a_reproducer(monkeypatch, capsys, mode, verifier, command):
+    import shlex
+
+    real = getattr(cli, verifier)
+    monkeypatch.setattr(cli, verifier, lambda f, g: FailedReport())
+    argv = ["sweep", "--field", "F9", "--count", "2", "--mode", mode, "--max-degree", "2", "--seed", "3"]
+    assert cli.main(argv) == cli.EXIT_VIOLATION
+    lines = [line for line in capsys.readouterr().out.splitlines() if "FAILED" in line]
+    assert [line.split(": ", 1)[0] for line in lines] == ["  FAILED #0", "  FAILED #1"]
+    monkeypatch.setattr(cli, verifier, real)
+    for line in lines:
+        words = shlex.split(line.split(": ", 1)[1])
+        assert words[:4] == ["reciprocity", command, "--field", "F9"]
+        assert words[4] == "-f" and words[6] == "-g"
+        assert cli.main(words[1:]) == cli.EXIT_OK
+        assert "verified: True" in capsys.readouterr().out

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from reciprocity import factor
 from reciprocity.errors import FactorError
 from reciprocity.factor import is_irreducible, poly_factor
-from reciprocity.fields import QQ, ExtensionField, PrimeField
+from reciprocity.fields import QQ, ExtensionField, PrimeField, find_irreducible
 from reciprocity.poly import Polynomial
 
 
@@ -117,3 +118,79 @@ def test_factor_over_extension_field(F9):
     u = F9.generator()
     roots = sorted(str(-p.coefficient(0)) for p, _, _ in fac)
     assert roots == sorted([str(u), str(-u)])
+
+
+def reference_distinct_degree(f):
+    """The earlier loop: one fresh pow_mod(q, rest) per degree step."""
+    field = f.field
+    q = field.order
+    out = []
+    h = Polynomial.x(field)
+    x = Polynomial.x(field)
+    d = 0
+    rest = f
+    while rest.degree > 2 * (d + 1) - 1:
+        d += 1
+        h = h.pow_mod(q, rest)
+        g = rest.gcd(h - x)
+        if g.degree >= 1:
+            out.append((g.monic(), d))
+            rest = rest.exact_divide(g)
+            h = h % rest
+    if rest.degree >= 1:
+        out.append((rest.monic(), rest.degree))
+    return out
+
+
+DDF_FIELDS = {
+    "F2": PrimeField(2),
+    "F3": PrimeField(3),
+    "F101": PrimeField(101),
+    "F9": ExtensionField(3, [1, 0, 1]),
+    "F256": ExtensionField(2, find_irreducible(2, 8)),
+    "F(2^31-1)": PrimeField(2**31 - 1),
+    "F(2^61-1)": PrimeField(2**61 - 1),
+}
+
+
+def random_squarefree_monic(field, rng, degree):
+    while True:
+        f = Polynomial(field, [field.random_element(rng) for _ in range(degree)] + [1])
+        if f.gcd(f.derivative()).degree == 0:
+            return f
+
+
+@pytest.mark.parametrize("key", list(DDF_FIELDS))
+def test_distinct_degree_matches_reference(key, monkeypatch):
+    field = DDF_FIELDS[key]
+    rng = random.Random(f"ddf:{key}")
+    x = Polynomial.x(field)
+    calls = []
+    pow_mod = Polynomial.pow_mod
+    monkeypatch.setattr(Polynomial, "pow_mod", lambda self, e, m: calls.append(e) or pow_mod(self, e, m))
+    cases = [x, x * (x + 1)] + [random_squarefree_monic(field, rng, rng.randint(1, 10)) for _ in range(15)]
+    for f in cases:
+        calls.clear()
+        got = factor._distinct_degree(f)
+        assert calls == ([field.order] if f.degree >= 2 else [])
+        want = reference_distinct_degree(f)
+        assert got == want, (key, str(f))
+        prod = Polynomial.one(field)
+        for g, d in got:
+            assert g.degree % d == 0
+            prod = prod * g
+        assert prod == f
+
+
+def test_distinct_degree_powers_once_where_the_reference_does_not(F5, monkeypatch):
+    x = Polynomial.x(F5)
+    cubics = (x**3 + 3 * x + 3) * (x**3 + x + 1)
+    f = (x + 1) * (x**2 + 2) * cubics  # the loop runs to d = 3
+    calls = []
+    pow_mod = Polynomial.pow_mod
+    monkeypatch.setattr(Polynomial, "pow_mod", lambda self, e, m: calls.append(e) or pow_mod(self, e, m))
+    got = factor._distinct_degree(f)
+    assert calls == [5]
+    calls.clear()
+    assert reference_distinct_degree(f) == got == [(x + 1, 1), (x**2 + 2, 2), (cubics, 3)]
+    assert calls == [5, 5, 5]

@@ -25,6 +25,10 @@ from reciprocity.parsing import parse_series
 def test_primality():
     assert is_prime(2) and is_prime(3) and is_prime(65537)
     assert not is_prime(1) and not is_prime(91) and not is_prime(2**16)
+    # the smallest strong pseudoprimes to the first 12 and 13 prime bases
+    assert not is_prime(318665857834031151167461)
+    assert not is_prime(fields.PRIME_TEST_BOUND)
+    assert is_prime(2**61 - 1) and is_prime(18446744073709551629)
     with pytest.raises(ValueError):
         PrimeField(6)
 

@@ -8,7 +8,9 @@ import sys
 import pytest
 
 import reciprocity
-from reciprocity._kernels import pure
+from reciprocity import _kernels as kernels
+from reciprocity._kernels import generic, pure
+from reciprocity.fields import QQ, ExtensionField, PrimeField
 
 try:
     from reciprocity._kernels import _core as core
@@ -117,3 +119,108 @@ def test_pure_backend_env_is_strict(value):
     else:
         assert proc.returncode != 0
         assert "ValueError: RECIPROCITY_PURE must be" in proc.stderr
+
+
+def repeated_mulmod(mulmod, invmod, one, a, e, m, arg):
+    """a^e mod m by |e| products, the definition the powering loops must meet."""
+    if e < 0:
+        a, e = invmod(a, m, arg), -e
+    out = one
+    for _ in range(e):
+        out = mulmod(out, a, m, arg)
+    return out
+
+
+def power_exponents(q):
+    exps = {0, 1, 2, 3, -1, -2, -5}
+    for k in (4, 5, 6):
+        exps |= {2**k, 2**k - 1}
+    if q is not None:
+        exps |= {q, (q - 1) // 2, -q}
+    return sorted(exps)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_pure_powmod_is_repeated_mulmod(p):
+    rng = random.Random(31 * p)
+    m = pure.normalize([rng.randrange(p) for _ in range(3)] + [1])
+    for _ in range(20):
+        a = random_poly(rng, p, 4)
+        for e in power_exponents(p):
+            try:
+                want = repeated_mulmod(pure.mulmod, pure.invmod, pure.rem([1], m, p), a, e, m, p)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    pure.powmod(a, e, m, p)
+                continue
+            assert pure.powmod(a, e, m, p) == want, (a, e)
+
+
+@pytest.mark.parametrize("ring", [ExtensionField(3, [1, 0, 1]), QQ], ids=["F9", "Q"])
+def test_generic_powmod_is_repeated_mulmod(ring):
+    rng = random.Random(repr(ring))
+
+    def mulmod(a, b, m, r):
+        return generic.divmod_poly(generic.mul(a, b, r), m, r)[1]
+
+    def poly(degree):
+        return generic._normalize([ring.random_element(rng).data for _ in range(degree + 1)], ring)
+
+    m = poly(2) + [ring._one]
+    one = generic.divmod_poly([ring._one], m, ring)[1]
+    for _ in range(8):
+        a = poly(rng.randint(0, 3))
+        for e in power_exponents(getattr(ring, "order", None)):
+            try:
+                want = repeated_mulmod(mulmod, generic.invmod, one, a, e, m, ring)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    generic.powmod(a, e, m, ring)
+                continue
+            assert generic.powmod(a, e, m, ring) == want, (a, e)
+
+
+@needs_core
+@pytest.mark.parametrize("p", [2, 65537, 2**31 - 1])
+def test_core_powmod_agrees_with_pure(p):
+    rng = random.Random(p)
+    exps = [0, 1, 2, 3, 2**31, 2**31 - 1, p, (p - 1) // 2, -1, -p]
+    for _ in range(20):
+        m = pure.normalize([rng.randrange(p) for _ in range(rng.randint(1, 6))] + [1])
+        a = random_poly(rng, p, 6)
+        for e in exps:
+            try:
+                want = pure.powmod(a, e, m, p)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    core.powmod(a, e, m, p)
+                continue
+            assert core.powmod(a, e, m, p) == want, (a, e, m)
+
+
+def test_primes_above_pmax_never_reach_core():
+    assert kernels.PMAX == 2**31 - 1
+    assert PrimeField(2**31 - 1).kernels is kernels
+    assert PrimeField(2**61 - 1).kernels is pure
+    assert PrimeField(2**61 - 1).kernel_arg == 2**61 - 1
+
+
+def test_generic_kernels_build_no_elements(monkeypatch):
+    ring = ExtensionField(3, [1, 0, 1])
+
+    def no_elements():
+        raise AssertionError("built an element for a constant")
+
+    monkeypatch.setattr(ring, "zero", no_elements)
+    monkeypatch.setattr(ring, "one", no_elements)
+    u = ring.generator().data
+    a, m = [u, ring._one, u], [ring._one, ring._zero, ring._one]
+    generic.mul(a, a, ring)
+    generic.divmod_poly(a, m, ring)
+    generic.powmod(a, 10, m, ring)
+    generic.xgcd(a, m, ring)
+    generic.eval_at(a, u, ring)
+    matrix = [[u, ring._one], [ring._zero, u]]
+    generic.mat_mul(matrix, matrix, ring)
+    generic.mat_det(matrix, ring)
+    generic.mat_inv(matrix, ring)

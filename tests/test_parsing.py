@@ -11,7 +11,7 @@ from reciprocity.artinian import ArtinianAlgebra
 from reciprocity.corpus import random_laurent_polynomial, random_rational_pair
 from reciprocity.curve import RationalFunction
 from reciprocity.errors import ExpressionError, ReciprocityError
-from reciprocity.fields import QQ, ExtensionField, find_irreducible
+from reciprocity.fields import PRIME_TEST_BOUND, QQ, ExtensionField, find_irreducible, is_prime
 from reciprocity.laurent import LaurentSeries
 from reciprocity.parsing import (
     BigO,
@@ -264,9 +264,29 @@ def test_large_field_specs_answer_at_once():
     proc = subprocess.run([sys.executable, "-c", build], capture_output=True, text=True, env=env, timeout=10)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) == p * p
-    q = p * (2**61 - 1)
-    argv = ["verify-wrl", "--field", f"F{q}", "-f", "x", "-g", "x+1"]
+    q = p * (10**12 + 39)  # a product of two primes, below PRIME_TEST_BOUND
+    assert is_prime(10**12 + 39) and q < PRIME_TEST_BOUND
+    code, err = run_cli_alone(["verify-wrl", "--field", f"F{q}", "-f", "x", "-g", "x+1"])
+    assert code == 2
+    assert "not a prime power" in err
+
+
+def run_cli_alone(argv):
+    """(exit code, stderr) of cli.main(argv) in a fresh interpreter, which must answer within 10 s."""
+    src = os.path.dirname(os.path.dirname(reciprocity.__file__))
     run = f"import sys; from reciprocity import cli; sys.exit(cli.main({argv!r}))"
-    proc = subprocess.run([sys.executable, "-c", run], capture_output=True, text=True, env=env, timeout=10)
-    assert proc.returncode == 2
-    assert "not a prime power" in proc.stderr
+    proc = subprocess.run([sys.executable, "-c", run], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=10)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("q, message", [
+    (318665857834031151167461, "not a prime power"),  # psi_12: passes the first 12 prime bases
+    (PRIME_TEST_BOUND, "too large"),  # psi_13
+    ((2**31 - 1) * (2**61 - 1), "too large"),
+    (10**4299 + 7, "too large"),  # the most digits int() takes
+], ids=["psi12", "psi13", "above-bound", "4300-digits"])
+def test_field_specs_where_miller_rabin_is_not_exact_fail_fast(q, message):
+    code, err = run_cli_alone(["verify-wrl", "--field", f"F{q}", "-f", "x+1", "-g", "x+2"])
+    assert code == 2
+    assert message in err
