@@ -1,13 +1,13 @@
 """Places of P^1, local expansions, and the global verifiers.
 
 A place is a monic irreducible polynomial over the constant field, or the
-point at infinity (local parameter 1/x).  Rational functions expand into
-Laurent series at degree-1 places and at infinity; at higher-degree places
-only the valuation and the unit value in k[x]/(p) are produced, and trace
-residues go through the principal part: the trace of the residue at P
-equals the x^{-1} coefficient of the expansion at infinity of the
-P-principal part of the function.  A base-change oracle in the tests ties
-that method to the residue of the split places upstairs.
+point at infinity (local parameter 1/x).  Trace residues at every place are
+one polynomial remainder: the top coefficient of the P-part of the partial
+fractions, or of num mod den at infinity.  A base-change oracle in the tests
+ties that formula to the residues of the split places upstairs.  Laurent
+expansions exist at degree-1 places and infinity only, for the
+Gelfand-Fuchs cocycle and adele components; higher-degree places expose
+the valuation and the unit value in k[x]/(p).
 
 Verifiers return a VerificationReport with one row per place and the global
 product (reciprocity) or sum (residues); exactness is the contract, so
@@ -26,17 +26,16 @@ from .norms import mat_det, mat_mul, mat_trace
 from .poly import Polynomial
 from .symbols import LoopMatrix, gelfand_fuchs_cocycle, residue_coefficient, tame_symbol
 
-_EXPANSION_MARGIN = 4
-
 
 class Place:
     """A closed point of P^1: a monic irreducible polynomial, or infinity."""
 
-    __slots__ = ("field", "poly")
+    __slots__ = ("field", "poly", "_name")
 
     def __init__(self, field: BaseField, poly: Polynomial | None):
         self.field = field
         self.poly = poly
+        self._name = "" if poly is None else str(poly)
 
     @classmethod
     def finite(cls, poly: Polynomial, check: bool = True) -> "Place":
@@ -82,15 +81,16 @@ class Place:
     def __str__(self):
         if self.is_infinite:
             return "infinity"
-        return f"({self.poly})"
+        return f"({self._name})"
 
     def __repr__(self):
         return f"Place({self})"
 
     def sort_key(self):
+        # the bare name, not str(self): "(x + 1)" sorts before "(x)"
         if self.is_infinite:
             return (1, 0, "")
-        return (0, self.poly.degree, str(self.poly))
+        return (0, self.poly.degree, self._name)
 
 
 class Divisor:
@@ -184,7 +184,7 @@ class RationalFunction:
             else:
                 den = den * p ** (-e)
         out = cls(field, num, den)
-        out.factors = tuple(sorted(pairs, key=lambda pe: (pe[0].degree, str(pe[0]))))
+        out.factors = tuple(sorted(pairs, key=lambda pe: pe[0].sort_key()))
         out.lead = lead
         out.trusted = tuple(trusted)
         return out
@@ -218,7 +218,7 @@ class RationalFunction:
         for p, e in other.factors:
             merged[p] = merged.get(p, 0) + flip * e
         out.factors = tuple(sorted(((p, e) for p, e in merged.items() if e),
-                                   key=lambda pe: (pe[0].degree, str(pe[0]))))
+                                   key=lambda pe: pe[0].sort_key()))
         out.lead = self.lead * (other.lead if flip > 0 else other.lead.inverse())
         out.trusted = tuple(set(self.trusted) | set(other.trusted))
         return out
@@ -332,7 +332,7 @@ class RationalFunction:
                 )
             for q, m, _ in fac:
                 pairs[q] = pairs.get(q, 0) + sign * m
-        self.factors = tuple(sorted(pairs.items(), key=lambda pe: (pe[0].degree, str(pe[0]))))
+        self.factors = tuple(sorted(pairs.items(), key=lambda pe: pe[0].sort_key()))
         self.lead = self.num.leading_coefficient()
         return self.factors
 
@@ -389,20 +389,18 @@ def divisor_of(f: RationalFunction) -> Divisor:
 
 def relevant_places(f: RationalFunction, g: RationalFunction) -> list[Place]:
     """Support of div(f) + div(g), plus infinity, deterministically ordered."""
-    places = {}
-    for fn in (f, g):
-        for p, _ in fn.factor_pairs():
-            places[Place.finite(p, check=False)] = True
-    places[Place.infinity(f.field)] = True
-    return sorted(places, key=lambda p: p.sort_key())
+    polys = {p: True for fn in (f, g) for p, _ in fn.factor_pairs()}
+    finite = sorted((Place.finite(p, check=False) for p in polys), key=Place.sort_key)
+    return finite + [Place.infinity(f.field)]
 
 
 def local_expansion(f: RationalFunction, place: Place, prec: int) -> LaurentSeries:
-    """Laurent expansion in the local parameter (degree-1 places and infinity).
+    """Laurent expansion to O(t^prec) in the local parameter t.
 
-    At a finite place x - a the parameter is t = x - a; at infinity it is
-    t = 1/x.  Higher-degree places do not get digit expansions; use
-    valuation_at / unit_value_at / trace_residue_at_place there.
+    At a degree-1 place x - a the parameter is t = x - a; at infinity it is
+    t = 1/x; higher-degree places get none.  For f = t^s num(t)/den(t) with
+    valuations vn, vd, r relative terms of 1/den give O(t^(s + vn - vd + r)),
+    so r = prec - s - vn + vd is exact.
     """
     if f.is_zero():
         return LaurentSeries.zero(f.field, prec)
@@ -422,7 +420,7 @@ def local_expansion(f: RationalFunction, place: Place, prec: int) -> LaurentSeri
     vn, vd = num_t.valuation_at_zero(), den_t.valuation_at_zero()
     num_s = LaurentSeries(f.field, dict(enumerate(num_t.coeffs)))
     den_s = LaurentSeries(f.field, dict(enumerate(den_t.coeffs)))
-    inv = den_s.inverse(rel_prec=max(prec - s - (vn - vd) + vd + _EXPANSION_MARGIN, 1))
+    inv = den_s.inverse(rel_prec=max(prec - s - vn + vd, 1))
     return (num_s * inv).shift(s).truncate(prec)
 
 
@@ -430,29 +428,19 @@ def local_expansion(f: RationalFunction, place: Place, prec: int) -> LaurentSeri
 
 
 def trace_residue_at_place(h: RationalFunction, place: Place) -> AlgebraElement:
-    """tr_{k(P)/k} res_P (h dx).
+    """tr_{k(P)/k} res_P (h dx), from one polynomial remainder.
 
-    Degree-1 places read the t^{-1} coefficient; infinity uses dx = -t^{-2}dt;
-    a higher-degree place contributes the x^{-1} coefficient (at infinity) of
-    its principal part, which equals the trace of the local residue.
+    With P^m exactly dividing den, the P-part of h is a / P^m for
+    a = num (den / P^m)^{-1} mod P^m; its traced residue is its x^{-1}
+    coefficient at infinity, the x^{deg P^m - 1} coefficient of a (P^m is
+    monic; m = 0 gives 0).  At infinity, dx = -t^{-2} dt and only
+    (num mod den) / den has a residue there.
     """
-    field = h.field
-    if h.is_zero():
-        return field.zero()
     if place.is_infinite:
-        exp = local_expansion(h, place, 2)
-        return -exp.coefficient(1)
-    if place.degree == 1:
-        exp = local_expansion(h, place, 1)
-        return exp.coefficient(-1)
-    m, q_part = _divide_out(h.den, place.poly)
-    if m == 0:
-        return field.zero()
+        return -(h.num % h.den).coefficient(h.den.degree - 1)
+    m, q = _divide_out(h.den, place.poly)
     pm = place.poly**m
-    a_part = (h.num * q_part.invmod(pm)) % pm
-    principal = RationalFunction(field, a_part, pm)
-    exp = local_expansion(principal, Place.infinity(field), 2)
-    return exp.coefficient(1)
+    return (h.num * q.invmod(pm) % pm).coefficient(pm.degree - 1)
 
 
 # -- reports ------------------------------------------------------------------
@@ -668,7 +656,7 @@ def residue_pairing_sum(adele: AdeleVector, g: RationalFunction, prec: int = 8) 
     for p in adele.components:
         places[p] = True
     total = field.zero()
-    for place in sorted(places, key=lambda p: p.sort_key()):
+    for place in sorted(places, key=Place.sort_key):
         if place in adele.components:
             alpha = adele.components[place]
             pole = -min(min(alpha.coeffs), 0) if alpha.coeffs else 0

@@ -181,7 +181,7 @@ def _factor_finite(f: Polynomial, rng: random.Random) -> list[tuple[Polynomial, 
         for h, d in _distinct_degree(g):
             for irr in _equal_degree_split(h, d, rng):
                 out.append((irr, mult, True))
-    out.sort(key=lambda t: (t[0].degree, [t[0].field._canonical(c.data) for c in t[0].coeffs]))
+    out.sort(key=lambda t: t[0].sort_key())
     return out
 
 
@@ -268,7 +268,7 @@ def _factor_rational(f: Polynomial) -> list[tuple[Polynomial, int, bool]]:
         if remaining.degree >= 1:
             # no rational roots left: certified irreducible up to cubics
             out.append((remaining.monic(), mult, remaining.degree <= 3))
-    out.sort(key=lambda t: (t[0].degree, [c.data for c in t[0].coeffs]))
+    out.sort(key=lambda t: t[0].sort_key())
     return out
 
 

@@ -248,6 +248,11 @@ class Polynomial:
     def __bool__(self):
         return bool(self._data)
 
+    def sort_key(self) -> tuple:
+        """Degree, then canonical coefficients from the constant term up."""
+        f = self.field
+        return self.degree, [f._canonical(c) for c in self._data]
+
     def to_string(self, var: str = "x") -> str:
         terms = []
         for i, c in enumerate(self.coeffs):
