@@ -127,7 +127,8 @@ class RationalFunction:
 
     Factored construction caches the irreducible factors so everything
     over Q works without general factorization; `trusted` lists factor
-    claims of degree > 3 that were accepted without proof.
+    claims accepted without proof (over Q: degree > 3, or coefficients
+    beyond the rational root search).
     """
 
     __slots__ = ("field", "num", "den", "factors", "lead", "trusted")
@@ -172,7 +173,7 @@ class RationalFunction:
             if check:
                 verdict = is_irreducible(p)
                 if verdict is False:
-                    raise FactorError(f"declared factor {p} is reducible")
+                    raise FactorError(f"declared factor {p} is reducible; split it further")
                 if verdict is None:
                     trusted.append(p)
             pairs.append((p, e))
@@ -454,6 +455,7 @@ class VerificationReport:
     global_value: str
     verified: bool
     extras: dict = dataclass_field(default_factory=dict)
+    uncertified: list = dataclass_field(default_factory=list)
 
     def to_json(self) -> dict:
         out = {
@@ -462,6 +464,8 @@ class VerificationReport:
             "global": self.global_value,
             "verified": self.verified,
         }
+        if self.uncertified:
+            out["uncertified_factors"] = self.uncertified
         if self.extras:
             out.update(self.extras)
         return out
@@ -473,7 +477,14 @@ class VerificationReport:
             lines.append(f"  {body}")
         lines.append(f"  global: {self.global_value}")
         lines.append(f"  verified: {self.verified}")
+        if self.uncertified:
+            lines.append(f"  uncertified factors: {', '.join(self.uncertified)}")
         return "\n".join(lines)
+
+
+def _uncertified(f: RationalFunction, g: RationalFunction) -> list[str]:
+    """The factor claims of f and g accepted without proof, in polynomial order."""
+    return [str(p) for p in sorted(set(f.trusted) | set(g.trusted), key=Polynomial.sort_key)]
 
 
 # -- Weil reciprocity ---------------------------------------------------------
@@ -531,6 +542,7 @@ def verify_wrl(f: RationalFunction, g: RationalFunction) -> VerificationReport:
         places=rows,
         global_value=str(product),
         verified=verified,
+        uncertified=_uncertified(f, g),
     )
 
 
@@ -560,6 +572,7 @@ def verify_residue_theorem(f: RationalFunction, g: RationalFunction) -> Verifica
         places=rows,
         global_value=str(total),
         verified=verified,
+        uncertified=_uncertified(f, g),
     )
 
 
@@ -741,4 +754,5 @@ def verify_gf_global(s_matrix, t_matrix, f: RationalFunction, g: RationalFunctio
         global_value=str(total),
         verified=verified,
         extras={"cross_check": str(cross)},
+        uncertified=_uncertified(f, g),
     )

@@ -12,7 +12,9 @@ output does not depend on the seed.
 Over the rationals only content extraction, Yun's squarefree decomposition
 and rational-root splitting are attempted.  Factors of degree <= 3 without
 rational roots are certified irreducible; anything bigger is returned
-uncertified and callers must treat it as irreducible or reject it.
+uncertified and callers must treat it as irreducible or reject it.  The root
+search refuses constant or leading coefficients of 2^40 or more, and no
+field factors above degree DEGREE_BUDGET.
 """
 
 from __future__ import annotations
@@ -22,11 +24,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import FactorError
+from .errors import DomainError, FactorError
 from .fields import AlgebraElement, BaseField, ExtensionField, PrimeField, RationalField
 from .poly import Polynomial, _from_data, _trim
 
 DEFAULT_SEED = 0x1718
+# largest degree factored, and largest |e| of a `^` literal the parser takes:
+# degree 64 factors in under a second over F256, degree 128 takes ~6 s
+DEGREE_BUDGET = 64
+# rational roots are searched only while |a0| and |an| stay below this:
+# up to about 10^6 trial divisions each
+ROOT_SEARCH_BOUND = 2**40
 
 
 @dataclass(frozen=True)
@@ -222,7 +230,13 @@ def _rational_roots(f: Polynomial) -> list[Fraction]:
     for c in ints:
         g = gcd(g, c)
     ints = [c // g for c in ints]
+    if len(ints) == 2:
+        return [Fraction(-ints[0], ints[1])]
     a0, an = abs(ints[0]), abs(ints[-1])
+    if max(a0, an) >= ROOT_SEARCH_BOUND:
+        raise DomainError(
+            f"the rational root search of {f} needs |a0|, |an| < 2^40; supply the factors with --factored"
+        )
     roots = set()
     for r in _divisors(a0):
         for s in _divisors(an):
@@ -279,6 +293,8 @@ def poly_factor(f: Polynomial, seed: int | None = None) -> Factorization:
     field = f.field
     lead = f.leading_coefficient()
     monic = f.monic()
+    if monic.degree > DEGREE_BUDGET:
+        raise DomainError(f"cannot factor degree {monic.degree}: the budget is degree {DEGREE_BUDGET}")
     if monic.degree == 0:
         return Factorization(field, lead, ())
     if isinstance(field, (PrimeField, ExtensionField)):
@@ -301,8 +317,11 @@ def is_irreducible(f: Polynomial, seed: int | None = None):
             return True
         if f.valuation_at_zero() > 0:
             return False
-        if _rational_roots(f):
-            return False
+        try:
+            if _rational_roots(f):
+                return False
+        except DomainError:  # the root search is over budget: the claim stays unproved
+            return None
         if f.degree <= 3:
             return True
         if not f.gcd(f.derivative()).is_constant():

@@ -1,8 +1,8 @@
 """Expression grammar and field/ring spec strings.
 
 Grammar: integers, one variable (`x` for rational functions, `z` for
-series), `+ - * /`, `^` with a literal (possibly negative) integer
-exponent, parentheses, and declared generator names.  Series expressions
+series), `+ - * /`, `^` with a literal integer exponent e, |e| <= 64
+(`factor.DEGREE_BUDGET`), parentheses, and declared generator names.  Series expressions
 may end in `+ O(z^N)`, which truncates the precision to N; printing a
 series emits the same marker, so text output round-trips.
 
@@ -26,7 +26,7 @@ from functools import wraps
 from .artinian import ArtinianAlgebra
 from .curve import RationalFunction
 from .errors import DomainError, ExpressionError, FactorError
-from .factor import is_irreducible
+from .factor import DEGREE_BUDGET
 from .fields import PRIME_TEST_BOUND, BaseField, ExtensionField, PrimeField, QQ, find_irreducible, is_prime
 from .laurent import DEFAULT_PRECISION, LaurentSeries
 from .poly import Polynomial
@@ -179,7 +179,10 @@ class _Parser:
         base = self.atom()
         if self.current.kind == "OP" and self.current.text == "^":
             self.advance()
-            return Pow(base, self.signed_int())
+            e = self.signed_int()
+            if abs(e) > DEGREE_BUDGET:
+                raise DomainError(f"exponent {e} is above the budget: |e| <= {DEGREE_BUDGET}")
+            return Pow(base, e)
         return base
 
     def signed_int(self) -> int:
@@ -394,9 +397,6 @@ def parse_factored_rational(text: str, field: BaseField) -> RationalFunction:
 
     walk(ast, 1)
     pairs = [(p, e) for p, e in factors.items() if e]
-    for p, _ in pairs:
-        if is_irreducible(p) is False:
-            raise FactorError(f"declared factor {p} is reducible; split it further")
     return RationalFunction.from_factored(field, constant[0], pairs)
 
 

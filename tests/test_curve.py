@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -9,6 +10,7 @@ from reciprocity.curve import (
     AdeleVector,
     Place,
     RationalFunction,
+    _divide_out,
     divisor_of,
     local_expansion,
     relevant_places,
@@ -23,7 +25,7 @@ from reciprocity.curve import (
     wrl_local_factor,
 )
 from reciprocity.errors import DomainError, FactorError, TowerError
-from reciprocity.fields import QQ, ExtensionField, PrimeField, lift
+from reciprocity.fields import QQ, ExtensionField, PrimeField, find_irreducible, lift
 from reciprocity.laurent import LaurentSeries
 from reciprocity.poly import Polynomial
 from reciprocity.symbols import residue_coefficient
@@ -428,3 +430,190 @@ def test_polynomial_operands_lift_but_never_compare_equal():
     # equal values of different types stay unequal, as their hashes differ
     assert RationalFunction(F7, x) != x and x != RationalFunction(F7, x)
     assert RationalFunction(F7, x) == RationalFunction.x(F7)
+
+
+# -- the residue formula against the series and principal-part routes ---------
+
+
+def reference_expansion(f, place, prec, margin=16):
+    """local_expansion with a fixed surplus of inverse terms, truncated to prec."""
+    if f.is_zero():
+        return LaurentSeries.zero(f.field, prec)
+    if place.is_infinite:
+        num_t, den_t = f.num.reversed_coeffs(), f.den.reversed_coeffs()
+        s = f.den.degree - f.num.degree
+    else:
+        a = -place.poly.coefficient(0)
+        num_t, den_t = f.num.shift(a), f.den.shift(a)
+        s = 0
+    vn, vd = num_t.valuation_at_zero(), den_t.valuation_at_zero()
+    num_s = LaurentSeries(f.field, dict(enumerate(num_t.coeffs)))
+    den_s = LaurentSeries(f.field, dict(enumerate(den_t.coeffs)))
+    inv = den_s.inverse(rel_prec=max(prec - s - vn + 2 * vd + margin, 1))
+    return (num_s * inv).shift(s).truncate(prec)
+
+
+def reference_trace_residue(h, place):
+    """The three residue routes the remainder formula replaced.
+
+    The t^-1 coefficient at degree-1 places, minus the t coefficient at
+    infinity, and the x^-1 coefficient at infinity of the principal part at
+    higher-degree places.
+    """
+    field = h.field
+    if h.is_zero():
+        return field.zero()
+    if place.is_infinite:
+        return -reference_expansion(h, place, 2).coefficient(1)
+    if place.degree == 1:
+        return reference_expansion(h, place, 1).coefficient(-1)
+    m, q_part = _divide_out(h.den, place.poly)
+    if m == 0:
+        return field.zero()
+    pm = place.poly**m
+    principal = RationalFunction(field, (h.num * q_part.invmod(pm)) % pm, pm)
+    return reference_expansion(principal, Place.infinity(field), 2).coefficient(1)
+
+
+RESIDUE_FIELDS = {
+    "Q": QQ,
+    "F7": PrimeField(7),
+    "F9": ExtensionField(3, [1, 0, 1]),
+    "F256": ExtensionField(2, find_irreducible(2, 8)),
+    "F2^31-1": PrimeField(2**31 - 1),
+}
+
+
+def _random_pair(rng, field, i):
+    if field is QQ:
+        return random_factored_rational(rng), random_factored_rational(rng)
+    return random_rational_pair(rng, field, 4, force_higher_place=(i % 3 == 0))
+
+
+class TestResidueFormula:
+    @pytest.mark.parametrize("key", RESIDUE_FIELDS)
+    def test_matches_reference_at_every_relevant_place(self, key):
+        field = RESIDUE_FIELDS[key]
+        rng = random.Random(f"residue:{key}")
+        seen = {"pole": 0, "no pole": 0, "higher degree": 0}
+        for i in range(12):
+            f, g = _random_pair(rng, field, i)
+            h = f * g.derivative()
+            for place in relevant_places(f, g):
+                assert trace_residue_at_place(h, place) == reference_trace_residue(h, place), (f, g, place)
+                if not place.is_infinite:
+                    seen["pole" if h.valuation_at(place) < 0 else "no pole"] += 1
+                    seen["higher degree"] += place.degree > 1
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("key", RESIDUE_FIELDS)
+    def test_polynomials_and_zero(self, key):
+        field = RESIDUE_FIELDS[key]
+        rng = random.Random(f"polynomial:{key}")
+        inf = Place.infinity(field)
+        x = Place.finite(Polynomial.x(field))
+        zero = RationalFunction(field, Polynomial.zero(field))
+        for place in (inf, x):
+            assert trace_residue_at_place(zero, place) == field.zero()
+        for _ in range(5):
+            coeffs = [field.random_element(rng) for _ in range(rng.randint(1, 6))]
+            h = RationalFunction(field, Polynomial(field, coeffs))
+            for place in (inf, x):
+                assert trace_residue_at_place(h, place) == field.zero()
+                assert reference_trace_residue(h, place) == field.zero()
+        # 1/x^k + x^k: residue 1 at x = 0 only for k = 1, and -1 at infinity
+        for k in (1, 2, 3):
+            xk = Polynomial(field, [0] * k + [1])
+            h = RationalFunction(field, xk * xk + 1, xk)
+            expect = field.one() if k == 1 else field.zero()
+            assert trace_residue_at_place(h, x) == expect
+            assert trace_residue_at_place(h, inf) == -expect
+
+    def test_residue_theorem_builds_no_series(self, F7, monkeypatch):
+        rng = random.Random("no series")
+        pairs = [random_rational_pair(rng, F7, 4, force_higher_place=(i % 2 == 0)) for i in range(8)]
+        pairs += [(random_factored_rational(rng), random_factored_rational(rng)) for _ in range(4)]
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a LaurentSeries was built")
+
+        monkeypatch.setattr(LaurentSeries, "__init__", refuse)
+        for f, g in pairs:
+            assert verify_residue_theorem(f, g).verified
+
+
+class TestExactExpansionPrecision:
+    @pytest.mark.parametrize("key", ["Q", "F7", "F9", "F2^31-1"])
+    def test_equals_a_margin_of_sixteen_truncated(self, key):
+        field = RESIDUE_FIELDS[key]
+        rng = random.Random(f"expansion:{key}")
+        kinds = set()
+        for i in range(12):
+            f, g = _random_pair(rng, field, i)
+            for fn in (f, g, f * g.derivative(), f / g):
+                for place in relevant_places(f, g):
+                    if place.degree != 1:
+                        continue
+                    v = fn.valuation_at(place)
+                    kinds.add((place.is_infinite, (v > 0) - (v < 0)))
+                    for prec in range(v - 1, v + 5):
+                        got = local_expansion(fn, place, prec)
+                        assert got.prec == prec
+                        assert got == reference_expansion(fn, place, prec), (fn, place, prec)
+        # poles and zeros, at finite places and at infinity
+        assert {(False, -1), (False, 1), (True, -1), (True, 1)} <= kinds, kinds
+
+
+class TestPlaceOrder:
+    def test_relevant_places_follow_the_polynomial_text(self, F7):
+        # "x" is a prefix of "x + 1": the bare text sorts it first, "(x)" would not
+        x = Polynomial.x(F7)
+        f = RationalFunction.from_factored(F7, 1, [(x, 1), (x + 1, -2), (x + 6, 1), (x**2 + 1, 1)])
+        g = RationalFunction.from_factored(F7, 3, [(x + 3, 1), (x**2 + x + 3, -1), (x + 2, 1)])
+        finite = relevant_places(f, g)[:-1]
+        assert [str(p.poly) for p in finite] == ["x", "x + 1", "x + 2", "x + 3", "x + 6", "x^2 + 1", "x^2 + x + 3"]
+        assert [str(p) for p in finite][:2] == ["(x)", "(x + 1)"]
+        assert str(relevant_places(f, g)[-1]) == "infinity"
+
+    def test_factor_caches_use_the_polynomial_key(self):
+        # "x + 10" sorts before "x + 2" as text, after it by coefficients
+        F101 = PrimeField(101)
+        x = Polynomial.x(F101)
+        pairs = [(x**2 + 2, 1), (x + 10, 2), (x, -1), (x + 2, 1)]
+        f = RationalFunction.from_factored(F101, 2, pairs)
+        assert [p for p, _ in f.factors] == [x, x + 2, x + 10, x**2 + 2]
+        assert RationalFunction(F101, f.num, f.den).factor_pairs() == f.factors
+        assert (f * f).factors == tuple((p, 2 * e) for p, e in f.factors)
+
+
+class TestUncertifiedFactors:
+    ARGS = ["--field", "Q", "--factored", "-f", "(x^4+1)*(x-1)^-1", "-g", "(x+2)*(x^4+x+1)^-1"]
+
+    def test_reported_in_json(self, capsys):
+        for command in ("verify-wrl", "verify-residues"):
+            assert cli_main([command, "--json", *self.ARGS]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["verified"] is True
+            assert report["uncertified_factors"] == ["x^4 + 1", "x^4 + x + 1"]
+
+    def test_reported_in_text(self, capsys):
+        assert cli_main(["verify-wrl", *self.ARGS]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if "uncertified" in line] == [
+            "  uncertified factors: x^4 + 1, x^4 + x + 1"
+        ]
+
+    def test_gf_report_and_polynomial_order(self, Q):
+        x = Polynomial.x(Q)
+        f = RationalFunction.from_factored(Q, 1, [(x**4 + x + 1, 1), (x - 1, -1)])
+        g = RationalFunction.from_factored(Q, 2, [(x**4 + 1, -1), (x**5 + x + 3, 1)])
+        rep = verify_gf_global([[1, 0], [0, 1]], [[1, 0], [0, 2]], f, g)
+        assert rep.verified, rep.text()
+        assert rep.to_json()["uncertified_factors"] == ["x^4 + 1", "x^4 + x + 1", "x^5 + x + 3"]
+
+    def test_absent_when_every_factor_is_proved(self, capsys):
+        for field in ("Q", "F7"):
+            assert cli_main(["verify-wrl", "--json", "--field", field, "-f", "(x^2+1)/(x-1)", "-g", "x+2"]) == 0
+            assert "uncertified_factors" not in json.loads(capsys.readouterr().out)
+        assert cli_main(["verify-wrl", "--field", "F7", "-f", "x^3+x+1", "-g", "x+2"]) == 0
+        assert "uncertified" not in capsys.readouterr().out

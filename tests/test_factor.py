@@ -3,7 +3,7 @@ import random
 import pytest
 
 from reciprocity import factor
-from reciprocity.errors import FactorError
+from reciprocity.errors import DomainError, FactorError
 from reciprocity.factor import is_irreducible, poly_factor
 from reciprocity.fields import QQ, ExtensionField, PrimeField, find_irreducible
 from reciprocity.poly import Polynomial
@@ -194,3 +194,33 @@ def test_distinct_degree_powers_once_where_the_reference_does_not(F5, monkeypatc
     calls.clear()
     assert reference_distinct_degree(f) == got == [(x + 1, 1), (x**2 + 2, 2), (cubics, 3)]
     assert calls == [5, 5, 5]
+
+
+def test_degree_budget(F5):
+    x = Polynomial.x(F5)
+    assert poly_factor(x**factor.DEGREE_BUDGET + 1).expand() == x**factor.DEGREE_BUDGET + 1
+    with pytest.raises(DomainError, match="budget is degree 64"):
+        poly_factor(x ** (factor.DEGREE_BUDGET + 1) + 1)
+    with pytest.raises(DomainError):
+        is_irreducible(x ** (factor.DEGREE_BUDGET + 1) + x + 1)
+
+
+def test_rational_root_search_bound(Q):
+    bound = factor.ROOT_SEARCH_BOUND
+    below = Polynomial(Q, [-(bound - 1), 0, 1])
+    assert poly_factor(below).certified()
+    for coeffs in ([-2 * 10**24, 0, 1], [1, 0, bound], [-bound, 0, 0, 1]):
+        with pytest.raises(DomainError, match="--factored"):
+            poly_factor(Polynomial(Q, coeffs))
+    # a linear polynomial needs no search, whatever its size
+    linear = Polynomial(Q, [-3 * 10**30, 7])
+    assert [(p, m) for p, m, _ in poly_factor(linear * linear)] == [(linear.monic(), 2)]
+    # a declared factor the root search cannot reach stays an unproved claim
+    assert is_irreducible(Polynomial(Q, [-2 * 10**24, 0, 1])) is None
+
+
+def test_factors_in_polynomial_order(F7, Q):
+    for field, coeffs in ((F7, [6, 0, 0, 1, 0, 0, 0, 0, 1]), (Q, [-6, 11, -6, 1, 0, 1])):
+        f = Polynomial.from_int_coeffs(field, coeffs)
+        polys = [p for p, _, _ in poly_factor(f)]
+        assert polys == sorted(polys, key=Polynomial.sort_key)

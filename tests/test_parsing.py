@@ -6,11 +6,11 @@ import sys
 import pytest
 
 import reciprocity
-from reciprocity import cli, parsing
+from reciprocity import cli, curve, factor, parsing
 from reciprocity.artinian import ArtinianAlgebra
 from reciprocity.corpus import random_laurent_polynomial, random_rational_pair
 from reciprocity.curve import RationalFunction
-from reciprocity.errors import ExpressionError, ReciprocityError
+from reciprocity.errors import DomainError, ExpressionError, FactorError, ReciprocityError
 from reciprocity.fields import PRIME_TEST_BOUND, QQ, ExtensionField, find_irreducible, is_prime
 from reciprocity.laurent import LaurentSeries
 from reciprocity.parsing import (
@@ -290,3 +290,50 @@ def test_field_specs_where_miller_rabin_is_not_exact_fail_fast(q, message):
     code, err = run_cli_alone(["verify-wrl", "--field", f"F{q}", "-f", "x+1", "-g", "x+2"])
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize("field, f, message", [
+    ("F7", "x^100000000", "exponent 100000000 is above the budget"),
+    ("F101", "x^2000+1", "exponent 2000 is above the budget"),
+    ("Q", "x^2 - 2*10^24", "--factored"),
+], ids=["huge-power", "degree-2000", "huge-constant-over-Q"])
+def test_tiny_inputs_over_budget_fail_fast(field, f, message):
+    code, err = run_cli_alone(["verify-wrl", "--field", field, "-f", f, "-g", "x+2"])
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize("field, f", [("F7", "x^64"), ("F256", "x^32*x^32 + x + 1")],
+                         ids=["exponent-64", "degree-64"])
+def test_budget_boundaries_are_accepted(field, f):
+    code, err = run_cli_alone(["verify-wrl", "--field", field, "-f", f, "-g", "x+2"])
+    assert code == 0, err
+
+
+def test_exponent_budget():
+    assert parse_rational("x^64", QQ).num.degree == 64
+    assert parse_rational("x^-64", QQ).den.degree == 64
+    for text in ("x^65", "x^-65", "(x+1)^(65)", "2^100"):
+        with pytest.raises(DomainError, match="above the budget"):
+            parse_rational(text, QQ)
+    with pytest.raises(DomainError, match="above the budget"):
+        parse_factored_rational("(x+1)^100", QQ)
+
+
+def test_declared_factors_are_tested_once(monkeypatch):
+    calls = []
+
+    def counted(p, seed=None):
+        calls.append(str(p))
+        return factor.is_irreducible(p, seed)
+
+    for module in (curve, parsing):
+        monkeypatch.setattr(module, "is_irreducible", counted, raising=False)
+    field = parse_field_spec("F7")
+    f = parse_factored_rational("3*(x^2+1)*(x+3)^-2*(x^2+1)*(x+5)", field)
+    assert f.factors is not None
+    assert sorted(calls) == ["x + 3", "x + 5", "x^2 + 1"]
+    calls.clear()
+    with pytest.raises(FactorError, match="x\\^2 \\+ 6 is reducible; split it further"):
+        parse_factored_rational("(x^2+6)*(x+1)", field)
+    assert calls == ["x^2 + 6"]
