@@ -11,6 +11,19 @@ local algebras:
 * global verification of Weil reciprocity, the theorem of residues, the
   residue-pairing orthogonality of rational adeles, and global
   Gelfand-Fuchs vanishing on the projective line.
+
+Every export is called by the library itself, except these entry points:
+
+* ``KERNEL_BACKEND``, the name of the live kernel backend, for reports and
+  benchmarks;
+* ``unit_factorize``, the unit factorization s0 z^s prod(1 + s_i z^i) of a
+  series over a field;
+* ``cocycle_commutator``, ``lie_cocycle_dual`` and
+  ``residue_from_dual_symbol``, which read the group commutator, the Lie
+  cocycle and the residue off the determinant central extension over dual
+  numbers, and ``Place.residue_field``;
+* ``residue_pairing_sum``, the residue pairing of a rational adele with a
+  test function, whose vanishing is adele orthogonality.
 """
 
 from ._kernels import BACKEND as KERNEL_BACKEND
@@ -33,7 +46,6 @@ from .curve import (
     local_expansion,
     relevant_places,
     residue_pairing_sum,
-    sigma_perp_forward,
     trace_residue_at_place,
     verify_gf_global,
     verify_residue_theorem,
@@ -63,7 +75,7 @@ from .laurent import (
     is_principal_unit,
     unit_factorize,
 )
-from .norms import algebra_norm, algebra_trace, norm_det_compat, relative_norm, relative_trace
+from .norms import algebra_norm, algebra_trace, relative_norm
 from .parsing import (
     parse_factored_rational,
     parse_field_spec,
@@ -83,7 +95,6 @@ from .symbols import (
     residue_from_dual_symbol,
     tame_symbol,
     tate_residue,
-    winding_number,
 )
 
 __version__ = "0.1.0"

@@ -1,8 +1,10 @@
 """Artinian local algebras k[e_1..e_r]/(e_i^{n_i}) over an exact base field.
 
 Element data is a tuple of the base field's raw data (int, Fraction or F_q
-tuple), one coordinate per monomial in ``monomials()`` order; the constant
-coordinate comes first.  Multiplication runs over structure constants
+tuple), one coordinate per monomial e_1^a_1 ... e_r^a_r with 0 <= a_i < n_i.
+The monomials are in lexicographic order of their exponent vectors
+(a_1, ..., a_r), the last generator's exponent varying fastest, so the
+constant coordinate comes first; this is the coordinate order everywhere.  Multiplication runs over structure constants
 computed once per algebra: the triples (i, j, k) with monomial_i *
 monomial_j = monomial_k, so every product in which some exponent reaches
 its generator's order is truncated.  The maximal ideal (everything with
@@ -63,9 +65,6 @@ class ArtinianAlgebra(CoefficientRing):
     @property
     def nil_index(self) -> int:
         return sum(o - 1 for o in self.orders) + 1
-
-    def monomials(self) -> tuple:
-        return self._monomials
 
     def _add(self, a, b):
         add = self.base._add
@@ -155,7 +154,7 @@ class ArtinianAlgebra(CoefficientRing):
         return AlgebraElement(self, (lift(elem, self.base).data,) + self._zero[1:])
 
     def from_coordinates(self, coords) -> AlgebraElement:
-        """The element with the given base-field coordinates, in monomials() order."""
+        """The element with the given base-field coordinates, in coordinate order."""
         return AlgebraElement(self, tuple(self.base.coerce(c).data for c in coords))
 
     def generator(self, name) -> AlgebraElement:
@@ -174,11 +173,11 @@ class ArtinianAlgebra(CoefficientRing):
         return self.residue(elem).is_zero()
 
     def coordinates(self, elem: AlgebraElement) -> list[AlgebraElement]:
-        """Base-field coordinates of elem, in monomials() order."""
+        """Base-field coordinates of elem, in coordinate order."""
         return [AlgebraElement(self.base, v) for v in elem.data]
 
     def basis(self):
-        """Monomial elements in monomials() order."""
+        """Monomial elements in coordinate order."""
         one, zero = self.base._one, self._zero
         return [AlgebraElement(self, zero[:i] + (one,) + zero[i + 1:]) for i in range(self.dimension)]
 
@@ -196,9 +195,9 @@ class ArtinianAlgebra(CoefficientRing):
         return f"{base}[{gens}]/({rels})"
 
 
-def dual_numbers(base: BaseField, names=("e1", "e2")) -> ArtinianAlgebra:
+def dual_numbers(base: BaseField) -> ArtinianAlgebra:
     """k[e1,e2]/(e1^2,e2^2), the ring used for Lie-algebra computations."""
-    return ArtinianAlgebra(base, [(n, 2) for n in names])
+    return ArtinianAlgebra(base, [("e1", 2), ("e2", 2)])
 
 
 def dual_coefficient(x: AlgebraElement, what: str) -> AlgebraElement:

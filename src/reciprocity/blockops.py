@@ -49,19 +49,6 @@ class BlockOperator:
     def window(self) -> tuple[int, int]:
         return (self.wneg, self.wpos)
 
-    @classmethod
-    def identity(cls, ring, wneg: int, wpos: int) -> "BlockOperator":
-        z = ring.zero()
-        return cls(
-            ring,
-            wneg,
-            wpos,
-            mat_identity(ring, wneg),
-            [[z] * wpos for _ in range(wneg)],
-            [[z] * wneg for _ in range(wpos)],
-            mat_identity(ring, wpos),
-        )
-
     def assemble(self):
         """Full matrix on basis [z^-wneg .. z^-1, z^0 .. z^{wpos-1}]."""
         top = [list(ra) + list(rb) for ra, rb in zip(self.alpha, self.beta)]
@@ -187,11 +174,16 @@ def cocycle_det(s1: BlockOperator, s2: BlockOperator) -> SymbolValue:
     return mat_det(mat_mul(d1d2, inv, ring), ring)
 
 
+def _commutator_ratio(s: BlockOperator, t: BlockOperator) -> SymbolValue:
+    """c(S,T)/c(T,S), the ratio of the determinant cocycle in the two orders."""
+    return cocycle_det(s, t) * cocycle_det(t, s).inverse()
+
+
 def cocycle_commutator(s: BlockOperator, t: BlockOperator) -> SymbolValue:
     """c(S,T)/c(T,S) for commuting S, T; the central-extension commutator."""
     if not s.commutes_with(t):
         raise DomainError("cocycle commutator needs commuting operators")
-    return cocycle_det(s, t) * cocycle_det(t, s).inverse()
+    return _commutator_ratio(s, t)
 
 
 def lie_cocycle(s1: BlockOperator, s2: BlockOperator) -> SymbolValue:
@@ -215,7 +207,5 @@ def lie_cocycle_dual(s1: BlockOperator, s2: BlockOperator) -> SymbolValue:
         raise DomainError("dual-number extraction needs operators over a field")
     d = dual_numbers(ring)
     e1, e2 = d.generator(0), d.generator(1)
-    t1 = s1.lift_dual(d, e1)
-    t2 = s2.lift_dual(d, e2)
-    ratio = cocycle_det(t1, t2) * cocycle_det(t2, t1).inverse()
+    ratio = _commutator_ratio(s1.lift_dual(d, e1), s2.lift_dual(d, e2))
     return dual_coefficient(ratio, "dual commutator ratio")

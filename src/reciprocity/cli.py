@@ -6,8 +6,12 @@ binary usable as a CI property-test harness); 2 = input error, including a
 ``--prec`` too small for what was asked; 3 = internal failure: an exception
 the CLI does not handle (an ``AssertionError``, say), or a
 ``PrecisionError`` from a command that chose every precision itself
-(``residue``, ``sweep``, ``verify-gf``, and ``verify-wrl`` or
-``verify-residues`` without ``--local-data``).
+(``sweep``, ``verify-gf``, and ``verify-wrl`` or ``verify-residues``
+without ``--local-data``).  ``residue`` is another name of
+``verify-residues``.  ``--prec`` above PRECISION_BUDGET and ``--window``
+above WINDOW_BUDGET are input errors; ``--prec`` is taken only where a
+series is read, so ``verify-wrl`` and ``verify-residues`` refuse it
+without ``--local-data``.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .curve import (
 )
 from .errors import PrecisionError, ReciprocityError
 from .fields import BaseField
-from .laurent import DEFAULT_PRECISION
+from .laurent import DEFAULT_PRECISION, PRECISION_BUDGET
 from .parsing import (
     parse_factored_rational,
     parse_field_spec,
@@ -41,6 +45,7 @@ from .parsing import (
     parse_series,
 )
 from .symbols import (
+    WINDOW_BUDGET,
     LoopMatrix,
     contou_carrere_symbol,
     gelfand_fuchs_cocycle,
@@ -61,13 +66,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, handler, help, aliases=()):
+        p = sub.add_parser(name, help=help, aliases=list(aliases))
+        p.set_defaults(handler=handler)
+        return p
+
     def add_common(p, ring=False, series=False, rational=False, local_data=False):
         if ring:
             p.add_argument("--ring", required=True, help="coefficient ring, e.g. Q[e1,e2]/(e1^2,e2^2)")
         else:
             p.add_argument("--field", default="Q", help="base field: Q, F5, F9:u^2+1")
-        if series or local_data:
-            p.add_argument("--prec", type=int, default=DEFAULT_PRECISION, help="working precision")
+        if series:
+            p.add_argument("--prec", type=int, default=DEFAULT_PRECISION,
+                           help=f"working precision, at most {PRECISION_BUDGET}")
+        if local_data:
+            p.add_argument("--prec", type=int, default=None,
+                           help=f"working precision of --local-data (default {DEFAULT_PRECISION})")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         if series or rational:
             p.add_argument("-f", required=False, help="first expression")
@@ -78,36 +92,35 @@ def _build_parser() -> argparse.ArgumentParser:
         if local_data:
             p.add_argument("--local-data", default=None, help="JSON file with raw local expansions")
 
-    p = sub.add_parser("symbol-tame", help="signed tame symbol of two series over a field")
+    p = command("symbol-tame", _cmd_symbol_tame, "signed tame symbol of two series over a field")
     add_common(p, series=True)
 
-    p = sub.add_parser("symbol-cc", help="Contou-Carrère symbol over an Artinian ring")
+    p = command("symbol-cc", _cmd_symbol_cc, "Contou-Carrère symbol over an Artinian ring")
     add_common(p, ring=True, series=True)
 
-    p = sub.add_parser("residue", help="per-place residues of f dg and their sum")
-    add_common(p, rational=True)
-
-    p = sub.add_parser("tate-residue", help="res f dg from block-operator traces")
+    p = command("tate-residue", _cmd_tate, "res f dg from block-operator traces")
     add_common(p, series=True)
-    p.add_argument("--window", type=int, default=None, help="window half-width")
+    p.add_argument("--window", type=int, default=None,
+                   help=f"window half-width, at most {WINDOW_BUDGET}")
 
-    p = sub.add_parser("cocycle-gf", help="local Gelfand-Fuchs cocycle on matrix loops")
+    p = command("cocycle-gf", _cmd_cocycle_gf, "local Gelfand-Fuchs cocycle on matrix loops")
     add_common(p, series=True)
     p.add_argument("-S", required=True, help="integer matrix as JSON, e.g. [[0,1],[0,0]]")
     p.add_argument("-T", required=True, help="integer matrix as JSON")
 
-    p = sub.add_parser("verify-wrl", help="verify the Weil reciprocity product")
+    p = command("verify-wrl", _cmd_verify_wrl, "verify the Weil reciprocity product")
     add_common(p, rational=True, local_data=True)
 
-    p = sub.add_parser("verify-residues", help="verify the residue-theorem sum")
+    p = command("verify-residues", _cmd_verify_residues,
+                "per-place residues of f dg; verify that they sum to zero", aliases=["residue"])
     add_common(p, rational=True, local_data=True)
 
-    p = sub.add_parser("verify-gf", help="verify global Gelfand-Fuchs vanishing")
+    p = command("verify-gf", _cmd_verify_gf, "verify global Gelfand-Fuchs vanishing")
     add_common(p, rational=True)
     p.add_argument("-S", required=True, help="integer matrix as JSON")
     p.add_argument("-T", required=True, help="integer matrix as JSON")
 
-    p = sub.add_parser("sweep", help="run seeded random verification instances")
+    p = command("sweep", _cmd_sweep, "run seeded random verification instances")
     add_common(p)
     p.add_argument("--seed", type=int, default=0, help="seed of the instance generator")
     p.add_argument("--count", type=int, default=50, help="number of instances")
@@ -158,7 +171,9 @@ def _matrix_arg(text: str):
     return m
 
 
-def _load_local_data(path: str, base: BaseField, prec: int):
+def _load_local_data(path: str, prec: int | None):
+    if prec is None:
+        prec = DEFAULT_PRECISION
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     entries = []
@@ -189,12 +204,6 @@ def _cmd_symbol_cc(args) -> int:
     return _emit_value(args, contou_carrere_symbol(f, g, base))
 
 
-def _cmd_residue(args) -> int:
-    field = parse_field_spec(args.field)
-    f, g = _parse_pair(args, field)
-    return _emit_report(args, verify_residue_theorem(f, g))
-
-
 def _cmd_tate(args) -> int:
     field = parse_field_spec(args.field)
     f = parse_series(args.f, field, args.prec)
@@ -219,7 +228,7 @@ def _cmd_cocycle_gf(args) -> int:
 def _cmd_verify_wrl(args) -> int:
     field = parse_field_spec(args.field)
     if args.local_data:
-        entries = _load_local_data(args.local_data, field, args.prec)
+        entries = _load_local_data(args.local_data, args.prec)
         return _emit_report(args, verify_wrl_local_data(entries, field.prime_subfield))
     f, g = _parse_pair(args, field)
     return _emit_report(args, verify_wrl(f, g))
@@ -228,7 +237,7 @@ def _cmd_verify_wrl(args) -> int:
 def _cmd_verify_residues(args) -> int:
     field = parse_field_spec(args.field)
     if args.local_data:
-        entries = _load_local_data(args.local_data, field, args.prec)
+        entries = _load_local_data(args.local_data, args.prec)
         return _emit_report(args, verify_residues_local_data(entries, field.prime_subfield))
     f, g = _parse_pair(args, field)
     return _emit_report(args, verify_residue_theorem(f, g))
@@ -298,24 +307,10 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK if passed == args.count else EXIT_VIOLATION
 
 
-_HANDLERS = {
-    "symbol-tame": _cmd_symbol_tame,
-    "symbol-cc": _cmd_symbol_cc,
-    "residue": _cmd_residue,
-    "tate-residue": _cmd_tate,
-    "cocycle-gf": _cmd_cocycle_gf,
-    "verify-wrl": _cmd_verify_wrl,
-    "verify-residues": _cmd_verify_residues,
-    "verify-gf": _cmd_verify_gf,
-    "sweep": _cmd_sweep,
-}
-
-
 def _chose_every_precision(args) -> bool:
     """True when the command set every precision itself, so running short of one is a library fault."""
-    if args.command in ("residue", "sweep", "verify-gf"):
-        return True
-    return args.command in ("verify-wrl", "verify-residues") and not args.local_data
+    return (args.handler in (_cmd_verify_wrl, _cmd_verify_residues, _cmd_verify_gf, _cmd_sweep)
+            and not getattr(args, "local_data", None))
 
 
 # built on the first call and reused: parse_args keeps no state between calls
@@ -327,8 +322,10 @@ def main(argv=None) -> int:
     if _PARSER is None:
         _PARSER = _build_parser()
     args = _PARSER.parse_args(argv)
+    if hasattr(args, "local_data") and args.local_data is None and args.prec is not None:
+        _PARSER.error(f"{args.command}: --prec sets the precision of --local-data and needs it")
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except PrecisionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL if _chose_every_precision(args) else EXIT_INPUT

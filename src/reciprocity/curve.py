@@ -38,15 +38,11 @@ class Place:
         self._name = "" if poly is None else str(poly)
 
     @classmethod
-    def finite(cls, poly: Polynomial, check: bool = True) -> "Place":
+    def finite(cls, poly: Polynomial) -> "Place":
+        """The place of an irreducible factor; irreducibility is the caller's claim."""
         if poly.degree < 1:
             raise DomainError("a finite place needs a nonconstant polynomial")
-        poly = poly.monic()
-        if check:
-            verdict = is_irreducible(poly)
-            if verdict is False:
-                raise DomainError(f"{poly} is reducible; not a place")
-        return cls(poly.field, poly)
+        return cls(poly.field, poly.monic())
 
     @classmethod
     def infinity(cls, field: BaseField) -> "Place":
@@ -101,9 +97,6 @@ class Divisor:
     def __init__(self, data: dict):
         self.data = {p: m for p, m in data.items() if m}
 
-    def multiplicity(self, place: Place) -> int:
-        return self.data.get(place, 0)
-
     @property
     def degree(self) -> int:
         return sum(m * p.degree for p, m in self.data.items())
@@ -156,12 +149,11 @@ class RationalFunction:
         self.trusted = ()
 
     @classmethod
-    def from_factored(cls, field, lead, factor_exponents, check: bool = True) -> "RationalFunction":
+    def from_factored(cls, field, lead, factor_exponents) -> "RationalFunction":
         """lead * prod(p_i^{e_i}); p_i distinct monic irreducible, e_i != 0."""
         lead = field.coerce(lead)
         if lead.is_zero():
             raise DomainError("zero is not a valid factored function")
-        seen = []
         trusted = []
         pairs = []
         for p, e in factor_exponents:
@@ -170,12 +162,11 @@ class RationalFunction:
             p = p.monic()
             if any(p == q for q, _ in pairs):
                 raise FactorError(f"repeated factor {p}")
-            if check:
-                verdict = is_irreducible(p)
-                if verdict is False:
-                    raise FactorError(f"declared factor {p} is reducible; split it further")
-                if verdict is None:
-                    trusted.append(p)
+            verdict = is_irreducible(p)
+            if verdict is False:
+                raise FactorError(f"declared factor {p} is reducible; split it further")
+            if verdict is None:
+                trusted.append(p)
             pairs.append((p, e))
         num = Polynomial.constant(field, lead)
         den = Polynomial.one(field)
@@ -189,10 +180,6 @@ class RationalFunction:
         out.lead = lead
         out.trusted = tuple(trusted)
         return out
-
-    @classmethod
-    def x(cls, field) -> "RationalFunction":
-        return cls(field, Polynomial.x(field))
 
     @classmethod
     def constant(cls, field, c) -> "RationalFunction":
@@ -284,12 +271,6 @@ class RationalFunction:
         num = self.num.derivative() * self.den - self.num * self.den.derivative()
         return RationalFunction(self.field, num, self.den * self.den)
 
-    def evaluate(self, a):
-        d = self.den.evaluate(a)
-        if d.is_zero():
-            raise ZeroDivisionError("pole at the evaluation point")
-        return self.num.evaluate(a) / d
-
     def __eq__(self, other):
         # a Polynomial never equals a RationalFunction: their hashes differ
         other = None if isinstance(other, Polynomial) else self._coerce(other)
@@ -378,7 +359,7 @@ def _divide_out(poly: Polynomial, p: Polynomial) -> tuple[int, Polynomial]:
 def divisor_of(f: RationalFunction) -> Divisor:
     """Zero/pole divisor; its degree is asserted to be 0 (winding sum)."""
     pairs = f.factor_pairs()
-    data = {Place.finite(p, check=False): e for p, e in pairs}
+    data = {Place.finite(p): e for p, e in pairs}
     v_inf = f.den.degree - f.num.degree
     if v_inf:
         data[Place.infinity(f.field)] = v_inf
@@ -391,7 +372,7 @@ def divisor_of(f: RationalFunction) -> Divisor:
 def relevant_places(f: RationalFunction, g: RationalFunction) -> list[Place]:
     """Support of div(f) + div(g), plus infinity, deterministically ordered."""
     polys = {p: True for fn in (f, g) for p, _ in fn.factor_pairs()}
-    finite = sorted((Place.finite(p, check=False) for p in polys), key=Place.sort_key)
+    finite = sorted((Place.finite(p) for p in polys), key=Place.sort_key)
     return finite + [Place.infinity(f.field)]
 
 
@@ -679,20 +660,6 @@ def residue_pairing_sum(adele: AdeleVector, g: RationalFunction, prec: int = 8) 
         else:
             total = total + trace_residue_at_place(h, place)
     return total
-
-
-def sigma_perp_forward(adele: AdeleVector, tests) -> bool:
-    """True iff the residue pairing with every test function vanishes.
-
-    For adeles of the form rational + locally-constant perturbations the
-    theorem of residues forces True (tests must be regular at perturbed
-    places for the constant part to pair to zero); nonconstant
-    perturbations are computed honestly and typically detected as False.
-    """
-    for g in tests:
-        if not residue_pairing_sum(adele, g).is_zero():
-            return False
-    return True
 
 
 # -- global Gelfand-Fuchs ------------------------------------------------------

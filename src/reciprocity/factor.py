@@ -5,9 +5,9 @@ distinct-degree splitting, then equal-degree splitting (Cantor-Zassenhaus,
 with the trace construction in characteristic 2) for every degree, roots
 included.  Distinct-degree splitting raises x to the q-th power mod f once
 and steps from x^(q^d) to x^(q^(d+1)) by one product with the Frobenius
-matrix of f.  The randomized splits use a seedable generator with a fixed
-default seed, and the factors are returned in a canonical order, so the
-output does not depend on the seed.
+matrix of f.  The randomized splits draw from a generator with a fixed
+seed, and the factors are returned in a canonical order, so the output
+does not depend on the seed.
 
 Over the rationals only content extraction, Yun's squarefree decomposition
 and rational-root splitting are attempted.  Factors of degree <= 3 without
@@ -28,7 +28,8 @@ from .errors import DomainError, FactorError
 from .fields import AlgebraElement, BaseField, ExtensionField, PrimeField, RationalField
 from .poly import Polynomial, _from_data, _trim
 
-DEFAULT_SEED = 0x1718
+# seed of the randomized equal-degree splits; the output does not depend on it
+SEED = 0x1718
 # largest degree factored, and largest |e| of a `^` literal the parser takes:
 # degree 64 factors in under a second over F256, degree 128 takes ~6 s
 DEGREE_BUDGET = 64
@@ -44,12 +45,6 @@ class Factorization:
     field: BaseField
     lead: AlgebraElement
     factors: tuple  # of (Polynomial, int, bool certified)
-
-    def expand(self) -> Polynomial:
-        out = Polynomial.constant(self.field, self.lead)
-        for f, m, _ in self.factors:
-            out = out * f**m
-        return out
 
     def certified(self) -> bool:
         return all(c for _, _, c in self.factors)
@@ -286,7 +281,7 @@ def _factor_rational(f: Polynomial) -> list[tuple[Polynomial, int, bool]]:
     return out
 
 
-def poly_factor(f: Polynomial, seed: int | None = None) -> Factorization:
+def poly_factor(f: Polynomial) -> Factorization:
     """Factor f over its field; exact round-trip lead * prod(factors^mult) == f."""
     if f.is_zero():
         raise FactorError("cannot factor the zero polynomial")
@@ -298,7 +293,7 @@ def poly_factor(f: Polynomial, seed: int | None = None) -> Factorization:
     if monic.degree == 0:
         return Factorization(field, lead, ())
     if isinstance(field, (PrimeField, ExtensionField)):
-        rng = random.Random(DEFAULT_SEED if seed is None else seed)
+        rng = random.Random(SEED)
         factors = _factor_finite(monic, rng)
     elif isinstance(field, RationalField):
         factors = _factor_rational(monic)
@@ -307,7 +302,7 @@ def poly_factor(f: Polynomial, seed: int | None = None) -> Factorization:
     return Factorization(field, lead, tuple(factors))
 
 
-def is_irreducible(f: Polynomial, seed: int | None = None):
+def is_irreducible(f: Polynomial):
     """True/False over finite fields; over Q returns None when uncertifiable."""
     if f.degree < 1:
         return False
@@ -327,5 +322,5 @@ def is_irreducible(f: Polynomial, seed: int | None = None):
         if not f.gcd(f.derivative()).is_constant():
             return False
         return None
-    facs = poly_factor(f, seed=seed)
+    facs = poly_factor(f)
     return len(facs.factors) == 1 and facs.factors[0][1] == 1

@@ -379,7 +379,10 @@ class ExtensionField(BaseField):
     one of the two paths in ``__init__``.
     """
 
-    def __init__(self, p: int, modulus, name: str = "u"):
+    # the generator's name in expressions and printed elements
+    name = "u"
+
+    def __init__(self, p: int, modulus):
         super().__init__()
         base = PrimeField(p)
         coeffs = base.kernels.normalize([c % p for c in modulus])
@@ -394,7 +397,6 @@ class ExtensionField(BaseField):
         self.base = base
         self.modulus = tuple(coeffs)
         self.degree = len(coeffs) - 1
-        self.name = name
         self._zero = (0,) * self.degree
         self._one = (1,) + self._zero[1:]
         if self.order <= TABLE_MAX_ORDER:

@@ -27,6 +27,9 @@ from .fields import AlgebraElement, CoefficientRing, power
 from .formatting import format_terms, split_sign
 
 DEFAULT_PRECISION = 32
+# largest precision a series is parsed at: a product of two dense series
+# costs prec^2 coefficient products, about 2.5 s over Q at 512
+PRECISION_BUDGET = 512
 
 
 def _min_prec(a: int | None, b: int | None) -> int | None:
@@ -59,16 +62,17 @@ class LaurentSeries:
         return cls(ring, {}, prec)
 
     @classmethod
-    def one(cls, ring, prec: int | None = None):
-        return cls(ring, {0: ring.one()}, prec)
+    def one(cls, ring):
+        return cls(ring, {0: ring.one()})
 
     @classmethod
-    def constant(cls, ring, c, prec: int | None = None):
-        return cls(ring, {0: c}, prec)
+    def constant(cls, ring, c):
+        return cls(ring, {0: c})
 
     @classmethod
-    def monomial(cls, ring, exponent: int, c=1, prec: int | None = None):
-        return cls(ring, {exponent: ring.coerce(c)}, prec)
+    def monomial(cls, ring, exponent: int):
+        """z^exponent, exactly."""
+        return cls(ring, {exponent: ring.one()})
 
     # -- structure ------------------------------------------------------
 
@@ -232,7 +236,7 @@ class LaurentSeries:
         if n < 0:
             return self.inverse(rel_prec).power(-n)
         if n == 0:
-            return LaurentSeries.one(self.ring, None)
+            return LaurentSeries.one(self.ring)
         return power(self, n)
 
     def __pow__(self, n: int):
@@ -276,17 +280,6 @@ class LaurentSeries:
             )
         )
 
-    def agrees_with(self, other: "LaurentSeries") -> bool:
-        """Equal coefficients on the range where both are known."""
-        self._check_ring(other)
-        bound = _min_prec(self.prec, other.prec)
-        for e in set(self.coeffs) | set(other.coeffs):
-            if bound is not None and e >= bound:
-                continue
-            if self.known_coefficient(e) != other.known_coefficient(e):
-                return False
-        return True
-
     def to_string(self, var: str = "z") -> str:
         terms = []
         for e in sorted(self.coeffs):
@@ -326,14 +319,6 @@ class UnitFactorization:
     valuation: int
     tail: tuple
     prec: int | None
-
-    def expand(self) -> LaurentSeries:
-        out = LaurentSeries.monomial(self.ring, self.valuation, self.leading)
-        for i, c in self.tail:
-            out = out * LaurentSeries(self.ring, {0: self.ring.one(), i: c})
-        if self.prec is not None:
-            out = out.truncate(self.prec)
-        return out
 
 
 def unit_factorize(f: LaurentSeries, prec: int | None = None) -> UnitFactorization:
@@ -380,19 +365,6 @@ class PrincipalUnitFactorization:
     neg: tuple
     pos: tuple
     prec: int | None
-
-    def expand(self) -> LaurentSeries:
-        out = LaurentSeries.one(self.ring)
-        for i, c in self.neg:
-            out = out * LaurentSeries(self.ring, {0: self.ring.one(), -i: -c})
-        for i, c in self.pos:
-            if i == 0:
-                out = out * (self.ring.one() - c)
-            else:
-                out = out * LaurentSeries(self.ring, {0: self.ring.one(), i: -c})
-        if self.prec is not None:
-            out = out.truncate(self.prec)
-        return out
 
 
 def is_principal_unit(f: LaurentSeries) -> bool:

@@ -4,9 +4,9 @@ The norm (resp. trace) of r over a subfield k is the determinant (resp.
 trace) of the k-linear multiplication-by-r map on its parent ring.  Both are
 computed from explicit multiplication matrices; nothing here uses Frobenius
 shortcuts, which stay available to the tests as an independent oracle.  The
-relative norm and trace along the field part of an Artinian ring likewise
-share one matrix, of multiplication over the Artinian ring with the same
-generators over the smaller field.  Artinian coordinates are read and built
+relative norm along the field part of an Artinian ring is likewise the
+determinant of one matrix, of multiplication over the Artinian ring with the
+same generators over the smaller field.  Artinian coordinates are read and built
 only through the ring's own methods (see :mod:`reciprocity.artinian`).
 
 Matrix helpers work over any coefficient ring and take and return matrices
@@ -124,44 +124,20 @@ def algebra_trace(r: AlgebraElement, over: BaseField) -> AlgebraElement:
     return mat_trace(multiplication_matrix(r, over), over)
 
 
-def norm_det_compat(T, over: BaseField):
-    """(Norm_{k'/k}(det_{k'} T), det_k of T as a block matrix over k).
-
-    T is a square matrix of elements of one extension field k'; callers
-    assert the two components are equal.
-    """
-    if not T or any(len(row) != len(T) for row in T):
-        raise ValueError("T must be a nonempty square matrix")
-    kprime = T[0][0].ring
-    for row in T:
-        for t in row:
-            if t.ring != kprime:
-                raise TowerError("matrix entries live in different rings")
-    det_prime = mat_det(T, kprime)
-    norm = algebra_norm(det_prime, over)
-    d = len(vector_basis(kprime, over))
-    n = len(T)
-    big = [[over.zero()] * (n * d) for _ in range(n * d)]
-    for i in range(n):
-        for j in range(n):
-            block = multiplication_matrix(T[i][j], over)
-            for bi in range(d):
-                for bj in range(d):
-                    big[i * d + bi][j * d + bj] = block[bi][bj]
-    det_base = mat_det(big, over)
-    return norm, det_base
+# -- relative norm along the residue-field part ------------------------------
 
 
-# -- relative norm/trace along the residue-field part ------------------------
+def relative_norm(elem: AlgebraElement, down_to: BaseField) -> AlgebraElement:
+    """Norm along the field part of the coefficient ring, keeping nilpotents.
 
-
-def _relative_matrix(elem: AlgebraElement, down_to: BaseField):
-    """Multiplication by elem in A = k'[e..]/(..) over A0 = down_to[e..]/(..).
-
-    A is a free A0-module on the basis vector_basis(k', down_to); returns the
-    matrix of elem in that basis and A0.
+    For elem in A = k'[e..]/(..) with k' an extension of `down_to`, this is
+    the determinant over A0 = down_to[e..]/(..) of multiplication by elem on
+    A as a free A0-module with basis vector_basis(k', down_to).  For plain
+    field elements it reduces to algebra_norm.
     """
     ring = elem.ring
+    if isinstance(ring, BaseField):
+        return algebra_norm(elem, down_to)
     if not isinstance(ring, ArtinianAlgebra):
         raise TowerError(f"unsupported ring {ring!r}")
     kprime = ring.base
@@ -172,24 +148,4 @@ def _relative_matrix(elem: AlgebraElement, down_to: BaseField):
         parts = [coordinates(c, down_to) for c in ring.coordinates(elem * ring.embed_from_below(b))]
         cols.append([target.from_coordinates(row) for row in zip(*parts)])
     n = len(cols)
-    return [[cols[j][i] for j in range(n)] for i in range(n)], target
-
-
-def relative_norm(elem: AlgebraElement, down_to: BaseField) -> AlgebraElement:
-    """Norm along the field part of the coefficient ring, keeping nilpotents.
-
-    For elem in A = k'[e..]/(..) with k' an extension of `down_to`, this is
-    the determinant over A0 = down_to[e..]/(..) of multiplication by elem on
-    A as a free A0-module with basis the field basis of k'.  For plain field
-    elements it reduces to algebra_norm.
-    """
-    if isinstance(elem.ring, BaseField):
-        return algebra_norm(elem, down_to)
-    return mat_det(*_relative_matrix(elem, down_to))
-
-
-def relative_trace(elem: AlgebraElement, down_to: BaseField) -> AlgebraElement:
-    """Trace counterpart of relative_norm."""
-    if isinstance(elem.ring, BaseField):
-        return algebra_trace(elem, down_to)
-    return mat_trace(*_relative_matrix(elem, down_to))
+    return mat_det([[cols[j][i] for j in range(n)] for i in range(n)], target)

@@ -2,9 +2,13 @@
 
 Grammar: integers, one variable (`x` for rational functions, `z` for
 series), `+ - * /`, `^` with a literal integer exponent e, |e| <= 64
-(`factor.DEGREE_BUDGET`), parentheses, and declared generator names.  Series expressions
-may end in `+ O(z^N)`, which truncates the precision to N; printing a
-series emits the same marker, so text output round-trips.
+(`factor.DEGREE_BUDGET`), parentheses, and declared generator names.  A
+power of a polynomial, rational function or exact series whose degree would
+pass the same budget is refused before it is built, so `((x+2)^64)^64` fails
+at once.  Series expressions may end in `+ O(z^N)`, which truncates the
+precision to N; printing a series emits the same marker, so text output
+round-trips.  Series are parsed at a precision of at most
+`laurent.PRECISION_BUDGET`.
 
 Evaluation: integers and generator names are coefficient-ring elements, and
 `+ - *` stay in the operands' own types until the variable enters.  Only `/`
@@ -28,7 +32,7 @@ from .curve import RationalFunction
 from .errors import DomainError, ExpressionError, FactorError
 from .factor import DEGREE_BUDGET
 from .fields import PRIME_TEST_BOUND, BaseField, ExtensionField, PrimeField, QQ, find_irreducible, is_prime
-from .laurent import DEFAULT_PRECISION, LaurentSeries
+from .laurent import DEFAULT_PRECISION, PRECISION_BUDGET, LaurentSeries
 from .poly import Polynomial
 
 # -- tokens -------------------------------------------------------------------
@@ -137,11 +141,9 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.current
-        if tok.kind != kind or (text is not None and tok.text != text):
-            what = text or kind
-            self.error(f"expected {what!r}")
+    def expect(self, kind: str) -> Token:
+        if self.current.kind != kind:
+            self.error(f"expected {kind!r}")
         return self.advance()
 
     def parse(self):
@@ -262,12 +264,35 @@ class _Evaluator:
             return -self.eval(node.child)
         if isinstance(node, Pow):
             base = self.eval(node.base)
+            _check_power(base, node.exponent)
             return base**node.exponent if node.exponent >= 0 else self.power(base, node.exponent)
         if isinstance(node, BigO):
             return LaurentSeries.zero(self.ring, node.exponent)
         left = self.eval(node.left)
         right = self.eval(node.right)
         return _OPERATORS.get(node.op, self.divide)(left, right)
+
+
+def _check_power(base, exponent: int):
+    """Refuse base**exponent before it is built if its degree is above DEGREE_BUDGET.
+
+    The degree grows with the exponent for a polynomial, for a rational
+    function (the larger of its numerator and denominator degrees) and for an
+    exact series raised to a positive power (its support width); a truncated
+    series keeps its precision, and ring elements stay constants.
+    """
+    if isinstance(base, RationalFunction):
+        degree = max(base.num.degree, base.den.degree)
+    elif isinstance(base, Polynomial):
+        degree = base.degree
+    elif isinstance(base, LaurentSeries) and base.is_exact() and base.coeffs and exponent > 0:
+        degree = max(base.coeffs) - min(base.coeffs)
+    else:
+        return
+    if degree * abs(exponent) > DEGREE_BUDGET:
+        raise DomainError(
+            f"a power of degree {degree * abs(exponent)} is above the budget: degree <= {DEGREE_BUDGET}"
+        )
 
 
 class _RationalEvaluator(_Evaluator):
@@ -343,7 +368,9 @@ def parse_rational(text: str, field: BaseField) -> RationalFunction:
 
 @_bounded_depth
 def parse_series(text: str, ring, prec: int = DEFAULT_PRECISION) -> LaurentSeries:
-    """Parse a Laurent series in z over the coefficient ring."""
+    """Parse a Laurent series in z over the coefficient ring, at most PRECISION_BUDGET."""
+    if prec > PRECISION_BUDGET:
+        raise DomainError(f"precision {prec} is above the budget: prec <= {PRECISION_BUDGET}")
     evaluator = _SeriesEvaluator(ring, prec)
     return evaluator.lift(evaluator.eval(parse_ast(text, series_var="z")))
 
@@ -392,6 +419,7 @@ def parse_factored_rational(text: str, field: BaseField) -> RationalFunction:
         constant[0] = constant[0] * lc**power
         if poly.degree == 0:
             return
+        _check_power(poly, power)
         poly = poly.monic()
         factors[poly] = factors.get(poly, 0) + power
 

@@ -62,10 +62,6 @@ class Polynomial:
     def x(cls, field):
         return cls(field, [0, 1])
 
-    @classmethod
-    def from_int_coeffs(cls, field, ints):
-        return cls(field, [field.from_int(int(c)) for c in ints])
-
     # -- basic queries -------------------------------------------------
 
     @property
@@ -90,9 +86,6 @@ class Polynomial:
 
     def leading_coefficient(self) -> AlgebraElement:
         return self.coefficient(len(self._data) - 1)
-
-    def is_monic(self) -> bool:
-        return bool(self._data) and self.leading_coefficient() == self.field.one()
 
     # -- arithmetic ----------------------------------------------------
 
@@ -173,12 +166,6 @@ class Polynomial:
         f = self.field
         return _from_data(f, f.kernels.gcd(self._data, other._data, f.kernel_arg))
 
-    def xgcd(self, other: "Polynomial"):
-        """Monic g and s, t with s*self + t*other = g."""
-        f = self.field
-        g, s, t = f.kernels.xgcd(self._data, other._data, f.kernel_arg)
-        return _from_data(f, g), _from_data(f, s), _from_data(f, t)
-
     def invmod(self, modulus: "Polynomial") -> "Polynomial":
         f = self.field
         try:
@@ -198,11 +185,6 @@ class Polynomial:
         data = [f._mul(f.from_int(i).data, c) for i, c in enumerate(self._data)][1:]
         return _from_data(f, _trim(f, data))
 
-    def evaluate(self, x):
-        f = self.field
-        x = f.coerce(x).data
-        return AlgebraElement(f, f.kernels.eval_at(self._data, x, f.kernel_arg))
-
     def shift(self, a) -> "Polynomial":
         """p(x + a), by repeated synthetic division."""
         f = self.field
@@ -214,14 +196,10 @@ class Polynomial:
                 b[j] = f._add(b[j], f._mul(a, b[j + 1]))
         return _from_data(f, b)
 
-    def reversed_coeffs(self, at_degree: int | None = None) -> "Polynomial":
-        """t^d * p(1/t) for d = at_degree (default deg p)."""
-        d = self.degree if at_degree is None else at_degree
-        if d < self.degree:
-            raise ValueError("reversal degree below actual degree")
+    def reversed_coeffs(self) -> "Polynomial":
+        """t^d * p(1/t) for d = deg p."""
         f = self.field
-        out = [f._zero] * (d + 1 - len(self._data)) + self._data[::-1]
-        return _from_data(f, _trim(f, out))
+        return _from_data(f, _trim(f, self._data[::-1]))
 
     def valuation_at_zero(self) -> int:
         """Multiplicity of the root x = 0."""

@@ -22,22 +22,16 @@ from math import gcd
 
 from .artinian import ArtinianAlgebra, dual_coefficient, dual_numbers
 from .blockops import lie_cocycle, multiplication_operator
-from .errors import DomainError, NonUnitError, WindowError
+from .errors import DomainError, WindowError
 from .fields import AlgebraElement, BaseField, lift
 from .laurent import LaurentSeries, cc_factorize
 from .norms import algebra_norm, algebra_trace, relative_norm
 
 SymbolValue = AlgebraElement
 
-
-def winding_number(g: LaurentSeries, base: BaseField) -> int:
-    """v(g) * [k':base] for a unit g over the field k'."""
-    ring = g.ring
-    if not isinstance(ring, BaseField):
-        raise DomainError("winding numbers are defined over field coefficients")
-    if not g.is_unit():
-        raise NonUnitError("winding number of a non-unit")
-    return g.valuation() * ring.extension_degree_over(base)
+# largest Tate-residue window: the block products cost O(window^3), about
+# 1.5 s at 256
+WINDOW_BUDGET = 256
 
 
 def local_commutator(S: LaurentSeries, T: LaurentSeries, base: BaseField) -> SymbolValue:
@@ -151,9 +145,12 @@ def tate_residue(f1: LaurentSeries, f2: LaurentSeries, window: int) -> SymbolVal
 
     The multiplication operators of f1, f2 are restricted to the window
     z^{-window}..z^{window}; the window must be at least the larger pole
-    order plus the larger polynomial degree of the two inputs.  The value is
-    recomputed at window+5 and must agree (window independence).
+    order plus the larger polynomial degree of the two inputs, and at most
+    WINDOW_BUDGET.  The value is recomputed at window+5 and must agree
+    (window independence).
     """
+    if window > WINDOW_BUDGET:
+        raise DomainError(f"window {window} is above the budget: window <= {WINDOW_BUDGET}")
     if not (f1.is_exact() and f2.is_exact()):
         raise DomainError("Tate residues need exact Laurent polynomials")
     if f1.ring != f2.ring:
@@ -202,23 +199,6 @@ class LoopMatrix:
         ring = alpha.ring
         return cls(ring, [[alpha * ring.coerce(c) for c in row] for row in s])
 
-    @classmethod
-    def zero(cls, ring, n: int) -> "LoopMatrix":
-        z = LaurentSeries.zero(ring)
-        return cls(ring, [[z] * n for _ in range(n)])
-
-    def __add__(self, other):
-        return LoopMatrix(
-            self.ring,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
-        )
-
-    def __sub__(self, other):
-        return LoopMatrix(
-            self.ring,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
-        )
-
     def matmul(self, other: "LoopMatrix") -> "LoopMatrix":
         if other.n != self.n or other.ring != self.ring:
             raise DomainError("size or ring mismatch in loop-matrix product")
@@ -233,9 +213,6 @@ class LoopMatrix:
                 row.append(acc)
             out.append(row)
         return LoopMatrix(self.ring, out)
-
-    def bracket(self, other: "LoopMatrix") -> "LoopMatrix":
-        return self.matmul(other) - other.matmul(self)
 
     def derivative(self) -> "LoopMatrix":
         return LoopMatrix(self.ring, [[c.derivative() for c in row] for row in self.entries])

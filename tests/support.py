@@ -1,0 +1,229 @@
+"""Oracles and seeded instance generators that only the tests use.
+
+The library keeps what its own commands call; the independent checks the
+tests compare it against live here: expanding a factorization back into
+what it factors, comparing truncated series, the norm/determinant
+compatibility of block matrices, adele orthogonality over a list of test
+functions, and random series, operators and factored rational functions.
+"""
+
+from __future__ import annotations
+
+import random
+
+from reciprocity.artinian import ArtinianAlgebra
+from reciprocity.blockops import BlockOperator
+from reciprocity.curve import AdeleVector, RationalFunction, residue_pairing_sum
+from reciprocity.errors import NonUnitError, TowerError
+from reciprocity.factor import Factorization
+from reciprocity.fields import AlgebraElement, BaseField, QQ
+from reciprocity.laurent import LaurentSeries, PrincipalUnitFactorization, UnitFactorization
+from reciprocity.norms import algebra_norm, mat_det, mat_identity, multiplication_matrix, vector_basis
+from reciprocity.poly import Polynomial
+from reciprocity.symbols import LoopMatrix
+
+# -- small constructions --------------------------------------------------------
+
+
+def rational_x(field: BaseField) -> RationalFunction:
+    """The rational function x."""
+    return RationalFunction(field, Polynomial.x(field))
+
+
+def evaluate(poly: Polynomial, x) -> AlgebraElement:
+    """poly(x), by the ring's kernel evaluation."""
+    f = poly.field
+    return AlgebraElement(f, f.kernels.eval_at(poly._data, f.coerce(x).data, f.kernel_arg))
+
+
+def xgcd(a: Polynomial, b: Polynomial):
+    """Monic g and s, t with s*a + t*b = g."""
+    f = a.field
+    return tuple(Polynomial(f, [AlgebraElement(f, c) for c in data])
+                 for data in f.kernels.xgcd(a._data, b._data, f.kernel_arg))
+
+
+def identity_operator(ring, wneg: int, wpos: int) -> BlockOperator:
+    z = ring.zero()
+    return BlockOperator(
+        ring,
+        wneg,
+        wpos,
+        mat_identity(ring, wneg),
+        [[z] * wpos for _ in range(wneg)],
+        [[z] * wneg for _ in range(wpos)],
+        mat_identity(ring, wpos),
+    )
+
+
+def bracket(a: LoopMatrix, b: LoopMatrix) -> LoopMatrix:
+    """[A, B] = AB - BA of two loop matrices."""
+    ab, ba = a.matmul(b), b.matmul(a)
+    return LoopMatrix(a.ring, [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ab.entries, ba.entries)])
+
+
+# -- oracles ------------------------------------------------------------------
+
+
+def agrees_with(a: LaurentSeries, b: LaurentSeries) -> bool:
+    """Equal coefficients on the range where both series are known."""
+    assert a.ring == b.ring
+    bound = a.prec if b.prec is None else b.prec if a.prec is None else min(a.prec, b.prec)
+    return all(
+        a.known_coefficient(e) == b.known_coefficient(e)
+        for e in set(a.coeffs) | set(b.coeffs)
+        if bound is None or e < bound
+    )
+
+
+def expand(fac):
+    """The polynomial or series a factorization describes, multiplied back out."""
+    if isinstance(fac, Factorization):
+        out = Polynomial.constant(fac.field, fac.lead)
+        for f, m, _ in fac.factors:
+            out = out * f**m
+        return out
+    ring = fac.ring
+    if isinstance(fac, UnitFactorization):
+        out = LaurentSeries(ring, {fac.valuation: fac.leading})
+        for i, c in fac.tail:
+            out = out * LaurentSeries(ring, {0: ring.one(), i: c})
+    else:
+        assert isinstance(fac, PrincipalUnitFactorization)
+        out = LaurentSeries.one(ring)
+        for i, c in fac.neg:
+            out = out * LaurentSeries(ring, {0: ring.one(), -i: -c})
+        for i, c in fac.pos:
+            if i == 0:
+                out = out * (ring.one() - c)
+            else:
+                out = out * LaurentSeries(ring, {0: ring.one(), i: -c})
+    return out if fac.prec is None else out.truncate(fac.prec)
+
+
+def norm_det_compat(T, over: BaseField):
+    """(Norm_{k'/k}(det_{k'} T), det_k of T as a block matrix over k).
+
+    T is a square matrix of elements of one extension field k'; callers
+    assert the two components are equal.
+    """
+    if not T or any(len(row) != len(T) for row in T):
+        raise ValueError("T must be a nonempty square matrix")
+    kprime = T[0][0].ring
+    for row in T:
+        for t in row:
+            if t.ring != kprime:
+                raise TowerError("matrix entries live in different rings")
+    norm = algebra_norm(mat_det(T, kprime), over)
+    d = len(vector_basis(kprime, over))
+    n = len(T)
+    big = [[over.zero()] * (n * d) for _ in range(n * d)]
+    for i in range(n):
+        for j in range(n):
+            block = multiplication_matrix(T[i][j], over)
+            for bi in range(d):
+                for bj in range(d):
+                    big[i * d + bi][j * d + bj] = block[bi][bj]
+    return norm, mat_det(big, over)
+
+
+def sigma_perp_forward(adele: AdeleVector, tests) -> bool:
+    """True iff the residue pairing with every test function vanishes.
+
+    For adeles of the form rational + locally-constant perturbations the
+    theorem of residues forces True (tests must be regular at perturbed
+    places for the constant part to pair to zero); nonconstant
+    perturbations are computed honestly and typically detected as False.
+    """
+    return all(residue_pairing_sum(adele, g).is_zero() for g in tests)
+
+
+# -- seeded generators ----------------------------------------------------------
+
+
+_Q_QUADRATICS = ([1, 0, 1], [2, 0, 1], [1, 1, 1], [3, -1, 1], [5, 0, 1])
+
+
+def random_factored_rational(rng: random.Random, field: BaseField = QQ,
+                             linear_roots=(-3, -2, -1, 0, 1, 2, 3)) -> RationalFunction:
+    """A rational function over Q built from declared irreducible factors."""
+    pairs = []
+    for a in rng.sample(linear_roots, k=rng.randint(1, 3)):
+        e = rng.choice([-2, -1, 1, 2])
+        pairs.append((Polynomial(field, [-a, 1]), e))
+    if rng.random() < 0.6:
+        quad = Polynomial(field, rng.choice(_Q_QUADRATICS))
+        pairs.append((quad, rng.choice([-1, 1])))
+    lead = field.from_int(rng.choice([1, 2, 3, -1, -2]))
+    return RationalFunction.from_factored(field, lead, pairs)
+
+
+def random_laurent_polynomial(rng: random.Random, ring, min_exp: int = -4, max_exp: int = 4,
+                              density: float = 0.6) -> LaurentSeries:
+    """An exact series with support in [min_exp, max_exp] (possibly zero)."""
+    coeffs = {}
+    for e in range(min_exp, max_exp + 1):
+        if rng.random() < density:
+            c = ring.random_element(rng)
+            if not c.is_zero():
+                coeffs[e] = c
+    return LaurentSeries(ring, coeffs)
+
+
+def random_unit_series(rng: random.Random, field: BaseField, min_val: int = -3,
+                       max_val: int = 3, prec: int | None = None,
+                       terms: int = 4) -> LaurentSeries:
+    """A declared unit over a field: invertible lowest coefficient."""
+    v = rng.randint(min_val, max_val)
+    while True:
+        lead = field.random_element(rng)
+        if lead.is_invertible():
+            break
+    coeffs = {v: lead}
+    for _ in range(terms):
+        e = v + rng.randint(1, 6)
+        c = field.random_element(rng)
+        if not c.is_zero():
+            coeffs[e] = c
+    return LaurentSeries(field, coeffs, prec)
+
+
+def random_principal_unit(rng: random.Random, ring: ArtinianAlgebra, min_exp: int = -3,
+                          max_exp: int = 3) -> LaurentSeries:
+    """1 + (maximal-ideal coefficients), nilpotent below z^0; exact."""
+    coeffs = {0: ring.one()}
+    for e in range(min_exp, max_exp + 1):
+        if rng.random() < 0.6:
+            c = ring.random_element(rng)
+            nil = c - ring.embed_from_below(ring.residue(c))
+            if not nil.is_zero():
+                coeffs[e] = coeffs.get(e, ring.zero()) + nil
+    return LaurentSeries(ring, coeffs)
+
+
+def random_matrix(rng: random.Random, ring, n: int):
+    """n x n entries, from -4..4 over Q and uniform over other rings."""
+
+    def entry():
+        if ring == QQ:
+            return ring.from_int(rng.randint(-4, 4))
+        return ring.random_element(rng)
+
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+def random_block_operator(rng: random.Random, ring, wneg: int, wpos: int,
+                          invertible_delta: bool = True) -> BlockOperator:
+    while True:
+        alpha = random_matrix(rng, ring, wneg)
+        delta = random_matrix(rng, ring, wpos)
+        beta = [[ring.random_element(rng) for _ in range(wpos)] for _ in range(wneg)]
+        gamma = [[ring.random_element(rng) for _ in range(wneg)] for _ in range(wpos)]
+        op = BlockOperator(ring, wneg, wpos, alpha, beta, gamma, delta)
+        if not invertible_delta:
+            return op
+        try:
+            if mat_det(delta, ring).is_invertible():
+                return op
+        except NonUnitError:
+            pass

@@ -11,17 +11,17 @@ from reciprocity.blockops import (
     lie_cocycle_dual,
     multiplication_operator,
 )
-from reciprocity.corpus import random_block_operator, random_laurent_polynomial
 from reciprocity.errors import DomainError, NonUnitError, WindowError
 from reciprocity.fields import QQ, PrimeField
 from reciprocity.laurent import LaurentSeries
 from reciprocity.norms import mat_det, mat_identity, mat_inv, mat_mul
 from reciprocity.symbols import contou_carrere_symbol, tate_residue
+from support import identity_operator, random_block_operator, random_laurent_polynomial
 
 
 def test_multiplication_operator_examples(Q):
     one_op = multiplication_operator(LaurentSeries.one(Q), 4, 4)
-    assert one_op == BlockOperator.identity(Q, 4, 4)
+    assert one_op == identity_operator(Q, 4, 4)
 
     z_op = multiplication_operator(LaurentSeries.monomial(Q, 1), 4, 4)
     assert all(c.is_zero() for row in z_op.beta for c in row)
@@ -43,7 +43,7 @@ def test_window_too_small(Q):
 
 def test_cocycle_examples(Q, rng):
     unit = multiplication_operator(LaurentSeries(Q, {0: 1, 1: 2, 2: 1}), 6, 6)
-    ident = BlockOperator.identity(Q, 6, 6)
+    ident = identity_operator(Q, 6, 6)
     assert cocycle_det(unit, ident) == 1
     assert cocycle_det(ident, unit) == 1
 
@@ -93,7 +93,7 @@ def test_singular_delta_rejected(Q):
 
 def test_commutator_examples(Q):
     unit = multiplication_operator(LaurentSeries(Q, {0: 1, 1: 5}), 6, 6)
-    ident = BlockOperator.identity(Q, 6, 6)
+    ident = identity_operator(Q, 6, 6)
     assert cocycle_commutator(unit, ident) == 1
     assert cocycle_commutator(unit, unit) == 1
 

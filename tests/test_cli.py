@@ -63,11 +63,25 @@ def test_precision_error_is_input_when_the_user_chose_it(monkeypatch, capsys, tm
     ["residue", *PAIR, "--prec", "8"],
     ["verify-gf", *PAIR, *MATRICES, "--prec", "8"],
     ["sweep", "--prec", "8"],
+    ["verify-wrl", "--field", "F7", "-f", "x", "-g", "1/(x+1)", "--prec", "-5"],
+    ["verify-residues", *PAIR, "--prec", "8"],
 ])
 def test_options_that_would_be_ignored_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+
+
+def test_residue_is_another_name_of_verify_residues(capsys, tmp_path):
+    assert cli.main(["residue", *PAIR]) == cli.EXIT_OK
+    assert cli.main(["verify-residues", *PAIR]) == cli.EXIT_OK
+    alias, command = capsys.readouterr().out.split("residue-theorem:")[1:]
+    assert alias == command
+    data = tmp_path / "local.json"
+    data.write_text(json.dumps({"entries": [{"f": "z^-1", "g": "z"}]}))
+    for name in ("residue", "verify-residues"):
+        assert cli.main([name, "--local-data", str(data), "--prec", "4", "--json"]) == cli.EXIT_VIOLATION
+        assert json.loads(capsys.readouterr().out)["global"] == "1"
 
 
 def test_sweep_jobs_capped_at_cpu_count(monkeypatch, capsys):

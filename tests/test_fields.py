@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -159,7 +160,7 @@ def _base_elements(base):
 
 def _naive_mul(A, x, y):
     """Product through exponent dicts, truncating at the generator orders."""
-    monos = list(A.monomials())
+    monos = list(itertools.product(*(range(o) for o in A.orders)))
     out = {}
     for m1, a in zip(monos, A.coordinates(x)):
         for m2, b in zip(monos, A.coordinates(y)):

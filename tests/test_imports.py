@@ -1,15 +1,24 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used, and everything it defines is reached.
 
 No linter ships with the project, so this parses each module under
 ``src/reciprocity`` with :mod:`ast`.  Package ``__init__`` files re-export
 their imports and are skipped; ``from __future__`` imports are exempt.
 Names count as used when they appear as identifiers anywhere in the module,
 or inside a string annotation.
+
+The second check is over the whole package: every top-level function and
+class, every method that is not a dunder, and every name exported from
+``reciprocity/__init__.py`` must be referenced by some library code other
+than its own definition and the export.  A reference is a read of the
+name or of an attribute of that name, or a string annotation: it is
+matched by name, not by type, so a dead method that shares its name with
+a live one goes unseen.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -61,3 +70,130 @@ def test_no_unused_imports(path):
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("import os, sys\nfrom math import gcd, lcm\nx: 'lcm' = gcd(1, 2)\ny = 'sys'\n")
     assert set(imported_names(tree)) - used_names(tree) == {"os", "sys"}
+
+
+# Entry points the library does not call itself, each with its reason.
+REACH_ALLOWLIST = {
+    # bench/run.py and tools/op_digest.py print the live backend
+    "KERNEL_BACKEND",
+    # bench/tracing.py LAYERS wraps it by name
+    "unit_factorize",
+    # the determinant central extension over dual numbers, and the residue
+    # field of a higher-degree place: the routes the residue and
+    # Gelfand-Fuchs verifiers are to gain (ROADMAP items 2 and 3)
+    "cocycle_commutator",
+    "lie_cocycle_dual",
+    "residue_from_dual_symbol",
+    "Place.residue_field",
+    # adele orthogonality, the north-star global law, until a command runs it
+    "residue_pairing_sum",
+}
+
+
+def references(node: ast.AST) -> Counter:
+    """How often each name is read under node; assigning to a name is no reference."""
+    refs = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            refs[sub.id] += 1
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            refs[sub.attr] += 1
+    for ann in annotations(node):
+        for sub in ast.walk(ann):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                inner = ast.parse(sub.value, mode="eval")
+                refs.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
+    return refs
+
+
+def definitions(tree: ast.Module):
+    """(qualified name, bare name, node) of each top-level definition and non-dunder method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item.name, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, target.id, node
+
+
+def module_path(package: Path, node: ast.ImportFrom) -> Path:
+    """The file a relative import in the package directory ``package`` reads."""
+    base = package
+    for _ in range(node.level - 1):
+        base = base.parent
+    for part in node.module.split(".") if node.module else ():
+        base = base / part
+    return base / "__init__.py" if base.is_dir() else base.with_suffix(".py")
+
+
+def unreached(root: Path) -> set[str]:
+    """Names defined or exported under root that no other code under root references.
+
+    root is a package directory; its ``__init__.py`` is the export list and
+    counts as no reference.
+    """
+    init = root / "__init__.py"
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in sorted(root.rglob("*.py"))}
+    total = Counter()
+    for path, tree in trees.items():
+        if path != init:
+            total += references(tree)
+
+    def outside(bare: str, node: ast.AST) -> int:
+        return total[bare] - references(node)[bare]
+
+    dead = set()
+    defs = {}
+    for path, tree in trees.items():
+        for qualified, bare, node in definitions(tree):
+            defs[path, bare] = node
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)) and not outside(bare, node):
+                dead.add(qualified)
+    for node in trees[init].body:
+        if not isinstance(node, ast.ImportFrom) or node.level == 0:
+            continue
+        for alias in node.names:
+            name, source = alias.name, module_path(root, node)
+            # follow a re-export to the module that defines the name
+            while (source, name) not in defs:
+                (imp, real), = [(n, a.name) for n in trees[source].body if isinstance(n, ast.ImportFrom)
+                                for a in n.names if (a.asname or a.name) == name]
+                name, source = real, module_path(source.parent, imp)
+            if not outside(name, defs[source, name]):
+                dead.add(alias.asname or alias.name)
+    return dead
+
+
+def test_everything_the_library_defines_is_reached():
+    dead = unreached(SRC)
+    assert not dead - REACH_ALLOWLIST, f"defined or exported but never referenced: {sorted(dead - REACH_ALLOWLIST)}"
+    assert not REACH_ALLOWLIST - dead, f"allowlisted but referenced: {sorted(REACH_ALLOWLIST - dead)}"
+
+
+def test_the_check_sees_a_dead_definition_and_a_dead_export(tmp_path):
+    pkg = tmp_path / "pkg"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "__init__.py").write_text(
+        "from .core import LIMIT, Box, used\nfrom .sub import FLAG as EXPORTED_FLAG\n"
+    )
+    (pkg / "core.py").write_text(
+        "LIMIT = 3\n"
+        "def used(n: 'Box') -> int:\n    return n\n"
+        "def dead():\n    return used(1)\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "class Box:\n"
+        "    def __init__(self):\n        self.size = used(2)\n"
+        "    def live(self):\n        return self.size\n"
+        "    def dead_method(self):\n        return self.live()\n"
+    )
+    (pkg / "sub" / "__init__.py").write_text("from .flags import FLAG\n")
+    (pkg / "sub" / "flags.py").write_text("FLAG: bool = bool(0)\n")
+    (pkg / "cli.py").write_text("from .core import used\nprint(used(0))\n")
+    assert unreached(pkg) == {"dead", "recursive", "Box.dead_method", "LIMIT", "EXPORTED_FLAG"}

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reciprocity
 from reciprocity import _kernels as kernels
@@ -224,3 +225,62 @@ def test_generic_kernels_build_no_elements(monkeypatch):
     generic.mat_mul(matrix, matrix, ring)
     generic.mat_det(matrix, ring)
     generic.mat_inv(matrix, ring)
+
+
+def kernel_calls(p):
+    """Kernel name -> strategy of its full argument tuples at p."""
+    coeff = st.integers(0, p - 1)
+    poly = st.lists(coeff, max_size=9).map(pure.normalize)
+    monic_mod = st.lists(coeff, min_size=1, max_size=5).map(lambda c: c + [1])
+    exponent = st.one_of(st.integers(-3, 64), st.sampled_from([p, p - 1, (p - 1) // 2, -p, 2**31]))
+
+    def squares(count):
+        """count n x n matrices of one random size n."""
+        def of_size(n):
+            return st.tuples(*[st.lists(st.lists(coeff, min_size=n, max_size=n), min_size=n, max_size=n)] * count)
+        return st.integers(1, 5).flatmap(of_size)
+
+    with_p = {
+        "add": st.tuples(poly, poly),
+        "sub": st.tuples(poly, poly),
+        "neg": st.tuples(poly),
+        "mul": st.tuples(poly, poly),
+        "divmod_poly": st.tuples(poly, poly),
+        "monic": st.tuples(poly),
+        "gcd": st.tuples(poly, poly),
+        "xgcd": st.tuples(poly, poly),
+        "invmod": st.tuples(poly, monic_mod),
+        "mulmod": st.tuples(poly, poly, monic_mod),
+        "powmod": st.tuples(poly, exponent, monic_mod),
+        "eval_at": st.tuples(poly, coeff),
+        "mat_mul": squares(2),
+        "mat_det": squares(1),
+        "mat_inv": squares(1),
+    }
+    calls = {name: args.map(lambda t: (*t, p)) for name, args in with_p.items()}
+    calls["normalize"] = st.tuples(st.lists(coeff, max_size=9))
+    return calls
+
+
+def test_kernel_calls_cover_the_namespace():
+    exported = {name for name, value in vars(kernels).items()
+                if callable(value) and not name.startswith("_") and not isinstance(value, type(kernels))}
+    assert exported == set(kernel_calls(2))
+
+
+def outcome(fn, args):
+    """fn(*args), or ZeroDivisionError when it raises that."""
+    try:
+        return fn(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@needs_core
+@pytest.mark.parametrize("name", sorted(kernel_calls(2)))
+@pytest.mark.parametrize("p", [2, 2**31 - 1])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_core_kernels_agree_with_pure(p, name, data):
+    args = data.draw(kernel_calls(p)[name])
+    assert outcome(getattr(core, name), args) == outcome(getattr(pure, name), args), args

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reciprocity.artinian import ArtinianAlgebra, dual_numbers
-from reciprocity.corpus import random_laurent_polynomial, random_principal_unit, random_unit_series
 from reciprocity.errors import NonUnitError, PrecisionError
 from reciprocity.fields import QQ, PrimeField
 from reciprocity.laurent import LaurentSeries, cc_factorize, is_principal_unit, unit_factorize
 from reciprocity.parsing import parse_ring_spec, parse_series
+from support import agrees_with, expand, random_laurent_polynomial, random_principal_unit, random_unit_series
 
 
 def LQ(coeffs, prec=None):
@@ -22,9 +22,9 @@ def test_arithmetic_examples():
     geo = (LaurentSeries.one(QQ) - z).inverse(8)
     assert geo == LQ({i: 1 for i in range(8)}, 8)
     # re-multiplication oracle
-    assert ((LaurentSeries.one(QQ) - z) * geo).agrees_with(LaurentSeries.one(QQ))
+    assert agrees_with((LaurentSeries.one(QQ) - z) * geo, LaurentSeries.one(QQ))
     zm1 = LaurentSeries.monomial(QQ, -1)
-    assert zm1.derivative() == LaurentSeries.monomial(QQ, -2, -1)
+    assert zm1.derivative() == LaurentSeries(QQ, {-2: -1})
 
 
 def test_precision_tracking():
@@ -78,7 +78,7 @@ def test_unit_factorize_examples():
     assert len(ug.tail) == 1
     h = LQ({0: 1, 1: 1, 2: 1})
     uh = unit_factorize(h, 12)
-    assert uh.expand().agrees_with(h)
+    assert agrees_with(expand(uh), h)
     assert uh.tail[0][0] == 1 and uh.tail[0][1] == 1
 
 
@@ -87,7 +87,7 @@ def test_unit_factorize_uniqueness(rng):
         for _ in range(40):
             f = random_unit_series(rng, field, prec=None)
             uf = unit_factorize(f, f.valuation() + 16)
-            again = unit_factorize(uf.expand())
+            again = unit_factorize(expand(uf))
             assert again.leading == uf.leading
             assert again.valuation == uf.valuation
             assert again.tail == uf.tail
@@ -104,13 +104,13 @@ def test_cc_factorize_examples():
     fg = cc_factorize(g, 8)
     assert fg.neg == ((1, e1),)
     assert fg.pos == ((1, e2),)
-    assert fg.expand().agrees_with(g)
+    assert agrees_with(expand(fg), g)
 
     h = LaurentSeries(D, {0: D.one(), -2: e1, -1: e1})
     fh = cc_factorize(h)
     assert fh.neg == ((2, -e1), (1, -e1))
     assert fh.pos == ()
-    assert fh.expand().agrees_with(h)
+    assert agrees_with(expand(fh), h)
 
 
 def test_cc_factorize_domain_errors():
@@ -136,12 +136,12 @@ def test_round_trip_random(rng):
             f = random_principal_unit(rng, ring)
             prec = max(f.support(), default=0) + 6
             fac = cc_factorize(f, prec)
-            assert fac.expand().agrees_with(f.truncate(prec))
+            assert agrees_with(expand(fac), f.truncate(prec))
     for field in (QQ, PrimeField(5)):
         for _ in range(200):
             f = random_unit_series(rng, field)
             uf = unit_factorize(f, f.valuation() + 12)
-            assert uf.expand().agrees_with(f.truncate(f.valuation() + 12))
+            assert agrees_with(expand(uf), f.truncate(f.valuation() + 12))
 
 
 @settings(max_examples=40, deadline=None)
@@ -200,7 +200,7 @@ def test_power_multiplications(monkeypatch):
 
 def reference_power(s: LaurentSeries, n: int) -> LaurentSeries:
     """The earlier LaurentSeries.power loop for n >= 0: low bit first, from one."""
-    result = LaurentSeries.one(s.ring, None)
+    result = LaurentSeries.one(s.ring)
     base = s
     while n:
         if n & 1:

@@ -8,11 +8,11 @@ import pytest
 import reciprocity
 from reciprocity import cli, curve, factor, parsing
 from reciprocity.artinian import ArtinianAlgebra
-from reciprocity.corpus import random_laurent_polynomial, random_rational_pair
+from reciprocity.corpus import random_rational_pair
 from reciprocity.curve import RationalFunction
 from reciprocity.errors import DomainError, ExpressionError, FactorError, ReciprocityError
 from reciprocity.fields import PRIME_TEST_BOUND, QQ, ExtensionField, find_irreducible, is_prime
-from reciprocity.laurent import LaurentSeries
+from reciprocity.laurent import DEFAULT_PRECISION, PRECISION_BUDGET, LaurentSeries
 from reciprocity.parsing import (
     BigO,
     Name,
@@ -27,6 +27,8 @@ from reciprocity.parsing import (
     parse_series,
 )
 from reciprocity.poly import Polynomial
+from reciprocity.symbols import WINDOW_BUDGET, tate_residue
+from support import random_laurent_polynomial, rational_x
 
 FIELDS = ["Q", "F7", "F9:u^2+1"]
 RINGS = FIELDS + ["F7[e,d]/(e^3,d^2)"]
@@ -55,7 +57,7 @@ def test_series_round_trip(spec):
 
 
 def test_precedence():
-    x = RationalFunction.x(QQ)
+    x = rational_x(QQ)
     assert parse_rational("-x^2", QQ) == -(x**2)
     assert parse_rational("2^-1*3", QQ) == RationalFunction.constant(QQ, 3) / 2
     assert parse_rational("x^(-2)", QQ) == x**-2
@@ -143,7 +145,7 @@ def reference_evaluate(node, ring, prec=None):
             return leaf(node.value)
         if isinstance(node, Name):
             if node.name == ("x" if prec is None else "z"):
-                return RationalFunction.x(ring) if prec is None else LaurentSeries.monomial(ring, 1)
+                return rational_x(ring) if prec is None else LaurentSeries.monomial(ring, 1)
             if node.name in names:
                 return leaf(names[node.name])
             raise ExpressionError(f"unknown name {node.name!r}", column=node.column)
@@ -296,11 +298,41 @@ def test_field_specs_where_miller_rabin_is_not_exact_fail_fast(q, message):
     ("F7", "x^100000000", "exponent 100000000 is above the budget"),
     ("F101", "x^2000+1", "exponent 2000 is above the budget"),
     ("Q", "x^2 - 2*10^24", "--factored"),
-], ids=["huge-power", "degree-2000", "huge-constant-over-Q"])
+    ("Q", "((x+2)^64)^64+1", "a power of degree 4096 is above the budget"),
+    ("F101", "((x+2)^64)^64+1", "a power of degree 4096 is above the budget"),
+], ids=["huge-power", "degree-2000", "huge-constant-over-Q", "nested-power-over-Q", "nested-power-over-F101"])
 def test_tiny_inputs_over_budget_fail_fast(field, f, message):
     code, err = run_cli_alone(["verify-wrl", "--field", field, "-f", f, "-g", "x+2"])
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify-wrl", "--field", "Q", "--factored", "-f", "((x+2)^64)^64", "-g", "x+2"],
+     "a power of degree 4096 is above the budget"),
+    (["tate-residue", "--field", "Q", "-f", "z", "-g", "z^-1", "--window", "1000000"],
+     "window 1000000 is above the budget: window <= 256"),
+    (["tate-residue", "--field", "F7", "-f", "(z^8)^32", "-g", "z^-1"],
+     "window 513 is above the budget"),
+    (["symbol-tame", "--field", "Q", "-f", "1/(1-z)", "-g", "z", "--prec", "1000000000"],
+     "precision 1000000000 is above the budget: prec <= 512"),
+    (["verify-wrl", "--field", "F5", "--local-data", "{data}", "--prec", "513"],
+     "precision 513 is above the budget"),
+], ids=["factored-nested-power", "window", "default-window", "series-prec", "local-data-prec"])
+def test_commands_over_budget_fail_fast(argv, message, tmp_path):
+    data = tmp_path / "local.json"
+    data.write_text('{"entries": [{"f": "1/(1-z)", "g": "z"}]}')
+    code, err = run_cli_alone([a.format(data=data) for a in argv])
+    assert code == 2
+    assert message in err
+
+
+def test_budgets_are_above_every_benchmark_op():
+    # local_symbols parses at the default precision, with windows of at most 2*4 + 1
+    assert DEFAULT_PRECISION <= PRECISION_BUDGET and 9 <= WINDOW_BUDGET
+    assert parse_series("1/(1-z)", QQ, PRECISION_BUDGET).prec == PRECISION_BUDGET
+    f = parse_series("z^-4 + z^4", QQ)
+    assert tate_residue(f, f, WINDOW_BUDGET // 8) == 0
 
 
 @pytest.mark.parametrize("field, f", [("F7", "x^64"), ("F256", "x^32*x^32 + x + 1")],
@@ -320,12 +352,30 @@ def test_exponent_budget():
         parse_factored_rational("(x+1)^100", QQ)
 
 
+def test_power_degree_budget():
+    # each literal is within the budget; the degree of the power decides
+    assert parse_rational("((x+2)^8)^8", QQ).num.degree == 64
+    assert parse_rational("(1/(x^2+1))^-32", QQ).num.degree == 64
+    assert parse_factored_rational("((x+2)^8)^-8", QQ).den.degree == 64
+    assert parse_series("((1+z)^8)^8", QQ, 4).coefficient(64) == 1
+    # a truncated series keeps its precision, and a negative power inverts to it
+    assert parse_series("((1 + z + O(z^4))^8)^9", QQ).prec == 4
+    assert parse_series("((1+z)^8)^-9", QQ, 4).prec == 4
+    with pytest.raises(DomainError, match="degree 72 is above the budget"):
+        parse_series("((1+z)^8)^9", QQ, 4)
+    for text in ("((x+2)^8)^9", "(x^2+1)^33", "(1/(x^2+1))^-33", "(x^2/(x+1))^-33"):
+        with pytest.raises(DomainError, match="degree .* is above the budget"):
+            parse_rational(text, QQ)
+    with pytest.raises(DomainError, match="degree 72 is above the budget"):
+        parse_factored_rational("((x+2)^8)^-9", QQ)
+
+
 def test_declared_factors_are_tested_once(monkeypatch):
     calls = []
 
-    def counted(p, seed=None):
+    def counted(p):
         calls.append(str(p))
-        return factor.is_irreducible(p, seed)
+        return factor.is_irreducible(p)
 
     for module in (curve, parsing):
         monkeypatch.setattr(module, "is_irreducible", counted, raising=False)

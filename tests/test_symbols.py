@@ -3,7 +3,6 @@ import random
 import pytest
 
 from reciprocity.artinian import ArtinianAlgebra, dual_numbers
-from reciprocity.corpus import random_laurent_polynomial, random_principal_unit, random_unit_series
 from reciprocity.errors import DomainError, NonUnitError
 from reciprocity.fields import QQ, ExtensionField, PrimeField, lift
 from reciprocity.laurent import LaurentSeries, unit_factorize
@@ -17,12 +16,12 @@ from reciprocity.symbols import (
     residue_from_dual_symbol,
     tame_symbol,
     tate_residue,
-    winding_number,
 )
+from support import bracket, random_laurent_polynomial, random_principal_unit, random_unit_series
 
 
 def zpow(ring, k, c=1):
-    return LaurentSeries.monomial(ring, k, c)
+    return LaurentSeries(ring, {k: c})
 
 
 class TestLocalCommutator:
@@ -92,17 +91,6 @@ class TestTameSymbol:
             f = random_unit_series(rng, F7)
             g = random_unit_series(rng, F7)
             assert tame_symbol(f, g, F7) * tame_symbol(g, f, F7) == F7.one()
-
-
-class TestWinding:
-    def test_examples(self, Q, F3, F9):
-        assert winding_number(zpow(Q, 1), Q) == 1
-        assert winding_number(zpow(F9, 2), F3) == 4
-        assert winding_number(LaurentSeries(Q, {0: 1, 1: 1}), Q) == 0
-
-    def test_non_unit(self, Q):
-        with pytest.raises(NonUnitError):
-            winding_number(LaurentSeries.zero(Q), Q)
 
 
 class TestContouCarrere:
@@ -239,9 +227,9 @@ class TestGelfandFuchs:
         for _ in range(50):
             A, B, C = random_loop(), random_loop(), random_loop()
             total = (
-                gelfand_fuchs_cocycle(A.bracket(B), C)
-                + gelfand_fuchs_cocycle(B.bracket(C), A)
-                + gelfand_fuchs_cocycle(C.bracket(A), B)
+                gelfand_fuchs_cocycle(bracket(A, B), C)
+                + gelfand_fuchs_cocycle(bracket(B, C), A)
+                + gelfand_fuchs_cocycle(bracket(C, A), B)
             )
             assert total == F7.zero()
 
