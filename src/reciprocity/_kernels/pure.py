@@ -3,8 +3,10 @@
 Polynomials over F_p are plain lists of ints in ``[0, p)``, little-endian
 (index = exponent), with no trailing zeros; ``[]`` is the zero polynomial.
 Matrices are lists of row lists.  These functions are the reference
-semantics; the compiled module ``_core`` mirrors them exactly (``powmod``
-loops in the other bit order there, with the same results).
+semantics.  ``mul`` and ``powmod`` pack a polynomial into one big int, a
+coefficient per slot of bits, so a product is one C-level multiply, and
+``divmod_poly`` reduces lazily; the compiled module ``_core`` keeps the
+schoolbook loops (``powmod`` in the other bit order), with identical results.
 """
 
 from __future__ import annotations
@@ -49,35 +51,65 @@ def scalar_mul(a: list[int], c: int, p: int) -> list[int]:
     return normalize([(x * c) % p for x in a])
 
 
+def _pack(a: list[int], s: int) -> int:
+    """sum a[i] * 2^(s*i): one int with a[i] in the s-bit slot i."""
+    x = 0
+    for c in reversed(a):
+        x = (x << s) | c
+    return x
+
+
+def _unpack(x: int, s: int, n: int, p: int) -> list[int]:
+    """The n lowest s-bit slots of x, each taken mod p."""
+    mask = (1 << s) - 1
+    out = []
+    for _ in range(n):
+        out.append((x & mask) % p)
+        x >>= s
+    return out
+
+
 def mul(a: list[int], b: list[int], p: int) -> list[int]:
+    """a*b by Kronecker substitution: one big-int product of a and b packed.
+
+    Coefficient i goes to the s-bit slot i of one int, with
+    s = 2*bitlen(p-1) + bitlen(min(len a, len b)).  The bound rests on the
+    input contract, coefficients in [0, p): a product coefficient is a sum
+    of at most min(len a, len b) terms, each at most (p-1)^2, so it fits its
+    slot and nothing carries into the next.  After the one multiply each slot
+    is read off and taken mod p (von zur Gathen and Gerhard, *Modern Computer
+    Algebra*, section 8.4).
+    """
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = (out[i + j] + x * y) % p
-    return normalize(out)
+    s = 2 * (p - 1).bit_length() + min(len(a), len(b)).bit_length()
+    return normalize(_unpack(_pack(a, s) * _pack(b, s), s, len(a) + len(b) - 1, p))
 
 
 def divmod_poly(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder by lazy reduction.
+
+    Each step reduces only the coefficient about to lead; the others take
+    their products unreduced, and the remainder is reduced once at the end.
+    A monic divisor skips the inverse of its lead.
+    """
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
-    r = list(num)
     dd = len(den) - 1
-    if len(r) - 1 < dd:
-        return [], normalize(r)
-    inv_lead = pow(den[dd], p - 2, p)
+    if len(num) - 1 < dd:
+        return [], normalize(num)
+    lead = den[dd]
+    inv_lead = 1 if lead == 1 else pow(lead, p - 2, p)
+    r = list(num)
     q = [0] * (len(r) - dd)
     for k in range(len(r) - 1, dd - 1, -1):
-        c = r[k] % p
+        c = r[k] * inv_lead % p
         if c:
-            c = (c * inv_lead) % p
-            q[k - dd] = c
-            for j in range(dd + 1):
-                r[k - dd + j] = (r[k - dd + j] - c * den[j]) % p
-    return normalize(q), normalize(r)
+            lo = k - dd
+            q[lo] = c
+            for j in range(dd):
+                r[lo + j] -= c * den[j]
+    return normalize(q), normalize([x % p for x in r[:dd]])
 
 
 def rem(a: list[int], m: list[int], p: int) -> list[int]:
@@ -128,24 +160,54 @@ def mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
 
 
 def powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
-    """a^e mod m by left-to-right binary powering.
+    """a^e mod m by left-to-right binary powering on packed residues.
 
-    For each bit of e from the top: square, then multiply by the reduced
-    base when the bit is set.  Every multiply has the base as one factor, so
-    a base of degree <= 1 (x for x^q) costs O(deg m) per set bit instead of
-    a full product.  ``_core`` keeps the right-to-left loop; a^e mod m is
-    unique, so both give the same list.
+    With n = deg m, a residue r is one int with r[i] in the s-bit slot i,
+    s = 2*bitlen(p-1) + bitlen(2n).  The rows x^(n+k) mod m for k < n-1 are
+    packed once per call: row 0 is the monic tail -m/lead, and each next row
+    is the last one shifted up a slot and reduced.  For each bit of e from
+    the top, r is squared, then multiplied by the base when the bit is set.
+    Each is one big-int product; its high slot n+k, taken mod p, times row k
+    is added to the n low slots.  The bound rests on the input contract,
+    coefficients in [0, p), which every residue keeps: a low slot then holds
+    a sum of at most n + (n-1) terms, each at most (p-1)^2, so it fits its
+    slot, and one pass taking each of the n slots mod p gives the reduced
+    residue.  ``_core`` keeps its right-to-left loop; a^e mod m is unique,
+    so both give the same list.
     """
     if e < 0:
         a = invmod(a, m, p)
         e = -e
     base = rem(a, m, p)
-    result = rem([1], m, p)
-    for bit in bin(e)[2:]:
-        result = mulmod(result, result, m, p)
-        if bit == "1":
-            result = mulmod(result, base, m, p)
-    return result
+    n = len(m) - 1
+    s = 2 * (p - 1).bit_length() + (2 * n).bit_length()
+    mask, low, shifts = (1 << s) - 1, (1 << (n * s)) - 1, range(0, n * s, s)
+    lead = m[n]
+    inv_lead = 1 if lead == 1 else pow(lead, p - 2, p)
+    # for n <= 1 no product has a high slot, and row 0 goes unused
+    rows = [_pack([-c * inv_lead % p for c in m[:n]], s)]
+
+    def reduce(x: int) -> int:
+        acc = x & low
+        x >>= n * s
+        for row in rows:
+            if not x:  # a product by a short base has fewer high slots
+                break
+            acc += (x & mask) % p * row
+            x >>= s
+        out = 0
+        for shift in shifts:
+            out |= (acc >> shift & mask) % p << shift
+        return out
+
+    while len(rows) < n - 1:
+        rows.append(reduce(rows[-1] << s))
+    b = _pack(base, s)
+    r = _pack(rem([1], m, p), s)
+    # S squares, M multiplies by the base
+    for step in bin(e)[2:].replace("1", "SM").replace("0", "S"):
+        r = reduce(r * (r if step == "S" else b))
+    return normalize(_unpack(r, s, n, p))
 
 
 def eval_at(a: list[int], x: int, p: int) -> int:

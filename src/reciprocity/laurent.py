@@ -299,13 +299,6 @@ class LaurentSeries:
     def __repr__(self):
         return f"LaurentSeries({self.ring!r}, {self.to_string()!r})"
 
-    def to_json(self) -> dict:
-        return {
-            "low": self.low,
-            "prec": self.prec,
-            "coeffs": {str(e): str(c) for e, c in sorted(self.coeffs.items())},
-        }
-
 
 # -- unit factorization over a field -----------------------------------------
 

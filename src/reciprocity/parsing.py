@@ -376,9 +376,9 @@ def parse_series(text: str, ring, prec: int = DEFAULT_PRECISION) -> LaurentSerie
 
 
 @_bounded_depth
-def parse_polynomial(text: str, field: BaseField, var: str = "x") -> Polynomial:
-    """Parse a polynomial in var over the field."""
-    evaluator = _RationalEvaluator(field, var)
+def parse_polynomial(text: str, field: BaseField) -> Polynomial:
+    """Parse a polynomial in u over the field, as a field modulus is written."""
+    evaluator = _RationalEvaluator(field, "u")
     value = evaluator.eval(parse_ast(text))
     return evaluator.polynomial(value, ExpressionError("expected a polynomial, found a denominator"))
 
@@ -459,7 +459,7 @@ def parse_field_spec(spec: str) -> BaseField:
         raise ExpressionError(f"{q} is not a prime power")
     if modulus_text is None:
         return ExtensionField(p, find_irreducible(p, d))
-    modulus = parse_polynomial(modulus_text, PrimeField(p), var="u")
+    modulus = parse_polynomial(modulus_text, PrimeField(p))
     if modulus.degree != d:
         raise ExpressionError(f"modulus degree {modulus.degree} does not match F{q}")
     return ExtensionField(p, [c.data for c in modulus.coeffs])

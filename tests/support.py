@@ -4,13 +4,15 @@ The library keeps what its own commands call; the independent checks the
 tests compare it against live here: expanding a factorization back into
 what it factors, comparing truncated series, the norm/determinant
 compatibility of block matrices, adele orthogonality over a list of test
-functions, and random series, operators and factored rational functions.
+functions, the schoolbook loops of the packed F_p kernels, and random
+series, operators and factored rational functions.
 """
 
 from __future__ import annotations
 
 import random
 
+from reciprocity._kernels import pure
 from reciprocity.artinian import ArtinianAlgebra
 from reciprocity.blockops import BlockOperator
 from reciprocity.curve import AdeleVector, RationalFunction, residue_pairing_sum
@@ -136,6 +138,57 @@ def sigma_perp_forward(adele: AdeleVector, tests) -> bool:
     perturbations are computed honestly and typically detected as False.
     """
     return all(residue_pairing_sum(adele, g).is_zero() for g in tests)
+
+
+# -- the F_p kernels as schoolbook loops ----------------------------------------
+# ``pure.mul``, ``pure.divmod_poly`` and ``pure.powmod`` pack coefficients into
+# big ints; these are the same contracts with one ``% p`` per coefficient
+# product, the bodies the packed ones replaced.
+
+
+def loop_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = (out[i + j] + x * y) % p
+    return pure.normalize(out)
+
+
+def loop_divmod_poly(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(num)
+    dd = len(den) - 1
+    if len(r) - 1 < dd:
+        return [], pure.normalize(r)
+    inv_lead = pow(den[dd], p - 2, p)
+    q = [0] * (len(r) - dd)
+    for k in range(len(r) - 1, dd - 1, -1):
+        c = r[k] % p
+        if c:
+            c = (c * inv_lead) % p
+            q[k - dd] = c
+            for j in range(dd + 1):
+                r[k - dd + j] = (r[k - dd + j] - c * den[j]) % p
+    return pure.normalize(q), pure.normalize(r)
+
+
+def loop_powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
+    """a^e mod m, left to right, one schoolbook product and remainder per step."""
+    if e < 0:
+        a = pure.invmod(a, m, p)
+        e = -e
+    base = loop_divmod_poly(a, m, p)[1]
+    result = loop_divmod_poly([1], m, p)[1]
+    for bit in bin(e)[2:]:
+        result = loop_divmod_poly(loop_mul(result, result, p), m, p)[1]
+        if bit == "1":
+            result = loop_divmod_poly(loop_mul(result, base, p), m, p)[1]
+    return result
 
 
 # -- seeded generators ----------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The compiled kernels must agree with the pure-Python reference exactly."""
+"""The compiled kernels must agree with the pure-Python reference exactly,
+and the packed pure kernels with the schoolbook loops they replaced."""
 
 import os
 import random
@@ -11,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 import reciprocity
 from reciprocity import _kernels as kernels
 from reciprocity._kernels import generic, pure
+from reciprocity.factor import DEGREE_BUDGET
 from reciprocity.fields import QQ, ExtensionField, PrimeField
+from support import loop_divmod_poly, loop_mul, loop_powmod
 
 try:
     from reciprocity._kernels import _core as core
@@ -284,3 +287,58 @@ def outcome(fn, args):
 def test_core_kernels_agree_with_pure(p, name, data):
     args = data.draw(kernel_calls(p)[name])
     assert outcome(getattr(core, name), args) == outcome(getattr(pure, name), args), args
+
+
+# 2^61 - 1 is above PMAX, so fields of that size run ``pure`` under either backend.
+PACKED_PRIMES = [2, 3, 101, 2**31 - 1, 2**61 - 1]
+
+
+def coefficient_lists(p, max_size=20):
+    return st.lists(st.integers(0, p - 1), max_size=max_size).map(pure.normalize)
+
+
+def moduli(p, max_degree=20):
+    """Degree 0 to max_degree, with any lead in [1, p), so monic or not."""
+    return st.builds(lambda tail, lead: tail + [lead],
+                     st.lists(st.integers(0, p - 1), max_size=max_degree), st.integers(1, p - 1))
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_packed_mul_and_divmod_match_the_loops(p, data):
+    a, b = data.draw(coefficient_lists(p)), data.draw(coefficient_lists(p))
+    den = data.draw(moduli(p))
+    ab = pure.mul(a, b, p)
+    assert ab == loop_mul(a, b, p)
+    assert pure.divmod_poly(a, den, p) == loop_divmod_poly(a, den, p)
+    assert pure.divmod_poly(ab, den, p) == loop_divmod_poly(ab, den, p)
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+@pytest.mark.parametrize("exponent", ["0", "1", "2", "-3", "p", "(p^d-1)/2"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_packed_powmod_matches_the_loop(p, exponent, data):
+    a, m = data.draw(coefficient_lists(p)), data.draw(moduli(p))
+    d = len(m) - 1
+    e = {"0": 0, "1": 1, "2": 2, "-3": -3, "p": p, "(p^d-1)/2": (p**d - 1) // 2}[exponent]
+    assert outcome(pure.powmod, (a, e, m, p)) == outcome(loop_powmod, (a, e, m, p)), (a, e, m)
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_packed_slots_hold_the_largest_sums(p):
+    full = [p - 1] * (DEGREE_BUDGET + 1)
+    assert pure.mul(full, full, p) == loop_mul(full, full, p)
+    for e in (2, 3):
+        assert pure.powmod(full[:-1], e, full, p) == loop_powmod(full[:-1], e, full, p)
+    # Modulo x^n + x^(n-1), row k is (-1)^(k+1) x^(n-1), and this base's
+    # square has high slots n+k = -(k+1) mod p for k < n-2.  The top low
+    # slot then nears 1.5n (p-1)^2, past what a slot one bit short holds
+    # when p-1 is just under a power of two.  At n = 64 the slot has a
+    # spare bit (2n-1 < 2^7), so this case takes n = 63.
+    n = DEGREE_BUDGET - 1
+    m = [0] * (n - 1) + [1, 1]
+    base = pure.normalize([p - 1] * (n - 1) + [(n - 2) * pow(2, -1, p) % p if p > 2 else 0])
+    for e in (2, 3):
+        assert pure.powmod(base, e, m, p) == loop_powmod(base, e, m, p)
