@@ -7,8 +7,10 @@ or 1 is a ``ValueError`` at import), and ``BACKEND`` says which is live.
 A ``PrimeField`` names this namespace as its ``kernels`` (extension fields
 reach it through their prime field), so each call looks the function up
 here when it runs.  ``_core`` types p as a C ``long long``: a prime above
-``PMAX`` names ``pure`` instead.  Every other ring names ``generic``, which
-has the same functions with the ring in place of p.
+``PMAX`` names ``pure`` instead.  An extension field with log tables names
+``logs``, which runs ``generic`` on the discrete logs of its elements; every
+other ring names ``generic``, which has the same functions with the ring in
+place of p.
 """
 
 from __future__ import annotations

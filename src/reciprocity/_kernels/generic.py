@@ -6,7 +6,9 @@ trailing zeros, matrices are lists of rows, and entries combine through the
 ring's ``_add``, ``_sub``, ``_mul``, ``_neg``, ``_inv``, ``_is_zero`` and
 ``_is_invertible``; the constants are the ring's stored raw ``_zero`` and
 ``_one``.  Over a local ring, eliminations pivot on units, which succeeds
-exactly when the matrix is invertible.
+exactly when the matrix is invertible.  Nothing here reads the data itself,
+so the ring may be a view of another: ``logs`` runs these functions on the
+discrete logs of a table field, with its ``LogRing`` as the ring.
 """
 
 from __future__ import annotations

@@ -14,9 +14,11 @@ Every element is an :class:`AlgebraElement` pointing at its parent ring; the
 parent implements the raw operations on the underlying data.  Each ring also
 names, once, the module that does its raw polynomial and matrix arithmetic:
 ``ring.kernels.fn(..., ring.kernel_arg)``.  A prime field uses the F_p
-kernels of :mod:`reciprocity._kernels` with its p; every other ring uses
-:mod:`reciprocity._kernels.generic` with itself.  Values are immutable and
-operations are pure, so everything here is safe to share between threads.
+kernels of :mod:`reciprocity._kernels` with its p; an extension field with
+log tables uses :mod:`reciprocity._kernels.logs` with the log ring of its
+tables; every other ring uses :mod:`reciprocity._kernels.generic` with
+itself.  Values are immutable and operations are pure, so everything here is
+safe to share between threads.
 
 :func:`power` is the one binary-powering loop of the package: elements,
 polynomials, rational functions and Laurent series all raise to positive
@@ -29,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import _kernels
-from ._kernels import generic
+from ._kernels import generic, logs
 from .errors import NonUnitError, TowerError
 
 # Miller-Rabin to the first 13 prime bases is exact below this bound
@@ -342,16 +344,16 @@ def _first_irreducible(p: int, d: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=32)
-def _log_tables(p: int, modulus: tuple[int, ...]) -> tuple[dict, list]:
-    """Discrete-log tables of F_p[u]/(m) for a primitive element g.
+def _log_tables(p: int, modulus: tuple[int, ...]) -> logs.LogRing:
+    """Discrete-log and Zech tables of F_p[u]/(m) for a primitive element g, as a log ring.
 
-    ``log`` maps each nonzero element tuple to its exponent in [0, q-1), and
+    ``log`` maps each nonzero element tuple to its exponent in [0, q-1),
     ``exp`` lists g^0 .. g^(q-2) twice, so a sum of two logs indexes it
-    directly.  g is the first nonconstant element, in base-p order, with
-    g^((q-1)/r) != 1 for every prime r | q-1, and the tables are one walk of
-    its powers (Huber, "Some comments on Zech's logarithms", 1990).  Every
-    field with this p and m shares the cached tables, so nothing may mutate
-    them.
+    directly, and ``zech[k]`` is log(1 + g^k).  g is the first nonconstant
+    element, in base-p order, with g^((q-1)/r) != 1 for every prime r | q-1,
+    and the tables are one walk of its powers (Huber, "Some comments on
+    Zech's logarithms", 1990).  Every field with this p and m shares the
+    cached ring, so nothing may mutate it.
     """
     m, d = list(modulus), len(modulus) - 1
     n = p**d - 1
@@ -366,7 +368,8 @@ def _log_tables(p: int, modulus: tuple[int, ...]) -> tuple[dict, list]:
         exp.append(x)
         y = _kernels.mulmod(list(x), g, m, p)
         x = tuple(y) + (0,) * (d - len(y))
-    return log, exp + exp
+    zech = [log.get(((t[0] + 1) % p,) + t[1:]) for t in exp]
+    return logs.LogRing(log, exp + exp, zech, (0,) * d)
 
 
 class ExtensionField(BaseField):
@@ -375,8 +378,10 @@ class ExtensionField(BaseField):
     The tuple always has length deg(m); index i holds the coefficient of u^i.
     Sums are coordinate-wise.  With at most ``TABLE_MAX_ORDER`` elements,
     products and inverses are lookups in the discrete-log tables of
-    ``_log_tables``; above that they call the F_p kernels.  Each field binds
-    one of the two paths in ``__init__``.
+    ``_log_tables``, and polynomials and matrices go through the ``logs``
+    kernels, which work on discrete logs and sum by the Zech table; above
+    that, products and inverses call the F_p kernels and polynomials the
+    ``generic`` ones.  Each field binds one of the two paths in ``__init__``.
     """
 
     # the generator's name in expressions and printed elements
@@ -400,9 +405,10 @@ class ExtensionField(BaseField):
         self._zero = (0,) * self.degree
         self._one = (1,) + self._zero[1:]
         if self.order <= TABLE_MAX_ORDER:
-            self._log, self._exp = _log_tables(p, self.modulus)
-            self._units = self.order - 1
+            ring = _log_tables(p, self.modulus)
+            self._log, self._exp, self._units = ring.log, ring.exp, ring.units
             self._mul, self._inv = self._mul_by_logs, self._inv_by_logs
+            self.kernels, self.kernel_arg = logs, ring
 
     def _pad(self, lst):
         return tuple(lst) + (0,) * (self.degree - len(lst))

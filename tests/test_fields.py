@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reciprocity import fields
-from reciprocity._kernels import pure
+from reciprocity._kernels import generic, pure
 from reciprocity.artinian import ArtinianAlgebra, dual_numbers
 from reciprocity.errors import NonUnitError, TowerError
 from reciprocity.fields import (
@@ -250,13 +250,56 @@ def test_log_tables_match_the_kernels(q, data):
 @pytest.mark.parametrize("q", sorted(TABLE_FIELDS))
 def test_log_tables_are_a_bijection(q):
     F = TABLE_FIELDS[q]
-    log, exp = fields._log_tables(F.p, F.modulus)
+    ring = fields._log_tables(F.p, F.modulus)
+    log, exp = ring.log, ring.exp
     n = q - 1
     assert len(exp) == 2 * n and exp[n:] == exp[:n]
     nonzero = {F._pad([code // F.p**i % F.p for i in range(F.degree)]) for code in range(1, q)}
     assert set(exp[:n]) == nonzero and len(nonzero) == n
     assert all(log[t] == i for i, t in enumerate(exp[:n]))
     assert F.from_int(0).data == F._zero and F.from_int(1).data == exp[0]
+
+
+@pytest.mark.parametrize("p, d", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 5), (2, 8)],
+                         ids=["F4", "F8", "F9", "F25", "F243", "F256"])
+def test_zech_table_is_the_log_of_one_plus(p, d):
+    F = ExtensionField(p, find_irreducible(p, d))
+    ring = fields._log_tables(p, F.modulus)
+    n = F.order - 1
+    assert F.kernel_arg is ring and len(ring.zech) == n
+    minus_one = ring.log[F._neg(F._one)]
+    assert ring.neg1 == minus_one
+    for k, z in enumerate(ring.zech):
+        one_plus = F._add(F._one, ring.exp[k])
+        if k == minus_one:
+            assert z is None and not any(one_plus)
+        else:
+            assert ring.exp[z] == one_plus
+
+
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_log_ring_ops_are_the_field_ops(q):
+    F = TABLE_FIELDS[q]
+    ring, log, exp = F.kernel_arg, F.kernel_arg.log, F.kernel_arg.exp
+    elements = [F._zero] + exp[:q - 1]
+
+    def back(k):
+        return F._zero if k is None else exp[k]
+
+    for a in elements:
+        ka = log.get(a)
+        assert ring._is_zero(ka) == F._is_zero(a) and ring._is_invertible(ka) == F._is_invertible(a)
+        assert back(ring._neg(ka)) == F._neg(a)
+        if any(a):
+            assert back(ring._inv(ka)) == F._inv(a)
+        else:
+            with pytest.raises(NonUnitError, match=f"division by zero in F{q}"):
+                ring._inv(ka)
+        for b in elements:
+            kb = log.get(b)
+            assert back(ring._add(ka, kb)) == F._add(a, b)
+            assert back(ring._sub(ka, kb)) == F._sub(a, b)
+            assert back(ring._mul(ka, kb)) == F._mul(a, b)
 
 
 def _no_tables(p, modulus):
@@ -275,6 +318,7 @@ def _field_without_tables(p, d):
 def test_large_fields_keep_the_kernels(p, d, data):
     F = _field_without_tables(p, d)
     assert F.order > TABLE_MAX_ORDER
+    assert F.kernels is generic and F.kernel_arg is F
     x = AlgebraElement(F, data.draw(st.tuples(*[st.integers(0, p - 1)] * d).filter(any)))
     assert x * x.inverse() == F.one()
     with pytest.raises(NonUnitError):

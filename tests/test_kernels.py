@@ -1,6 +1,8 @@
 """The compiled kernels must agree with the pure-Python reference exactly,
-and the packed pure kernels with the schoolbook loops they replaced."""
+the packed pure kernels with the schoolbook loops they replaced, and the log
+kernels of the table fields with ``generic`` on the element tuples."""
 
+import inspect
 import os
 import random
 import subprocess
@@ -11,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 import reciprocity
 from reciprocity import _kernels as kernels
-from reciprocity._kernels import generic, pure
+from reciprocity._kernels import generic, logs, pure
 from reciprocity.factor import DEGREE_BUDGET
-from reciprocity.fields import QQ, ExtensionField, PrimeField
+from reciprocity.fields import QQ, TABLE_MAX_ORDER, ExtensionField, PrimeField, find_irreducible
 from support import loop_divmod_poly, loop_mul, loop_powmod
 
 try:
@@ -342,3 +344,96 @@ def test_packed_slots_hold_the_largest_sums(p):
     base = pure.normalize([p - 1] * (n - 1) + [(n - 2) * pow(2, -1, p) % p if p > 2 else 0])
     for e in (2, 3):
         assert pure.powmod(base, e, m, p) == loop_powmod(base, e, m, p)
+
+
+LOG_FIELDS = {q: ExtensionField(p, find_irreducible(p, d))
+              for q, p, d in ((4, 2, 2), (8, 2, 3), (9, 3, 2), (27, 3, 3), (243, 3, 5), (256, 2, 8))}
+
+
+def public_functions(module) -> set:
+    return {name for name, value in vars(module).items()
+            if inspect.isfunction(value) and value.__module__ == module.__name__ and not name.startswith("_")}
+
+
+def log_kernel_calls(F):
+    """Kernel name -> strategy of its argument tuples over F, without the ring."""
+    q = F.order
+    elem = st.one_of(st.just(F._zero), st.tuples(*[st.integers(0, F.p - 1)] * F.degree))
+    poly = st.lists(elem, max_size=7).map(lambda c: generic._normalize(c, F))
+    divisor = st.builds(lambda tail, lead: tail + [lead], st.lists(elem, max_size=4), elem.filter(any))
+    exponent = st.one_of(st.integers(-3, 40), st.sampled_from([q, q - 1, (q - 1) // 2, -q]))
+
+    def matrices(count):
+        """count n x n matrices of one random size n, zero-heavy so some are singular."""
+        def of_size(n):
+            return st.tuples(*[st.lists(st.lists(elem, min_size=n, max_size=n), min_size=n, max_size=n)] * count)
+        return st.integers(0, 4).flatmap(of_size)
+
+    return {
+        "add": st.tuples(poly, poly),
+        "sub": st.tuples(poly, poly),
+        "neg": st.tuples(poly),
+        "mul": st.tuples(poly, poly),
+        "divmod_poly": st.tuples(poly, st.one_of(poly, divisor)),
+        "monic": st.tuples(poly),
+        "gcd": st.tuples(poly, poly),
+        "xgcd": st.tuples(poly, poly),
+        "invmod": st.tuples(poly, divisor),
+        "powmod": st.tuples(poly, exponent, divisor),
+        "eval_at": st.tuples(poly, elem),
+        "mat_mul": matrices(2),
+        "mat_det": matrices(1),
+        "mat_inv": matrices(1),
+    }
+
+
+def test_log_kernels_cover_the_generic_namespace():
+    assert public_functions(logs) == public_functions(generic) == set(log_kernel_calls(LOG_FIELDS[4]))
+    assert max(LOG_FIELDS) == TABLE_MAX_ORDER
+    for F in LOG_FIELDS.values():
+        assert F.kernels is logs and F.kernel_arg is ExtensionField(F.p, F.modulus).kernel_arg
+
+
+@pytest.mark.parametrize("name", sorted(public_functions(generic)))
+@pytest.mark.parametrize("q", sorted(LOG_FIELDS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_log_kernels_agree_with_generic(q, name, data):
+    F = LOG_FIELDS[q]
+    args = data.draw(log_kernel_calls(F)[name])
+    got = outcome(getattr(logs, name), (*args, F.kernel_arg))
+    assert got == outcome(getattr(generic, name), (*args, F)), args
+
+
+@pytest.mark.parametrize("q", sorted(LOG_FIELDS))
+def test_log_kernels_raise_where_generic_does(q):
+    F = LOG_FIELDS[q]
+    ring, zero, one, u = F.kernel_arg, F._zero, F._one, F.generator().data
+    m = [u, one]
+    for fn, args in ((logs.invmod, ([u, one], m)), (logs.invmod, ([], m)), (logs.divmod_poly, ([u], [])),
+                     (logs.mat_inv, ([[u, one], [u, one]],)), (logs.mat_inv, ([[zero]],))):
+        with pytest.raises(ZeroDivisionError):
+            fn(*args, ring)
+    assert logs.mat_det([[u, one], [u, one]], ring) == zero == generic.mat_det([[u, one], [u, one]], F)
+    assert logs.powmod([u], -1, [zero, one, one], ring) == generic.powmod([u], -1, [zero, one, one], F)
+
+
+def test_log_kernels_touch_no_tuple_arithmetic(monkeypatch):
+    F = ExtensionField(3, [1, 0, 1])
+
+    def no_tuples(*args):
+        raise AssertionError("a log kernel used the field's tuple arithmetic")
+
+    for name in ("_add", "_sub", "_mul", "_neg", "_inv", "zero", "one"):
+        monkeypatch.setattr(F, name, no_tuples)
+    ring, zero, one, u = F.kernel_arg, F._zero, F._one, F.generator().data
+    a, m = [u, one, u], [one, zero, u]
+    matrix = [[u, one], [zero, u]]
+    calls = {
+        "add": (a, m), "sub": (a, m), "neg": (a,), "mul": (a, a), "divmod_poly": (a, m), "monic": (a,),
+        "gcd": (a, m), "xgcd": (a, m), "invmod": (a, [u, one]), "powmod": (a, -10, [u, one]), "eval_at": (a, u),
+        "mat_mul": (matrix, matrix), "mat_det": (matrix,), "mat_inv": (matrix,),
+    }
+    assert set(calls) == public_functions(logs)
+    for name, args in calls.items():
+        getattr(logs, name)(*args, ring)
