@@ -7,10 +7,11 @@ or 1 is a ``ValueError`` at import), and ``BACKEND`` says which is live.
 A ``PrimeField`` names this namespace as its ``kernels`` (extension fields
 reach it through their prime field), so each call looks the function up
 here when it runs.  ``_core`` types p as a C ``long long``: a prime above
-``PMAX`` names ``pure`` instead.  An extension field with log tables names
-``logs``, which runs ``generic`` on the discrete logs of its elements; every
-other ring names ``generic``, which has the same functions with the ring in
-place of p.
+``PMAX`` names ``pure`` instead.  Every other ring, extension fields
+included, names ``generic``, which has the same functions with the ring in
+place of p.  The namespace exports only what library code calls: ``pure``
+and ``_core`` also define ``xgcd``, which their ``invmod`` uses, and
+``_core`` still compiles an ``eval_at`` that nothing reads.
 """
 
 from __future__ import annotations
@@ -41,11 +42,9 @@ mul = _impl.mul
 divmod_poly = _impl.divmod_poly
 monic = _impl.monic
 gcd = _impl.gcd
-xgcd = _impl.xgcd
 invmod = _impl.invmod
 mulmod = _impl.mulmod
 powmod = _impl.powmod
-eval_at = _impl.eval_at
 mat_mul = _impl.mat_mul
 mat_det = _impl.mat_det
 mat_inv = _impl.mat_inv

@@ -7,8 +7,9 @@ ring's ``_add``, ``_sub``, ``_mul``, ``_neg``, ``_inv``, ``_is_zero`` and
 ``_is_invertible``; the constants are the ring's stored raw ``_zero`` and
 ``_one``.  Over a local ring, eliminations pivot on units, which succeeds
 exactly when the matrix is invertible.  Nothing here reads the data itself,
-so the ring may be a view of another: ``logs`` runs these functions on the
-discrete logs of a table field, with its ``LogRing`` as the ring.
+so one body serves every data format: Fractions over Q, tuples over large
+F_q, discrete logs over a table field and coordinate tuples over an
+Artinian ring.
 """
 
 from __future__ import annotations
@@ -117,13 +118,6 @@ def powmod(a: list, e: int, m: list, ring) -> list:
         if bit == "1":
             result = divmod_poly(mul(result, base, ring), m, ring)[1]
     return result
-
-
-def eval_at(a: list, x, ring):
-    acc = ring._zero
-    for c in reversed(a):
-        acc = ring._add(ring._mul(acc, x), c)
-    return acc
 
 
 def mat_mul(a: list, b: list, ring) -> list:

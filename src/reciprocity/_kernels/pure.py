@@ -210,13 +210,6 @@ def powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
     return normalize(_unpack(r, s, n, p))
 
 
-def eval_at(a: list[int], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def mat_mul(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
     n, k = len(a), len(b)
     m = len(b[0]) if b else 0

@@ -4,21 +4,23 @@ Three base fields are supported:
 
 * the rationals, with :class:`fractions.Fraction` data,
 * prime fields F_p, with int data in ``[0, p)``,
-* extension fields F_p[u]/(m) for a monic irreducible m, with fixed-length
-  tuples of ints as data (coefficient i of u^i).  A field of at most
-  ``TABLE_MAX_ORDER`` (256) elements multiplies and inverts through
-  discrete-log tables of a primitive element; a larger one calls the F_p
-  kernels ``mulmod``/``invmod``.
+* extension fields F_p[u]/(m) for a monic irreducible m.  A field of at most
+  ``TABLE_MAX_ORDER`` (256) elements is a :class:`TableField`, whose data is
+  the discrete log of the element to a primitive element, or ``None`` for
+  zero; a larger one has fixed-length tuples of ints as data (coefficient i
+  of u^i) and multiplies and inverts by the F_p kernels ``mulmod``/``invmod``.
+  Outside this module an F_q element is read and built only through
+  ``coordinates``/``from_coordinates``, ``_canonical`` (the tuple in both
+  formats) and the raw operations.
 
 Every element is an :class:`AlgebraElement` pointing at its parent ring; the
 parent implements the raw operations on the underlying data.  Each ring also
 names, once, the module that does its raw polynomial and matrix arithmetic:
 ``ring.kernels.fn(..., ring.kernel_arg)``.  A prime field uses the F_p
-kernels of :mod:`reciprocity._kernels` with its p; an extension field with
-log tables uses :mod:`reciprocity._kernels.logs` with the log ring of its
-tables; every other ring uses :mod:`reciprocity._kernels.generic` with
-itself.  Values are immutable and operations are pure, so everything here is
-safe to share between threads.
+kernels of :mod:`reciprocity._kernels` with its p; every other ring, table
+fields included, uses :mod:`reciprocity._kernels.generic` with itself.
+Values are immutable and operations are pure, so everything here is safe to
+share between threads.
 
 :func:`power` is the one binary-powering loop of the package: elements,
 polynomials, rational functions and Laurent series all raise to positive
@@ -31,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import _kernels
-from ._kernels import generic, logs
+from ._kernels import generic
 from .errors import NonUnitError, TowerError
 
 # Miller-Rabin to the first 13 prime bases is exact below this bound
@@ -344,16 +346,18 @@ def _first_irreducible(p: int, d: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=32)
-def _log_tables(p: int, modulus: tuple[int, ...]) -> logs.LogRing:
-    """Discrete-log and Zech tables of F_p[u]/(m) for a primitive element g, as a log ring.
+def _log_tables(p: int, modulus: tuple[int, ...]) -> tuple[dict, list, list]:
+    """Discrete-log and Zech tables ``(log, exp, zech)`` of F_p[u]/(m).
 
-    ``log`` maps each nonzero element tuple to its exponent in [0, q-1),
-    ``exp`` lists g^0 .. g^(q-2) twice, so a sum of two logs indexes it
-    directly, and ``zech[k]`` is log(1 + g^k).  g is the first nonconstant
-    element, in base-p order, with g^((q-1)/r) != 1 for every prime r | q-1,
-    and the tables are one walk of its powers (Huber, "Some comments on
-    Zech's logarithms", 1990).  Every field with this p and m shares the
-    cached ring, so nothing may mutate it.
+    ``log`` maps each nonzero element tuple to its exponent in [0, q-1) to
+    a primitive element g, ``exp`` lists the tuples g^0 .. g^(q-2), and
+    ``zech[k]`` is log(1 + g^k), ``None`` where 1 + g^k = 0.  g is the
+    first nonconstant element, in base-p order, with g^((q-1)/r) != 1 for
+    every prime r | q-1, so the logs are a function of p and m alone: every
+    field with this p and m, and every rebuild of the tables, gives the same
+    ones.  The tables are one walk of the powers of g (Huber, "Some comments
+    on Zech's logarithms", 1990).  Every field with this p and m shares the
+    cached tables, so nothing may mutate them.
     """
     m, d = list(modulus), len(modulus) - 1
     n = p**d - 1
@@ -369,26 +373,28 @@ def _log_tables(p: int, modulus: tuple[int, ...]) -> logs.LogRing:
         y = _kernels.mulmod(list(x), g, m, p)
         x = tuple(y) + (0,) * (d - len(y))
     zech = [log.get(((t[0] + 1) % p,) + t[1:]) for t in exp]
-    return logs.LogRing(log, exp + exp, zech, (0,) * d)
+    return log, exp, zech
 
 
 class ExtensionField(BaseField):
-    """F_p[u]/(m) for monic irreducible m; element data is a tuple of ints.
+    """F_p[u]/(m) for monic irreducible m.
 
-    The tuple always has length deg(m); index i holds the coefficient of u^i.
-    Sums are coordinate-wise.  With at most ``TABLE_MAX_ORDER`` elements,
-    products and inverses are lookups in the discrete-log tables of
-    ``_log_tables``, and polynomials and matrices go through the ``logs``
-    kernels, which work on discrete logs and sum by the Zech table; above
-    that, products and inverses call the F_p kernels and polynomials the
-    ``generic`` ones.  Each field binds one of the two paths in ``__init__``.
+    The constructor checks m, then picks the element data format from the
+    order, before anything else sees the field: with at most
+    ``TABLE_MAX_ORDER`` elements it returns a :class:`TableField`, whose data
+    is a discrete log.  A larger field is an ``ExtensionField`` itself, with a
+    tuple of ints as data: the tuple always has length deg(m), and index i
+    holds the coefficient of u^i.  Its sums are coordinate-wise, and its
+    products and inverses call the F_p kernels.  Both formats share every
+    method that converts at the boundary: ``_canonical`` gives the tuple and
+    ``_from_tuple`` takes it, so ``==``, ``hash``, printing and
+    ``coordinates`` read the same in both.
     """
 
     # the generator's name in expressions and printed elements
     name = "u"
 
-    def __init__(self, p: int, modulus):
-        super().__init__()
+    def __new__(cls, p: int, modulus):
         base = PrimeField(p)
         coeffs = base.kernels.normalize([c % p for c in modulus])
         if len(coeffs) < 3:
@@ -397,21 +403,29 @@ class ExtensionField(BaseField):
             raise ValueError("extension modulus must be monic")
         if not _is_irreducible_mod_p(coeffs, base):
             raise ValueError("extension modulus is not irreducible over F_p")
-        self.p = p
-        self.characteristic = p
-        self.base = base
-        self.modulus = tuple(coeffs)
-        self.degree = len(coeffs) - 1
-        self._zero = (0,) * self.degree
-        self._one = (1,) + self._zero[1:]
-        if self.order <= TABLE_MAX_ORDER:
-            ring = _log_tables(p, self.modulus)
-            self._log, self._exp, self._units = ring.log, ring.exp, ring.units
-            self._mul, self._inv = self._mul_by_logs, self._inv_by_logs
-            self.kernels, self.kernel_arg = logs, ring
+        if cls is ExtensionField and p ** (len(coeffs) - 1) <= TABLE_MAX_ORDER:
+            cls = TableField
+        self = super().__new__(cls)
+        # the checked modulus, which __init__ (and TableField's tables) read
+        self.base, self.modulus, self.degree = base, tuple(coeffs), len(coeffs) - 1
+        return self
+
+    def __init__(self, p: int, modulus):
+        super().__init__()
+        self.p = self.characteristic = p
+        zero = (0,) * self.degree
+        self._zero, self._one = self._from_tuple(zero), self._from_tuple((1,) + zero[1:])
 
     def _pad(self, lst):
         return tuple(lst) + (0,) * (self.degree - len(lst))
+
+    def _from_tuple(self, t: tuple):
+        """The raw data of the element with coordinate tuple t."""
+        return t
+
+    def _element(self, ints) -> AlgebraElement:
+        """sum ints[i] u^i, for at most deg(m) ints in [0, p)."""
+        return AlgebraElement(self, self._from_tuple(self._pad(ints)))
 
     def _add(self, a, b):
         p = self.p
@@ -424,13 +438,6 @@ class ExtensionField(BaseField):
     def _mul(self, a, b):
         return self._pad(self.base.kernels.mulmod(list(a), list(b), list(self.modulus), self.p))
 
-    def _mul_by_logs(self, a, b):
-        log = self._log
-        i, j = log.get(a), log.get(b)
-        if i is None or j is None:
-            return self._zero
-        return self._exp[i + j]
-
     def _neg(self, a):
         p = self.p
         return tuple(-x % p for x in a)
@@ -440,12 +447,6 @@ class ExtensionField(BaseField):
             return self._pad(self.base.kernels.invmod(list(a), list(self.modulus), self.p))
         except ZeroDivisionError:
             raise NonUnitError(f"division by zero in {self!r}") from None
-
-    def _inv_by_logs(self, a):
-        i = self._log.get(a)
-        if i is None:
-            raise NonUnitError(f"division by zero in {self!r}")
-        return self._exp[self._units - i]
 
     def _is_zero(self, a):
         return not any(a)
@@ -459,24 +460,30 @@ class ExtensionField(BaseField):
     def _str(self, a):
         from .formatting import format_terms
 
-        terms = [(str(c), False, i) for i, c in enumerate(a) if c]
+        terms = [(str(c), False, i) for i, c in enumerate(self._canonical(a)) if c]
         return format_terms(terms, self.name, descending=True)
 
     def from_int(self, n):
-        n %= self.p
-        data = self._zero if n == 0 else self._one if n == 1 else (n,) + self._zero[1:]
-        return AlgebraElement(self, data)
+        return self._element([n % self.p])
 
     def coerce(self, x):
         if isinstance(x, AlgebraElement) and x.ring == self.base:
-            return AlgebraElement(self, self._pad([x.data] if x.data else []))
+            return self._element([x.data])
         return super().coerce(x)
 
     def random_element(self, rng):
-        return AlgebraElement(self, tuple(rng.randrange(self.p) for _ in range(self.degree)))
+        return self._element([rng.randrange(self.p) for _ in range(self.degree)])
 
     def generator(self) -> AlgebraElement:
-        return AlgebraElement(self, self._pad([0, 1]))
+        return self._element([0, 1])
+
+    def coordinates(self, elem: AlgebraElement) -> list[AlgebraElement]:
+        """F_p coordinates of elem in the basis 1, u, .., u^(d-1)."""
+        return [AlgebraElement(self.base, c) for c in self._canonical(elem.data)]
+
+    def from_coordinates(self, coords) -> AlgebraElement:
+        """The element with the given F_p coordinates (elements or ints), in basis order."""
+        return self._element([self.base.coerce(c).data for c in coords])
 
     @property
     def order(self) -> int:
@@ -499,6 +506,62 @@ class ExtensionField(BaseField):
 
     def __repr__(self):
         return f"F{self.p ** self.degree}"
+
+
+class TableField(ExtensionField):
+    """An extension field of at most ``TABLE_MAX_ORDER`` elements; data is a discrete log.
+
+    Zero is ``None`` and an int k in [0, q-1) stands for g^k, g the
+    primitive element of ``_log_tables``.  A product adds logs and an inverse
+    negates one; a negation adds log(-1); a sum g^a + g^b = g^a (1 + g^(b-a))
+    is one lookup in the Zech table Z(k) = log(1 + g^k), which is ``None``
+    where 1 + g^k = 0 (Huber, "Some comments on Zech's logarithms", IEEE
+    Trans. IT 1990).  The logs depend on p and m alone, so equal data means
+    equal elements in any two instances of the field.
+    """
+
+    def __init__(self, p: int, modulus):
+        self._log, self._exp, self._zech = _log_tables(p, self.modulus)
+        self._units = len(self._zech)
+        # log(-1): the one k with 1 + g^k = 0
+        self._neg1 = self._zech.index(None)
+        self._zero_tuple = (0,) * self.degree
+        super().__init__(p, modulus)
+
+    def _from_tuple(self, t):
+        return self._log.get(t)
+
+    def _add(self, a, b):
+        if a is None:
+            return b
+        if b is None:
+            return a
+        # b - a lies in (-(q-1), q-1), and a negative index wraps to (b - a) mod (q-1)
+        z = self._zech[b - a]
+        return None if z is None else (a + z) % self._units
+
+    def _sub(self, a, b):
+        return self._add(a, None if b is None else (b + self._neg1) % self._units)
+
+    def _mul(self, a, b):
+        return None if a is None or b is None else (a + b) % self._units
+
+    def _neg(self, a):
+        return None if a is None else (a + self._neg1) % self._units
+
+    def _inv(self, a):
+        if a is None:
+            raise NonUnitError(f"division by zero in {self!r}")
+        return -a % self._units
+
+    def _is_zero(self, a):
+        return a is None
+
+    def _is_invertible(self, a):
+        return a is not None
+
+    def _canonical(self, a):
+        return self._zero_tuple if a is None else self._exp[a]
 
 
 QQ = RationalField()

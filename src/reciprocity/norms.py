@@ -6,8 +6,10 @@ computed from explicit multiplication matrices; nothing here uses Frobenius
 shortcuts, which stay available to the tests as an independent oracle.  The
 relative norm along the field part of an Artinian ring is likewise the
 determinant of one matrix, of multiplication over the Artinian ring with the
-same generators over the smaller field.  Artinian coordinates are read and built
-only through the ring's own methods (see :mod:`reciprocity.artinian`).
+same generators over the smaller field.  Extension-field and Artinian
+coordinates are read and built only through the ring's own ``coordinates``
+and ``from_coordinates`` (see :mod:`reciprocity.fields` and
+:mod:`reciprocity.artinian`).
 
 Matrix helpers work over any coefficient ring and take and return matrices
 of elements.  Each one unwraps its arguments to raw data once, makes one
@@ -32,7 +34,7 @@ def vector_basis(ring: CoefficientRing, over: BaseField) -> list[AlgebraElement]
     if ring == over:
         return [over.one()]
     if isinstance(ring, ExtensionField) and over == ring.base:
-        return [AlgebraElement(ring, ring._pad([0] * i + [1])) for i in range(ring.degree)]
+        return [ring.from_coordinates([0] * i + [1]) for i in range(ring.degree)]
     if isinstance(ring, ArtinianAlgebra):
         inner = vector_basis(ring.base, over)
         return [m * ring.embed_from_below(b) for m in ring.basis() for b in inner]
@@ -45,7 +47,7 @@ def coordinates(elem: AlgebraElement, over: BaseField) -> list[AlgebraElement]:
     if ring == over:
         return [elem]
     if isinstance(ring, ExtensionField) and over == ring.base:
-        return [AlgebraElement(over, c) for c in elem.data]
+        return ring.coordinates(elem)
     if isinstance(ring, ArtinianAlgebra):
         return [x for c in ring.coordinates(elem) for x in coordinates(c, over)]
     raise TowerError(f"{ring!r} is not an algebra over {over!r}")

@@ -3,12 +3,14 @@
 A polynomial keeps its field and, in the private ``_data`` slot, a
 little-endian list of the field's raw element data with no trailing zeros.
 Every arithmetic method makes one call ``field.kernels.fn(..., field.kernel_arg)``
-(see :mod:`reciprocity.fields`), so F_p runs on the F_p kernels, an F_q with
-log tables on the discrete-log view of the generic ones, and every other
-field on the generic ones, through the same code.  Only the public
-surface boxes: the constructor coerces ints, Fractions and elements, and
-``coeffs``, ``coefficient()`` and ``leading_coefficient()`` return
-:class:`AlgebraElement` values.
+(see :mod:`reciprocity.fields`), so F_p runs on the F_p kernels and every
+other field on the generic ones, through the same code; over an F_q of at
+most 256 elements the data are discrete logs, so those loops add and
+multiply by table lookups.  Raw data of a field is a function of the field's
+signature, so ``==`` compares it directly; ``hash`` and ``sort_key`` read
+the field's canonical form.  Only the public surface boxes: the constructor
+coerces ints, Fractions and elements, and ``coeffs``, ``coefficient()`` and
+``leading_coefficient()`` return :class:`AlgebraElement` values.
 """
 
 from __future__ import annotations

@@ -1,24 +1,25 @@
 """Oracles and seeded instance generators that only the tests use.
 
 The library keeps what its own commands call; the independent checks the
-tests compare it against live here: expanding a factorization back into
-what it factors, comparing truncated series, the norm/determinant
-compatibility of block matrices, adele orthogonality over a list of test
-functions, the schoolbook loops of the packed F_p kernels, and random
-series, operators and factored rational functions.
+tests compare it against live here: tuple-format extension fields,
+expanding a factorization back into what it factors, comparing truncated
+series, the norm/determinant compatibility of block matrices, adele
+orthogonality over a list of test functions, the schoolbook loops of the
+packed F_p kernels, and random series, operators and factored rational
+functions.
 """
 
 from __future__ import annotations
 
 import random
 
-from reciprocity._kernels import pure
+from reciprocity._kernels import generic, pure
 from reciprocity.artinian import ArtinianAlgebra
 from reciprocity.blockops import BlockOperator
 from reciprocity.curve import AdeleVector, RationalFunction, residue_pairing_sum
 from reciprocity.errors import NonUnitError, TowerError
 from reciprocity.factor import Factorization
-from reciprocity.fields import AlgebraElement, BaseField, QQ
+from reciprocity.fields import AlgebraElement, BaseField, ExtensionField, QQ
 from reciprocity.laurent import LaurentSeries, PrincipalUnitFactorization, UnitFactorization
 from reciprocity.norms import algebra_norm, mat_det, mat_identity, multiplication_matrix, vector_basis
 from reciprocity.poly import Polynomial
@@ -33,16 +34,28 @@ def rational_x(field: BaseField) -> RationalFunction:
 
 
 def evaluate(poly: Polynomial, x) -> AlgebraElement:
-    """poly(x), by the ring's kernel evaluation."""
-    f = poly.field
-    return AlgebraElement(f, f.kernels.eval_at(poly._data, f.coerce(x).data, f.kernel_arg))
+    """poly(x), by Horner's rule on elements."""
+    acc = poly.field.zero()
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def xgcd(a: Polynomial, b: Polynomial):
-    """Monic g and s, t with s*a + t*b = g."""
+    """Monic g and s, t with s*a + t*b = g, by the generic extended Euclid over the field."""
     f = a.field
     return tuple(Polynomial(f, [AlgebraElement(f, c) for c in data])
-                 for data in f.kernels.xgcd(a._data, b._data, f.kernel_arg))
+                 for data in generic.xgcd(a._data, b._data, f))
+
+
+class TupleField(ExtensionField):
+    """F_p[u]/(m) with tuple data at every order: the reference for the table fields.
+
+    ``ExtensionField`` switches to discrete-log data only when it is built
+    itself, so this subclass keeps tuples and the F_p ``mulmod``/``invmod``.
+    It has the signature of the table field of the same modulus, so elements
+    of the two must never meet in one operation.
+    """
 
 
 def identity_operator(ring, wneg: int, wpos: int) -> BlockOperator:

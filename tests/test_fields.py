@@ -12,7 +12,6 @@ from reciprocity.errors import NonUnitError, TowerError
 from reciprocity.fields import (
     QQ,
     TABLE_MAX_ORDER,
-    AlgebraElement,
     ExtensionField,
     PrimeField,
     RationalField,
@@ -21,6 +20,8 @@ from reciprocity.fields import (
     lift,
 )
 from reciprocity.parsing import parse_series
+from reciprocity.poly import Polynomial
+from support import TupleField
 
 
 def test_primality():
@@ -236,70 +237,114 @@ def test_log_tables_match_the_kernels(q, data):
     p, m = F.p, list(F.modulus)
     elems = st.tuples(*[st.integers(0, p - 1)] * F.degree)
     a, b = data.draw(elems), data.draw(elems)
+    la, lb = F._from_tuple(a), F._from_tuple(b)
+    assert F._canonical(la) == a and F._canonical(lb) == b
     ka, kb = pure.normalize(list(a)), pure.normalize(list(b))
-    assert F._mul(a, b) == F._pad(pure.mulmod(ka, kb, m, p))
+    pad = TupleField(p, m)._pad
+    assert F._canonical(F._mul(la, lb)) == pad(pure.mulmod(ka, kb, m, p))
+    assert F._canonical(F._add(la, lb)) == pad(pure.add(ka, kb, p))
+    assert F._canonical(F._sub(la, lb)) == pad(pure.sub(ka, kb, p))
+    assert F._canonical(F._neg(la)) == pad(pure.neg(ka, p))
+    assert F._is_zero(la) == (not any(a)) and F._is_invertible(la) == any(a)
     if any(a):
-        assert F._inv(a) == F._pad(pure.invmod(ka, m, p))
+        assert F._canonical(F._inv(la)) == pad(pure.invmod(ka, m, p))
     else:
         with pytest.raises(NonUnitError, match=f"division by zero in F{q}"):
-            F._inv(a)
+            F._inv(la)
         with pytest.raises(NonUnitError):
-            AlgebraElement(F, a).inverse()
+            F.from_coordinates(a).inverse()
 
 
 @pytest.mark.parametrize("q", sorted(TABLE_FIELDS))
 def test_log_tables_are_a_bijection(q):
     F = TABLE_FIELDS[q]
-    ring = fields._log_tables(F.p, F.modulus)
-    log, exp = ring.log, ring.exp
+    log, exp, zech = fields._log_tables(F.p, F.modulus)
     n = q - 1
-    assert len(exp) == 2 * n and exp[n:] == exp[:n]
-    nonzero = {F._pad([code // F.p**i % F.p for i in range(F.degree)]) for code in range(1, q)}
-    assert set(exp[:n]) == nonzero and len(nonzero) == n
-    assert all(log[t] == i for i, t in enumerate(exp[:n]))
-    assert F.from_int(0).data == F._zero and F.from_int(1).data == exp[0]
+    assert len(exp) == len(zech) == n
+    nonzero = {tuple(code // F.p**i % F.p for i in range(F.degree)) for code in range(1, q)}
+    assert set(exp) == nonzero and len(nonzero) == n
+    assert all(log[t] == i for i, t in enumerate(exp))
+    assert F._zero is None and F._one == 0 and F.from_int(0).data is None and F.from_int(1).data == 0
+    assert exp[0] == F._canonical(F._one) and F._canonical(F._zero) == (0,) * F.degree
+    # g, of log 1, is the first nonconstant element in base-p order that generates
+    for code in range(F.p, F.p**F.degree):
+        t = tuple(code // F.p**i % F.p for i in range(F.degree))
+        if len({F._canonical(F._from_tuple(t) * k % n) for k in range(n)}) == n:
+            break
+    assert exp[1] == t
+
+
+def test_log_tables_rebuild_to_the_same_logs():
+    tables = {q: fields._log_tables(F.p, F.modulus) for q, F in TABLE_FIELDS.items()}
+    fields._log_tables.cache_clear()
+    for q, F in TABLE_FIELDS.items():
+        again = ExtensionField(F.p, F.modulus)
+        rebuilt = fields._log_tables(F.p, F.modulus)
+        assert rebuilt is not tables[q] and rebuilt == tables[q]
+        u, v = F.generator(), again.generator()
+        assert (u + 1).data == (v + 1).data and (u * u - 1).data == (v * v - 1).data
+        assert Polynomial(F, [u, 1]) == Polynomial(again, [v, 1])
 
 
 @pytest.mark.parametrize("p, d", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 5), (2, 8)],
                          ids=["F4", "F8", "F9", "F25", "F243", "F256"])
 def test_zech_table_is_the_log_of_one_plus(p, d):
     F = ExtensionField(p, find_irreducible(p, d))
-    ring = fields._log_tables(p, F.modulus)
+    T = TupleField(p, F.modulus)
+    log, exp, zech = fields._log_tables(p, F.modulus)
     n = F.order - 1
-    assert F.kernel_arg is ring and len(ring.zech) == n
-    minus_one = ring.log[F._neg(F._one)]
-    assert ring.neg1 == minus_one
-    for k, z in enumerate(ring.zech):
-        one_plus = F._add(F._one, ring.exp[k])
+    assert F._zech is zech and len(zech) == n
+    minus_one = log[T._neg(T._one)]
+    assert F._neg1 == minus_one
+    for k, z in enumerate(zech):
+        one_plus = T._add(T._one, exp[k])
         if k == minus_one:
             assert z is None and not any(one_plus)
         else:
-            assert ring.exp[z] == one_plus
+            assert exp[z] == one_plus
 
 
 @pytest.mark.parametrize("q", [4, 8, 9])
 def test_log_ring_ops_are_the_field_ops(q):
     F = TABLE_FIELDS[q]
-    ring, log, exp = F.kernel_arg, F.kernel_arg.log, F.kernel_arg.exp
-    elements = [F._zero] + exp[:q - 1]
-
-    def back(k):
-        return F._zero if k is None else exp[k]
+    T = TupleField(F.p, F.modulus)
+    elements = [T._zero] + fields._log_tables(F.p, F.modulus)[1]
 
     for a in elements:
-        ka = log.get(a)
-        assert ring._is_zero(ka) == F._is_zero(a) and ring._is_invertible(ka) == F._is_invertible(a)
-        assert back(ring._neg(ka)) == F._neg(a)
+        ka = F._from_tuple(a)
+        assert F._is_zero(ka) == T._is_zero(a) and F._is_invertible(ka) == T._is_invertible(a)
+        assert F._canonical(F._neg(ka)) == T._neg(a)
         if any(a):
-            assert back(ring._inv(ka)) == F._inv(a)
+            assert F._canonical(F._inv(ka)) == T._inv(a)
         else:
-            with pytest.raises(NonUnitError, match=f"division by zero in F{q}"):
-                ring._inv(ka)
+            for ring, x in ((F, ka), (T, a)):
+                with pytest.raises(NonUnitError, match=f"division by zero in F{q}"):
+                    ring._inv(x)
         for b in elements:
-            kb = log.get(b)
-            assert back(ring._add(ka, kb)) == F._add(a, b)
-            assert back(ring._sub(ka, kb)) == F._sub(a, b)
-            assert back(ring._mul(ka, kb)) == F._mul(a, b)
+            kb = F._from_tuple(b)
+            assert F._canonical(F._add(ka, kb)) == T._add(a, b)
+            assert F._canonical(F._sub(ka, kb)) == T._sub(a, b)
+            assert F._canonical(F._mul(ka, kb)) == T._mul(a, b)
+
+
+@pytest.mark.parametrize("q", sorted(TABLE_FIELDS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_table_fields_print_hash_and_sort_as_tuples(q, data):
+    F = TABLE_FIELDS[q]
+    T = TupleField(F.p, F.modulus)
+    coords = st.lists(st.tuples(*[st.integers(0, F.p - 1)] * F.degree), max_size=4)
+    a, b = data.draw(coords), data.draw(coords)
+    for x, y in zip(a, b):
+        ex, ey, tx, ty = F.from_coordinates(x), F.from_coordinates(y), T.from_coordinates(x), T.from_coordinates(y)
+        assert type(ex.data) is not tuple and tx.data == x
+        assert str(ex) == str(tx) and hash(ex) == hash(tx) and (ex == ey) == (tx == ty)
+        assert [c.data for c in F.coordinates(ex)] == list(x)
+    pa, pb = Polynomial(F, [F.from_coordinates(c) for c in a]), Polynomial(F, [F.from_coordinates(c) for c in b])
+    ta, tb = Polynomial(T, [T.from_coordinates(c) for c in a]), Polynomial(T, [T.from_coordinates(c) for c in b])
+    assert str(pa) == str(ta) and hash(pa) == hash(ta) and pa.sort_key() == ta.sort_key()
+    assert (pa == pb) == (ta == tb) and (pa.sort_key() < pb.sort_key()) == (ta.sort_key() < tb.sort_key())
+    assert str(pa * pb) == str(ta * tb) and (pa * pb).sort_key() == (ta * tb).sort_key()
 
 
 def _no_tables(p, modulus):
@@ -317,9 +362,10 @@ def _field_without_tables(p, d):
 @given(data=st.data())
 def test_large_fields_keep_the_kernels(p, d, data):
     F = _field_without_tables(p, d)
-    assert F.order > TABLE_MAX_ORDER
+    assert F.order > TABLE_MAX_ORDER and type(F) is ExtensionField
     assert F.kernels is generic and F.kernel_arg is F
-    x = AlgebraElement(F, data.draw(st.tuples(*[st.integers(0, p - 1)] * d).filter(any)))
+    x = F.from_coordinates(data.draw(st.tuples(*[st.integers(0, p - 1)] * d).filter(any)))
+    assert x.data == F._canonical(x.data)
     assert x * x.inverse() == F.one()
     with pytest.raises(NonUnitError):
         F.zero().inverse()
@@ -329,3 +375,14 @@ def test_large_fields_keep_the_kernels(p, d, data):
 def test_fields_up_to_the_threshold_build_tables(p, d):
     with pytest.raises(AssertionError, match="log table"):
         _field_without_tables(p, d)
+
+
+@pytest.mark.parametrize("modulus, message", [([1, 1], "degree >= 2"), ([1, 0, 2], "monic"),
+                                              ([1, 2, 1], "not irreducible")],
+                         ids=["degree-1", "non-monic", "reducible"])
+def test_bad_moduli_fail_before_a_table_is_built(modulus, message):
+    # each modulus is over F3 and of degree at most 2, so F3[u]/(m) would get tables
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields, "_log_tables", _no_tables)
+        with pytest.raises(ValueError, match=message):
+            ExtensionField(3, modulus)

@@ -13,6 +13,12 @@ than its own definition and the export.  A reference is a read of the
 name or of an attribute of that name, or a string annotation: it is
 matched by name, not by type, so a dead method that shares its name with
 a live one goes unseen.
+
+The third check holds the kernel namespace to what the library calls: every
+public name that ``_kernels/__init__.py`` binds must be read by a library
+module outside ``_kernels``, as an attribute of ``kernels``, ``_kernels`` or
+a ``.kernels`` attribute (``field.kernels.mul``), or by a ``from ._kernels
+import``.  A name the kernels only use among themselves does not count.
 """
 
 from __future__ import annotations
@@ -197,3 +203,46 @@ def test_the_check_sees_a_dead_definition_and_a_dead_export(tmp_path):
     (pkg / "sub" / "flags.py").write_text("FLAG: bool = bool(0)\n")
     (pkg / "cli.py").write_text("from .core import used\nprint(used(0))\n")
     assert unreached(pkg) == {"dead", "recursive", "Box.dead_method", "LIMIT", "EXPORTED_FLAG"}
+
+
+def unread_kernel_exports(root: Path) -> set[str]:
+    """Public names bound in ``root/_kernels/__init__.py`` that no module of root outside ``_kernels`` reads."""
+    package = root / "_kernels"
+    init = ast.parse((package / "__init__.py").read_text())
+    exported = {target.id for node in init.body if isinstance(node, ast.Assign) for target in node.targets
+                if isinstance(target, ast.Name) and not target.id.startswith("_")}
+    read = set()
+    for path in root.rglob("*.py"):
+        if package in path.parents:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                owner = node.value
+                if (isinstance(owner, ast.Name) and owner.id in ("kernels", "_kernels")
+                        or isinstance(owner, ast.Attribute) and owner.attr == "kernels"):
+                    read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "_kernels":
+                read.update(alias.name for alias in node.names)
+    return exported - read
+
+
+def test_every_kernel_export_is_called():
+    unread = unread_kernel_exports(SRC)
+    assert not unread, f"the _kernels namespace exports names no library module calls: {sorted(unread)}"
+
+
+def test_the_check_sees_an_unread_kernel_export(tmp_path):
+    pkg = tmp_path / "pkg"
+    (pkg / "_kernels").mkdir(parents=True)
+    (pkg / "_kernels" / "__init__.py").write_text(
+        "from . import impl as _impl\nBACKEND = 'python'\n_PRIVATE = 1\n"
+        "add = _impl.add\nmul = _impl.mul\neval_at = _impl.eval_at\nxgcd = _impl.xgcd\n"
+    )
+    (pkg / "_kernels" / "impl.py").write_text("def xgcd(a): return a\ndef eval_at(a): return xgcd(a)\n")
+    (pkg / "__init__.py").write_text("from ._kernels import BACKEND\n")
+    (pkg / "poly.py").write_text(
+        "from . import _kernels\n"
+        "def f(field, kernels, other):\n"
+        "    return field.kernels.add(1), _kernels.mul(2), other.eval_at(3), xgcd\n"
+    )
+    assert unread_kernel_exports(pkg) == {"eval_at", "xgcd"}

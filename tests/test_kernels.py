@@ -1,6 +1,7 @@
 """The compiled kernels must agree with the pure-Python reference exactly,
-the packed pure kernels with the schoolbook loops they replaced, and the log
-kernels of the table fields with ``generic`` on the element tuples."""
+the packed pure kernels with the schoolbook loops they replaced, and the
+``generic`` kernels on the discrete logs of a table field with the same
+kernels on the tuple format of that field."""
 
 import inspect
 import os
@@ -13,10 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 import reciprocity
 from reciprocity import _kernels as kernels
-from reciprocity._kernels import generic, logs, pure
+from reciprocity._kernels import generic, pure
 from reciprocity.factor import DEGREE_BUDGET
-from reciprocity.fields import QQ, TABLE_MAX_ORDER, ExtensionField, PrimeField, find_irreducible
-from support import loop_divmod_poly, loop_mul, loop_powmod
+from reciprocity.errors import NonUnitError
+from reciprocity.fields import QQ, TABLE_MAX_ORDER, ExtensionField, PrimeField, TableField, find_irreducible
+from support import TupleField, loop_divmod_poly, loop_mul, loop_powmod
 
 try:
     from reciprocity._kernels import _core as core
@@ -43,8 +45,6 @@ def test_poly_ops_agree(p):
         if b:
             assert core.divmod_poly(a, b, p) == pure.divmod_poly(a, b, p)
             assert core.gcd(a, b, p) == pure.gcd(a, b, p)
-        x = rng.randrange(p)
-        assert core.eval_at(a, x, p) == pure.eval_at(a, x, p)
 
 
 @needs_core
@@ -225,7 +225,6 @@ def test_generic_kernels_build_no_elements(monkeypatch):
     generic.divmod_poly(a, m, ring)
     generic.powmod(a, 10, m, ring)
     generic.xgcd(a, m, ring)
-    generic.eval_at(a, u, ring)
     matrix = [[u, ring._one], [ring._zero, u]]
     generic.mat_mul(matrix, matrix, ring)
     generic.mat_det(matrix, ring)
@@ -253,11 +252,9 @@ def kernel_calls(p):
         "divmod_poly": st.tuples(poly, poly),
         "monic": st.tuples(poly),
         "gcd": st.tuples(poly, poly),
-        "xgcd": st.tuples(poly, poly),
         "invmod": st.tuples(poly, monic_mod),
         "mulmod": st.tuples(poly, poly, monic_mod),
         "powmod": st.tuples(poly, exponent, monic_mod),
-        "eval_at": st.tuples(poly, coeff),
         "mat_mul": squares(2),
         "mat_det": squares(1),
         "mat_inv": squares(1),
@@ -346,8 +343,10 @@ def test_packed_slots_hold_the_largest_sums(p):
         assert pure.powmod(base, e, m, p) == loop_powmod(base, e, m, p)
 
 
+# the table fields, up to TABLE_MAX_ORDER, and the tuple format of each, the reference
 LOG_FIELDS = {q: ExtensionField(p, find_irreducible(p, d))
               for q, p, d in ((4, 2, 2), (8, 2, 3), (9, 3, 2), (27, 3, 3), (243, 3, 5), (256, 2, 8))}
+TUPLE_FIELDS = {q: TupleField(F.p, F.modulus) for q, F in LOG_FIELDS.items()}
 
 
 def public_functions(module) -> set:
@@ -355,11 +354,45 @@ def public_functions(module) -> set:
             if inspect.isfunction(value) and value.__module__ == module.__name__ and not name.startswith("_")}
 
 
+# The argument and result shapes of each generic function: e an element, p a
+# polynomial, m a matrix, i an int.  A result of more than one letter is a tuple.
+SHAPES = {
+    "add": ("pp", "p"), "sub": ("pp", "p"), "neg": ("p", "p"), "mul": ("pp", "p"),
+    "divmod_poly": ("pp", "pp"), "monic": ("p", "p"), "gcd": ("pp", "p"), "xgcd": ("pp", "ppp"),
+    "invmod": ("pp", "p"), "powmod": ("pip", "p"),
+    "mat_mul": ("mm", "m"), "mat_det": ("m", "e"), "mat_inv": ("m", "m"),
+}
+
+
+def convert(shape: str, value, elem):
+    """value of the given shape, with elem applied to every element in it."""
+    if shape == "e":
+        return elem(value)
+    if shape == "p":
+        return [elem(c) for c in value]
+    if shape == "m":
+        return [[elem(c) for c in row] for row in value]
+    return value
+
+
+def run_in_format(field, name, canonical_args):
+    """generic.name over field on the field's own data, with tuples in and out, or the error raised."""
+    args, result = SHAPES[name]
+    raw = [convert(s, a, field._from_tuple) for s, a in zip(args, canonical_args)]
+    try:
+        out = getattr(generic, name)(*raw, field)
+    except (ZeroDivisionError, NonUnitError) as exc:
+        return type(exc), str(exc)
+    if len(result) == 1:
+        return convert(result, out, field._canonical)
+    return tuple(convert(s, o, field._canonical) for s, o in zip(result, out))
+
+
 def log_kernel_calls(F):
-    """Kernel name -> strategy of its argument tuples over F, without the ring."""
-    q = F.order
-    elem = st.one_of(st.just(F._zero), st.tuples(*[st.integers(0, F.p - 1)] * F.degree))
-    poly = st.lists(elem, max_size=7).map(lambda c: generic._normalize(c, F))
+    """Kernel name -> strategy of its arguments over F, as element tuples, without the ring."""
+    q, zero = F.order, (0,) * F.degree
+    elem = st.one_of(st.just(zero), st.tuples(*[st.integers(0, F.p - 1)] * F.degree))
+    poly = st.lists(elem, max_size=7).map(lambda c: generic._normalize(c, TUPLE_FIELDS[q]))
     divisor = st.builds(lambda tail, lead: tail + [lead], st.lists(elem, max_size=4), elem.filter(any))
     exponent = st.one_of(st.integers(-3, 40), st.sampled_from([q, q - 1, (q - 1) // 2, -q]))
 
@@ -380,7 +413,6 @@ def log_kernel_calls(F):
         "xgcd": st.tuples(poly, poly),
         "invmod": st.tuples(poly, divisor),
         "powmod": st.tuples(poly, exponent, divisor),
-        "eval_at": st.tuples(poly, elem),
         "mat_mul": matrices(2),
         "mat_det": matrices(1),
         "mat_inv": matrices(1),
@@ -388,10 +420,14 @@ def log_kernel_calls(F):
 
 
 def test_log_kernels_cover_the_generic_namespace():
-    assert public_functions(logs) == public_functions(generic) == set(log_kernel_calls(LOG_FIELDS[4]))
+    assert public_functions(generic) == set(SHAPES) == set(log_kernel_calls(LOG_FIELDS[4]))
     assert max(LOG_FIELDS) == TABLE_MAX_ORDER
-    for F in LOG_FIELDS.values():
-        assert F.kernels is logs and F.kernel_arg is ExtensionField(F.p, F.modulus).kernel_arg
+    for q, F in LOG_FIELDS.items():
+        assert type(F) is TableField and F.kernels is generic and F.kernel_arg is F
+        assert type(TUPLE_FIELDS[q]) is TupleField and TUPLE_FIELDS[q]._zero == (0,) * F.degree
+        # another instance of the field has the same logs
+        again = ExtensionField(F.p, F.modulus)
+        assert again is not F and (again._zero, again._one, again.generator().data) == (None, 0, F.generator().data)
 
 
 @pytest.mark.parametrize("name", sorted(public_functions(generic)))
@@ -399,41 +435,59 @@ def test_log_kernels_cover_the_generic_namespace():
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_log_kernels_agree_with_generic(q, name, data):
-    F = LOG_FIELDS[q]
-    args = data.draw(log_kernel_calls(F)[name])
-    got = outcome(getattr(logs, name), (*args, F.kernel_arg))
-    assert got == outcome(getattr(generic, name), (*args, F)), args
+    args = data.draw(log_kernel_calls(LOG_FIELDS[q])[name])
+    got = run_in_format(LOG_FIELDS[q], name, args)
+    assert got == run_in_format(TUPLE_FIELDS[q], name, args), args
 
 
 @pytest.mark.parametrize("q", sorted(LOG_FIELDS))
 def test_log_kernels_raise_where_generic_does(q):
-    F = LOG_FIELDS[q]
-    ring, zero, one, u = F.kernel_arg, F._zero, F._one, F.generator().data
-    m = [u, one]
-    for fn, args in ((logs.invmod, ([u, one], m)), (logs.invmod, ([], m)), (logs.divmod_poly, ([u], [])),
-                     (logs.mat_inv, ([[u, one], [u, one]],)), (logs.mat_inv, ([[zero]],))):
-        with pytest.raises(ZeroDivisionError):
-            fn(*args, ring)
-    assert logs.mat_det([[u, one], [u, one]], ring) == zero == generic.mat_det([[u, one], [u, one]], F)
-    assert logs.powmod([u], -1, [zero, one, one], ring) == generic.powmod([u], -1, [zero, one, one], F)
+    zero, one, u = (0,) * LOG_FIELDS[q].degree, TUPLE_FIELDS[q]._one, TUPLE_FIELDS[q].generator().data
+    calls = [
+        ("invmod", ([u, one], [u, one])),  # u + 1 shares its root with the modulus
+        ("invmod", ([], [u, one])),
+        ("divmod_poly", ([u], [])),
+        ("mat_inv", ([[u, one], [u, one]],)),
+        ("mat_inv", ([[zero]],)),
+        ("mat_det", ([[u, one], [u, one]],)),
+        ("powmod", ([u], -1, [zero, one, one])),
+        ("powmod", ([zero, one], -1, [zero, one, one])),
+    ]
+    for name, args in calls:
+        want = run_in_format(TUPLE_FIELDS[q], name, args)
+        assert run_in_format(LOG_FIELDS[q], name, args) == want, name
+    errors = [run_in_format(LOG_FIELDS[q], name, args) for name, args in calls]
+    assert errors[:5] == [
+        (ZeroDivisionError, "element is not invertible modulo the given polynomial"),
+        (ZeroDivisionError, "element is not invertible modulo the given polynomial"),
+        (ZeroDivisionError, "polynomial division by zero"),
+        (ZeroDivisionError, "matrix is singular (no unit pivot)"),
+        (ZeroDivisionError, "matrix is singular (no unit pivot)"),
+    ]
+    assert errors[5] == zero and errors[7][0] is ZeroDivisionError
+    # the inverse of a nonzero constant is a lookup that raises for zero, with the field's name
+    assert run_in_format(LOG_FIELDS[q], "monic", ([zero],)) == (NonUnitError, f"division by zero in F{q}")
+    assert run_in_format(TUPLE_FIELDS[q], "monic", ([zero],)) == (NonUnitError, f"division by zero in F{q}")
 
 
 def test_log_kernels_touch_no_tuple_arithmetic(monkeypatch):
     F = ExtensionField(3, [1, 0, 1])
+    zero, one, u = F._zero, F._one, F.generator().data
 
     def no_tuples(*args):
-        raise AssertionError("a log kernel used the field's tuple arithmetic")
+        raise AssertionError("a kernel over a table field left the log format")
 
-    for name in ("_add", "_sub", "_mul", "_neg", "_inv", "zero", "one"):
+    for name in ("_canonical", "_from_tuple", "_pad", "_element", "zero", "one", "from_int", "coerce"):
         monkeypatch.setattr(F, name, no_tuples)
-    ring, zero, one, u = F.kernel_arg, F._zero, F._one, F.generator().data
+    # the F_p kernels that the tuple format multiplies by are out of reach
+    monkeypatch.setattr(F, "base", None)
     a, m = [u, one, u], [one, zero, u]
     matrix = [[u, one], [zero, u]]
     calls = {
         "add": (a, m), "sub": (a, m), "neg": (a,), "mul": (a, a), "divmod_poly": (a, m), "monic": (a,),
-        "gcd": (a, m), "xgcd": (a, m), "invmod": (a, [u, one]), "powmod": (a, -10, [u, one]), "eval_at": (a, u),
+        "gcd": (a, m), "xgcd": (a, m), "invmod": (a, [u, one]), "powmod": (a, -10, [u, one]),
         "mat_mul": (matrix, matrix), "mat_det": (matrix,), "mat_inv": (matrix,),
     }
-    assert set(calls) == public_functions(logs)
+    assert set(calls) == public_functions(generic)
     for name, args in calls.items():
-        getattr(logs, name)(*args, ring)
+        getattr(generic, name)(*args, F)

@@ -100,7 +100,7 @@ PROPERTY_FIELDS = [PrimeField(2), PrimeField(65537), PrimeField(2**61 - 1), Exte
 def elements(field):
     if isinstance(field, ExtensionField):
         digits = st.tuples(*[st.integers(0, field.p - 1)] * field.degree)
-        return digits.map(lambda t: AlgebraElement(field, t))
+        return digits.map(field.from_coordinates)
     if field == QQ:
         return st.fractions(min_value=-9, max_value=9, max_denominator=9).map(field.coerce)
     return st.integers(0, field.p - 1).map(field.from_int)
