@@ -18,10 +18,11 @@ from ..errors import NonUnitError
 
 
 def _normalize(a: list, ring) -> list:
+    """a without trailing zeros; a itself when it has none, so callers pass a list they just built."""
     n = len(a)
     while n and ring._is_zero(a[n - 1]):
         n -= 1
-    return a[:n]
+    return a if n == len(a) else a[:n]
 
 
 def add(a: list, b: list, ring) -> list:

@@ -10,8 +10,11 @@ the identity by contract.  An operator is stored through its four blocks
 The determinant 2-cocycle of a pair with invertible delta blocks is
 det(delta_1 delta_2 (gamma_1 beta_2 + delta_1 delta_2)^{-1}); for commuting
 operators the central-extension commutator is the ratio of the cocycle in
-the two orders.  The additive (Lie) cocycle is tr(gamma_2 beta_1 -
-gamma_1 beta_2).  Correctness of the identity-tail model is a window
+the two orders.  The additive (Lie) cocycle is tr(gamma_2 beta_1) -
+tr(gamma_1 beta_2), each trace summed term by term without forming the
+product, so it costs O(window^2).  The multiplication operator of a Laurent
+polynomial is Toeplitz: every row is a slice of one list of its
+coefficients.  Correctness of the identity-tail model is a window
 stability statement: all outputs are unchanged once the window exceeds the
 support bounds, which the tests assert by recomputing on larger windows.
 """
@@ -22,7 +25,7 @@ from .artinian import ArtinianAlgebra, dual_coefficient, dual_numbers
 from .errors import DomainError, NonUnitError, WindowError
 from .fields import AlgebraElement, BaseField, CoefficientRing, lift
 from .laurent import LaurentSeries
-from .norms import mat_add, mat_det, mat_identity, mat_inv, mat_mul, mat_sub, mat_trace
+from .norms import mat_add, mat_det, mat_identity, mat_inv, mat_mul, trace_of_product
 
 SymbolValue = AlgebraElement
 
@@ -141,21 +144,13 @@ def multiplication_operator(f: LaurentSeries, wneg: int, wpos: int) -> BlockOper
         raise WindowError(
             f"window ({wneg},{wpos}) is below the support bound {pole + deg} of the multiplier"
         )
-    neg_exps = list(range(-wneg, 0))
-    pos_exps = list(range(0, wpos))
-
-    def block(rows, cols):
-        return [[f.known_coefficient(r - c) for c in cols] for r in rows]
-
-    return BlockOperator(
-        ring,
-        wneg,
-        wpos,
-        block(neg_exps, neg_exps),
-        block(neg_exps, pos_exps),
-        block(pos_exps, neg_exps),
-        block(pos_exps, pos_exps),
-    )
+    n = wneg + wpos
+    zero = ring.zero()
+    # line[k] is the coefficient of z^(n - 1 - k), so the row of exponent r,
+    # entries z^(r - c) for c = -wneg .. wpos - 1, is one slice of it
+    line = [f.coeffs.get(e, zero) for e in range(n - 1, -n, -1)]
+    rows = [line[wpos - 1 - r:wpos - 1 - r + n] for r in range(-wneg, wpos)]
+    return BlockOperator.from_matrix(ring, rows, wneg, wpos)
 
 
 def cocycle_det(s1: BlockOperator, s2: BlockOperator) -> SymbolValue:
@@ -191,9 +186,7 @@ def lie_cocycle(s1: BlockOperator, s2: BlockOperator) -> SymbolValue:
     if s1.window != s2.window or s1.ring != s2.ring:
         raise WindowError("operators live on different windows")
     ring = s1.ring
-    a = mat_mul(s2.gamma, s1.beta, ring)
-    b = mat_mul(s1.gamma, s2.beta, ring)
-    return mat_trace(mat_sub(a, b), ring)
+    return trace_of_product(s2.gamma, s1.beta, ring) - trace_of_product(s1.gamma, s2.beta, ring)
 
 
 def lie_cocycle_dual(s1: BlockOperator, s2: BlockOperator) -> SymbolValue:

@@ -14,7 +14,8 @@ A series is a *declared unit* when its lowest stored coefficient is
 invertible in the ring (for fields: nonzero; over an Artinian ring:
 invertible modulo the maximal ideal).  Only declared units can be inverted;
 the principal-unit factorization below divides by (1 - c z^k) factors with
-nilpotent c using explicit finite geometric series instead.
+nilpotent c instead: the geometric series of c is finite, and dividing
+a series s by the factor is the sum of shifts s + sum_j (s c^j) z^(j k).
 """
 
 from __future__ import annotations
@@ -368,18 +369,23 @@ def is_principal_unit(f: LaurentSeries) -> bool:
     return red.coeffs == {0: f.ring.base.one()}
 
 
-def _nilpotent_geometric_inverse(ring: ArtinianAlgebra, exponent: int, c: AlgebraElement) -> LaurentSeries:
-    """(1 - c z^exponent)^{-1} = sum_k c^k z^{k*exponent}, finite by nilpotency."""
-    terms = {0: ring.one()}
-    power = c
-    k = 1
-    while not power.is_zero():
-        terms[k * exponent] = power
-        power = power * c
-        k += 1
-        if k > ring.nil_index + 1:
-            raise AssertionError("geometric inverse failed to terminate")
-    return LaurentSeries(ring, terms)
+def nilpotent_powers(c: AlgebraElement) -> list[AlgebraElement]:
+    """[c, c^2, ...] up to the last nonzero power of a nonzero nilpotent c; c^nil_index is 0."""
+    powers = [c]
+    for _ in range(c.ring.nil_index - 2):
+        p = powers[-1] * c
+        if p.is_zero():
+            break
+        powers.append(p)
+    return powers
+
+
+def _divide_by_peel(work: LaurentSeries, exponent: int, c: AlgebraElement) -> LaurentSeries:
+    """work / (1 - c z^exponent) = work + sum_k (work c^k) z^(k exponent), finite by nilpotency."""
+    out = work
+    for k, ck in enumerate(nilpotent_powers(c), 1):
+        out = out + (work * ck).shift(k * exponent)
+    return out
 
 
 def cc_factorize(f: LaurentSeries, prec: int | None = None) -> PrincipalUnitFactorization:
@@ -419,7 +425,7 @@ def cc_factorize(f: LaurentSeries, prec: int | None = None) -> PrincipalUnitFact
             raise DomainError("negative coefficient is not nilpotent; input outside the domain")
         a = -c
         neg.append((-e, a))
-        work = work * _nilpotent_geometric_inverse(ring, e, a)
+        work = _divide_by_peel(work, e, a)
 
     pos = []
     c0 = work.known_coefficient(0)
@@ -438,7 +444,7 @@ def cc_factorize(f: LaurentSeries, prec: int | None = None) -> PrincipalUnitFact
             raise DomainError("positive coefficient outside the maximal ideal")
         ai = -ci
         pos.append((i, ai))
-        work = work * _nilpotent_geometric_inverse(ring, i, ai)
+        work = _divide_by_peel(work, i, ai)
     if work.prec is not None and work.prec < target:
         raise PrecisionError("not enough precision to factorize to the requested bound")
     return PrincipalUnitFactorization(ring, tuple(neg), tuple(pos), target)

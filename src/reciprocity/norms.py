@@ -85,15 +85,23 @@ def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_trace(a, ring: CoefficientRing) -> AlgebraElement:
     t = ring.zero()
     for i in range(len(a)):
         t = t + a[i][i]
     return t
+
+
+def trace_of_product(a, b, ring: CoefficientRing) -> AlgebraElement:
+    """tr(a b) of an n x k and a k x n matrix, summed term by term without forming a b."""
+    add, mul, is_zero = ring._add, ring._mul, ring._is_zero
+    b = _unwrap(b, ring)
+    t = ring._zero
+    for i, row in enumerate(_unwrap(a, ring)):
+        for j, x in enumerate(row):
+            if not is_zero(x) and not is_zero(b[j][i]):
+                t = add(t, mul(x, b[j][i]))
+    return AlgebraElement(ring, t)
 
 
 def mat_det(a, ring: CoefficientRing) -> AlgebraElement:

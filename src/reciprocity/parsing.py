@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from functools import wraps
 
@@ -45,37 +46,29 @@ class Token:
     column: int
 
 
-_PUNCTUATION = {"(": "LPAREN", ")": "RPAREN", **dict.fromkeys("+-*/^", "OP")}
+# the kind of a token by its first character; any other first character
+# starts a NAME if it is a letter or "_" and is unexpected if not, so a
+# non-ASCII digit such as "²" is refused, never read as an integer
+_KIND = {"(": "LPAREN", ")": "RPAREN", **dict.fromkeys("+-*/^", "OP"), **dict.fromkeys("0123456789", "INT")}
+# each match is (whitespace, token): ASCII digits, a run of str.isalnum()
+# characters and "_" (which is what \w is), or one other non-space character
+# (\s is str.isspace()).  re compiles it on the first call and caches it.
+_TOKEN = r"(\s*)([0-9]+|\w+|\S)"
 
 
 def _tokenize(text: str) -> list[Token]:
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        col = i + 1
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("INT", text[i:j], col))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("NAME", text[i:j], col))
-            i = j
-        elif ch in _PUNCTUATION:
-            tokens.append(Token(_PUNCTUATION[ch], ch, col))
-            i += 1
-        else:
-            raise ExpressionError(f"unexpected character {ch!r}", column=col)
-    tokens.append(Token("EOF", "", n + 1))
+    col = 1
+    for space, word in re.findall(_TOKEN, text):
+        col += len(space)
+        kind = _KIND.get(word[0])
+        if kind is None:
+            if not (word[0].isalpha() or word[0] == "_"):
+                raise ExpressionError(f"unexpected character {word[0]!r}", column=col)
+            kind = "NAME"
+        tokens.append(Token(kind, word, col))
+        col += len(word)
+    tokens.append(Token("EOF", "", len(text) + 1))
     return tokens
 
 

@@ -5,23 +5,28 @@ tests compare it against live here: tuple-format extension fields,
 expanding a factorization back into what it factors, comparing truncated
 series, the norm/determinant compatibility of block matrices, adele
 orthogonality over a list of test functions, the schoolbook loops of the
-packed F_p kernels, and random series, operators and factored rational
-functions.
+packed F_p kernels, the earlier Contou-Carrère loops and tokenizer, and
+random series, operators and factored rational functions.
 """
 
 from __future__ import annotations
 
+import contextlib
 import random
+from math import gcd
+from unittest import mock
 
+from reciprocity import laurent, symbols
 from reciprocity._kernels import generic, pure
 from reciprocity.artinian import ArtinianAlgebra
 from reciprocity.blockops import BlockOperator
 from reciprocity.curve import AdeleVector, RationalFunction, residue_pairing_sum
-from reciprocity.errors import NonUnitError, TowerError
+from reciprocity.errors import ExpressionError, NonUnitError, TowerError
 from reciprocity.factor import Factorization
 from reciprocity.fields import AlgebraElement, BaseField, ExtensionField, QQ
 from reciprocity.laurent import LaurentSeries, PrincipalUnitFactorization, UnitFactorization
 from reciprocity.norms import algebra_norm, mat_det, mat_identity, multiplication_matrix, vector_basis
+from reciprocity.parsing import Token
 from reciprocity.poly import Polynomial
 from reciprocity.symbols import LoopMatrix
 
@@ -202,6 +207,87 @@ def loop_powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
         if bit == "1":
             result = loop_divmod_poly(loop_mul(result, base, p), m, p)[1]
     return result
+
+
+# -- the Contou-Carrère loops the symbol replaced ---------------------------------
+# ``symbols._double_product`` skips the pairs whose powers vanish, and
+# ``laurent._divide_by_peel`` divides by a peel factor as a sum of shifts; these
+# are the bodies they replaced, which form every power and multiply by the
+# whole geometric series, its leading 1 included.
+
+
+def loop_double_product(ring, pos, neg):
+    acc = ring.one()
+    for i, a in pos:
+        if i == 0 or a.is_zero():
+            continue
+        for j, b in neg:
+            if j == 0 or b.is_zero():
+                continue
+            d = gcd(i, j)
+            t = a ** (j // d) * b ** (i // d)
+            if t.is_zero():
+                continue
+            acc = acc * (ring.one() - t) ** d
+    return acc
+
+
+def divide_by_geometric_series(work: LaurentSeries, exponent: int, c: AlgebraElement) -> LaurentSeries:
+    """work * (1 - c z^exponent)^{-1}, the inverse as sum_k c^k z^{k*exponent}, finite by nilpotency."""
+    ring = work.ring
+    terms = {0: ring.one()}
+    power = c
+    k = 1
+    while not power.is_zero():
+        terms[k * exponent] = power
+        power = power * c
+        k += 1
+        if k > ring.nil_index + 1:
+            raise AssertionError("geometric inverse failed to terminate")
+    return work * LaurentSeries(ring, terms)
+
+
+@contextlib.contextmanager
+def earlier_cc_loops():
+    """Inside the block, contou_carrere_symbol and cc_factorize run the earlier loops."""
+    with mock.patch.object(symbols, "_double_product", loop_double_product), \
+            mock.patch.object(laurent, "_divide_by_peel", divide_by_geometric_series):
+        yield
+
+
+_PUNCTUATION = {"(": "LPAREN", ")": "RPAREN", **dict.fromkeys("+-*/^", "OP")}
+
+
+def loop_tokenize(text: str) -> list[Token]:
+    """The earlier per-character tokenizer; it reads any Unicode digit as an INT."""
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        col = i + 1
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(Token("INT", text[i:j], col))
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(Token("NAME", text[i:j], col))
+            i = j
+        elif ch in _PUNCTUATION:
+            tokens.append(Token(_PUNCTUATION[ch], ch, col))
+            i += 1
+        else:
+            raise ExpressionError(f"unexpected character {ch!r}", column=col)
+    tokens.append(Token("EOF", "", n + 1))
+    return tokens
 
 
 # -- seeded generators ----------------------------------------------------------

@@ -34,6 +34,16 @@ def test_multiplication_operator_examples(Q):
     assert beta_entries == [(3, 0)]  # z^0 -> z^{-1}
 
 
+def test_multiplication_operator_entries(rng, Q, F7):
+    """Entry (r, c) is the coefficient of z^(r - c), rows and columns from z^-wneg up."""
+    for ring in (Q, F7):
+        for wneg, wpos in ((0, 0), (8, 8), (8, 11), (11, 8)):
+            f = random_laurent_polynomial(rng, ring, -4, 4) if wneg else LaurentSeries.constant(ring, 3)
+            exps = range(-wneg, wpos)
+            m = [[f.known_coefficient(r - c) for c in exps] for r in exps]
+            assert multiplication_operator(f, wneg, wpos).assemble() == m
+
+
 def test_window_too_small(Q):
     with pytest.raises(WindowError):
         multiplication_operator(LaurentSeries(Q, {-2: 1, 3: 1}), 3, 3)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reciprocity
 from reciprocity import cli, curve, factor, parsing
@@ -19,6 +20,7 @@ from reciprocity.parsing import (
     Neg,
     Num,
     Pow,
+    _tokenize,
     parse_ast,
     parse_factored_rational,
     parse_field_spec,
@@ -28,7 +30,7 @@ from reciprocity.parsing import (
 )
 from reciprocity.poly import Polynomial
 from reciprocity.symbols import WINDOW_BUDGET, tate_residue
-from support import random_laurent_polynomial, rational_x
+from support import loop_tokenize, random_laurent_polynomial, rational_x
 
 FIELDS = ["Q", "F7", "F9:u^2+1"]
 RINGS = FIELDS + ["F7[e,d]/(e^3,d^2)"]
@@ -89,6 +91,41 @@ def test_bad_field_specs(spec):
 def test_bad_expressions(text):
     with pytest.raises(ExpressionError):
         parse_rational(text, QQ)
+
+
+def tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ExpressionError as exc:
+        return str(exc), exc.column
+
+
+# ASCII grammar characters, non-ASCII letters, numerals that are not digits
+# ("½"), digits that are not ASCII ("²", "٣"), Unicode spaces and strays
+TOKEN_ALPHABET = "xyz_e1209 +-*/^()\t\néß½²٣\u00a0\u2003#.$"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet=TOKEN_ALPHABET, max_size=16))
+def test_tokenize_matches_the_earlier_loop(text):
+    """Same kinds, texts and columns, except that a non-ASCII digit the loop read as an INT is refused."""
+    got, want = tokens_or_error(_tokenize, text), tokens_or_error(loop_tokenize, text)
+    if got != want:
+        message, column = got
+        ch = text[column - 1]
+        assert ch.isdigit() and not ch.isascii(), (text, got, want)
+        assert message == f"unexpected character {ch!r} (line 1, column {column})"
+
+
+@pytest.mark.parametrize("text, column", [("x^²", 3), ("x+٣", 3), ("1٣", 2), ("²x", 1)])
+def test_non_ascii_digits_are_refused_with_their_column(text, column, capsys):
+    with pytest.raises(ExpressionError, match="unexpected character") as exc:
+        parse_rational(text, QQ)
+    assert exc.value.column == column
+    assert cli.main(["residue", "--field", "Q", f"-f={text}", "-g=x"]) == cli.EXIT_INPUT
+    assert f"column {column}" in capsys.readouterr().err
+    # inside a name a non-ASCII digit is a name character, as str.isalnum() says
+    assert [t.text for t in _tokenize("x٣+y²")] == ["x٣", "+", "y²", ""]
 
 
 DEEP = {

@@ -1,12 +1,15 @@
+import contextlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reciprocity.artinian import ArtinianAlgebra, dual_numbers
-from reciprocity.errors import DomainError, NonUnitError
+from reciprocity.errors import DomainError, NonUnitError, ReciprocityError
 from reciprocity.fields import QQ, ExtensionField, PrimeField, lift
-from reciprocity.laurent import LaurentSeries, unit_factorize
+from reciprocity.laurent import LaurentSeries, cc_factorize, unit_factorize
 from reciprocity.norms import algebra_norm, algebra_trace
+from reciprocity.parsing import parse_ring_spec, parse_series
 from reciprocity.symbols import (
     LoopMatrix,
     contou_carrere_symbol,
@@ -17,7 +20,13 @@ from reciprocity.symbols import (
     tame_symbol,
     tate_residue,
 )
-from support import bracket, random_laurent_polynomial, random_principal_unit, random_unit_series
+from support import (
+    bracket,
+    earlier_cc_loops,
+    random_laurent_polynomial,
+    random_principal_unit,
+    random_unit_series,
+)
 
 
 def zpow(ring, k, c=1):
@@ -183,6 +192,8 @@ class TestResidues:
         f = LaurentSeries(Q, {-2: 3, 1: 2})
         assert tate_residue(f, f, 8) == 0
         assert tate_residue(LaurentSeries.one(Q), f, 8) == 0
+        # window 0 leaves V^- empty; the block traces are then empty sums
+        assert tate_residue(LaurentSeries.constant(Q, 1), LaurentSeries.constant(Q, 2), 0) == 0
 
     def test_three_routes_agree(self, rng, Q, F5, F9):
         for field in (Q, F5, F9):
@@ -244,3 +255,82 @@ class TestGelfandFuchs:
                 [[random_laurent_polynomial(rng, Q, -2, 2) for _ in range(2)] for _ in range(2)],
             )
             assert gelfand_fuchs_cocycle(A, B) + gelfand_fuchs_cocycle(B, A) == Q.zero()
+
+
+# -- the Contou-Carrère symbol against the loops it replaced ---------------------
+
+CC_RINGS = {spec: parse_ring_spec(spec)
+            for spec in ("F7[e,d]/(e^3,d^2)", "Q[e1,e2]/(e1^2,e2^2)", "F9[e]/(e^3)", "F2[e]/(e^4)")}
+
+
+def principal_unit(ring, rng, prec):
+    f = random_principal_unit(rng, ring)
+    return f if prec is None else f.truncate(prec)
+
+
+def both_ways(fn, *args):
+    """(value now, value with the earlier loops), each the error raised if there is one."""
+    outcomes = []
+    for loops in (contextlib.nullcontext(), earlier_cc_loops()):
+        with loops:
+            try:
+                value = fn(*args)
+            except ReciprocityError as exc:
+                value = type(exc), str(exc)
+        outcomes.append((value, str(value)))
+    return outcomes
+
+
+@pytest.mark.parametrize("spec", sorted(CC_RINGS))
+@settings(max_examples=30, deadline=None)
+@given(st.randoms(use_true_random=False), st.none() | st.integers(1, 60), st.none() | st.integers(-2, 12))
+def test_cc_factorize_matches_the_earlier_loops(spec, rng, f_prec, prec):
+    """Exact and truncated inputs; the negative peel of most of them repeats an exponent."""
+    f = principal_unit(CC_RINGS[spec], rng, f_prec)
+    got, want = both_ways(cc_factorize, f, prec)
+    assert got == want
+
+
+@pytest.mark.parametrize("spec", sorted(CC_RINGS))
+@settings(max_examples=25, deadline=None)
+@given(st.randoms(use_true_random=False), st.none() | st.integers(12, 100), st.none() | st.integers(12, 100))
+def test_contou_carrere_symbol_matches_the_earlier_loops(spec, rng, f_prec, g_prec):
+    ring = CC_RINGS[spec]
+    f, g = principal_unit(ring, rng, f_prec), principal_unit(ring, rng, g_prec)
+    got, want = both_ways(contou_carrere_symbol, f, g)
+    assert got == want
+
+
+def test_negative_peel_repeats_exponents():
+    ring = CC_RINGS["F2[e]/(e^4)"]
+    f = parse_series("e*z^-1 + 1 + e", ring)
+    fac = cc_factorize(f)
+    exponents = [i for i, _ in fac.neg]
+    assert len(set(exponents)) < len(exponents)
+    got, want = both_ways(cc_factorize, f)
+    assert got == want
+
+
+# the first symbol-cc pair of the local_symbols benchmark at seed 1
+CC_PAIR = (
+    "(d + e*d + e^2 + 3*e^2*d)*z^-2 + (5*d + 4*e + 4*e*d + 5*e^2*d)*z^-1 + 1 + 6*d + 4*e + 4*e*d"
+    " + 6*e^2 + 4*e^2*d + (3*d + 2*e + 6*e*d + 6*e^2 + 2*e^2*d)*z + (d + 2*e + 6*e*d + 5*e^2 + e^2*d)*z^3",
+    "(4*d + 4*e^2*d)*z^-3 + (5*d + 3*e*d + e^2 + 6*e^2*d)*z^-1 + 1 + (4*d + e + 4*e*d + 2*e^2 + 2*e^2*d)*z^2",
+)
+
+
+def test_contou_carrere_products_are_capped(monkeypatch):
+    """Vanishing pairs cost no product and the geometric series' leading 1 none either (444 before)."""
+    ring = CC_RINGS["F7[e,d]/(e^3,d^2)"]
+    f, g = (parse_series(text, ring) for text in CC_PAIR)
+    calls = []
+    original = ArtinianAlgebra._mul
+
+    def counting(self, a, b):
+        calls.append(1)
+        return original(self, a, b)
+
+    monkeypatch.setattr(ArtinianAlgebra, "_mul", counting)
+    value = contou_carrere_symbol(f, g)
+    assert len(calls) <= 239
+    assert str(value) == "1 + 3*e*d + 4*e^2*d"
