@@ -10,8 +10,9 @@ here when it runs.  ``_core`` types p as a C ``long long``: a prime above
 ``PMAX`` names ``pure`` instead.  Every other ring, extension fields
 included, names ``generic``, which has the same functions with the ring in
 place of p.  The namespace exports only what library code calls: ``pure``
-and ``_core`` also define ``xgcd``, which their ``invmod`` uses, and
-``_core`` still compiles an ``eval_at`` that nothing reads.
+and ``_core`` also define ``xgcd`` (``_core``'s ``invmod`` uses it, and
+hands a prime above ``PMAX`` to ``pure.xgcd``), and ``_core`` still compiles
+an ``eval_at`` that nothing reads.
 """
 
 from __future__ import annotations

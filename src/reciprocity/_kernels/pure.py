@@ -99,7 +99,7 @@ def divmod_poly(num: list[int], den: list[int], p: int) -> tuple[list[int], list
     if len(num) - 1 < dd:
         return [], normalize(num)
     lead = den[dd]
-    inv_lead = 1 if lead == 1 else pow(lead, p - 2, p)
+    inv_lead = 1 if lead == 1 else pow(lead, -1, p)
     r = list(num)
     q = [0] * (len(r) - dd)
     for k in range(len(r) - 1, dd - 1, -1):
@@ -122,7 +122,7 @@ def monic(a: list[int], p: int) -> list[int]:
     lead = a[-1]
     if lead == 1:
         return list(a)
-    return scalar_mul(a, pow(lead, p - 2, p), p)
+    return scalar_mul(a, pow(lead, -1, p), p)
 
 
 def gcd(a: list[int], b: list[int], p: int) -> list[int]:
@@ -144,15 +144,21 @@ def xgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int], list
         t0, t1 = t1, sub(t0, mul(q, t1, p), p)
     if not r0:
         return [], s0, t0
-    c = pow(r0[-1], p - 2, p)
+    c = pow(r0[-1], -1, p)
     return scalar_mul(r0, c, p), scalar_mul(s0, c, p), scalar_mul(t0, c, p)
 
 
 def invmod(a: list[int], m: list[int], p: int) -> list[int]:
-    g, s, _ = xgcd(a, m, p)
-    if g != [1]:
+    """a^-1 mod m by extended Euclid, tracking only the cofactor s of a (s*a = r mod m)."""
+    r0, r1 = list(a), list(m)
+    s0, s1 = [1], []
+    while r1:
+        q, r = divmod_poly(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, sub(s0, mul(q, s1, p), p)
+    if len(r0) != 1:
         raise ZeroDivisionError("element is not invertible modulo the given polynomial")
-    return rem(s, m, p)
+    return rem(scalar_mul(s0, pow(r0[0], -1, p), p), m, p)
 
 
 def mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
@@ -183,7 +189,7 @@ def powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
     s = 2 * (p - 1).bit_length() + (2 * n).bit_length()
     mask, low, shifts = (1 << s) - 1, (1 << (n * s)) - 1, range(0, n * s, s)
     lead = m[n]
-    inv_lead = 1 if lead == 1 else pow(lead, p - 2, p)
+    inv_lead = 1 if lead == 1 else pow(lead, -1, p)
     # for n <= 1 no product has a high slot, and row 0 goes unused
     rows = [_pack([-c * inv_lead % p for c in m[:n]], s)]
 
@@ -243,7 +249,7 @@ def mat_det(a: list[list[int]], p: int) -> int:
             det = (-det) % p
         pv = m[col][col] % p
         det = (det * pv) % p
-        inv = pow(pv, p - 2, p)
+        inv = pow(pv, -1, p)
         for r in range(col + 1, n):
             f = (m[r][col] * inv) % p
             if f:
@@ -265,7 +271,7 @@ def mat_inv(a: list[list[int]], p: int) -> list[list[int]]:
         if pivot < 0:
             raise ZeroDivisionError("matrix is singular modulo p")
         m[col], m[pivot] = m[pivot], m[col]
-        inv = pow(m[col][col] % p, p - 2, p)
+        inv = pow(m[col][col], -1, p)
         m[col] = [(c * inv) % p for c in m[col]]
         for r in range(n):
             if r != col and m[r][col]:

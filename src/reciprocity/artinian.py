@@ -60,35 +60,30 @@ class ArtinianAlgebra(CoefficientRing):
         self._zero = (base._zero,) * self.dimension
         self._one = (base._one,) + self._zero[1:]
         self._str_order = sorted(range(self.dimension), key=lambda i: (sum(self._monomials[i]), i))
-
-    # smallest M with m^M = 0
-    @property
-    def nil_index(self) -> int:
-        return sum(o - 1 for o in self.orders) + 1
+        # smallest M with m^M = 0
+        self.nil_index = sum(o - 1 for o in self.orders) + 1
 
     def _add(self, a, b):
-        add = self.base._add
-        return tuple(add(x, y) for x, y in zip(a, b))
+        return tuple(map(self.base._add, a, b))
 
     def _sub(self, a, b):
-        sub = self.base._sub
-        return tuple(sub(x, y) for x, y in zip(a, b))
+        return tuple(map(self.base._sub, a, b))
 
     def _neg(self, a):
-        neg = self.base._neg
-        return tuple(neg(x) for x in a)
+        return tuple(map(self.base._neg, a))
 
     def _mul(self, a, b):
+        # base data is canonical, so a zero coordinate equals the base's zero
         base = self.base
-        add, mul, is_zero = base._add, base._mul, base._is_zero
-        live = [not is_zero(y) for y in b]
+        add, mul, zero = base._add, base._mul, base._zero
         out = list(self._zero)
         for i, row in self._table:
             x = a[i]
-            if not is_zero(x):
+            if x != zero:
                 for j, k in row:
-                    if live[j]:
-                        out[k] = add(out[k], mul(x, b[j]))
+                    y = b[j]
+                    if y != zero:
+                        out[k] = add(out[k], mul(x, y))
         return tuple(out)
 
     def _inv(self, a):
@@ -168,9 +163,6 @@ class ArtinianAlgebra(CoefficientRing):
     def residue(self, elem: AlgebraElement) -> AlgebraElement:
         """Image in the base field (constant coordinate)."""
         return AlgebraElement(self.base, elem.data[0])
-
-    def is_nilpotent(self, elem: AlgebraElement) -> bool:
-        return self.residue(elem).is_zero()
 
     def coordinates(self, elem: AlgebraElement) -> list[AlgebraElement]:
         """Base-field coordinates of elem, in coordinate order."""

@@ -137,9 +137,8 @@ def multiplication_operator(f: LaurentSeries, wneg: int, wpos: int) -> BlockOper
     if not f.is_exact():
         raise DomainError("multiplication operators need exact (finite) Laurent polynomials")
     ring = f.ring
-    supp = f.support()
-    pole = max(0, -min(supp)) if supp else 0
-    deg = max(0, max(supp)) if supp else 0
+    pole = max(0, -f.offset)
+    deg = max(0, f.offset + len(f.data) - 1)
     if wneg < pole + deg or wpos < pole + deg:
         raise WindowError(
             f"window ({wneg},{wpos}) is below the support bound {pole + deg} of the multiplier"
@@ -147,8 +146,10 @@ def multiplication_operator(f: LaurentSeries, wneg: int, wpos: int) -> BlockOper
     n = wneg + wpos
     zero = ring.zero()
     # line[k] is the coefficient of z^(n - 1 - k), so the row of exponent r,
-    # entries z^(r - c) for c = -wneg .. wpos - 1, is one slice of it
-    line = [f.coeffs.get(e, zero) for e in range(n - 1, -n, -1)]
+    # entries z^(r - c) for c = -wneg .. wpos - 1, is one slice of it; each
+    # coefficient is boxed once and shared by every row that holds it
+    boxed = [AlgebraElement(ring, c) for c in f.data]
+    line = [boxed[i] if 0 <= (i := e - f.offset) < len(boxed) else zero for e in range(n - 1, -n, -1)]
     rows = [line[wpos - 1 - r:wpos - 1 - r + n] for r in range(-wneg, wpos)]
     return BlockOperator.from_matrix(ring, rows, wneg, wpos)
 
@@ -159,7 +160,9 @@ def cocycle_det(s1: BlockOperator, s2: BlockOperator) -> SymbolValue:
         raise WindowError("operators live on different windows")
     ring = s1.ring
     d1d2 = mat_mul(s1.delta, s2.delta, ring)
-    d3 = mat_add(mat_mul(s1.gamma, s2.beta, ring), d1d2)
+    # gamma_1 beta_2 has inner dimension wneg; with wneg = 0 it is the zero block,
+    # which a matrix product with no inner terms cannot shape
+    d3 = mat_add(mat_mul(s1.gamma, s2.beta, ring), d1d2) if s1.wneg else d1d2
     try:
         inv = mat_inv(d3, ring)
     except NonUnitError:

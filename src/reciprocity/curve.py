@@ -400,8 +400,8 @@ def local_expansion(f: RationalFunction, place: Place, prec: int) -> LaurentSeri
             "higher-degree places expose valuation and unit value instead"
         )
     vn, vd = num_t.valuation_at_zero(), den_t.valuation_at_zero()
-    num_s = LaurentSeries(f.field, dict(enumerate(num_t.coeffs)))
-    den_s = LaurentSeries(f.field, dict(enumerate(den_t.coeffs)))
+    num_s = LaurentSeries._from_raw(f.field, 0, num_t._data)
+    den_s = LaurentSeries._from_raw(f.field, 0, den_t._data)
     inv = den_s.inverse(rel_prec=max(prec - s - vn + vd, 1))
     return (num_s * inv).shift(s).truncate(prec)
 
@@ -653,7 +653,7 @@ def residue_pairing_sum(adele: AdeleVector, g: RationalFunction, prec: int = 8) 
     for place in sorted(places, key=Place.sort_key):
         if place in adele.components:
             alpha = adele.components[place]
-            pole = -min(min(alpha.coeffs), 0) if alpha.coeffs else 0
+            pole = max(-alpha.offset, 0)
             need = max(prec, pole + 2)
             g_local = local_expansion(g, place, need)
             total = total + residue_coefficient(alpha, g_local, field)

@@ -243,7 +243,7 @@ class PrimeField(BaseField):
     def _inv(self, a):
         if a % self.p == 0:
             raise NonUnitError(f"division by zero in F_{self.p}")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def _is_zero(self, a):
         return a % self.p == 0
@@ -648,9 +648,6 @@ class AlgebraElement:
 
     def is_zero(self) -> bool:
         return self.ring._is_zero(self.data)
-
-    def is_invertible(self) -> bool:
-        return self.ring._is_invertible(self.data)
 
     def __eq__(self, other):
         pair = self._pair(other)

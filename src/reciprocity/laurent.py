@@ -1,10 +1,15 @@
 """Truncated formal Laurent series over any exact coefficient ring.
 
-A series stores a dict {exponent: nonzero coefficient}, together with a
-precision bound ``prec``: coefficients at exponents >= prec are unknown.
-``prec=None`` means the series is exact (finite support, every coefficient
-known).  Negative support is always finite and explicit.  An int or ring
-element added to or multiplied by a series acts as the constant series.
+A series is ``offset``, ``data`` and ``prec``: ``data`` is a dense list of
+the ring's raw element data (see :mod:`reciprocity.fields`), entry i the
+coefficient of z^(offset + i), with no zero at either end; coefficients at
+exponents >= prec are unknown, and ``prec=None`` means the series is exact.
+The zero series has ``data == []`` and ``offset == 0``.  Lists are never
+mutated, so series share them.  Only the public constructor and the parser
+coerce: arithmetic builds results on raw data through the unchecked
+``_from_raw``, and multiplies through the ring's ``kernels``.  ``coeffs``,
+``coefficient`` and ``leading_term`` box elements at the boundary.  An int
+or ring element added to or multiplied by a series acts as a constant.
 
 Precision is tracked, never guessed: a product knows its coefficients only
 up to min(low_f + prec_g, low_g + prec_f), and asking for a coefficient at
@@ -34,99 +39,112 @@ PRECISION_BUDGET = 512
 
 
 def _min_prec(a: int | None, b: int | None) -> int | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+    return b if a is None else a if b is None else min(a, b)
 
 
 class LaurentSeries:
-    __slots__ = ("ring", "coeffs", "prec")
+    __slots__ = ("ring", "offset", "data", "prec")
 
     def __init__(self, ring: CoefficientRing, coeffs: dict, prec: int | None = None):
-        clean = {}
-        for e, c in coeffs.items():
-            if not isinstance(c, AlgebraElement) or c.ring != ring:
-                c = ring.coerce(c)
-            if not c.is_zero():
-                if prec is None or e < prec:
-                    clean[e] = c
-        self.ring = ring
-        self.coeffs = clean
-        self.prec = prec
+        raw = {e: (c if isinstance(c, AlgebraElement) and c.ring == ring else ring.coerce(c)).data
+               for e, c in coeffs.items()}
+        offset = min(raw, default=0)
+        data = [ring._zero] * (max(raw, default=offset - 1) - offset + 1)
+        for e, c in raw.items():
+            data[e - offset] = c
+        self._set(ring, offset, data, prec)
+
+    @classmethod
+    def _from_raw(cls, ring: CoefficientRing, offset: int, data: list, prec: int | None = None):
+        """sum data[i] z^(offset + i) + O(z^prec), taking data as it is: no coercion or check."""
+        self = object.__new__(cls)
+        self._set(ring, offset, data, prec)
+        return self
+
+    def _set(self, ring, offset: int, data: list, prec: int | None):
+        """Store data cut below prec and stripped of zeros at both ends."""
+        if prec is not None and offset + len(data) > prec:
+            data = data[:max(prec - offset, 0)]
+        is_zero = ring._is_zero
+        hi = len(data)
+        while hi and is_zero(data[hi - 1]):
+            hi -= 1
+        lo = 0
+        while lo < hi and is_zero(data[lo]):
+            lo += 1
+        if lo or hi < len(data):
+            data = data[lo:hi]
+        self.ring, self.offset, self.data, self.prec = ring, offset + lo if data else 0, data, prec
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, ring, prec: int | None = None):
-        return cls(ring, {}, prec)
+        return cls._from_raw(ring, 0, [], prec)
 
     @classmethod
     def one(cls, ring):
-        return cls(ring, {0: ring.one()})
+        return cls._from_raw(ring, 0, [ring._one])
 
     @classmethod
     def constant(cls, ring, c):
-        return cls(ring, {0: c})
+        return cls._from_raw(ring, 0, [ring.coerce(c).data])
 
     @classmethod
     def monomial(cls, ring, exponent: int):
         """z^exponent, exactly."""
-        return cls(ring, {exponent: ring.one()})
+        return cls._from_raw(ring, exponent, [ring._one])
 
     # -- structure ------------------------------------------------------
 
     @property
     def low(self) -> int:
         """Lowest exponent with a (known) nonzero coefficient."""
-        if self.coeffs:
-            return min(self.coeffs)
-        if self.prec is not None:
-            return self.prec
-        return 0
+        return self.offset if self.data else self.prec if self.prec is not None else 0
+
+    @property
+    def coeffs(self) -> dict:
+        """{exponent: nonzero coefficient}, as elements."""
+        ring = self.ring
+        return {self.offset + i: AlgebraElement(ring, c) for i, c in enumerate(self.data) if not ring._is_zero(c)}
 
     def support(self):
-        return sorted(self.coeffs)
+        is_zero = self.ring._is_zero
+        return [self.offset + i for i, c in enumerate(self.data) if not is_zero(c)]
 
     def is_zero(self) -> bool:
         """No known nonzero coefficient (exact zero when prec is None)."""
-        return not self.coeffs
+        return not self.data
 
     def is_exact(self) -> bool:
         return self.prec is None
 
+    def _at(self, e: int):
+        """Raw coefficient of z^e as stored (zero outside the data; no precision check)."""
+        i = e - self.offset
+        return self.data[i] if 0 <= i < len(self.data) else self.ring._zero
+
     def coefficient(self, e: int) -> AlgebraElement:
         if self.prec is not None and e >= self.prec:
-            raise PrecisionError(
-                f"coefficient of z^{e} is beyond the tracked precision O(z^{self.prec})"
-            )
-        return self.coeffs.get(e, self.ring.zero())
-
-    def known_coefficient(self, e: int) -> AlgebraElement:
-        """Coefficient if it is stored, zero otherwise (no precision check)."""
-        return self.coeffs.get(e, self.ring.zero())
+            raise PrecisionError(f"coefficient of z^{e} is beyond the tracked precision O(z^{self.prec})")
+        return AlgebraElement(self.ring, self._at(e))
 
     def valuation(self) -> int:
         """Exponent of the lowest invertible coefficient."""
-        if not self.coeffs:
+        if not self.data:
             if self.prec is None:
                 raise NonUnitError("the zero series has no valuation")
             raise PrecisionError("series is zero to working precision; valuation unknown")
-        for e in sorted(self.coeffs):
-            if self.coeffs[e].is_invertible():
-                return e
+        for i, c in enumerate(self.data):
+            if self.ring._is_invertible(c):
+                return self.offset + i
         if self.prec is None:
-            raise NonUnitError(
-                "series has no invertible coefficient (reduction mod the maximal ideal is zero)"
-            )
+            raise NonUnitError("series has no invertible coefficient (reduction mod the maximal ideal is zero)")
         raise PrecisionError("no invertible coefficient below the precision bound")
 
     def is_unit(self) -> bool:
         """Declared unit: lowest stored coefficient invertible."""
-        if not self.coeffs:
-            return False
-        return self.coeffs[min(self.coeffs)].is_invertible()
+        return bool(self.data) and self.ring._is_invertible(self.data[0])
 
     def leading_term(self) -> tuple[int, AlgebraElement]:
         """(v, c) for the lowest stored term c z^v of a declared unit."""
@@ -134,26 +152,36 @@ class LaurentSeries:
             raise NonUnitError("cannot factorize the zero series")
         if not self.is_unit():
             raise NonUnitError("series is not a declared unit")
-        v = min(self.coeffs)
-        return v, self.coeffs[v]
+        return self.offset, AlgebraElement(self.ring, self.data[0])
 
     # -- arithmetic -------------------------------------------------------
 
-    def _check_ring(self, other: "LaurentSeries"):
+    def _operand(self, other):
+        """other as a series over this ring, or None if it is no series, int or element."""
+        if isinstance(other, (int, AlgebraElement)):
+            return LaurentSeries.constant(self.ring, other)
+        if not isinstance(other, LaurentSeries):
+            return None
         if self.ring != other.ring:
             raise DomainError("series live over different coefficient rings")
+        return other
 
     def __add__(self, other):
-        if isinstance(other, (int, AlgebraElement)):
-            other = LaurentSeries.constant(self.ring, self.ring.coerce(other))
-        if not isinstance(other, LaurentSeries):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        self._check_ring(other)
-        prec = _min_prec(self.prec, other.prec)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out[e] + c if e in out else c
-        return LaurentSeries(self.ring, out, prec)
+        ring, prec = self.ring, _min_prec(self.prec, other.prec)
+        if not (self.data and other.data):
+            s = self if self.data else other
+            return LaurentSeries._from_raw(ring, s.offset, s.data, prec)
+        a, b = (self, other) if self.offset <= other.offset else (other, self)
+        # b starts d places into a: a, zeros up to b, the part of b past a; then sum the overlap
+        d, x, y = b.offset - a.offset, a.data, b.data
+        out = x + [ring._zero] * (d - len(x)) + y[max(len(x) - d, 0):]
+        add = ring._add
+        for i in range(d, min(len(x), d + len(y))):
+            out[i] = add(x[i], y[i - d])
+        return LaurentSeries._from_raw(ring, a.offset, out, prec)
 
     __radd__ = __add__
 
@@ -166,38 +194,32 @@ class LaurentSeries:
         return (-self) + other
 
     def __neg__(self):
-        return LaurentSeries(self.ring, {e: -c for e, c in self.coeffs.items()}, self.prec)
+        ring = self.ring
+        return LaurentSeries._from_raw(ring, self.offset, ring.kernels.neg(self.data, ring.kernel_arg), self.prec)
 
     def __mul__(self, other):
-        if isinstance(other, (int, AlgebraElement)):
-            other = LaurentSeries.constant(self.ring, self.ring.coerce(other))
-        if not isinstance(other, LaurentSeries):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        self._check_ring(other)
-        if (self.is_zero() and self.prec is None) or (other.is_zero() and other.prec is None):
-            return LaurentSeries.zero(self.ring)
-        p1 = None if other.prec is None else other.prec + self.low
-        p2 = None if self.prec is None else self.prec + other.low
-        prec = _min_prec(p1, p2)
-        out: dict = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                if prec is not None and e >= prec:
-                    continue
-                prod = c1 * c2
-                out[e] = out[e] + prod if e in out else prod
-        return LaurentSeries(self.ring, out, prec)
+        ring = self.ring
+        if (not self.data and self.prec is None) or (not other.data and other.prec is None):
+            return LaurentSeries.zero(ring)
+        prec = _min_prec(None if other.prec is None else other.prec + self.low,
+                         None if self.prec is None else self.prec + other.low)
+        offset = self.offset + other.offset
+        a, b = self.data, other.data
+        if prec is not None:
+            # only the first prec - offset product terms are known
+            n = max(prec - offset, 0)
+            a, b = a[:n], b[:n]
+        return LaurentSeries._from_raw(ring, offset, ring.kernels.mul(a, b, ring.kernel_arg), prec)
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by z^k."""
-        return LaurentSeries(
-            self.ring,
-            {e + k: c for e, c in self.coeffs.items()},
-            None if self.prec is None else self.prec + k,
-        )
+        prec = None if self.prec is None else self.prec + k
+        return LaurentSeries._from_raw(self.ring, self.offset + k, self.data, prec)
 
     def inverse(self, rel_prec: int | None = None) -> "LaurentSeries":
         """Inverse of a declared unit.
@@ -206,32 +228,30 @@ class LaurentSeries:
         inverting an exact series defaults to DEFAULT_PRECISION relative
         terms unless it is a monomial (then the inverse is exact too).
         """
-        if not self.coeffs:
+        if not self.data:
             raise NonUnitError("cannot invert the zero series")
-        v = min(self.coeffs)
-        c = self.coeffs[v]
-        if not c.is_invertible():
+        ring, v, data = self.ring, self.offset, self.data
+        if not ring._is_invertible(data[0]):
             raise NonUnitError("series is not a declared unit (lowest coefficient not invertible)")
-        cinv = c.inverse()
-        if len(self.coeffs) == 1:
+        cinv = ring._inv(data[0])
+        if len(data) == 1:
             # a monomial inverts exactly; rel_prec only matters for genuine tails
-            prec = None if self.prec is None else self.prec - 2 * v
-            return LaurentSeries(self.ring, {-v: cinv}, prec)
+            return LaurentSeries._from_raw(ring, -v, [cinv], None if self.prec is None else self.prec - 2 * v)
         avail = None if self.prec is None else self.prec - v
         want = rel_prec if rel_prec is not None else (avail if avail is not None else DEFAULT_PRECISION)
         m = want if avail is None else min(want, avail)
         # u = 1 + h with h of valuation >= 1; invert by the standard recurrence
-        h = {e - v: cv * cinv for e, cv in self.coeffs.items() if e != v}
-        b = {0: self.ring.one()}
+        add, mul = ring._add, ring._mul
+        h = [(k, mul(c, cinv)) for k, c in enumerate(data[1:m], 1) if not ring._is_zero(c)]
+        b = [ring._one]
         for n in range(1, m):
-            acc = self.ring.zero()
-            for k, hk in h.items():
-                if 0 < k <= n and (n - k) in b:
-                    acc = acc + hk * b[n - k]
-            if not acc.is_zero():
-                b[n] = -acc
-        out = {e - v: bv * cinv for e, bv in b.items()}
-        return LaurentSeries(self.ring, out, m - v)
+            acc = ring._zero
+            for k, hk in h:
+                if k > n:
+                    break
+                acc = add(acc, mul(hk, b[n - k]))
+            b.append(ring._neg(acc))
+        return LaurentSeries._from_raw(ring, -v, [mul(x, cinv) for x in b], m - v)
 
     def power(self, n: int, rel_prec: int | None = None) -> "LaurentSeries":
         if n < 0:
@@ -244,55 +264,35 @@ class LaurentSeries:
         return self.power(n)
 
     def derivative(self) -> "LaurentSeries":
-        out = {}
-        for e, c in self.coeffs.items():
-            d = self.ring.from_int(e) * c
-            if not d.is_zero():
-                out[e - 1] = d
-        return LaurentSeries(self.ring, out, None if self.prec is None else self.prec - 1)
+        ring = self.ring
+        out = [ring._mul(ring.from_int(self.offset + i).data, c) for i, c in enumerate(self.data)]
+        return LaurentSeries._from_raw(ring, self.offset - 1, out, None if self.prec is None else self.prec - 1)
 
     def truncate(self, prec: int) -> "LaurentSeries":
-        return LaurentSeries(self.ring, self.coeffs, _min_prec(self.prec, prec))
+        return LaurentSeries._from_raw(self.ring, self.offset, self.data, _min_prec(self.prec, prec))
 
     def map_coefficients(self, fn, ring: CoefficientRing | None = None) -> "LaurentSeries":
         ring = ring or self.ring
         return LaurentSeries(ring, {e: fn(c) for e, c in self.coeffs.items()}, self.prec)
-
-    def residue_reduction(self) -> "LaurentSeries":
-        """Reduce coefficients modulo the maximal ideal (Artinian rings)."""
-        if not isinstance(self.ring, ArtinianAlgebra):
-            return self
-        ring = self.ring
-        return LaurentSeries(ring.base, {e: ring.residue(c) for e, c in self.coeffs.items()}, self.prec)
 
     # -- comparisons and printing ----------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        return self.ring == other.ring and self.prec == other.prec and self.coeffs == other.coeffs
+        return (self.ring == other.ring and self.prec == other.prec
+                and self.offset == other.offset and self.data == other.data)
 
     def __hash__(self):
-        return hash(
-            (
-                self.ring.signature,
-                self.prec,
-                tuple(sorted((e, self.ring._canonical(c.data)) for e, c in self.coeffs.items())),
-            )
-        )
+        canonical = self.ring._canonical
+        return hash((self.ring.signature, self.prec, self.offset, tuple(canonical(c) for c in self.data)))
 
     def to_string(self, var: str = "z") -> str:
-        terms = []
-        for e in sorted(self.coeffs):
-            s, neg = split_sign(self.coeffs[e])
-            terms.append((s, neg, e))
-        body = format_terms(terms, var)
-        if self.prec is not None:
-            tail = f"O({var}^{self.prec})"
-            if not terms:
-                return tail
-            return f"{body} + {tail}"
-        return body
+        terms = [(*split_sign(c), e) for e, c in self.coeffs.items()]
+        if self.prec is None:
+            return format_terms(terms, var)
+        tail = f"O({var}^{self.prec})"
+        return f"{format_terms(terms, var)} + {tail}" if terms else tail
 
     def __str__(self):
         return self.to_string()
@@ -329,18 +329,16 @@ def unit_factorize(f: LaurentSeries, prec: int | None = None) -> UnitFactorizati
         target = f.prec if f.prec is not None else v + DEFAULT_PRECISION
     if f.prec is not None:
         target = min(target, f.prec)
-    n_rel = target - v
-    u = f.shift(-v) * s0.inverse()
-    u = u.truncate(n_rel)
-    tail = []
+    n_rel, ring, tail = target - v, f.ring, []
+    u = (f.shift(-v) * s0.inverse()).truncate(n_rel)
     for i in range(1, n_rel):
-        ci = u.known_coefficient(i)
-        if ci.is_zero():
+        ci = u._at(i)
+        if ring._is_zero(ci):
             continue
-        tail.append((i, ci))
-        factor = LaurentSeries(f.ring, {0: f.ring.one(), i: ci})
+        tail.append((i, AlgebraElement(ring, ci)))
+        factor = LaurentSeries._from_raw(ring, 0, [ring._one] + [ring._zero] * (i - 1) + [ci])
         u = (u * factor.inverse(n_rel)).truncate(n_rel)
-    return UnitFactorization(f.ring, s0, v, tuple(tail), target)
+    return UnitFactorization(ring, s0, v, tuple(tail), target)
 
 
 # -- principal-unit factorization over an Artinian ring -----------------------
@@ -363,29 +361,37 @@ class PrincipalUnitFactorization:
 
 def is_principal_unit(f: LaurentSeries) -> bool:
     """Does f reduce to the constant series 1 modulo the maximal ideal?"""
-    if not isinstance(f.ring, ArtinianAlgebra):
+    ring = f.ring
+    if not isinstance(ring, ArtinianAlgebra):
         return False
-    red = f.residue_reduction()
-    return red.coeffs == {0: f.ring.base.one()}
+    # over a local ring an element reduces to zero exactly when it is not invertible
+    unit = ring._is_invertible
+    return not unit(ring._sub(f._at(0), ring._one)) and not any(
+        unit(c) for i, c in enumerate(f.data) if f.offset + i != 0
+    )
 
 
-def nilpotent_powers(c: AlgebraElement) -> list[AlgebraElement]:
-    """[c, c^2, ...] up to the last nonzero power of a nonzero nilpotent c; c^nil_index is 0."""
+def nilpotent_powers(ring: ArtinianAlgebra, c) -> list:
+    """[c, c^2, ...] of raw data up to the last nonzero power of a nonzero nilpotent c; c^nil_index is 0."""
     powers = [c]
-    for _ in range(c.ring.nil_index - 2):
-        p = powers[-1] * c
-        if p.is_zero():
+    for _ in range(ring.nil_index - 2):
+        p = ring._mul(powers[-1], c)
+        if ring._is_zero(p):
             break
         powers.append(p)
     return powers
 
 
-def _divide_by_peel(work: LaurentSeries, exponent: int, c: AlgebraElement) -> LaurentSeries:
-    """work / (1 - c z^exponent) = work + sum_k (work c^k) z^(k exponent), finite by nilpotency."""
-    out = work
-    for k, ck in enumerate(nilpotent_powers(c), 1):
-        out = out + (work * ck).shift(k * exponent)
-    return out
+def _divide_by_peel(work: LaurentSeries, exponent: int, c) -> LaurentSeries:
+    """work / (1 - c z^exponent) = work + work * sum_k c^k z^(k exponent), finite by nilpotency; c is raw."""
+    ring = work.ring
+    powers = nilpotent_powers(ring, c)
+    # the geometric tail as one raw list, lowest exponent first
+    step = abs(exponent)
+    tail = [ring._zero] * (step * len(powers) - step + 1)
+    tail[::step] = powers if exponent > 0 else powers[::-1]
+    geometric = LaurentSeries._from_raw(ring, min(exponent, exponent * len(powers)), tail)
+    return work + work * geometric
 
 
 def cc_factorize(f: LaurentSeries, prec: int | None = None) -> PrincipalUnitFactorization:
@@ -405,45 +411,42 @@ def cc_factorize(f: LaurentSeries, prec: int | None = None) -> PrincipalUnitFact
         )
     target = prec
     if target is None:
-        target = f.prec if f.prec is not None else max(f.coeffs, default=0) + 1
+        # one past the highest exponent, which is at least 0 for a principal unit
+        target = f.prec if f.prec is not None else f.offset + len(f.data)
     if f.prec is not None:
         target = min(target, f.prec)
 
+    unit, neg_raw = ring._is_invertible, ring._neg
     neg = []
-    deepest = abs(min((e for e in f.coeffs if e < 0), default=0))
-    guard = (ring.nil_index + 1) * (deepest + 2) * 8 + 32
+    guard = (ring.nil_index + 1) * (max(-f.offset, 0) + 2) * 8 + 32
     work = f
-    while True:
-        neg_exps = [e for e in work.coeffs if e < 0]
-        if not neg_exps:
-            break
+    while work.offset < 0:
         if len(neg) > guard:
             raise AssertionError("negative peeling failed to terminate")
-        e = min(neg_exps)
-        c = work.coeffs[e]
-        if not ring.is_nilpotent(c):
+        e, c = work.offset, work.data[0]
+        if unit(c):
             raise DomainError("negative coefficient is not nilpotent; input outside the domain")
-        a = -c
-        neg.append((-e, a))
+        a = neg_raw(c)
+        neg.append((-e, AlgebraElement(ring, a)))
         work = _divide_by_peel(work, e, a)
 
     pos = []
-    c0 = work.known_coefficient(0)
-    a0 = ring.one() - c0
-    if not a0.is_zero():
-        if not ring.is_nilpotent(a0):
+    c0 = work._at(0)
+    a0 = ring._sub(ring._one, c0)
+    if not ring._is_zero(a0):
+        if unit(a0):
             raise DomainError("constant term does not reduce to 1")
-        pos.append((0, a0))
-        work = work * c0.inverse()
+        pos.append((0, AlgebraElement(ring, a0)))
+        work = work * LaurentSeries._from_raw(ring, 0, [ring._inv(c0)])
     bound = target if work.prec is None else min(target, work.prec)
     for i in range(1, bound):
-        ci = work.known_coefficient(i)
-        if ci.is_zero():
+        ci = work._at(i)
+        if ring._is_zero(ci):
             continue
-        if not ring.is_nilpotent(ci):
+        if unit(ci):
             raise DomainError("positive coefficient outside the maximal ideal")
-        ai = -ci
-        pos.append((i, ai))
+        ai = neg_raw(ci)
+        pos.append((i, AlgebraElement(ring, ai)))
         work = _divide_by_peel(work, i, ai)
     if work.prec is not None and work.prec < target:
         raise PrecisionError("not enough precision to factorize to the requested bound")

@@ -278,8 +278,8 @@ def _check_power(base, exponent: int):
         degree = max(base.num.degree, base.den.degree)
     elif isinstance(base, Polynomial):
         degree = base.degree
-    elif isinstance(base, LaurentSeries) and base.is_exact() and base.coeffs and exponent > 0:
-        degree = max(base.coeffs) - min(base.coeffs)
+    elif isinstance(base, LaurentSeries) and base.is_exact() and base.data and exponent > 0:
+        degree = len(base.data) - 1
     else:
         return
     if degree * abs(exponent) > DEGREE_BUDGET:

@@ -75,14 +75,10 @@ def contou_carrere_symbol(
     if base is None:
         base = ring.base
     m_nil = ring.nil_index
-
-    def deepest(series: LaurentSeries) -> int:
-        return abs(min((e for e in series.coeffs if e < 0), default=0))
-
     # positive factors of one argument pair against negative factors of the
     # other; peeling can push negative support down to nil_index * initial
-    prec_f = max(2, m_nil * deepest(g) * (m_nil - 1) + 2)
-    prec_g = max(2, m_nil * deepest(f) * (m_nil - 1) + 2)
+    prec_f = max(2, m_nil * max(-g.offset, 0) * (m_nil - 1) + 2)
+    prec_g = max(2, m_nil * max(-f.offset, 0) * (m_nil - 1) + 2)
     fac_f = cc_factorize(f, prec_f)
     fac_g = cc_factorize(g, prec_g)
 
@@ -96,23 +92,26 @@ def _double_product(ring: ArtinianAlgebra, pos, neg) -> AlgebraElement:
     """prod over i, j > 0 of (1 - a_i^(j/d) b_j^(i/d))^d, d = gcd(i, j).
 
     A factor whose power of a_i or b_j is past the last nonzero one is 1,
-    and is skipped before any product is formed.
+    and is skipped before any product is formed.  The products run on raw data.
     """
-    neg_powers = [(j, nilpotent_powers(b)) for j, b in neg]
-    acc = ring.one()
+    mul, is_zero = ring._mul, ring._is_zero
+    neg_powers = [(j, nilpotent_powers(ring, b.data)) for j, b in neg]
+    acc = ring._one
     for i, a in pos:
         if i == 0:
             continue
-        a_powers = nilpotent_powers(a)
+        a_powers = nilpotent_powers(ring, a.data)
         for j, b_powers in neg_powers:
             d = gcd(i, j)
             x, y = j // d, i // d
             if x > len(a_powers) or y > len(b_powers):
                 continue
-            t = a_powers[x - 1] * b_powers[y - 1]
-            if not t.is_zero():
-                acc = acc * (ring.one() - t) ** d
-    return acc
+            t = mul(a_powers[x - 1], b_powers[y - 1])
+            if not is_zero(t):
+                factor = ring._sub(ring._one, t)
+                for _ in range(d):
+                    acc = mul(acc, factor)
+    return AlgebraElement(ring, acc)
 
 
 def residue_from_dual_symbol(
@@ -166,10 +165,7 @@ def tate_residue(f1: LaurentSeries, f2: LaurentSeries, window: int) -> SymbolVal
         raise DomainError("series live over different rings")
 
     def bound(series: LaurentSeries) -> tuple[int, int]:
-        supp = series.support()
-        if not supp:
-            return 0, 0
-        return max(0, -min(supp)), max(0, max(supp))
+        return max(0, -series.offset), max(0, series.offset + len(series.data) - 1)
 
     p1, d1 = bound(f1)
     p2, d2 = bound(f2)

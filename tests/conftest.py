@@ -31,6 +31,12 @@ def F7():
 
 
 @pytest.fixture
+def F2_64_13():
+    """F_p for p = 2^64 + 13, above the compiled kernels' PMAX: it runs the pure kernels."""
+    return PrimeField(2**64 + 13)
+
+
+@pytest.fixture
 def F4():
     return ExtensionField(2, [1, 1, 1])
 

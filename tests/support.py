@@ -5,8 +5,9 @@ tests compare it against live here: tuple-format extension fields,
 expanding a factorization back into what it factors, comparing truncated
 series, the norm/determinant compatibility of block matrices, adele
 orthogonality over a list of test functions, the schoolbook loops of the
-packed F_p kernels, the earlier Contou-Carrère loops and tokenizer, and
-random series, operators and factored rational functions.
+packed F_p kernels, the earlier series arithmetic on dicts of elements,
+Contou-Carrère loops and tokenizer, and random series, operators and
+factored rational functions.
 """
 
 from __future__ import annotations
@@ -21,11 +22,19 @@ from reciprocity._kernels import generic, pure
 from reciprocity.artinian import ArtinianAlgebra
 from reciprocity.blockops import BlockOperator
 from reciprocity.curve import AdeleVector, RationalFunction, residue_pairing_sum
-from reciprocity.errors import ExpressionError, NonUnitError, TowerError
+from reciprocity.errors import DomainError, ExpressionError, NonUnitError, PrecisionError, TowerError
 from reciprocity.factor import Factorization
-from reciprocity.fields import AlgebraElement, BaseField, ExtensionField, QQ
-from reciprocity.laurent import LaurentSeries, PrincipalUnitFactorization, UnitFactorization
-from reciprocity.norms import algebra_norm, mat_det, mat_identity, multiplication_matrix, vector_basis
+from reciprocity.fields import AlgebraElement, BaseField, ExtensionField, QQ, power
+from reciprocity.formatting import format_terms, split_sign
+from reciprocity.laurent import DEFAULT_PRECISION, LaurentSeries, PrincipalUnitFactorization, UnitFactorization
+from reciprocity.norms import (
+    algebra_norm,
+    mat_det,
+    mat_identity,
+    multiplication_matrix,
+    relative_norm,
+    vector_basis,
+)
 from reciprocity.parsing import Token
 from reciprocity.poly import Polynomial
 from reciprocity.symbols import LoopMatrix
@@ -89,11 +98,8 @@ def agrees_with(a: LaurentSeries, b: LaurentSeries) -> bool:
     """Equal coefficients on the range where both series are known."""
     assert a.ring == b.ring
     bound = a.prec if b.prec is None else b.prec if a.prec is None else min(a.prec, b.prec)
-    return all(
-        a.known_coefficient(e) == b.known_coefficient(e)
-        for e in set(a.coeffs) | set(b.coeffs)
-        if bound is None or e < bound
-    )
+    ca, cb, zero = a.coeffs, b.coeffs, a.ring.zero()
+    return all(ca.get(e, zero) == cb.get(e, zero) for e in set(ca) | set(cb) if bound is None or e < bound)
 
 
 def expand(fac):
@@ -232,9 +238,10 @@ def loop_double_product(ring, pos, neg):
     return acc
 
 
-def divide_by_geometric_series(work: LaurentSeries, exponent: int, c: AlgebraElement) -> LaurentSeries:
-    """work * (1 - c z^exponent)^{-1}, the inverse as sum_k c^k z^{k*exponent}, finite by nilpotency."""
+def divide_by_geometric_series(work: LaurentSeries, exponent: int, c) -> LaurentSeries:
+    """work * (1 - c z^exponent)^{-1}, the inverse as sum_k c^k z^{k*exponent}, finite by nilpotency; c is raw."""
     ring = work.ring
+    c = AlgebraElement(ring, c)
     terms = {0: ring.one()}
     power = c
     k = 1
@@ -245,6 +252,224 @@ def divide_by_geometric_series(work: LaurentSeries, exponent: int, c: AlgebraEle
         if k > ring.nil_index + 1:
             raise AssertionError("geometric inverse failed to terminate")
     return work * LaurentSeries(ring, terms)
+
+
+# -- the series arithmetic on dicts of elements ----------------------------------
+# ``LaurentSeries`` keeps a dense list of raw coefficients and builds its
+# results unchecked; this is the earlier class, a dict {exponent: nonzero
+# element} re-checked by its constructor, with the earlier principal-unit
+# factorization and Contou-Carrère symbol on top.  Printing, precision and
+# errors must match the library's for every operation.
+
+
+class ReferenceSeries:
+    __slots__ = ("ring", "coeffs", "prec")
+
+    def __init__(self, ring, coeffs: dict, prec: int | None = None):
+        clean = {}
+        for e, c in coeffs.items():
+            if not isinstance(c, AlgebraElement) or c.ring != ring:
+                c = ring.coerce(c)
+            if not c.is_zero() and (prec is None or e < prec):
+                clean[e] = c
+        self.ring, self.coeffs, self.prec = ring, clean, prec
+
+    @classmethod
+    def of(cls, s: LaurentSeries) -> "ReferenceSeries":
+        return cls(s.ring, s.coeffs, s.prec)
+
+    @property
+    def low(self) -> int:
+        if self.coeffs:
+            return min(self.coeffs)
+        return self.prec if self.prec is not None else 0
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def coefficient(self, e: int) -> AlgebraElement:
+        if self.prec is not None and e >= self.prec:
+            raise PrecisionError(f"coefficient of z^{e} is beyond the tracked precision O(z^{self.prec})")
+        return self.coeffs.get(e, self.ring.zero())
+
+    def valuation(self) -> int:
+        if not self.coeffs:
+            if self.prec is None:
+                raise NonUnitError("the zero series has no valuation")
+            raise PrecisionError("series is zero to working precision; valuation unknown")
+        for e in sorted(self.coeffs):
+            if is_unit(self.coeffs[e]):
+                return e
+        if self.prec is None:
+            raise NonUnitError("series has no invertible coefficient (reduction mod the maximal ideal is zero)")
+        raise PrecisionError("no invertible coefficient below the precision bound")
+
+    def leading_term(self):
+        if self.is_zero():
+            raise NonUnitError("cannot factorize the zero series")
+        v = min(self.coeffs)
+        if not is_unit(self.coeffs[v]):
+            raise NonUnitError("series is not a declared unit")
+        return v, self.coeffs[v]
+
+    def _operand(self, other) -> "ReferenceSeries":
+        if isinstance(other, (int, AlgebraElement)):
+            return ReferenceSeries(self.ring, {0: self.ring.coerce(other)})
+        if self.ring != other.ring:
+            raise DomainError("series live over different coefficient rings")
+        return other
+
+    def __add__(self, other):
+        other = self._operand(other)
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            out[e] = out[e] + c if e in out else c
+        return ReferenceSeries(self.ring, out, _min_prec(self.prec, other.prec))
+
+    def __neg__(self):
+        return ReferenceSeries(self.ring, {e: -c for e, c in self.coeffs.items()}, self.prec)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        other = self._operand(other)
+        if (self.is_zero() and self.prec is None) or (other.is_zero() and other.prec is None):
+            return ReferenceSeries(self.ring, {})
+        p1 = None if other.prec is None else other.prec + self.low
+        p2 = None if self.prec is None else self.prec + other.low
+        prec = _min_prec(p1, p2)
+        out: dict = {}
+        for e1, c1 in self.coeffs.items():
+            for e2, c2 in other.coeffs.items():
+                e = e1 + e2
+                if prec is None or e < prec:
+                    out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+        return ReferenceSeries(self.ring, out, prec)
+
+    def shift(self, k: int) -> "ReferenceSeries":
+        return ReferenceSeries(self.ring, {e + k: c for e, c in self.coeffs.items()},
+                               None if self.prec is None else self.prec + k)
+
+    def truncate(self, prec: int) -> "ReferenceSeries":
+        return ReferenceSeries(self.ring, self.coeffs, _min_prec(self.prec, prec))
+
+    def inverse(self, rel_prec: int | None = None) -> "ReferenceSeries":
+        if not self.coeffs:
+            raise NonUnitError("cannot invert the zero series")
+        v = min(self.coeffs)
+        c = self.coeffs[v]
+        if not is_unit(c):
+            raise NonUnitError("series is not a declared unit (lowest coefficient not invertible)")
+        cinv = c.inverse()
+        if len(self.coeffs) == 1:
+            return ReferenceSeries(self.ring, {-v: cinv}, None if self.prec is None else self.prec - 2 * v)
+        avail = None if self.prec is None else self.prec - v
+        want = rel_prec if rel_prec is not None else (avail if avail is not None else DEFAULT_PRECISION)
+        m = want if avail is None else min(want, avail)
+        h = {e - v: cv * cinv for e, cv in self.coeffs.items() if e != v}
+        b = {0: self.ring.one()}
+        for n in range(1, m):
+            acc = self.ring.zero()
+            for k, hk in h.items():
+                if 0 < k <= n and (n - k) in b:
+                    acc = acc + hk * b[n - k]
+            if not acc.is_zero():
+                b[n] = -acc
+        return ReferenceSeries(self.ring, {e - v: bv * cinv for e, bv in b.items()}, m - v)
+
+    def power(self, n: int, rel_prec: int | None = None) -> "ReferenceSeries":
+        if n < 0:
+            return self.inverse(rel_prec).power(-n)
+        if n == 0:
+            return ReferenceSeries(self.ring, {0: self.ring.one()})
+        return power(self, n)
+
+    def derivative(self) -> "ReferenceSeries":
+        out = {e - 1: self.ring.from_int(e) * c for e, c in self.coeffs.items()}
+        return ReferenceSeries(self.ring, out, None if self.prec is None else self.prec - 1)
+
+    def __str__(self):
+        terms = [(*split_sign(self.coeffs[e]), e) for e in sorted(self.coeffs)]
+        if self.prec is None:
+            return format_terms(terms, "z")
+        return f"{format_terms(terms, 'z')} + O(z^{self.prec})" if terms else f"O(z^{self.prec})"
+
+
+def is_unit(x: AlgebraElement) -> bool:
+    """x is invertible in its ring."""
+    return x.ring._is_invertible(x.data)
+
+
+def _min_prec(a, b):
+    return b if a is None else a if b is None else min(a, b)
+
+
+def reference_divide_by_peel(work: ReferenceSeries, exponent: int, c: AlgebraElement) -> ReferenceSeries:
+    """work / (1 - c z^exponent) as work + sum_k (work c^k) z^(k exponent)."""
+    out, ck = work, c
+    for k in range(1, work.ring.nil_index):
+        if ck.is_zero():
+            break
+        out = out + (work * ck).shift(k * exponent)
+        ck = ck * c
+    return out
+
+
+def reference_cc_factorize(f: ReferenceSeries, prec: int | None = None) -> PrincipalUnitFactorization:
+    ring = f.ring
+    if not isinstance(ring, ArtinianAlgebra):
+        raise DomainError("principal-unit factorization needs an Artinian coefficient ring")
+    rest = {e: c for e, c in f.coeffs.items() if e != 0}
+    if any(is_unit(c) for c in rest.values()) or is_unit(f.coeffs.get(0, ring.zero()) - 1):
+        raise DomainError("series is not a principal unit (reduction mod the maximal ideal must be 1)")
+    target = prec
+    if target is None:
+        target = f.prec if f.prec is not None else max(f.coeffs, default=0) + 1
+    if f.prec is not None:
+        target = min(target, f.prec)
+    neg, work = [], f
+    while any(e < 0 for e in work.coeffs):
+        e = min(work.coeffs)
+        if is_unit(work.coeffs[e]):
+            raise DomainError("negative coefficient is not nilpotent; input outside the domain")
+        neg.append((-e, -work.coeffs[e]))
+        work = reference_divide_by_peel(work, e, -work.coeffs[e])
+    pos = []
+    c0 = work.coeffs.get(0, ring.zero())
+    a0 = ring.one() - c0
+    if not a0.is_zero():
+        if is_unit(a0):
+            raise DomainError("constant term does not reduce to 1")
+        pos.append((0, a0))
+        work = work * c0.inverse()
+    for i in range(1, target if work.prec is None else min(target, work.prec)):
+        ci = work.coeffs.get(i, ring.zero())
+        if ci.is_zero():
+            continue
+        if is_unit(ci):
+            raise DomainError("positive coefficient outside the maximal ideal")
+        pos.append((i, -ci))
+        work = reference_divide_by_peel(work, i, -ci)
+    if work.prec is not None and work.prec < target:
+        raise PrecisionError("not enough precision to factorize to the requested bound")
+    return PrincipalUnitFactorization(ring, tuple(neg), tuple(pos), target)
+
+
+def reference_cc_symbol(f: ReferenceSeries, g: ReferenceSeries) -> AlgebraElement:
+    """<f, g> from the reference factorizations and the earlier double-product loop."""
+    ring = f.ring
+    if not isinstance(ring, ArtinianAlgebra) or g.ring != ring:
+        raise DomainError("the symbol needs two series over one Artinian ring")
+    m = ring.nil_index
+
+    def deepest(s: ReferenceSeries) -> int:
+        return abs(min((e for e in s.coeffs if e < 0), default=0))
+
+    fac_f = reference_cc_factorize(f, max(2, m * deepest(g) * (m - 1) + 2))
+    fac_g = reference_cc_factorize(g, max(2, m * deepest(f) * (m - 1) + 2))
+    value = loop_double_product(ring, fac_f.pos, fac_g.neg) * loop_double_product(ring, fac_g.pos, fac_f.neg).inverse()
+    return relative_norm(value, ring.base)
 
 
 @contextlib.contextmanager
@@ -329,7 +554,7 @@ def random_unit_series(rng: random.Random, field: BaseField, min_val: int = -3,
     v = rng.randint(min_val, max_val)
     while True:
         lead = field.random_element(rng)
-        if lead.is_invertible():
+        if not lead.is_zero():
             break
     coeffs = {v: lead}
     for _ in range(terms):
@@ -375,7 +600,7 @@ def random_block_operator(rng: random.Random, ring, wneg: int, wpos: int,
         if not invertible_delta:
             return op
         try:
-            if mat_det(delta, ring).is_invertible():
+            if is_unit(mat_det(delta, ring)):
                 return op
         except NonUnitError:
             pass

@@ -93,8 +93,8 @@ def test_artinian_truncation():
     assert not (e2 * e2).is_zero()
     assert A.dimension == 6
     assert A.nil_index == 4
-    assert A.is_nilpotent(e1 + e2 * e2)
-    assert not A.is_nilpotent(A.one() + e1)
+    assert A.residue(e1 + e2 * e2).is_zero()
+    assert not A.residue(A.one() + e1).is_zero()
 
 
 def test_artinian_inverse_and_errors():
@@ -187,7 +187,7 @@ def test_artinian_ring_laws(base_name, shape, data):
     with pytest.raises(NonUnitError):
         nilpotent.inverse()
     assert nilpotent ** A.nil_index == A.zero()
-    if x.is_invertible():
+    if not A.residue(x).is_zero():
         assert x * x.inverse() == A.one()
     assert parse_series(str(x), A).coefficient(0) == x
 

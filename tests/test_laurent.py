@@ -4,12 +4,24 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reciprocity import laurent
 from reciprocity.artinian import ArtinianAlgebra, dual_numbers
 from reciprocity.errors import NonUnitError, PrecisionError
-from reciprocity.fields import QQ, PrimeField
+from reciprocity.fields import QQ, AlgebraElement, PrimeField
 from reciprocity.laurent import LaurentSeries, cc_factorize, is_principal_unit, unit_factorize
 from reciprocity.parsing import parse_ring_spec, parse_series
-from support import agrees_with, expand, random_laurent_polynomial, random_principal_unit, random_unit_series
+from reciprocity.symbols import contou_carrere_symbol
+from support import (
+    ReferenceSeries,
+    agrees_with,
+    expand,
+    random_laurent_polynomial,
+    random_principal_unit,
+    random_unit_series,
+    reference_cc_factorize,
+    reference_cc_symbol,
+    reference_divide_by_peel,
+)
 
 
 def LQ(coeffs, prec=None):
@@ -32,7 +44,7 @@ def test_precision_tracking():
     g = LQ({-2: 1}, 5)
     prod = f * g
     assert prod.prec == 2  # min(low_f + prec_g, low_g + prec_f) = min(5, 2)
-    assert prod.known_coefficient(-2) == 1
+    assert prod.coefficient(-2) == 1
     with pytest.raises(PrecisionError):
         prod.coefficient(2)
     assert (f + g).prec == 4
@@ -241,3 +253,99 @@ def test_zero_scalar_gives_the_exact_zero(spec):
         assert s * scalar == zero == scalar * s
         assert s * scalar == s * LaurentSeries.constant(ring, 0)
     assert s * 3 == s * LaurentSeries.constant(ring, 3) == LaurentSeries(ring, {1: 3}, 3)
+
+
+# -- the raw-data series against the earlier dict-of-elements arithmetic ---------
+
+RAW_RINGS = {spec: parse_ring_spec(spec) for spec in ("Q", "F7", "F9", "F7[e,d]/(e^3,d^2)")}
+CC_RING = RAW_RINGS["F7[e,d]/(e^3,d^2)"]
+
+
+def outcome(fn):
+    """What fn() gives, as comparable text: its value, or its error's type and message."""
+    try:
+        value = fn()
+    except Exception as exc:  # the two sides must fail alike, whatever the error
+        return "error", type(exc).__name__, str(exc)
+    if isinstance(value, (LaurentSeries, ReferenceSeries)):
+        return "series", str(value), value.prec, str(sorted(value.coeffs.items()))
+    if hasattr(value, "neg"):
+        return "factors", str(value.neg), str(value.pos), value.prec
+    return "value", str(value)
+
+
+@st.composite
+def raw_series(draw, ring, unit_ring=False):
+    """A series over ring with support in [-4, 5], exact or truncated; over the
+    Artinian ring a principal unit (a nilpotent tail on 1) unless unit_ring."""
+    rng = draw(st.randoms(use_true_random=False))
+    support = draw(st.lists(st.integers(-4, 5), unique=True, max_size=6))
+    coeffs = {}
+    for e in support:
+        c = ring.random_element(rng)
+        if isinstance(ring, ArtinianAlgebra) and not unit_ring and draw(st.integers(0, 9)):
+            c = c - ring.embed_from_below(ring.residue(c))
+        coeffs[e] = c
+    if isinstance(ring, ArtinianAlgebra) and not unit_ring:
+        coeffs[0] = coeffs.get(0, ring.zero()) + 1
+    prec = draw(st.one_of(st.none(), st.integers(-3, 9)))
+    return LaurentSeries(ring, coeffs, prec)
+
+
+@pytest.mark.parametrize("spec", sorted(RAW_RINGS))
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_raw_arithmetic_matches_the_dict_of_elements(spec, data):
+    ring = RAW_RINGS[spec]
+    f, g = data.draw(raw_series(ring)), data.draw(raw_series(ring))
+    rf, rg = ReferenceSeries.of(f), ReferenceSeries.of(g)
+    assert outcome(lambda: f) == outcome(lambda: rf)
+    k, n, rel = data.draw(st.integers(-5, 5)), data.draw(st.integers(-3, 4)), data.draw(st.integers(-1, 12))
+    scalar = ring.random_element(data.draw(st.randoms(use_true_random=False)))
+    cases = [
+        (lambda s, t: s + t), (lambda s, t: s - t), (lambda s, t: s * t), (lambda s, t: -s),
+        (lambda s, t: s.shift(k)), (lambda s, t: s.truncate(k)), (lambda s, t: s.inverse()),
+        (lambda s, t: s.inverse(rel)), (lambda s, t: s.power(n)), (lambda s, t: s.power(n, rel)),
+        (lambda s, t: s.derivative()), (lambda s, t: s * scalar), (lambda s, t: s + k),
+        (lambda s, t: s.valuation()), (lambda s, t: s.leading_term()), (lambda s, t: s.coefficient(k)),
+    ]
+    for case in cases:
+        assert outcome(lambda: case(f, g)) == outcome(lambda: case(rf, rg))
+    assert outcome(lambda: LaurentSeries.constant(ring, scalar)) == outcome(lambda: ReferenceSeries(ring, {0: scalar}))
+    assert outcome(lambda: LaurentSeries.monomial(ring, k)) == outcome(lambda: ReferenceSeries(ring, {k: 1}))
+    if isinstance(ring, ArtinianAlgebra):
+        c = ring.random_element(data.draw(st.randoms(use_true_random=False)))
+        c = c - ring.embed_from_below(ring.residue(c))
+        if not c.is_zero():
+            got = laurent._divide_by_peel(f, k or 1, c.data)
+            assert outcome(lambda: got) == outcome(lambda: reference_divide_by_peel(rf, k or 1, c))
+    assert outcome(lambda: cc_factorize(f, rel)) == outcome(lambda: reference_cc_factorize(rf, rel))
+    assert outcome(lambda: cc_factorize(f)) == outcome(lambda: reference_cc_factorize(rf))
+    assert outcome(lambda: contou_carrere_symbol(f, g)) == outcome(lambda: reference_cc_symbol(rf, rg))
+
+
+@settings(max_examples=40, deadline=None)
+@given(raw_series(CC_RING, unit_ring=True), raw_series(CC_RING))
+def test_cc_errors_match_on_units_that_are_not_principal(f, g):
+    rf, rg = ReferenceSeries.of(f), ReferenceSeries.of(g)
+    assert outcome(lambda: cc_factorize(f)) == outcome(lambda: reference_cc_factorize(rf))
+    assert outcome(lambda: contou_carrere_symbol(f, g)) == outcome(lambda: reference_cc_symbol(rf, rg))
+    assert outcome(lambda: contou_carrere_symbol(g, f)) == outcome(lambda: reference_cc_symbol(rg, rf))
+
+
+@pytest.mark.parametrize("spec", sorted(RAW_RINGS))
+def test_series_arithmetic_boxes_no_element(spec, monkeypatch):
+    """+, -, *, shift, truncate and the peel division run on raw data alone."""
+    ring = RAW_RINGS[spec]
+    f = parse_series("3*z^-2 + z^-1 + 1 + 2*z + 5*z^4", ring)
+    g = parse_series("z^-1 + 4 + 6*z^2 + O(z^6)", ring)
+    nilpotent = (ring.generator("e") * 3 + ring.generator("d")).data if isinstance(ring, ArtinianAlgebra) else None
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an AlgebraElement was built")
+
+    monkeypatch.setattr(AlgebraElement, "__init__", refuse)
+    for s, t in ((f, g), (g, f), (f, f)):
+        s + t, s - t, s * t, s.shift(3), s.truncate(1)
+        if nilpotent is not None:
+            laurent._divide_by_peel(s, -2, nilpotent), laurent._divide_by_peel(s, 3, nilpotent)
