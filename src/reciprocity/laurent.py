@@ -258,6 +258,9 @@ class LaurentSeries:
             return self.inverse(rel_prec).power(-n)
         if n == 0:
             return LaurentSeries.one(self.ring)
+        if self.prec is None and len(self.data) == 1:
+            # an exact monomial c z^v is c^n z^(n v): only its coefficient is raised
+            return LaurentSeries._from_raw(self.ring, n * self.offset, [power(AlgebraElement(self.ring, self.data[0]), n).data])
         return power(self, n)
 
     def __pow__(self, n: int):
@@ -365,10 +368,8 @@ def is_principal_unit(f: LaurentSeries) -> bool:
     if not isinstance(ring, ArtinianAlgebra):
         return False
     # over a local ring an element reduces to zero exactly when it is not invertible
-    unit = ring._is_invertible
-    return not unit(ring._sub(f._at(0), ring._one)) and not any(
-        unit(c) for i, c in enumerate(f.data) if f.offset + i != 0
-    )
+    rest = [c for i, c in enumerate(f.data) if f.offset + i != 0] + [ring._sub(f._at(0), ring._one)]
+    return not any(map(ring._is_invertible, rest))
 
 
 def nilpotent_powers(ring: ArtinianAlgebra, c) -> list:

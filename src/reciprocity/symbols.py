@@ -94,9 +94,8 @@ def _double_product(ring: ArtinianAlgebra, pos, neg) -> AlgebraElement:
     A factor whose power of a_i or b_j is past the last nonzero one is 1,
     and is skipped before any product is formed.  The products run on raw data.
     """
-    mul, is_zero = ring._mul, ring._is_zero
+    mul, is_zero, acc = ring._mul, ring._is_zero, ring._one
     neg_powers = [(j, nilpotent_powers(ring, b.data)) for j, b in neg]
-    acc = ring._one
     for i, a in pos:
         if i == 0:
             continue

@@ -277,13 +277,14 @@ def outcome(fn):
 @st.composite
 def raw_series(draw, ring, unit_ring=False):
     """A series over ring with support in [-4, 5], exact or truncated; over the
-    Artinian ring a principal unit (a nilpotent tail on 1) unless unit_ring."""
+    Artinian ring a principal unit (a nilpotent tail on 1) unless unit_ring,
+    and then half its coefficients are nilpotent."""
     rng = draw(st.randoms(use_true_random=False))
     support = draw(st.lists(st.integers(-4, 5), unique=True, max_size=6))
     coeffs = {}
     for e in support:
         c = ring.random_element(rng)
-        if isinstance(ring, ArtinianAlgebra) and not unit_ring and draw(st.integers(0, 9)):
+        if isinstance(ring, ArtinianAlgebra) and draw(st.integers(0, 9)) >= (5 if unit_ring else 1):
             c = c - ring.embed_from_below(ring.residue(c))
         coeffs[e] = c
     if isinstance(ring, ArtinianAlgebra) and not unit_ring:
@@ -309,8 +310,12 @@ def test_raw_arithmetic_matches_the_dict_of_elements(spec, data):
         (lambda s, t: s.derivative()), (lambda s, t: s * scalar), (lambda s, t: s + k),
         (lambda s, t: s.valuation()), (lambda s, t: s.leading_term()), (lambda s, t: s.coefficient(k)),
     ]
+    # any series, nilpotent monomials included, over the Artinian ring too
+    h = data.draw(raw_series(ring, unit_ring=True))
+    rh = ReferenceSeries.of(h)
     for case in cases:
         assert outcome(lambda: case(f, g)) == outcome(lambda: case(rf, rg))
+        assert outcome(lambda: case(h, f)) == outcome(lambda: case(rh, rf))
     assert outcome(lambda: LaurentSeries.constant(ring, scalar)) == outcome(lambda: ReferenceSeries(ring, {0: scalar}))
     assert outcome(lambda: LaurentSeries.monomial(ring, k)) == outcome(lambda: ReferenceSeries(ring, {k: 1}))
     if isinstance(ring, ArtinianAlgebra):
