@@ -43,19 +43,19 @@ def neg(a: list, ring) -> list:
 
 
 def mul(a: list, b: list, ring) -> list:
-    """a*b, forming only the products of two nonzero coefficients."""
     if not a or not b:
         return []
-    add, mul_, is_zero, zero = ring._add, ring._mul, ring._is_zero, ring._zero
-    live = [(j, y) for j, y in enumerate(b) if not is_zero(y)]
+    zero = ring._zero
     out = [zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if is_zero(x):
+        if ring._is_zero(x):
             continue
-        for j, y in live:
-            # a slot still holding the zero object takes its first product without a sum
-            o, p = out[i + j], mul_(x, y)
-            out[i + j] = p if o is zero else add(o, p)
+        for j, y in enumerate(b):
+            # the stored zero itself (padding) adds nothing, and a slot that
+            # still holds it takes its first product without a sum
+            if y is not zero:
+                p, o = ring._mul(x, y), out[i + j]
+                out[i + j] = p if o is zero else ring._add(o, p)
     return _normalize(out, ring)
 
 
