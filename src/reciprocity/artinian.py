@@ -13,7 +13,11 @@ invertible exactly when its residue in the base field is.
 
 Only this module knows the data format; elsewhere coordinates are read and
 built through ``residue``, ``coordinates``, ``from_coordinates``,
-``basis``, ``embed_from_below`` and ``generator``.
+``basis``, ``embed_from_below`` and ``generator``.  The expression parser
+works on monomial indices, through three raw helpers: ``generator_monomials``
+(the index of each generator), ``monomial_products`` (the index of a product
+of two monomials, ``None`` where it is truncated) and ``_from_monomials``
+(the element data of {monomial index: base raw}).
 """
 
 from __future__ import annotations
@@ -47,16 +51,19 @@ class ArtinianAlgebra(CoefficientRing):
         self._monomials = tuple(itertools.product(*(range(o) for o in self.orders)))
         self.dimension = len(self._monomials)
         self._index = {m: i for i, m in enumerate(self._monomials)}
+        # monomial_products[i][j] = k for monomial_i * monomial_j = monomial_k, None where truncated
+        self.monomial_products = tuple(
+            tuple(self._index.get(tuple(x + y for x, y in zip(a, b))) for b in self._monomials)
+            for a in self._monomials
+        )
+        # the monomial index of each generator, in generator order
+        self.generator_monomials = tuple(self._index[tuple(int(i == g) for i in range(len(gens)))]
+                                         for g in range(len(gens)))
         # structure constants, grouped by the left factor: (i, ((j, k), ...))
-        table = []
-        for i, a in enumerate(self._monomials):
-            row = tuple(
-                (j, self._index[s])
-                for j, b in enumerate(self._monomials)
-                if (s := tuple(x + y for x, y in zip(a, b))) in self._index
-            )
-            table.append((i, row))
-        self._table = tuple(table)
+        self._table = tuple(
+            (i, tuple((j, k) for j, k in enumerate(row) if k is not None))
+            for i, row in enumerate(self.monomial_products)
+        )
         self._zero = (base._zero,) * self.dimension
         self._one = (base._one,) + self._zero[1:]
         self._str_order = sorted(range(self.dimension), key=lambda i: (sum(self._monomials[i]), i))
@@ -153,12 +160,15 @@ class ArtinianAlgebra(CoefficientRing):
         return AlgebraElement(self, tuple(self.base.coerce(c).data for c in coords))
 
     def generator(self, name) -> AlgebraElement:
-        if isinstance(name, int):
-            idx = name
-        else:
-            idx = self.names.index(str(name))
-        exps = tuple(1 if i == idx else 0 for i in range(len(self.orders)))
-        return self.basis()[self._index[exps]]
+        idx = name if isinstance(name, int) else self.names.index(str(name))
+        return self.basis()[self.generator_monomials[idx]]
+
+    def _from_monomials(self, terms: dict):
+        """The raw element sum c * monomial_m over {m: c}, c raw base data and m a monomial index."""
+        out = list(self._zero)
+        for m, c in terms.items():
+            out[m] = c
+        return tuple(out)
 
     def residue(self, elem: AlgebraElement) -> AlgebraElement:
         """Image in the base field (constant coordinate)."""

@@ -90,11 +90,6 @@ class LaurentSeries:
     def constant(cls, ring, c):
         return cls._from_raw(ring, 0, [ring.coerce(c).data])
 
-    @classmethod
-    def monomial(cls, ring, exponent: int):
-        """z^exponent, exactly."""
-        return cls._from_raw(ring, exponent, [ring._one])
-
     # -- structure ------------------------------------------------------
 
     @property
@@ -353,13 +348,18 @@ class PrincipalUnitFactorization:
 
     Negative-exponent coefficients are nilpotent; positive ones (including
     the z^0 factor) lie in the maximal ideal.  The neg list is in peel order
-    (most negative exponent first) and may repeat exponents.
+    (most negative exponent first) and may repeat exponents.  ``neg_powers``
+    and ``pos_powers`` hold, entry for entry, the ``nilpotent_powers`` of each
+    coefficient that the peel divided by, so the symbol forms none of them
+    again; the z^0 factor, which no peel divides by, has ``None``.
     """
 
     ring: ArtinianAlgebra
     neg: tuple
     pos: tuple
     prec: int | None
+    neg_powers: tuple
+    pos_powers: tuple
 
 
 def is_principal_unit(f: LaurentSeries) -> bool:
@@ -372,21 +372,23 @@ def is_principal_unit(f: LaurentSeries) -> bool:
     return not any(map(ring._is_invertible, rest))
 
 
-def nilpotent_powers(ring: ArtinianAlgebra, c) -> list:
-    """[c, c^2, ...] of raw data up to the last nonzero power of a nonzero nilpotent c; c^nil_index is 0."""
+def nilpotent_powers(ring: ArtinianAlgebra, c) -> tuple:
+    """(c, c^2, ...) of raw data up to the last nonzero power of a nonzero nilpotent c; c^nil_index is 0."""
     powers = [c]
     for _ in range(ring.nil_index - 2):
         p = ring._mul(powers[-1], c)
         if ring._is_zero(p):
             break
         powers.append(p)
-    return powers
+    return tuple(powers)
 
 
-def _divide_by_peel(work: LaurentSeries, exponent: int, c) -> LaurentSeries:
-    """work / (1 - c z^exponent) = work + work * sum_k c^k z^(k exponent), finite by nilpotency; c is raw."""
+def _divide_by_peel(work: LaurentSeries, exponent: int, powers: tuple) -> LaurentSeries:
+    """work / (1 - c z^exponent) = work + work * sum_k c^k z^(k exponent), finite by nilpotency.
+
+    ``powers`` is ``nilpotent_powers`` of the raw coefficient c.
+    """
     ring = work.ring
-    powers = nilpotent_powers(ring, c)
     # the geometric tail as one raw list, lowest exponent first
     step = abs(exponent)
     tail = [ring._zero] * (step * len(powers) - step + 1)
@@ -418,7 +420,7 @@ def cc_factorize(f: LaurentSeries, prec: int | None = None) -> PrincipalUnitFact
         target = min(target, f.prec)
 
     unit, neg_raw = ring._is_invertible, ring._neg
-    neg = []
+    neg, neg_powers = [], []
     guard = (ring.nil_index + 1) * (max(-f.offset, 0) + 2) * 8 + 32
     work = f
     while work.offset < 0:
@@ -429,15 +431,17 @@ def cc_factorize(f: LaurentSeries, prec: int | None = None) -> PrincipalUnitFact
             raise DomainError("negative coefficient is not nilpotent; input outside the domain")
         a = neg_raw(c)
         neg.append((-e, AlgebraElement(ring, a)))
-        work = _divide_by_peel(work, e, a)
+        neg_powers.append(nilpotent_powers(ring, a))
+        work = _divide_by_peel(work, e, neg_powers[-1])
 
-    pos = []
+    pos, pos_powers = [], []
     c0 = work._at(0)
     a0 = ring._sub(ring._one, c0)
     if not ring._is_zero(a0):
         if unit(a0):
             raise DomainError("constant term does not reduce to 1")
         pos.append((0, AlgebraElement(ring, a0)))
+        pos_powers.append(None)
         work = work * LaurentSeries._from_raw(ring, 0, [ring._inv(c0)])
     bound = target if work.prec is None else min(target, work.prec)
     for i in range(1, bound):
@@ -448,7 +452,9 @@ def cc_factorize(f: LaurentSeries, prec: int | None = None) -> PrincipalUnitFact
             raise DomainError("positive coefficient outside the maximal ideal")
         ai = neg_raw(ci)
         pos.append((i, AlgebraElement(ring, ai)))
-        work = _divide_by_peel(work, i, ai)
+        pos_powers.append(nilpotent_powers(ring, ai))
+        work = _divide_by_peel(work, i, pos_powers[-1])
     if work.prec is not None and work.prec < target:
         raise PrecisionError("not enough precision to factorize to the requested bound")
-    return PrincipalUnitFactorization(ring, tuple(neg), tuple(pos), target)
+    return PrincipalUnitFactorization(ring, tuple(neg), tuple(pos), target,
+                                      tuple(neg_powers), tuple(pos_powers))

@@ -10,10 +10,24 @@ precision to N; printing a series emits the same marker, so text output
 round-trips.  Series are parsed at a precision of at most
 `laurent.PRECISION_BUDGET`.
 
-Evaluation: integers and generator names are coefficient-ring elements, and
-`+ - *` stay in the operands' own types until the variable enters.  Only `/`
-and a negative `^` lift to the top type: RationalFunction for rational input,
-and for series `inverse`/`power` at the parse precision.
+Syntax: one `re.findall` splits the text into words, and a word that starts
+with a character outside the grammar is refused before parsing.  The parser
+reads the word list by index and builds a tree of tuples: ("num", n),
+("name", word, index), ("neg", child), (op, left, right) for op in `+-*/`,
+("^", base, e) and ("O", e).  A column is computed from the text only for an
+error (`_column`), so a name keeps the index of its word.
+
+Evaluation: a value is a term map {(k, m): c}, the sum of c * mono_m * v^k,
+with v the variable, mono_m the monomial of index m of an Artinian ring (m
+is 0 over a field) and c nonzero raw data of the base field.  An integer or
+a name is one term, and zero the empty map.  `+` and `-` stay in the map,
+and so do `*` by a single term, `/` by a unit monomial (one term with m = 0)
+and `^` of a single term, negative only for a unit monomial; so text such as
+`3*e^2*d*z^-2` or `98*x^7` costs no ring product, kernel call or series.
+Any other operation lifts both sides once to the top type, a Polynomial or
+RationalFunction for rational input and an exact LaurentSeries for series,
+and goes on there: `/` and a negative `^` as RationalFunction arithmetic, or
+as series `inverse`/`power` at the parse precision.
 
 Field specs: `Q`, `F5`, `F9:u^2+1` (modulus over F_p in `u`; omitted
 modulus picks the lexicographically first irreducible).  Ring specs:
@@ -25,7 +39,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from functools import wraps
 
 from .artinian import ArtinianAlgebra
@@ -34,198 +47,152 @@ from .errors import DomainError, ExpressionError, FactorError
 from .factor import DEGREE_BUDGET
 from .fields import PRIME_TEST_BOUND, BaseField, ExtensionField, PrimeField, QQ, find_irreducible, is_prime
 from .laurent import DEFAULT_PRECISION, PRECISION_BUDGET, LaurentSeries
-from .poly import Polynomial
+from .poly import Polynomial, _from_data
 
-# -- tokens -------------------------------------------------------------------
+# -- syntax -------------------------------------------------------------------
 
-
-@dataclass
-class Token:
-    kind: str  # INT NAME OP LPAREN RPAREN EOF
-    text: str
-    column: int
-
-
-# the kind of a token by its first character; any other first character
-# starts a NAME if it is a letter or "_" and is unexpected if not, so a
-# non-ASCII digit such as "²" is refused, never read as an integer
-_KIND = {"(": "LPAREN", ")": "RPAREN", **dict.fromkeys("+-*/^", "OP"), **dict.fromkeys("0123456789", "INT")}
-# each match is (whitespace, token): ASCII digits, a run of str.isalnum()
-# characters and "_" (which is what \w is), or one other non-space character
-# (\s is str.isspace()).  re compiles it on the first call and caches it.
-_TOKEN = r"(\s*)([0-9]+|\w+|\S)"
+# each match is one word after its whitespace: ASCII digits, a run of
+# str.isalnum() characters and "_" (which is what \w is), or one other
+# non-space character (\s is str.isspace()).  re compiles it on the first
+# call and caches it.
+_WORD = r"\s*([0-9]+|\w+|\S)"
+# a character that can start a refused word: one outside ASCII, or one that
+# is no word character, space or operator
+_ODD = r"[^\w\s()*+/^-]|[^\x00-\x7f]"
+# the kind of a word by its first character, "" the end of the input; any
+# other first character starts a NAME if it is a letter or "_" and is
+# refused if not, so a non-ASCII digit such as "²" is never read as an INT
+_KIND = {"": "EOF", "(": "LPAREN", ")": "RPAREN", **dict.fromkeys("+-*/^", "OP"),
+         **dict.fromkeys("0123456789", "INT")}
 
 
-def _tokenize(text: str) -> list[Token]:
-    tokens = []
-    col = 1
-    for space, word in re.findall(_TOKEN, text):
-        col += len(space)
-        kind = _KIND.get(word[0])
-        if kind is None:
-            if not (word[0].isalpha() or word[0] == "_"):
-                raise ExpressionError(f"unexpected character {word[0]!r}", column=col)
-            kind = "NAME"
-        tokens.append(Token(kind, word, col))
-        col += len(word)
-    tokens.append(Token("EOF", "", len(text) + 1))
-    return tokens
+def _words(text: str) -> list[str]:
+    """The words of text; the first word that starts outside the grammar is an ExpressionError."""
+    words = re.findall(_WORD, text)
+    if re.search(_ODD, text):
+        for i, word in enumerate(words):
+            c = word[0]
+            if c not in _KIND and not (c.isalpha() or c == "_"):
+                raise ExpressionError(f"unexpected character {c!r}", column=_column(text, i))
+    return words
 
 
-# -- AST ----------------------------------------------------------------------
-
-
-@dataclass
-class Num:
-    value: int
-
-
-@dataclass
-class Name:
-    name: str
-    column: int
-
-
-@dataclass
-class Neg:
-    child: object
-
-
-@dataclass
-class BinOp:
-    op: str
-    left: object
-    right: object
-
-
-@dataclass
-class Pow:
-    base: object
-    exponent: int
-
-
-@dataclass
-class BigO:
-    exponent: int
+def _column(text: str, i: int) -> int:
+    """The column of word i of text; one past the end of the text for i = len(words)."""
+    for j, match in enumerate(re.finditer(_WORD, text)):
+        if j == i:
+            return match.start(1) + 1
+    return len(text) + 1
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], series_var: str | None):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, text: str, series_var: str | None):
+        self.text = text
+        self.words = _words(text) + [""]
+        self.i = 0
         self.series_var = series_var
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
-
-    def _last_column(self) -> int:
-        if self.pos == 0:
-            return 1
-        return self.tokens[self.pos - 1].column
-
     def error(self, message: str):
-        tok = self.current
-        col = self._last_column() if tok.kind == "EOF" else tok.column
-        raise ExpressionError(message, column=col)
+        # at the end of the input, the column of the last word
+        i = self.i - 1 if not self.words[self.i] else self.i
+        raise ExpressionError(message, column=_column(self.text, i) if i >= 0 else 1)
 
-    def advance(self) -> Token:
-        tok = self.current
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> Token:
-        if self.current.kind != kind:
+    def expect(self, word: str, kind: str):
+        if self.words[self.i] != word:
             self.error(f"expected {kind!r}")
-        return self.advance()
+        self.i += 1
 
     def parse(self):
         node = self.expr()
-        if self.current.kind != "EOF":
-            self.error(f"unexpected {self.current.text!r}")
+        if self.words[self.i]:
+            self.error(f"unexpected {self.words[self.i]!r}")
         return node
 
     def expr(self):
         node = self.term()
-        while self.current.kind == "OP" and self.current.text in "+-":
-            op = self.advance().text
-            right = self.term()
-            node = BinOp(op, node, right)
+        while (op := self.words[self.i]) == "+" or op == "-":
+            self.i += 1
+            node = (op, node, self.term())
         return node
 
     def term(self):
         node = self.factor()
-        while self.current.kind == "OP" and self.current.text in "*/":
-            op = self.advance().text
-            right = self.factor()
-            node = BinOp(op, node, right)
+        while (op := self.words[self.i]) == "*" or op == "/":
+            self.i += 1
+            node = (op, node, self.factor())
         return node
 
     def factor(self):
-        if self.current.kind == "OP" and self.current.text == "-":
-            self.advance()
-            return Neg(self.factor())
-        if self.current.kind == "OP" and self.current.text == "+":
-            self.advance()
+        word = self.words[self.i]
+        if word == "-":
+            self.i += 1
+            return ("neg", self.factor())
+        if word == "+":
+            self.i += 1
             return self.factor()
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.current.kind == "OP" and self.current.text == "^":
-            self.advance()
-            e = self.signed_int()
-            if abs(e) > DEGREE_BUDGET:
-                raise DomainError(f"exponent {e} is above the budget: |e| <= {DEGREE_BUDGET}")
-            return Pow(base, e)
-        return base
+        node = self.atom()
+        if self.words[self.i] != "^":
+            return node
+        self.i += 1
+        e = self.signed_int()
+        if abs(e) > DEGREE_BUDGET:
+            raise DomainError(f"exponent {e} is above the budget: |e| <= {DEGREE_BUDGET}")
+        return ("^", node, e)
 
     def signed_int(self) -> int:
-        sign = 1
-        if self.current.kind == "LPAREN":
-            self.advance()
+        word = self.words[self.i]
+        if word == "(":
+            self.i += 1
             value = self.signed_int()
-            self.expect("RPAREN")
+            self.expect(")", "RPAREN")
             return value
-        if self.current.kind == "OP" and self.current.text in "+-":
-            if self.advance().text == "-":
-                sign = -1
-        tok = self.current
-        if tok.kind != "INT":
+        sign = 1
+        if word == "+" or word == "-":
+            self.i += 1
+            sign = -1 if word == "-" else 1
+            word = self.words[self.i]
+        if _KIND.get(word[:1]) != "INT":
             self.error("expected an integer exponent")
-        self.advance()
-        return sign * int(tok.text)
+        self.i += 1
+        return sign * int(word)
 
     def atom(self):
-        tok = self.current
-        if tok.kind == "INT":
-            self.advance()
-            return Num(int(tok.text))
-        if tok.kind == "NAME":
-            self.advance()
-            if tok.text == "O" and self.series_var is not None:
-                self.expect("LPAREN")
-                var = self.expect("NAME")
-                if var.text != self.series_var:
-                    self.error(f"precision marker must use {self.series_var!r}")
-                if self.current.kind == "OP" and self.current.text == "^":
-                    self.advance()
-                    e = self.signed_int()
-                else:
-                    e = 1
-                self.expect("RPAREN")
-                return BigO(e)
-            return Name(tok.text, tok.column)
-        if tok.kind == "LPAREN":
-            self.advance()
+        i = self.i
+        word = self.words[i]
+        kind = _KIND.get(word[:1], "NAME")
+        if kind == "INT":
+            self.i += 1
+            return ("num", int(word))
+        if kind == "NAME":
+            self.i += 1
+            if word == "O" and self.series_var is not None:
+                return self.big_o()
+            return ("name", word, i)
+        if kind == "LPAREN":
+            self.i += 1
             node = self.expr()
-            self.expect("RPAREN")
+            self.expect(")", "RPAREN")
             return node
-        self.error(f"unexpected {tok.text!r}" if tok.kind != "EOF" else "unexpected end of input")
+        self.error("unexpected end of input" if kind == "EOF" else f"unexpected {word!r}")
+
+    def big_o(self):
+        self.expect("(", "LPAREN")
+        var = self.words[self.i]
+        if _KIND.get(var[:1], "NAME") != "NAME":
+            self.error("expected 'NAME'")
+        self.i += 1
+        if var != self.series_var:
+            self.error(f"precision marker must use {self.series_var!r}")
+        e = 1
+        if self.words[self.i] == "^":
+            self.i += 1
+            e = self.signed_int()
+        self.expect(")", "RPAREN")
+        return ("O", e)
 
 
 def parse_ast(text: str, series_var: str | None = None):
-    return _Parser(_tokenize(text), series_var).parse()
+    return _Parser(text, series_var).parse()
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -236,34 +203,120 @@ _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 class _Evaluator:
-    """The one AST walk; subclasses say how ``/`` and a negative ``^`` reach the top type."""
+    """The one AST walk, on term maps until an operation needs the top type.
 
-    def __init__(self, ring, var: str, x):
-        self.ring = ring
-        self.names = _ring_names(ring)
-        self.var = var
-        self.x = x
+    Subclasses give the top type: ``top`` lifts a term map to it, and
+    ``divide`` and ``power`` are `/` and a negative `^` there.
+    """
+
+    def __init__(self, ring, var: str, text: str):
+        self.ring, self.text = ring, text
+        # name -> (key, raw base coefficient) of its one term
+        if isinstance(ring, ArtinianAlgebra):
+            base, self.products = ring.base, ring.monomial_products
+            names = {name: ((0, m), base._one) for name, m in zip(ring.names, ring.generator_monomials)}
+        else:
+            # a field has one monomial, 1
+            base, self.products, names = ring, ((0,),), {}
+        if isinstance(base, ExtensionField):
+            names[base.name] = ((0, 0), base.generator().data)
+        names[var] = ((1, 0), base._one)
+        self.base, self.names = base, names
 
     def eval(self, node):
-        if isinstance(node, Num):
-            return self.ring.from_int(node.value)
-        if isinstance(node, Name):
-            if node.name == self.var:
-                return self.x
-            if node.name in self.names:
-                return self.names[node.name]
-            raise ExpressionError(f"unknown name {node.name!r}", column=node.column)
-        if isinstance(node, Neg):
-            return -self.eval(node.child)
-        if isinstance(node, Pow):
-            base = self.eval(node.base)
-            _check_power(base, node.exponent)
-            return base**node.exponent if node.exponent >= 0 else self.power(base, node.exponent)
-        if isinstance(node, BigO):
-            return LaurentSeries.zero(self.ring, node.exponent)
-        left = self.eval(node.left)
-        right = self.eval(node.right)
-        return _OPERATORS.get(node.op, self.divide)(left, right)
+        """The value of node; a term map it returns is new, so an operator may write into its left operand."""
+        # the kinds in the order of their share of the benchmark texts
+        kind = node[0]
+        if kind == "name":
+            term = self.names.get(node[1])
+            if term is None:
+                raise ExpressionError(f"unknown name {node[1]!r}", column=_column(self.text, node[2]))
+            key, c = term
+            return {key: c}
+        if kind == "num":
+            c = self.base.from_int(node[1]).data
+            return {} if self.base._is_zero(c) else {(0, 0): c}
+        if kind in _OPERATORS or kind == "/":
+            return self.apply(kind, self.eval(node[1]), self.eval(node[2]))
+        if kind == "^":
+            return self.raise_to(self.eval(node[1]), node[2])
+        if kind == "neg":
+            value = self.eval(node[1])
+            if type(value) is not dict:
+                return -value
+            neg = self.base._neg
+            for key, c in value.items():
+                value[key] = neg(c)
+            return value
+        return LaurentSeries.zero(self.ring, node[1])
+
+    def apply(self, kind: str, left, right):
+        """left kind right for a binary operator kind."""
+        if type(left) is dict and type(right) is dict:
+            if kind == "+" or kind == "-":
+                return self.add(left, right, kind == "-")
+            if kind == "*":
+                if not (left and right):
+                    return {}
+                if len(right) == 1:
+                    return self.times_term(left, right)
+                if len(left) == 1:
+                    return self.times_term(right, left)
+            elif len(right) == 1:
+                ((k, m), c), = right.items()
+                if m == 0:
+                    return self.times_term(left, {(-k, 0): self.base._inv(c)})
+        left, right = self.lift(left), self.lift(right)
+        return _OPERATORS.get(kind, self.divide)(left, right)
+
+    def add(self, terms: dict, other: dict, subtract: bool) -> dict:
+        """terms +- other, written into terms."""
+        base = self.base
+        op, is_zero = base._sub if subtract else base._add, base._is_zero
+        for key, c in other.items():
+            if key in terms:
+                s = op(terms[key], c)
+                if is_zero(s):
+                    del terms[key]
+                else:
+                    terms[key] = s
+            else:
+                terms[key] = base._neg(c) if subtract else c
+        return terms
+
+    def times_term(self, terms: dict, term: dict) -> dict:
+        """terms times the single term of ``term``, in a new map; a truncated monomial drops out."""
+        ((k1, m1), c1), = term.items()
+        row, mul = self.products[m1], self.base._mul
+        out = {}
+        for (k, m), c in terms.items():
+            m2 = row[m]
+            if m2 is not None:
+                out[k + k1, m2] = mul(c, c1)
+        return out
+
+    def raise_to(self, value, e: int):
+        if type(value) is dict:
+            if e == 0:
+                return {(0, 0): self.base._one}
+            if len(value) == 1:
+                ((k, m), c), = value.items()
+                # a monomial of higher degree goes through the top type, which checks the budget
+                if (e > 0 or m == 0) and abs(k * e) <= DEGREE_BUDGET:
+                    if e < 0:
+                        c = self.base._inv(c)
+                    c2, m2, row, mul = c, m, self.products[m], self.base._mul
+                    for _ in range(abs(e) - 1):
+                        c2, m2 = mul(c2, c), row[m2]
+                        if m2 is None:
+                            return {}
+                    return {(k * e, m2): c2}
+            value = self.top(value)
+        _check_power(value, e)
+        return value**e if e >= 0 else self.power(value, e)
+
+    def lift(self, value):
+        return self.top(value) if type(value) is dict else value
 
 
 def _check_power(base, exponent: int):
@@ -272,7 +325,7 @@ def _check_power(base, exponent: int):
     The degree grows with the exponent for a polynomial, for a rational
     function (the larger of its numerator and denominator degrees) and for an
     exact series raised to a positive power (its support width); a truncated
-    series keeps its precision, and ring elements stay constants.
+    series keeps its precision.
     """
     if isinstance(base, RationalFunction):
         degree = max(base.num.degree, base.den.degree)
@@ -289,54 +342,74 @@ def _check_power(base, exponent: int):
 
 
 class _RationalEvaluator(_Evaluator):
-    def __init__(self, field: BaseField, var: str = "x"):
-        super().__init__(field, var, Polynomial.x(field))
+    def __init__(self, field: BaseField, text: str, var: str = "x"):
+        super().__init__(field, var, text)
 
-    def polynomial(self, value, error: Exception | None) -> Polynomial:
+    def top(self, terms: dict):
+        """terms as a Polynomial, or over a power of the variable if an exponent is negative."""
+        field = self.ring
+        if not terms:
+            return _from_data(field, [])
+        low = min(0, min(k for k, _ in terms))
+        data = [field._zero] * (max(k for k, _ in terms) - low + 1)
+        for (k, _), c in terms.items():
+            data[k - low] = c
+        if not low:
+            return _from_data(field, data)
+        den = _from_data(field, [field._zero] * -low + [field._one])
+        return RationalFunction(field, _from_data(field, data), den)
+
+    def polynomial(self, value, error: Exception) -> Polynomial:
         """value as a Polynomial; raises error if it has a denominator."""
+        value = self.lift(value)
         if isinstance(value, RationalFunction):
             if value.den.degree != 0:
                 raise error
             return value.num
-        return value if isinstance(value, Polynomial) else Polynomial.constant(self.ring, value)
+        return value
 
-    def lift(self, value) -> RationalFunction:
-        if isinstance(value, RationalFunction):
-            return value
-        return RationalFunction(self.ring, self.polynomial(value, None))
+    def rational(self, value) -> RationalFunction:
+        value = self.lift(value)
+        return value if isinstance(value, RationalFunction) else RationalFunction(self.ring, value)
 
     def divide(self, left, right):
-        return self.lift(left) / right
+        if isinstance(left, Polynomial) and isinstance(right, Polynomial) and right:
+            # one construction, which cancels the gcd as the quotient would
+            return RationalFunction(self.ring, left, right)
+        return self.rational(left) / right
 
     def power(self, base, e: int):
-        return self.lift(base) ** e
+        return self.rational(base) ** e
 
 
 class _SeriesEvaluator(_Evaluator):
-    def __init__(self, ring, prec: int):
-        super().__init__(ring, "z", LaurentSeries.monomial(ring, 1))
+    def __init__(self, ring, text: str, prec: int):
+        super().__init__(ring, "z", text)
         self.prec = prec
 
-    def lift(self, value) -> LaurentSeries:
-        return value if isinstance(value, LaurentSeries) else LaurentSeries.constant(self.ring, value)
+    def top(self, terms: dict) -> LaurentSeries:
+        """terms as an exact series."""
+        ring = self.ring
+        if not terms:
+            return LaurentSeries.zero(ring)
+        low = min(k for k, _ in terms)
+        size = max(k for k, _ in terms) - low + 1
+        if ring is self.base:
+            data = [ring._zero] * size
+            for (k, _), c in terms.items():
+                data[k - low] = c
+        else:
+            rows = [{} for _ in range(size)]
+            for (k, m), c in terms.items():
+                rows[k - low][m] = c
+            data = [ring._from_monomials(row) for row in rows]
+        return LaurentSeries._from_raw(ring, low, data)
 
     def divide(self, left, right):
-        return left * self.lift(right).inverse(rel_prec=self.prec)
+        return left * right.inverse(rel_prec=self.prec)
 
     def power(self, base, e: int):
-        return self.lift(base).power(e, rel_prec=self.prec)
-
-
-def _ring_names(ring) -> dict:
-    """Generator name -> element of ring, for the Artinian and F_q generators."""
-    names = {}
-    base = ring
-    if isinstance(ring, ArtinianAlgebra):
-        names = {name: ring.generator(i) for i, name in enumerate(ring.names)}
-        base = ring.base
-    if isinstance(base, ExtensionField):
-        names[base.name] = ring.coerce(base.generator())
-    return names
+        return base.power(e, rel_prec=self.prec)
 
 
 def _bounded_depth(parse):
@@ -355,8 +428,8 @@ def _bounded_depth(parse):
 @_bounded_depth
 def parse_rational(text: str, field: BaseField) -> RationalFunction:
     """Parse a rational function in x over the field."""
-    evaluator = _RationalEvaluator(field)
-    return evaluator.lift(evaluator.eval(parse_ast(text)))
+    evaluator = _RationalEvaluator(field, text)
+    return evaluator.rational(evaluator.eval(parse_ast(text)))
 
 
 @_bounded_depth
@@ -364,14 +437,14 @@ def parse_series(text: str, ring, prec: int = DEFAULT_PRECISION) -> LaurentSerie
     """Parse a Laurent series in z over the coefficient ring, at most PRECISION_BUDGET."""
     if prec > PRECISION_BUDGET:
         raise DomainError(f"precision {prec} is above the budget: prec <= {PRECISION_BUDGET}")
-    evaluator = _SeriesEvaluator(ring, prec)
+    evaluator = _SeriesEvaluator(ring, text, prec)
     return evaluator.lift(evaluator.eval(parse_ast(text, series_var="z")))
 
 
 @_bounded_depth
 def parse_polynomial(text: str, field: BaseField) -> Polynomial:
     """Parse a polynomial in u over the field, as a field modulus is written."""
-    evaluator = _RationalEvaluator(field, "u")
+    evaluator = _RationalEvaluator(field, text, "u")
     value = evaluator.eval(parse_ast(text))
     return evaluator.polynomial(value, ExpressionError("expected a polynomial, found a denominator"))
 
@@ -385,24 +458,25 @@ def parse_factored_rational(text: str, field: BaseField) -> RationalFunction:
     declared factor (its leading coefficient joins the constant).
     """
     ast = parse_ast(text)
-    evaluator = _RationalEvaluator(field)
+    evaluator = _RationalEvaluator(field, text)
     constant = [field.one()]
     factors: dict[Polynomial, int] = {}
 
     def walk(node, power: int):
-        if isinstance(node, BinOp) and node.op in "*/":
-            walk(node.left, power)
-            walk(node.right, power if node.op == "*" else -power)
+        kind = node[0]
+        if kind == "*" or kind == "/":
+            walk(node[1], power)
+            walk(node[2], power if kind == "*" else -power)
             return
-        if isinstance(node, Pow):
-            walk(node.base, power * node.exponent)
+        if kind == "^":
+            walk(node[1], power * node[2])
             return
-        if isinstance(node, Neg):
+        if kind == "neg":
             constant[0] = constant[0] * field.from_int(-1) ** power
-            walk(node.child, power)
+            walk(node[1], power)
             return
-        if isinstance(node, Num):
-            constant[0] = constant[0] * field.from_int(node.value) ** power
+        if kind == "num":
+            constant[0] = constant[0] * field.from_int(node[1]) ** power
             return
         error = FactorError("factored input must be a product of polynomial factors")
         poly = evaluator.polynomial(evaluator.eval(node), error)
@@ -443,10 +517,15 @@ def parse_field_spec(spec: str) -> BaseField:
     if q >= PRIME_TEST_BOUND:
         # above it is_prime is no longer exact, and gets slow long before int() gives up
         raise DomainError(f"field size of {q.bit_length()} bits is too large: q must be below {PRIME_TEST_BOUND}")
-    if is_prime(q):
+    try:
+        # the constructor is the one primality test of q
+        field = PrimeField(q)
+    except ValueError:
+        pass
+    else:
         if modulus_text is not None:
             raise ExpressionError("prime fields take no modulus")
-        return PrimeField(q)
+        return field
     p, d = _prime_power(q)
     if p is None:
         raise ExpressionError(f"{q} is not a prime power")

@@ -24,7 +24,7 @@ from .artinian import ArtinianAlgebra, dual_coefficient, dual_numbers
 from .blockops import lie_cocycle, multiplication_operator
 from .errors import DomainError, WindowError
 from .fields import AlgebraElement, BaseField, lift
-from .laurent import LaurentSeries, cc_factorize, nilpotent_powers
+from .laurent import LaurentSeries, cc_factorize
 from .norms import algebra_norm, algebra_trace, relative_norm
 
 SymbolValue = AlgebraElement
@@ -82,24 +82,25 @@ def contou_carrere_symbol(
     fac_f = cc_factorize(f, prec_f)
     fac_g = cc_factorize(g, prec_g)
 
-    numerator = _double_product(ring, fac_f.pos, fac_g.neg)
-    denominator = _double_product(ring, fac_g.pos, fac_f.neg)
+    numerator = _double_product(ring, fac_f, fac_g)
+    denominator = _double_product(ring, fac_g, fac_f)
     value = numerator * denominator.inverse()
     return relative_norm(value, base)
 
 
-def _double_product(ring: ArtinianAlgebra, pos, neg) -> AlgebraElement:
+def _double_product(ring: ArtinianAlgebra, fac_a, fac_b) -> AlgebraElement:
     """prod over i, j > 0 of (1 - a_i^(j/d) b_j^(i/d))^d, d = gcd(i, j).
 
-    A factor whose power of a_i or b_j is past the last nonzero one is 1,
-    and is skipped before any product is formed.  The products run on raw data.
+    a_i runs over the positive factors of fac_a and b_j over the negative
+    factors of fac_b, with the powers their factorizations keep.  A factor
+    whose power of a_i or b_j is past the last nonzero one is 1, and is
+    skipped before any product is formed.  The products run on raw data.
     """
     mul, is_zero, acc = ring._mul, ring._is_zero, ring._one
-    neg_powers = [(j, nilpotent_powers(ring, b.data)) for j, b in neg]
-    for i, a in pos:
+    neg_powers = [(j, powers) for (j, _), powers in zip(fac_b.neg, fac_b.neg_powers)]
+    for (i, _), a_powers in zip(fac_a.pos, fac_a.pos_powers):
         if i == 0:
             continue
-        a_powers = nilpotent_powers(ring, a.data)
         for j, b_powers in neg_powers:
             d = gcd(i, j)
             x, y = j // d, i // d
@@ -203,37 +204,24 @@ class LoopMatrix:
         ring = alpha.ring
         return cls(ring, [[alpha * ring.coerce(c) for c in row] for row in s])
 
-    def matmul(self, other: "LoopMatrix") -> "LoopMatrix":
-        if other.n != self.n or other.ring != self.ring:
-            raise DomainError("size or ring mismatch in loop-matrix product")
-        n = self.n
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = LaurentSeries.zero(self.ring)
-                for t in range(n):
-                    acc = acc + self.entries[i][t] * other.entries[t][j]
-                row.append(acc)
-            out.append(row)
-        return LoopMatrix(self.ring, out)
-
     def derivative(self) -> "LoopMatrix":
         return LoopMatrix(self.ring, [[c.derivative() for c in row] for row in self.entries])
 
-    def trace_series(self) -> LaurentSeries:
-        acc = LaurentSeries.zero(self.ring)
-        for i in range(self.n):
-            acc = acc + self.entries[i][i]
-        return acc
-
 
 def gelfand_fuchs_cocycle(A: LoopMatrix, B: LoopMatrix, base: BaseField | None = None) -> SymbolValue:
-    """tr_{k'/base} res tr_matrix(A dB); equals tr(ST) res(alpha d beta) on tensors."""
+    """tr_{k'/base} res tr_matrix(A dB); equals tr(ST) res(alpha d beta) on tensors.
+
+    Only the diagonal of A dB enters the trace: sum_i sum_t A[i][t] dB[t][i],
+    n^2 series products.
+    """
     if A.n != B.n or A.ring != B.ring:
         raise DomainError("loop matrices must match in size and ring")
     ring = A.ring
     if base is None:
         base = ring if isinstance(ring, BaseField) else ring.base
-    t = A.matmul(B.derivative()).trace_series()
+    dB = B.derivative().entries
+    t = LaurentSeries.zero(ring)
+    for i, row in enumerate(A.entries):
+        for a, db in zip(row, dB):
+            t = t + a * db[i]
     return algebra_trace(t.coefficient(-1), base)

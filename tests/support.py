@@ -3,7 +3,8 @@
 The library keeps what its own commands call; the independent checks the
 tests compare it against live here: tuple-format extension fields,
 expanding a factorization back into what it factors, comparing truncated
-series, the norm/determinant compatibility of block matrices, adele
+series, the whole loop-matrix product, the norm/determinant
+compatibility of block matrices, adele
 orthogonality over a list of test functions, the schoolbook loops of the
 packed F_p kernels, the earlier series arithmetic on dicts of elements,
 Contou-Carrère loops and tokenizer, and random series, operators and
@@ -35,7 +36,6 @@ from reciprocity.norms import (
     relative_norm,
     vector_basis,
 )
-from reciprocity.parsing import Token
 from reciprocity.poly import Polynomial
 from reciprocity.symbols import LoopMatrix
 
@@ -85,9 +85,26 @@ def identity_operator(ring, wneg: int, wpos: int) -> BlockOperator:
     )
 
 
+def matmul(a: LoopMatrix, b: LoopMatrix) -> LoopMatrix:
+    """The product AB of two loop matrices."""
+    if b.n != a.n or b.ring != a.ring:
+        raise DomainError("size or ring mismatch in loop-matrix product")
+    n = a.n
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = LaurentSeries.zero(a.ring)
+            for t in range(n):
+                acc = acc + a.entries[i][t] * b.entries[t][j]
+            row.append(acc)
+        out.append(row)
+    return LoopMatrix(a.ring, out)
+
+
 def bracket(a: LoopMatrix, b: LoopMatrix) -> LoopMatrix:
     """[A, B] = AB - BA of two loop matrices."""
-    ab, ba = a.matmul(b), b.matmul(a)
+    ab, ba = matmul(a, b), matmul(b, a)
     return LoopMatrix(a.ring, [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ab.entries, ba.entries)])
 
 
@@ -222,12 +239,12 @@ def loop_powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
 # whole geometric series, its leading 1 included.
 
 
-def loop_double_product(ring, pos, neg):
+def loop_double_product(ring, fac_a, fac_b):
     acc = ring.one()
-    for i, a in pos:
+    for i, a in fac_a.pos:
         if i == 0 or a.is_zero():
             continue
-        for j, b in neg:
+        for j, b in fac_b.neg:
             if j == 0 or b.is_zero():
                 continue
             d = gcd(i, j)
@@ -238,10 +255,13 @@ def loop_double_product(ring, pos, neg):
     return acc
 
 
-def divide_by_geometric_series(work: LaurentSeries, exponent: int, c) -> LaurentSeries:
-    """work * (1 - c z^exponent)^{-1}, the inverse as sum_k c^k z^{k*exponent}, finite by nilpotency; c is raw."""
+def divide_by_geometric_series(work: LaurentSeries, exponent: int, powers) -> LaurentSeries:
+    """work * (1 - c z^exponent)^{-1}, the inverse as sum_k c^k z^{k*exponent}, finite by nilpotency.
+
+    c is powers[0], raw; the other powers are formed again.
+    """
     ring = work.ring
-    c = AlgebraElement(ring, c)
+    c = AlgebraElement(ring, powers[0])
     terms = {0: ring.one()}
     power = c
     k = 1
@@ -428,6 +448,13 @@ def reference_cc_factorize(f: ReferenceSeries, prec: int | None = None) -> Princ
         target = f.prec if f.prec is not None else max(f.coeffs, default=0) + 1
     if f.prec is not None:
         target = min(target, f.prec)
+
+    def powers(c: AlgebraElement) -> tuple:
+        out = [c]
+        while not (out[-1] * c).is_zero():
+            out.append(out[-1] * c)
+        return tuple(x.data for x in out)
+
     neg, work = [], f
     while any(e < 0 for e in work.coeffs):
         e = min(work.coeffs)
@@ -453,7 +480,8 @@ def reference_cc_factorize(f: ReferenceSeries, prec: int | None = None) -> Princ
         work = reference_divide_by_peel(work, i, -ci)
     if work.prec is not None and work.prec < target:
         raise PrecisionError("not enough precision to factorize to the requested bound")
-    return PrincipalUnitFactorization(ring, tuple(neg), tuple(pos), target)
+    return PrincipalUnitFactorization(ring, tuple(neg), tuple(pos), target, tuple(powers(c) for _, c in neg),
+                                      tuple(None if i == 0 else powers(c) for i, c in pos))
 
 
 def reference_cc_symbol(f: ReferenceSeries, g: ReferenceSeries) -> AlgebraElement:
@@ -468,7 +496,7 @@ def reference_cc_symbol(f: ReferenceSeries, g: ReferenceSeries) -> AlgebraElemen
 
     fac_f = reference_cc_factorize(f, max(2, m * deepest(g) * (m - 1) + 2))
     fac_g = reference_cc_factorize(g, max(2, m * deepest(f) * (m - 1) + 2))
-    value = loop_double_product(ring, fac_f.pos, fac_g.neg) * loop_double_product(ring, fac_g.pos, fac_f.neg).inverse()
+    value = loop_double_product(ring, fac_f, fac_g) * loop_double_product(ring, fac_g, fac_f).inverse()
     return relative_norm(value, ring.base)
 
 
@@ -483,8 +511,8 @@ def earlier_cc_loops():
 _PUNCTUATION = {"(": "LPAREN", ")": "RPAREN", **dict.fromkeys("+-*/^", "OP")}
 
 
-def loop_tokenize(text: str) -> list[Token]:
-    """The earlier per-character tokenizer; it reads any Unicode digit as an INT."""
+def loop_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, column) of each token by the earlier per-character loop; it reads any Unicode digit as an INT."""
     tokens = []
     i = 0
     n = len(text)
@@ -498,20 +526,20 @@ def loop_tokenize(text: str) -> list[Token]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(Token("INT", text[i:j], col))
+            tokens.append(("INT", text[i:j], col))
             i = j
         elif ch.isalpha() or ch == "_":
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(Token("NAME", text[i:j], col))
+            tokens.append(("NAME", text[i:j], col))
             i = j
         elif ch in _PUNCTUATION:
-            tokens.append(Token(_PUNCTUATION[ch], ch, col))
+            tokens.append((_PUNCTUATION[ch], ch, col))
             i += 1
         else:
             raise ExpressionError(f"unexpected character {ch!r}", column=col)
-    tokens.append(Token("EOF", "", n + 1))
+    tokens.append(("EOF", "", n + 1))
     return tokens
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reciprocity
-from reciprocity import cli, curve, factor, parsing
+from reciprocity import cli, curve, factor, fields, parsing
 from reciprocity.artinian import ArtinianAlgebra
 from reciprocity.corpus import random_rational_pair
 from reciprocity.curve import RationalFunction
@@ -15,12 +15,6 @@ from reciprocity.errors import DomainError, ExpressionError, FactorError, Recipr
 from reciprocity.fields import PRIME_TEST_BOUND, QQ, ExtensionField, find_irreducible, is_prime
 from reciprocity.laurent import DEFAULT_PRECISION, PRECISION_BUDGET, LaurentSeries
 from reciprocity.parsing import (
-    BigO,
-    Name,
-    Neg,
-    Num,
-    Pow,
-    _tokenize,
     parse_ast,
     parse_factored_rational,
     parse_field_spec,
@@ -64,7 +58,7 @@ def test_precedence():
     assert parse_rational("2^-1*3", QQ) == RationalFunction.constant(QQ, 3) / 2
     assert parse_rational("x^(-2)", QQ) == x**-2
     assert parse_rational("1/x/x", QQ) == x**-2 != parse_rational("1/(x/x)", QQ)
-    z = LaurentSeries.monomial(QQ, 1)
+    z = LaurentSeries(QQ, {1: 1})
     assert parse_series("-z^2 + O(z^5)", QQ) == LaurentSeries(QQ, {2: -1}, 5)
     assert parse_series("z^-1*z", QQ) == z * z.inverse()
 
@@ -93,6 +87,12 @@ def test_bad_expressions(text):
         parse_rational(text, QQ)
 
 
+def syntax_words(text):
+    """(kind, word, column) of each word the syntax pass reads, the end of the input last."""
+    words = parsing._words(text) + [""]
+    return [(parsing._KIND.get(w[:1], "NAME"), w, parsing._column(text, i)) for i, w in enumerate(words)]
+
+
 def tokens_or_error(tokenize, text):
     try:
         return tokenize(text)
@@ -109,7 +109,7 @@ TOKEN_ALPHABET = "xyz_e1209 +-*/^()\t\néß½²٣\u00a0\u2003#.$"
 @given(st.text(alphabet=TOKEN_ALPHABET, max_size=16))
 def test_tokenize_matches_the_earlier_loop(text):
     """Same kinds, texts and columns, except that a non-ASCII digit the loop read as an INT is refused."""
-    got, want = tokens_or_error(_tokenize, text), tokens_or_error(loop_tokenize, text)
+    got, want = tokens_or_error(syntax_words, text), tokens_or_error(loop_tokenize, text)
     if got != want:
         message, column = got
         ch = text[column - 1]
@@ -125,7 +125,7 @@ def test_non_ascii_digits_are_refused_with_their_column(text, column, capsys):
     assert cli.main(["residue", "--field", "Q", f"-f={text}", "-g=x"]) == cli.EXIT_INPUT
     assert f"column {column}" in capsys.readouterr().err
     # inside a name a non-ASCII digit is a name character, as str.isalnum() says
-    assert [t.text for t in _tokenize("x٣+y²")] == ["x٣", "+", "y²", ""]
+    assert parsing._words("x٣+y²") == ["x٣", "+", "y²"]
 
 
 DEEP = {
@@ -168,8 +168,8 @@ def reference_names(ring) -> dict:
     return names
 
 
-def reference_evaluate(node, ring, prec=None):
-    """node with every leaf a RationalFunction (prec None) or a LaurentSeries in z."""
+def reference_evaluate(node, ring, prec=None, text=""):
+    """node of text with every leaf a RationalFunction (prec None) or a LaurentSeries in z."""
     names = reference_names(ring)
 
     def leaf(c):
@@ -178,27 +178,28 @@ def reference_evaluate(node, ring, prec=None):
         return LaurentSeries.constant(ring, c)
 
     def walk(node):
-        if isinstance(node, Num):
-            return leaf(node.value)
-        if isinstance(node, Name):
-            if node.name == ("x" if prec is None else "z"):
-                return rational_x(ring) if prec is None else LaurentSeries.monomial(ring, 1)
-            if node.name in names:
-                return leaf(names[node.name])
-            raise ExpressionError(f"unknown name {node.name!r}", column=node.column)
-        if isinstance(node, Neg):
-            return -walk(node.child)
-        if isinstance(node, Pow):
-            base = walk(node.base)
-            return base**node.exponent if prec is None else base.power(node.exponent, rel_prec=prec)
-        if isinstance(node, BigO):
-            return LaurentSeries.zero(ring, node.exponent)
-        left, right = walk(node.left), walk(node.right)
-        if node.op == "+":
+        kind = node[0]
+        if kind == "num":
+            return leaf(node[1])
+        if kind == "name":
+            if node[1] == ("x" if prec is None else "z"):
+                return rational_x(ring) if prec is None else LaurentSeries(ring, {1: 1})
+            if node[1] in names:
+                return leaf(names[node[1]])
+            raise ExpressionError(f"unknown name {node[1]!r}", column=parsing._column(text, node[2]))
+        if kind == "neg":
+            return -walk(node[1])
+        if kind == "^":
+            base = walk(node[1])
+            return base ** node[2] if prec is None else base.power(node[2], rel_prec=prec)
+        if kind == "O":
+            return LaurentSeries.zero(ring, node[1])
+        left, right = walk(node[1]), walk(node[2])
+        if kind == "+":
             return left + right
-        if node.op == "-":
+        if kind == "-":
             return left - right
-        if node.op == "*":
+        if kind == "*":
             return left * right
         return left / right if prec is None else left * right.inverse(rel_prec=prec)
 
@@ -218,48 +219,60 @@ def random_expression(rng, leaves, depth: int) -> str:
 
 
 def outcome(fn, *args):
-    """(str, value) of fn(*args), or the type of the exception it raises."""
+    """(str, value) of fn(*args), or what it raises: the type, and the message and column of a parse refusal."""
     try:
         value = fn(*args)
+    except (ExpressionError, DomainError) as exc:
+        return type(exc), str(exc), getattr(exc, "column", None)
     except (ReciprocityError, ArithmeticError, ValueError) as exc:
         return type(exc)
     return str(value), value
 
 
-EVAL_FIELDS = ["Q", "F7", "F9:u^2+1"]
-EVAL_RINGS = EVAL_FIELDS + ["F7[e,d]/(e^3,d^2)", "Q[e]/(e^2)"]
+EVAL_FIELDS = ["Q", "F7", "F9:u^2+1", "F256", "F18446744073709551629"]
+EVAL_RINGS = EVAL_FIELDS + ["F7[e,d]/(e^3,d^2)", "Q[e]/(e^2)", "Q[e1,e2]/(e1^2,e2^2)"]
 CONSTANTS = ["0", "1", "2", "3", "6"]
+
+
+def generator_leaves(ring) -> list:
+    """Each generator name of ring, and over an Artinian ring a monomial and a division by a generator."""
+    names = list(ring.names) if isinstance(ring, ArtinianAlgebra) else []
+    leaves = names + [f"1/{names[0]}"] if names else []
+    if len(names) > 1:
+        leaves.append(f"{names[0]}^2*{names[1]}")
+    base = ring.base if isinstance(ring, ArtinianAlgebra) else ring
+    return leaves + (["u"] if isinstance(base, ExtensionField) else [])
 
 
 @pytest.mark.parametrize("spec", EVAL_FIELDS)
 def test_rational_evaluator_matches_reference(spec, monkeypatch):
     field = parse_field_spec(spec)
-    leaves = CONSTANTS + ["x", "x", "x"] + (["u"] if "u" in spec else [])
+    leaves = CONSTANTS + ["x", "x", "x", "x^-2", "2/x^2", "y"] + generator_leaves(field)
     rng = random.Random(f"evaluator:rational:{spec}")
     for _ in range(150):
         text = random_expression(rng, leaves, 4)
-        reference = outcome(reference_evaluate, parse_ast(text), field)
+        reference = outcome(reference_evaluate, parse_ast(text), field, None, text)
         assert outcome(parse_rational, text, field) == reference, text
     for _ in range(150):
         text = random_expression(rng, leaves, 3)
         got = outcome(parse_factored_rational, text, field)
         with monkeypatch.context() as m:
-            m.setattr(parsing._Evaluator, "eval", lambda self, node: reference_evaluate(node, self.ring))
+            m.setattr(parsing._Evaluator, "eval", lambda self, node: reference_evaluate(node, self.ring, None, text))
             want = outcome(parse_factored_rational, text, field)
         assert got == want, text
-        if isinstance(got, tuple):
+        if isinstance(got, tuple) and len(got) == 2:
             assert (got[1].factors, got[1].lead) == (want[1].factors, want[1].lead), text
 
 
 @pytest.mark.parametrize("spec", EVAL_RINGS)
 def test_series_evaluator_matches_reference(spec):
     ring = parse_ring_spec(spec)
-    names = [name for name in ("u", "e", "d") if name in spec]
-    leaves = CONSTANTS + names + ["z", "z", "z", "O(z^2)", "O(z^-1)", "(1 + z)", "(z^-1 + 2 + O(z^3))"]
+    leaves = CONSTANTS + generator_leaves(ring) + [
+        "z", "z", "z", "z^-3", "2/z^2", "y", "O(z^2)", "O(z^-1)", "(1 + z)", "(z^-1 + 2 + O(z^3))"]
     rng = random.Random(f"evaluator:series:{spec}")
     for _ in range(200):
         text = random_expression(rng, leaves, 4)
-        reference = outcome(reference_evaluate, parse_ast(text, series_var="z"), ring, 6)
+        reference = outcome(reference_evaluate, parse_ast(text, series_var="z"), ring, 6, text)
         assert outcome(parse_series, text, ring, 6) == reference, text
 
 
@@ -424,3 +437,41 @@ def test_declared_factors_are_tested_once(monkeypatch):
     with pytest.raises(FactorError, match="x\\^2 \\+ 6 is reducible; split it further"):
         parse_factored_rational("(x^2+6)*(x+1)", field)
     assert calls == ["x^2 + 6"]
+
+
+def test_exact_series_text_is_read_without_ring_products(monkeypatch):
+    """Every operation of a printed exact series stays in the term map: no Artinian product, one series."""
+    ring = parse_ring_spec("F7[e,d]/(e^3,d^2)")
+    s = random_laurent_polynomial(random.Random("structure"), ring, -3, 4)
+    text = str(s)
+    assert "e^2*d" in text and "z^-" in text
+    calls = []
+    mul, from_raw = ArtinianAlgebra._mul, LaurentSeries._from_raw.__func__
+
+    def counting_mul(self, a, b):
+        calls.append("_mul")
+        return mul(self, a, b)
+
+    def counting_from_raw(cls, *args):
+        calls.append("_from_raw")
+        return from_raw(cls, *args)
+
+    monkeypatch.setattr(ArtinianAlgebra, "_mul", counting_mul)
+    monkeypatch.setattr(LaurentSeries, "_from_raw", classmethod(counting_from_raw))
+    assert parse_series(text, ring) == s
+    assert calls == ["_from_raw"]
+
+
+def test_a_prime_field_spec_is_tested_for_primality_once(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return is_prime(n)
+
+    for module in (fields, parsing):
+        monkeypatch.setattr(module, "is_prime", counting)
+    for q in (101, 2**31 - 1, 18446744073709551629):
+        calls.clear()
+        assert parse_field_spec(f"F{q}").order == q
+        assert calls.count(q) == 1
