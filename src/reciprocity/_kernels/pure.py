@@ -5,11 +5,16 @@ Polynomials over F_p are plain lists of ints in ``[0, p)``, little-endian
 Matrices are lists of row lists.  These functions are the reference
 semantics.  ``mul`` and ``powmod`` pack a polynomial into one big int, a
 coefficient per slot of bits, so a product is one C-level multiply, and
-``divmod_poly`` reduces lazily; the compiled module ``_core`` keeps the
-schoolbook loops (``powmod`` in the other bit order), with identical results.
+``powmod`` steps through its exponent by sliding windows.  ``divmod_poly``,
+``gcd`` and ``invmod`` reduce lazily, each remainder in place in its own
+list, and ``gcd`` forms no quotient.  The compiled module ``_core`` keeps
+the schoolbook loops and a right-to-left binary ``powmod``, with identical
+results.
 """
 
 from __future__ import annotations
+
+import re
 
 BACKEND = "python"
 
@@ -86,30 +91,55 @@ def mul(a: list[int], b: list[int], p: int) -> list[int]:
     return normalize(_unpack(_pack(a, s) * _pack(b, s), s, len(a) + len(b) - 1, p))
 
 
-def divmod_poly(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder by lazy reduction.
+def _reduce(r: list[int], den: list[int], inv_lead: int, p: int, q: list[int] | None = None) -> None:
+    """Reduce r mod den in place, lazily; with q given, write the quotient into it.
 
     Each step reduces only the coefficient about to lead; the others take
-    their products unreduced, and the remainder is reduced once at the end.
-    A monic divisor skips the inverse of its lead.
+    their products unreduced, and the remainder is reduced once at the end,
+    in the list r itself, which ends normalized.  inv_lead is the inverse of
+    den's lead, and q has room for len(r) - deg den coefficients.
+    """
+    dd = len(den) - 1
+    for k in range(len(r) - 1, dd - 1, -1):
+        c = r[k] * inv_lead % p
+        if c:
+            lo = k - dd
+            if q is not None:
+                q[lo] = c
+            for j in range(dd):
+                r[lo + j] -= c * den[j]
+    del r[dd:]
+    _settle(r, p)
+
+
+def _settle(a: list[int], p: int) -> None:
+    """Take every entry of a mod p and drop the zeros on top, in place."""
+    a[:] = [x % p for x in a]
+    while a and not a[-1]:
+        a.pop()
+
+
+def _inverse_lead(a: list[int], p: int) -> int:
+    lead = a[-1]
+    return 1 if lead == 1 else pow(lead, -1, p)
+
+
+def divmod_poly(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder by lazy reduction (``_reduce``).
+
+    A monic divisor skips the inverse of its lead.  The quotient's top
+    coefficient is num's lead over den's, nonzero, so both results come out
+    normalized and neither is copied again.
     """
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     dd = len(den) - 1
     if len(num) - 1 < dd:
         return [], normalize(num)
-    lead = den[dd]
-    inv_lead = 1 if lead == 1 else pow(lead, -1, p)
     r = list(num)
     q = [0] * (len(r) - dd)
-    for k in range(len(r) - 1, dd - 1, -1):
-        c = r[k] * inv_lead % p
-        if c:
-            lo = k - dd
-            q[lo] = c
-            for j in range(dd):
-                r[lo + j] -= c * den[j]
-    return normalize(q), normalize([x % p for x in r[:dd]])
+    _reduce(r, den, _inverse_lead(den, p), p, q)
+    return q, r
 
 
 def rem(a: list[int], m: list[int], p: int) -> list[int]:
@@ -119,17 +149,19 @@ def rem(a: list[int], m: list[int], p: int) -> list[int]:
 def monic(a: list[int], p: int) -> list[int]:
     if not a:
         return []
-    lead = a[-1]
-    if lead == 1:
+    if a[-1] == 1:
         return list(a)
-    return scalar_mul(a, pow(lead, -1, p), p)
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
 
 
 def gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd by a remainder sequence in two lists, each reduced in place; no quotient is formed."""
     a, b = list(a), list(b)
     while b:
-        a, b = b, rem(a, b, p)
-    return monic(a, p)
+        _reduce(a, b, _inverse_lead(b, p), p)
+        a, b = b, a
+    return a if not a or a[-1] == 1 else monic(a, p)
 
 
 def xgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int], list[int]]:
@@ -149,47 +181,84 @@ def xgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int], list
 
 
 def invmod(a: list[int], m: list[int], p: int) -> list[int]:
-    """a^-1 mod m by extended Euclid, tracking only the cofactor s of a (s*a = r mod m)."""
+    """a^-1 mod m by extended Euclid, tracking only the cofactor s of a (s*a = r mod m).
+
+    The remainders are reduced in place (``_reduce``).  A quotient mostly
+    has one or two terms, so s0 - q*s1 is a schoolbook loop over q.
+    """
     r0, r1 = list(a), list(m)
     s0, s1 = [1], []
     while r1:
-        q, r = divmod_poly(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, sub(s0, mul(q, s1, p), p)
+        dq = len(r0) - len(r1) + 1
+        q = [0] * max(dq, 0)
+        _reduce(r0, r1, _inverse_lead(r1, p), p, q)
+        s = s0 + [0] * (dq + len(s1) - 1 - len(s0))
+        for i, c in enumerate(q):
+            if c:
+                for j, x in enumerate(s1):
+                    s[i + j] -= c * x
+        _settle(s, p)
+        r0, r1 = r1, r0
+        s0, s1 = s1, s
     if len(r0) != 1:
         raise ZeroDivisionError("element is not invertible modulo the given polynomial")
-    return rem(scalar_mul(s0, pow(r0[0], -1, p), p), m, p)
+    # the cofactor of the last nonzero remainder has degree below deg m
+    inv = pow(r0[0], -1, p)
+    return [c * inv % p for c in s0]
 
 
 def mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
     return rem(mul(a, b, p), m, p)
 
 
+def _window(bits: int) -> int:
+    """The sliding-window width with the fewest expected products for an exponent of this many bits.
+
+    Width 1 is plain binary powering, about bits/2 products by the base.
+    A width w > 1 first forms b^2 and the odd powers b^3, ..., b^(2^w - 1),
+    2^(w-1) products, and then multiplies about once per w + 1 bits
+    (Menezes, van Oorschot and Vanstone, *Handbook of Applied Cryptography*,
+    Alg. 14.85).
+    """
+
+    def cost(w: int) -> float:
+        return (1 << (w - 1) if w > 1 else 0) + bits / (w + 1)
+
+    w = 1
+    while cost(w + 1) < cost(w):
+        w += 1
+    return w
+
+
 def powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
-    """a^e mod m by left-to-right binary powering on packed residues.
+    """a^e mod m by left-to-right sliding windows on packed residues.
 
     With n = deg m, a residue r is one int with r[i] in the s-bit slot i,
     s = 2*bitlen(p-1) + bitlen(2n).  The rows x^(n+k) mod m for k < n-1 are
     packed once per call: row 0 is the monic tail -m/lead, and each next row
-    is the last one shifted up a slot and reduced.  For each bit of e from
-    the top, r is squared, then multiplied by the base when the bit is set.
-    Each is one big-int product; its high slot n+k, taken mod p, times row k
-    is added to the n low slots.  The bound rests on the input contract,
-    coefficients in [0, p), which every residue keeps: a low slot then holds
-    a sum of at most n + (n-1) terms, each at most (p-1)^2, so it fits its
-    slot, and one pass taking each of the n slots mod p gives the reduced
-    residue.  ``_core`` keeps its right-to-left loop; a^e mod m is unique,
-    so both give the same list.
+    is the last one shifted up a slot and reduced.  The odd powers of the
+    base up to 2^w - 1 are formed once per call, w = ``_window`` of e's bit
+    length.  The bits of e, from the top, split into runs of zeros and
+    windows of at most w bits that begin and end with a 1: r starts as the
+    first window's power; then a run squares r once per bit, and a window
+    squares r once per bit and multiplies it by the window's odd power.
+    Each step is one big-int product; its high slot n+k, taken mod p, times
+    row k is added to the n low slots.  The bound rests on the input
+    contract, coefficients in [0, p), which every residue keeps: a low slot
+    then holds a sum of at most n + (n-1) terms, each at most (p-1)^2, so
+    it fits its slot, and one pass taking each of the n slots mod p gives
+    the reduced residue.  ``_core`` keeps its right-to-left binary loop;
+    a^e mod m is unique, so both give the same list.
     """
     if e < 0:
         a = invmod(a, m, p)
         e = -e
-    base = rem(a, m, p)
+    if not e:
+        return rem([1], m, p)
     n = len(m) - 1
     s = 2 * (p - 1).bit_length() + (2 * n).bit_length()
     mask, low, shifts = (1 << s) - 1, (1 << (n * s)) - 1, range(0, n * s, s)
-    lead = m[n]
-    inv_lead = 1 if lead == 1 else pow(lead, -1, p)
+    inv_lead = _inverse_lead(m, p)
     # for n <= 1 no product has a high slot, and row 0 goes unused
     rows = [_pack([-c * inv_lead % p for c in m[:n]], s)]
 
@@ -197,7 +266,7 @@ def powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
         acc = x & low
         x >>= n * s
         for row in rows:
-            if not x:  # a product by a short base has fewer high slots
+            if not x:  # a product by a short residue has fewer high slots
                 break
             acc += (x & mask) % p * row
             x >>= s
@@ -208,11 +277,19 @@ def powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
 
     while len(rows) < n - 1:
         rows.append(reduce(rows[-1] << s))
-    b = _pack(base, s)
-    r = _pack(rem([1], m, p), s)
-    # S squares, M multiplies by the base
-    for step in bin(e)[2:].replace("1", "SM").replace("0", "S"):
-        r = reduce(r * (r if step == "S" else b))
+    w = _window(e.bit_length())
+    odd = [_pack(rem(a, m, p), s)]  # odd[i] is the base to the power 2i + 1
+    if w > 1:
+        square = reduce(odd[0] * odd[0])
+        while len(odd) < 1 << (w - 1):
+            odd.append(reduce(odd[-1] * square))
+    windows = re.findall("0+|1" if w == 1 else f"0+|1(?:[01]{{0,{w - 2}}}1)?", bin(e)[2:])
+    r = odd[int(windows[0], 2) >> 1]
+    for window in windows[1:]:
+        for _ in window:
+            r = reduce(r * r)
+        if window[0] == "1":
+            r = reduce(r * odd[int(window, 2) >> 1])
     return normalize(_unpack(r, s, n, p))
 
 

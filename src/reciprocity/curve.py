@@ -333,8 +333,8 @@ class RationalFunction:
         if place.is_infinite:
             raise DomainError("use leading_unit_at_infinity for the infinite place")
         p = place.poly
-        num1 = _divide_out(self.num, p)[1] % p
-        den1 = _divide_out(self.den, p)[1] % p
+        num1 = _strip(self.num, p)[2]
+        den1 = _strip(self.den, p)[2]
         return (num1 * den1.invmod(p)) % p
 
     def leading_unit_at_infinity(self) -> AlgebraElement:
@@ -342,15 +342,24 @@ class RationalFunction:
         return self.num.leading_coefficient() / self.den.leading_coefficient()
 
 
-def _divide_out(poly: Polynomial, p: Polynomial) -> tuple[int, Polynomial]:
-    """(m, poly / p^m) for the largest m with p^m | poly; the zero polynomial gives m = 0."""
-    m = 0
+def _strip(poly: Polynomial, p: Polynomial) -> tuple[int, Polynomial, Polynomial]:
+    """(m, poly / p^m, poly / p^m mod p) for the largest m with p^m | poly.
+
+    The remainder is the one the last, failing division left.  The zero
+    polynomial gives (0, 0, 0).
+    """
+    m, r = 0, poly
     while poly:
         q, r = divmod(poly, p)
         if r:
             break
         m, poly = m + 1, q
-    return m, poly
+    return m, poly, r
+
+
+def _divide_out(poly: Polynomial, p: Polynomial) -> tuple[int, Polynomial]:
+    """(m, poly / p^m) for the largest m with p^m | poly; the zero polynomial gives m = 0."""
+    return _strip(poly, p)[:2]
 
 
 # -- divisors and places ------------------------------------------------------
@@ -480,10 +489,11 @@ def wrl_local_factor(f: RationalFunction, g: RationalFunction, place: Place) -> 
         cg = g.leading_unit_at_infinity()
         value = cf**vg * cg ** (-vf)
     else:
+        # a unit value raised to the power 0 is 1, so it is formed only when needed
         p = place.poly
-        uf = f.unit_value_at(place)
-        ug = g.unit_value_at(place)
-        cls = (uf.pow_mod(vg, p) * ug.pow_mod(-vf, p)) % p
+        cls = f.unit_value_at(place).pow_mod(vg, p) if vg else Polynomial.one(p.field)
+        if vf:
+            cls = (cls * g.unit_value_at(place).pow_mod(-vf, p)) % p
         value = _residue_class_norm(cls, place)
     if (vf * vg * place.degree) % 2:
         return -value

@@ -5,7 +5,10 @@ distinct-degree splitting, then equal-degree splitting (Cantor-Zassenhaus,
 with the trace construction in characteristic 2) for every degree, roots
 included.  Distinct-degree splitting raises x to the q-th power mod f once
 and steps from x^(q^d) to x^(q^(d+1)) by one product with the Frobenius
-matrix of f.  The randomized splits draw from a generator with a fixed
+matrix of f.  In odd characteristic the equal-degree split of a degree-d
+part raises the norm r * r^q * ... * r^(q^(d-1)) of a random r to (q-1)/2,
+its Frobenius images coming through the same matrix, built only when some
+part needs it.  The randomized splits draw from a generator with a fixed
 seed, and the factors are returned in a canonical order, so the output
 does not depend on the seed.
 
@@ -77,6 +80,9 @@ def _squarefree_finite(f: Polynomial) -> list[tuple[Polynomial, int]]:
             helper(root, outer * p)
             return
         c = f.gcd(d)
+        if c.degree == 0:  # f is squarefree: the loop below would only divide by 1
+            accumulate(f, outer)
+            return
         w = f.exact_divide(c)
         i = 1
         while w.degree >= 1:
@@ -116,32 +122,54 @@ def _frobenius_matrix(xq: Polynomial, f: Polynomial) -> list[list]:
     return [_padded(g, f.degree) for g in powers]
 
 
-def _distinct_degree(f: Polynomial) -> list[tuple[Polynomial, int]]:
+class _Frobenius:
+    """The q-th power map of F_q[x]/(f), each part built on first use.
+
+    ``xq`` is x^q mod f, one ``pow_mod``.  Since c^q = c for every c in F_q,
+    h(x)^q = sum h_i x^(q*i), so a call is one vector-matrix product with
+    the Frobenius matrix of f, whose row i is x^(q*i) mod f (von zur Gathen
+    and Shoup, "Computing Frobenius maps and factoring polynomials", 1992).
+    Reduced mod a factor of f, the images are those of that factor's map.
+    """
+
+    def __init__(self, f: Polynomial):
+        self.f = f
+        self._xq = self._matrix = None
+
+    def xq(self) -> Polynomial:
+        if self._xq is None:
+            self._xq = Polynomial.x(self.f.field).pow_mod(self.f.field.order, self.f)
+        return self._xq
+
+    def __call__(self, h: Polynomial) -> Polynomial:
+        """h^q mod f, for h of degree below deg f."""
+        if self._matrix is None:
+            self._matrix = _frobenius_matrix(self.xq(), self.f)
+        field = self.f.field
+        row = field.kernels.mat_mul([h._data], self._matrix[: len(h._data)], field.kernel_arg)[0]
+        return _from_data(field, _trim(field, row))
+
+
+def _distinct_degree(f: Polynomial, frobenius: _Frobenius | None = None) -> list[tuple[Polynomial, int]]:
     """Squarefree monic f -> [(product of irreducibles of degree d, d)].
 
     Step d takes gcd(rest, h - x) with h = x^(q^d) mod f.  The only power
-    is x^q mod f, one ``pow_mod``; from it comes the Frobenius matrix Q of
-    f, whose row i is x^(q*i) mod f.  Since c^q = c for every c in F_q,
-    h(x)^q = sum h_i x^(q*i), so each later step is the vector-matrix
-    product h <- h*Q, one ``mat_mul`` (von zur Gathen and Shoup, "Computing
-    Frobenius maps and factoring polynomials", 1992).  h stays reduced mod
-    f, not mod rest: the gcd with rest is the same.
+    is x^q mod f, one ``pow_mod``; each later step is h <- h^q, one
+    product with the Frobenius matrix of f (``_Frobenius``, which the
+    equal-degree split of f's parts reuses).  h stays reduced mod f, not
+    mod rest: the gcd with rest is the same.
     """
     field = f.field
+    if frobenius is None:
+        frobenius = _Frobenius(f)
     out = []
     x = Polynomial.x(field)
-    h = frobenius = None
+    h = None
     d = 0
     rest = f
     while rest.degree > 2 * (d + 1) - 1:
         d += 1
-        if h is None:
-            h = x.pow_mod(field.order, f)
-        else:
-            if frobenius is None:
-                frobenius = _frobenius_matrix(h, f)
-            row = field.kernels.mat_mul([_padded(h, f.degree)], frobenius, field.kernel_arg)[0]
-            h = _from_data(field, _trim(field, row))
+        h = frobenius.xq() if h is None else frobenius(h)
         g = rest.gcd(h - x)
         if g.degree >= 1:
             out.append((g.monic(), d))
@@ -151,8 +179,15 @@ def _distinct_degree(f: Polynomial) -> list[tuple[Polynomial, int]]:
     return out
 
 
-def _equal_degree_split(f: Polynomial, d: int, rng: random.Random) -> list[Polynomial]:
-    """Monic squarefree f, all irreducible factors of degree d."""
+def _equal_degree_split(f: Polynomial, d: int, rng: random.Random, frobenius: _Frobenius) -> list[Polynomial]:
+    """Monic squarefree f, all irreducible factors of degree d; frobenius is that of a multiple of f.
+
+    In odd characteristic each factor's residue field is F_(q^d), where
+    r^((q^d-1)/2) = N(r)^((q-1)/2) for the norm N(r) = r * r^q * ... *
+    r^(q^(d-1)), since (q^d-1)/2 = (q-1)/2 * (1 + q + ... + q^(d-1)).  The
+    images r^(q^i) mod f come from the Frobenius matrix, so the one power
+    is to (q-1)/2; at d = 1 the norm is r itself.
+    """
     field = f.field
     q = field.order
     if f.degree == d:
@@ -170,19 +205,23 @@ def _equal_degree_split(f: Polynomial, d: int, rng: random.Random) -> list[Polyn
                 power = (power * power) % f
             g = f.gcd(t)
         else:
-            s = r.pow_mod((q**d - 1) // 2, f)
-            g = f.gcd(s - Polynomial.one(field))
+            norm = image = r
+            for _ in range(d - 1):
+                image = frobenius(image) % f
+                norm = (norm * image) % f
+            g = f.gcd(norm.pow_mod((q - 1) // 2, f) - Polynomial.one(field))
         if 0 < g.degree < f.degree:
-            left = _equal_degree_split(g.monic(), d, rng)
-            right = _equal_degree_split(f.exact_divide(g).monic(), d, rng)
+            left = _equal_degree_split(g.monic(), d, rng, frobenius)
+            right = _equal_degree_split(f.exact_divide(g).monic(), d, rng, frobenius)
             return left + right
 
 
 def _factor_finite(f: Polynomial, rng: random.Random) -> list[tuple[Polynomial, int, bool]]:
     out = []
     for g, mult in _squarefree_finite(f):
-        for h, d in _distinct_degree(g):
-            for irr in _equal_degree_split(h, d, rng):
+        frobenius = _Frobenius(g)
+        for h, d in _distinct_degree(g, frobenius):
+            for irr in _equal_degree_split(h, d, rng, frobenius):
                 out.append((irr, mult, True))
     out.sort(key=lambda t: t[0].sort_key())
     return out

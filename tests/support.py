@@ -4,11 +4,11 @@ The library keeps what its own commands call; the independent checks the
 tests compare it against live here: tuple-format extension fields,
 expanding a factorization back into what it factors, comparing truncated
 series, the whole loop-matrix product, the norm/determinant
-compatibility of block matrices, adele
-orthogonality over a list of test functions, the schoolbook loops of the
-packed F_p kernels, the earlier series arithmetic on dicts of elements,
-Contou-Carrère loops and tokenizer, and random series, operators and
-factored rational functions.
+compatibility of block matrices, adele orthogonality over a list of test
+functions, the schoolbook loops of the packed and in-place F_p kernels,
+the earlier series arithmetic on dicts of elements, Contou-Carrère loops
+and tokenizer, and random series, operators and factored rational
+functions.
 """
 
 from __future__ import annotations
@@ -183,8 +183,9 @@ def sigma_perp_forward(adele: AdeleVector, tests) -> bool:
 
 # -- the F_p kernels as schoolbook loops ----------------------------------------
 # ``pure.mul``, ``pure.divmod_poly`` and ``pure.powmod`` pack coefficients into
-# big ints; these are the same contracts with one ``% p`` per coefficient
-# product, the bodies the packed ones replaced.
+# big ints or reduce lazily, and ``pure.gcd`` and ``pure.invmod`` reduce their
+# remainder sequences in place; these are the same contracts with one ``% p``
+# per coefficient product and fresh lists per step, the bodies they replaced.
 
 
 def loop_mul(a: list[int], b: list[int], p: int) -> list[int]:
@@ -218,10 +219,31 @@ def loop_divmod_poly(num: list[int], den: list[int], p: int) -> tuple[list[int],
     return pure.normalize(q), pure.normalize(r)
 
 
+def loop_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd, one fresh quotient and remainder per step."""
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, loop_divmod_poly(a, b, p)[1]
+    return pure.monic(a, p)
+
+
+def loop_invmod(a: list[int], m: list[int], p: int) -> list[int]:
+    """a^-1 mod m by extended Euclid, with s1 <- s0 - q*s1 a full product and a difference."""
+    r0, r1 = list(a), list(m)
+    s0, s1 = [1], []
+    while r1:
+        q, r = loop_divmod_poly(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, pure.sub(s0, loop_mul(q, s1, p), p)
+    if len(r0) != 1:
+        raise ZeroDivisionError("element is not invertible modulo the given polynomial")
+    return loop_divmod_poly(pure.scalar_mul(s0, pow(r0[0], -1, p), p), m, p)[1]
+
+
 def loop_powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
     """a^e mod m, left to right, one schoolbook product and remainder per step."""
     if e < 0:
-        a = pure.invmod(a, m, p)
+        a = loop_invmod(a, m, p)
         e = -e
     base = loop_divmod_poly(a, m, p)[1]
     result = loop_divmod_poly([1], m, p)[1]

@@ -11,6 +11,7 @@ from reciprocity.curve import (
     Place,
     RationalFunction,
     _divide_out,
+    _residue_class_norm,
     divisor_of,
     local_expansion,
     relevant_places,
@@ -128,6 +129,30 @@ class TestWRL:
         f = rf(F3, (1, 0, 1))
         p = Place.finite(Polynomial(F3, [1, 0, 1]))
         assert wrl_local_factor(f, f, p) == 1
+
+    def test_local_factor_forms_only_the_unit_values_it_raises(self, F7, monkeypatch):
+        x = rational_x(F7)
+        f, g = x**2 * (x + 1), x * (x + 2) / (x**2 + 1)  # x^2 + 1 is irreducible over F7
+
+        def both_unit_values(place):
+            """The local factor with both unit values formed, whatever the valuations."""
+            vf, vg, p = f.valuation_at(place), g.valuation_at(place), place.poly
+            cls = (f.unit_value_at(place).pow_mod(vg, p) * g.unit_value_at(place).pow_mod(-vf, p)) % p
+            value = _residue_class_norm(cls, place)
+            return -value if (vf * vg * place.degree) % 2 else value
+
+        places = [place for place in relevant_places(f, g) if not place.is_infinite]
+        want = [both_unit_values(place) for place in places]
+        calls = []
+        unit_value_at = RationalFunction.unit_value_at
+        monkeypatch.setattr(RationalFunction, "unit_value_at",
+                            lambda self, place: calls.append("f" if self is f else "g") or unit_value_at(self, place))
+        formed = []
+        for place, value in zip(places, want):
+            calls.clear()
+            assert wrl_local_factor(f, g, place) == value, str(place)
+            formed.append((f.valuation_at(place), g.valuation_at(place), "".join(calls)))
+        assert sorted(formed) == [(0, -1, "f"), (0, 1, "f"), (1, 0, "g"), (2, 1, "fg")]
 
     def test_verify_examples(self, Q):
         x = rational_x(Q)

@@ -5,7 +5,7 @@ import pytest
 from reciprocity import factor
 from reciprocity.errors import DomainError, FactorError
 from reciprocity.factor import is_irreducible, poly_factor
-from reciprocity.fields import QQ, ExtensionField, PrimeField, find_irreducible
+from reciprocity.fields import QQ, ExtensionField, PrimeField, _is_irreducible_mod_p, find_irreducible
 from reciprocity.poly import Polynomial
 from support import expand
 
@@ -192,6 +192,42 @@ def test_distinct_degree_powers_once_where_the_reference_does_not(F5, monkeypatc
     calls.clear()
     assert reference_distinct_degree(f) == got == [(x + 1, 1), (x**2 + 2, 2), (cubics, 3)]
     assert calls == [5, 5, 5]
+
+
+@pytest.mark.parametrize("p", [3, 101, 2**31 - 1, 2**61 - 1])
+@pytest.mark.parametrize("d", [2, 3])
+def test_products_of_equal_degree_irreducibles_factor_back(p, d):
+    field = PrimeField(p)
+    rng = random.Random(f"edf:{p}:{d}")
+    available = (p**d - p) // d  # monic irreducibles of prime degree d
+    for count in (2, 3, 4):
+        irreducibles = set()
+        while len(irreducibles) < min(count, available):
+            coeffs = tuple(rng.randrange(p) for _ in range(d)) + (1,)
+            if _is_irreducible_mod_p(list(coeffs), field):
+                irreducibles.add(coeffs)
+        polys = sorted((Polynomial(field, list(c)) for c in irreducibles), key=Polynomial.sort_key)
+        f = Polynomial.one(field)
+        for g in polys:
+            f = f * g
+        assert [(g, m, c) for g, m, c in poly_factor(f)] == [(g, 1, True) for g in polys]
+
+
+def test_equal_degree_split_powers_only_to_half_of_q_minus_1(F5, monkeypatch):
+    x = Polynomial.x(F5)
+    quadratics = (x**2 + 2) * (x**2 + 3)
+    cubics = (x**3 + 3 * x + 3) * (x**3 + x + 1)
+    f = (x + 1) * (x + 2) * quadratics * cubics
+    calls, matrices = [], []
+    pow_mod = Polynomial.pow_mod
+    monkeypatch.setattr(Polynomial, "pow_mod", lambda self, e, m: calls.append(e) or pow_mod(self, e, m))
+    frobenius_matrix = factor._frobenius_matrix
+    monkeypatch.setattr(factor, "_frobenius_matrix", lambda xq, g: matrices.append(g) or frobenius_matrix(xq, g))
+    fac = poly_factor(f)
+    assert expand(fac) == f and len(fac.factors) == 6
+    # x^q once for distinct degrees, then every split (degrees 1, 2 and 3) to (q-1)/2, not (q^d-1)/2
+    assert calls[0] == 5 and len(calls) >= 4 and set(calls[1:]) == {2}
+    assert matrices == [f]
 
 
 def test_degree_budget(F5):

@@ -19,7 +19,7 @@ from reciprocity._kernels import generic, pure
 from reciprocity.factor import DEGREE_BUDGET
 from reciprocity.errors import NonUnitError
 from reciprocity.fields import QQ, TABLE_MAX_ORDER, ExtensionField, PrimeField, TableField, find_irreducible
-from support import TupleField, loop_divmod_poly, loop_mul, loop_powmod
+from support import TupleField, loop_divmod_poly, loop_gcd, loop_invmod, loop_mul, loop_powmod
 
 try:
     from reciprocity._kernels import _core as core
@@ -315,14 +315,67 @@ def test_packed_mul_and_divmod_match_the_loops(p, data):
     assert pure.divmod_poly(ab, den, p) == loop_divmod_poly(ab, den, p)
 
 
+def sharing_a_factor(p):
+    """(a, m) with a common factor of degree >= 1, so a is not invertible mod m."""
+    common = moduli(p, 3).filter(lambda c: len(c) > 1)
+    return st.builds(lambda c, u, v: (pure.mul(c, u, p), pure.mul(c, v, p)),
+                     common, coefficient_lists(p, 6), moduli(p, 6))
+
+
 @pytest.mark.parametrize("p", PACKED_PRIMES)
-@pytest.mark.parametrize("exponent", ["0", "1", "2", "-3", "p", "(p^d-1)/2"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_in_place_gcd_and_invmod_match_the_loops(p, data):
+    a, b = data.draw(coefficient_lists(p)), data.draw(coefficient_lists(p))
+    m = data.draw(moduli(p))
+    assert pure.gcd(a, b, p) == loop_gcd(a, b, p)
+    assert pure.gcd(a, m, p) == loop_gcd(a, m, p)
+    for x in (a, b):
+        assert outcome(pure.invmod, (x, m, p)) == outcome(loop_invmod, (x, m, p)), (x, m)
+    x, shared = data.draw(sharing_a_factor(p))
+    assert outcome(pure.invmod, (x, shared, p)) is ZeroDivisionError
+    assert outcome(loop_invmod, (x, shared, p)) is ZeroDivisionError
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_in_place_gcd_and_invmod_edge_cases(p):
+    m = [1, 0, 2 % p or 1, p - 1]  # a non-monic cubic
+    polys = [[], [1], [p - 1], [0, 1], [1, p - 1], m, pure.mul(m, [1, 1], p)]
+    for a in polys:
+        for b in polys:
+            assert pure.gcd(a, b, p) == loop_gcd(a, b, p), (a, b)
+        for mod in ([1], [p - 1], [1, 1], [0, 0, 1], m):
+            assert outcome(pure.invmod, (a, mod, p)) == outcome(loop_invmod, (a, mod, p)), (a, mod)
+    # zero and multiples of the modulus are not invertible; a constant is
+    assert outcome(pure.invmod, ([], m, p)) is ZeroDivisionError
+    assert outcome(pure.invmod, (pure.mul(m, [1, 1], p), m, p)) is ZeroDivisionError
+    assert pure.invmod([p - 1], m, p) == [p - 1]
+
+
+def signed(e):
+    return st.sampled_from([e, -e])
+
+
+# The sliding windows change shape around powers of two, on runs of ones and
+# on alternating bits; "2^k+c" takes k <= 70 and c in {-1, 0, 1}.
+WINDOW_EXPONENTS = {
+    "2^k+c": st.builds(lambda k, c: 2**k + c, st.integers(0, 70), st.sampled_from([-1, 0, 1])).flatmap(signed),
+    "alternating": st.sampled_from([int("10" * 35, 2), int("01" * 35, 2), int("101" * 23, 2)]).flatmap(signed),
+    "100-bit": st.integers(2**99, 2**100 - 1).flatmap(signed),
+}
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+@pytest.mark.parametrize("exponent", ["0", "1", "2", "-3", "p", "(p^d-1)/2", *WINDOW_EXPONENTS])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_packed_powmod_matches_the_loop(p, exponent, data):
     a, m = data.draw(coefficient_lists(p)), data.draw(moduli(p))
     d = len(m) - 1
-    e = {"0": 0, "1": 1, "2": 2, "-3": -3, "p": p, "(p^d-1)/2": (p**d - 1) // 2}[exponent]
+    if exponent in WINDOW_EXPONENTS:
+        e = data.draw(WINDOW_EXPONENTS[exponent])
+    else:
+        e = {"0": 0, "1": 1, "2": 2, "-3": -3, "p": p, "(p^d-1)/2": (p**d - 1) // 2}[exponent]
     assert outcome(pure.powmod, (a, e, m, p)) == outcome(loop_powmod, (a, e, m, p)), (a, e, m)
 
 
