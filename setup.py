@@ -1,31 +1,10 @@
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
-# The compiled kernels are optional: the package falls back to the pure
-# Python implementation in reciprocity._kernels.pure when the build fails.
-# Without Cython, the shipped generated C file is compiled instead.
-extensions = [
-    Extension(
-        "reciprocity._kernels._core",
-        ["src/reciprocity/_kernels/_core.pyx" if cythonize else "src/reciprocity/_kernels/_core.c"],
-        optional=True,
-    )
-]
-
+# The compiled kernels are the hand-written C file _core.c.  They are
+# optional: when the build fails (no compiler), the package falls back to
+# the pure Python kernels in reciprocity._kernels.pure.
 setup(
-    ext_modules=cythonize(
-        extensions,
-        compiler_directives={
-            "language_level": "3",
-            "cdivision": True,
-            "boundscheck": False,
-            "wraparound": False,
-        },
-    )
-    if cythonize
-    else extensions,
+    ext_modules=[
+        Extension("reciprocity._kernels._core", ["src/reciprocity/_kernels/_core.c"], optional=True),
+    ],
 )

@@ -7,9 +7,10 @@ semantics.  ``mul`` and ``powmod`` pack a polynomial into one big int, a
 coefficient per slot of bits, so a product is one C-level multiply, and
 ``powmod`` steps through its exponent by sliding windows.  ``divmod_poly``,
 ``gcd`` and ``invmod`` reduce lazily, each remainder in place in its own
-list, and ``gcd`` forms no quotient.  The compiled module ``_core`` keeps
-the schoolbook loops and a right-to-left binary ``powmod``, with identical
-results.
+list, and ``gcd`` forms no quotient.  The compiled module ``_core``, the
+C file ``_core.c``, runs schoolbook loops on int64 buffers, each product
+reduced as it is formed, and a right-to-left binary ``powmod``, with
+identical results.
 """
 
 from __future__ import annotations
@@ -47,13 +48,6 @@ def sub(a: list[int], b: list[int], p: int) -> list[int]:
 
 def neg(a: list[int], p: int) -> list[int]:
     return [(-c) % p for c in a]
-
-
-def scalar_mul(a: list[int], c: int, p: int) -> list[int]:
-    c %= p
-    if c == 0:
-        return []
-    return normalize([(x * c) % p for x in a])
 
 
 def _pack(a: list[int], s: int) -> int:
@@ -164,22 +158,6 @@ def gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a if not a or a[-1] == 1 else monic(a, p)
 
 
-def xgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int], list[int]]:
-    """Monic g and s, t with s*a + t*b = g."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = divmod_poly(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, sub(s0, mul(q, s1, p), p)
-        t0, t1 = t1, sub(t0, mul(q, t1, p), p)
-    if not r0:
-        return [], s0, t0
-    c = pow(r0[-1], -1, p)
-    return scalar_mul(r0, c, p), scalar_mul(s0, c, p), scalar_mul(t0, c, p)
-
-
 def invmod(a: list[int], m: list[int], p: int) -> list[int]:
     """a^-1 mod m by extended Euclid, tracking only the cofactor s of a (s*a = r mod m).
 
@@ -247,8 +225,9 @@ def powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
     contract, coefficients in [0, p), which every residue keeps: a low slot
     then holds a sum of at most n + (n-1) terms, each at most (p-1)^2, so
     it fits its slot, and one pass taking each of the n slots mod p gives
-    the reduced residue.  ``_core`` keeps its right-to-left binary loop;
-    a^e mod m is unique, so both give the same list.
+    the reduced residue.  ``_core`` reads e's bits once and runs a
+    right-to-left binary loop on C buffers; a^e mod m is unique, so both
+    give the same list.
     """
     if e < 0:
         a = invmod(a, m, p)

@@ -188,6 +188,13 @@ def sigma_perp_forward(adele: AdeleVector, tests) -> bool:
 # per coefficient product and fresh lists per step, the bodies they replaced.
 
 
+def scalar_mul(a: list[int], c: int, p: int) -> list[int]:
+    c %= p
+    if c == 0:
+        return []
+    return pure.normalize([(x * c) % p for x in a])
+
+
 def loop_mul(a: list[int], b: list[int], p: int) -> list[int]:
     if not a or not b:
         return []
@@ -237,7 +244,7 @@ def loop_invmod(a: list[int], m: list[int], p: int) -> list[int]:
         s0, s1 = s1, pure.sub(s0, loop_mul(q, s1, p), p)
     if len(r0) != 1:
         raise ZeroDivisionError("element is not invertible modulo the given polynomial")
-    return loop_divmod_poly(pure.scalar_mul(s0, pow(r0[0], -1, p), p), m, p)[1]
+    return loop_divmod_poly(scalar_mul(s0, pow(r0[0], -1, p), p), m, p)[1]
 
 
 def loop_powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:

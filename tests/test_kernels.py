@@ -5,15 +5,13 @@ kernels on the tuple format of that field."""
 
 import copy
 import inspect
-import os
 import random
-import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import reciprocity
 from reciprocity import _kernels as kernels
 from reciprocity._kernels import generic, pure
 from reciprocity.factor import DEGREE_BUDGET
@@ -82,50 +80,8 @@ def test_matrix_ops_agree(p):
                 core.mat_inv(a, p)
 
 
-@needs_core
-def test_xgcd_identity():
-    p = 7
-    rng = random.Random(1234)
-    for _ in range(100):
-        a = random_poly(rng, p)
-        b = random_poly(rng, p)
-        g, s, t = core.xgcd(a, b, p)
-        assert (g, s, t) == pure.xgcd(a, b, p)
-        lhs = pure.add(pure.mul(s, a, p), pure.mul(t, b, p), p)
-        assert lhs == g
-
-
-def test_pure_backend_env(monkeypatch):
-    # the selection shim honours RECIPROCITY_PURE
-    import importlib
-    import sys
-
-    monkeypatch.setenv("RECIPROCITY_PURE", "1")
-    saved = {k: v for k, v in sys.modules.items() if k.startswith("reciprocity._kernels")}
-    for k in saved:
-        del sys.modules[k]
-    try:
-        shim = importlib.import_module("reciprocity._kernels")
-        assert shim.BACKEND == "python"
-    finally:
-        for k in list(sys.modules):
-            if k.startswith("reciprocity._kernels"):
-                del sys.modules[k]
-        sys.modules.update(saved)
-
-
-@pytest.mark.parametrize("value", ["", "0", "yes", "true", " 1"])
-def test_pure_backend_env_is_strict(value):
-    env = dict(os.environ, RECIPROCITY_PURE=value)
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(reciprocity.__file__))
-    proc = subprocess.run([sys.executable, "-c", "import reciprocity._kernels as k; print(k.BACKEND)"],
-                          capture_output=True, text=True, env=env, timeout=60)
-    if value == "":
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == ("python" if core is None else "compiled")
-    else:
-        assert proc.returncode != 0
-        assert "ValueError: RECIPROCITY_PURE must be" in proc.stderr
+def test_backend_is_the_built_one():
+    assert kernels.BACKEND == ("python" if core is None else "compiled")
 
 
 def repeated_mulmod(mulmod, invmod, one, a, e, m, arg):
@@ -237,13 +193,20 @@ def kernel_calls(p):
     coeff = st.integers(0, p - 1)
     poly = st.lists(coeff, max_size=9).map(pure.normalize)
     monic_mod = st.lists(coeff, min_size=1, max_size=5).map(lambda c: c + [1])
-    exponent = st.one_of(st.integers(-3, 64), st.sampled_from([p, p - 1, (p - 1) // 2, -p, 2**31]))
+    exponent = st.one_of(st.integers(-3, 64),
+                         st.sampled_from([p, p - 1, (p - 1) // 2, -p, 2**31, 2**64 + 1, 2**100 - 1, -(2**70 + 3)]))
 
-    def squares(count):
-        """count n x n matrices of one random size n."""
-        def of_size(n):
-            return st.tuples(*[st.lists(st.lists(coeff, min_size=n, max_size=n), min_size=n, max_size=n)] * count)
-        return st.integers(1, 5).flatmap(of_size)
+    def matrix(rows, cols):
+        return st.lists(st.lists(coeff, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+    def square():
+        """one n x n matrix, 0 <= n <= 5."""
+        return st.integers(0, 5).flatmap(lambda n: st.tuples(matrix(n, n)))
+
+    def product():
+        """an n x k and a k x m matrix, 0 <= n, k, m <= 4; with k = 0 the second is [], so m is 0."""
+        return st.tuples(*[st.integers(0, 4)] * 3).flatmap(
+            lambda nkm: st.tuples(matrix(nkm[0], nkm[1]), matrix(nkm[1], nkm[2])))
 
     with_p = {
         "add": st.tuples(poly, poly),
@@ -256,9 +219,9 @@ def kernel_calls(p):
         "invmod": st.tuples(poly, monic_mod),
         "mulmod": st.tuples(poly, poly, monic_mod),
         "powmod": st.tuples(poly, exponent, monic_mod),
-        "mat_mul": squares(2),
-        "mat_det": squares(1),
-        "mat_inv": squares(1),
+        "mat_mul": product(),
+        "mat_det": square(),
+        "mat_inv": square(),
     }
     calls = {name: args.map(lambda t: (*t, p)) for name, args in with_p.items()}
     calls["normalize"] = st.tuples(st.lists(coeff, max_size=9))
@@ -281,12 +244,116 @@ def outcome(fn, args):
 
 @needs_core
 @pytest.mark.parametrize("name", sorted(kernel_calls(2)))
-@pytest.mark.parametrize("p", [2, 2**31 - 1])
+@pytest.mark.parametrize("p", [2, 65537, 2**31 - 1])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_core_kernels_agree_with_pure(p, name, data):
     args = data.draw(kernel_calls(p)[name])
     assert outcome(getattr(core, name), args) == outcome(getattr(pure, name), args), args
+
+
+@needs_core
+def test_core_exports_exactly_the_namespace():
+    assert {name for name in vars(core) if not name.startswith("_")} == {"BACKEND", *kernel_calls(2)}
+
+
+# one call of each kernel that takes p, with coefficients below 7
+CALLS_AT_7 = {
+    "add": ([1, 2], [3]), "sub": ([1, 2], [3]), "neg": ([1, 2],), "mul": ([1, 2], [3]),
+    "divmod_poly": ([1, 2, 3], [1, 1]), "monic": ([1, 2],), "gcd": ([1, 2], [3, 1]), "invmod": ([1, 2], [1, 0, 1]),
+    "mulmod": ([1, 2], [3], [1, 0, 1]), "powmod": ([1, 2], 5, [1, 0, 1]),
+    "mat_mul": ([[1, 2]], [[3], [4]]), "mat_det": ([[1, 2], [3, 4]],), "mat_inv": ([[1, 2], [3, 4]],),
+}
+
+
+@needs_core
+@pytest.mark.parametrize("name", sorted(CALLS_AT_7))
+def test_core_refuses_p_and_coefficients_out_of_range(name):
+    assert set(CALLS_AT_7) | {"normalize"} == set(kernel_calls(2))
+    fn, args = getattr(core, name), CALLS_AT_7[name]
+    fn(*args, 7)
+    for p in (0, 1, 2**31, 2**61 - 1):
+        with pytest.raises(ValueError):
+            fn(*args, p)
+    first = args[0]
+    if name not in ("mat_det", "mat_inv"):  # these two take their entries mod p
+        for bad in (7, -1):
+            with pytest.raises(ValueError):
+                fn([[bad, *first[0][1:]], *first[1:]] if name == "mat_mul" else [bad, *first], *args[1:], 7)
+
+
+def leak_calls(p):
+    """(kernel, args, the exception it raises or None): each kernel once, and each error path."""
+    a, b, m = [40000, 50000, 60000, 1], [30000, 20000, 1], [65000, 300, 400, 500, 1]
+    square = [[40000, 50000], [60000, 30000]]
+    calls = [("normalize", ([40000, 50000, 0, 0],), None)]
+    calls += [(name, (*args, p), None) for name, args in {
+        "add": (a, b), "sub": (a, b), "neg": (a,), "mul": (a, b), "divmod_poly": (a, b), "monic": (b,),
+        "gcd": (a, b), "invmod": (a, m), "mulmod": (a, b, m), "powmod": (a, -(2**70 + 3), m),
+        "mat_mul": (square, square), "mat_det": (square,), "mat_inv": (square,),
+    }.items()]
+    calls += [
+        ("divmod_poly", (a, [], p), ZeroDivisionError),
+        ("invmod", (pure.mul(b, [7, 1], p), pure.mul(m, [7, 1], p), p), ZeroDivisionError),
+        ("mat_inv", ([[40000, 50000], [40000, 50000]], p), ZeroDivisionError),
+        ("mul", (a, b, 2**31), ValueError),
+        ("add", (a, [40000, p], p), ValueError),
+        ("mat_mul", ([[40000, p]], [[1], [2]], p), ValueError),
+        ("mat_det", ([[2**64, 40000], [1, 2]], p), OverflowError),
+        ("gcd", (a, tuple(b), p), TypeError),
+        ("mat_mul", (square, [[1, 2], (3, 4)], p), TypeError),
+    ]
+    return calls
+
+
+def watched(values):
+    """Every list and every int outside the small-int cache in values, nested lists included."""
+    for v in values:
+        if isinstance(v, (list, tuple)):
+            if isinstance(v, list):
+                yield v
+            yield from watched(v)
+        elif isinstance(v, int) and not -5 <= v <= 256:
+            yield v
+
+
+@needs_core
+def test_core_leaks_no_memory_or_references():
+    calls = leak_calls(65537)
+    assert {name for name, _, _ in calls} == set(kernel_calls(2))
+    rounds = 1000
+
+    def batch():
+        """rounds of every call; the results of the last round."""
+        for _ in range(rounds):
+            results = []
+            for name, args, error in calls:
+                try:
+                    results.append(getattr(core, name)(*args))
+                except Exception as exc:
+                    assert type(exc) is error, (name, exc)
+                else:
+                    assert error is None, name
+        return results
+
+    def refcounts(results):
+        objects = [*watched(args for _, args, _ in calls), *watched(results)]
+        return [sys.getrefcount(o) for o in objects]
+
+    tracemalloc.start()
+    try:
+        first = batch()
+        size, refs = tracemalloc.get_traced_memory()[0], refcounts(first)
+        del first
+        for _ in range(9):
+            last = batch()
+        assert refcounts(last) == refs
+        del last
+        growth = tracemalloc.get_traced_memory()[0] - size
+    finally:
+        tracemalloc.stop()
+    # a leak on any path, one block of at least 8 bytes per call, would grow by 9 * rounds * 8 bytes or more
+    assert growth < 9 * rounds, growth
 
 
 # 2^61 - 1 is above PMAX, so fields of that size run ``pure`` under either backend.
