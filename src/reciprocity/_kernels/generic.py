@@ -89,27 +89,18 @@ def gcd(a: list, b: list, ring) -> list:
     return monic(a, ring)
 
 
-def xgcd(a: list, b: list, ring) -> tuple[list, list, list]:
-    """Monic g and s, t with s*a + t*b = g."""
-    r0, r1 = list(a), list(b)
+def invmod(a: list, m: list, ring) -> list:
+    """a^-1 mod m by extended Euclid, tracking only the cofactor s of a (s*a = r mod m), like ``pure.invmod``."""
+    r0, r1 = list(a), list(m)
     s0, s1 = [ring._one], []
-    t0, t1 = [], [ring._one]
     while r1:
         q, r = divmod_poly(r0, r1, ring)
         r0, r1 = r1, r
         s0, s1 = s1, sub(s0, mul(q, s1, ring), ring)
-        t0, t1 = t1, sub(t0, mul(q, t1, ring), ring)
-    if not r0:
-        return [], s0, t0
-    c = [ring._inv(r0[-1])]
-    return mul(r0, c, ring), mul(s0, c, ring), mul(t0, c, ring)
-
-
-def invmod(a: list, m: list, ring) -> list:
-    g, s, _ = xgcd(a, m, ring)
-    if len(g) != 1:
+    if len(r0) != 1:
         raise ZeroDivisionError("element is not invertible modulo the given polynomial")
-    return divmod_poly(s, m, ring)[1]
+    # the cofactor of the last nonzero remainder has degree below deg m
+    return mul(s0, [ring._inv(r0[0])], ring)
 
 
 def powmod(a: list, e: int, m: list, ring) -> list:

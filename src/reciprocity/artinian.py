@@ -7,9 +7,10 @@ The monomials are in lexicographic order of their exponent vectors
 constant coordinate comes first; this is the coordinate order everywhere.  Multiplication runs over structure constants
 computed once per algebra: the triples (i, j, k) with monomial_i *
 monomial_j = monomial_k, so every product in which some exponent reaches
-its generator's order is truncated.  The maximal ideal (everything with
-zero constant coordinate) is therefore nilpotent and an element is
-invertible exactly when its residue in the base field is.
+its generator's order is truncated.  The one loop over them is
+``_mul_add`` (acc + a b); ``_mul`` is its case acc = 0.  The maximal
+ideal (everything with zero constant coordinate) is therefore nilpotent
+and an element is invertible exactly when its residue in the base field is.
 
 Only this module knows the data format; elsewhere coordinates are read and
 built through ``residue``, ``coordinates``, ``from_coordinates``,
@@ -80,10 +81,14 @@ class ArtinianAlgebra(CoefficientRing):
         return tuple(map(self.base._neg, a))
 
     def _mul(self, a, b):
+        return self._mul_add(self._zero, a, b)
+
+    def _mul_add(self, acc, a, b):
+        """acc + a b in one pass over the structure constants."""
         # base data is canonical, so a zero coordinate equals the base's zero
         base = self.base
         add, mul, zero = base._add, base._mul, base._zero
-        out = list(self._zero)
+        out = list(acc)
         for i, row in self._table:
             x = a[i]
             if x != zero:

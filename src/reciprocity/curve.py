@@ -328,14 +328,19 @@ class RationalFunction:
             return 0
         return _divide_out(self.num, place.poly)[0] - _divide_out(self.den, place.poly)[0]
 
-    def unit_value_at(self, place: Place) -> Polynomial:
-        """Representative of (self / p^{v}) (P) in k[x]/(p) at a finite place."""
+    def unit_value_at(self, place: Place, n: int) -> Polynomial:
+        """Representative of ((self / p^{v}) (P))^n in k[x]/(p) at a finite place.
+
+        A negative n swaps the stripped num and den, so the class is inverted by one extended Euclid.
+        """
         if place.is_infinite:
             raise DomainError("use leading_unit_at_infinity for the infinite place")
         p = place.poly
         num1 = _strip(self.num, p)[2]
         den1 = _strip(self.den, p)[2]
-        return (num1 * den1.invmod(p)) % p
+        if n < 0:
+            num1, den1, n = den1, num1, -n
+        return ((num1 * den1.invmod(p)) % p).pow_mod(n, p)
 
     def leading_unit_at_infinity(self) -> AlgebraElement:
         """Value of self * x^{v_infinity} at infinity: lc(num)/lc(den)."""
@@ -491,9 +496,9 @@ def wrl_local_factor(f: RationalFunction, g: RationalFunction, place: Place) -> 
     else:
         # a unit value raised to the power 0 is 1, so it is formed only when needed
         p = place.poly
-        cls = f.unit_value_at(place).pow_mod(vg, p) if vg else Polynomial.one(p.field)
+        cls = f.unit_value_at(place, vg) if vg else Polynomial.one(p.field)
         if vf:
-            cls = (cls * g.unit_value_at(place).pow_mod(-vf, p)) % p
+            cls = (cls * g.unit_value_at(place, -vf)) % p
         value = _residue_class_norm(cls, place)
     if (vf * vg * place.degree) % 2:
         return -value

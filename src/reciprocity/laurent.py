@@ -19,8 +19,10 @@ A series is a *declared unit* when its lowest stored coefficient is
 invertible in the ring (for fields: nonzero; over an Artinian ring:
 invertible modulo the maximal ideal).  Only declared units can be inverted;
 the principal-unit factorization below divides by (1 - c z^k) factors with
-nilpotent c instead: the geometric series of c is finite, and dividing
-a series s by the factor is the sum of shifts s + sum_j (s c^j) z^(j k).
+nilpotent c instead: the quotient w' of a series w by the factor solves
+w'[t] = w[t] + c w'[t - k], a first-order recurrence run in place on w's
+raw list with one fused multiply-add (``ArtinianAlgebra._mul_add``) per
+nonzero coefficient, and it is finite because c is nilpotent.
 """
 
 from __future__ import annotations
@@ -384,17 +386,38 @@ def nilpotent_powers(ring: ArtinianAlgebra, c) -> tuple:
 
 
 def _divide_by_peel(work: LaurentSeries, exponent: int, powers: tuple) -> LaurentSeries:
-    """work / (1 - c z^exponent) = work + work * sum_k c^k z^(k exponent), finite by nilpotency.
+    """work / (1 - c z^exponent), by the recurrence w'[t] = w[t] + c w'[t - exponent].
 
-    ``powers`` is ``nilpotent_powers`` of the raw coefficient c.
+    ``powers`` is ``nilpotent_powers`` of the raw coefficient c, K of them:
+    c^(K+1) = 0, so the quotient is work * sum_{k <= K} c^k z^(k exponent)
+    and reaches K |exponent| places past work, below it for a negative
+    exponent and above it for a positive one.  The recurrence runs in place
+    on one list extended by those places, one ``_mul_add`` per nonzero
+    coefficient it carries.  A negative peel carries the unknown part above
+    prec down, so prec falls by the extension; a positive one keeps prec and
+    extends no further than it.
     """
     ring = work.ring
-    # the geometric tail as one raw list, lowest exponent first
+    c, mul_add, zero = powers[0], ring._mul_add, ring._zero
     step = abs(exponent)
-    tail = [ring._zero] * (step * len(powers) - step + 1)
-    tail[::step] = powers if exponent > 0 else powers[::-1]
-    geometric = LaurentSeries._from_raw(ring, min(exponent, exponent * len(powers)), tail)
-    return work + work * geometric
+    ext = step * len(powers)
+    prec = work.prec
+    if exponent < 0:
+        # descending: w'[t + step] is final before w'[t] reads it
+        out = [zero] * ext + work.data
+        for i in range(len(out) - 1 - step, -1, -1):
+            x = out[i + step]
+            if x != zero:
+                out[i] = mul_add(out[i], c, x)
+        return LaurentSeries._from_raw(ring, work.offset - ext, out, None if prec is None else prec - ext)
+    if prec is not None:
+        ext = min(ext, prec - work.offset - len(work.data))
+    out = work.data + [zero] * ext
+    for i in range(step, len(out)):
+        x = out[i - step]
+        if x != zero:
+            out[i] = mul_add(out[i], c, x)
+    return LaurentSeries._from_raw(ring, work.offset, out, prec)
 
 
 def cc_factorize(f: LaurentSeries, prec: int | None = None) -> PrincipalUnitFactorization:
@@ -443,7 +466,9 @@ def cc_factorize(f: LaurentSeries, prec: int | None = None) -> PrincipalUnitFact
         pos.append((0, AlgebraElement(ring, a0)))
         pos_powers.append(None)
         work = work * LaurentSeries._from_raw(ring, 0, [ring._inv(c0)])
+    # no positive peel reads past the bound, so an exact work stops growing there
     bound = target if work.prec is None else min(target, work.prec)
+    work = work.truncate(bound)
     for i in range(1, bound):
         ci = work._at(i)
         if ring._is_zero(ci):

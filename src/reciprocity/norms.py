@@ -93,14 +93,19 @@ def mat_trace(a, ring: CoefficientRing) -> AlgebraElement:
 
 
 def trace_of_product(a, b, ring: CoefficientRing) -> AlgebraElement:
-    """tr(a b) of an n x k and a k x n matrix, summed term by term without forming a b."""
+    """tr(a b) of an n x k and a k x n matrix, summed term by term without forming a b.
+
+    Each entry's data is read in the loop; only an entry of another ring is coerced, as in ``_unwrap``.
+    """
     add, mul, is_zero = ring._add, ring._mul, ring._is_zero
-    b = _unwrap(b, ring)
     t = ring._zero
-    for i, row in enumerate(_unwrap(a, ring)):
+    for i, row in enumerate(a):
         for j, x in enumerate(row):
-            if not is_zero(x) and not is_zero(b[j][i]):
-                t = add(t, mul(x, b[j][i]))
+            y = b[j][i]
+            x = x.data if x.ring is ring else ring.coerce(x).data
+            y = y.data if y.ring is ring else ring.coerce(y).data
+            if not is_zero(x) and not is_zero(y):
+                t = add(t, mul(x, y))
     return AlgebraElement(ring, t)
 
 

@@ -6,9 +6,9 @@ expanding a factorization back into what it factors, comparing truncated
 series, the whole loop-matrix product, the norm/determinant
 compatibility of block matrices, adele orthogonality over a list of test
 functions, the schoolbook loops of the packed and in-place F_p kernels,
-the earlier series arithmetic on dicts of elements, Contou-Carrère loops
-and tokenizer, and random series, operators and factored rational
-functions.
+the generic extended Euclid, the earlier series arithmetic on dicts of
+elements, Contou-Carrère loops and tokenizer, and random series,
+operators and factored rational functions.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def xgcd(a: Polynomial, b: Polynomial):
     """Monic g and s, t with s*a + t*b = g, by the generic extended Euclid over the field."""
     f = a.field
     return tuple(Polynomial(f, [AlgebraElement(f, c) for c in data])
-                 for data in generic.xgcd(a._data, b._data, f))
+                 for data in generic_xgcd(a._data, b._data, f))
 
 
 class TupleField(ExtensionField):
@@ -261,11 +261,41 @@ def loop_powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
     return result
 
 
+# -- the generic extended Euclid ``generic.invmod`` replaced ----------------------
+# ``generic.invmod`` tracks only the cofactor of a; these are the full extended
+# Euclid, which also built the cofactor t of the modulus, and the invmod on top
+# of it, which reduced the monic cofactor mod m once more.
+
+
+def generic_xgcd(a: list, b: list, ring) -> tuple[list, list, list]:
+    """Monic g and s, t with s*a + t*b = g, on raw data over any ring."""
+    r0, r1 = list(a), list(b)
+    s0, s1 = [ring._one], []
+    t0, t1 = [], [ring._one]
+    while r1:
+        q, r = generic.divmod_poly(r0, r1, ring)
+        r0, r1 = r1, r
+        s0, s1 = s1, generic.sub(s0, generic.mul(q, s1, ring), ring)
+        t0, t1 = t1, generic.sub(t0, generic.mul(q, t1, ring), ring)
+    if not r0:
+        return [], s0, t0
+    c = [ring._inv(r0[-1])]
+    return generic.mul(r0, c, ring), generic.mul(s0, c, ring), generic.mul(t0, c, ring)
+
+
+def xgcd_invmod(a: list, m: list, ring) -> list:
+    g, s, _ = generic_xgcd(a, m, ring)
+    if len(g) != 1:
+        raise ZeroDivisionError("element is not invertible modulo the given polynomial")
+    return generic.divmod_poly(s, m, ring)[1]
+
+
 # -- the Contou-Carrère loops the symbol replaced ---------------------------------
 # ``symbols._double_product`` skips the pairs whose powers vanish, and
-# ``laurent._divide_by_peel`` divides by a peel factor as a sum of shifts; these
-# are the bodies they replaced, which form every power and multiply by the
-# whole geometric series, its leading 1 included.
+# ``laurent._divide_by_peel`` divides by a peel factor by a first-order
+# recurrence; these are the first bodies they replaced, which form every power
+# and multiply by the whole geometric series, its leading 1 included.  The sum
+# of shifts that came between is ``reference_divide_by_peel`` below.
 
 
 def loop_double_product(ring, fac_a, fac_b):

@@ -110,8 +110,9 @@ class TestLocalExpansion:
         h = rf(F3, (1, 0, 1), (0, 1))  # (x^2+1)/x
         assert h.valuation_at(p) == 1
         assert h.valuation_at(Place.infinity(F3)) == -1
-        u = rf(F3, (0, 1)).unit_value_at(p)  # x mod x^2+1
+        u = rf(F3, (0, 1)).unit_value_at(p, 1)  # x mod x^2+1
         assert u == Polynomial.x(F3)
+        assert rf(F3, (0, 1)).unit_value_at(p, -3) == Polynomial.x(F3)  # x^-3 = x^-4 x = x
 
 
 class TestWRL:
@@ -137,7 +138,7 @@ class TestWRL:
         def both_unit_values(place):
             """The local factor with both unit values formed, whatever the valuations."""
             vf, vg, p = f.valuation_at(place), g.valuation_at(place), place.poly
-            cls = (f.unit_value_at(place).pow_mod(vg, p) * g.unit_value_at(place).pow_mod(-vf, p)) % p
+            cls = (f.unit_value_at(place, 1).pow_mod(vg, p) * g.unit_value_at(place, 1).pow_mod(-vf, p)) % p
             value = _residue_class_norm(cls, place)
             return -value if (vf * vg * place.degree) % 2 else value
 
@@ -146,13 +147,28 @@ class TestWRL:
         calls = []
         unit_value_at = RationalFunction.unit_value_at
         monkeypatch.setattr(RationalFunction, "unit_value_at",
-                            lambda self, place: calls.append("f" if self is f else "g") or unit_value_at(self, place))
+                            lambda self, place, n: calls.append("f" if self is f else "g") or unit_value_at(self, place, n))
         formed = []
         for place, value in zip(places, want):
             calls.clear()
             assert wrl_local_factor(f, g, place) == value, str(place)
             formed.append((f.valuation_at(place), g.valuation_at(place), "".join(calls)))
         assert sorted(formed) == [(0, -1, "f"), (0, 1, "f"), (1, 0, "g"), (2, 1, "fg")]
+
+    def test_local_factor_inverts_each_unit_value_once(self, F7, monkeypatch):
+        """A negative power swaps num and den: one invmod per unit value, and no pow_mod inverts again."""
+        x = rational_x(F7)
+        f, g = x**2 * (x + 1) / (x + 3), x * (x + 2) / ((x**2 + 1) * (x + 1) ** 2)
+        places = [place for place in relevant_places(f, g) if not place.is_infinite]
+        want = [wrl_local_factor(f, g, place) for place in places]
+        inversions, exponents = [], []
+        invmod, pow_mod = Polynomial.invmod, Polynomial.pow_mod
+        monkeypatch.setattr(Polynomial, "invmod", lambda self, m: inversions.append(1) or invmod(self, m))
+        monkeypatch.setattr(Polynomial, "pow_mod", lambda self, e, m: exponents.append(e) or pow_mod(self, e, m))
+        assert [wrl_local_factor(f, g, place) for place in places] == want
+        formed = sum((f.valuation_at(p) != 0) + (g.valuation_at(p) != 0) for p in places)
+        assert len(inversions) == len(exponents) == formed == 7
+        assert min(exponents) > 0
 
     def test_verify_examples(self, Q):
         x = rational_x(Q)

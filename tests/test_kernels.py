@@ -17,7 +17,8 @@ from reciprocity._kernels import generic, pure
 from reciprocity.factor import DEGREE_BUDGET
 from reciprocity.errors import NonUnitError
 from reciprocity.fields import QQ, TABLE_MAX_ORDER, ExtensionField, PrimeField, TableField, find_irreducible
-from support import TupleField, loop_divmod_poly, loop_gcd, loop_invmod, loop_mul, loop_powmod
+from reciprocity.parsing import parse_ring_spec
+from support import TupleField, loop_divmod_poly, loop_gcd, loop_invmod, loop_mul, loop_powmod, xgcd_invmod
 
 try:
     from reciprocity._kernels import _core as core
@@ -143,6 +144,34 @@ def test_generic_powmod_is_repeated_mulmod(ring):
             assert generic.powmod(a, e, m, ring) == want, (a, e)
 
 
+GENERIC_INVMOD_RINGS = {spec: parse_ring_spec(spec) for spec in ("F9", "F256", "Q")}
+
+
+@pytest.mark.parametrize("spec", sorted(GENERIC_INVMOD_RINGS))
+@settings(max_examples=60, deadline=None)
+@given(rng=st.randoms(use_true_random=False), degrees=st.tuples(st.integers(-1, 6), st.integers(0, 5), st.integers(1, 3)))
+def test_generic_invmod_matches_the_full_extended_euclid(spec, rng, degrees):
+    """Cofactor-only Euclid against the xgcd-based body it replaced: inputs that are invertible, that share
+    a factor with the modulus, zero, constant, of higher degree than the modulus, and constant moduli."""
+    ring = GENERIC_INVMOD_RINGS[spec]
+
+    def poly(degree):
+        coeffs = [ring._zero if rng.random() < 0.3 else ring.random_element(rng).data for _ in range(degree)]
+        return coeffs + [ring.random_element(rng).data] if degree >= 0 else []
+
+    a, m, common = (generic._normalize(poly(d), ring) for d in degrees)
+    m = m or [ring._one]
+    cases = [(a, m), (generic.mul(a, common, ring), generic.mul(m, common, ring)), ([], m), ([ring._one], m),
+             (a, [ring._one]), (generic.mul(a, m, ring), m), (generic.add(generic.mul(m, common, ring), a, ring), m)]
+    for x, mod in cases:
+        if not mod:
+            continue
+        got = outcome(generic.invmod, (x, mod, ring))
+        assert got == outcome(xgcd_invmod, (x, mod, ring)), (x, mod)
+        if got is not ZeroDivisionError and len(mod) > 1:
+            assert generic.divmod_poly(generic.mul(x, got, ring), mod, ring)[1] == [ring._one]
+
+
 @needs_core
 @pytest.mark.parametrize("p", [2, 65537, 2**31 - 1])
 def test_core_powmod_agrees_with_pure(p):
@@ -181,7 +210,7 @@ def test_generic_kernels_build_no_elements(monkeypatch):
     generic.mul(a, a, ring)
     generic.divmod_poly(a, m, ring)
     generic.powmod(a, 10, m, ring)
-    generic.xgcd(a, m, ring)
+    generic.invmod(a, m, ring)
     matrix = [[u, ring._one], [ring._zero, u]]
     generic.mat_mul(matrix, matrix, ring)
     generic.mat_det(matrix, ring)
@@ -479,7 +508,7 @@ def public_functions(module) -> set:
 # polynomial, m a matrix, i an int.  A result of more than one letter is a tuple.
 SHAPES = {
     "add": ("pp", "p"), "sub": ("pp", "p"), "neg": ("p", "p"), "mul": ("pp", "p"),
-    "divmod_poly": ("pp", "pp"), "monic": ("p", "p"), "gcd": ("pp", "p"), "xgcd": ("pp", "ppp"),
+    "divmod_poly": ("pp", "pp"), "monic": ("p", "p"), "gcd": ("pp", "p"),
     "invmod": ("pp", "p"), "powmod": ("pip", "p"),
     "mat_mul": ("mm", "m"), "mat_det": ("m", "e"), "mat_inv": ("m", "m"),
 }
@@ -531,7 +560,6 @@ def log_kernel_calls(F):
         "divmod_poly": st.tuples(poly, st.one_of(poly, divisor)),
         "monic": st.tuples(poly),
         "gcd": st.tuples(poly, poly),
-        "xgcd": st.tuples(poly, poly),
         "invmod": st.tuples(poly, divisor),
         "powmod": st.tuples(poly, exponent, divisor),
         "mat_mul": matrices(2),
@@ -634,7 +662,7 @@ def test_log_kernels_touch_no_tuple_arithmetic(monkeypatch):
     matrix = [[u, one], [zero, u]]
     calls = {
         "add": (a, m), "sub": (a, m), "neg": (a,), "mul": (a, a), "divmod_poly": (a, m), "monic": (a,),
-        "gcd": (a, m), "xgcd": (a, m), "invmod": (a, [u, one]), "powmod": (a, -10, [u, one]),
+        "gcd": (a, m), "invmod": (a, [u, one]), "powmod": (a, -10, [u, one]),
         "mat_mul": (matrix, matrix), "mat_det": (matrix,), "mat_inv": (matrix,),
     }
     assert set(calls) == public_functions(generic)

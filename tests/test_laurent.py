@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reciprocity import laurent
+from reciprocity._kernels import generic
 from reciprocity.artinian import ArtinianAlgebra, dual_numbers
 from reciprocity.errors import NonUnitError, PrecisionError
 from reciprocity.fields import QQ, AlgebraElement, PrimeField
@@ -355,3 +356,64 @@ def test_series_arithmetic_boxes_no_element(spec, monkeypatch):
         s + t, s - t, s * t, s.shift(3), s.truncate(1)
         if powers is not None:
             laurent._divide_by_peel(s, -2, powers), laurent._divide_by_peel(s, 3, powers)
+
+
+# -- the peel recurrence: one fused multiply-add per coefficient ------------------
+
+PEEL_RINGS = {spec: parse_ring_spec(spec) for spec in ("F7[e,d]/(e^3,d^2)", "Q[e]/(e^3)", "F9[e1,e2]/(e1^2,e2^2)")}
+
+
+def nilpotent(ring, rng):
+    """A random element of the maximal ideal; zero now and then."""
+    c = ring.random_element(rng)
+    return c - ring.embed_from_below(ring.residue(c))
+
+
+@pytest.mark.parametrize("spec", sorted(PEEL_RINGS))
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_mul_add_is_add_of_mul(spec, rng):
+    ring = PEEL_RINGS[spec]
+    # units, nilpotents and zero in every position
+    pool = [ring.random_element(rng).data, nilpotent(ring, rng).data, ring._zero, ring._one]
+    acc, a, b = (rng.choice(pool) for _ in range(3))
+    assert ring._mul_add(acc, a, b) == ring._add(acc, ring._mul(a, b))
+
+
+@pytest.mark.parametrize("spec", sorted(PEEL_RINGS))
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_divide_by_peel_matches_the_sum_of_shifts(spec, data):
+    """Data and prec of the recurrence against work + sum_k (work c^k) z^(k e), for both signs of e,
+    on exact and truncated series."""
+    ring = PEEL_RINGS[spec]
+    work = data.draw(raw_series(ring, unit_ring=True))
+    c = nilpotent(ring, data.draw(st.randoms(use_true_random=False)))
+    if c.is_zero():
+        c = ring.generator(0)
+    powers = nilpotent_powers(ring, c.data)
+    step = data.draw(st.integers(1, 5))
+    for exponent in (-step, step):
+        got = laurent._divide_by_peel(work, exponent, powers)
+        want = reference_divide_by_peel(ReferenceSeries.of(work), exponent, c)
+        # equality of series compares offset, raw data and prec
+        assert got == LaurentSeries(ring, want.coeffs, want.prec), (str(work), exponent)
+
+
+@pytest.mark.parametrize("spec", sorted(PEEL_RINGS))
+def test_peel_forms_no_series_product(spec, monkeypatch):
+    """The z^0 factor of cc_factorize still multiplies, so only direct peel calls run under the guard."""
+    ring = PEEL_RINGS[spec]
+    gens = [ring.generator(i) for i in range(len(ring.names))]
+    c = sum(gens[1:], gens[0] * 3).data
+    powers = nilpotent_powers(ring, c)
+    text = " + ".join(f"({g})*z^{e}" for g, e in zip(gens * 3, range(-3, 4)))
+    series = [parse_series(f"1 + {text}", ring), parse_series(f"1 + {text} + O(z^5)", ring)]
+
+    def refuse(*args):
+        raise AssertionError("a peel formed a series product")
+
+    monkeypatch.setattr(generic, "mul", refuse)
+    for s in series:
+        for exponent in (-3, -1, 1, 2):
+            assert laurent._divide_by_peel(s, exponent, powers).data
