@@ -10,6 +10,22 @@ a p above ``PMAX`` with ``ValueError``: a prime above ``PMAX`` names ``pure``
 instead.  Every other ring, extension fields included, names ``generic``,
 which has the same functions with the ring in place of p.  The namespace
 exports only what library code calls, and ``_core`` defines nothing else.
+
+The F_p contract, which ``pure`` and ``_core`` meet alike:
+
+- A polynomial is a little-endian list of ints in [0, p).  Every result is
+  a new list without trailing zeros, and ``[]`` is zero.
+- A polynomial argument may carry trailing zeros.  Every kernel but ``neg``
+  reads it as its normalized list, so ``divmod_poly([1, 0], [1], p)`` is
+  ``([1], [])``; ``neg`` maps each entry and keeps the length.
+- A zero divisor or modulus raises ``ZeroDivisionError``, and so does an
+  inverse that does not exist (``invmod``, ``powmod`` with e < 0,
+  ``mat_inv``).  ``invmod(a, [], p)`` is the inverse of a constant a.
+- ``frobenius_matrix(m, q, p)`` returns the deg m rows x^(q*i) mod m,
+  i < deg m, each padded with zeros to deg m entries, for q >= 1; row 1 is
+  x^q mod m.  A q below 1 raises ``ValueError``.
+- ``mat_det`` and ``mat_inv`` take their entries mod p; the other kernels
+  assume entries in [0, p), which ``_core`` checks and ``pure`` does not.
 """
 
 from __future__ import annotations
@@ -35,6 +51,7 @@ gcd = _impl.gcd
 invmod = _impl.invmod
 mulmod = _impl.mulmod
 powmod = _impl.powmod
+frobenius_matrix = _impl.frobenius_matrix
 mat_mul = _impl.mat_mul
 mat_det = _impl.mat_det
 mat_inv = _impl.mat_inv

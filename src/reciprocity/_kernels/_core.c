@@ -565,27 +565,53 @@ exponent_bytes(PyObject *e, Py_ssize_t *nbits)
     return out;
 }
 
+/* The int e as its bytes (exponent_bytes) and its sign in *negative; NULL
+   with TypeError when e is not an int. */
 static PyObject *
-k_powmod(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+read_exponent(PyObject *e, Py_ssize_t *nbits, int *negative)
 {
-    Py_ssize_t na, nm, nr, room, i, nbits;
-    i64 p, inv, *buf = NULL, *a, *m, *r, *tmp;
-    const unsigned char *bits;
-    PyObject *e, *ebytes = NULL, *result = NULL;
-    int negative, overflow;
+    int overflow;
 
-    if (check_nargs("powmod", nargs, 4) < 0 || (na = list_len(args[0])) < 0 || (nm = list_len(args[2])) < 0
-            || read_p(args[3], &p) < 0)
-        return NULL;
-    e = args[1];
     if (!PyLong_Check(e)) {
         PyErr_Format(PyExc_TypeError, "the exponent must be an int, not %.200s", Py_TYPE(e)->tp_name);
         return NULL;
     }
-    negative = PyLong_AsLongLongAndOverflow(e, &overflow) < 0;
+    *negative = PyLong_AsLongLongAndOverflow(e, &overflow) < 0;
     if (overflow)
-        negative = overflow < 0;
-    if (!(ebytes = exponent_bytes(e, &nbits)))
+        *negative = overflow < 0;
+    return exponent_bytes(e, nbits);
+}
+
+/* a^|e| mod m into r, by the right-to-left binary loop over the nbits bits
+   of e in bits (exponent_bytes): a, reduced mod m, runs through the
+   squares, and r gathers the set bits.  a and r have room for nm - 1
+   slots (r at least 1), tmp for 2*nm.  The result's length. */
+static Py_ssize_t
+power_into(i64 *a, Py_ssize_t na, const unsigned char *bits, Py_ssize_t nbits, const i64 *m, Py_ssize_t nm, i64 inv,
+           i64 p, i64 *r, i64 *tmp)
+{
+    Py_ssize_t i, nr = nm > 1;
+
+    r[0] = 1;
+    for (i = 0; i < nbits; i++) {
+        if (bits[i / 8] >> (i % 8) & 1)
+            mulmod_into(r, &nr, a, na, m, nm, inv, p, tmp);
+        if (i + 1 < nbits)
+            mulmod_into(a, &na, a, na, m, nm, inv, p, tmp);
+    }
+    return nr;
+}
+
+static PyObject *
+k_powmod(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_ssize_t na, nm, nr, room, nbits;
+    i64 p, inv, *buf = NULL, *a, *m, *r, *tmp;
+    PyObject *ebytes = NULL, *result = NULL;
+    int negative;
+
+    if (check_nargs("powmod", nargs, 4) < 0 || (na = list_len(args[0])) < 0 || (nm = list_len(args[2])) < 0
+            || read_p(args[3], &p) < 0 || !(ebytes = read_exponent(args[1], &nbits, &negative)))
         return NULL;
     /* the invmod work space, then a, m, the result and a product */
     room = (na > nm ? na : nm) + 2;
@@ -604,20 +630,65 @@ k_powmod(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     }
     inv = lead_inverse(m, nm, p);
     reduce(a, &na, m, nm, inv, p, NULL);
-    /* right to left: a runs through the squares, r gathers the set bits */
-    nr = nm > 1;
-    r[0] = 1;
-    bits = (const unsigned char *)PyBytes_AS_STRING(ebytes);
-    for (i = 0; i < nbits; i++) {
-        if (bits[i / 8] >> (i % 8) & 1)
-            mulmod_into(r, &nr, a, na, m, nm, inv, p, tmp);
-        if (i + 1 < nbits)
-            mulmod_into(a, &na, a, na, m, nm, inv, p, tmp);
-    }
+    nr = power_into(a, na, (const unsigned char *)PyBytes_AS_STRING(ebytes), nbits, m, nm, inv, p, r, tmp);
     result = to_list(r, nr);
 done:
     PyMem_Free(buf);
     Py_DECREF(ebytes);
+    return result;
+}
+
+/* The rows x^(q*i) mod m, i < n = deg m, each padded to n entries: x^q by
+   power_into, then each later row as one mulmod_into by it. */
+static PyObject *
+k_frobenius_matrix(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_ssize_t nm, n, i, j, nx, len, nbits;
+    i64 p, inv, *buf = NULL, *m, *x, *tmp, *rows;
+    PyObject *qbytes = NULL, *result = NULL;
+    int negative;
+
+    if (check_nargs("frobenius_matrix", nargs, 3) < 0 || (nm = list_len(args[0])) < 0 || read_p(args[2], &p) < 0
+            || !(qbytes = read_exponent(args[1], &nbits, &negative)))
+        return NULL;
+    if (negative || !nbits) {
+        PyErr_Format(PyExc_ValueError, "q must be at least 1, not %R", args[1]);
+        goto done;
+    }
+    /* m, x and its squares, a product, then the n x n rows */
+    if (!(buf = new_buffer(4 * nm + 2 + nm * nm)))
+        goto done;
+    m = buf, x = m + nm, tmp = x + nm + 2, rows = tmp + 2 * nm;
+    if ((nm = read_poly(args[0], p, m)) < 0)
+        goto done;
+    if (!nm) {
+        zero_division(DIVISION_BY_ZERO);
+        goto done;
+    }
+    n = nm - 1;
+    for (i = 0; i < n * n; i++)
+        rows[i] = 0;
+    if (n)
+        rows[0] = 1;
+    if (n > 1) {
+        inv = lead_inverse(m, nm, p);
+        x[0] = 0, x[1] = 1, nx = 2;
+        reduce(x, &nx, m, nm, inv, p, NULL);
+        len = power_into(x, nx, (const unsigned char *)PyBytes_AS_STRING(qbytes), nbits, m, nm, inv, p, rows + n, tmp);
+        for (j = len; j < n; j++)
+            rows[n + j] = 0;
+        nx = len;
+        for (i = 2; i < n; i++) {
+            memcpy(rows + i * n, rows + (i - 1) * n, n * sizeof(i64));
+            mulmod_into(rows + i * n, &len, rows + n, nx, m, nm, inv, p, tmp);
+            for (j = len; j < n; j++)
+                rows[i * n + j] = 0;
+        }
+    }
+    result = to_matrix(rows, n, n, n);
+done:
+    PyMem_Free(buf);
+    Py_DECREF(qbytes);
     return result;
 }
 
@@ -766,6 +837,7 @@ static PyMethodDef methods[] = {
     KERNEL(invmod, "invmod(a, m, p): a^-1 mod m"),
     KERNEL(mulmod, "mulmod(a, b, m, p): a * b mod m"),
     KERNEL(powmod, "powmod(a, e, m, p): a^e mod m, right-to-left binary"),
+    KERNEL(frobenius_matrix, "frobenius_matrix(m, q, p): the rows x^(q*i) mod m, i < deg m, padded to deg m"),
     KERNEL(mat_mul, "mat_mul(a, b, p): the product of an n x k and a k x m matrix"),
     KERNEL(mat_det, "mat_det(a, p): the determinant, entries taken mod p"),
     KERNEL(mat_inv, "mat_inv(a, p): the inverse, entries taken mod p"),

@@ -117,6 +117,25 @@ def powmod(a: list, e: int, m: list, ring) -> list:
     return result
 
 
+def frobenius_matrix(m: list, q: int, ring) -> list:
+    """The rows x^(q*i) mod m for i < deg m, each padded to deg m entries, like ``pure.frobenius_matrix``.
+
+    Row 1 is x^q by ``powmod``, and each later row one ``mul`` by it and one ``divmod_poly``.
+    """
+    if q < 1:
+        raise ValueError(f"q must be at least 1, not {q}")
+    if not m:
+        raise ZeroDivisionError("polynomial division by zero")
+    n = len(m) - 1
+    rows = [[ring._one]]
+    if n > 1:
+        xq = powmod([ring._zero, ring._one], q, m, ring)
+        rows.append(xq)
+        while len(rows) < n:
+            rows.append(divmod_poly(mul(rows[-1], xq, ring), m, ring)[1])
+    return [row + [ring._zero] * (n - len(row)) for row in rows[:n]]
+
+
 def mat_mul(a: list, b: list, ring) -> list:
     n, k = len(a), len(b)
     m = len(b[0]) if b else 0

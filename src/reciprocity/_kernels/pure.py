@@ -1,15 +1,21 @@
 """Pure-Python kernels for dense arithmetic modulo a prime.
 
 Polynomials over F_p are plain lists of ints in ``[0, p)``, little-endian
-(index = exponent), with no trailing zeros; ``[]`` is the zero polynomial.
-Matrices are lists of row lists.  These functions are the reference
-semantics.  ``mul`` and ``powmod`` pack a polynomial into one big int, a
-coefficient per slot of bits, so a product is one C-level multiply, and
-``powmod`` steps through its exponent by sliding windows.  ``divmod_poly``,
+(index = exponent); results carry no trailing zeros, and ``[]`` is the
+zero polynomial.  A polynomial argument may carry trailing zeros: every
+kernel but ``neg`` reads it as its normalized list, as ``_core`` does, and
+those that copy an argument copy it with ``normalize``.  Matrices are
+lists of row lists.  These functions are the reference semantics (the
+package docstring states the contract).  ``mul`` packs a polynomial into
+one big int, a coefficient per slot of bits, so a product is one C-level
+multiply.  ``powmod`` and ``frobenius_matrix`` share one packing of the
+residues mod m with its reduction rows (``_packing``) and one
+sliding-window powering (``_power``); ``frobenius_matrix`` forms x^q that
+way and each later row as one more packed product.  ``divmod_poly``,
 ``gcd`` and ``invmod`` reduce lazily, each remainder in place in its own
-list, and ``gcd`` forms no quotient.  The compiled module ``_core``, the
-C file ``_core.c``, runs schoolbook loops on int64 buffers, each product
-reduced as it is formed, and a right-to-left binary ``powmod``, with
+list, and ``gcd`` forms no quotient.  The compiled module ``_core``, the C
+file ``_core.c``, runs schoolbook loops on int64 buffers, each product
+reduced as it is formed, and a right-to-left binary powering, with
 identical results.
 """
 
@@ -125,12 +131,14 @@ def divmod_poly(num: list[int], den: list[int], p: int) -> tuple[list[int], list
     coefficient is num's lead over den's, nonzero, so both results come out
     normalized and neither is copied again.
     """
+    if den and not den[-1]:
+        den = normalize(den)
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     dd = len(den) - 1
-    if len(num) - 1 < dd:
-        return [], normalize(num)
-    r = list(num)
+    r = normalize(num)
+    if len(r) - 1 < dd:
+        return [], r
     q = [0] * (len(r) - dd)
     _reduce(r, den, _inverse_lead(den, p), p, q)
     return q, r
@@ -141,17 +149,16 @@ def rem(a: list[int], m: list[int], p: int) -> list[int]:
 
 
 def monic(a: list[int], p: int) -> list[int]:
-    if not a:
-        return []
-    if a[-1] == 1:
-        return list(a)
+    a = normalize(a)
+    if not a or a[-1] == 1:
+        return a
     inv = pow(a[-1], -1, p)
     return [c * inv % p for c in a]
 
 
 def gcd(a: list[int], b: list[int], p: int) -> list[int]:
     """Monic gcd by a remainder sequence in two lists, each reduced in place; no quotient is formed."""
-    a, b = list(a), list(b)
+    a, b = normalize(a), normalize(b)
     while b:
         _reduce(a, b, _inverse_lead(b, p), p)
         a, b = b, a
@@ -164,7 +171,7 @@ def invmod(a: list[int], m: list[int], p: int) -> list[int]:
     The remainders are reduced in place (``_reduce``).  A quotient mostly
     has one or two terms, so s0 - q*s1 is a schoolbook loop over q.
     """
-    r0, r1 = list(a), list(m)
+    r0, r1 = normalize(a), normalize(m)
     s0, s1 = [1], []
     while r1:
         dq = len(r0) - len(r1) + 1
@@ -208,32 +215,20 @@ def _window(bits: int) -> int:
     return w
 
 
-def powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
-    """a^e mod m by left-to-right sliding windows on packed residues.
+def _packing(m: list[int], p: int):
+    """(s, reduce): the packed residues mod m and their reduction, m normalized of degree n >= 0.
 
-    With n = deg m, a residue r is one int with r[i] in the s-bit slot i,
-    s = 2*bitlen(p-1) + bitlen(2n).  The rows x^(n+k) mod m for k < n-1 are
-    packed once per call: row 0 is the monic tail -m/lead, and each next row
-    is the last one shifted up a slot and reduced.  The odd powers of the
-    base up to 2^w - 1 are formed once per call, w = ``_window`` of e's bit
-    length.  The bits of e, from the top, split into runs of zeros and
-    windows of at most w bits that begin and end with a 1: r starts as the
-    first window's power; then a run squares r once per bit, and a window
-    squares r once per bit and multiplies it by the window's odd power.
-    Each step is one big-int product; its high slot n+k, taken mod p, times
-    row k is added to the n low slots.  The bound rests on the input
-    contract, coefficients in [0, p), which every residue keeps: a low slot
-    then holds a sum of at most n + (n-1) terms, each at most (p-1)^2, so
-    it fits its slot, and one pass taking each of the n slots mod p gives
-    the reduced residue.  ``_core`` reads e's bits once and runs a
-    right-to-left binary loop on C buffers; a^e mod m is unique, so both
-    give the same list.
+    A residue r is one int with r[i] in the s-bit slot i, s = 2*bitlen(p-1)
+    + bitlen(2n).  The rows x^(n+k) mod m for k < n-1 are packed once: row
+    0 is the monic tail -m/lead, and each next row is the last one shifted
+    up a slot and reduced.  ``reduce`` takes the product of two residues,
+    one big-int multiply: each high slot n+k, taken mod p, times row k is
+    added to the n low slots.  The bound rests on the input contract,
+    coefficients in [0, p), which every residue keeps: a low slot then holds
+    a sum of at most n + (n-1) terms, each at most (p-1)^2, so it fits its
+    slot, and one pass taking each of the n slots mod p gives the reduced
+    residue.
     """
-    if e < 0:
-        a = invmod(a, m, p)
-        e = -e
-    if not e:
-        return rem([1], m, p)
     n = len(m) - 1
     s = 2 * (p - 1).bit_length() + (2 * n).bit_length()
     mask, low, shifts = (1 << s) - 1, (1 << (n * s)) - 1, range(0, n * s, s)
@@ -256,10 +251,23 @@ def powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
 
     while len(rows) < n - 1:
         rows.append(reduce(rows[-1] << s))
+    return s, reduce
+
+
+def _power(base: int, e: int, reduce) -> int:
+    """base^e for e >= 1 on packed residues, by left-to-right sliding windows.
+
+    The odd powers of the base up to 2^w - 1 are formed once, w = ``_window``
+    of e's bit length.  The bits of e, from the top, split into runs of
+    zeros and windows of at most w bits that begin and end with a 1: r
+    starts as the first window's power; then a run squares r once per bit,
+    and a window squares r once per bit and multiplies it by the window's
+    odd power.
+    """
     w = _window(e.bit_length())
-    odd = [_pack(rem(a, m, p), s)]  # odd[i] is the base to the power 2i + 1
+    odd = [base]  # odd[i] is the base to the power 2i + 1
     if w > 1:
-        square = reduce(odd[0] * odd[0])
+        square = reduce(base * base)
         while len(odd) < 1 << (w - 1):
             odd.append(reduce(odd[-1] * square))
     windows = re.findall("0+|1" if w == 1 else f"0+|1(?:[01]{{0,{w - 2}}}1)?", bin(e)[2:])
@@ -269,7 +277,48 @@ def powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
             r = reduce(r * r)
         if window[0] == "1":
             r = reduce(r * odd[int(window, 2) >> 1])
-    return normalize(_unpack(r, s, n, p))
+    return r
+
+
+def powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
+    """a^e mod m by sliding windows (``_power``) on packed residues (``_packing``).
+
+    ``_core`` reads e's bits once and runs a right-to-left binary loop on C
+    buffers; a^e mod m is unique, so both give the same list.
+    """
+    m = normalize(m)
+    if not m:
+        raise ZeroDivisionError("polynomial division by zero")
+    if e < 0:
+        a = invmod(a, m, p)
+        e = -e
+    if not e:
+        return rem([1], m, p)
+    s, reduce = _packing(m, p)
+    return normalize(_unpack(_power(_pack(rem(a, m, p), s), e, reduce), s, len(m) - 1, p))
+
+
+def frobenius_matrix(m: list[int], q: int, p: int) -> list[list[int]]:
+    """The rows x^(q*i) mod m for i < deg m, each padded to deg m entries; q >= 1.
+
+    Row 1, x^q, comes by ``powmod``'s sliding windows, and each later row is
+    one product by it, all on the same packed residues and reduction rows
+    (``_packing``), so the rows are read off the packed ints only at the end.
+    """
+    if q < 1:
+        raise ValueError(f"q must be at least 1, not {q}")
+    m = normalize(m)
+    if not m:
+        raise ZeroDivisionError("polynomial division by zero")
+    n = len(m) - 1
+    s, reduce = _packing(m, p)
+    rows = [1]
+    if n > 1:
+        xq = _power(1 << s, q, reduce)
+        rows.append(xq)
+        while len(rows) < n:
+            rows.append(reduce(rows[-1] * xq))
+    return [_unpack(r, s, n, p) for r in rows[:n]]
 
 
 def mat_mul(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:

@@ -59,7 +59,8 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The full parser, and each command name and alias mapped to its own parser."""
     parser = argparse.ArgumentParser(
         prog="reciprocity",
         description="Exact local symbols, residues, and global verification on P^1.",
@@ -127,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["wrl", "residues", "all"], default="all")
     p.add_argument("--max-degree", type=int, default=5)
     p.add_argument("--jobs", type=int, default=1, help="worker processes, at most the CPU count")
-    return parser
+    return parser, sub.choices
 
 
 def _parse_pair(args, field: BaseField):
@@ -314,16 +315,33 @@ def _chose_every_precision(args) -> bool:
 
 
 # built on the first call and reused: parse_args keeps no state between calls
-_PARSER = None
+_PARSERS = None
+
+
+def _parse(parser: argparse.ArgumentParser, commands: dict, argv: list[str]) -> argparse.Namespace:
+    """argv parsed by one pass of its command's own parser, where that parser takes every word.
+
+    commands maps each command name and alias to its parser.  A first word
+    that names no command, or words that command's parser leaves over, go
+    through the full parser, so every usage text, error message and exit
+    code is the one it gives.
+    """
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = _build_parser()
-    args = _PARSER.parse_args(argv)
+    global _PARSERS
+    if _PARSERS is None:
+        _PARSERS = _build_parser()
+    parser, commands = _PARSERS
+    args = _parse(parser, commands, sys.argv[1:] if argv is None else list(argv))
     if hasattr(args, "local_data") and args.local_data is None and args.prec is not None:
-        _PARSER.error(f"{args.command}: --prec sets the precision of --local-data and needs it")
+        parser.error(f"{args.command}: --prec sets the precision of --local-data and needs it")
     try:
         return args.handler(args)
     except PrecisionError as exc:

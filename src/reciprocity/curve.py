@@ -331,7 +331,8 @@ class RationalFunction:
     def unit_value_at(self, place: Place, n: int) -> Polynomial:
         """Representative of ((self / p^{v}) (P))^n in k[x]/(p) at a finite place.
 
-        A negative n swaps the stripped num and den, so the class is inverted by one extended Euclid.
+        A negative n swaps the stripped num and den, so the class is inverted by one extended Euclid;
+        for |n| = 1 the reduced class is the value, and nothing is raised to a power.
         """
         if place.is_infinite:
             raise DomainError("use leading_unit_at_infinity for the infinite place")
@@ -340,7 +341,8 @@ class RationalFunction:
         den1 = _strip(self.den, p)[2]
         if n < 0:
             num1, den1, n = den1, num1, -n
-        return ((num1 * den1.invmod(p)) % p).pow_mod(n, p)
+        cls = (num1 * den1.invmod(p)) % p
+        return cls if n == 1 else cls.pow_mod(n, p)
 
     def leading_unit_at_infinity(self) -> AlgebraElement:
         """Value of self * x^{v_infinity} at infinity: lc(num)/lc(den)."""

@@ -3,14 +3,15 @@
 Over a finite field the full chain runs: squarefree decomposition,
 distinct-degree splitting, then equal-degree splitting (Cantor-Zassenhaus,
 with the trace construction in characteristic 2) for every degree, roots
-included.  Distinct-degree splitting raises x to the q-th power mod f once
-and steps from x^(q^d) to x^(q^(d+1)) by one product with the Frobenius
-matrix of f.  In odd characteristic the equal-degree split of a degree-d
-part raises the norm r * r^q * ... * r^(q^(d-1)) of a random r to (q-1)/2,
-its Frobenius images coming through the same matrix, built only when some
-part needs it.  The randomized splits draw from a generator with a fixed
-seed, and the factors are returned in a canonical order, so the output
-does not depend on the seed.
+included.  Each squarefree part f of degree 2 or more gets its Frobenius
+matrix, the rows x^(q*i) mod f, from one ``frobenius_matrix`` kernel call,
+which also gives x^q mod f as row 1.  Distinct-degree splitting starts at
+x^q and steps from x^(q^d) to x^(q^(d+1)) by one product with that
+matrix.  In odd characteristic the equal-degree split of a degree-d part
+raises the norm r * r^q * ... * r^(q^(d-1)) of a random r to (q-1)/2, its
+Frobenius images coming through the same matrix.  The randomized splits
+draw from a generator with a fixed seed, and the factors are returned in a
+canonical order, so the output does not depend on the seed.
 
 Over the rationals only content extraction, Yun's squarefree decomposition
 and rational-root splitting are attempted.  Factors of degree <= 3 without
@@ -109,54 +110,46 @@ def _squarefree_finite(f: Polynomial) -> list[tuple[Polynomial, int]]:
     return merged
 
 
-def _padded(g: Polynomial, n: int) -> list:
-    """The raw coefficients of g, padded with zeros to n entries."""
-    return g._data + [g.field._zero] * (n - len(g._data))
-
-
-def _frobenius_matrix(xq: Polynomial, f: Polynomial) -> list[list]:
-    """Rows x^(q*i) mod f for i < deg f, each padded to deg f entries."""
-    powers = [Polynomial.one(f.field), xq]
-    while len(powers) < f.degree:
-        powers.append((powers[-1] * xq) % f)
-    return [_padded(g, f.degree) for g in powers]
-
-
 class _Frobenius:
-    """The q-th power map of F_q[x]/(f), each part built on first use.
+    """The q-th power map of F_q[x]/(f), from one kernel call on first use.
 
-    ``xq`` is x^q mod f, one ``pow_mod``.  Since c^q = c for every c in F_q,
-    h(x)^q = sum h_i x^(q*i), so a call is one vector-matrix product with
-    the Frobenius matrix of f, whose row i is x^(q*i) mod f (von zur Gathen
-    and Shoup, "Computing Frobenius maps and factoring polynomials", 1992).
-    Reduced mod a factor of f, the images are those of that factor's map.
+    ``frobenius_matrix`` returns the Frobenius matrix of f, whose row i is
+    x^(q*i) mod f, with x^q mod f as row 1 (von zur Gathen and Shoup,
+    "Computing Frobenius maps and factoring polynomials", 1992).  Since
+    c^q = c for every c in F_q, h(x)^q = sum h_i x^(q*i), so a call is one
+    vector-matrix product with that matrix.  Reduced mod a factor of f, the
+    images are those of that factor's map.
     """
 
     def __init__(self, f: Polynomial):
         self.f = f
-        self._xq = self._matrix = None
+        self._matrix = None
+
+    def matrix(self) -> list[list]:
+        if self._matrix is None:
+            field = self.f.field
+            self._matrix = field.kernels.frobenius_matrix(self.f._data, field.order, field.kernel_arg)
+        return self._matrix
 
     def xq(self) -> Polynomial:
-        if self._xq is None:
-            self._xq = Polynomial.x(self.f.field).pow_mod(self.f.field.order, self.f)
-        return self._xq
+        """x^q mod f, row 1 of the matrix; deg f >= 2."""
+        field = self.f.field
+        return _from_data(field, _trim(field, self.matrix()[1][:]))
 
     def __call__(self, h: Polynomial) -> Polynomial:
         """h^q mod f, for h of degree below deg f."""
-        if self._matrix is None:
-            self._matrix = _frobenius_matrix(self.xq(), self.f)
         field = self.f.field
-        row = field.kernels.mat_mul([h._data], self._matrix[: len(h._data)], field.kernel_arg)[0]
+        row = field.kernels.mat_mul([h._data], self.matrix()[: len(h._data)], field.kernel_arg)[0]
         return _from_data(field, _trim(field, row))
 
 
 def _distinct_degree(f: Polynomial, frobenius: _Frobenius | None = None) -> list[tuple[Polynomial, int]]:
     """Squarefree monic f -> [(product of irreducibles of degree d, d)].
 
-    Step d takes gcd(rest, h - x) with h = x^(q^d) mod f.  The only power
-    is x^q mod f, one ``pow_mod``; each later step is h <- h^q, one
-    product with the Frobenius matrix of f (``_Frobenius``, which the
-    equal-degree split of f's parts reuses).  h stays reduced mod f, not
+    Step d takes gcd(rest, h - x) with h = x^(q^d) mod f.  x^q mod f is
+    row 1 of the Frobenius matrix of f (``_Frobenius``, one kernel call,
+    which the equal-degree split of f's parts reuses); each later step is
+    h <- h^q, one product with that matrix.  h stays reduced mod f, not
     mod rest: the gcd with rest is the same.
     """
     field = f.field

@@ -29,6 +29,7 @@ exponents through it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 
@@ -36,10 +37,14 @@ from . import _kernels
 from ._kernels import generic
 from .errors import NonUnitError, TowerError
 
-# Miller-Rabin to the first 13 prime bases is exact below this bound
-# (psi_13 of OEIS A014233), and base 43 rejects psi_13 itself; field specs
-# at or above it are rejected before any primality test
-PRIME_TEST_BOUND = 3317044064679887385961981
+# psi_k of OEIS A014233: the least odd composite that is a strong
+# pseudoprime to each of the first k prime bases, so Miller-Rabin to the
+# first k bases is exact below psi_k.  Base 43 rejects psi_13 itself; field
+# specs at or above psi_13 are rejected before any primality test
+_MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+           341550071728321, 3825123056546413051, 3825123056546413051, 3825123056546413051,
+           318665857834031151167461, 3317044064679887385961981)
+PRIME_TEST_BOUND = _MR_PSI[-1]
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 
 # extension fields with at most this many elements multiply by log tables;
@@ -48,7 +53,11 @@ TABLE_MAX_ORDER = 256
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin with fixed witnesses; deterministic for n < PRIME_TEST_BOUND (3.3e24)."""
+    """Miller-Rabin, deterministic for n < PRIME_TEST_BOUND (3.3e24).
+
+    Only the first k prime bases run, k the least index with n < psi_k; from
+    PRIME_TEST_BOUND on, all 14 do.
+    """
     if n < 2:
         return False
     for q in _MR_WITNESSES:
@@ -61,7 +70,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[: bisect_right(_MR_PSI, n) + 1]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -6,7 +6,8 @@ expanding a factorization back into what it factors, comparing truncated
 series, the whole loop-matrix product, the norm/determinant
 compatibility of block matrices, adele orthogonality over a list of test
 functions, the schoolbook loops of the packed and in-place F_p kernels,
-the generic extended Euclid, the earlier series arithmetic on dicts of
+the row-by-row Frobenius matrix, the generic extended Euclid,
+Miller-Rabin to all 14 bases, the earlier series arithmetic on dicts of
 elements, Contou-Carrère loops and tokenizer, and random series,
 operators and factored rational functions.
 """
@@ -25,7 +26,7 @@ from reciprocity.blockops import BlockOperator
 from reciprocity.curve import AdeleVector, RationalFunction, residue_pairing_sum
 from reciprocity.errors import DomainError, ExpressionError, NonUnitError, PrecisionError, TowerError
 from reciprocity.factor import Factorization
-from reciprocity.fields import AlgebraElement, BaseField, ExtensionField, QQ, power
+from reciprocity.fields import _MR_WITNESSES, AlgebraElement, BaseField, ExtensionField, QQ, power
 from reciprocity.formatting import format_terms, split_sign
 from reciprocity.laurent import DEFAULT_PRECISION, LaurentSeries, PrincipalUnitFactorization, UnitFactorization
 from reciprocity.norms import (
@@ -186,6 +187,7 @@ def sigma_perp_forward(adele: AdeleVector, tests) -> bool:
 # big ints or reduce lazily, and ``pure.gcd`` and ``pure.invmod`` reduce their
 # remainder sequences in place; these are the same contracts with one ``% p``
 # per coefficient product and fresh lists per step, the bodies they replaced.
+# ``loop_frobenius_matrix`` builds the rows of ``pure.frobenius_matrix`` from them.
 
 
 def scalar_mul(a: list[int], c: int, p: int) -> list[int]:
@@ -259,6 +261,59 @@ def loop_powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
         if bit == "1":
             result = loop_divmod_poly(loop_mul(result, base, p), m, p)[1]
     return result
+
+
+def loop_frobenius_matrix(m: list[int], q: int, p: int) -> list[list[int]]:
+    """The rows x^(q*i) mod m, i < deg m, by the schoolbook loops, each padded to deg m entries."""
+    n = len(m) - 1
+    xq = loop_powmod([0, 1], q, m, p)
+    rows = [[1], xq][:n]
+    while len(rows) < n:
+        rows.append(loop_divmod_poly(loop_mul(rows[-1], xq, p), m, p)[1])
+    return [row + [0] * (n - len(row)) for row in rows]
+
+
+# -- the Frobenius matrix row by row ----------------------------------------------
+# ``field.kernels.frobenius_matrix`` forms x^q and every later row in one call;
+# this is the body it replaced, x^q by one ``pow_mod`` and each later row as a
+# ``Polynomial`` product and remainder.
+
+
+def row_frobenius_matrix(xq: Polynomial, f: Polynomial) -> list[list]:
+    """Rows x^(q*i) mod f for i < deg f, each padded to deg f entries; xq is x^q mod f and deg f >= 2."""
+    powers = [Polynomial.one(f.field), xq]
+    while len(powers) < f.degree:
+        powers.append((powers[-1] * xq) % f)
+    return [g._data + [f.field._zero] * (f.degree - len(g._data)) for g in powers]
+
+
+# -- the route the cut Miller-Rabin replaced ------------------------------------
+
+
+def is_prime_all_bases(n: int) -> bool:
+    """Miller-Rabin to all 14 prime bases, the loop ``fields.is_prime`` cut to the bases n needs."""
+    if n < 2:
+        return False
+    for q in _MR_WITNESSES:
+        if n == q:
+            return True
+        if n % q == 0:
+            return False
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = (x * x) % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 # -- the generic extended Euclid ``generic.invmod`` replaced ----------------------

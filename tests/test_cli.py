@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -70,6 +71,44 @@ def test_options_that_would_be_ignored_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+
+
+def main_outcome(argv, capsys):
+    """(exit code, stdout, stderr) of cli.main(argv), a parser's exit included."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+# help, no command, an unknown or abbreviated command, a missing required
+# option, an unknown option after a valid command, a bad value, the alias,
+# the main parser's own --prec error, and command lines that parse
+PARSE_TABLE = [
+    [], ["-h"], ["--help"], ["bogus"], ["verify-wr", *PAIR], ["verify-wrl", "-h"], ["residue", "-h"],
+    ["cocycle-gf", "-f", "1+z", "-g", "z", "-T", "[[1]]"],
+    ["verify-wrl", *PAIR, "--bogus"], ["verify-wrl", "--bogus", "1", *PAIR], ["verify-wrl", *PAIR, "extra"],
+    ["tate-residue", "-f", "1+z", "-g", "z", "--window", "x"], ["sweep", "--mode", "bad"],
+    ["residue", *PAIR], ["residue", *PAIR, "--prec", "8"], ["verify-wrl", "--field", "F5", "-f", "x+1"],
+    WRL, ["verify-residues", *PAIR, "--json"], ["verify-gf", *PAIR, *MATRICES],
+    ["symbol-tame", "--field", "F7", "-f", "1+z", "-g", "z", "--prec", "4"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_TABLE, ids=lambda argv: " ".join(argv) or "(empty)")
+def test_one_parser_pass_matches_the_full_parser(monkeypatch, capsys, argv):
+    one_pass = main_outcome(argv, capsys)
+    monkeypatch.setattr(cli, "_parse", lambda parser, commands, argv: parser.parse_args(argv))
+    assert main_outcome(argv, capsys) == one_pass
+
+
+def test_a_command_line_that_parses_skips_the_full_parser(monkeypatch, capsys):
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", raising(AssertionError("full parser")))
+    assert cli.main(WRL) == cli.EXIT_OK
+    assert cli.main(["residue", *PAIR]) == cli.EXIT_OK
+    assert "residue-theorem" in capsys.readouterr().out
 
 
 def test_residue_is_another_name_of_verify_residues(capsys, tmp_path):

@@ -156,7 +156,8 @@ class TestWRL:
         assert sorted(formed) == [(0, -1, "f"), (0, 1, "f"), (1, 0, "g"), (2, 1, "fg")]
 
     def test_local_factor_inverts_each_unit_value_once(self, F7, monkeypatch):
-        """A negative power swaps num and den: one invmod per unit value, and no pow_mod inverts again."""
+        """A negative power swaps num and den: one invmod per unit value, no pow_mod inverts again,
+        and a unit value to the power +-1 is its reduced class, raised by no pow_mod."""
         x = rational_x(F7)
         f, g = x**2 * (x + 1) / (x + 3), x * (x + 2) / ((x**2 + 1) * (x + 1) ** 2)
         places = [place for place in relevant_places(f, g) if not place.is_infinite]
@@ -166,9 +167,10 @@ class TestWRL:
         monkeypatch.setattr(Polynomial, "invmod", lambda self, m: inversions.append(1) or invmod(self, m))
         monkeypatch.setattr(Polynomial, "pow_mod", lambda self, e, m: exponents.append(e) or pow_mod(self, e, m))
         assert [wrl_local_factor(f, g, place) for place in places] == want
-        formed = sum((f.valuation_at(p) != 0) + (g.valuation_at(p) != 0) for p in places)
-        assert len(inversions) == len(exponents) == formed == 7
-        assert min(exponents) > 0
+        # the exponent of each unit value formed: v(g) for f's, -v(f) for g's
+        powers = [n for p in places for n in (g.valuation_at(p), -f.valuation_at(p)) if n]
+        assert len(inversions) == len(powers) == 7
+        assert sorted(exponents) == sorted(abs(n) for n in powers if abs(n) > 1) == [2, 2]
 
     def test_verify_examples(self, Q):
         x = rational_x(Q)

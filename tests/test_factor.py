@@ -158,19 +158,31 @@ def random_squarefree_monic(field, rng, degree):
             return f
 
 
+def count_powers(field, monkeypatch) -> tuple[list, list]:
+    """The exponents of every pow_mod, and the (modulus, q) of every frobenius_matrix call over field."""
+    calls, matrices = [], []
+    pow_mod = Polynomial.pow_mod
+    monkeypatch.setattr(Polynomial, "pow_mod", lambda self, e, m: calls.append(e) or pow_mod(self, e, m))
+    frobenius_matrix = field.kernels.frobenius_matrix
+    monkeypatch.setattr(field.kernels, "frobenius_matrix",
+                        lambda m, q, arg: matrices.append((m, q)) or frobenius_matrix(m, q, arg))
+    return calls, matrices
+
+
 @pytest.mark.parametrize("key", list(DDF_FIELDS))
 def test_distinct_degree_matches_reference(key, monkeypatch):
     field = DDF_FIELDS[key]
     rng = random.Random(f"ddf:{key}")
     x = Polynomial.x(field)
-    calls = []
-    pow_mod = Polynomial.pow_mod
-    monkeypatch.setattr(Polynomial, "pow_mod", lambda self, e, m: calls.append(e) or pow_mod(self, e, m))
+    calls, matrices = count_powers(field, monkeypatch)
     cases = [x, x * (x + 1)] + [random_squarefree_monic(field, rng, rng.randint(1, 10)) for _ in range(15)]
     for f in cases:
         calls.clear()
+        matrices.clear()
         got = factor._distinct_degree(f)
-        assert calls == ([field.order] if f.degree >= 2 else [])
+        # x^q is row 1 of the one Frobenius matrix: no pow_mod
+        assert calls == []
+        assert matrices == ([(f._data, field.order)] if f.degree >= 2 else [])
         want = reference_distinct_degree(f)
         assert got == want, (key, str(f))
         prod = Polynomial.one(field)
@@ -184,11 +196,9 @@ def test_distinct_degree_powers_once_where_the_reference_does_not(F5, monkeypatc
     x = Polynomial.x(F5)
     cubics = (x**3 + 3 * x + 3) * (x**3 + x + 1)
     f = (x + 1) * (x**2 + 2) * cubics  # the loop runs to d = 3
-    calls = []
-    pow_mod = Polynomial.pow_mod
-    monkeypatch.setattr(Polynomial, "pow_mod", lambda self, e, m: calls.append(e) or pow_mod(self, e, m))
+    calls, matrices = count_powers(F5, monkeypatch)
     got = factor._distinct_degree(f)
-    assert calls == [5]
+    assert calls == [] and matrices == [(f._data, 5)]
     calls.clear()
     assert reference_distinct_degree(f) == got == [(x + 1, 1), (x**2 + 2, 2), (cubics, 3)]
     assert calls == [5, 5, 5]
@@ -218,16 +228,24 @@ def test_equal_degree_split_powers_only_to_half_of_q_minus_1(F5, monkeypatch):
     quadratics = (x**2 + 2) * (x**2 + 3)
     cubics = (x**3 + 3 * x + 3) * (x**3 + x + 1)
     f = (x + 1) * (x + 2) * quadratics * cubics
-    calls, matrices = [], []
-    pow_mod = Polynomial.pow_mod
-    monkeypatch.setattr(Polynomial, "pow_mod", lambda self, e, m: calls.append(e) or pow_mod(self, e, m))
-    frobenius_matrix = factor._frobenius_matrix
-    monkeypatch.setattr(factor, "_frobenius_matrix", lambda xq, g: matrices.append(g) or frobenius_matrix(xq, g))
+    calls, matrices = count_powers(F5, monkeypatch)
     fac = poly_factor(f)
     assert expand(fac) == f and len(fac.factors) == 6
-    # x^q once for distinct degrees, then every split (degrees 1, 2 and 3) to (q-1)/2, not (q^d-1)/2
-    assert calls[0] == 5 and len(calls) >= 4 and set(calls[1:]) == {2}
-    assert matrices == [f]
+    # x^q and its matrix in one call, then every split (degrees 1, 2 and 3) to (q-1)/2, not (q^d-1)/2
+    assert matrices == [(f._data, 5)]
+    assert len(calls) >= 3 and set(calls) == {2}
+
+
+def test_one_frobenius_matrix_per_squarefree_part_of_degree_two_or_more(F5, monkeypatch):
+    x = Polynomial.x(F5)
+    quadratic, cubic = x**2 + 2, x**3 + x + 1
+    f = (x + 1) ** 3 * quadratic**2 * cubic * (x + 4)
+    calls, matrices = count_powers(F5, monkeypatch)
+    assert expand(poly_factor(f)) == f
+    # the parts are cubic * (x + 4), quadratic and x + 1; the last needs no matrix, and
+    # each part has one irreducible factor per degree, so no equal-degree split powers
+    assert matrices == [((cubic * (x + 4))._data, 5), (quadratic._data, 5)]
+    assert calls == []
 
 
 def test_degree_budget(F5):

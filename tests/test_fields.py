@@ -21,7 +21,7 @@ from reciprocity.fields import (
 )
 from reciprocity.parsing import parse_series
 from reciprocity.poly import Polynomial
-from support import TupleField
+from support import TupleField, is_prime_all_bases
 
 
 def test_primality():
@@ -33,6 +33,53 @@ def test_primality():
     assert is_prime(2**61 - 1) and is_prime(18446744073709551629)
     with pytest.raises(ValueError):
         PrimeField(6)
+
+
+# psi_k of OEIS A014233: the least odd composite that is a strong pseudoprime
+# to each of the first k prime bases
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+       341550071728321, 3825123056546413051, 3825123056546413051, 3825123056546413051,
+       318665857834031151167461, 3317044064679887385961981)
+PRIMES = (2, 3, 5, 7, 43, 47, 101, 65537, 2**31 - 1, 10**12 + 39, 2**61 - 1, 18446744073709551629)
+
+
+def strong_probable_prime(n: int, a: int) -> bool:
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, r))
+
+
+def test_primality_rejects_every_psi_k():
+    """psi_k passes the first k bases, so is_prime must run at least k + 1 below psi_(k+1)."""
+    assert PSI[-1] == fields.PRIME_TEST_BOUND
+    for k, n in enumerate(PSI, 1):
+        assert all(strong_probable_prime(n, a) for a in fields._MR_WITNESSES[:k]), k
+        assert not is_prime(n) and not is_prime_all_bases(n), k
+
+
+def next_prime(n: int) -> int:
+    while not is_prime_all_bases(n):
+        n += 1
+    return n
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.one_of(
+    st.integers(-2, 10**6),
+    st.integers(0, fields.PRIME_TEST_BOUND - 1),
+    st.integers(2, fields.PRIME_TEST_BOUND - 10**4).map(next_prime),
+    st.sampled_from(PRIMES + PSI).flatmap(lambda n: st.integers(n - 4, n + 4)),
+))
+def test_primality_matches_all_fourteen_bases(n):
+    assert is_prime(n) == is_prime_all_bases(n)
+
+
+def test_primality_of_known_primes_and_every_n_below_2_to_17():
+    """Below 2^17 one or two bases run; the strong pseudoprimes to base 3 alone, such as 12403, are among these n."""
+    assert all(is_prime(p) for p in PRIMES)
+    assert [n for n in range(-2, 2**17) if is_prime(n) != is_prime_all_bases(n)] == []
 
 
 def test_rational_elements():

@@ -18,7 +18,9 @@ from reciprocity.factor import DEGREE_BUDGET
 from reciprocity.errors import NonUnitError
 from reciprocity.fields import QQ, TABLE_MAX_ORDER, ExtensionField, PrimeField, TableField, find_irreducible
 from reciprocity.parsing import parse_ring_spec
-from support import TupleField, loop_divmod_poly, loop_gcd, loop_invmod, loop_mul, loop_powmod, xgcd_invmod
+from reciprocity.poly import Polynomial
+from support import (TupleField, loop_divmod_poly, loop_frobenius_matrix, loop_gcd, loop_invmod, loop_mul,
+                     loop_powmod, row_frobenius_matrix, xgcd_invmod)
 
 try:
     from reciprocity._kernels import _core as core
@@ -210,6 +212,7 @@ def test_generic_kernels_build_no_elements(monkeypatch):
     generic.mul(a, a, ring)
     generic.divmod_poly(a, m, ring)
     generic.powmod(a, 10, m, ring)
+    generic.frobenius_matrix(m, 9, ring)
     generic.invmod(a, m, ring)
     matrix = [[u, ring._one], [ring._zero, u]]
     generic.mat_mul(matrix, matrix, ring)
@@ -218,10 +221,14 @@ def test_generic_kernels_build_no_elements(monkeypatch):
 
 
 def kernel_calls(p):
-    """Kernel name -> strategy of its full argument tuples at p."""
+    """Kernel name -> strategy of its full argument tuples at p.
+
+    A polynomial may be empty or carry trailing zeros, which both backends
+    read as the normalized list; a modulus is monic or any such list.
+    """
     coeff = st.integers(0, p - 1)
-    poly = st.lists(coeff, max_size=9).map(pure.normalize)
-    monic_mod = st.lists(coeff, min_size=1, max_size=5).map(lambda c: c + [1])
+    poly = st.builds(lambda c, zeros: c + [0] * zeros, st.lists(coeff, max_size=9), st.integers(0, 2))
+    modulus = st.one_of(st.lists(coeff, min_size=1, max_size=5).map(lambda c: c + [1]), poly)
     exponent = st.one_of(st.integers(-3, 64),
                          st.sampled_from([p, p - 1, (p - 1) // 2, -p, 2**31, 2**64 + 1, 2**100 - 1, -(2**70 + 3)]))
 
@@ -245,9 +252,10 @@ def kernel_calls(p):
         "divmod_poly": st.tuples(poly, poly),
         "monic": st.tuples(poly),
         "gcd": st.tuples(poly, poly),
-        "invmod": st.tuples(poly, monic_mod),
-        "mulmod": st.tuples(poly, poly, monic_mod),
-        "powmod": st.tuples(poly, exponent, monic_mod),
+        "invmod": st.tuples(poly, modulus),
+        "mulmod": st.tuples(poly, poly, modulus),
+        "powmod": st.tuples(poly, exponent, modulus),
+        "frobenius_matrix": st.tuples(modulus, st.one_of(st.integers(1, 64), st.sampled_from([p, p**2, 2**64 + 1]))),
         "mat_mul": product(),
         "mat_det": square(),
         "mat_inv": square(),
@@ -273,7 +281,7 @@ def outcome(fn, args):
 
 @needs_core
 @pytest.mark.parametrize("name", sorted(kernel_calls(2)))
-@pytest.mark.parametrize("p", [2, 65537, 2**31 - 1])
+@pytest.mark.parametrize("p", [2, 65537, kernels.PMAX])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_core_kernels_agree_with_pure(p, name, data):
@@ -290,7 +298,7 @@ def test_core_exports_exactly_the_namespace():
 CALLS_AT_7 = {
     "add": ([1, 2], [3]), "sub": ([1, 2], [3]), "neg": ([1, 2],), "mul": ([1, 2], [3]),
     "divmod_poly": ([1, 2, 3], [1, 1]), "monic": ([1, 2],), "gcd": ([1, 2], [3, 1]), "invmod": ([1, 2], [1, 0, 1]),
-    "mulmod": ([1, 2], [3], [1, 0, 1]), "powmod": ([1, 2], 5, [1, 0, 1]),
+    "mulmod": ([1, 2], [3], [1, 0, 1]), "powmod": ([1, 2], 5, [1, 0, 1]), "frobenius_matrix": ([1, 2, 1], 7),
     "mat_mul": ([[1, 2]], [[3], [4]]), "mat_det": ([[1, 2], [3, 4]],), "mat_inv": ([[1, 2], [3, 4]],),
 }
 
@@ -319,10 +327,15 @@ def leak_calls(p):
     calls += [(name, (*args, p), None) for name, args in {
         "add": (a, b), "sub": (a, b), "neg": (a,), "mul": (a, b), "divmod_poly": (a, b), "monic": (b,),
         "gcd": (a, b), "invmod": (a, m), "mulmod": (a, b, m), "powmod": (a, -(2**70 + 3), m),
+        "frobenius_matrix": (m, 2**70 + 3),
         "mat_mul": (square, square), "mat_det": (square,), "mat_inv": (square,),
     }.items()]
     calls += [
         ("divmod_poly", (a, [], p), ZeroDivisionError),
+        ("frobenius_matrix", ([0, 0], p, p), ZeroDivisionError),
+        ("frobenius_matrix", (m, 0, p), ValueError),
+        ("frobenius_matrix", (m, -(2**70), p), ValueError),
+        ("frobenius_matrix", (m, 7.0, p), TypeError),
         ("invmod", (pure.mul(b, [7, 1], p), pure.mul(m, [7, 1], p), p), ZeroDivisionError),
         ("mat_inv", ([[40000, 50000], [40000, 50000]], p), ZeroDivisionError),
         ("mul", (a, b, 2**31), ValueError),
@@ -493,6 +506,54 @@ def test_packed_slots_hold_the_largest_sums(p):
         assert pure.powmod(base, e, m, p) == loop_powmod(base, e, m, p)
 
 
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_packed_frobenius_rows_hold_the_largest_sums(p):
+    """Every coefficient p - 1, up to DEGREE_BUDGET, and the x^n + x^(n-1) modulus of the powmod bound."""
+    for n in (1, 2, 3, 9, DEGREE_BUDGET):
+        full = [p - 1] * (n + 1)
+        assert pure.frobenius_matrix(full, p, p) == loop_frobenius_matrix(full, p, p), n
+    n = DEGREE_BUDGET - 1
+    m = [0] * (n - 1) + [1, 1]
+    assert pure.frobenius_matrix(m, p, p) == loop_frobenius_matrix(m, p, p)
+
+
+@needs_core
+@pytest.mark.parametrize("p", [2, 65537, kernels.PMAX])
+def test_core_frobenius_matrix_agrees_with_pure_at_every_degree(p):
+    for n in range(1, DEGREE_BUDGET + 1):
+        full = [p - 1] * (n + 1)
+        for q in (p, p**2):
+            assert core.frobenius_matrix(full, q, p) == pure.frobenius_matrix(full, q, p), (n, q)
+
+
+FROBENIUS_FIELDS = {
+    "F2": PrimeField(2), "F3": PrimeField(3), "F101": PrimeField(101), "F(2^31-1)": PrimeField(2**31 - 1),
+    "F(2^61-1)": PrimeField(2**61 - 1), "F9": ExtensionField(3, [1, 0, 1]),
+    "F256": ExtensionField(2, find_irreducible(2, 8)), "F729": ExtensionField(3, find_irreducible(3, 6)),
+}
+
+
+@pytest.mark.parametrize("key", list(FROBENIUS_FIELDS))
+def test_frobenius_matrix_matches_the_rows(key):
+    """One kernel call against x^q by pow_mod and one Polynomial product and remainder per row."""
+    field = FROBENIUS_FIELDS[key]
+    q, zero, one = field.order, field._zero, field._one
+    rng = random.Random(f"frobenius:{key}")
+    backends = [field.kernels]
+    if isinstance(field, PrimeField):
+        backends += [pure] + ([core] if core is not None and field.p <= kernels.PMAX else [])
+    assert field.kernels.frobenius_matrix([one], q, field.kernel_arg) == []
+    assert field.kernels.frobenius_matrix([zero, one], q, field.kernel_arg) == [[one]]
+    for degree in [2, 3, 4, 8, 12] + [rng.randint(2, 16) for _ in range(6)]:
+        lead = field.random_element(rng)
+        while lead.is_zero():
+            lead = field.random_element(rng)
+        f = Polynomial(field, [field.random_element(rng) for _ in range(degree)] + [lead])
+        want = row_frobenius_matrix(Polynomial.x(field).pow_mod(q, f), f)
+        for backend in backends:
+            assert backend.frobenius_matrix(f._data, q, field.kernel_arg) == want, (backend, str(f))
+
+
 # the table fields, up to TABLE_MAX_ORDER, and the tuple format of each, the reference
 LOG_FIELDS = {q: ExtensionField(p, find_irreducible(p, d))
               for q, p, d in ((4, 2, 2), (8, 2, 3), (9, 3, 2), (27, 3, 3), (243, 3, 5), (256, 2, 8))}
@@ -509,7 +570,7 @@ def public_functions(module) -> set:
 SHAPES = {
     "add": ("pp", "p"), "sub": ("pp", "p"), "neg": ("p", "p"), "mul": ("pp", "p"),
     "divmod_poly": ("pp", "pp"), "monic": ("p", "p"), "gcd": ("pp", "p"),
-    "invmod": ("pp", "p"), "powmod": ("pip", "p"),
+    "invmod": ("pp", "p"), "powmod": ("pip", "p"), "frobenius_matrix": ("pi", "m"),
     "mat_mul": ("mm", "m"), "mat_det": ("m", "e"), "mat_inv": ("m", "m"),
 }
 
@@ -562,6 +623,7 @@ def log_kernel_calls(F):
         "gcd": st.tuples(poly, poly),
         "invmod": st.tuples(poly, divisor),
         "powmod": st.tuples(poly, exponent, divisor),
+        "frobenius_matrix": st.tuples(divisor, st.one_of(st.integers(1, 40), st.sampled_from([q, q * q]))),
         "mat_mul": matrices(2),
         "mat_det": matrices(1),
         "mat_inv": matrices(1),
@@ -662,7 +724,7 @@ def test_log_kernels_touch_no_tuple_arithmetic(monkeypatch):
     matrix = [[u, one], [zero, u]]
     calls = {
         "add": (a, m), "sub": (a, m), "neg": (a,), "mul": (a, a), "divmod_poly": (a, m), "monic": (a,),
-        "gcd": (a, m), "invmod": (a, [u, one]), "powmod": (a, -10, [u, one]),
+        "gcd": (a, m), "invmod": (a, [u, one]), "powmod": (a, -10, [u, one]), "frobenius_matrix": (a, 9),
         "mat_mul": (matrix, matrix), "mat_det": (matrix,), "mat_inv": (matrix,),
     }
     assert set(calls) == public_functions(generic)
