@@ -9,7 +9,10 @@ ring's ``_add``, ``_sub``, ``_mul``, ``_neg``, ``_inv``, ``_is_zero`` and
 exactly when the matrix is invertible.  Nothing here reads the data itself,
 so one body serves every data format: Fractions over Q, tuples over large
 F_q, discrete logs over a table field and coordinate tuples over an
-Artinian ring.
+Artinian ring.  As in ``pure``, division reduces in place: ``divmod_poly``,
+``gcd``, ``invmod``, ``powmod`` and the rows of ``frobenius_matrix`` run
+one ``_reduce`` on a list of their own, ``gcd`` forms no quotient, and
+``monic`` is one scalar pass.
 """
 
 from __future__ import annotations
@@ -59,6 +62,54 @@ def mul(a: list, b: list, ring) -> list:
     return _normalize(out, ring)
 
 
+def _reduce(r: list, den: list, ring, q: list | None = None) -> None:
+    """Reduce r mod den in place, like ``pure._reduce``; with q given, write the quotient into it.
+
+    Step k takes c = r[k] / lead(den) and subtracts c*den from r, shifted to
+    k.  The lead cell itself is not computed, since it becomes zero, and
+    neither is a product with the stored zero; at the end r is cut to its
+    deg den low cells and trimmed.  den's lead is inverted at the first step,
+    so a reduction that runs none inverts nothing.  den is nonempty, and q
+    has room for len(r) - deg den coefficients.
+    """
+    dd = len(den) - 1
+    zero, is_zero, times, minus = ring._zero, ring._is_zero, ring._mul, ring._sub
+    # no ring has None as an inverse (it is the zero of a table field)
+    inv_lead = None
+    for k in range(len(r) - 1, dd - 1, -1):
+        c = r[k]
+        if is_zero(c):
+            continue
+        if inv_lead is None:
+            inv_lead = ring._inv(den[dd])
+        c = times(c, inv_lead)
+        lo = k - dd
+        if q is not None:
+            q[lo] = c
+        for j in range(dd):
+            d = den[j]
+            if d is not zero:
+                r[lo + j] = minus(r[lo + j], times(c, d))
+    n = min(len(r), dd)
+    while n and is_zero(r[n - 1]):
+        n -= 1
+    del r[n:]
+
+
+def _rem(r: list, m: list, ring) -> list:
+    """r mod m, reduced in the list r itself."""
+    if not m:
+        raise ZeroDivisionError("polynomial division by zero")
+    _reduce(r, m, ring)
+    return r
+
+
+def _scale(a: list, c, ring) -> list:
+    """c*a for a unit c, one product per nonzero coefficient; a zero stays the stored zero."""
+    zero, is_zero, times = ring._zero, ring._is_zero, ring._mul
+    return [zero if is_zero(x) else times(x, c) for x in a]
+
+
 def divmod_poly(num: list, den: list, ring) -> tuple[list, list]:
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
@@ -66,61 +117,61 @@ def divmod_poly(num: list, den: list, ring) -> tuple[list, list]:
     dd = len(den) - 1
     if len(r) - 1 < dd:
         return [], r
-    inv_lead = ring._inv(den[dd])
     q = [ring._zero] * (len(r) - dd)
-    for k in range(len(r) - 1, dd - 1, -1):
-        c = r[k]
-        if not ring._is_zero(c):
-            c = ring._mul(c, inv_lead)
-            q[k - dd] = c
-            for j in range(dd + 1):
-                r[k - dd + j] = ring._sub(r[k - dd + j], ring._mul(c, den[j]))
-    return _normalize(q, ring), _normalize(r, ring)
+    _reduce(r, den, ring, q)
+    return _normalize(q, ring), r
 
 
 def monic(a: list, ring) -> list:
-    return mul(a, [ring._inv(a[-1])], ring) if a else []
+    return _scale(a, ring._inv(a[-1]), ring) if a else []
 
 
 def gcd(a: list, b: list, ring) -> list:
+    """Monic gcd by a remainder sequence reduced in place (``_reduce``); no quotient is formed."""
+    a, b = list(a), list(b)
     # a monic remainder at each step keeps Fraction sizes down over Q
     while b:
-        a, b = b, monic(divmod_poly(a, b, ring)[1], ring)
+        _reduce(a, b, ring)
+        a, b = b, monic(a, ring)
     return monic(a, ring)
 
 
 def invmod(a: list, m: list, ring) -> list:
-    """a^-1 mod m by extended Euclid, tracking only the cofactor s of a (s*a = r mod m), like ``pure.invmod``."""
+    """a^-1 mod m by extended Euclid, tracking only the cofactor s of a (s*a = r mod m), like ``pure.invmod``.
+
+    The remainders are reduced in place (``_reduce``), each writing its quotient into a fresh list.
+    """
     r0, r1 = list(a), list(m)
     s0, s1 = [ring._one], []
     while r1:
-        q, r = divmod_poly(r0, r1, ring)
-        r0, r1 = r1, r
+        q = [ring._zero] * max(len(r0) - len(r1) + 1, 0)
+        _reduce(r0, r1, ring, q)
+        r0, r1 = r1, r0
         s0, s1 = s1, sub(s0, mul(q, s1, ring), ring)
     if len(r0) != 1:
         raise ZeroDivisionError("element is not invertible modulo the given polynomial")
     # the cofactor of the last nonzero remainder has degree below deg m
-    return mul(s0, [ring._inv(r0[0])], ring)
+    return _scale(s0, ring._inv(r0[0]), ring)
 
 
 def powmod(a: list, e: int, m: list, ring) -> list:
-    """a^e mod m, left to right like ``pure.powmod``: square, then multiply by the base."""
+    """a^e mod m, left to right like ``pure.powmod``: square, then multiply by the base; each product reduced in place."""
     if e < 0:
         a = invmod(a, m, ring)
         e = -e
-    base = divmod_poly(a, m, ring)[1]
-    result = divmod_poly([ring._one], m, ring)[1]
+    base = _rem(list(a), m, ring)
+    result = _rem([ring._one], m, ring)
     for bit in bin(e)[2:]:
-        result = divmod_poly(mul(result, result, ring), m, ring)[1]
+        result = _rem(mul(result, result, ring), m, ring)
         if bit == "1":
-            result = divmod_poly(mul(result, base, ring), m, ring)[1]
+            result = _rem(mul(result, base, ring), m, ring)
     return result
 
 
 def frobenius_matrix(m: list, q: int, ring) -> list:
     """The rows x^(q*i) mod m for i < deg m, each padded to deg m entries, like ``pure.frobenius_matrix``.
 
-    Row 1 is x^q by ``powmod``, and each later row one ``mul`` by it and one ``divmod_poly``.
+    Row 1 is x^q by ``powmod``, and each later row one ``mul`` by it, reduced in place.
     """
     if q < 1:
         raise ValueError(f"q must be at least 1, not {q}")
@@ -132,7 +183,7 @@ def frobenius_matrix(m: list, q: int, ring) -> list:
         xq = powmod([ring._zero, ring._one], q, m, ring)
         rows.append(xq)
         while len(rows) < n:
-            rows.append(divmod_poly(mul(rows[-1], xq, ring), m, ring)[1])
+            rows.append(_rem(mul(rows[-1], xq, ring), m, ring))
     return [row + [ring._zero] * (n - len(row)) for row in rows[:n]]
 
 

@@ -138,7 +138,7 @@ class ArtinianAlgebra(CoefficientRing):
             if self.base._is_zero(a[i]):
                 continue
             mono = self._monomial_str(self._monomials[i])
-            coeff, neg = split_sign(AlgebraElement(self.base, a[i]))
+            coeff, neg = split_sign(self.base, a[i])
             if mono:
                 if coeff == "1":
                     body = mono

@@ -30,9 +30,14 @@ class DomainError(ReciprocityError):
 
 
 class ExpressionError(ReciprocityError):
-    """Positioned syntax or semantic error in a parsed expression."""
+    """Syntax or semantic error in a parsed expression or spec.
 
-    def __init__(self, message: str, line: int = 1, column: int = 0):
-        super().__init__(f"{message} (line {line}, column {column})")
+    Columns count from 1.  column is None where no position is known (a
+    field or ring spec, or input nested too deeply), and the message then
+    carries no "(line, column)" suffix.
+    """
+
+    def __init__(self, message: str, line: int = 1, column: int | None = None):
+        super().__init__(message if column is None else f"{message} (line {line}, column {column})")
         self.line = line
         self.column = column

@@ -467,10 +467,21 @@ class ExtensionField(BaseField):
         return tuple(a)
 
     def _str(self, a):
-        from .formatting import format_terms
+        """sum c_i u^i from the top power down, written straight from ``_canonical(a)``.
 
-        terms = [(str(c), False, i) for i, c in enumerate(self._canonical(a)) if c]
-        return format_terms(terms, self.name, descending=True)
+        The one printer of both data formats.  A coordinate is an int in
+        [0, p), so no coefficient needs parentheses, and every sign is "+".
+        """
+        t, name = self._canonical(a), self.name
+        parts = []
+        for i in range(len(t) - 1, 0, -1):
+            c = t[i]
+            if c:
+                u = name if i == 1 else f"{name}^{i}"
+                parts.append(u if c == 1 else f"{c}*{u}")
+        if t[0]:
+            parts.append(str(t[0]))
+        return " + ".join(parts) or "0"
 
     def from_int(self, n):
         return self._element([n % self.p])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 
 def needs_parens(s: str) -> bool:
     return any(ch in s for ch in " +-")
@@ -22,12 +24,11 @@ def term_string(coeff_str: str, var: str, exponent: int) -> str:
     return f"{coeff_str}*{var_part}"
 
 
-def format_terms(terms, var: str, descending: bool = False) -> str:
-    """Join (coeff_str, is_negative, exponent) triples into an expression.
+def format_terms(terms, var: str) -> str:
+    """Join (coeff_str, is_negative, exponent) triples, in the order given, into an expression.
 
     coeff_str must be the string of the absolute value when is_negative.
     """
-    terms = sorted(terms, key=lambda t: t[2], reverse=descending)
     if not terms:
         return "0"
     parts = []
@@ -40,11 +41,12 @@ def format_terms(terms, var: str, descending: bool = False) -> str:
     return " ".join(parts)
 
 
-def split_sign(elem) -> tuple[str, bool]:
-    """String of |elem| and a negativity flag (rationals only; others positive)."""
-    from fractions import Fraction
+def split_sign(ring, data) -> tuple[str, bool]:
+    """String of |x| and a negativity flag for the element of ring with raw data.
 
-    data = elem.data
+    Only a rational (Fraction data) is ever negative; every other element
+    prints as ``ring._str(data)``, so no element is boxed to print it.
+    """
     if isinstance(data, Fraction) and data < 0:
         return str(-data), True
-    return str(elem), False
+    return ring._str(data), False

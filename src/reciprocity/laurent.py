@@ -288,7 +288,8 @@ class LaurentSeries:
         return hash((self.ring.signature, self.prec, self.offset, tuple(canonical(c) for c in self.data)))
 
     def to_string(self, var: str = "z") -> str:
-        terms = [(*split_sign(c), e) for e, c in self.coeffs.items()]
+        ring, offset = self.ring, self.offset
+        terms = [(*split_sign(ring, c), offset + i) for i, c in enumerate(self.data) if not ring._is_zero(c)]
         if self.prec is None:
             return format_terms(terms, var)
         tail = f"O({var}^{self.prec})"

@@ -10,7 +10,9 @@ multiply by table lookups.  Raw data of a field is a function of the field's
 signature, so ``==`` compares it directly; ``hash`` and ``sort_key`` read
 the field's canonical form.  Only the public surface boxes: the constructor
 coerces ints, Fractions and elements, and ``coeffs``, ``coefficient()`` and
-``leading_coefficient()`` return :class:`AlgebraElement` values.
+``leading_coefficient()`` return :class:`AlgebraElement` values; printing
+reads the raw data through the field's ``_str``
+(:func:`reciprocity.formatting.split_sign`) and boxes nothing.
 """
 
 from __future__ import annotations
@@ -235,13 +237,11 @@ class Polynomial:
         return self.degree, [f._canonical(c) for c in self._data]
 
     def to_string(self, var: str = "x") -> str:
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            s, neg = split_sign(c)
-            terms.append((s, neg, i))
-        return format_terms(terms, var, descending=True)
+        """The terms from the top degree down, each coefficient printed from its raw data."""
+        f, data = self.field, self._data
+        is_zero = f._is_zero
+        terms = [(*split_sign(f, data[i]), i) for i in range(len(data) - 1, -1, -1) if not is_zero(data[i])]
+        return format_terms(terms, var)
 
     def __str__(self):
         return self.to_string("x")

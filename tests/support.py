@@ -6,8 +6,9 @@ expanding a factorization back into what it factors, comparing truncated
 series, the whole loop-matrix product, the norm/determinant
 compatibility of block matrices, adele orthogonality over a list of test
 functions, the schoolbook loops of the packed and in-place F_p kernels,
-the row-by-row Frobenius matrix, the generic extended Euclid,
-Miller-Rabin to all 14 bases, the earlier series arithmetic on dicts of
+the row-by-row Frobenius matrix, the generic extended Euclid, the
+printers and generic divisions that boxed elements and formed a fresh
+quotient per step, Miller-Rabin to all 14 bases, the earlier series arithmetic on dicts of
 elements, Contou-Carrère loops and tokenizer, and random series,
 operators and factored rational functions.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import random
+from fractions import Fraction
 from math import gcd
 from unittest import mock
 
@@ -27,7 +29,7 @@ from reciprocity.curve import AdeleVector, RationalFunction, residue_pairing_sum
 from reciprocity.errors import DomainError, ExpressionError, NonUnitError, PrecisionError, TowerError
 from reciprocity.factor import Factorization
 from reciprocity.fields import _MR_WITNESSES, AlgebraElement, BaseField, ExtensionField, QQ, power
-from reciprocity.formatting import format_terms, split_sign
+from reciprocity.formatting import term_string
 from reciprocity.laurent import DEFAULT_PRECISION, LaurentSeries, PrincipalUnitFactorization, UnitFactorization
 from reciprocity.norms import (
     algebra_norm,
@@ -345,6 +347,111 @@ def xgcd_invmod(a: list, m: list, ring) -> list:
     return generic.divmod_poly(s, m, ring)[1]
 
 
+# -- the printers and generic divisions the raw-data ones replaced ---------------
+# ``Polynomial.to_string`` prints raw data through ``formatting.split_sign`` on
+# (ring, data), ``ExtensionField._str`` writes its terms straight from the
+# coordinates, and the generic kernels reduce in place (``generic._reduce``);
+# these are the bodies they replaced, which boxed every coefficient, sorted the
+# terms, and formed a fresh quotient and remainder per step.
+
+
+# Q with negative fractions, F_p, table fields, a tuple field (F625), and an
+# Artinian ring, whose nonzero non-units make leads that have no inverse
+RAW_DATA_SPECS = ("Q", "F7", "F9", "F256", "F625", "F7[e,d]/(e^3,d^2)")
+
+
+def earlier_format_terms(terms, var: str, descending: bool = False) -> str:
+    """Join (coeff_str, is_negative, exponent) triples into an expression, sorted by exponent."""
+    terms = sorted(terms, key=lambda t: t[2], reverse=descending)
+    if not terms:
+        return "0"
+    parts = []
+    for i, (coeff, neg, e) in enumerate(terms):
+        body = term_string(coeff, var, e)
+        if i == 0:
+            parts.append(f"-{body}" if neg else body)
+        else:
+            parts.append(f"- {body}" if neg else f"+ {body}")
+    return " ".join(parts)
+
+
+def earlier_split_sign(elem) -> tuple[str, bool]:
+    """String of |elem| and a negativity flag (rationals only; others positive)."""
+    data = elem.data
+    if isinstance(data, Fraction) and data < 0:
+        return str(-data), True
+    return str(elem), False
+
+
+def earlier_poly_to_string(poly: Polynomial, var: str = "x") -> str:
+    terms = []
+    for i, c in enumerate(poly.coeffs):
+        if c.is_zero():
+            continue
+        s, neg = earlier_split_sign(c)
+        terms.append((s, neg, i))
+    return earlier_format_terms(terms, var, descending=True)
+
+
+def earlier_extension_str(field: ExtensionField, a) -> str:
+    terms = [(str(c), False, i) for i, c in enumerate(field._canonical(a)) if c]
+    return earlier_format_terms(terms, field.name, descending=True)
+
+
+def earlier_divmod_poly(num: list, den: list, ring) -> tuple[list, list]:
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(num)
+    dd = len(den) - 1
+    if len(r) - 1 < dd:
+        return [], r
+    inv_lead = ring._inv(den[dd])
+    q = [ring._zero] * (len(r) - dd)
+    for k in range(len(r) - 1, dd - 1, -1):
+        c = r[k]
+        if not ring._is_zero(c):
+            c = ring._mul(c, inv_lead)
+            q[k - dd] = c
+            for j in range(dd + 1):
+                r[k - dd + j] = ring._sub(r[k - dd + j], ring._mul(c, den[j]))
+    return generic._normalize(q, ring), generic._normalize(r, ring)
+
+
+def earlier_monic(a: list, ring) -> list:
+    return generic.mul(a, [ring._inv(a[-1])], ring) if a else []
+
+
+def earlier_gcd(a: list, b: list, ring) -> list:
+    while b:
+        a, b = b, earlier_monic(earlier_divmod_poly(a, b, ring)[1], ring)
+    return earlier_monic(a, ring)
+
+
+def earlier_invmod(a: list, m: list, ring) -> list:
+    r0, r1 = list(a), list(m)
+    s0, s1 = [ring._one], []
+    while r1:
+        q, r = earlier_divmod_poly(r0, r1, ring)
+        r0, r1 = r1, r
+        s0, s1 = s1, generic.sub(s0, generic.mul(q, s1, ring), ring)
+    if len(r0) != 1:
+        raise ZeroDivisionError("element is not invertible modulo the given polynomial")
+    return generic.mul(s0, [ring._inv(r0[0])], ring)
+
+
+def earlier_powmod(a: list, e: int, m: list, ring) -> list:
+    if e < 0:
+        a = earlier_invmod(a, m, ring)
+        e = -e
+    base = earlier_divmod_poly(a, m, ring)[1]
+    result = earlier_divmod_poly([ring._one], m, ring)[1]
+    for bit in bin(e)[2:]:
+        result = earlier_divmod_poly(generic.mul(result, result, ring), m, ring)[1]
+        if bit == "1":
+            result = earlier_divmod_poly(generic.mul(result, base, ring), m, ring)[1]
+    return result
+
+
 # -- the Contou-Carrère loops the symbol replaced ---------------------------------
 # ``symbols._double_product`` skips the pairs whose powers vanish, and
 # ``laurent._divide_by_peel`` divides by a peel factor by a first-order
@@ -524,10 +631,10 @@ class ReferenceSeries:
         return ReferenceSeries(self.ring, out, None if self.prec is None else self.prec - 1)
 
     def __str__(self):
-        terms = [(*split_sign(self.coeffs[e]), e) for e in sorted(self.coeffs)]
+        terms = [(*earlier_split_sign(self.coeffs[e]), e) for e in self.coeffs]
         if self.prec is None:
-            return format_terms(terms, "z")
-        return f"{format_terms(terms, 'z')} + O(z^{self.prec})" if terms else f"O(z^{self.prec})"
+            return earlier_format_terms(terms, "z")
+        return f"{earlier_format_terms(terms, 'z')} + O(z^{self.prec})" if terms else f"O(z^{self.prec})"
 
 
 def is_unit(x: AlgebraElement) -> bool:

@@ -83,6 +83,26 @@ def main_outcome(argv, capsys):
     return code, out, err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify-wrl", "--field", "G7", "-f", "x", "-g", "x+1"], "unknown field spec 'G7'"),
+    (["verify-wrl", "--field", "F6", "-f", "x", "-g", "x+1"], "6 is not a prime power"),
+    (["verify-wrl", "--field", "F3:u+1", "-f", "x", "-g", "x+1"], "prime fields take no modulus"),
+    (["symbol-cc", "--ring", "F7[e]/(e)", "-f", "1+e*z", "-g", "z"], "relation 'e' must be a pure power"),
+    (["verify-wrl", "--field", "F7", "-f", "(" * 5000 + "x" + ")" * 5000, "-g", "x"], "expression nests too deeply"),
+], ids=["unknown-field", "not-a-prime-power", "prime-with-modulus", "ring-relation", "nested"])
+def test_a_spec_error_prints_no_made_up_column(capsys, argv, message):
+    """A refusal with no known position ends with its message, not with the nonexistent "column 0"."""
+    assert cli.main(argv) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert "column" not in err
+
+
+def test_a_positioned_error_keeps_its_column(capsys):
+    assert cli.main(["verify-wrl", "--field", "F7", "-f", "x+", "-g", "x"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.rstrip().endswith("(line 1, column 2)")
+
+
 # help, no command, an unknown or abbreviated command, a missing required
 # option, an unknown option after a valid command, a bad value, the alias,
 # the main parser's own --prec error, and command lines that parse

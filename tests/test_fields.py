@@ -21,7 +21,7 @@ from reciprocity.fields import (
 )
 from reciprocity.parsing import parse_series
 from reciprocity.poly import Polynomial
-from support import TupleField, is_prime_all_bases
+from support import TupleField, earlier_extension_str, is_prime_all_bases
 
 
 def test_primality():
@@ -319,6 +319,30 @@ def test_log_tables_are_a_bijection(q):
         if len({F._canonical(F._from_tuple(t) * k % n) for k in range(n)}) == n:
             break
     assert exp[1] == t
+
+
+@pytest.mark.parametrize("q", sorted(TABLE_FIELDS))
+def test_every_table_element_prints_as_before(q):
+    """The one printer of both formats writes each element of a table field as the sorted-terms printer did."""
+    F = TABLE_FIELDS[q]
+    tuples = TupleField(F.p, F.modulus)
+    elements = [None, *range(q - 1)]
+    for a in elements:
+        t = F._canonical(a)
+        assert F._str(a) == earlier_extension_str(F, a) == tuples._str(t)
+    assert len({F._str(a) for a in elements}) == q
+
+
+F625 = ExtensionField(5, find_irreducible(5, 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(coords=st.tuples(*[st.integers(0, 4)] * 4))
+def test_tuple_field_elements_print_as_before(coords):
+    F = F625
+    assert type(F) is ExtensionField and F.order == 625
+    a = F.from_coordinates(coords).data
+    assert F._str(a) == earlier_extension_str(F, a)
 
 
 def test_log_tables_rebuild_to_the_same_logs():

@@ -9,10 +9,14 @@ or inside a string annotation.
 The second check is over the whole package: every top-level function and
 class, every method that is not a dunder, and every name exported from
 ``reciprocity/__init__.py`` must be referenced by some library code other
-than its own definition and the export.  A reference is a read of the
-name or of an attribute of that name, or a string annotation: it is
-matched by name, not by type, so a dead method that shares its name with
-a live one goes unseen.
+than its own definition and the export.  A reference is a read of a name,
+a read of an attribute, or a string annotation.  An attribute read on a
+name that an import binds to a module is resolved: ``generic.mul`` reaches
+the ``mul`` of ``_kernels/generic.py`` (through re-exports) and nothing
+else, and ``re.findall`` reaches nothing in the package.  Every other read,
+a bare name or an attribute of a value (``field.kernels.mul``,
+``self.live``), is matched by name, not by type, so a dead method that
+shares its name with a live one goes unseen.
 
 The third check holds the kernel namespace to what the library calls: every
 public name that ``_kernels/__init__.py`` binds must be read by a library
@@ -96,14 +100,23 @@ REACH_ALLOWLIST = {
 }
 
 
-def references(node: ast.AST) -> Counter:
-    """How often each name is read under node; assigning to a name is no reference."""
+def references(node: ast.AST, modules: dict) -> Counter:
+    """How often each name is read under node; assigning to a name is no reference.
+
+    modules maps the names bound to modules (``module_names``); an attribute
+    read on one counts under (path, attr), or not at all for a module outside
+    the package.  Every other read counts under the bare name.
+    """
     refs = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
             refs[sub.id] += 1
         elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
-            refs[sub.attr] += 1
+            owner = sub.value
+            if not (isinstance(owner, ast.Name) and owner.id in modules):
+                refs[sub.attr] += 1
+            elif modules[owner.id] is not None:
+                refs[modules[owner.id], sub.attr] += 1
     for ann in annotations(node):
         for sub in ast.walk(ann):
             if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
@@ -139,6 +152,45 @@ def module_path(package: Path, node: ast.ImportFrom) -> Path:
     return base / "__init__.py" if base.is_dir() else base.with_suffix(".py")
 
 
+def module_names(path: Path, tree: ast.Module, trees: dict) -> dict:
+    """Name -> module of each name the module at path binds to a module by an import.
+
+    The module is the parsed file of a package module, or None for a module
+    outside the package (``import re``).  A package module that is not
+    Python source (the compiled ``_core``) is left out, so the attributes
+    read on its name are matched by name, like those of a value.  The name
+    is taken to be bound by the import everywhere in the module.
+    """
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = None
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            source = module_path(path.parent, node)
+            for alias in node.names:
+                # from . import corpus, from ._kernels import generic
+                sub = module_path(source.parent, ast.ImportFrom(module=alias.name, level=1))
+                if source.name == "__init__.py" and sub in trees:
+                    bound[alias.asname or alias.name] = sub
+    return bound
+
+
+def origin(trees: dict, defs: dict, source: Path, name: str) -> tuple[Path, str]:
+    """(module, name) of the definition that name in source re-exports, or the last module it can be followed to.
+
+    ``from .module import name`` is followed; ``from . import module`` binds a module, which ends the walk.
+    """
+    while (source, name) not in defs and source in trees:
+        hops = [(n, a.name) for n in trees[source].body if isinstance(n, ast.ImportFrom) and n.level and n.module
+                for a in n.names if (a.asname or a.name) == name]
+        if not hops:
+            break
+        (imp, name), = hops
+        source = module_path(source.parent, imp)
+    return source, name
+
+
 def unreached(root: Path) -> set[str]:
     """Names defined or exported under root that no other code under root references.
 
@@ -147,32 +199,43 @@ def unreached(root: Path) -> set[str]:
     """
     init = root / "__init__.py"
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in sorted(root.rglob("*.py"))}
-    total = Counter()
-    for path, tree in trees.items():
-        if path != init:
-            total += references(tree)
-
-    def outside(bare: str, node: ast.AST) -> int:
-        return total[bare] - references(node)[bare]
-
-    dead = set()
+    modules = {path: module_names(path, tree, trees) for path, tree in trees.items()}
     defs = {}
     for path, tree in trees.items():
         for qualified, bare, node in definitions(tree):
             defs[path, bare] = node
-            if not isinstance(node, (ast.Assign, ast.AnnAssign)) and not outside(bare, node):
+
+    def resolved(refs: Counter) -> Counter:
+        """refs with each (module, name) key moved to the module that defines name."""
+        out = Counter()
+        for key, count in refs.items():
+            out[origin(trees, defs, *key) if isinstance(key, tuple) else key] += count
+        return out
+
+    total = Counter()
+    for path, tree in trees.items():
+        if path != init:
+            total += resolved(references(tree, modules[path]))
+
+    def outside(path: Path, bare: str, node: ast.AST) -> int:
+        own = resolved(references(node, modules[path]))
+        count = total[bare] - own[bare]
+        # a module attribute read reaches a top-level definition, never a method
+        if node in trees[path].body:
+            count += total[path, bare] - own[path, bare]
+        return count
+
+    dead = set()
+    for path, tree in trees.items():
+        for qualified, bare, node in definitions(tree):
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)) and not outside(path, bare, node):
                 dead.add(qualified)
     for node in trees[init].body:
         if not isinstance(node, ast.ImportFrom) or node.level == 0:
             continue
         for alias in node.names:
-            name, source = alias.name, module_path(root, node)
-            # follow a re-export to the module that defines the name
-            while (source, name) not in defs:
-                (imp, real), = [(n, a.name) for n in trees[source].body if isinstance(n, ast.ImportFrom)
-                                for a in n.names if (a.asname or a.name) == name]
-                name, source = real, module_path(source.parent, imp)
-            if not outside(name, defs[source, name]):
+            source, name = origin(trees, defs, module_path(root, node), alias.name)
+            if not outside(source, name, defs[source, name]):
                 dead.add(alias.asname or alias.name)
     return dead
 
@@ -198,11 +261,20 @@ def test_the_check_sees_a_dead_definition_and_a_dead_export(tmp_path):
         "    def __init__(self):\n        self.size = used(2)\n"
         "    def live(self):\n        return self.size\n"
         "    def dead_method(self):\n        return self.live()\n"
+        "def shared():\n    return 1\n"
+        "def floor(x):\n    return x\n"
     )
-    (pkg / "sub" / "__init__.py").write_text("from .flags import FLAG\n")
+    (pkg / "sub" / "__init__.py").write_text("from .flags import FLAG\nfrom .tools import Tool\n")
     (pkg / "sub" / "flags.py").write_text("FLAG: bool = bool(0)\n")
-    (pkg / "cli.py").write_text("from .core import used\nprint(used(0))\n")
-    assert unreached(pkg) == {"dead", "recursive", "Box.dead_method", "LIMIT", "EXPORTED_FLAG"}
+    (pkg / "sub" / "tools.py").write_text("class Tool:\n    def run(self):\n        return 0\n")
+    # extra.shared shares its name with core.shared, and math.floor with core.floor; sub.Tool is
+    # read through the package that re-exports it, and tools.run on a value, so by name
+    (pkg / "extra.py").write_text("def shared():\n    return 2\n")
+    (pkg / "cli.py").write_text(
+        "import math\nfrom . import extra, sub\nfrom .core import used\n"
+        "print(used(0), extra.shared(), math.floor(0.5), sub.Tool().run())\n"
+    )
+    assert unreached(pkg) == {"dead", "recursive", "Box.dead_method", "LIMIT", "EXPORTED_FLAG", "shared", "floor"}
 
 
 def unread_kernel_exports(root: Path) -> set[str]:

@@ -14,12 +14,14 @@ from hypothesis import given, settings, strategies as st
 
 from reciprocity import _kernels as kernels
 from reciprocity._kernels import generic, pure
+from reciprocity.artinian import ArtinianAlgebra
 from reciprocity.factor import DEGREE_BUDGET
 from reciprocity.errors import NonUnitError
 from reciprocity.fields import QQ, TABLE_MAX_ORDER, ExtensionField, PrimeField, TableField, find_irreducible
 from reciprocity.parsing import parse_ring_spec
 from reciprocity.poly import Polynomial
-from support import (TupleField, loop_divmod_poly, loop_frobenius_matrix, loop_gcd, loop_invmod, loop_mul,
+from support import (RAW_DATA_SPECS, TupleField, earlier_divmod_poly, earlier_gcd, earlier_invmod, earlier_monic,
+                     earlier_powmod, loop_divmod_poly, loop_frobenius_matrix, loop_gcd, loop_invmod, loop_mul,
                      loop_powmod, row_frobenius_matrix, xgcd_invmod)
 
 try:
@@ -269,6 +271,50 @@ def test_kernel_calls_cover_the_namespace():
     exported = {name for name, value in vars(kernels).items()
                 if callable(value) and not name.startswith("_") and not isinstance(value, type(kernels))}
     assert exported == set(kernel_calls(2))
+
+
+IN_PLACE_RINGS = {spec: parse_ring_spec(spec) for spec in RAW_DATA_SPECS}
+
+
+def raised(fn, *args):
+    """fn(*args), or the type and message of the ZeroDivisionError or NonUnitError it raises."""
+    try:
+        return fn(*args)
+    except (ZeroDivisionError, NonUnitError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("spec", sorted(IN_PLACE_RINGS))
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), degrees=st.tuples(st.integers(-1, 5), st.integers(-1, 4)),
+       lead=st.sampled_from(["nonzero", "unit", "non-unit"]), e=st.integers(-3, 12))
+def test_in_place_generic_kernels_match_the_earlier_bodies(spec, seed, degrees, lead, e):
+    """divmod_poly, monic, gcd, invmod and powmod give the values and raise the errors of the bodies that formed
+    a fresh quotient and remainder per step, for divisors with unit and non-unit leads and either degree order."""
+    ring, rng = IN_PLACE_RINGS[spec], random.Random(seed)
+
+    def element(kind="any"):
+        """Any element, or a nonzero one, a unit, or a nonzero non-unit (a unit over a field)."""
+        if kind == "any" and rng.random() < 0.3:
+            return ring._zero
+        while True:
+            x = ring.random_element(rng).data
+            if kind == "non-unit" and isinstance(ring, ArtinianAlgebra):
+                x = (ring.base._zero,) + x[1:]
+            if not ring._is_zero(x) and (kind != "unit" or ring._is_invertible(x)):
+                return x
+
+    def poly(degree, lead_kind):
+        return [element() for _ in range(degree)] + [element(lead_kind)] if degree >= 0 else []
+
+    a, b = poly(degrees[0], "nonzero"), poly(degrees[1], lead)
+    pairs = [(a, b), (b, a), (b, generic.mul(a, b, ring)), (a, [element(lead)])]
+    for x, y in pairs:
+        assert raised(generic.divmod_poly, x, y, ring) == raised(earlier_divmod_poly, x, y, ring), (x, y)
+        assert raised(generic.gcd, x, y, ring) == raised(earlier_gcd, x, y, ring), (x, y)
+        assert raised(generic.invmod, x, y, ring) == raised(earlier_invmod, x, y, ring), (x, y)
+        assert raised(generic.powmod, x, e, y, ring) == raised(earlier_powmod, x, e, y, ring), (x, e, y)
+        assert raised(generic.monic, x, ring) == raised(earlier_monic, x, ring), x
 
 
 def outcome(fn, args):

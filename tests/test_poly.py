@@ -3,10 +3,12 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reciprocity._kernels import generic
 from reciprocity.errors import NonUnitError
 from reciprocity.fields import QQ, AlgebraElement, ExtensionField, PrimeField
-from reciprocity.poly import Polynomial
-from support import evaluate, xgcd
+from reciprocity.parsing import parse_ring_spec
+from reciprocity.poly import Polynomial, _from_data
+from support import RAW_DATA_SPECS, earlier_poly_to_string, evaluate, xgcd
 
 F7 = PrimeField(7)
 
@@ -172,3 +174,17 @@ def test_power_multiplications(monkeypatch):
             assert len(calls) == max(e - 1, 0)
     with pytest.raises(ValueError):
         x**-1
+
+
+PRINT_RINGS = {spec: parse_ring_spec(spec) for spec in RAW_DATA_SPECS}
+
+
+@pytest.mark.parametrize("spec", sorted(PRINT_RINGS))
+@settings(max_examples=60, deadline=None)
+@given(rng=st.randoms(use_true_random=False), degree=st.integers(-1, 6), var=st.sampled_from(["x", "z", "t"]))
+def test_to_string_matches_the_earlier_printer(spec, rng, degree, var):
+    """Printing from raw data gives the string of the printer that boxed each coefficient."""
+    ring = PRINT_RINGS[spec]
+    data = [ring._zero if rng.random() < 0.3 else ring.random_element(rng).data for _ in range(degree + 1)]
+    poly = _from_data(ring, generic._normalize(data, ring))
+    assert poly.to_string(var) == earlier_poly_to_string(poly, var)
