@@ -21,6 +21,8 @@ The F_p contract, which ``pure`` and ``_core`` meet alike:
 - A zero divisor or modulus raises ``ZeroDivisionError``, and so does an
   inverse that does not exist (``invmod``, ``powmod`` with e < 0,
   ``mat_inv``).  ``invmod(a, [], p)`` is the inverse of a constant a.
+- ``rem(a, m, p)`` is ``divmod_poly(a, m, p)[1]``, reduced in place with
+  no quotient formed.
 - ``frobenius_matrix(m, q, p)`` returns the deg m rows x^(q*i) mod m,
   i < deg m, each padded with zeros to deg m entries, for q >= 1; row 1 is
   x^q mod m.  A q below 1 raises ``ValueError``.
@@ -46,6 +48,7 @@ sub = _impl.sub
 neg = _impl.neg
 mul = _impl.mul
 divmod_poly = _impl.divmod_poly
+rem = _impl.rem
 monic = _impl.monic
 gcd = _impl.gcd
 invmod = _impl.invmod

@@ -452,6 +452,29 @@ done:
 }
 
 static PyObject *
+k_rem(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_ssize_t len[2], nr, nd;
+    i64 p, *buf, *r, *d;
+    PyObject *result = NULL;
+
+    if (read_args("rem", args, nargs, 2, len, &p) < 0 || !(buf = new_buffer(len[0] + len[1])))
+        return NULL;
+    r = buf, d = buf + len[0];
+    if ((nr = read_poly(args[0], p, r)) < 0 || (nd = read_poly(args[1], p, d)) < 0)
+        goto done;
+    if (!nd) {
+        zero_division(DIVISION_BY_ZERO);
+        goto done;
+    }
+    reduce(r, &nr, d, nd, lead_inverse(d, nd, p), p, NULL);
+    result = to_list(r, nr);
+done:
+    PyMem_Free(buf);
+    return result;
+}
+
+static PyObject *
 k_monic(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
     Py_ssize_t n;
@@ -832,6 +855,7 @@ static PyMethodDef methods[] = {
     KERNEL(neg, "neg(a, p): -a, entry by entry"),
     KERNEL(mul, "mul(a, b, p): a * b"),
     KERNEL(divmod_poly, "divmod_poly(num, den, p): quotient and remainder"),
+    KERNEL(rem, "rem(a, m, p): a mod m, no quotient formed"),
     KERNEL(monic, "monic(a, p): a over its lead"),
     KERNEL(gcd, "gcd(a, b, p): the monic gcd"),
     KERNEL(invmod, "invmod(a, m, p): a^-1 mod m"),

@@ -11,7 +11,7 @@ so one body serves every data format: Fractions over Q, tuples over large
 F_q, discrete logs over a table field and coordinate tuples over an
 Artinian ring.  As in ``pure``, division reduces in place: ``divmod_poly``,
 ``gcd``, ``invmod``, ``powmod`` and the rows of ``frobenius_matrix`` run
-one ``_reduce`` on a list of their own, ``gcd`` forms no quotient, and
+one ``_reduce`` on a list of their own, ``gcd`` and ``rem`` form no quotient, and
 ``monic`` is one scalar pass.
 """
 
@@ -96,10 +96,11 @@ def _reduce(r: list, den: list, ring, q: list | None = None) -> None:
     del r[n:]
 
 
-def _rem(r: list, m: list, ring) -> list:
-    """r mod m, reduced in the list r itself."""
+def rem(a: list, m: list, ring) -> list:
+    """a mod m, reduced in place in a copy of a; no quotient is formed."""
     if not m:
         raise ZeroDivisionError("polynomial division by zero")
+    r = list(a)
     _reduce(r, m, ring)
     return r
 
@@ -159,12 +160,12 @@ def powmod(a: list, e: int, m: list, ring) -> list:
     if e < 0:
         a = invmod(a, m, ring)
         e = -e
-    base = _rem(list(a), m, ring)
-    result = _rem([ring._one], m, ring)
+    base = rem(a, m, ring)
+    result = rem([ring._one], m, ring)
     for bit in bin(e)[2:]:
-        result = _rem(mul(result, result, ring), m, ring)
+        result = rem(mul(result, result, ring), m, ring)
         if bit == "1":
-            result = _rem(mul(result, base, ring), m, ring)
+            result = rem(mul(result, base, ring), m, ring)
     return result
 
 
@@ -183,7 +184,7 @@ def frobenius_matrix(m: list, q: int, ring) -> list:
         xq = powmod([ring._zero, ring._one], q, m, ring)
         rows.append(xq)
         while len(rows) < n:
-            rows.append(_rem(mul(rows[-1], xq, ring), m, ring))
+            rows.append(rem(mul(rows[-1], xq, ring), m, ring))
     return [row + [ring._zero] * (n - len(row)) for row in rows[:n]]
 
 

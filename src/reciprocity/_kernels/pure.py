@@ -13,7 +13,7 @@ residues mod m with its reduction rows (``_packing``) and one
 sliding-window powering (``_power``); ``frobenius_matrix`` forms x^q that
 way and each later row as one more packed product.  ``divmod_poly``,
 ``gcd`` and ``invmod`` reduce lazily, each remainder in place in its own
-list, and ``gcd`` forms no quotient.  The compiled module ``_core``, the C
+list, and ``gcd`` and ``rem`` form no quotient.  The compiled module ``_core``, the C
 file ``_core.c``, runs schoolbook loops on int64 buffers, each product
 reduced as it is formed, and a right-to-left binary powering, with
 identical results.
@@ -145,7 +145,15 @@ def divmod_poly(num: list[int], den: list[int], p: int) -> tuple[list[int], list
 
 
 def rem(a: list[int], m: list[int], p: int) -> list[int]:
-    return divmod_poly(a, m, p)[1]
+    """a mod m by lazy reduction (``_reduce``) in a copy of a; no quotient is formed."""
+    if m and not m[-1]:
+        m = normalize(m)
+    if not m:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = normalize(a)
+    if len(r) >= len(m):
+        _reduce(r, m, _inverse_lead(m, p), p)
+    return r
 
 
 def monic(a: list[int], p: int) -> list[int]:

@@ -12,11 +12,19 @@ det(delta_1 delta_2 (gamma_1 beta_2 + delta_1 delta_2)^{-1}); for commuting
 operators the central-extension commutator is the ratio of the cocycle in
 the two orders.  The additive (Lie) cocycle is tr(gamma_2 beta_1) -
 tr(gamma_1 beta_2), each trace summed term by term without forming the
-product, so it costs O(window^2).  The multiplication operator of a Laurent
-polynomial is Toeplitz: every row is a slice of one list of its
-coefficients.  Correctness of the identity-tail model is a window
-stability statement: all outputs are unchanged once the window exceeds the
-support bounds, which the tests assert by recomputing on larger windows.
+product.  The multiplication operator of a Laurent polynomial is Toeplitz:
+every row of every block is a slice of one list of its coefficients.  Its
+gamma block (z^c -> z^r, c < 0 <= r) holds the coefficient of z^(r - c),
+which is zero once r - c exceeds the degree, and its beta block is zero once
+c - r exceeds the pole order; so the nonzero cells of each sit in the corner
+triangle next to the split of the window, of side the degree for gamma and
+the pole order for beta.  An operator records both sides (``deg`` and
+``pole``); one built from a matrix records its whole window.  A trace then
+reads only the triangle both blocks can be nonzero on, and costs
+O(min(deg_2, pole_1)^2) cells however large the window.  Correctness of the
+identity-tail model is a window stability statement: all outputs are
+unchanged once the window exceeds the support bounds, which the tests
+assert by recomputing on larger windows.
 """
 
 from __future__ import annotations
@@ -25,15 +33,24 @@ from .artinian import ArtinianAlgebra, dual_coefficient, dual_numbers
 from .errors import DomainError, NonUnitError, WindowError
 from .fields import AlgebraElement, BaseField, CoefficientRing, lift
 from .laurent import LaurentSeries
-from .norms import mat_add, mat_det, mat_identity, mat_inv, mat_mul, trace_of_product
+from .norms import mat_add, mat_det, mat_identity, mat_inv, mat_mul
 
 SymbolValue = AlgebraElement
 
 
 class BlockOperator:
-    __slots__ = ("ring", "wneg", "wpos", "alpha", "beta", "gamma", "delta")
+    """An operator on the window through its four blocks.
 
-    def __init__(self, ring: CoefficientRing, wneg: int, wpos: int, alpha, beta, gamma, delta):
+    ``deg`` and ``pole`` bound where gamma and beta can be nonzero: gamma
+    only at cells (i, j) with i + (wneg - 1 - j) < deg, beta only at cells
+    (j, i) with the same sum below pole, both counted from the corner next
+    to the split.  They default to the whole window.
+    """
+
+    __slots__ = ("ring", "wneg", "wpos", "alpha", "beta", "gamma", "delta", "deg", "pole")
+
+    def __init__(self, ring: CoefficientRing, wneg: int, wpos: int, alpha, beta, gamma, delta,
+                 deg: int | None = None, pole: int | None = None):
         if len(alpha) != wneg or len(delta) != wpos:
             raise WindowError("block shapes do not match the window")
         if any(len(r) != wneg for r in alpha) or any(len(r) != wpos for r in beta):
@@ -47,6 +64,8 @@ class BlockOperator:
         self.beta = beta
         self.gamma = gamma
         self.delta = delta
+        self.deg = wneg + wpos if deg is None else deg
+        self.pole = wneg + wpos if pole is None else pole
 
     @property
     def window(self) -> tuple[int, int]:
@@ -146,12 +165,17 @@ def multiplication_operator(f: LaurentSeries, wneg: int, wpos: int) -> BlockOper
     n = wneg + wpos
     zero = ring.zero()
     # line[k] is the coefficient of z^(n - 1 - k), so the row of exponent r,
-    # entries z^(r - c) for c = -wneg .. wpos - 1, is one slice of it; each
-    # coefficient is boxed once and shared by every row that holds it
+    # entries z^(r - c) for c = -wneg .. wpos - 1, starts at k = wpos - 1 - r,
+    # and its part in each block is one slice of the line; each coefficient
+    # is boxed once and shared by every row that holds it
     boxed = [AlgebraElement(ring, c) for c in f.data]
     line = [boxed[i] if 0 <= (i := e - f.offset) < len(boxed) else zero for e in range(n - 1, -n, -1)]
-    rows = [line[wpos - 1 - r:wpos - 1 - r + n] for r in range(-wneg, wpos)]
-    return BlockOperator.from_matrix(ring, rows, wneg, wpos)
+    neg_rows, pos_rows = range(wpos + wneg - 1, wpos - 1, -1), range(wpos - 1, -1, -1)
+    alpha = [line[k:k + wneg] for k in neg_rows]
+    beta = [line[k + wneg:k + n] for k in neg_rows]
+    gamma = [line[k:k + wneg] for k in pos_rows]
+    delta = [line[k + wneg:k + n] for k in pos_rows]
+    return BlockOperator(ring, wneg, wpos, alpha, beta, gamma, delta, deg, pole)
 
 
 def cocycle_det(s1: BlockOperator, s2: BlockOperator) -> SymbolValue:
@@ -184,12 +208,39 @@ def cocycle_commutator(s: BlockOperator, t: BlockOperator) -> SymbolValue:
     return _commutator_ratio(s, t)
 
 
+def _corner_trace(gamma, beta, side: int, ring: CoefficientRing):
+    """Raw tr(gamma beta) summed over the corner triangle i + (wneg - 1 - j) < side only.
+
+    gamma is wpos x wneg and beta wneg x wpos; the cells outside the
+    triangle are zero in one of the two factors.  Each entry's data is read
+    in the loop, and only an entry of another ring is coerced.
+    """
+    add, mul, is_zero = ring._add, ring._mul, ring._is_zero
+    last = len(beta) - 1
+    t = ring._zero
+    for i in range(min(side, len(gamma))):
+        row = gamma[i]
+        for j in range(last, max(last - (side - i), -1), -1):
+            x, y = row[j], beta[j][i]
+            x = x.data if x.ring is ring else ring.coerce(x).data
+            y = y.data if y.ring is ring else ring.coerce(y).data
+            if not is_zero(x) and not is_zero(y):
+                t = add(t, mul(x, y))
+    return t
+
+
 def lie_cocycle(s1: BlockOperator, s2: BlockOperator) -> SymbolValue:
-    """tr(gamma_2 beta_1 - gamma_1 beta_2)."""
+    """tr(gamma_2 beta_1 - gamma_1 beta_2), each trace read on its corner triangle (``_corner_trace``).
+
+    gamma_2 beta_1 can be nonzero only where both triangles are, of side
+    min(deg_2, pole_1); the mirror term has side min(deg_1, pole_2).
+    """
     if s1.window != s2.window or s1.ring != s2.ring:
         raise WindowError("operators live on different windows")
     ring = s1.ring
-    return trace_of_product(s2.gamma, s1.beta, ring) - trace_of_product(s1.gamma, s2.beta, ring)
+    t = ring._sub(_corner_trace(s2.gamma, s1.beta, min(s2.deg, s1.pole), ring),
+                  _corner_trace(s1.gamma, s2.beta, min(s1.deg, s2.pole), ring))
+    return AlgebraElement(ring, t)
 
 
 def lie_cocycle_dual(s1: BlockOperator, s2: BlockOperator) -> SymbolValue:

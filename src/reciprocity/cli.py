@@ -162,13 +162,19 @@ def _emit_report(args, report) -> int:
     return EXIT_OK if report.verified else EXIT_VIOLATION
 
 
-def _matrix_arg(text: str):
+def _matrix_arg(text: str, option: str):
+    """The matrix given to -S or -T: a JSON list of rows of JSON integers, true and false not among them."""
     try:
         m = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ReciprocityError(f"bad matrix JSON: {exc}") from None
     if not isinstance(m, list) or not all(isinstance(r, list) for r in m):
         raise ReciprocityError("matrix must be a JSON list of rows")
+    for i, row in enumerate(m):
+        for j, c in enumerate(row):
+            # bool is a subclass of int, so only the exact type will do
+            if type(c) is not int:
+                raise ReciprocityError(f"{option} entry [{i}][{j}] must be a JSON integer, not {json.dumps(c)}")
     return m
 
 
@@ -219,8 +225,8 @@ def _cmd_cocycle_gf(args) -> int:
     field = parse_field_spec(args.field)
     f = parse_series(args.f, field, args.prec)
     g = parse_series(args.g, field, args.prec)
-    s_m = _matrix_arg(args.S)
-    t_m = _matrix_arg(args.T)
+    s_m = _matrix_arg(args.S, "-S")
+    t_m = _matrix_arg(args.T, "-T")
     a_loop = LoopMatrix.from_tensor(s_m, f)
     b_loop = LoopMatrix.from_tensor(t_m, g)
     return _emit_value(args, gelfand_fuchs_cocycle(a_loop, b_loop, field.prime_subfield))
@@ -247,7 +253,7 @@ def _cmd_verify_residues(args) -> int:
 def _cmd_verify_gf(args) -> int:
     field = parse_field_spec(args.field)
     f, g = _parse_pair(args, field)
-    return _emit_report(args, verify_gf_global(_matrix_arg(args.S), _matrix_arg(args.T), f, g))
+    return _emit_report(args, verify_gf_global(_matrix_arg(args.S, "-S"), _matrix_arg(args.T, "-T"), f, g))
 
 
 def _sweep_instance(payload) -> dict:

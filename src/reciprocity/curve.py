@@ -508,11 +508,18 @@ def wrl_local_factor(f: RationalFunction, g: RationalFunction, place: Place) -> 
 
 
 def _residue_class_norm(cls: Polynomial, place: Place) -> AlgebraElement:
-    """Norm_{k(P)/k} of cls mod P: the determinant of multiplication by cls on k[x]/(P)."""
-    p = place.poly
-    d = p.degree
-    cols = [(cls * Polynomial(p.field, [0] * j + [1])) % p for j in range(d)]
-    return mat_det([[col.coefficient(i) for col in cols] for i in range(d)], place.field)
+    """Norm_{k(P)/k} of cls, reduced mod P: the determinant of multiplication by cls on k[x]/(P).
+
+    Column 0 is cls itself and column j + 1 is x times column j, reduced mod
+    P, on raw data; so a degree-1 place forms no product and no remainder.
+    """
+    field, p = place.field, place.poly
+    rem, zero = field.kernels.rem, field._zero
+    cols = [cls._data]
+    while len(cols) < p.degree:
+        cols.append(rem([zero] + cols[-1], p._data, field.kernel_arg))
+    return mat_det([[AlgebraElement(field, col[i] if i < len(col) else zero) for col in cols]
+                    for i in range(p.degree)], field)
 
 
 def verify_wrl(f: RationalFunction, g: RationalFunction) -> VerificationReport:

@@ -92,23 +92,6 @@ def mat_trace(a, ring: CoefficientRing) -> AlgebraElement:
     return t
 
 
-def trace_of_product(a, b, ring: CoefficientRing) -> AlgebraElement:
-    """tr(a b) of an n x k and a k x n matrix, summed term by term without forming a b.
-
-    Each entry's data is read in the loop; only an entry of another ring is coerced, as in ``_unwrap``.
-    """
-    add, mul, is_zero = ring._add, ring._mul, ring._is_zero
-    t = ring._zero
-    for i, row in enumerate(a):
-        for j, x in enumerate(row):
-            y = b[j][i]
-            x = x.data if x.ring is ring else ring.coerce(x).data
-            y = y.data if y.ring is ring else ring.coerce(y).data
-            if not is_zero(x) and not is_zero(y):
-                t = add(t, mul(x, y))
-    return AlgebraElement(ring, t)
-
-
 def mat_det(a, ring: CoefficientRing) -> AlgebraElement:
     """Determinant over a field or a local ring."""
     return AlgebraElement(ring, ring.kernels.mat_det(_unwrap(a, ring), ring.kernel_arg))

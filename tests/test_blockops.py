@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from reciprocity.artinian import dual_numbers
+from reciprocity.artinian import ArtinianAlgebra, dual_numbers
 from reciprocity.blockops import (
     BlockOperator,
     cocycle_commutator,
@@ -14,9 +14,10 @@ from reciprocity.blockops import (
 from reciprocity.errors import DomainError, NonUnitError, WindowError
 from reciprocity.fields import QQ, PrimeField
 from reciprocity.laurent import LaurentSeries
-from reciprocity.norms import mat_det, mat_identity, mat_inv, mat_mul
+from reciprocity.parsing import parse_ring_spec
+from reciprocity.norms import mat_det, mat_identity, mat_inv, mat_mul, mat_trace
 from reciprocity.symbols import contou_carrere_symbol, tate_residue
-from support import identity_operator, random_block_operator, random_laurent_polynomial
+from support import identity_operator, random_block_operator, random_laurent_polynomial, trace_of_product
 
 
 def test_multiplication_operator_examples(Q):
@@ -159,6 +160,69 @@ def test_lie_cocycle_examples(Q):
     s2 = BlockOperator(Q, 3, 3, mat_identity(Q, 3), [[z] * 3 for _ in range(3)], gamma2, mat_identity(Q, 3))
     assert lie_cocycle(s1, s2) == 1
     assert lie_cocycle(s1, s1) == 0
+
+
+def test_trace_of_product_is_the_trace_of_the_product(rng, Q, F7, F9):
+    rings = (Q, F7, F9, ArtinianAlgebra(F7, [("e", 3), ("d", 2)]))
+    for ring in rings:
+        for n, k in ((1, 1), (2, 5), (5, 2), (4, 4), (3, 1)):
+            def sparse():
+                return ring.zero() if rng.random() < 0.4 else ring.random_element(rng)
+            a = [[sparse() for _ in range(k)] for _ in range(n)]
+            b = [[sparse() for _ in range(n)] for _ in range(k)]
+            assert trace_of_product(a, b, ring) == mat_trace(mat_mul(a, b, ring), ring)
+
+
+def full_lie_cocycle(s1, s2):
+    """tr(gamma_2 beta_1 - gamma_1 beta_2) over every cell of the blocks."""
+    ring = s1.ring
+    return trace_of_product(s2.gamma, s1.beta, ring) - trace_of_product(s1.gamma, s2.beta, ring)
+
+
+def test_multiplication_operators_record_their_corner_triangles(rng, Q, F7):
+    """gamma is nonzero only within deg of the corner next to the split, beta only within pole."""
+    for ring in (Q, F7):
+        for _ in range(20):
+            f = random_laurent_polynomial(rng, ring, -4, 4)
+            op = multiplication_operator(f, 9, 10)
+            support = f.support()
+            assert op.pole == max(0, -min(support, default=0))
+            assert op.deg == max(0, max(support, default=0))
+            for i, row in enumerate(op.gamma):
+                for j, c in enumerate(row):
+                    assert c.is_zero() or i + (op.wneg - 1 - j) < op.deg
+            for j, row in enumerate(op.beta):
+                for i, c in enumerate(row):
+                    assert c.is_zero() or i + (op.wneg - 1 - j) < op.pole
+    op = random_block_operator(rng, Q, 3, 4)
+    assert (op.deg, op.pole) == (7, 7)
+
+
+@pytest.mark.parametrize("spec", ["Q", "F7", "F9", "F7[e,d]/(e^3,d^2)"])
+def test_lie_cocycle_matches_the_full_block_trace(rng, spec):
+    """The corner-triangle traces equal tr(gamma_2 beta_1 - gamma_1 beta_2) read on every cell.
+
+    Windows run from the exact support bound of the pair up to bound + 5,
+    with wneg and wpos apart; operators built from matrices record their
+    whole window, so every cell of theirs is read.
+    """
+    ring = parse_ring_spec(spec)
+    for _ in range(12):
+        f1 = random_laurent_polynomial(rng, ring, rng.randint(-4, 0), rng.randint(0, 4))
+        f2 = random_laurent_polynomial(rng, ring, rng.randint(-4, 0), rng.randint(0, 4))
+        bound = max(max(0, -s.offset) + max(0, s.offset + len(s.data) - 1) for s in (f1, f2))
+        for wneg, wpos in ((bound, bound), (bound, bound + 1), (bound + 2, bound), (bound + 5, bound + 3)):
+            op1 = multiplication_operator(f1, wneg, wpos)
+            op2 = multiplication_operator(f2, wneg, wpos)
+            assert lie_cocycle(op1, op2) == full_lie_cocycle(op1, op2), (f1, f2, wneg, wpos)
+            assert lie_cocycle(op2, op1) == full_lie_cocycle(op2, op1)
+    for wneg, wpos in ((1, 1), (2, 4), (4, 2), (3, 3)):
+        s1 = random_block_operator(rng, ring, wneg, wpos, invertible_delta=False)
+        s2 = random_block_operator(rng, ring, wneg, wpos, invertible_delta=False)
+        mixed = multiplication_operator(random_laurent_polynomial(rng, ring, -1, 1), wneg, wpos) \
+            if min(wneg, wpos) >= 2 else s2
+        for a, b in ((s1, s2), (s1, mixed), (mixed, s1)):
+            assert lie_cocycle(a, b) == full_lie_cocycle(a, b)
 
 
 def test_lie_cocycle_dual_extraction(rng, Q, F7):

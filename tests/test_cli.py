@@ -73,6 +73,24 @@ def test_options_that_would_be_ignored_are_rejected(capsys, argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command, pair", [
+    ("cocycle-gf", ["--field", "F7", "-f", "z^-1", "-g", "z"]),
+    ("verify-gf", PAIR),
+])
+@pytest.mark.parametrize("option, s_m, t_m, entry", [
+    ("-S", "[[true]]", "[[1]]", "[0][0] must be a JSON integer, not true"),
+    ("-T", "[[1]]", "[[1, 0], [0, false]]", "[1][1] must be a JSON integer, not false"),
+    ("-S", "[[1.5]]", "[[1]]", "[0][0] must be a JSON integer, not 1.5"),
+    ("-T", "[[1]]", '[["1"]]', '[0][0] must be a JSON integer, not "1"'),
+])
+def test_matrix_entries_must_be_json_integers(capsys, command, pair, option, s_m, t_m, entry):
+    """A JSON boolean is refused, although Python's bool is an int; the message names the entry."""
+    assert cli.main([command, *pair, "-S", s_m, "-T", t_m]) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {option} entry {entry}\n"
+
+
 def main_outcome(argv, capsys):
     """(exit code, stdout, stderr) of cli.main(argv), a parser's exit included."""
     try:

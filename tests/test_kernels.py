@@ -48,6 +48,7 @@ def test_poly_ops_agree(p):
         assert core.mul(a, b, p) == pure.mul(a, b, p)
         if b:
             assert core.divmod_poly(a, b, p) == pure.divmod_poly(a, b, p)
+            assert core.rem(a, b, p) == pure.rem(a, b, p)
             assert core.gcd(a, b, p) == pure.gcd(a, b, p)
 
 
@@ -213,6 +214,7 @@ def test_generic_kernels_build_no_elements(monkeypatch):
     a, m = [u, ring._one, u], [ring._one, ring._zero, ring._one]
     generic.mul(a, a, ring)
     generic.divmod_poly(a, m, ring)
+    generic.rem(a, m, ring)
     generic.powmod(a, 10, m, ring)
     generic.frobenius_matrix(m, 9, ring)
     generic.invmod(a, m, ring)
@@ -252,6 +254,7 @@ def kernel_calls(p):
         "neg": st.tuples(poly),
         "mul": st.tuples(poly, poly),
         "divmod_poly": st.tuples(poly, poly),
+        "rem": st.tuples(poly, poly),
         "monic": st.tuples(poly),
         "gcd": st.tuples(poly, poly),
         "invmod": st.tuples(poly, modulus),
@@ -311,6 +314,9 @@ def test_in_place_generic_kernels_match_the_earlier_bodies(spec, seed, degrees, 
     pairs = [(a, b), (b, a), (b, generic.mul(a, b, ring)), (a, [element(lead)])]
     for x, y in pairs:
         assert raised(generic.divmod_poly, x, y, ring) == raised(earlier_divmod_poly, x, y, ring), (x, y)
+        kept = list(x)
+        assert raised(generic.rem, x, y, ring) == raised(lambda *args: earlier_divmod_poly(*args)[1], x, y, ring)
+        assert x == kept
         assert raised(generic.gcd, x, y, ring) == raised(earlier_gcd, x, y, ring), (x, y)
         assert raised(generic.invmod, x, y, ring) == raised(earlier_invmod, x, y, ring), (x, y)
         assert raised(generic.powmod, x, e, y, ring) == raised(earlier_powmod, x, e, y, ring), (x, e, y)
@@ -343,7 +349,7 @@ def test_core_exports_exactly_the_namespace():
 # one call of each kernel that takes p, with coefficients below 7
 CALLS_AT_7 = {
     "add": ([1, 2], [3]), "sub": ([1, 2], [3]), "neg": ([1, 2],), "mul": ([1, 2], [3]),
-    "divmod_poly": ([1, 2, 3], [1, 1]), "monic": ([1, 2],), "gcd": ([1, 2], [3, 1]), "invmod": ([1, 2], [1, 0, 1]),
+    "divmod_poly": ([1, 2, 3], [1, 1]), "rem": ([1, 2, 3], [1, 1]), "monic": ([1, 2],), "gcd": ([1, 2], [3, 1]), "invmod": ([1, 2], [1, 0, 1]),
     "mulmod": ([1, 2], [3], [1, 0, 1]), "powmod": ([1, 2], 5, [1, 0, 1]), "frobenius_matrix": ([1, 2, 1], 7),
     "mat_mul": ([[1, 2]], [[3], [4]]), "mat_det": ([[1, 2], [3, 4]],), "mat_inv": ([[1, 2], [3, 4]],),
 }
@@ -371,13 +377,14 @@ def leak_calls(p):
     square = [[40000, 50000], [60000, 30000]]
     calls = [("normalize", ([40000, 50000, 0, 0],), None)]
     calls += [(name, (*args, p), None) for name, args in {
-        "add": (a, b), "sub": (a, b), "neg": (a,), "mul": (a, b), "divmod_poly": (a, b), "monic": (b,),
-        "gcd": (a, b), "invmod": (a, m), "mulmod": (a, b, m), "powmod": (a, -(2**70 + 3), m),
+        "add": (a, b), "sub": (a, b), "neg": (a,), "mul": (a, b), "divmod_poly": (a, b), "rem": (a, b),
+        "monic": (b,), "gcd": (a, b), "invmod": (a, m), "mulmod": (a, b, m), "powmod": (a, -(2**70 + 3), m),
         "frobenius_matrix": (m, 2**70 + 3),
         "mat_mul": (square, square), "mat_det": (square,), "mat_inv": (square,),
     }.items()]
     calls += [
         ("divmod_poly", (a, [], p), ZeroDivisionError),
+        ("rem", (a, [0, 0], p), ZeroDivisionError),
         ("frobenius_matrix", ([0, 0], p, p), ZeroDivisionError),
         ("frobenius_matrix", (m, 0, p), ValueError),
         ("frobenius_matrix", (m, -(2**70), p), ValueError),
@@ -468,6 +475,10 @@ def test_packed_mul_and_divmod_match_the_loops(p, data):
     assert ab == loop_mul(a, b, p)
     assert pure.divmod_poly(a, den, p) == loop_divmod_poly(a, den, p)
     assert pure.divmod_poly(ab, den, p) == loop_divmod_poly(ab, den, p)
+    for x in (a, ab, a + [0, 0]):
+        kept = list(x)
+        assert pure.rem(x, den, p) == loop_divmod_poly(x, den, p)[1]
+        assert x == kept
 
 
 def sharing_a_factor(p):
@@ -615,7 +626,7 @@ def public_functions(module) -> set:
 # polynomial, m a matrix, i an int.  A result of more than one letter is a tuple.
 SHAPES = {
     "add": ("pp", "p"), "sub": ("pp", "p"), "neg": ("p", "p"), "mul": ("pp", "p"),
-    "divmod_poly": ("pp", "pp"), "monic": ("p", "p"), "gcd": ("pp", "p"),
+    "divmod_poly": ("pp", "pp"), "rem": ("pp", "p"), "monic": ("p", "p"), "gcd": ("pp", "p"),
     "invmod": ("pp", "p"), "powmod": ("pip", "p"), "frobenius_matrix": ("pi", "m"),
     "mat_mul": ("mm", "m"), "mat_det": ("m", "e"), "mat_inv": ("m", "m"),
 }
@@ -665,6 +676,7 @@ def log_kernel_calls(F):
         "neg": st.tuples(poly),
         "mul": st.tuples(poly, poly),
         "divmod_poly": st.tuples(poly, st.one_of(poly, divisor)),
+        "rem": st.tuples(poly, st.one_of(poly, divisor)),
         "monic": st.tuples(poly),
         "gcd": st.tuples(poly, poly),
         "invmod": st.tuples(poly, divisor),
@@ -769,8 +781,8 @@ def test_log_kernels_touch_no_tuple_arithmetic(monkeypatch):
     a, m = [u, one, u], [one, zero, u]
     matrix = [[u, one], [zero, u]]
     calls = {
-        "add": (a, m), "sub": (a, m), "neg": (a,), "mul": (a, a), "divmod_poly": (a, m), "monic": (a,),
-        "gcd": (a, m), "invmod": (a, [u, one]), "powmod": (a, -10, [u, one]), "frobenius_matrix": (a, 9),
+        "add": (a, m), "sub": (a, m), "neg": (a,), "mul": (a, a), "divmod_poly": (a, m), "rem": (a, m),
+        "monic": (a,), "gcd": (a, m), "invmod": (a, [u, one]), "powmod": (a, -10, [u, one]), "frobenius_matrix": (a, 9),
         "mat_mul": (matrix, matrix), "mat_det": (matrix,), "mat_inv": (matrix,),
     }
     assert set(calls) == public_functions(generic)

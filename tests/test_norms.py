@@ -8,10 +8,7 @@ from reciprocity.fields import QQ, ExtensionField, PrimeField, lift
 from reciprocity.norms import (
     algebra_norm,
     algebra_trace,
-    mat_mul,
-    mat_trace,
     relative_norm,
-    trace_of_product,
 )
 from support import norm_det_compat
 
@@ -123,14 +120,3 @@ def test_relative_norm_identity_when_same_base(Q):
 def test_tower_errors(F5, F9):
     with pytest.raises(TowerError):
         algebra_norm(F9.generator(), F5)
-
-
-def test_trace_of_product_is_the_trace_of_the_product(rng, Q, F7, F9):
-    rings = (Q, F7, F9, ArtinianAlgebra(F7, [("e", 3), ("d", 2)]))
-    for ring in rings:
-        for n, k in ((1, 1), (2, 5), (5, 2), (4, 4), (3, 1)):
-            def sparse():
-                return ring.zero() if rng.random() < 0.4 else ring.random_element(rng)
-            a = [[sparse() for _ in range(k)] for _ in range(n)]
-            b = [[sparse() for _ in range(n)] for _ in range(k)]
-            assert trace_of_product(a, b, ring) == mat_trace(mat_mul(a, b, ring), ring)

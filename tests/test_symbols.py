@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reciprocity.artinian import ArtinianAlgebra, dual_numbers
-from reciprocity.errors import DomainError, NonUnitError, ReciprocityError
+from reciprocity.errors import DomainError, NonUnitError, PrecisionError, ReciprocityError
 from reciprocity.fields import QQ, ExtensionField, PrimeField, lift
 from reciprocity.laurent import LaurentSeries, cc_factorize, unit_factorize
 from reciprocity.norms import algebra_norm, algebra_trace
@@ -23,6 +23,7 @@ from reciprocity.symbols import (
 from support import (
     bracket,
     earlier_cc_loops,
+    loop_derivative,
     matmul,
     random_laurent_polynomial,
     random_principal_unit,
@@ -258,13 +259,18 @@ class TestGelfandFuchs:
             assert gelfand_fuchs_cocycle(A, B) + gelfand_fuchs_cocycle(B, A) == Q.zero()
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_diagonal_matches_the_full_product(self, rng, F9, n):
-        """The trace of the whole product A dB, truncated entries and their PrecisionError included."""
-        def random_loop():
-            entries = [[random_laurent_polynomial(rng, F9, -3, 3) for _ in range(n)] for _ in range(n)]
-            if rng.random() < 0.5:
-                entries[0][0] = entries[0][0].truncate(rng.randint(-2, 4))
-            return LoopMatrix(F9, entries)
+    def test_diagonal_matches_the_full_product(self, rng, Q, F3, F9, n):
+        """The trace of the whole product A dB, truncated entries and their PrecisionError included.
+
+        Over F3, 3 b_3 = 0 moves the low end of dB, which the precision of a
+        truncated A reads.
+        """
+        def random_loop(ring):
+            entries = [[random_laurent_polynomial(rng, ring, -3, 3) for _ in range(n)] for _ in range(n)]
+            for _ in range(rng.randint(0, 2)):
+                i, j = rng.randrange(n), rng.randrange(n)
+                entries[i][j] = entries[i][j].truncate(rng.randint(-2, 4))
+            return LoopMatrix(ring, entries)
 
         def outcome(fn):
             try:
@@ -272,14 +278,46 @@ class TestGelfandFuchs:
             except ReciprocityError as exc:
                 return type(exc), str(exc)
 
-        def full_product(A, B):
-            product = matmul(A, B.derivative())
-            trace = sum((product.entries[i][i] for i in range(n)), LaurentSeries.zero(F9))
-            return algebra_trace(trace.coefficient(-1), F9)
+        def full_product(A, B, ring):
+            product = matmul(A, loop_derivative(B))
+            trace = sum((product.entries[i][i] for i in range(n)), LaurentSeries.zero(ring))
+            return algebra_trace(trace.coefficient(-1), ring)
 
-        for _ in range(20):
-            A, B = random_loop(), random_loop()
-            assert outcome(lambda: gelfand_fuchs_cocycle(A, B)) == outcome(lambda: full_product(A, B))
+        for ring in (Q, F3, F9):
+            for _ in range(20):
+                A, B = random_loop(ring), random_loop(ring)
+                assert outcome(lambda: gelfand_fuchs_cocycle(A, B)) == outcome(lambda: full_product(A, B, ring))
+
+    def test_precision_reads_the_low_end_of_dB(self, F3):
+        """Over F3, 3 b_3 = 0: dB of z^3 is the exact zero, and dB of z^3 + z^4 starts at z^3.
+
+        With a = z^-4 + O(z^-3), a dB is then the exact zero, and known to
+        O(z^0); for b = z^2 + z^4, whose dB starts at z^1, it is known only
+        to O(z^-2).
+        """
+        a = LoopMatrix(F3, [[LaurentSeries(F3, {-4: 1}, -3)]])
+        for b, want in (({3: 1}, 0), ({3: 1, 4: 1}, 1)):
+            assert gelfand_fuchs_cocycle(a, LoopMatrix(F3, [[LaurentSeries(F3, b)]])) == want
+        with pytest.raises(PrecisionError, match=r"O\(z\^-2\)"):
+            gelfand_fuchs_cocycle(a, LoopMatrix(F3, [[LaurentSeries(F3, {2: 1, 4: 1})]]))
+
+    def test_from_tensor_scales_and_zero_is_exact(self, rng, Q, F7):
+        rings = (Q, F7, ArtinianAlgebra(F7, [("e", 3), ("d", 2)]))
+        for ring in rings:
+            for _ in range(10):
+                alpha = random_laurent_polynomial(rng, ring, -3, 3)
+                if rng.random() < 0.5:
+                    alpha = alpha.truncate(rng.randint(-2, 4))
+                s = [[0, ring.random_element(rng)], [ring.zero(), 3]]
+                loop = LoopMatrix.from_tensor(s, alpha)
+                assert loop.entries[0][0] == alpha * 0 == LaurentSeries.zero(ring)
+                assert loop.entries[1][0] == alpha * ring.zero()
+                assert loop.entries[0][1] == alpha * s[0][1]
+                assert loop.entries[1][1] == alpha * 3
+
+    def test_entries_over_another_ring_are_refused(self, Q, F7):
+        with pytest.raises(DomainError):
+            LoopMatrix(Q, [[LaurentSeries.one(Q), LaurentSeries.one(F7)], [LaurentSeries.one(Q)] * 2])
 
 
 # -- the Contou-Carrère symbol against the loops it replaced ---------------------
