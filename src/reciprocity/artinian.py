@@ -27,7 +27,7 @@ import itertools
 
 from .errors import NonUnitError
 from .fields import AlgebraElement, BaseField, CoefficientRing, lift
-from .formatting import needs_parens, split_sign
+from .formatting import format_terms, power_string, split_sign
 
 
 class ArtinianAlgebra(CoefficientRing):
@@ -124,35 +124,12 @@ class ArtinianAlgebra(CoefficientRing):
         return tuple((m, base._canonical(v)) for m, v in zip(self._monomials, a) if not base._is_zero(v))
 
     def _monomial_str(self, exps) -> str:
-        parts = []
-        for name, e in zip(self.names, exps):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts)
+        return "*".join(power_string(name, e) for name, e in zip(self.names, exps) if e)
 
     def _str(self, a):
-        parts = []
-        for i in self._str_order:
-            if self.base._is_zero(a[i]):
-                continue
-            mono = self._monomial_str(self._monomials[i])
-            coeff, neg = split_sign(self.base, a[i])
-            if mono:
-                if coeff == "1":
-                    body = mono
-                else:
-                    if needs_parens(coeff):
-                        coeff = f"({coeff})"
-                    body = f"{coeff}*{mono}"
-            else:
-                body = coeff
-            if not parts:
-                parts.append(f"-{body}" if neg else body)
-            else:
-                parts.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(parts) or "0"
+        base = self.base
+        return format_terms([(*split_sign(base, a[i]), self._monomial_str(self._monomials[i]))
+                             for i in self._str_order if not base._is_zero(a[i])])
 
     def from_int(self, n):
         return self.embed_from_below(self.base.from_int(n))

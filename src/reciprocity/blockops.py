@@ -23,8 +23,8 @@ the pole order for beta.  An operator records both sides (``deg`` and
 reads only the triangle both blocks can be nonzero on, and costs
 O(min(deg_2, pole_1)^2) cells however large the window.  Correctness of the
 identity-tail model is a window stability statement: all outputs are
-unchanged once the window exceeds the support bounds, which the tests
-assert by recomputing on larger windows.
+unchanged once the window reaches the support bounds (``support_bound``),
+which the tests assert by recomputing on larger windows.
 """
 
 from __future__ import annotations
@@ -151,13 +151,17 @@ class BlockOperator:
         return f"BlockOperator(window=({self.wneg},{self.wpos}), ring={self.ring!r})"
 
 
+def support_bound(f: LaurentSeries) -> tuple[int, int]:
+    """(pole order, degree) of f, both at least 0: the sides of its operator's beta and gamma triangles."""
+    return max(0, -f.offset), max(0, f.offset + len(f.data) - 1)
+
+
 def multiplication_operator(f: LaurentSeries, wneg: int, wpos: int) -> BlockOperator:
     """Window matrix of multiplication by an exact Laurent polynomial."""
     if not f.is_exact():
         raise DomainError("multiplication operators need exact (finite) Laurent polynomials")
     ring = f.ring
-    pole = max(0, -f.offset)
-    deg = max(0, f.offset + len(f.data) - 1)
+    pole, deg = support_bound(f)
     if wneg < pole + deg or wpos < pole + deg:
         raise WindowError(
             f"window ({wneg},{wpos}) is below the support bound {pole + deg} of the multiplier"

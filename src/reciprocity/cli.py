@@ -1,17 +1,17 @@
 """Command-line front end.
 
 Exit codes: 0 = value computed / identity verified; 1 = a theorem identity
-was violated (that always means an implementation bug, which makes the
-binary usable as a CI property-test harness); 2 = input error, including a
-``--prec`` too small for what was asked; 3 = internal failure: an exception
-the CLI does not handle (an ``AssertionError``, say), or a
-``PrecisionError`` from a command that chose every precision itself
-(``sweep``, ``verify-gf``, and ``verify-wrl`` or ``verify-residues``
-without ``--local-data``).  ``residue`` is another name of
-``verify-residues``.  ``--prec`` above PRECISION_BUDGET and ``--window``
-above WINDOW_BUDGET are input errors; ``--prec`` is taken only where a
-series is read, so ``verify-wrl`` and ``verify-residues`` refuse it
-without ``--local-data``.
+was violated (always an implementation bug, so the binary is a CI
+property-test harness; a failed ``sweep`` instance prints a reproducer);
+2 = input error: a missing -f or -g, a ``--prec`` too small for what was
+asked, or a size outside its range; 3 = internal failure: an exception the
+CLI does not handle (an ``AssertionError``, say), or a ``PrecisionError``
+from a command that chose every precision itself (``sweep``, ``verify-gf``,
+and ``verify-wrl`` or ``verify-residues`` without ``--local-data``).
+``residue`` is another name of ``verify-residues``.  ``--prec`` is taken only
+where it can change a value, so ``tate-residue`` (exact input, which parses
+alike at every precision), and ``verify-wrl`` and ``verify-residues`` without
+``--local-data``, refuse it.  Over Q, ``sweep`` draws declared factors.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from .curve import (
     verify_wrl_local_data,
 )
 from .errors import PrecisionError, ReciprocityError
-from .fields import BaseField
+from .factor import DEGREE_BUDGET
+from .fields import BaseField, RationalField
 from .laurent import DEFAULT_PRECISION, PRECISION_BUDGET
 from .parsing import (
     parse_factored_rational,
@@ -58,6 +59,9 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
+# most instances one sweep runs; at the default degree each takes 1-15 ms (pure backend, one x86-64 core)
+SWEEP_BUDGET = 10_000
+
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The full parser, and each command name and alias mapped to its own parser."""
@@ -72,12 +76,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         p.set_defaults(handler=handler)
         return p
 
-    def add_common(p, ring=False, series=False, rational=False, local_data=False):
+    def add_common(p, ring=False, series=False, prec=False, rational=False, local_data=False):
         if ring:
             p.add_argument("--ring", required=True, help="coefficient ring, e.g. Q[e1,e2]/(e1^2,e2^2)")
         else:
             p.add_argument("--field", default="Q", help="base field: Q, F5, F9:u^2+1")
-        if series:
+        if prec:
             p.add_argument("--prec", type=int, default=DEFAULT_PRECISION,
                            help=f"working precision, at most {PRECISION_BUDGET}")
         if local_data:
@@ -85,8 +89,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                            help=f"working precision of --local-data (default {DEFAULT_PRECISION})")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         if series or rational:
-            p.add_argument("-f", required=False, help="first expression")
-            p.add_argument("-g", required=False, help="second expression")
+            # a series command has no input but -f and -g; a rational one may read --local-data
+            p.add_argument("-f", required=series, help="first expression")
+            p.add_argument("-g", required=series, help="second expression")
         if rational:
             p.add_argument("--factored", action="store_true",
                            help="treat -f/-g as products of declared irreducible factors")
@@ -94,10 +99,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
             p.add_argument("--local-data", default=None, help="JSON file with raw local expansions")
 
     p = command("symbol-tame", _cmd_symbol_tame, "signed tame symbol of two series over a field")
-    add_common(p, series=True)
+    add_common(p, series=True, prec=True)
 
     p = command("symbol-cc", _cmd_symbol_cc, "Contou-Carrère symbol over an Artinian ring")
-    add_common(p, ring=True, series=True)
+    add_common(p, ring=True, series=True, prec=True)
 
     p = command("tate-residue", _cmd_tate, "res f dg from block-operator traces")
     add_common(p, series=True)
@@ -105,7 +110,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                    help=f"window half-width, at most {WINDOW_BUDGET}")
 
     p = command("cocycle-gf", _cmd_cocycle_gf, "local Gelfand-Fuchs cocycle on matrix loops")
-    add_common(p, series=True)
+    add_common(p, series=True, prec=True)
     p.add_argument("-S", required=True, help="integer matrix as JSON, e.g. [[0,1],[0,0]]")
     p.add_argument("-T", required=True, help="integer matrix as JSON")
 
@@ -124,9 +129,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = command("sweep", _cmd_sweep, "run seeded random verification instances")
     add_common(p)
     p.add_argument("--seed", type=int, default=0, help="seed of the instance generator")
-    p.add_argument("--count", type=int, default=50, help="number of instances")
+    p.add_argument("--count", type=int, default=50, help=f"number of instances, 1 to {SWEEP_BUDGET}")
     p.add_argument("--mode", choices=["wrl", "residues", "all"], default="all")
-    p.add_argument("--max-degree", type=int, default=5)
+    p.add_argument("--max-degree", type=int, default=5, help=f"degree bound of num and den, 0 to {DEGREE_BUDGET - 2}")
     p.add_argument("--jobs", type=int, default=1, help="worker processes, at most the CPU count")
     return parser, sub.choices
 
@@ -213,8 +218,8 @@ def _cmd_symbol_cc(args) -> int:
 
 def _cmd_tate(args) -> int:
     field = parse_field_spec(args.field)
-    f = parse_series(args.f, field, args.prec)
-    g = parse_series(args.g, field, args.prec)
+    f = parse_series(args.f, field)
+    g = parse_series(args.g, field)
     supports = [e for s in (f, g) for e in s.support()]
     bound = max([0] + [abs(e) for e in supports])
     window = args.window if args.window is not None else 2 * bound + 1
@@ -262,7 +267,9 @@ def _sweep_instance(payload) -> dict:
     rng = random.Random(f"{seed}:{index}")
     force = index % 5 == 0
     f, g = corpus.random_rational_pair(rng, field, max_degree, force_higher_place=force)
-    out = {"index": index, "f": str(f), "g": str(g)}
+    factored = isinstance(field, RationalField)
+    text = corpus.factored_text if factored else str
+    out = {"index": index, "f": text(f), "g": text(g), "factored": factored}
     ok = True
     if mode in ("wrl", "all"):
         rep = verify_wrl(f, g)
@@ -280,10 +287,16 @@ def _sweep_instance(payload) -> dict:
 def _reproducer(spec: str, result: dict) -> str:
     """The command that reruns the first failed check of a sweep instance."""
     command = "verify-residues" if result.get("wrl", True) and not result.get("residues", True) else "verify-wrl"
-    return shlex.join(["reciprocity", command, "--field", spec, "-f", result["f"], "-g", result["g"]])
+    factored = ["--factored"] if result["factored"] else []  # over Q only the declared factors factor again
+    return shlex.join(["reciprocity", command, "--field", spec, *factored, "-f", result["f"], "-g", result["g"]])
 
 
 def _cmd_sweep(args) -> int:
+    if not 1 <= args.count <= SWEEP_BUDGET:
+        raise ReciprocityError(f"--count {args.count} is out of range: 1 <= count <= {SWEEP_BUDGET}")
+    # a forced quadratic takes an instance's degree to max-degree + 2, which must stay factorable
+    if not 0 <= args.max_degree <= DEGREE_BUDGET - 2:
+        raise ReciprocityError(f"--max-degree {args.max_degree} is out of range: 0 <= max-degree <= {DEGREE_BUDGET - 2}")
     seed = args.seed
     payloads = [(args.field, seed, i, args.mode, args.max_degree) for i in range(args.count)]
     # with fork, the pool starts every worker it is allowed

@@ -9,36 +9,32 @@ def needs_parens(s: str) -> bool:
     return any(ch in s for ch in " +-")
 
 
-def term_string(coeff_str: str, var: str, exponent: int) -> str:
-    """One product term, e.g. ('3', 'z', -1) -> '3*z^-1'."""
-    if exponent == 0 or not var:
-        return coeff_str
-    if exponent == 1:
-        var_part = var
-    else:
-        var_part = f"{var}^{exponent}"
-    if coeff_str == "1":
-        return var_part
-    if needs_parens(coeff_str):
-        coeff_str = f"({coeff_str})"
-    return f"{coeff_str}*{var_part}"
+def power_string(var: str, exponent: int) -> str:
+    """The variable part of a term, e.g. ('z', -1) -> 'z^-1'; empty at exponent 0."""
+    if exponent == 0:
+        return ""
+    return var if exponent == 1 else f"{var}^{exponent}"
 
 
-def format_terms(terms, var: str) -> str:
-    """Join (coeff_str, is_negative, exponent) triples, in the order given, into an expression.
+def format_terms(terms) -> str:
+    """Join (coeff_str, is_negative, var_part) triples, in the order given, into an expression.
 
-    coeff_str must be the string of the absolute value when is_negative.
+    The one printer of polynomials, series and Artinian elements.  coeff_str
+    is the string of the absolute value when is_negative; an empty var_part
+    leaves the coefficient alone, and ('3', True, 'z^-1') reads '-3*z^-1'.
     """
-    if not terms:
-        return "0"
     parts = []
-    for i, (coeff, neg, e) in enumerate(terms):
-        body = term_string(coeff, var, e)
-        if i == 0:
-            parts.append(f"-{body}" if neg else body)
+    for coeff, neg, var_part in terms:
+        if var_part:
+            if coeff == "1":
+                coeff = var_part
+            else:
+                coeff = f"({coeff})*{var_part}" if needs_parens(coeff) else f"{coeff}*{var_part}"
+        if parts:
+            parts.append(f"- {coeff}" if neg else f"+ {coeff}")
         else:
-            parts.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(parts)
+            parts.append(f"-{coeff}" if neg else coeff)
+    return " ".join(parts) or "0"
 
 
 def split_sign(ring, data) -> tuple[str, bool]:

@@ -12,8 +12,8 @@ coerce: arithmetic builds results on raw data through the unchecked
 or ring element added to or multiplied by a series acts as a constant.
 
 Precision is tracked, never guessed: a product knows its coefficients only
-up to min(low_f + prec_g, low_g + prec_f), and asking for a coefficient at
-or beyond prec raises PrecisionError.
+up to min(low_f + prec_g, low_g + prec_f) (``product_precision``), and
+asking for a coefficient at or beyond prec raises PrecisionError.
 
 A series is a *declared unit* when its lowest stored coefficient is
 invertible in the ring (for fields: nonzero; over an Artinian ring:
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from .artinian import ArtinianAlgebra
 from .errors import DomainError, NonUnitError, PrecisionError
 from .fields import AlgebraElement, CoefficientRing, power
-from .formatting import format_terms, split_sign
+from .formatting import format_terms, power_string, split_sign
 
 DEFAULT_PRECISION = 32
 # largest precision a series is parsed at: a product of two dense series
@@ -42,6 +42,11 @@ PRECISION_BUDGET = 512
 
 def _min_prec(a: int | None, b: int | None) -> int | None:
     return b if a is None else a if b is None else min(a, b)
+
+
+def product_precision(low_a: int, prec_a: int | None, low_b: int, prec_b: int | None) -> int | None:
+    """The precision of a product from each factor's ``low`` and ``prec``; neither is the exact zero."""
+    return _min_prec(None if prec_b is None else prec_b + low_a, None if prec_a is None else prec_a + low_b)
 
 
 class LaurentSeries:
@@ -201,8 +206,7 @@ class LaurentSeries:
         ring = self.ring
         if (not self.data and self.prec is None) or (not other.data and other.prec is None):
             return LaurentSeries.zero(ring)
-        prec = _min_prec(None if other.prec is None else other.prec + self.low,
-                         None if self.prec is None else self.prec + other.low)
+        prec = product_precision(self.low, self.prec, other.low, other.prec)
         offset = self.offset + other.offset
         a, b = self.data, other.data
         if prec is not None:
@@ -289,11 +293,11 @@ class LaurentSeries:
 
     def to_string(self, var: str = "z") -> str:
         ring, offset = self.ring, self.offset
-        terms = [(*split_sign(ring, c), offset + i) for i, c in enumerate(self.data) if not ring._is_zero(c)]
-        if self.prec is None:
-            return format_terms(terms, var)
-        tail = f"O({var}^{self.prec})"
-        return f"{format_terms(terms, var)} + {tail}" if terms else tail
+        terms = [(*split_sign(ring, c), power_string(var, offset + i))
+                 for i, c in enumerate(self.data) if not ring._is_zero(c)]
+        if self.prec is not None:
+            terms.append((f"O({var}^{self.prec})", False, ""))
+        return format_terms(terms)
 
     def __str__(self):
         return self.to_string()

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import NonUnitError
 from .fields import AlgebraElement, BaseField, power
-from .formatting import format_terms, split_sign
+from .formatting import format_terms, power_string, split_sign
 
 
 def _trim(field, data: list) -> list:
@@ -244,8 +244,9 @@ class Polynomial:
         """The terms from the top degree down, each coefficient printed from its raw data."""
         f, data = self.field, self._data
         is_zero = f._is_zero
-        terms = [(*split_sign(f, data[i]), i) for i in range(len(data) - 1, -1, -1) if not is_zero(data[i])]
-        return format_terms(terms, var)
+        terms = [(*split_sign(f, data[i]), power_string(var, i))
+                 for i in range(len(data) - 1, -1, -1) if not is_zero(data[i])]
+        return format_terms(terms)
 
     def __str__(self):
         return self.to_string("x")

@@ -8,9 +8,9 @@ the classical formula does.
 
 Additive side: residues of alpha d(beta) by three independent routes --
 the z^{-1} coefficient, the block-operator trace tr(gamma_2 beta_1 -
-gamma_1 beta_2) on a stability-checked window, and extraction from the
-Contou-Carrère symbol over dual numbers.  All three agree exactly; the
-tests and the acceptance suite enforce it.
+gamma_1 beta_2) on one window at or above the support bound, and
+extraction from the Contou-Carrère symbol over dual numbers.  All three
+agree exactly, at every admissible window; the tests enforce it.
 
 The Gelfand-Fuchs cocycle tr res tr_matrix(A dB) on matrix loop algebras
 closes the list.
@@ -21,10 +21,10 @@ from __future__ import annotations
 from math import gcd
 
 from .artinian import ArtinianAlgebra, dual_coefficient, dual_numbers
-from .blockops import lie_cocycle, multiplication_operator
+from .blockops import lie_cocycle, multiplication_operator, support_bound
 from .errors import DomainError, PrecisionError, WindowError
 from .fields import AlgebraElement, BaseField, lift
-from .laurent import LaurentSeries, cc_factorize
+from .laurent import LaurentSeries, cc_factorize, product_precision
 from .norms import algebra_norm, algebra_trace, relative_norm
 
 SymbolValue = AlgebraElement
@@ -150,13 +150,13 @@ def residue_coefficient(
 
 
 def tate_residue(f1: LaurentSeries, f2: LaurentSeries, window: int) -> SymbolValue:
-    """res f1 df2 as the block trace tr(gamma_2 beta_1 - gamma_1 beta_2).
+    """res f1 df2 as the block trace tr(gamma_2 beta_1 - gamma_1 beta_2), one ``lie_cocycle``.
 
     The multiplication operators of f1, f2 are restricted to the window
     z^{-window}..z^{window}; the window must be at least the larger pole
     order plus the larger polynomial degree of the two inputs, and at most
-    WINDOW_BUDGET.  The value is recomputed at window+5 and must agree
-    (window independence).
+    WINDOW_BUDGET.  The cells the traces read are the same at every such
+    window, so the value does not depend on it; the tests check this.
     """
     if window > WINDOW_BUDGET:
         raise DomainError(f"window {window} is above the budget: window <= {WINDOW_BUDGET}")
@@ -164,26 +164,12 @@ def tate_residue(f1: LaurentSeries, f2: LaurentSeries, window: int) -> SymbolVal
         raise DomainError("Tate residues need exact Laurent polynomials")
     if f1.ring != f2.ring:
         raise DomainError("series live over different rings")
-
-    def bound(series: LaurentSeries) -> tuple[int, int]:
-        return max(0, -series.offset), max(0, series.offset + len(series.data) - 1)
-
-    p1, d1 = bound(f1)
-    p2, d2 = bound(f2)
+    (p1, d1), (p2, d2) = support_bound(f1), support_bound(f2)
     needed = max(p1, p2) + max(d1, d2)
     if window < needed:
         raise WindowError(f"window {window} is below the required bound {needed}")
-
-    def value_at(w: int) -> AlgebraElement:
-        op1 = multiplication_operator(f1, w, w + 1)
-        op2 = multiplication_operator(f2, w, w + 1)
-        return lie_cocycle(op1, op2)
-
-    first = value_at(window)
-    second = value_at(window + 5)
-    if first != second:
-        raise AssertionError("Tate residue failed window stability")
-    return first
+    return lie_cocycle(multiplication_operator(f1, window, window + 1),
+                       multiplication_operator(f2, window, window + 1))
 
 
 class LoopMatrix:
@@ -236,19 +222,16 @@ def _derivative_low(b: LaurentSeries, char: int) -> int | None:
 
 
 def _pair_precision(a: LaurentSeries, b: LaurentSeries, char: int) -> int | None:
-    """The precision of a * b.derivative(), worked out as ``LaurentSeries.__mul__`` works it out.
+    """The precision of a * b.derivative(), by ``product_precision`` on a and the derivative's low end.
 
     None when the product is exact, the exact zero included.
     """
     if not a.data and a.prec is None:
         return None
-    prec = None if b.prec is None else b.prec - 1 + a.low
-    if a.prec is not None:
-        low = _derivative_low(b, char)
-        if low is None:
-            return None
-        prec = a.prec + low if prec is None else min(prec, a.prec + low)
-    return prec
+    low = _derivative_low(b, char)
+    if low is None:
+        return None
+    return product_precision(a.low, a.prec, low, None if b.prec is None else b.prec - 1)
 
 
 def gelfand_fuchs_cocycle(A: LoopMatrix, B: LoopMatrix, base: BaseField | None = None) -> SymbolValue:

@@ -30,7 +30,6 @@ from reciprocity.curve import AdeleVector, RationalFunction, residue_pairing_sum
 from reciprocity.errors import DomainError, ExpressionError, NonUnitError, PrecisionError, TowerError
 from reciprocity.factor import Factorization
 from reciprocity.fields import _MR_WITNESSES, AlgebraElement, BaseField, ExtensionField, QQ, power
-from reciprocity.formatting import term_string
 from reciprocity.laurent import DEFAULT_PRECISION, LaurentSeries, PrincipalUnitFactorization, UnitFactorization
 from reciprocity.norms import (
     algebra_norm,
@@ -369,14 +368,31 @@ def xgcd_invmod(a: list, m: list, ring) -> list:
 # -- the printers and generic divisions the raw-data ones replaced ---------------
 # ``Polynomial.to_string`` prints raw data through ``formatting.split_sign`` on
 # (ring, data), ``ExtensionField._str`` writes its terms straight from the
-# coordinates, and the generic kernels reduce in place (``generic._reduce``);
-# these are the bodies they replaced, which boxed every coefficient, sorted the
-# terms, and formed a fresh quotient and remainder per step.
+# coordinates, ``ArtinianAlgebra._str`` joins its terms through
+# ``formatting.format_terms``, and the generic kernels reduce in place
+# (``generic._reduce``); these are the bodies they replaced, which boxed every
+# coefficient, sorted the terms, joined signs in their own loop, and formed a
+# fresh quotient and remainder per step.
 
 
 # Q with negative fractions, F_p, table fields, a tuple field (F625), and an
 # Artinian ring, whose nonzero non-units make leads that have no inverse
 RAW_DATA_SPECS = ("Q", "F7", "F9", "F256", "F625", "F7[e,d]/(e^3,d^2)")
+
+
+def earlier_term_string(coeff_str: str, var: str, exponent: int) -> str:
+    """One product term, e.g. ('3', 'z', -1) -> '3*z^-1'."""
+    if exponent == 0 or not var:
+        return coeff_str
+    if exponent == 1:
+        var_part = var
+    else:
+        var_part = f"{var}^{exponent}"
+    if coeff_str == "1":
+        return var_part
+    if any(ch in coeff_str for ch in " +-"):
+        coeff_str = f"({coeff_str})"
+    return f"{coeff_str}*{var_part}"
 
 
 def earlier_format_terms(terms, var: str, descending: bool = False) -> str:
@@ -386,7 +402,7 @@ def earlier_format_terms(terms, var: str, descending: bool = False) -> str:
         return "0"
     parts = []
     for i, (coeff, neg, e) in enumerate(terms):
-        body = term_string(coeff, var, e)
+        body = earlier_term_string(coeff, var, e)
         if i == 0:
             parts.append(f"-{body}" if neg else body)
         else:
@@ -415,6 +431,30 @@ def earlier_poly_to_string(poly: Polynomial, var: str = "x") -> str:
 def earlier_extension_str(field: ExtensionField, a) -> str:
     terms = [(str(c), False, i) for i, c in enumerate(field._canonical(a)) if c]
     return earlier_format_terms(terms, field.name, descending=True)
+
+
+def earlier_artinian_str(ring: ArtinianAlgebra, a) -> str:
+    """ArtinianAlgebra._str as its own loop: signs joined and coefficients parenthesized here."""
+    parts = []
+    for i in ring._str_order:
+        if ring.base._is_zero(a[i]):
+            continue
+        mono = ring._monomial_str(ring._monomials[i])
+        coeff, neg = earlier_split_sign(AlgebraElement(ring.base, a[i]))
+        if mono:
+            if coeff == "1":
+                body = mono
+            else:
+                if any(ch in coeff for ch in " +-"):
+                    coeff = f"({coeff})"
+                body = f"{coeff}*{mono}"
+        else:
+            body = coeff
+        if not parts:
+            parts.append(f"-{body}" if neg else body)
+        else:
+            parts.append(f"- {body}" if neg else f"+ {body}")
+    return " ".join(parts) or "0"
 
 
 def earlier_divmod_poly(num: list, den: list, ring) -> tuple[list, list]:

@@ -8,8 +8,9 @@ import pytest
 
 import reciprocity
 
-from reciprocity import cli
+from reciprocity import cli, curve
 from reciprocity.errors import PrecisionError
+from reciprocity.factor import DEGREE_BUDGET
 
 WRL = ["verify-wrl", "--field", "F5", "-f", "x+1", "-g", "x+2"]
 PAIR = ["--field", "F5", "-f", "x+1", "-g", "x+2"]
@@ -66,6 +67,8 @@ def test_precision_error_is_input_when_the_user_chose_it(monkeypatch, capsys, tm
     ["sweep", "--prec", "8"],
     ["verify-wrl", "--field", "F7", "-f", "x", "-g", "1/(x+1)", "--prec", "-5"],
     ["verify-residues", *PAIR, "--prec", "8"],
+    # a Tate residue takes only exact input, which parses alike at every precision
+    ["tate-residue", "--field", "F7", "-f", "z", "-g", "z^-1", "--prec", "8"],
 ])
 def test_options_that_would_be_ignored_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -89,6 +92,22 @@ def test_matrix_entries_must_be_json_integers(capsys, command, pair, option, s_m
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {option} entry {entry}\n"
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["symbol-tame", "-g", "z"], "-f"),
+    (["symbol-cc", "--ring", "F7[e]/(e^2)", "-f", "1+e*z"], "-g"),
+    (["tate-residue", "-f", "z"], "-g"),
+    (["cocycle-gf", "-S", "[[1]]", "-T", "[[1]]", "-f", "z"], "-g"),
+    (["cocycle-gf", "-S", "[[1]]", "-T", "[[1]]"], "-f, -g"),
+])
+def test_a_series_command_without_f_or_g_is_a_usage_error(capsys, argv, missing):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"the following arguments are required: {missing}" in err
+    assert "internal error" not in err
 
 
 def main_outcome(argv, capsys):
@@ -131,7 +150,7 @@ PARSE_TABLE = [
     ["tate-residue", "-f", "1+z", "-g", "z", "--window", "x"], ["sweep", "--mode", "bad"],
     ["residue", *PAIR], ["residue", *PAIR, "--prec", "8"], ["verify-wrl", "--field", "F5", "-f", "x+1"],
     WRL, ["verify-residues", *PAIR, "--json"], ["verify-gf", *PAIR, *MATRICES],
-    ["symbol-tame", "--field", "F7", "-f", "1+z", "-g", "z", "--prec", "4"],
+    ["symbol-tame", "--field", "F7", "-f", "1+z", "-g", "z", "--prec", "4"], ["tate-residue", "-f", "z"],
 ]
 
 
@@ -220,6 +239,15 @@ class FailedReport:
     verified = False
 
 
+def reproducers(capsys, count):
+    """The command words of each FAILED line of a sweep's output, which must fail instances 0 .. count - 1."""
+    import shlex
+
+    lines = [line for line in capsys.readouterr().out.splitlines() if "FAILED" in line]
+    assert [line.split(": ", 1)[0] for line in lines] == [f"  FAILED #{i}" for i in range(count)]
+    return [shlex.split(line.split(": ", 1)[1]) for line in lines]
+
+
 @pytest.mark.parametrize("mode, verifier, command", [
     ("wrl", "verify_wrl", "verify-wrl"),
     ("residues", "verify_residue_theorem", "verify-residues"),
@@ -227,18 +255,86 @@ class FailedReport:
     ("all", "verify_wrl", "verify-wrl"),
 ])
 def test_sweep_failure_prints_a_reproducer(monkeypatch, capsys, mode, verifier, command):
-    import shlex
-
     real = getattr(cli, verifier)
     monkeypatch.setattr(cli, verifier, lambda f, g: FailedReport())
     argv = ["sweep", "--field", "F9", "--count", "2", "--mode", mode, "--max-degree", "2", "--seed", "3"]
     assert cli.main(argv) == cli.EXIT_VIOLATION
-    lines = [line for line in capsys.readouterr().out.splitlines() if "FAILED" in line]
-    assert [line.split(": ", 1)[0] for line in lines] == ["  FAILED #0", "  FAILED #1"]
     monkeypatch.setattr(cli, verifier, real)
-    for line in lines:
-        words = shlex.split(line.split(": ", 1)[1])
+    for words in reproducers(capsys, 2):
         assert words[:4] == ["reciprocity", command, "--field", "F9"]
         assert words[4] == "-f" and words[6] == "-g"
         assert cli.main(words[1:]) == cli.EXIT_OK
         assert "verified: True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode, verifier, command", [
+    ("wrl", "verify_wrl", "verify-wrl"),
+    ("residues", "verify_residue_theorem", "verify-residues"),
+])
+def test_a_sweep_over_q_reproduces_with_declared_factors(monkeypatch, capsys, mode, verifier, command):
+    """Over Q the reproducer gives the instance's factors with --factored, the only form that factors again."""
+    real = getattr(cli, verifier)
+    monkeypatch.setattr(cli, verifier, lambda f, g: FailedReport())
+    argv = ["sweep", "--field", "Q", "--count", "3", "--mode", mode, "--seed", "3"]
+    assert cli.main(argv) == cli.EXIT_VIOLATION
+    monkeypatch.setattr(cli, verifier, real)
+    for words in reproducers(capsys, 3):
+        assert words[:5] == ["reciprocity", command, "--field", "Q", "--factored"]
+        assert words[5] == "-f" and words[7] == "-g"
+        assert cli.main(words[1:]) == cli.EXIT_OK
+        assert "verified: True" in capsys.readouterr().out
+
+
+def test_a_divisor_of_nonzero_degree_is_a_failed_instance(monkeypatch, capsys):
+    """The degree check fails its instance and prints its reproducer; it raises nothing."""
+    monkeypatch.setattr(curve.Divisor, "degree", property(lambda self: 1))
+    argv = ["sweep", "--field", "F7", "--count", "2", "--mode", "wrl", "--max-degree", "2"]
+    assert cli.main([*argv, "--json"]) == cli.EXIT_VIOLATION
+    failures = json.loads(capsys.readouterr().out)["failures"]
+    assert [(r["divisor_degree_zero"], r["wrl"]) for r in failures] == [(False, True)] * 2
+    assert cli.main(argv) == cli.EXIT_VIOLATION
+    assert [words[1] for words in reproducers(capsys, 2)] == ["verify-wrl"] * 2
+
+
+@pytest.mark.parametrize("field", ["Q", "F7", "F9"])
+def test_the_default_sweep_passes(capsys, field):
+    """Over Q the instances come from declared factors, so every one of them factors."""
+    assert cli.main(["sweep", "--field", field, "--count", "20"]) == cli.EXIT_OK
+    assert "20/20 passed" in capsys.readouterr().out
+
+
+def test_finite_field_sweep_instances_are_the_random_polynomials(capsys):
+    """Over finite fields the instance texts of a seed are the random polynomials they have always been."""
+    want = {
+        "F7": ["(4*x^4 + 4*x^3 + 6*x^2 + 4*x + 1)/(x + 5)", "(2*x^2 + 5*x + 6)/(x^3 + 6*x^2 + 3*x + 2)"],
+        "F9:u^2+1": ["(u + 1)*x^6 + u*x^5 + 2*x^4 + (u + 1)*x^3 + (2*u + 2)*x^2 + (2*u + 1)*x + 1",
+                     "((u + 1)*x)/(x^4 + (2*u + 2)*x^3 + 2*x^2 + (u + 1)*x + u + 2)"],
+    }
+    for spec, texts in want.items():
+        out = cli._sweep_instance((spec, 0, 0, "wrl", 5))
+        assert [out["f"], out["g"], out["factored"]] == [*texts, False]
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--count", "0", "--count 0 is out of range"),
+    ("--count", "-1", "--count -1 is out of range"),
+    ("--count", str(cli.SWEEP_BUDGET + 1), f"--count {cli.SWEEP_BUDGET + 1} is out of range"),
+    ("--max-degree", "-1", "--max-degree -1 is out of range"),
+    ("--max-degree", "-3", "--max-degree -3 is out of range"),
+    ("--max-degree", str(DEGREE_BUDGET - 1), f"--max-degree {DEGREE_BUDGET - 1} is out of range"),
+])
+def test_sweep_refuses_out_of_range_sizes_before_any_instance(monkeypatch, capsys, option, value, message):
+    monkeypatch.setattr(cli, "_sweep_instance", raising(AssertionError("an instance ran")))
+    assert cli.main(["sweep", "--field", "F7", option, value]) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("count, max_degree", [(1, DEGREE_BUDGET - 2), (cli.SWEEP_BUDGET, 0)])
+def test_sweep_takes_the_boundary_sizes(monkeypatch, capsys, count, max_degree):
+    """The largest sizes are accepted; the instances are stubbed, so none of them runs."""
+    payloads = []
+    monkeypatch.setattr(cli, "_sweep_instance", lambda p: payloads.append(p) or {"index": p[2], "ok": True})
+    argv = ["sweep", "--field", "F7", "--count", str(count), "--max-degree", str(max_degree)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert len(payloads) == count and {p[4] for p in payloads} == {max_degree}

@@ -21,7 +21,7 @@ from reciprocity.fields import (
 )
 from reciprocity.parsing import parse_series
 from reciprocity.poly import Polynomial
-from support import TupleField, earlier_extension_str, is_prime_all_bases
+from support import TupleField, earlier_artinian_str, earlier_extension_str, is_prime_all_bases
 
 
 def test_primality():
@@ -237,6 +237,20 @@ def test_artinian_ring_laws(base_name, shape, data):
     if not A.residue(x).is_zero():
         assert x * x.inverse() == A.one()
     assert parse_series(str(x), A).coefficient(0) == x
+
+
+@pytest.mark.parametrize("base_name", sorted(ARTINIAN_BASES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_artinian_elements_print_as_before(base_name, data):
+    """``_str`` through ``format_terms`` gives the string of the loop that joined signs itself."""
+    base = ARTINIAN_BASES[base_name]
+    orders = data.draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
+    A = ArtinianAlgebra(base, [(f"e{i}", o) for i, o in enumerate(orders)])
+    coords = st.lists(st.one_of(st.just(base.zero()), _base_elements(base)),
+                      min_size=A.dimension, max_size=A.dimension)
+    x = A.from_coordinates(data.draw(coords))
+    assert str(x) == earlier_artinian_str(A, x.data)
 
 
 @pytest.mark.parametrize("ring", [PrimeField(101), RationalField(), ExtensionField(3, [1, 0, 1])], ids=repr)

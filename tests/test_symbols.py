@@ -4,8 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reciprocity import symbols
 from reciprocity.artinian import ArtinianAlgebra, dual_numbers
-from reciprocity.errors import DomainError, NonUnitError, PrecisionError, ReciprocityError
+from reciprocity.errors import DomainError, NonUnitError, PrecisionError, ReciprocityError, WindowError
 from reciprocity.fields import QQ, ExtensionField, PrimeField, lift
 from reciprocity.laurent import LaurentSeries, cc_factorize, unit_factorize
 from reciprocity.norms import algebra_norm, algebra_trace
@@ -216,6 +217,58 @@ class TestResidues:
             dual = residue_from_dual_symbol(alpha, beta, F3)
             tate = algebra_trace(tate_residue(alpha, beta, 9), F3)
             assert coeff == dual == tate
+
+
+TATE_FIELDS = {"Q": QQ, "F7": PrimeField(7), "F9": ExtensionField(3, [1, 0, 1])}
+
+
+@pytest.mark.parametrize("spec", sorted(TATE_FIELDS))
+@settings(max_examples=30, deadline=None)
+@given(rng=st.randoms(use_true_random=False), low=st.integers(-5, 0), high=st.integers(0, 5))
+def test_tate_residue_is_the_coefficient_at_every_admissible_window(spec, rng, low, high):
+    """One pass at the window given; the value is the same at every window from the support bound up."""
+    field = TATE_FIELDS[spec]
+    f = random_laurent_polynomial(rng, field, low, high)
+    g = random_laurent_polynomial(rng, field, rng.randint(low, 0), rng.randint(0, high))
+    pole = max(0, -min(f.support() + g.support(), default=0))
+    degree = max(0, max(f.support() + g.support(), default=0))
+    needed = pole + degree
+    if needed:
+        with pytest.raises(WindowError):
+            tate_residue(f, g, needed - 1)
+    for window in (needed, needed + 1, needed + 5, 2 * needed + 1):
+        assert tate_residue(f, g, window) == residue_coefficient(f, g)
+
+
+def test_one_tate_residue_is_one_lie_cocycle(monkeypatch, Q):
+    calls = []
+    lie_cocycle = symbols.lie_cocycle
+    monkeypatch.setattr(symbols, "lie_cocycle", lambda s1, s2: calls.append(1) or lie_cocycle(s1, s2))
+    assert tate_residue(zpow(Q, -1), zpow(Q, 1, 3), 4) == 3
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("ring_name", ["Q", "F3", "F7"])
+def test_pair_precision_is_the_precision_of_the_product(rng, ring_name):
+    """_pair_precision(a, b) is the precision of a * b.derivative(), exact zeros and inexact factors included."""
+    ring = {"Q": QQ, "F3": PrimeField(3), "F7": PrimeField(7)}[ring_name]
+    char = ring.characteristic
+
+    def series():
+        pick = rng.random()
+        if pick < 0.15:
+            return LaurentSeries.zero(ring)
+        if pick < 0.25:
+            return LaurentSeries.zero(ring, rng.randint(-3, 4))
+        s = random_laurent_polynomial(rng, ring, -4, 4)
+        return s.truncate(rng.randint(-4, 6)) if rng.random() < 0.6 else s
+
+    # every exponent of z^3 and z^6 is divisible by 3, so over F3 their derivative is the exact zero
+    special = [LaurentSeries(ring, {3: 1}), LaurentSeries(ring, {3: 1, 6: 2}), LaurentSeries(ring, {3: 1}, 5)]
+    for _ in range(300):
+        a = series()
+        b = series() if rng.random() < 0.8 else rng.choice(special)
+        assert symbols._pair_precision(a, b, char) == (a * b.derivative()).prec, (a, b)
 
 
 class TestGelfandFuchs:
