@@ -38,6 +38,7 @@ from .blockops import (
 )
 from .curve import (
     AdeleVector,
+    Differential,
     Divisor,
     Place,
     RationalFunction,

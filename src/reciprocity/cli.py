@@ -2,7 +2,9 @@
 
 Exit codes: 0 = value computed / identity verified; 1 = a theorem identity
 was violated (always an implementation bug, so the binary is a CI
-property-test harness; a failed ``sweep`` instance prints a reproducer);
+property-test harness; a failed ``sweep`` instance prints a reproducer: the
+verifier command of its first failed check, or, when only its divisor degree
+failed, the ``sweep`` that ends at it);
 2 = input error: a missing -f or -g, a ``--prec`` too small for what was
 asked, or a size outside its range; 3 = internal failure: an exception the
 CLI does not handle (an ``AssertionError``, say), or a ``PrecisionError``
@@ -72,7 +74,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, handler, help, aliases=()):
-        p = sub.add_parser(name, help=help, aliases=list(aliases))
+        p = sub.add_parser(name, help=help, description=help, aliases=list(aliases))
         p.set_defaults(handler=handler)
         return p
 
@@ -126,7 +128,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("-S", required=True, help="integer matrix as JSON")
     p.add_argument("-T", required=True, help="integer matrix as JSON")
 
-    p = command("sweep", _cmd_sweep, "run seeded random verification instances")
+    p = command("sweep", _cmd_sweep, "run seeded random verification instances; each failed one prints "
+                "a command that reruns it (the sweep up to it when only its divisor degree failed)")
     add_common(p)
     p.add_argument("--seed", type=int, default=0, help="seed of the instance generator")
     p.add_argument("--count", type=int, default=50, help=f"number of instances, 1 to {SWEEP_BUDGET}")
@@ -284,11 +287,20 @@ def _sweep_instance(payload) -> dict:
     return out
 
 
-def _reproducer(spec: str, result: dict) -> str:
-    """The command that reruns the first failed check of a sweep instance."""
-    command = "verify-residues" if result.get("wrl", True) and not result.get("residues", True) else "verify-wrl"
+def _reproducer(args, result: dict) -> str:
+    """The command that reruns the first failed check of a sweep instance.
+
+    A failed verifier reruns on the instance's f and g.  No command prints a
+    divisor, so a failed divisor degree reruns the sweep up to this instance,
+    which depends only on the seed and its index: it is the last one run.
+    """
+    if result.get("wrl", True) and result.get("residues", True):
+        return shlex.join(["reciprocity", "sweep", "--field", args.field, "--seed", str(args.seed),
+                           "--count", str(result["index"] + 1), "--max-degree", str(args.max_degree),
+                           "--mode", args.mode])
+    command = "verify-wrl" if not result.get("wrl", True) else "verify-residues"
     factored = ["--factored"] if result["factored"] else []  # over Q only the declared factors factor again
-    return shlex.join(["reciprocity", command, "--field", spec, *factored, "-f", result["f"], "-g", result["g"]])
+    return shlex.join(["reciprocity", command, "--field", args.field, *factored, "-f", result["f"], "-g", result["g"]])
 
 
 def _cmd_sweep(args) -> int:
@@ -323,7 +335,7 @@ def _cmd_sweep(args) -> int:
     else:
         print(f"sweep {args.mode} over {args.field}: {passed}/{args.count} passed (seed {seed})")
         for r in summary["failures"]:
-            print(f"  FAILED #{r['index']}: {_reproducer(args.field, r)}")
+            print(f"  FAILED #{r['index']}: {_reproducer(args, r)}")
     return EXIT_OK if passed == args.count else EXIT_VIOLATION
 
 

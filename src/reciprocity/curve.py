@@ -3,11 +3,14 @@
 A place is a monic irreducible polynomial over the constant field, or the
 point at infinity (local parameter 1/x).  Trace residues at every place are
 one polynomial remainder: the top coefficient of the P-part of the partial
-fractions, or of num mod den at infinity.  A base-change oracle in the tests
-ties that formula to the residues of the split places upstairs.  Laurent
-expansions exist at degree-1 places and infinity only, for the
-Gelfand-Fuchs cocycle and adele components; higher-degree places expose
-the valuation and the unit value in k[x]/(p).
+fractions, or of num mod den at infinity.  A ``Differential`` f dg keeps its
+num and den unreduced, so P^m, the power of P in den, is P^(a + 2b) for the
+pole orders a of f and b of g at P, read from their factor caches; a place
+that is a pole of neither has residue zero and costs no division.  A
+base-change oracle in the tests ties that formula to the residues of the
+split places upstairs.  Laurent expansions exist at degree-1 places and
+infinity only, for the Gelfand-Fuchs cocycle and adele components;
+higher-degree places expose the valuation and the unit value in k[x]/(p).
 
 Verifiers return a VerificationReport with one row per place and the global
 product (reciprocity) or sum (residues); exactness is the contract, so
@@ -150,7 +153,11 @@ class RationalFunction:
 
     @classmethod
     def from_factored(cls, field, lead, factor_exponents) -> "RationalFunction":
-        """lead * prod(p_i^{e_i}); p_i distinct monic irreducible, e_i != 0."""
+        """lead * prod(p_i^{e_i}); p_i distinct monic irreducible, e_i != 0.
+
+        When every factor is certified, num and den share none, so no gcd is
+        taken; an unproved (``trusted``) factor may share one with another.
+        """
         lead = field.coerce(lead)
         if lead.is_zero():
             raise DomainError("zero is not a valid factored function")
@@ -175,7 +182,11 @@ class RationalFunction:
                 num = num * p**e
             else:
                 den = den * p ** (-e)
-        out = cls(field, num, den)
+        if trusted:
+            out = cls(field, num, den)
+        else:  # den is a product of monic factors, coprime to num
+            out = object.__new__(cls)
+            out.field, out.num, out.den = field, num, den
         out.factors = tuple(sorted(pairs, key=lambda pe: pe[0].sort_key()))
         out.lead = lead
         out.trusted = tuple(trusted)
@@ -266,10 +277,6 @@ class RationalFunction:
             base.trusted = self.trusted
         # powering from base itself, so the factor cache carries through
         return power(base, abs(e))
-
-    def derivative(self) -> "RationalFunction":
-        num = self.num.derivative() * self.den - self.num * self.den.derivative()
-        return RationalFunction(self.field, num, self.den * self.den)
 
     def __eq__(self, other):
         # a Polynomial never equals a RationalFunction: their hashes differ
@@ -421,20 +428,41 @@ def local_expansion(f: RationalFunction, place: Place, prec: int) -> LaurentSeri
 # -- residues -----------------------------------------------------------------
 
 
-def trace_residue_at_place(h: RationalFunction, place: Place) -> AlgebraElement:
-    """tr_{k(P)/k} res_P (h dx), from one polynomial remainder.
+class Differential:
+    """f dg as num/den dx, with num and den left unreduced.
 
-    With P^m exactly dividing den, the P-part of h is a / P^m for
-    a = num (den / P^m)^{-1} mod P^m; its traced residue is its x^{-1}
-    coefficient at infinity, the x^{deg P^m - 1} coefficient of a (P^m is
-    monic; m = 0 gives 0).  At infinity, dx = -t^{-2} dt and only
-    (num mod den) / den has a residue there.
+    num = f.num (g.num' g.den - g.num g.den') and den = f.den g.den^2, built
+    with no gcd; den is monic.  h dx is Differential(h, x).
     """
+
+    __slots__ = ("f", "g", "num", "den")
+
+    def __init__(self, f: RationalFunction, g: RationalFunction):
+        gn, gd = g.num, g.den
+        self.f, self.g = f, g
+        self.num = f.num * (gn.derivative() * gd - gn * gd.derivative())
+        self.den = f.den * gd * gd
+
+
+def trace_residue_at_place(omega: Differential, place: Place) -> AlgebraElement:
+    """tr_{k(P)/k} res_P (omega), from one polynomial remainder.
+
+    With P^m exactly dividing den, the P-part of omega is c / P^m dx for
+    c = num (den / P^m)^{-1} mod P^m; its traced residue is its x^{-1}
+    coefficient at infinity, the x^{deg P^m - 1} coefficient of c (P^m is
+    monic).  f and g are reduced, so for their pole orders a and b at P
+    (``valuation_at``, from the factor caches) m = a + 2b; a place that is a
+    pole of neither gives 0 with no division.  At infinity, dx = -t^{-2} dt
+    and only (num mod den) / den has a residue there.
+    """
+    num, den = omega.num, omega.den
     if place.is_infinite:
-        return -(h.num % h.den).coefficient(h.den.degree - 1)
-    m, q = _divide_out(h.den, place.poly)
+        return -(num % den).coefficient(den.degree - 1)
+    m = max(-omega.f.valuation_at(place), 0) + 2 * max(-omega.g.valuation_at(place), 0)
+    if not m:
+        return place.field.zero()
     pm = place.poly**m
-    return (h.num * q.invmod(pm) % pm).coefficient(pm.degree - 1)
+    return (num * den.exact_divide(pm).invmod(pm) % pm).coefficient(pm.degree - 1)
 
 
 # -- reports ------------------------------------------------------------------
@@ -550,12 +578,12 @@ def verify_wrl(f: RationalFunction, g: RationalFunction) -> VerificationReport:
 def verify_residue_theorem(f: RationalFunction, g: RationalFunction) -> VerificationReport:
     """Sum over all relevant places of tr res_P(f dg); must be 0."""
     field = f.field
-    h = f * g.derivative()
+    omega = Differential(f, g)
     places = relevant_places(f, g)
     rows = []
     total = field.zero()
     for place in places:
-        res = trace_residue_at_place(h, place)
+        res = trace_residue_at_place(omega, place)
         total = total + res
         rows.append(
             {
@@ -665,7 +693,7 @@ def residue_pairing_sum(adele: AdeleVector, g: RationalFunction, prec: int = 8) 
     """sum_x tr res_x(alpha dg) for an adele with rational default."""
     f = adele.default
     field = f.field
-    h = f * g.derivative()
+    omega = Differential(f, g)
     places = {p: True for p in relevant_places(f, g)}
     for p in adele.components:
         places[p] = True
@@ -678,7 +706,7 @@ def residue_pairing_sum(adele: AdeleVector, g: RationalFunction, prec: int = 8) 
             g_local = local_expansion(g, place, need)
             total = total + residue_coefficient(alpha, g_local, field)
         else:
-            total = total + trace_residue_at_place(h, place)
+            total = total + trace_residue_at_place(omega, place)
     return total
 
 
@@ -709,13 +737,13 @@ def verify_gf_global(s_matrix, t_matrix, f: RationalFunction, g: RationalFunctio
     if len(s_m) != len(t_m) or any(len(r) != len(s_m) for r in s_m + t_m):
         raise DomainError("S and T must be square matrices of equal size")
     tr_st = mat_trace(mat_mul(s_m, t_m, field), field)
-    h = f * g.derivative()
+    omega = Differential(f, g)
     places = relevant_places(f, g)
     rows = []
     total = field.zero()
     residue_sum = field.zero()
     for place in places:
-        residue = trace_residue_at_place(h, place)
+        residue = trace_residue_at_place(omega, place)
         residue_sum = residue_sum + residue
         if place.degree == 1 or place.is_infinite:
             vf = f.valuation_at(place)

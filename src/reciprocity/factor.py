@@ -1,17 +1,24 @@
 """Univariate polynomial factorization.
 
-Over a finite field the full chain runs: squarefree decomposition,
-distinct-degree splitting, then equal-degree splitting (Cantor-Zassenhaus,
-with the trace construction in characteristic 2) for every degree, roots
-included.  Each squarefree part f of degree 2 or more gets its Frobenius
-matrix, the rows x^(q*i) mod f, from one ``frobenius_matrix`` kernel call,
-which also gives x^q mod f as row 1.  Distinct-degree splitting starts at
-x^q and steps from x^(q^d) to x^(q^(d+1)) by one product with that
-matrix.  In odd characteristic the equal-degree split of a degree-d part
-raises the norm r * r^q * ... * r^(q^(d-1)) of a random r to (q-1)/2, its
-Frobenius images coming through the same matrix.  The randomized splits
-draw from a generator with a fixed seed, and the factors are returned in a
-canonical order, so the output does not depend on the seed.
+f is made monic once, and a linear polynomial is its own factor over every
+field: the degree-<=1 base case.  Every later stage returns monic values
+(gcds, exact quotients of monic by monic, p-th roots of monic polynomials)
+and normalizes nothing again.
+
+Over a finite field the full chain runs on degree 2 and more: squarefree
+decomposition, distinct-degree splitting, then equal-degree splitting
+(Cantor-Zassenhaus, with the trace construction in characteristic 2) for
+every degree, roots included.  Each squarefree part f of degree 2 or more
+gets its Frobenius matrix, the rows x^(q*i) mod f, from one
+``frobenius_matrix`` kernel call, which also gives x^q mod f as row 1.
+Distinct-degree splitting starts at x^q and steps from x^(q^d) to
+x^(q^(d+1)) by one product with that matrix.  In odd characteristic the
+equal-degree split of a degree-d part raises the norm r * r^q * ... *
+r^(q^(d-1)) of a random r to (q-1)/2, its Frobenius images coming through
+the same matrix.  The randomized splits draw from a generator with a fixed
+seed, created at the first split that draws, so a factorization that splits
+nothing seeds none; the factors are returned in a canonical order, so the
+output does not depend on the seed.
 
 Over the rationals only content extraction, Yun's squarefree decomposition
 and rational-root splitting are attempted.  Factors of degree <= 3 without
@@ -71,7 +78,7 @@ def _squarefree_finite(f: Polynomial) -> list[tuple[Polynomial, int]]:
 
     def accumulate(g: Polynomial, mult: int):
         if g.degree >= 1:
-            out[mult] = out.get(mult, Polynomial.one(field)) * g
+            out[mult] = out[mult] * g if mult in out else g
 
     def helper(f: Polynomial, outer: int):
         d = f.derivative()
@@ -103,11 +110,8 @@ def _squarefree_finite(f: Polynomial) -> list[tuple[Polynomial, int]]:
             coeffs.append(_frobenius_root(g.coefficient(i), field))
         return Polynomial(field, coeffs)
 
-    helper(f.monic(), 1)
-    merged: list[tuple[Polynomial, int]] = []
-    for mult in sorted(out):
-        merged.append((out[mult].monic(), mult))
-    return merged
+    helper(f, 1)
+    return [(out[mult], mult) for mult in sorted(out)]
 
 
 class _Frobenius:
@@ -165,15 +169,18 @@ def _distinct_degree(f: Polynomial, frobenius: _Frobenius | None = None) -> list
         h = frobenius.xq() if h is None else frobenius(h)
         g = rest.gcd(h - x)
         if g.degree >= 1:
-            out.append((g.monic(), d))
+            out.append((g, d))
             rest = rest.exact_divide(g)
     if rest.degree >= 1:
-        out.append((rest.monic(), rest.degree))
+        out.append((rest, rest.degree))
     return out
 
 
-def _equal_degree_split(f: Polynomial, d: int, rng: random.Random, frobenius: _Frobenius) -> list[Polynomial]:
+def _equal_degree_split(f: Polynomial, d: int, draws, frobenius: _Frobenius) -> list[Polynomial]:
     """Monic squarefree f, all irreducible factors of degree d; frobenius is that of a multiple of f.
+
+    draws() returns the generator the random r come from; it is called only
+    when f has more than one factor to split.
 
     In odd characteristic each factor's residue field is F_(q^d), where
     r^((q^d-1)/2) = N(r)^((q-1)/2) for the norm N(r) = r * r^q * ... *
@@ -184,7 +191,8 @@ def _equal_degree_split(f: Polynomial, d: int, rng: random.Random, frobenius: _F
     field = f.field
     q = field.order
     if f.degree == d:
-        return [f.monic()]
+        return [f]
+    rng = draws()
     while True:
         r = Polynomial(field, [field.random_element(rng) for _ in range(f.degree)])
         if r.degree < 1:
@@ -204,17 +212,26 @@ def _equal_degree_split(f: Polynomial, d: int, rng: random.Random, frobenius: _F
                 norm = (norm * image) % f
             g = f.gcd(norm.pow_mod((q - 1) // 2, f) - Polynomial.one(field))
         if 0 < g.degree < f.degree:
-            left = _equal_degree_split(g.monic(), d, rng, frobenius)
-            right = _equal_degree_split(f.exact_divide(g).monic(), d, rng, frobenius)
+            left = _equal_degree_split(g, d, draws, frobenius)
+            right = _equal_degree_split(f.exact_divide(g), d, draws, frobenius)
             return left + right
 
 
-def _factor_finite(f: Polynomial, rng: random.Random) -> list[tuple[Polynomial, int, bool]]:
+def _factor_finite(f: Polynomial) -> list[tuple[Polynomial, int, bool]]:
+    """Monic f of degree 2 or more over a finite field."""
+    rng = None
+
+    def draws() -> random.Random:
+        nonlocal rng
+        if rng is None:
+            rng = random.Random(SEED)
+        return rng
+
     out = []
     for g, mult in _squarefree_finite(f):
         frobenius = _Frobenius(g)
         for h, d in _distinct_degree(g, frobenius):
-            for irr in _equal_degree_split(h, d, rng, frobenius):
+            for irr in _equal_degree_split(h, d, draws, frobenius):
                 out.append((irr, mult, True))
     out.sort(key=lambda t: t[0].sort_key())
     return out
@@ -234,7 +251,7 @@ def _yun_squarefree(f: Polynomial) -> list[tuple[Polynomial, int]]:
     while b.degree >= 1:
         step = b.gcd(c - b.derivative())
         if step.degree >= 1:
-            out.append((step.monic(), i))
+            out.append((step, i))
         b2 = b.exact_divide(step)
         c = (c - b.derivative()).exact_divide(step)
         b = b2
@@ -291,6 +308,7 @@ def _divisors(n: int) -> list[int]:
 
 
 def _factor_rational(f: Polynomial) -> list[tuple[Polynomial, int, bool]]:
+    """Monic f of degree 2 or more over Q."""
     field = f.field
     out = []
     # strip x^k
@@ -298,7 +316,7 @@ def _factor_rational(f: Polynomial) -> list[tuple[Polynomial, int, bool]]:
     if v:
         out.append((Polynomial.x(field), v, True))
         f = Polynomial(field, f.coeffs[v:])
-    for g, mult in _yun_squarefree(f.monic()):
+    for g, mult in _yun_squarefree(f):
         remaining = g
         for root in _rational_roots(g):
             lin = Polynomial(field, [-root, 1])
@@ -308,7 +326,7 @@ def _factor_rational(f: Polynomial) -> list[tuple[Polynomial, int, bool]]:
                 remaining = q
         if remaining.degree >= 1:
             # no rational roots left: certified irreducible up to cubics
-            out.append((remaining.monic(), mult, remaining.degree <= 3))
+            out.append((remaining, mult, remaining.degree <= 3))
     out.sort(key=lambda t: t[0].sort_key())
     return out
 
@@ -324,9 +342,10 @@ def poly_factor(f: Polynomial) -> Factorization:
         raise DomainError(f"cannot factor degree {monic.degree}: the budget is degree {DEGREE_BUDGET}")
     if monic.degree == 0:
         return Factorization(field, lead, ())
+    if monic.degree == 1:
+        return Factorization(field, lead, ((monic, 1, True),))
     if isinstance(field, (PrimeField, ExtensionField)):
-        rng = random.Random(SEED)
-        factors = _factor_finite(monic, rng)
+        factors = _factor_finite(monic)
     elif isinstance(field, RationalField):
         factors = _factor_rational(monic)
     else:

@@ -5,13 +5,14 @@ tests compare it against live here: tuple-format extension fields,
 expanding a factorization back into what it factors, comparing truncated
 series, the whole loop-matrix product, the norm/determinant
 compatibility of block matrices, the block trace read cell by cell, the
-derivative of a loop matrix, adele orthogonality over a list of test
-functions, the schoolbook loops of the packed and in-place F_p kernels,
-the row-by-row Frobenius matrix, the generic extended Euclid, the
-printers and generic divisions that boxed elements and formed a fresh
-quotient per step, Miller-Rabin to all 14 bases, the earlier series arithmetic on dicts of
-elements, Contou-Carrère loops and tokenizer, and random series,
-operators and factored rational functions.
+derivatives of a rational function and of a loop matrix, adele
+orthogonality over a list of test functions, the schoolbook loops of the
+packed and in-place F_p kernels, the row-by-row Frobenius matrix, the
+generic extended Euclid, the finite-field factoring chain that normalized
+every stage, the printers and generic divisions that boxed elements and
+formed a fresh quotient per step, Miller-Rabin to all 14 bases, the
+earlier series arithmetic on dicts of elements, Contou-Carrère loops and
+tokenizer, and random series, operators and factored rational functions.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 from unittest import mock
 
-from reciprocity import laurent, symbols
+from reciprocity import factor, laurent, symbols
 from reciprocity._kernels import generic, pure
 from reciprocity.artinian import ArtinianAlgebra
 from reciprocity.blockops import BlockOperator
@@ -48,6 +49,11 @@ from reciprocity.symbols import LoopMatrix
 def rational_x(field: BaseField) -> RationalFunction:
     """The rational function x."""
     return RationalFunction(field, Polynomial.x(field))
+
+
+def rational_derivative(f: RationalFunction) -> RationalFunction:
+    """df/dx, reduced: (num' den - num den') / den^2."""
+    return RationalFunction(f.field, f.num.derivative() * f.den - f.num * f.den.derivative(), f.den * f.den)
 
 
 def evaluate(poly: Polynomial, x) -> AlgebraElement:
@@ -509,6 +515,112 @@ def earlier_powmod(a: list, e: int, m: list, ring) -> list:
         if bit == "1":
             result = earlier_divmod_poly(generic.mul(result, base, ring), m, ring)[1]
     return result
+
+
+# -- the finite-field factoring chain before one normalization per factorization ---
+# ``poly_factor`` makes f monic once, returns a linear polynomial as its own
+# factor and seeds its generator at the first split that draws; this is the
+# chain it replaced, which seeds up front, runs every degree through all three
+# stages and makes monic again what already is.
+
+
+def earlier_poly_factor(f: Polynomial, rng: random.Random | None = None) -> Factorization:
+    """f over a finite field factored by the earlier chain; rng defaults to a fresh one at ``factor.SEED``."""
+    field = f.field
+    lead = f.leading_coefficient()
+    monic = f.monic()
+    if monic.degree == 0:
+        return Factorization(field, lead, ())
+    if rng is None:
+        rng = random.Random(factor.SEED)
+    out = []
+    for g, mult in _earlier_squarefree(monic):
+        frobenius = factor._Frobenius(g)
+        for h, d in _earlier_distinct_degree(g, frobenius):
+            for irr in _earlier_equal_degree_split(h, d, rng, frobenius):
+                out.append((irr, mult, True))
+    out.sort(key=lambda t: t[0].sort_key())
+    return Factorization(field, lead, tuple(out))
+
+
+def _earlier_squarefree(f: Polynomial) -> list[tuple[Polynomial, int]]:
+    field = f.field
+    p = field.characteristic
+    out: dict[int, Polynomial] = {}
+
+    def accumulate(g: Polynomial, mult: int):
+        if g.degree >= 1:
+            out[mult] = out.get(mult, Polynomial.one(field)) * g
+
+    def pth_root(g: Polynomial) -> Polynomial:
+        return Polynomial(field, [factor._frobenius_root(g.coefficient(i), field) for i in range(0, g.degree + 1, p)])
+
+    def helper(f: Polynomial, outer: int):
+        d = f.derivative()
+        if d.is_zero():
+            helper(pth_root(f), outer * p)
+            return
+        c = f.gcd(d)
+        if c.degree == 0:
+            accumulate(f, outer)
+            return
+        w = f.exact_divide(c)
+        i = 1
+        while w.degree >= 1:
+            y = w.gcd(c)
+            accumulate(w.exact_divide(y), i * outer)
+            w = y
+            c = c.exact_divide(y)
+            i += 1
+        if c.degree >= 1:
+            helper(pth_root(c), outer * p)
+
+    helper(f.monic(), 1)
+    return [(out[mult].monic(), mult) for mult in sorted(out)]
+
+
+def _earlier_distinct_degree(f: Polynomial, frobenius) -> list[tuple[Polynomial, int]]:
+    x = Polynomial.x(f.field)
+    out, h, d, rest = [], None, 0, f
+    while rest.degree > 2 * (d + 1) - 1:
+        d += 1
+        h = frobenius.xq() if h is None else frobenius(h)
+        g = rest.gcd(h - x)
+        if g.degree >= 1:
+            out.append((g.monic(), d))
+            rest = rest.exact_divide(g)
+    if rest.degree >= 1:
+        out.append((rest.monic(), rest.degree))
+    return out
+
+
+def _earlier_equal_degree_split(f: Polynomial, d: int, rng: random.Random, frobenius) -> list[Polynomial]:
+    field = f.field
+    q = field.order
+    if f.degree == d:
+        return [f.monic()]
+    while True:
+        r = Polynomial(field, [field.random_element(rng) for _ in range(f.degree)])
+        if r.degree < 1:
+            continue
+        if field.characteristic == 2:
+            m = field.degree if isinstance(field, ExtensionField) else 1
+            t = Polynomial.zero(field)
+            power_ = r % f
+            for _ in range(m * d):
+                t = (t + power_) % f
+                power_ = (power_ * power_) % f
+            g = f.gcd(t)
+        else:
+            norm = image = r
+            for _ in range(d - 1):
+                image = frobenius(image) % f
+                norm = (norm * image) % f
+            g = f.gcd(norm.pow_mod((q - 1) // 2, f) - Polynomial.one(field))
+        if 0 < g.degree < f.degree:
+            left = _earlier_equal_degree_split(g.monic(), d, rng, frobenius)
+            right = _earlier_equal_degree_split(f.exact_divide(g).monic(), d, rng, frobenius)
+            return left + right
 
 
 # -- the Contou-Carrère loops the symbol replaced ---------------------------------

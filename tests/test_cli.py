@@ -286,14 +286,20 @@ def test_a_sweep_over_q_reproduces_with_declared_factors(monkeypatch, capsys, mo
 
 
 def test_a_divisor_of_nonzero_degree_is_a_failed_instance(monkeypatch, capsys):
-    """The degree check fails its instance and prints its reproducer; it raises nothing."""
+    """The degree check fails its instance and prints its reproducer, the sweep that ends at it; it raises nothing."""
     monkeypatch.setattr(curve.Divisor, "degree", property(lambda self: 1))
-    argv = ["sweep", "--field", "F7", "--count", "2", "--mode", "wrl", "--max-degree", "2"]
+    argv = ["sweep", "--field", "F7", "--count", "2", "--mode", "wrl", "--max-degree", "2", "--seed", "4"]
     assert cli.main([*argv, "--json"]) == cli.EXIT_VIOLATION
     failures = json.loads(capsys.readouterr().out)["failures"]
     assert [(r["divisor_degree_zero"], r["wrl"]) for r in failures] == [(False, True)] * 2
     assert cli.main(argv) == cli.EXIT_VIOLATION
-    assert [words[1] for words in reproducers(capsys, 2)] == ["verify-wrl"] * 2
+    commands = reproducers(capsys, 2)
+    for index, words in enumerate(commands):
+        assert words == ["reciprocity", "sweep", "--field", "F7", "--seed", "4", "--count", str(index + 1),
+                         "--max-degree", "2", "--mode", "wrl"]
+    # rerun, the command fails again, and its last instance is the one that failed
+    assert cli.main([*commands[1][1:], "--json"]) == cli.EXIT_VIOLATION
+    assert json.loads(capsys.readouterr().out)["failures"][-1] == failures[1]
 
 
 @pytest.mark.parametrize("field", ["Q", "F7", "F9"])

@@ -1,13 +1,16 @@
 import json
 import math
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reciprocity.cli import main as cli_main
-from reciprocity.corpus import random_rational_pair
+from reciprocity.corpus import random_irreducible, random_rational_pair
 from reciprocity.curve import (
     AdeleVector,
+    Differential,
     Place,
     RationalFunction,
     _divide_out,
@@ -29,7 +32,12 @@ from reciprocity.fields import QQ, ExtensionField, PrimeField, find_irreducible,
 from reciprocity.laurent import LaurentSeries
 from reciprocity.poly import Polynomial
 from reciprocity.symbols import residue_coefficient
-from support import agrees_with, random_factored_rational, rational_x, sigma_perp_forward
+from support import agrees_with, random_factored_rational, rational_derivative, rational_x, sigma_perp_forward
+
+
+def h_dx(h):
+    """h dx, the differential whose residues are those of h."""
+    return Differential(h, rational_x(h.field))
 
 
 def rf(field, num_ints, den_ints=(1,)):
@@ -227,9 +235,9 @@ class TestResidueTheorem:
     def test_trace_residue_examples(self, Q):
         x = rational_x(Q)
         one = RationalFunction.constant(Q, 1)
-        h = one / x
-        assert trace_residue_at_place(h, Place.finite(Polynomial.x(Q))) == 1
-        assert trace_residue_at_place(h, Place.infinity(Q)) == -1
+        omega = Differential(one / x, x)
+        assert trace_residue_at_place(omega, Place.finite(Polynomial.x(Q))) == 1
+        assert trace_residue_at_place(omega, Place.infinity(Q)) == -1
 
     def test_random(self, rng, F5, F7):
         for field in (F5, F7):
@@ -249,18 +257,18 @@ class TestResidueTheorem:
         z_series = LaurentSeries(F5, {1: 1})
         for _ in range(20):
             f, g = random_rational_pair(rng, F5, 4)
-            h = f * g.derivative()
+            h = f * rational_derivative(g)
             for place in relevant_places(f, g):
                 if place.is_infinite or place.degree != 1:
                     continue
-                direct = trace_residue_at_place(h, place)
+                direct = trace_residue_at_place(Differential(f, g), place)
                 exp = local_expansion(h, place, 2)
                 assert residue_coefficient(exp, z_series, F5) == direct
 
     def test_precision_independence(self, rng, F5):
         for _ in range(10):
             f, g = random_rational_pair(rng, F5, 4)
-            h = f * g.derivative()
+            h = f * rational_derivative(g)
             for place in relevant_places(f, g):
                 if place.degree != 1 and not place.is_infinite:
                     continue
@@ -279,11 +287,11 @@ class TestBaseChangeOracle:
         field = PrimeField(p)
         for _ in range(10):
             f, g = random_rational_pair(rng, field, 4)
-            h = f * g.derivative()
+            h = f * rational_derivative(g)
             for place in relevant_places(f, g):
                 if place.is_infinite or place.degree == 1:
                     continue
-                base_value = trace_residue_at_place(h, place)
+                base_value = trace_residue_at_place(Differential(f, g), place)
                 ext = ExtensionField(p, [c.data for c in place.poly.coeffs])
                 num_k = Polynomial(ext, [lift(c, ext) for c in h.num.coeffs])
                 den_k = Polynomial(ext, [lift(c, ext) for c in h.den.coeffs])
@@ -297,7 +305,7 @@ class TestBaseChangeOracle:
                 for q, mult, _ in fac:
                     assert mult == 1
                     split_place = Place.finite(q)
-                    total = total + trace_residue_at_place(h_k, split_place)
+                    total = total + trace_residue_at_place(h_dx(h_k), split_place)
                 assert total == lift(base_value, ext)
 
 
@@ -416,9 +424,9 @@ class TestGlobalGF:
         g = rf(F5, (0, 1), (1, 1))
         calls = []
 
-        def counted(h, place):
+        def counted(omega, place):
             calls.append(str(place))
-            return trace_residue_at_place(h, place)
+            return trace_residue_at_place(omega, place)
 
         monkeypatch.setattr(curve, "trace_residue_at_place", counted)
         rep = verify_gf_global(self.GF_S, self.GF_T, f, g)
@@ -550,9 +558,9 @@ class TestResidueFormula:
         seen = {"pole": 0, "no pole": 0, "higher degree": 0}
         for i in range(12):
             f, g = _random_pair(rng, field, i)
-            h = f * g.derivative()
+            h = f * rational_derivative(g)
             for place in relevant_places(f, g):
-                assert trace_residue_at_place(h, place) == reference_trace_residue(h, place), (f, g, place)
+                assert trace_residue_at_place(Differential(f, g), place) == reference_trace_residue(h, place), (f, g, place)
                 if not place.is_infinite:
                     seen["pole" if h.valuation_at(place) < 0 else "no pole"] += 1
                     seen["higher degree"] += place.degree > 1
@@ -566,20 +574,20 @@ class TestResidueFormula:
         x = Place.finite(Polynomial.x(field))
         zero = RationalFunction(field, Polynomial.zero(field))
         for place in (inf, x):
-            assert trace_residue_at_place(zero, place) == field.zero()
+            assert trace_residue_at_place(h_dx(zero), place) == field.zero()
         for _ in range(5):
             coeffs = [field.random_element(rng) for _ in range(rng.randint(1, 6))]
             h = RationalFunction(field, Polynomial(field, coeffs))
             for place in (inf, x):
-                assert trace_residue_at_place(h, place) == field.zero()
+                assert trace_residue_at_place(h_dx(h), place) == field.zero()
                 assert reference_trace_residue(h, place) == field.zero()
         # 1/x^k + x^k: residue 1 at x = 0 only for k = 1, and -1 at infinity
         for k in (1, 2, 3):
             xk = Polynomial(field, [0] * k + [1])
             h = RationalFunction(field, xk * xk + 1, xk)
             expect = field.one() if k == 1 else field.zero()
-            assert trace_residue_at_place(h, x) == expect
-            assert trace_residue_at_place(h, inf) == -expect
+            assert trace_residue_at_place(h_dx(h), x) == expect
+            assert trace_residue_at_place(h_dx(h), inf) == -expect
 
     def test_residue_theorem_builds_no_series(self, F7, monkeypatch):
         rng = random.Random("no series")
@@ -595,6 +603,81 @@ class TestResidueFormula:
             assert verify_residue_theorem(f, g).verified
 
 
+DIFFERENTIAL_FIELDS = {**{k: RESIDUE_FIELDS[k] for k in ("Q", "F7", "F9", "F2^31-1", "F256")}, "F101": PrimeField(101)}
+
+
+@lru_cache(maxsize=None)
+def place_pool(key):
+    """Monic irreducibles of degree 1, 2 and 3 over a field of DIFFERENTIAL_FIELDS: (linear, higher)."""
+    field = DIFFERENTIAL_FIELDS[key]
+    if field is QQ:
+        higher = [[1, 0, 1], [2, 0, 1], [1, 1, 1], [-2, 0, 0, 1], [1, 1, 0, 1]]
+        return ([Polynomial(QQ, [-a, 1]) for a in (0, 1, -1, 2, -3)],
+                [Polynomial(QQ, c) for c in higher])
+    rng = random.Random(f"places:{key}")
+    pools = []
+    for degree, size in ((1, 5), (2, 2), (3, 2)):
+        found = set()
+        while len(found) < size:
+            found.add(random_irreducible(rng, field, degree))
+        pools.append(sorted(found, key=Polynomial.sort_key))
+    return pools[0], pools[1] + pools[2]
+
+
+def without_cache(f):
+    return RationalFunction(f.field, f.num, f.den)
+
+
+class TestDifferentialResidues:
+    """trace_residue_at_place against the series and principal-part routes of the reduced f g'."""
+
+    @pytest.mark.parametrize("key", DIFFERENTIAL_FIELDS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_reference_of_the_reduced_product(self, key, data):
+        field = DIFFERENTIAL_FIELDS[key]
+        linear, higher = place_pool(key)
+        # four places, each with its own role, and one more of either kind
+        shared, double = data.draw(st.lists(st.sampled_from(linear + higher), min_size=2, max_size=2, unique=True))
+        rest = [p for p in linear + higher if p not in (shared, double)]
+        high = data.draw(st.sampled_from([p for p in higher if p in rest]))
+        zero = data.draw(st.sampled_from([p for p in rest if p != high]))
+        spare = data.draw(st.lists(st.sampled_from([p for p in rest if p not in (high, zero)]), max_size=1))
+        pole, any_exp = st.integers(-2, -1), st.integers(-2, 2)
+        f_exps = {shared: data.draw(pole), double: -2, high: data.draw(st.sampled_from([-2, -1, 1, 2])),
+                  zero: data.draw(st.integers(1, 2))}
+        g_exps = {shared: data.draw(pole), double: data.draw(any_exp), high: data.draw(any_exp),
+                  zero: data.draw(st.integers(0, 2))}
+        for p in spare:
+            f_exps[p], g_exps[p] = data.draw(any_exp), data.draw(any_exp)
+        leads = st.integers(1, 6).map(lambda i: field.one() * field.from_int(i)).filter(lambda c: not c.is_zero())
+        f = RationalFunction.from_factored(field, data.draw(leads), f_exps.items())
+        g = (rational_x(field) if data.draw(st.booleans(), label="g = x")
+             else RationalFunction.from_factored(field, data.draw(leads), g_exps.items()))
+        places = relevant_places(f, g)
+        assert Place.finite(high) in places and Place.finite(zero) in places
+        bare = data.draw(st.sampled_from(["neither", "f", "g", "both"]), label="without a factor cache")
+        omega = Differential(without_cache(f) if bare in ("f", "both") else f,
+                             without_cache(g) if bare in ("g", "both") else g)
+        h = f * rational_derivative(g)
+        for place in places:
+            assert trace_residue_at_place(omega, place) == reference_trace_residue(h, place), (f, g, place)
+
+    def test_a_place_that_is_a_pole_of_neither_divides_nothing(self, F7, monkeypatch):
+        x = Polynomial.x(F7)
+        f = RationalFunction.from_factored(F7, 3, [(x, 2), (x + 1, -1), (x**2 + 1, 1)])
+        g = RationalFunction.from_factored(F7, 2, [(x + 2, -2), (x**2 + x + 3, 1)])
+        omega = Differential(f, g)
+        divisions = []
+        divmod_ = Polynomial.__divmod__
+        monkeypatch.setattr(Polynomial, "__divmod__", lambda a, b: divisions.append(b) or divmod_(a, b))
+        values = {str(place): trace_residue_at_place(omega, place) for place in relevant_places(f, g)}
+        # den / P^(a + 2b) at the pole (x + 1) of f and the double pole (x + 2) of g; none at the zeros
+        assert divisions == [x + 1, (x + 2) ** 4]
+        assert values["(x)"] == values["(x^2 + 1)"] == values["(x^2 + x + 3)"] == F7.zero()
+        assert sum(values.values(), F7.zero()) == F7.zero()
+
+
 class TestExactExpansionPrecision:
     @pytest.mark.parametrize("key", ["Q", "F7", "F9", "F2^31-1"])
     def test_equals_a_margin_of_sixteen_truncated(self, key):
@@ -603,7 +686,7 @@ class TestExactExpansionPrecision:
         kinds = set()
         for i in range(12):
             f, g = _random_pair(rng, field, i)
-            for fn in (f, g, f * g.derivative(), f / g):
+            for fn in (f, g, f * rational_derivative(g), f / g):
                 for place in relevant_places(f, g):
                     if place.degree != 1:
                         continue
@@ -637,6 +720,34 @@ class TestPlaceOrder:
         assert [p for p, _ in f.factors] == [x, x + 2, x + 10, x**2 + 2]
         assert RationalFunction(F101, f.num, f.den).factor_pairs() == f.factors
         assert (f * f).factors == tuple((p, 2 * e) for p, e in f.factors)
+
+
+class TestFromFactored:
+    def test_certified_factors_take_no_gcd(self, Q, F7, monkeypatch):
+        import reciprocity.curve as curve
+
+        gcds = []
+        gcd = Polynomial.gcd
+        monkeypatch.setattr(Polynomial, "gcd", lambda a, b: gcds.append((a, b)) or gcd(a, b))
+        monkeypatch.setattr(curve, "is_irreducible", lambda p: True)  # every claim proved, by no gcd
+        built = {}
+        for field in (Q, F7):
+            x = Polynomial.x(field)
+            pairs = [(x, 2), (x + 1, -1), (x**2 + 1, -2), (x**3 + x + 1, 1)]
+            built[field] = RationalFunction.from_factored(field, 3, pairs)
+        assert gcds == []
+        monkeypatch.undo()
+        for field, f in built.items():
+            x = Polynomial.x(field)
+            assert (f.num, f.den) == (x**2 * (x**3 + x + 1) * field.from_int(3), (x + 1) * (x**2 + 1) ** 2)
+            assert not f.trusted and f == RationalFunction(field, f.num, f.den)
+
+    def test_trusted_factors_that_share_a_factor_are_reduced(self, Q):
+        x = Polynomial.x(Q)
+        # two quartics without rational roots: unproved claims, both divisible by x^2 + 1
+        p1, p2 = (x**2 + 1) * (x**2 + 2), (x**2 + 1) * (x**2 + 3)
+        f = RationalFunction.from_factored(Q, 2, [(p1, 1), (p2, -1)])
+        assert f.trusted and (f.num, f.den) == (2 * (x**2 + 2), x**2 + 3)
 
 
 class TestUncertifiedFactors:

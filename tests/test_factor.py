@@ -1,13 +1,16 @@
 import random
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reciprocity import factor
 from reciprocity.errors import DomainError, FactorError
 from reciprocity.factor import is_irreducible, poly_factor
 from reciprocity.fields import QQ, ExtensionField, PrimeField, _is_irreducible_mod_p, find_irreducible
 from reciprocity.poly import Polynomial
-from support import expand
+from support import earlier_poly_factor, expand
 
 
 def test_spec_examples(F5, F3, Q):
@@ -276,3 +279,92 @@ def test_factors_in_polynomial_order(F7, Q):
         f = Polynomial(field, coeffs)
         polys = [p for p, _, _ in poly_factor(f)]
         assert polys == sorted(polys, key=Polynomial.sort_key)
+
+
+# -- one normalization per factorization, against the earlier chain ------------
+
+EARLIER_FIELDS = {
+    "F2": PrimeField(2),
+    "F3": PrimeField(3),
+    "F7": PrimeField(7),
+    "F9": ExtensionField(3, [1, 0, 1]),
+    "F256": ExtensionField(2, find_irreducible(2, 8)),
+    "F101": PrimeField(101),
+    "F(2^31-1)": PrimeField(2**31 - 1),
+}
+
+
+def recording_random(draws: list, made: list):
+    """A random.Random that logs each seed it is made with and each randrange it returns."""
+
+    class Recording(random.Random):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+        def randrange(self, *args):
+            value = super().randrange(*args)
+            draws.append(value)
+            return value
+
+    return Recording
+
+
+@st.composite
+def products_with_repeated_factors(draw, field):
+    """lead * prod(part_i^m_i) of degree <= 12, with m_i in 1, 2, 3 and p: repeated factors and p-th powers."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    p = field.characteristic
+    f = Polynomial.constant(field, draw(st.sampled_from([c for c in (1, 2, 3) if c % p])))
+    for _ in range(draw(st.integers(0, 3))):
+        part = Polynomial(field, [field.random_element(rng) for _ in range(draw(st.integers(1, 5)))])
+        m = draw(st.sampled_from([1, 2, 3, p]))
+        if not part.is_zero() and f.degree + m * part.degree <= 12:
+            f = f * part**m
+    return f
+
+
+@pytest.mark.parametrize("key", EARLIER_FIELDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_the_factorization_and_its_draws_are_the_earlier_chains(key, data):
+    """Equal factorizations and equal draws; f made monic once, and the generator seeded only when a split draws."""
+    field = EARLIER_FIELDS[key]
+    f = data.draw(products_with_repeated_factors(field))
+    draws, made, monics = [], [], []
+    monic = Polynomial.monic
+    with mock.patch.object(factor, "random", SimpleNamespace(Random=recording_random(draws, made))), \
+            mock.patch.object(Polynomial, "monic", lambda self: monics.append(self) or monic(self)):
+        got = poly_factor(f)
+    earlier_draws = []
+    assert got == earlier_poly_factor(f, recording_random(earlier_draws, [])(factor.SEED)), str(f)
+    assert draws == earlier_draws
+    assert made == ([(factor.SEED,)] if draws else [])
+    assert monics == [f]
+
+
+def test_the_earlier_chain_draws_where_a_split_needs_it(F5):
+    """The draws the comparison above checks are there to check: products of equal-degree factors split."""
+    x = Polynomial.x(F5)
+    for f in ((x + 1) * (x + 2) * (x + 3), (x**2 + 2) * (x**2 + 3) * (x + 4) ** 5):
+        draws, made = [], []
+        with mock.patch.object(factor, "random", SimpleNamespace(Random=recording_random(draws, made))):
+            assert expand(poly_factor(f)) == f
+        earlier = []
+        earlier_poly_factor(f, recording_random(earlier, [])(factor.SEED))
+        assert len(draws) >= 2 * f.degree // 3 and draws == earlier and len(made) == 1
+
+
+@pytest.mark.parametrize("key", ["Q", *EARLIER_FIELDS])
+def test_a_linear_polynomial_is_its_own_factor(key, monkeypatch):
+    field = QQ if key == "Q" else EARLIER_FIELDS[key]
+    stages = ("_squarefree_finite", "_factor_rational", "_yun_squarefree", "_rational_roots")
+    for name in stages:
+        monkeypatch.setattr(factor, name, lambda *args: pytest.fail("a stage ran on a linear polynomial"))
+    for coeffs in ([0, 1], [1, 1], [field.from_int(3), field.from_int(5)]):
+        f = Polynomial(field, coeffs)
+        if f.degree != 1:
+            continue
+        fac = poly_factor(f)
+        assert fac.factors == ((f.monic(), 1, True),) and fac.lead == f.leading_coefficient()
+        assert is_irreducible(f) is True
