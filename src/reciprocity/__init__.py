@@ -18,10 +18,9 @@ Every export is called by the library itself, except these entry points:
   benchmarks;
 * ``unit_factorize``, the unit factorization s0 z^s prod(1 + s_i z^i) of a
   series over a field;
-* ``cocycle_commutator``, ``lie_cocycle_dual`` and
-  ``residue_from_dual_symbol``, which read the group commutator, the Lie
-  cocycle and the residue off the determinant central extension over dual
-  numbers, and ``Place.residue_field``;
+* ``lie_cocycle_dual`` and ``residue_from_dual_symbol``, which read the
+  Lie cocycle and the residue off the determinant central extension over
+  dual numbers, and ``Place.residue_field``;
 * ``residue_pairing_sum``, the residue pairing of a rational adele with a
   test function, whose vanishing is adele orthogonality.
 """

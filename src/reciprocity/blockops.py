@@ -8,23 +8,27 @@ the identity by contract.  An operator is stored through its four blocks
     gamma: V^- -> V^+     delta: V^+ -> V^+
 
 The determinant 2-cocycle of a pair with invertible delta blocks is
-det(delta_1 delta_2 (gamma_1 beta_2 + delta_1 delta_2)^{-1}); for commuting
-operators the central-extension commutator is the ratio of the cocycle in
-the two orders.  The additive (Lie) cocycle is tr(gamma_2 beta_1) -
-tr(gamma_1 beta_2), each trace summed term by term without forming the
-product.  The multiplication operator of a Laurent polynomial is Toeplitz:
-every row of every block is a slice of one list of its coefficients.  Its
-gamma block (z^c -> z^r, c < 0 <= r) holds the coefficient of z^(r - c),
-which is zero once r - c exceeds the degree, and its beta block is zero once
-c - r exceeds the pole order; so the nonzero cells of each sit in the corner
-triangle next to the split of the window, of side the degree for gamma and
-the pole order for beta.  An operator records both sides (``deg`` and
-``pole``); one built from a matrix records its whole window.  A trace then
-reads only the triangle both blocks can be nonzero on, and costs
-O(min(deg_2, pole_1)^2) cells however large the window.  Correctness of the
-identity-tail model is a window stability statement: all outputs are
-unchanged once the window reaches the support bounds (``support_bound``),
-which the tests assert by recomputing on larger windows.
+det(delta_1 delta_2 (gamma_1 beta_2 + delta_1 delta_2)^{-1}).  Its ratio in
+the two orders (``cocycle_commutator``) is defined for every pair in the
+cocycle domain.  For commuting operators, such as two multiplication
+operators, it is the commutator of their lifts to the determinant central
+extension; for a pair that does not commute it is only that ratio.  Over
+dual numbers it gives the Lie cocycle (``lie_cocycle_dual``).  The additive
+(Lie) cocycle is tr(gamma_2 beta_1) - tr(gamma_1 beta_2), each trace summed
+term by term without forming the product.  The multiplication operator of a
+Laurent polynomial is Toeplitz: every row of every block is a slice of one
+list of its coefficients.  Its gamma block (z^c -> z^r, c < 0 <= r) holds
+the coefficient of z^(r - c), which is zero once r - c exceeds the degree,
+and its beta block is zero once c - r exceeds the pole order; so the nonzero
+cells of each sit in the corner triangle next to the split of the window, of
+side the degree for gamma and the pole order for beta.  An operator records
+both sides (``deg`` and ``pole``); one built from bare blocks records its
+whole window.  A trace then reads only the triangle both blocks can be
+nonzero on, and costs O(min(deg_2, pole_1)^2) cells however large the
+window.  Correctness of the identity-tail model is a window stability
+statement: all outputs are unchanged once the window reaches the support
+bounds (``support_bound``), which the tests assert by recomputing on larger
+windows.
 """
 
 from __future__ import annotations
@@ -76,57 +80,6 @@ class BlockOperator:
         top = [list(ra) + list(rb) for ra, rb in zip(self.alpha, self.beta)]
         bottom = [list(rg) + list(rd) for rg, rd in zip(self.gamma, self.delta)]
         return top + bottom
-
-    @classmethod
-    def from_matrix(cls, ring, m, wneg: int, wpos: int) -> "BlockOperator":
-        alpha = [row[:wneg] for row in m[:wneg]]
-        beta = [row[wneg:] for row in m[:wneg]]
-        gamma = [row[:wneg] for row in m[wneg:]]
-        delta = [row[wneg:] for row in m[wneg:]]
-        return cls(ring, wneg, wpos, alpha, beta, gamma, delta)
-
-    def compose(self, other: "BlockOperator") -> "BlockOperator":
-        if self.window != other.window or self.ring != other.ring:
-            raise WindowError("operators live on different windows")
-        prod = mat_mul(self.assemble(), other.assemble(), self.ring)
-        return BlockOperator.from_matrix(self.ring, prod, self.wneg, self.wpos)
-
-    def band(self) -> int:
-        """Largest |row - column| exponent offset carrying a nonzero entry."""
-        m = self.assemble()
-        exps = list(range(-self.wneg, self.wpos))
-        width = 0
-        for i, row in enumerate(m):
-            for j, entry in enumerate(row):
-                if not entry.is_zero() and i != j:
-                    width = max(width, abs(exps[i] - exps[j]))
-        return width
-
-    def commutes_with(self, other: "BlockOperator") -> bool:
-        """Equality of S T and T S away from the truncation edge.
-
-        Products of window-restricted operators are only faithful where no
-        contribution escapes the window, so the comparison excludes a margin
-        of band(S) + band(T) exponents at each end.  The window must be large
-        enough to leave a nonempty core.
-        """
-        margin = self.band() + other.band()
-        exps = list(range(-self.wneg, self.wpos))
-        lo, hi = -self.wneg + margin, self.wpos - 1 - margin
-        a = self.compose(other).assemble()
-        b = other.compose(self).assemble()
-        if lo > 0 or hi < 0:
-            # dense operators leave no truncation-safe core; compare strictly
-            lo, hi = -self.wneg, self.wpos - 1
-        for i, er in enumerate(exps):
-            if er < lo or er > hi:
-                continue
-            for j, ec in enumerate(exps):
-                if ec < lo or ec > hi:
-                    continue
-                if a[i][j] != b[i][j]:
-                    return False
-        return True
 
     def lift_dual(self, target: ArtinianAlgebra, eps: AlgebraElement) -> "BlockOperator":
         """1 + eps * self, over the Artinian ring `target`."""
@@ -200,16 +153,16 @@ def cocycle_det(s1: BlockOperator, s2: BlockOperator) -> SymbolValue:
     return mat_det(mat_mul(d1d2, inv, ring), ring)
 
 
-def _commutator_ratio(s: BlockOperator, t: BlockOperator) -> SymbolValue:
-    """c(S,T)/c(T,S), the ratio of the determinant cocycle in the two orders."""
-    return cocycle_det(s, t) * cocycle_det(t, s).inverse()
-
-
 def cocycle_commutator(s: BlockOperator, t: BlockOperator) -> SymbolValue:
-    """c(S,T)/c(T,S) for commuting S, T; the central-extension commutator."""
-    if not s.commutes_with(t):
-        raise DomainError("cocycle commutator needs commuting operators")
-    return _commutator_ratio(s, t)
+    """c(S,T)/c(T,S), the ratio of the determinant cocycle in the two orders.
+
+    When S and T commute, as two multiplication operators do, this is the
+    commutator of their lifts to the determinant central extension.  For a
+    pair that does not commute it is still defined, but is no commutator.
+    ``cocycle_det`` raises ``WindowError`` for operators on different windows
+    and ``NonUnitError`` for a pair outside the cocycle domain.
+    """
+    return cocycle_det(s, t) * cocycle_det(t, s).inverse()
 
 
 def _corner_trace(gamma, beta, side: int, ring: CoefficientRing):
@@ -250,13 +203,13 @@ def lie_cocycle(s1: BlockOperator, s2: BlockOperator) -> SymbolValue:
 def lie_cocycle_dual(s1: BlockOperator, s2: BlockOperator) -> SymbolValue:
     """The same cocycle extracted from the determinant cocycle over dual numbers.
 
-    Lifts to 1 + eps_i S_i over k[e1,e2]/(e1^2,e2^2), forms the commutator
-    ratio of cocycle_det in both orders, and reads off the e1*e2 coordinate.
+    Lifts to 1 + eps_i S_i over k[e1,e2]/(e1^2,e2^2), forms their cocycle
+    ratio (``cocycle_commutator``), and reads off the e1*e2 coordinate.
     """
     ring = s1.ring
     if not isinstance(ring, BaseField):
         raise DomainError("dual-number extraction needs operators over a field")
     d = dual_numbers(ring)
     e1, e2 = d.generator(0), d.generator(1)
-    ratio = _commutator_ratio(s1.lift_dual(d, e1), s2.lift_dual(d, e2))
+    ratio = cocycle_commutator(s1.lift_dual(d, e1), s2.lift_dual(d, e2))
     return dual_coefficient(ratio, "dual commutator ratio")

@@ -41,7 +41,7 @@ def random_factored(rng: random.Random, field: BaseField, max_degree: int) -> Ra
 
 def factored_text(f: RationalFunction) -> str:
     """A function built by ``from_factored`` as the product of its factors, for ``--factored``."""
-    return "*".join([f"({f.lead})"] + [f"({p})" if e == 1 else f"({p})^{e}" for p, e in f.factors])
+    return "*".join([f"({f.num.leading_coefficient()})"] + [f"({p})" if e == 1 else f"({p})^{e}" for p, e in f.factors])
 
 
 def random_rational_pair(rng: random.Random, field: BaseField, max_degree: int = 5,

@@ -127,7 +127,7 @@ class RationalFunction:
     beyond the rational root search).
     """
 
-    __slots__ = ("field", "num", "den", "factors", "lead", "trusted")
+    __slots__ = ("field", "num", "den", "factors", "trusted")
 
     def __init__(self, field: BaseField, num: Polynomial, den: Polynomial | None = None):
         if den is None:
@@ -148,7 +148,6 @@ class RationalFunction:
         self.num = num
         self.den = den
         self.factors = None
-        self.lead = None
         self.trusted = ()
 
     @classmethod
@@ -188,7 +187,6 @@ class RationalFunction:
             out = object.__new__(cls)
             out.field, out.num, out.den = field, num, den
         out.factors = tuple(sorted(pairs, key=lambda pe: pe[0].sort_key()))
-        out.lead = lead
         out.trusted = tuple(trusted)
         return out
 
@@ -218,7 +216,6 @@ class RationalFunction:
             merged[p] = merged.get(p, 0) + flip * e
         out.factors = tuple(sorted(((p, e) for p, e in merged.items() if e),
                                    key=lambda pe: pe[0].sort_key()))
-        out.lead = self.lead * (other.lead if flip > 0 else other.lead.inverse())
         out.trusted = tuple(set(self.trusted) | set(other.trusted))
         return out
 
@@ -264,7 +261,7 @@ class RationalFunction:
     def __neg__(self):
         out = RationalFunction(self.field, -self.num, self.den)
         if self.factors is not None:
-            out.factors, out.lead, out.trusted = self.factors, -self.lead, self.trusted
+            out.factors, out.trusted = self.factors, self.trusted
         return out
 
     def __pow__(self, e: int):
@@ -273,7 +270,6 @@ class RationalFunction:
         base = self if e > 0 else RationalFunction(self.field, self.den, self.num)
         if e < 0 and self.factors is not None:
             base.factors = tuple((p, -m) for p, m in self.factors)
-            base.lead = self.lead.inverse()
             base.trusted = self.trusted
         # powering from base itself, so the factor cache carries through
         return power(base, abs(e))
@@ -322,7 +318,6 @@ class RationalFunction:
             for q, m, _ in fac:
                 pairs[q] = pairs.get(q, 0) + sign * m
         self.factors = tuple(sorted(pairs.items(), key=lambda pe: pe[0].sort_key()))
-        self.lead = self.num.leading_coefficient()
         return self.factors
 
     def valuation_at(self, place: Place) -> int:
@@ -336,16 +331,22 @@ class RationalFunction:
         return _divide_out(self.num, place.poly)[0] - _divide_out(self.den, place.poly)[0]
 
     def unit_value_at(self, place: Place, n: int) -> Polynomial:
-        """Representative of ((self / p^{v}) (P))^n in k[x]/(p) at a finite place.
+        """Representative of ((self / p^v) (P))^n in k[x]/(p) at a finite place, v = ``valuation_at``.
 
-        A negative n swaps the stripped num and den, so the class is inverted by one extended Euclid;
-        for |n| = 1 the reduced class is the value, and nothing is raised to a power.
+        The side that p divides is divided once by p^|v|, then num and den
+        are reduced mod p.  A negative n swaps them, so the class is inverted
+        by one extended Euclid; for |n| = 1 nothing is raised to a power.
         """
         if place.is_infinite:
             raise DomainError("use leading_unit_at_infinity for the infinite place")
         p = place.poly
-        num1 = _strip(self.num, p)[2]
-        den1 = _strip(self.den, p)[2]
+        v = self.valuation_at(place)
+        num, den = self.num, self.den
+        if v > 0:
+            num = num.exact_divide(p**v)
+        elif v < 0:
+            den = den.exact_divide(p ** -v)
+        num1, den1 = num % p, den % p
         if n < 0:
             num1, den1, n = den1, num1, -n
         cls = (num1 * den1.invmod(p)) % p
@@ -356,24 +357,15 @@ class RationalFunction:
         return self.num.leading_coefficient() / self.den.leading_coefficient()
 
 
-def _strip(poly: Polynomial, p: Polynomial) -> tuple[int, Polynomial, Polynomial]:
-    """(m, poly / p^m, poly / p^m mod p) for the largest m with p^m | poly.
-
-    The remainder is the one the last, failing division left.  The zero
-    polynomial gives (0, 0, 0).
-    """
-    m, r = 0, poly
+def _divide_out(poly: Polynomial, p: Polynomial) -> tuple[int, Polynomial]:
+    """(m, poly / p^m) for the largest m with p^m | poly; the zero polynomial gives m = 0."""
+    m = 0
     while poly:
         q, r = divmod(poly, p)
         if r:
             break
         m, poly = m + 1, q
-    return m, poly, r
-
-
-def _divide_out(poly: Polynomial, p: Polynomial) -> tuple[int, Polynomial]:
-    """(m, poly / p^m) for the largest m with p^m | poly; the zero polynomial gives m = 0."""
-    return _strip(poly, p)[:2]
+    return m, poly
 
 
 # -- divisors and places ------------------------------------------------------
@@ -689,8 +681,22 @@ class AdeleVector:
         self.components = comps
 
 
-def residue_pairing_sum(adele: AdeleVector, g: RationalFunction, prec: int = 8) -> AlgebraElement:
-    """sum_x tr res_x(alpha dg) for an adele with rational default."""
+def _pairing_precision(va: int, vb: int) -> int:
+    """The precision O(z^n) to expand a and b at, for va, vb at most their valuations.
+
+    The z^-1 coefficient of a db pairs a_i with b_-i, so it needs a through
+    z^-vb and b through z^-va; n serves both, and leaves a b' known to
+    z^(n - 1 + va), past z^-1.
+    """
+    return max(2, 1 - min(va, vb))
+
+
+def residue_pairing_sum(adele: AdeleVector, g: RationalFunction) -> AlgebraElement:
+    """sum_x tr res_x(alpha dg) for an adele with rational default.
+
+    At a replaced component alpha, g is expanded at ``_pairing_precision``
+    of the first exponent alpha stores and of v(g).
+    """
     f = adele.default
     field = f.field
     omega = Differential(f, g)
@@ -701,9 +707,7 @@ def residue_pairing_sum(adele: AdeleVector, g: RationalFunction, prec: int = 8) 
     for place in sorted(places, key=Place.sort_key):
         if place in adele.components:
             alpha = adele.components[place]
-            pole = max(-alpha.offset, 0)
-            need = max(prec, pole + 2)
-            g_local = local_expansion(g, place, need)
+            g_local = local_expansion(g, place, _pairing_precision(alpha.offset, g.valuation_at(place)))
             total = total + residue_coefficient(alpha, g_local, field)
         else:
             total = total + trace_residue_at_place(omega, place)
@@ -726,10 +730,8 @@ def verify_gf_global(s_matrix, t_matrix, f: RationalFunction, g: RationalFunctio
     the residue-theorem sum, whose trace residues are computed once per
     place and also feed the higher-degree contributions.
 
-    At those places f is expanded to O(z^(1 - vg)) and g to O(z^(1 - vf)),
-    with vf, vg the valuations there: the z^-1 coefficient of f dg pairs
-    f_i with g_-i, so it needs f through z^-vg and g through z^-vf.  One
-    precision max(2, 1 - min(vf, vg)) serves both.
+    At those places f and g are expanded at ``_pairing_precision`` of their
+    valuations there.
     """
     field = f.field
     s_m = _coerce_matrix(field, s_matrix)
@@ -746,9 +748,7 @@ def verify_gf_global(s_matrix, t_matrix, f: RationalFunction, g: RationalFunctio
         residue = trace_residue_at_place(omega, place)
         residue_sum = residue_sum + residue
         if place.degree == 1 or place.is_infinite:
-            vf = f.valuation_at(place)
-            vg = g.valuation_at(place)
-            need = max(2, 1 - min(vf, vg))
+            need = _pairing_precision(f.valuation_at(place), g.valuation_at(place))
             f_local = local_expansion(f, place, need)
             g_local = local_expansion(g, place, need)
             # at infinity the expansions are in t = 1/x and dg = (dg/dt) dt,

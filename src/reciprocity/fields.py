@@ -355,6 +355,16 @@ def _first_irreducible(p: int, d: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=32)
+def _is_irreducible_modulus(p: int, modulus: tuple[int, ...]) -> bool:
+    """Rabin's verdict on a monic modulus over F_p, kept per (p, modulus) as ``_log_tables`` is.
+
+    The candidate scan of ``_first_irreducible`` calls the uncached test, so
+    only the moduli that fields are built on are kept.
+    """
+    return _is_irreducible_mod_p(list(modulus), PrimeField(p))
+
+
+@lru_cache(maxsize=32)
 def _log_tables(p: int, modulus: tuple[int, ...]) -> tuple[dict, list, list]:
     """Discrete-log and Zech tables ``(log, exp, zech)`` of F_p[u]/(m).
 
@@ -388,16 +398,16 @@ def _log_tables(p: int, modulus: tuple[int, ...]) -> tuple[dict, list, list]:
 class ExtensionField(BaseField):
     """F_p[u]/(m) for monic irreducible m.
 
-    The constructor checks m, then picks the element data format from the
-    order, before anything else sees the field: with at most
-    ``TABLE_MAX_ORDER`` elements it returns a :class:`TableField`, whose data
-    is a discrete log.  A larger field is an ``ExtensionField`` itself, with a
-    tuple of ints as data: the tuple always has length deg(m), and index i
-    holds the coefficient of u^i.  Its sums are coordinate-wise, and its
-    products and inverses call the F_p kernels.  Both formats share every
-    method that converts at the boundary: ``_canonical`` gives the tuple and
-    ``_from_tuple`` takes it, so ``==``, ``hash``, printing and
-    ``coordinates`` read the same in both.
+    The constructor checks m (by Rabin's test, run once per p and m), then
+    picks the element data format from the order, before anything else sees
+    the field: with at most ``TABLE_MAX_ORDER`` elements it returns a
+    :class:`TableField`, whose data is a discrete log.  A larger field is an
+    ``ExtensionField`` itself, with a tuple of ints as data: the tuple always
+    has length deg(m), and index i holds the coefficient of u^i.  Its sums
+    are coordinate-wise, and its products and inverses call the F_p kernels.
+    Both formats share every method that converts at the boundary:
+    ``_canonical`` gives the tuple and ``_from_tuple`` takes it, so ``==``,
+    ``hash``, printing and ``coordinates`` read the same in both.
     """
 
     # the generator's name in expressions and printed elements
@@ -410,13 +420,14 @@ class ExtensionField(BaseField):
             raise ValueError("extension modulus must have degree >= 2")
         if coeffs[-1] != 1:
             raise ValueError("extension modulus must be monic")
-        if not _is_irreducible_mod_p(coeffs, base):
+        modulus = tuple(coeffs)
+        if not _is_irreducible_modulus(p, modulus):
             raise ValueError("extension modulus is not irreducible over F_p")
         if cls is ExtensionField and p ** (len(coeffs) - 1) <= TABLE_MAX_ORDER:
             cls = TableField
         self = super().__new__(cls)
         # the checked modulus, which __init__ (and TableField's tables) read
-        self.base, self.modulus, self.degree = base, tuple(coeffs), len(coeffs) - 1
+        self.base, self.modulus, self.degree = base, modulus, len(coeffs) - 1
         return self
 
     def __init__(self, p: int, modulus):

@@ -3,9 +3,9 @@
 The library keeps what its own commands call; the independent checks the
 tests compare it against live here: tuple-format extension fields,
 expanding a factorization back into what it factors, comparing truncated
-series, the whole loop-matrix product, the norm/determinant
-compatibility of block matrices, the block trace read cell by cell, the
-derivatives of a rational function and of a loop matrix, adele
+series, the whole loop-matrix and window-operator products, the
+norm/determinant compatibility of block matrices, the block trace read cell
+by cell, the derivatives of a rational function and of a loop matrix, adele
 orthogonality over a list of test functions, the schoolbook loops of the
 packed and in-place F_p kernels, the row-by-row Frobenius matrix, the
 generic extended Euclid, the finite-field factoring chain that normalized
@@ -36,6 +36,7 @@ from reciprocity.norms import (
     algebra_norm,
     mat_det,
     mat_identity,
+    mat_mul,
     multiplication_matrix,
     relative_norm,
     vector_basis,
@@ -92,6 +93,13 @@ def identity_operator(ring, wneg: int, wpos: int) -> BlockOperator:
         [[z] * wneg for _ in range(wpos)],
         mat_identity(ring, wpos),
     )
+
+
+def compose(s: BlockOperator, t: BlockOperator) -> BlockOperator:
+    """The operator S T on the window of S and T, from the product of their whole matrices."""
+    m, w = mat_mul(s.assemble(), t.assemble(), s.ring), s.wneg
+    return BlockOperator(s.ring, w, s.wpos, [r[:w] for r in m[:w]], [r[w:] for r in m[:w]],
+                         [r[:w] for r in m[w:]], [r[w:] for r in m[w:]])
 
 
 def matmul(a: LoopMatrix, b: LoopMatrix) -> LoopMatrix:

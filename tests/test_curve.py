@@ -123,6 +123,24 @@ class TestLocalExpansion:
         assert rf(F3, (0, 1)).unit_value_at(p, -3) == Polynomial.x(F3)  # x^-3 = x^-4 x = x
 
 
+def divided_unit_value(f, place):
+    """(f / P^v)(P) in k[x]/(P), with each multiplicity found by dividing until a remainder appears."""
+    p = place.poly
+    return _divide_out(f.num, p)[1] * (_divide_out(f.den, p)[1] % p).invmod(p) % p
+
+
+def both_unit_values(f, g, place):
+    """The local factor at a finite place with both unit values formed, whatever the valuations.
+
+    Valuations and unit values come from dividing by P, never from a factor cache.
+    """
+    p = place.poly
+    vf, vg = (_divide_out(h.num, p)[0] - _divide_out(h.den, p)[0] for h in (f, g))
+    cls = divided_unit_value(f, place).pow_mod(vg, p) * divided_unit_value(g, place).pow_mod(-vf, p) % p
+    value = _residue_class_norm(cls, place)
+    return -value if (vf * vg * place.degree) % 2 else value
+
+
 class TestWRL:
     def test_local_factor_examples(self, Q):
         x = rational_x(Q)
@@ -142,16 +160,8 @@ class TestWRL:
     def test_local_factor_forms_only_the_unit_values_it_raises(self, F7, monkeypatch):
         x = rational_x(F7)
         f, g = x**2 * (x + 1), x * (x + 2) / (x**2 + 1)  # x^2 + 1 is irreducible over F7
-
-        def both_unit_values(place):
-            """The local factor with both unit values formed, whatever the valuations."""
-            vf, vg, p = f.valuation_at(place), g.valuation_at(place), place.poly
-            cls = (f.unit_value_at(place, 1).pow_mod(vg, p) * g.unit_value_at(place, 1).pow_mod(-vf, p)) % p
-            value = _residue_class_norm(cls, place)
-            return -value if (vf * vg * place.degree) % 2 else value
-
         places = [place for place in relevant_places(f, g) if not place.is_infinite]
-        want = [both_unit_values(place) for place in places]
+        want = [both_unit_values(f, g, place) for place in places]
         calls = []
         unit_value_at = RationalFunction.unit_value_at
         monkeypatch.setattr(RationalFunction, "unit_value_at",
@@ -162,6 +172,33 @@ class TestWRL:
             assert wrl_local_factor(f, g, place) == value, str(place)
             formed.append((f.valuation_at(place), g.valuation_at(place), "".join(calls)))
         assert sorted(formed) == [(0, -1, "f"), (0, 1, "f"), (1, 0, "g"), (2, 1, "fg")]
+
+    @pytest.mark.parametrize("key", ["Q", "F7", "F9"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_local_factor_at_shared_places_of_high_order(self, key, data):
+        """At a degree-1 and a degree-2 place shared by f and g, each of order at least 2 in size
+        and of both signs, the local factor is the one formed by dividing until a remainder appears."""
+        field = DIFFERENTIAL_FIELDS[key]
+        linear, higher = place_pool(key)
+        lin = data.draw(st.sampled_from(linear))
+        quad = data.draw(st.sampled_from([p for p in higher if p.degree == 2]))
+        spare = data.draw(st.sampled_from([p for p in linear + higher if p not in (lin, quad)]))
+        zeros, poles, either = st.sampled_from([2, 3]), st.sampled_from([-3, -2]), st.sampled_from([-3, -2, 2, 3])
+        f_exps = {lin: data.draw(zeros), quad: data.draw(poles)}
+        g_exps = {lin: data.draw(poles), quad: data.draw(either)}
+        spare_in = f_exps if data.draw(st.booleans(), label="spare in f") else g_exps
+        spare_in[spare] = data.draw(st.sampled_from([-1, 1]))
+        leads = st.integers(1, 6).map(field.from_int).filter(lambda c: not c.is_zero())
+        f = RationalFunction.from_factored(field, data.draw(leads), f_exps.items())
+        g = RationalFunction.from_factored(field, data.draw(leads), g_exps.items())
+        places = [place for place in relevant_places(f, g) if not place.is_infinite]
+        assert {Place.finite(lin), Place.finite(quad)} <= set(places)
+        bare = data.draw(st.sampled_from(["neither", "f", "g", "both"]), label="without a factor cache")
+        ff = without_cache(f) if bare in ("f", "both") else f
+        gg = without_cache(g) if bare in ("g", "both") else g
+        for place in places:
+            assert wrl_local_factor(ff, gg, place) == both_unit_values(f, g, place), (f, g, place)
 
     def test_local_factor_inverts_each_unit_value_once(self, F7, monkeypatch):
         """A negative power swaps num and den: one invmod per unit value, no pow_mod inverts again,
@@ -349,6 +386,21 @@ class TestSigmaPerp:
         adele = AdeleVector(one / x, {at_one: LaurentSeries(Q, {-1: 1}, 8)})
         assert not sigma_perp_forward(adele, [x])
 
+    @pytest.mark.parametrize("field_name", ["Q", "F7"])
+    def test_a_deep_pole_component_pairs_to_its_coefficient(self, request, field_name):
+        """With default 1 and the component c z^-k at P, the pairing with g is res_P(c z^-k dg) = c k g_k,
+        since dg has no residues: g must be expanded far enough to reach g_k."""
+        field = request.getfixturevalue(field_name)
+        x = rational_x(field)
+        one = RationalFunction.constant(field, 1)
+        place = Place.finite(Polynomial(field, [-1, 1]))
+        c = field.from_int(3)
+        for g in (x**3 + 2 * x, x / (x - 1) ** 3, (x - 1) ** 2 / (x + 1), one / (x**2 + x + 3)):
+            for k in range(1, 6):
+                adele = AdeleVector(one, {place: LaurentSeries(field, {-k: c})})
+                g_k = local_expansion(g, place, k + 1).coefficient(k)
+                assert residue_pairing_sum(adele, g) == c * k * g_k, (g, k)
+
     def test_bad_component_places_rejected(self, F3, Q):
         deg2 = Place.finite(Polynomial(F3, [1, 0, 1]))
         with pytest.raises(DomainError):
@@ -474,7 +526,7 @@ class TestRationalPower:
             g = f**e
             assert g == plain**e
             assert g.factors == tuple((p, m * e) for p, m in f.factors)
-            assert g.lead == F5.from_int(3) ** e
+            assert g.num.leading_coefficient() == F5.from_int(3) ** e
             assert plain.factors is None and (plain**e).factors is None
 
 

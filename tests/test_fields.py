@@ -114,6 +114,23 @@ def test_extension_field_requires_irreducible():
     assert u.inverse() * u == F9.one()
 
 
+def test_rabins_test_runs_once_per_modulus(monkeypatch):
+    """Building a field twice tests its modulus once; a reducible modulus is refused every time."""
+    cases = ((3, [2, 2, 0, 1]), (2, find_irreducible(2, 8)), (101, [99, 0, 1]))  # 2 is no square mod 101
+    calls = []
+    rabin = fields._is_irreducible_mod_p
+    monkeypatch.setattr(fields, "_is_irreducible_mod_p", lambda coeffs, fp: calls.append(coeffs) or rabin(coeffs, fp))
+    fields._is_irreducible_modulus.cache_clear()
+    for p, modulus in cases:
+        assert ExtensionField(p, modulus).modulus == ExtensionField(p, modulus).modulus == tuple(modulus)
+        assert calls == [modulus]
+        calls.clear()
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            ExtensionField(3, [1, 0, 0, 1])  # x^3 + 1 = (x + 1)^3 over F3
+    assert calls == [[1, 0, 0, 1]]
+
+
 def test_find_irreducible_runs():
     for p, d in ((2, 2), (2, 3), (3, 2), (5, 3)):
         m = find_irreducible(p, d)

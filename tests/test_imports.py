@@ -91,7 +91,6 @@ REACH_ALLOWLIST = {
     # the determinant central extension over dual numbers, and the residue
     # field of a higher-degree place: the routes the residue and
     # Gelfand-Fuchs verifiers are to gain (ROADMAP items 2 and 3)
-    "cocycle_commutator",
     "lie_cocycle_dual",
     "residue_from_dual_symbol",
     "Place.residue_field",
