@@ -20,9 +20,16 @@ Every export is called by the library itself, except these entry points:
   series over a field;
 * ``lie_cocycle_dual`` and ``residue_from_dual_symbol``, which read the
   Lie cocycle and the residue off the determinant central extension over
-  dual numbers, and ``Place.residue_field``;
+  dual numbers;
 * ``residue_pairing_sum``, the residue pairing of a rational adele with a
   test function, whose vanishing is adele orthogonality.
+
+Each command is its own process, so every module-level import is paid by
+every check.  No module imports ``dataclasses``, ``typing`` or ``inspect``
+at module level (records are named tuples or classes with ``__slots__``),
+and a standard-library module used only on an error or failure path, such
+as ``traceback`` or ``shlex``, is imported there.  ``tests/test_imports.py``
+holds a fresh interpreter to this.
 """
 
 from ._kernels import BACKEND as KERNEL_BACKEND

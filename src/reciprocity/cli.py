@@ -22,9 +22,7 @@ import argparse
 import json
 import os
 import random
-import shlex
 import sys
-import traceback
 
 from . import corpus
 from .artinian import ArtinianAlgebra
@@ -294,6 +292,8 @@ def _reproducer(args, result: dict) -> str:
     divisor, so a failed divisor degree reruns the sweep up to this instance,
     which depends only on the seed and its index: it is the last one run.
     """
+    import shlex
+
     if result.get("wrl", True) and result.get("residues", True):
         return shlex.join(["reciprocity", "sweep", "--field", args.field, "--seed", str(args.seed),
                            "--count", str(result["index"] + 1), "--max-degree", str(args.max_degree),
@@ -385,6 +385,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # the boundary: report any library fault as one
+        import traceback
+
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -9,7 +9,8 @@ pole orders a of f and b of g at P, read from their factor caches; a place
 that is a pole of neither has residue zero and costs no division.  A
 base-change oracle in the tests ties that formula to the residues of the
 split places upstairs.  Laurent expansions exist at degree-1 places and
-infinity only, for the Gelfand-Fuchs cocycle and adele components;
+infinity, for the Gelfand-Fuchs cocycle and adele components, and over F_p
+at every place, with coefficients in its residue field; over Q and F_q
 higher-degree places expose the valuation and the unit value in k[x]/(p).
 
 Verifiers return a VerificationReport with one row per place and the global
@@ -18,8 +19,6 @@ product (reciprocity) or sum (residues); exactness is the contract, so
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field as dataclass_field
 
 from .errors import DomainError, FactorError, TowerError
 from .factor import is_irreducible, poly_factor
@@ -154,8 +153,10 @@ class RationalFunction:
     def from_factored(cls, field, lead, factor_exponents) -> "RationalFunction":
         """lead * prod(p_i^{e_i}); p_i distinct monic irreducible, e_i != 0.
 
-        When every factor is certified, num and den share none, so no gcd is
-        taken; an unproved (``trusted``) factor may share one with another.
+        An unproved (``trusted``) factor that shares a factor with another
+        declared one is no place of the function, so it raises
+        ``FactorError``; the declared factors are then pairwise coprime, and
+        num and den are built with no gcd.
         """
         lead = field.coerce(lead)
         if lead.is_zero():
@@ -181,11 +182,13 @@ class RationalFunction:
                 num = num * p**e
             else:
                 den = den * p ** (-e)
-        if trusted:
-            out = cls(field, num, den)
-        else:  # den is a product of monic factors, coprime to num
-            out = object.__new__(cls)
-            out.field, out.num, out.den = field, num, den
+        for p in trusted:
+            for q, _ in pairs:
+                if q != p and (shared := p.gcd(q)).degree > 0:
+                    raise FactorError(f"declared factor {p} shares the factor {shared} with {q}; split it further")
+        # pairwise coprime factors: den is monic and coprime to num, so no gcd
+        out = object.__new__(cls)
+        out.field, out.num, out.den = field, num, den
         out.factors = tuple(sorted(pairs, key=lambda pe: pe[0].sort_key()))
         out.trusted = tuple(trusted)
         return out
@@ -315,7 +318,7 @@ class RationalFunction:
                 raise FactorError(
                     f"cannot certify the factorization of {poly}; supply factored input"
                 )
-            for q, m, _ in fac:
+            for q, m, _ in fac.factors:
                 pairs[q] = pairs.get(q, 0) + sign * m
         self.factors = tuple(sorted(pairs.items(), key=lambda pe: pe[0].sort_key()))
         return self.factors
@@ -391,12 +394,19 @@ def local_expansion(f: RationalFunction, place: Place, prec: int) -> LaurentSeri
     """Laurent expansion to O(t^prec) in the local parameter t.
 
     At a degree-1 place x - a the parameter is t = x - a; at infinity it is
-    t = 1/x; higher-degree places get none.  For f = t^s num(t)/den(t) with
-    valuations vn, vd, r relative terms of 1/den give O(t^(s + vn - vd + r)),
-    so r = prec - s - vn + vd is exact.
+    t = 1/x.  At a place P of degree d > 1 over F_p the series lives over
+    K = k(P) = F_p[u]/(P): num and den are lifted to K[x], and t = x - u, a
+    degree-1 place of K(x) over P, at which the valuation is v_P because P
+    is separable; the trace from K to F_p of a residue there is the traced
+    residue at P.  Over Q and F_q such a place has no expansion.  For
+    f = t^s num(t)/den(t) with valuations vn, vd, r relative terms of 1/den
+    give O(t^(s + vn - vd + r)), so r = prec - s - vn + vd is exact.
     """
+    if place.degree > 1 and not isinstance(f.field, PrimeField):
+        raise DomainError(f"no local expansion at the place {place} of degree {place.degree} over "
+                          f"{f.field!r}: residue fields of higher-degree places exist over prime fields only")
     if f.is_zero():
-        return LaurentSeries.zero(f.field, prec)
+        return LaurentSeries.zero(place.residue_field, prec)
     if place.is_infinite:
         # f(1/t) = t^s rev(num)(t) / rev(den)(t)
         num_t, den_t = f.num.reversed_coeffs(), f.den.reversed_coeffs()
@@ -406,13 +416,13 @@ def local_expansion(f: RationalFunction, place: Place, prec: int) -> LaurentSeri
         num_t, den_t = f.num.shift(a), f.den.shift(a)
         s = 0
     else:
-        raise DomainError(
-            "digit expansions exist only at degree-1 places and infinity; "
-            "higher-degree places expose valuation and unit value instead"
-        )
+        k = place.residue_field  # Polynomial(k, ...) lifts each coefficient by k.coerce
+        theta = k.generator()
+        num_t, den_t = Polynomial(k, f.num.coeffs).shift(theta), Polynomial(k, f.den.coeffs).shift(theta)
+        s = 0
     vn, vd = num_t.valuation_at_zero(), den_t.valuation_at_zero()
-    num_s = LaurentSeries._from_raw(f.field, 0, num_t._data)
-    den_s = LaurentSeries._from_raw(f.field, 0, den_t._data)
+    num_s = LaurentSeries._from_raw(num_t.field, 0, num_t._data)
+    den_s = LaurentSeries._from_raw(num_t.field, 0, den_t._data)
     inv = den_s.inverse(rel_prec=max(prec - s - vn + vd, 1))
     return (num_s * inv).shift(s).truncate(prec)
 
@@ -460,15 +470,17 @@ def trace_residue_at_place(omega: Differential, place: Place) -> AlgebraElement:
 # -- reports ------------------------------------------------------------------
 
 
-@dataclass
 class VerificationReport:
-    kind: str
-    input: dict
-    places: list
-    global_value: str
-    verified: bool
-    extras: dict = dataclass_field(default_factory=dict)
-    uncertified: list = dataclass_field(default_factory=list)
+    """One row per place, the global value and the verdict; ``uncertified`` lists the factor claims taken on trust."""
+
+    __slots__ = ("kind", "input", "places", "global_value", "verified", "extras", "uncertified")
+
+    def __init__(self, kind: str, input: dict, places: list, global_value: str, verified: bool,
+                 extras: dict | None = None, uncertified: list | None = None):
+        self.kind, self.input, self.places = kind, input, places
+        self.global_value, self.verified = global_value, verified
+        self.extras = {} if extras is None else extras
+        self.uncertified = [] if uncertified is None else uncertified
 
     def to_json(self) -> dict:
         out = {

@@ -31,12 +31,12 @@ field factors above degree DEGREE_BUDGET.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError, FactorError
-from .fields import AlgebraElement, BaseField, ExtensionField, PrimeField, RationalField
+from .fields import AlgebraElement, ExtensionField, PrimeField, RationalField
 from .poly import Polynomial, _from_data, _trim
 
 # seed of the randomized equal-degree splits; the output does not depend on it
@@ -49,19 +49,16 @@ DEGREE_BUDGET = 64
 ROOT_SEARCH_BOUND = 2**40
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """lead * prod(factor^multiplicity); factors monic, certified unless noted."""
+class Factorization(namedtuple("Factorization", "field lead factors")):
+    """lead * prod(factor^multiplicity); factors monic, certified unless noted.
 
-    field: BaseField
-    lead: AlgebraElement
-    factors: tuple  # of (Polynomial, int, bool certified)
+    ``factors`` is a tuple of (Polynomial, int multiplicity, bool certified).
+    """
+
+    __slots__ = ()
 
     def certified(self) -> bool:
         return all(c for _, _, c in self.factors)
-
-    def __iter__(self):
-        return iter(self.factors)
 
 
 def _frobenius_root(c: AlgebraElement, field) -> AlgebraElement:

@@ -27,7 +27,7 @@ nonzero coefficient, and it is finite because c is nilpotent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .artinian import ArtinianAlgebra
 from .errors import DomainError, NonUnitError, PrecisionError
@@ -309,15 +309,10 @@ class LaurentSeries:
 # -- unit factorization over a field -----------------------------------------
 
 
-@dataclass(frozen=True)
-class UnitFactorization:
+class UnitFactorization(namedtuple("UnitFactorization", "ring leading valuation tail prec")):
     """f = leading * z^valuation * prod_{i}(1 + tail_i z^i), up to prec."""
 
-    ring: CoefficientRing
-    leading: AlgebraElement
-    valuation: int
-    tail: tuple
-    prec: int | None
+    __slots__ = ()
 
 
 def unit_factorize(f: LaurentSeries, prec: int | None = None) -> UnitFactorization:
@@ -349,8 +344,7 @@ def unit_factorize(f: LaurentSeries, prec: int | None = None) -> UnitFactorizati
 # -- principal-unit factorization over an Artinian ring -----------------------
 
 
-@dataclass(frozen=True)
-class PrincipalUnitFactorization:
+class PrincipalUnitFactorization(namedtuple("PrincipalUnitFactorization", "ring neg pos prec neg_powers pos_powers")):
     """f = prod(1 - neg_i z^{-i}) * prod(1 - pos_i z^{i}), up to prec.
 
     Negative-exponent coefficients are nilpotent; positive ones (including
@@ -361,12 +355,7 @@ class PrincipalUnitFactorization:
     again; the z^0 factor, which no peel divides by, has ``None``.
     """
 
-    ring: ArtinianAlgebra
-    neg: tuple
-    pos: tuple
-    prec: int | None
-    neg_powers: tuple
-    pos_powers: tuple
+    __slots__ = ()
 
 
 def is_principal_unit(f: LaurentSeries) -> bool:

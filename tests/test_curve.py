@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from functools import lru_cache
 
 import pytest
@@ -14,6 +15,7 @@ from reciprocity.curve import (
     Place,
     RationalFunction,
     _divide_out,
+    _pairing_precision,
     _residue_class_norm,
     divisor_of,
     local_expansion,
@@ -107,11 +109,32 @@ class TestLocalExpansion:
         geom = local_expansion(one / (one - x), at_zero, 5)
         assert geom == LaurentSeries(Q, {i: 1 for i in range(5)}, 5)
 
-    def test_higher_degree_place_refused(self, F3):
-        h = rf(F3, (1,), (1, 0, 1))
-        p = Place.finite(Polynomial(F3, [1, 0, 1]))
-        with pytest.raises(DomainError):
-            local_expansion(h, p, 5)
+    def test_higher_degree_place_refused(self, Q, F9):
+        # over Q and F_q a place of degree > 1 has no residue field to expand in
+        for field, modulus in ((Q, [1, 0, 1]), (F9, [F9.generator(), 0, 1])):
+            p = Place.finite(Polynomial(field, modulus))
+            h = RationalFunction(field, Polynomial.one(field), p.poly)
+            with pytest.raises(DomainError, match=re.escape(f"place {p} of degree 2 over {field!r}")):
+                local_expansion(h, p, 5)
+
+    @pytest.mark.parametrize("p", [7, 101, 2**31 - 1])
+    @pytest.mark.parametrize("d", [2, 3])
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32), a=st.integers(-2, 2), b=st.integers(-2, 2))
+    def test_higher_degree_places_over_f_p_trace_to_the_residue(self, p, d, seed, a, b):
+        """At a place P of degree d over F_p the residue of the expansions in k(P), traced, is tr res_P(f dg)."""
+        field, rng = PrimeField(p), random.Random(seed)
+        place = Place.finite(random_irreducible(rng, field, d))
+        power = RationalFunction.from_factored(field, 1, [(place.poly, 1)])
+        f, g = random_rational_pair(rng, field, 3)
+        f, g = f * power**a, g * power**b
+        for q in relevant_places(f, g):
+            if q.degree == 1:
+                continue
+            need = _pairing_precision(f.valuation_at(q), g.valuation_at(q))
+            f_q, g_q = local_expansion(f, q, need), local_expansion(g, q, need)
+            assert f_q.ring == g_q.ring == q.residue_field
+            assert residue_coefficient(f_q, g_q, field) == trace_residue_at_place(Differential(f, g), q), (f, g, q)
 
     def test_valuation_and_unit_value(self, F3):
         p = Place.finite(Polynomial(F3, [1, 0, 1]))
@@ -337,9 +360,9 @@ class TestBaseChangeOracle:
                 from reciprocity.factor import poly_factor
 
                 fac = poly_factor(modulus_k)
-                assert all(q.degree == 1 for q, _, _ in fac)
+                assert all(q.degree == 1 for q, _, _ in fac.factors)
                 total = ext.zero()
-                for q, mult, _ in fac:
+                for q, mult, _ in fac.factors:
                     assert mult == 1
                     split_place = Place.finite(q)
                     total = total + trace_residue_at_place(h_dx(h_k), split_place)
@@ -794,12 +817,21 @@ class TestFromFactored:
             assert (f.num, f.den) == (x**2 * (x**3 + x + 1) * field.from_int(3), (x + 1) * (x**2 + 1) ** 2)
             assert not f.trusted and f == RationalFunction(field, f.num, f.den)
 
-    def test_trusted_factors_that_share_a_factor_are_reduced(self, Q):
+    def test_trusted_factors_that_share_a_factor_are_named(self, Q):
         x = Polynomial.x(Q)
-        # two quartics without rational roots: unproved claims, both divisible by x^2 + 1
+        # two quartics without rational roots: unproved claims, both divisible by x^2 + 1,
+        # so neither is a place of p1/p2 = (x^2 + 2)/(x^2 + 3), nor of p1 p2
         p1, p2 = (x**2 + 1) * (x**2 + 2), (x**2 + 1) * (x**2 + 3)
-        f = RationalFunction.from_factored(Q, 2, [(p1, 1), (p2, -1)])
-        assert f.trusted and (f.num, f.den) == (2 * (x**2 + 2), x**2 + 3)
+        for e in (-1, 1):
+            with pytest.raises(FactorError, match=re.escape("factor x^4 + 3*x^2 + 2 shares the factor x^2 + 1 with "
+                                                            "x^4 + 4*x^2 + 3")):
+                RationalFunction.from_factored(Q, 2, [(p1, 1), (p2, e)])
+        # the unproved claim is the one named, also when it comes after the proved x^2 + 1
+        with pytest.raises(FactorError, match=re.escape("factor x^4 + 3*x^2 + 2 shares the factor x^2 + 1 with x^2 + 1")):
+            RationalFunction.from_factored(Q, 1, [(x**2 + 1, -1), (p1, 1)])
+        # a claim that shares nothing is kept, unproved
+        f = RationalFunction.from_factored(Q, 2, [(p1, 1), (x**4 + x + 1, -2)])
+        assert f.trusted == (p1, x**4 + x + 1) and (f.num, f.den) == (2 * p1, (x**4 + x + 1) ** 2)
 
 
 class TestUncertifiedFactors:
@@ -826,6 +858,20 @@ class TestUncertifiedFactors:
         rep = verify_gf_global([[1, 0], [0, 1]], [[1, 0], [0, 2]], f, g)
         assert rep.verified, rep.text()
         assert rep.to_json()["uncertified_factors"] == ["x^4 + 1", "x^4 + x + 1", "x^5 + x + 3"]
+
+    @pytest.mark.parametrize("command, f, g", [
+        ("verify-wrl", "x-2", "(x^4+3*x^2+2)*(x^4+4*x^2+3)^-1"),
+        ("verify-residues", "(x^4+3*x^2+2)*(x^4+4*x^2+3)^-1", "x-1"),
+        ("verify-wrl", "x-2", "(x^4+3*x^2+2)*(x^4+4*x^2+3)"),
+    ])
+    def test_a_claim_that_shares_a_factor_is_named(self, capsys, command, f, g):
+        assert cli_main([command, "--field", "Q", "--factored", "-f", f, "-g", g]) == 2
+        assert "declared factor x^4 + 3*x^2 + 2 shares the factor x^2 + 1" in capsys.readouterr().err
+
+    def test_a_claim_that_shares_nothing_verifies(self, capsys):
+        assert cli_main(["verify-wrl", "--field", "Q", "--factored", "-f", "x-2", "-g", "(x^4+3*x^2+2)"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "  verified: True" in lines and "  uncertified factors: x^4 + 3*x^2 + 2" in lines
 
     def test_absent_when_every_factor_is_proved(self, capsys):
         for field in ("Q", "F7"):

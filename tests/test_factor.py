@@ -16,7 +16,7 @@ from support import earlier_poly_factor, expand
 def test_spec_examples(F5, F3, Q):
     f = Polynomial(F5, [1, 0, 1])
     fac = poly_factor(f)
-    strs = sorted(str(g) for g, _, _ in fac)
+    strs = sorted(str(g) for g, _, _ in fac.factors)
     assert strs == ["x + 2", "x + 3"]
 
     g = Polynomial(F3, [1, 0, 1])
@@ -26,7 +26,7 @@ def test_spec_examples(F5, F3, Q):
 
     h = Polynomial(Q, [-1, 0, 1])
     facq = poly_factor(h)
-    strs = sorted(str(p) for p, _, _ in facq)
+    strs = sorted(str(p) for p, _, _ in facq.factors)
     assert strs == ["x + 1", "x - 1"]
     assert facq.certified()
 
@@ -42,7 +42,7 @@ def test_multiplicities_and_lead(F5):
     fac = poly_factor(f)
     assert fac.lead == 3
     assert expand(fac) == f
-    mults = {str(p): m for p, m, _ in fac}
+    mults = {str(p): m for p, m, _ in fac.factors}
     assert mults["x + 1"] == 3
 
 
@@ -51,7 +51,7 @@ def test_char_p_pth_powers(F3):
     f = (x**3 + 2 * x + 1) ** 3  # derivative-killing inner cube
     fac = poly_factor(f)
     assert expand(fac) == f
-    assert all(m % 3 == 0 for _, m, _ in fac) or sum(m for _, m, _ in fac) >= 3
+    assert all(m % 3 == 0 for _, m, _ in fac.factors) or sum(m for _, m, _ in fac.factors) >= 3
 
 
 @pytest.mark.parametrize("field_key", ["F2", "F3", "F5", "F9", "F8"])
@@ -66,7 +66,7 @@ def test_factor_round_trip_random(field_key, request):
         fac = poly_factor(f)
         assert expand(fac) == f
         assert fac.certified()
-        for p, _, _ in fac:
+        for p, _, _ in fac.factors:
             assert p == p.monic()
             assert is_irreducible(p) is True
 
@@ -89,7 +89,7 @@ def test_rational_root_fractions(Q):
     f = (2 * x - 1) * (3 * x + 2)
     fac = poly_factor(f)
     assert expand(fac) == f
-    assert all(c for _, _, c in fac)
+    assert all(c for _, _, c in fac.factors)
     assert len(fac.factors) == 2
 
 
@@ -107,7 +107,7 @@ def test_factor_deterministic_with_seed(F5):
     f = Polynomial(F5, [2, 3, 0, 1, 4, 1])
     c = poly_factor(f)  # the seed is fixed
     d = poly_factor(f)
-    assert [(str(p), m) for p, m, _ in c] == [(str(p), m) for p, m, _ in d]
+    assert [(str(p), m) for p, m, _ in c.factors] == [(str(p), m) for p, m, _ in d.factors]
 
 
 def test_factor_over_extension_field(F9):
@@ -117,7 +117,7 @@ def test_factor_over_extension_field(F9):
     assert len(fac.factors) == 2
     assert expand(fac) == f
     u = F9.generator()
-    roots = sorted(str(-p.coefficient(0)) for p, _, _ in fac)
+    roots = sorted(str(-p.coefficient(0)) for p, _, _ in fac.factors)
     assert roots == sorted([str(u), str(-u)])
 
 
@@ -223,7 +223,7 @@ def test_products_of_equal_degree_irreducibles_factor_back(p, d):
         f = Polynomial.one(field)
         for g in polys:
             f = f * g
-        assert [(g, m, c) for g, m, c in poly_factor(f)] == [(g, 1, True) for g in polys]
+        assert [(g, m, c) for g, m, c in poly_factor(f).factors] == [(g, 1, True) for g in polys]
 
 
 def test_equal_degree_split_powers_only_to_half_of_q_minus_1(F5, monkeypatch):
@@ -269,7 +269,7 @@ def test_rational_root_search_bound(Q):
             poly_factor(Polynomial(Q, coeffs))
     # a linear polynomial needs no search, whatever its size
     linear = Polynomial(Q, [-3 * 10**30, 7])
-    assert [(p, m) for p, m, _ in poly_factor(linear * linear)] == [(linear.monic(), 2)]
+    assert [(p, m) for p, m, _ in poly_factor(linear * linear).factors] == [(linear.monic(), 2)]
     # a declared factor the root search cannot reach stays an unproved claim
     assert is_irreducible(Polynomial(Q, [-2 * 10**24, 0, 1])) is None
 
@@ -277,7 +277,7 @@ def test_rational_root_search_bound(Q):
 def test_factors_in_polynomial_order(F7, Q):
     for field, coeffs in ((F7, [6, 0, 0, 1, 0, 0, 0, 0, 1]), (Q, [-6, 11, -6, 1, 0, 1])):
         f = Polynomial(field, coeffs)
-        polys = [p for p, _, _ in poly_factor(f)]
+        polys = [p for p, _, _ in poly_factor(f).factors]
         assert polys == sorted(polys, key=Polynomial.sort_key)
 
 

@@ -23,11 +23,17 @@ public name that ``_kernels/__init__.py`` binds must be read by a library
 module outside ``_kernels``, as an attribute of ``kernels``, ``_kernels`` or
 a ``.kernels`` attribute (``field.kernels.mul``), or by a ``from ._kernels
 import``.  A name the kernels only use among themselves does not count.
+
+The fourth check is the cold start: a fresh isolated interpreter that
+imports the package, its parser and its CLI loads none of the modules in
+``COLD_START_FORBIDDEN`` beyond those its own start-up had loaded.
 """
 
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -88,12 +94,10 @@ REACH_ALLOWLIST = {
     "KERNEL_BACKEND",
     # bench/tracing.py LAYERS wraps it by name
     "unit_factorize",
-    # the determinant central extension over dual numbers, and the residue
-    # field of a higher-degree place: the routes the residue and
-    # Gelfand-Fuchs verifiers are to gain (ROADMAP items 2 and 3)
+    # the determinant central extension over dual numbers: the routes the
+    # residue and Gelfand-Fuchs verifiers are to gain (ROADMAP items 2 and 3)
     "lie_cocycle_dual",
     "residue_from_dual_symbol",
-    "Place.residue_field",
     # adele orthogonality, the north-star global law, until a command runs it
     "residue_pairing_sum",
 }
@@ -317,3 +321,29 @@ def test_the_check_sees_an_unread_kernel_export(tmp_path):
         "    return field.kernels.add(1), _kernels.mul(2), other.eval_at(3), xgcd\n"
     )
     assert unread_kernel_exports(pkg) == {"eval_at", "xgcd"}
+
+
+# Modules no cold import may load: dataclasses loads inspect, ast and dis and
+# generates code per record; typing and inspect are as costly; traceback, whose
+# linecache loads tokenize, belongs on the error path only.
+COLD_START_FORBIDDEN = {"dataclasses", "inspect", "ast", "dis", "typing", "tokenize", "linecache"}
+
+
+def cold_imports(path: Path, statement: str) -> set[str]:
+    """Modules that a fresh ``-I`` interpreter, with path first on sys.path, loads to run statement."""
+    code = (f"import sys\nbefore = set(sys.modules)\nsys.path.insert(0, {str(path)!r})\n{statement}\n"
+            "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True, timeout=60)
+    return set(proc.stdout.split())
+
+
+def test_a_cold_import_loads_none_of_the_forbidden_modules():
+    loaded = cold_imports(SRC.parent, "import reciprocity, reciprocity.parsing, reciprocity.cli")
+    assert "reciprocity.cli" in loaded
+    assert not loaded & COLD_START_FORBIDDEN, sorted(loaded & COLD_START_FORBIDDEN)
+
+
+def test_the_cold_start_check_sees_a_planted_import(tmp_path):
+    (tmp_path / "planted").mkdir()
+    (tmp_path / "planted" / "__init__.py").write_text("import dataclasses\n")
+    assert {"dataclasses", "inspect"} <= cold_imports(tmp_path, "import planted") & COLD_START_FORBIDDEN
