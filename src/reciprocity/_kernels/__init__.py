@@ -19,15 +19,15 @@ The F_p contract, which ``pure`` and ``_core`` meet alike:
   reads it as its normalized list, so ``divmod_poly([1, 0], [1], p)`` is
   ``([1], [])``; ``neg`` maps each entry and keeps the length.
 - A zero divisor or modulus raises ``ZeroDivisionError``, and so does an
-  inverse that does not exist (``invmod``, ``powmod`` with e < 0,
-  ``mat_inv``).  ``invmod(a, [], p)`` is the inverse of a constant a.
+  inverse that does not exist (``invmod``, ``powmod`` with e < 0).
+  ``invmod(a, [], p)`` is the inverse of a constant a.
 - ``rem(a, m, p)`` is ``divmod_poly(a, m, p)[1]``, reduced in place with
   no quotient formed.
 - ``frobenius_matrix(m, q, p)`` returns the deg m rows x^(q*i) mod m,
   i < deg m, each padded with zeros to deg m entries, for q >= 1; row 1 is
   x^q mod m.  A q below 1 raises ``ValueError``.
-- ``mat_det`` and ``mat_inv`` take their entries mod p; the other kernels
-  assume entries in [0, p), which ``_core`` checks and ``pure`` does not.
+- ``mat_det`` takes its entries mod p; the other kernels assume entries
+  in [0, p), which ``_core`` checks and ``pure`` does not.
 """
 
 from __future__ import annotations
@@ -57,4 +57,3 @@ powmod = _impl.powmod
 frobenius_matrix = _impl.frobenius_matrix
 mat_mul = _impl.mat_mul
 mat_det = _impl.mat_det
-mat_inv = _impl.mat_inv

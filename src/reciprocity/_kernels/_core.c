@@ -12,7 +12,7 @@
    A p outside [2, PMAX] is a ValueError: PrimeField hands larger primes to
    pure.  An argument that is not a list is a TypeError.  A coefficient must
    be an int (TypeError) that fits an int64 (OverflowError) and lies in
-   [0, p) (ValueError); mat_det and mat_inv take their entries mod p.
+   [0, p) (ValueError); mat_det takes its entries mod p.
 
    Build: python setup.py build_ext --inplace */
 
@@ -161,15 +161,15 @@ to_list(const i64 *buf, Py_ssize_t n)
     return out;
 }
 
-/* The n x m matrix in buf, row i at buf + i*stride, as a list of row lists. */
+/* The n x m matrix in buf, row by row, as a list of row lists. */
 static PyObject *
-to_matrix(const i64 *buf, Py_ssize_t n, Py_ssize_t m, Py_ssize_t stride)
+to_matrix(const i64 *buf, Py_ssize_t n, Py_ssize_t m)
 {
     Py_ssize_t i;
     PyObject *out = PyList_New(n);
 
     for (i = 0; out && i < n; i++) {
-        PyObject *row = to_list(buf + i * stride, m);
+        PyObject *row = to_list(buf + i * m, m);
         if (!row)
             Py_CLEAR(out);
         else
@@ -708,7 +708,7 @@ k_frobenius_matrix(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t 
                 rows[i * n + j] = 0;
         }
     }
-    result = to_matrix(rows, n, n, n);
+    result = to_matrix(rows, n, n);
 done:
     PyMem_Free(buf);
     Py_DECREF(qbytes);
@@ -741,42 +741,42 @@ k_mat_mul(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
                 for (j = 0; j < m; j++)
                     out[i * m + j] = (out[i * m + j] + c * b[t * m + j]) % p;
         }
-    result = to_matrix(out, n, m, m);
+    result = to_matrix(out, n, m);
 done:
     PyMem_Free(buf);
     return result;
 }
 
-/* In the n x w matrix buf, the first row from col on with a nonzero entry
+/* In the n x n matrix buf, the first row from col on with a nonzero entry
    in column col, swapped into row col; -1 when there is none. */
 static Py_ssize_t
-find_pivot(i64 *buf, Py_ssize_t n, Py_ssize_t w, Py_ssize_t col)
+find_pivot(i64 *buf, Py_ssize_t n, Py_ssize_t col)
 {
     Py_ssize_t r, j;
 
     for (r = col; r < n; r++)
-        if (buf[r * w + col])
+        if (buf[r * n + col])
             break;
     if (r == n)
         return -1;
     if (r != col)
-        for (j = 0; j < w; j++) {
-            i64 x = buf[col * w + j];
-            buf[col * w + j] = buf[r * w + j];
-            buf[r * w + j] = x;
+        for (j = 0; j < n; j++) {
+            i64 x = buf[col * n + j];
+            buf[col * n + j] = buf[r * n + j];
+            buf[r * n + j] = x;
         }
     return r;
 }
 
-/* Row r -= f * row col over the columns from j0 on, in the n x w matrix buf. */
+/* Row r -= f * row col over the columns from col on, in the n x n matrix buf. */
 static void
-eliminate(i64 *buf, Py_ssize_t w, Py_ssize_t r, Py_ssize_t col, Py_ssize_t j0, i64 f, i64 p)
+eliminate(i64 *buf, Py_ssize_t n, Py_ssize_t r, Py_ssize_t col, i64 f, i64 p)
 {
     Py_ssize_t j;
 
-    for (j = j0; j < w; j++) {
-        i64 x = (buf[r * w + j] - f * buf[col * w + j]) % p;
-        buf[r * w + j] = x < 0 ? x + p : x;
+    for (j = col; j < n; j++) {
+        i64 x = (buf[r * n + j] - f * buf[col * n + j]) % p;
+        buf[r * n + j] = x < 0 ? x + p : x;
     }
 }
 
@@ -794,7 +794,7 @@ k_mat_det(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     if (read_matrix(args[0], n, p, 1, a) < 0)
         goto done;
     for (col = 0; col < n; col++) {
-        if ((pivot = find_pivot(a, n, n, col)) < 0) {
+        if ((pivot = find_pivot(a, n, col)) < 0) {
             det = 0;
             break;
         }
@@ -804,43 +804,9 @@ k_mat_det(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
         inv = inverse(a[col * n + col], p);
         for (r = col + 1; r < n; r++)
             if ((f = a[r * n + col] * inv % p))
-                eliminate(a, n, r, col, col, f, p);
+                eliminate(a, n, r, col, f, p);
     }
     result = PyLong_FromLongLong(det % p);
-done:
-    PyMem_Free(a);
-    return result;
-}
-
-static PyObject *
-k_mat_inv(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
-{
-    Py_ssize_t n, w, col, r, j;
-    i64 p, f, *a;
-    PyObject *result = NULL;
-
-    if (read_args("mat_inv", args, nargs, 1, &n, &p) < 0)
-        return NULL;
-    w = 2 * n;
-    /* [a | 1] in n rows of w, after a read into the n x n tail */
-    if (!(a = new_buffer(n * w + n * n)))
-        return NULL;
-    if (read_matrix(args[0], n, p, 1, a + n * w) < 0)
-        goto done;
-    for (r = 0; r < n; r++)
-        for (j = 0; j < w; j++)
-            a[r * w + j] = j < n ? a[n * w + r * n + j] : j - n == r;
-    for (col = 0; col < n; col++) {
-        if (find_pivot(a, n, w, col) < 0) {
-            PyErr_SetString(PyExc_ZeroDivisionError, "matrix is singular modulo p");
-            goto done;
-        }
-        scale(a + col * w, w, inverse(a[col * w + col], p), p);
-        for (r = 0; r < n; r++)
-            if (r != col && (f = a[r * w + col]))
-                eliminate(a, w, r, col, 0, f, p);
-    }
-    result = to_matrix(a + n, n, n, w);
 done:
     PyMem_Free(a);
     return result;
@@ -864,7 +830,6 @@ static PyMethodDef methods[] = {
     KERNEL(frobenius_matrix, "frobenius_matrix(m, q, p): the rows x^(q*i) mod m, i < deg m, padded to deg m"),
     KERNEL(mat_mul, "mat_mul(a, b, p): the product of an n x k and a k x m matrix"),
     KERNEL(mat_det, "mat_det(a, p): the determinant, entries taken mod p"),
-    KERNEL(mat_inv, "mat_inv(a, p): the inverse, entries taken mod p"),
     {NULL, NULL, 0, NULL},
 };
 

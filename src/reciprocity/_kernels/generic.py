@@ -5,14 +5,14 @@ polynomials are little-endian lists of the ring's raw element data with no
 trailing zeros, matrices are lists of rows, and entries combine through the
 ring's ``_add``, ``_sub``, ``_mul``, ``_neg``, ``_inv``, ``_is_zero`` and
 ``_is_invertible``; the constants are the ring's stored raw ``_zero`` and
-``_one``.  Over a local ring, eliminations pivot on units, which succeeds
-exactly when the matrix is invertible.  Nothing here reads the data itself,
-so one body serves every data format: Fractions over Q, tuples over large
-F_q, discrete logs over a table field and coordinate tuples over an
-Artinian ring.  As in ``pure``, division reduces in place: ``divmod_poly``,
-``gcd``, ``invmod``, ``powmod`` and the rows of ``frobenius_matrix`` run
-one ``_reduce`` on a list of their own, ``gcd`` and ``rem`` form no quotient, and
-``monic`` is one scalar pass.
+``_one``.  Over a local ring, ``mat_det`` pivots on units and finishes a
+block of at most 6 columns without one by cofactors.  Nothing here reads
+the data itself, so one body serves every data format: Fractions over Q,
+tuples over large F_q, discrete logs over a table field and coordinate
+tuples over an Artinian ring.  As in ``pure``, division reduces in place:
+``divmod_poly``, ``gcd``, ``invmod``, ``powmod`` and the rows of
+``frobenius_matrix`` run one ``_reduce`` on a list of their own, ``gcd``
+and ``rem`` form no quotient, and ``monic`` is one scalar pass.
 """
 
 from __future__ import annotations
@@ -260,23 +260,3 @@ def mat_det(a: list, ring):
                     mr[j] = ring._sub(mr[j], ring._mul(f, mc[j]))
     return det
 
-
-def mat_inv(a: list, ring) -> list:
-    """Inverse over a field or a local ring; ZeroDivisionError when singular."""
-    n = len(a)
-    zero, one = ring._zero, ring._one
-    m = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = _unit_pivot(m, col, ring)
-        if pivot < 0:
-            raise ZeroDivisionError("matrix is singular (no unit pivot)")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = ring._inv(m[col][col])
-        m[col] = [ring._mul(c, inv) for c in m[col]]
-        for r in range(n):
-            if r != col and not ring._is_zero(m[r][col]):
-                f = m[r][col]
-                mr, mc = m[r], m[col]
-                for j in range(2 * n):
-                    mr[j] = ring._sub(mr[j], ring._mul(f, mc[j]))
-    return [row[n:] for row in m]

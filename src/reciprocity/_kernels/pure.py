@@ -371,25 +371,3 @@ def mat_det(a: list[list[int]], p: int) -> int:
                     mr[j] = (mr[j] - f * mc[j]) % p
     return det % p
 
-
-def mat_inv(a: list[list[int]], p: int) -> list[list[int]]:
-    n = len(a)
-    m = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = -1
-        for r in range(col, n):
-            if m[r][col] % p:
-                pivot = r
-                break
-        if pivot < 0:
-            raise ZeroDivisionError("matrix is singular modulo p")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = pow(m[col][col], -1, p)
-        m[col] = [(c * inv) % p for c in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                mr, mc = m[r], m[col]
-                for j in range(2 * n):
-                    mr[j] = (mr[j] - f * mc[j]) % p
-    return [row[n:] for row in m]

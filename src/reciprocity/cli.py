@@ -83,7 +83,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
             p.add_argument("--field", default="Q", help="base field: Q, F5, F9:u^2+1")
         if prec:
             p.add_argument("--prec", type=int, default=DEFAULT_PRECISION,
-                           help=f"working precision, at most {PRECISION_BUDGET}")
+                           help=f"working precision, 1 to {PRECISION_BUDGET}")
         if local_data:
             p.add_argument("--prec", type=int, default=None,
                            help=f"working precision of --local-data (default {DEFAULT_PRECISION})")
@@ -133,7 +133,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--count", type=int, default=50, help=f"number of instances, 1 to {SWEEP_BUDGET}")
     p.add_argument("--mode", choices=["wrl", "residues", "all"], default="all")
     p.add_argument("--max-degree", type=int, default=5, help=f"degree bound of num and den, 0 to {DEGREE_BUDGET - 2}")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes, at most the CPU count")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, at least 1; capped at the CPU count")
     return parser, sub.choices
 
 
@@ -309,6 +309,8 @@ def _cmd_sweep(args) -> int:
     # a forced quadratic takes an instance's degree to max-degree + 2, which must stay factorable
     if not 0 <= args.max_degree <= DEGREE_BUDGET - 2:
         raise ReciprocityError(f"--max-degree {args.max_degree} is out of range: 0 <= max-degree <= {DEGREE_BUDGET - 2}")
+    if args.jobs < 1:
+        raise ReciprocityError(f"--jobs {args.jobs} is out of range: jobs >= 1")
     seed = args.seed
     payloads = [(args.field, seed, i, args.mode, args.max_degree) for i in range(args.count)]
     # with fork, the pool starts every worker it is allowed

@@ -22,7 +22,7 @@ pivots on units and finishes small blocks without one by cofactors.
 from __future__ import annotations
 
 from .artinian import ArtinianAlgebra
-from .errors import NonUnitError, TowerError
+from .errors import TowerError
 from .fields import AlgebraElement, BaseField, CoefficientRing, ExtensionField
 
 
@@ -95,14 +95,6 @@ def mat_trace(a, ring: CoefficientRing) -> AlgebraElement:
 def mat_det(a, ring: CoefficientRing) -> AlgebraElement:
     """Determinant over a field or a local ring."""
     return AlgebraElement(ring, ring.kernels.mat_det(_unwrap(a, ring), ring.kernel_arg))
-
-
-def mat_inv(a, ring: CoefficientRing) -> list[list[AlgebraElement]]:
-    """Inverse over a field or a local ring; raises NonUnitError when singular."""
-    try:
-        return _wrap(ring.kernels.mat_inv(_unwrap(a, ring), ring.kernel_arg), ring)
-    except ZeroDivisionError:
-        raise NonUnitError("matrix is singular") from None
 
 
 # -- norms and traces --------------------------------------------------------

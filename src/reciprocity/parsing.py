@@ -434,7 +434,9 @@ def parse_rational(text: str, field: BaseField) -> RationalFunction:
 
 @_bounded_depth
 def parse_series(text: str, ring, prec: int = DEFAULT_PRECISION) -> LaurentSeries:
-    """Parse a Laurent series in z over the coefficient ring, at most PRECISION_BUDGET."""
+    """Parse a Laurent series in z over the coefficient ring, at a precision from 1 to PRECISION_BUDGET."""
+    if prec < 1:
+        raise DomainError(f"precision {prec} is out of range: 1 <= prec <= {PRECISION_BUDGET}")
     if prec > PRECISION_BUDGET:
         raise DomainError(f"precision {prec} is above the budget: prec <= {PRECISION_BUDGET}")
     evaluator = _SeriesEvaluator(ring, text, prec)

@@ -15,7 +15,7 @@ from reciprocity.errors import DomainError, NonUnitError, WindowError
 from reciprocity.fields import QQ, PrimeField
 from reciprocity.laurent import LaurentSeries
 from reciprocity.parsing import parse_ring_spec
-from reciprocity.norms import mat_det, mat_identity, mat_inv, mat_mul, mat_trace
+from reciprocity.norms import mat_det, mat_identity, mat_mul, mat_trace
 from reciprocity.symbols import contou_carrere_symbol, tate_residue
 from support import compose, identity_operator, random_block_operator, random_laurent_polynomial, trace_of_product
 
@@ -67,17 +67,22 @@ def test_cocycle_examples(Q, rng):
 
 
 def test_cocycle_matches_brute_force(rng, Q, F7):
+    """The definition det(delta_1 delta_2 D^-1), D^-1 the 2 x 2 adjugate of D over det D."""
     for ring in (Q, F7):
         for _ in range(30):
             s1 = random_block_operator(rng, ring, 2, 2)
             s2 = random_block_operator(rng, ring, 2, 2)
             d1d2 = mat_mul(s1.delta, s2.delta, ring)
-            d3 = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(mat_mul(s1.gamma, s2.beta, ring), d1d2)]
-            det3 = mat_det(d3, ring)
-            if det3.is_zero():
+            (a, b), (c, d) = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(mat_mul(s1.gamma, s2.beta, ring), d1d2)]
+            det_d = a * d - b * c
+            if det_d.is_zero():
+                with pytest.raises(NonUnitError, match="left the cocycle domain"):
+                    cocycle_det(s1, s2)
                 continue
-            expected = mat_det(s1.delta, ring) * mat_det(s2.delta, ring) * det3.inverse()
-            assert cocycle_det(s1, s2) == expected
+            inv = det_d.inverse()
+            d_inv = [[d * inv, -b * inv], [-c * inv, a * inv]]
+            (p, q), (r, t) = mat_mul(d1d2, d_inv, ring)
+            assert cocycle_det(s1, s2) == p * t - q * r
 
 
 def test_cocycle_identity_random(rng, Q, F7):
@@ -115,6 +120,22 @@ def test_singular_delta_rejected(Q):
     z_op = multiplication_operator(LaurentSeries(Q, {1: 1}), 4, 4)
     with pytest.raises(NonUnitError):
         cocycle_det(z_op, z_op)
+
+
+@pytest.mark.parametrize("w", [3, 7])
+def test_nilpotent_pair_leaves_the_cocycle_domain(w):
+    """Multiplication by the constant e of F7[e]/(e^2) gives D = e^2 = 0.
+
+    At w = 3 the determinant of D goes by cofactors and is the non-unit 0;
+    at w = 7 the generic elimination finds no unit pivot and raises itself.
+    Both raise with the cocycle-domain message.
+    """
+    ring = parse_ring_spec("F7[e]/(e^2)")
+    e_op = multiplication_operator(LaurentSeries.constant(ring, ring.generator(0)), w, w)
+    message = "gamma_1 beta_2 + delta_1 delta_2 is singular: the pair left the cocycle domain"
+    with pytest.raises(NonUnitError) as raised:
+        cocycle_det(e_op, e_op)
+    assert str(raised.value) == message
 
 
 def test_commutator_examples(Q):

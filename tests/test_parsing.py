@@ -368,13 +368,31 @@ def test_tiny_inputs_over_budget_fail_fast(field, f, message):
      "precision 1000000000 is above the budget: prec <= 512"),
     (["verify-wrl", "--field", "F5", "--local-data", "{data}", "--prec", "513"],
      "precision 513 is above the budget"),
-], ids=["factored-nested-power", "window", "default-window", "series-prec", "local-data-prec"])
+    (["symbol-tame", "--field", "Q", "-f", "1/(1+z)", "-g", "z", "--prec", "0"],
+     "precision 0 is out of range: 1 <= prec <= 512"),
+    (["symbol-cc", "--ring", "F7[e]/(e^2)", "-f", "1/(1+e*z)", "-g", "1+e*z^-1", "--prec", "-3"],
+     "precision -3 is out of range"),
+    (["cocycle-gf", "--field", "Q", "-f", "1/(1+z)", "-g", "z", "-S", "[[0,1],[0,0]]", "-T", "[[0,0],[1,0]]",
+      "--prec", "-4"],
+     "precision -4 is out of range"),
+    (["verify-wrl", "--field", "F5", "--local-data", "{data}", "--prec", "0"],
+     "precision 0 is out of range"),
+    (["sweep", "--field", "F7", "--count", "1", "--jobs", "0"], "--jobs 0 is out of range: jobs >= 1"),
+    (["sweep", "--field", "F7", "--count", "1", "--jobs", "-3"], "--jobs -3 is out of range"),
+], ids=["factored-nested-power", "window", "default-window", "series-prec", "local-data-prec",
+        "series-prec-zero", "ring-series-prec-negative", "gf-prec-negative", "local-data-prec-zero",
+        "jobs-zero", "jobs-negative"])
 def test_commands_over_budget_fail_fast(argv, message, tmp_path):
     data = tmp_path / "local.json"
     data.write_text('{"entries": [{"f": "1/(1-z)", "g": "z"}]}')
     code, err = run_cli_alone([a.format(data=data) for a in argv])
     assert code == 2
     assert message in err
+
+
+def test_precision_one_is_accepted(capsys):
+    assert cli.main(["symbol-tame", "--field", "Q", "-f", "1/(1+z)", "-g", "z", "--prec", "1"]) == 0
+    assert capsys.readouterr().out.strip() == "1"
 
 
 def test_budgets_are_above_every_benchmark_op():
