@@ -11,13 +11,17 @@ instead.  Every other ring, extension fields included, names ``generic``,
 which has the same functions with the ring in place of p.  The namespace
 exports only what library code calls, and ``_core`` defines nothing else.
 
-The F_p contract, which ``pure`` and ``_core`` meet alike:
+The contract keeps one rule per topic.  Every kernel is total on its ring:
+it raises only where no value exists.  The F_p rules, which ``pure`` and
+``_core`` meet alike:
 
-- A polynomial is a little-endian list of ints in [0, p).  Every result is
-  a new list without trailing zeros, and ``[]`` is zero.
-- A polynomial argument may carry trailing zeros.  Every kernel but ``neg``
-  reads it as its normalized list, so ``divmod_poly([1, 0], [1], p)`` is
-  ``([1], [])``; ``neg`` maps each entry and keeps the length.
+- Every entry, of a polynomial or a matrix, is an int in [0, p), which
+  ``_core`` checks and ``pure`` does not.
+- A polynomial is a little-endian list of them.  Every result is a new
+  list without trailing zeros, and ``[]`` is zero.
+- A polynomial argument may carry trailing zeros, and every kernel reads it
+  as its normalized list, so ``divmod_poly([1, 0], [1], p)`` is
+  ``([1], [])``.
 - A zero divisor or modulus raises ``ZeroDivisionError``, and so does an
   inverse that does not exist (``invmod``, ``powmod`` with e < 0).
   ``invmod(a, [], p)`` is the inverse of a constant a.
@@ -26,8 +30,6 @@ The F_p contract, which ``pure`` and ``_core`` meet alike:
 - ``frobenius_matrix(m, q, p)`` returns the deg m rows x^(q*i) mod m,
   i < deg m, each padded with zeros to deg m entries, for q >= 1; row 1 is
   x^q mod m.  A q below 1 raises ``ValueError``.
-- ``mat_det`` takes its entries mod p; the other kernels assume entries
-  in [0, p), which ``_core`` checks and ``pure`` does not.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ PMAX = 2**31 - 1
 normalize = _impl.normalize
 add = _impl.add
 sub = _impl.sub
-neg = _impl.neg
 mul = _impl.mul
 divmod_poly = _impl.divmod_poly
 rem = _impl.rem

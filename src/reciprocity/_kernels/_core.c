@@ -6,13 +6,12 @@
    call reads its lists into one int64 buffer and runs its loops there.
    With p <= PMAX = 2^31 - 1 a slot plus a product, at most
    (p - 1)^2 + p < 2^63, fits an int64, so each product is reduced mod p
-   as it is formed.  Trailing zeros of an argument are ignored, except by
-   neg, which maps each entry.
+   as it is formed.  Trailing zeros of an argument are ignored.
 
    A p outside [2, PMAX] is a ValueError: PrimeField hands larger primes to
-   pure.  An argument that is not a list is a TypeError.  A coefficient must
-   be an int (TypeError) that fits an int64 (OverflowError) and lies in
-   [0, p) (ValueError); mat_det takes its entries mod p.
+   pure.  An argument that is not a list is a TypeError.  A coefficient or
+   matrix entry must be an int (TypeError) that fits an int64
+   (OverflowError) and lies in [0, p) (ValueError).
 
    Build: python setup.py build_ext --inplace */
 
@@ -62,10 +61,9 @@ read_p(PyObject *obj, i64 *p)
     return 0;
 }
 
-/* The int obj as a coefficient mod p: taken mod p when reduce is set, else
-   checked to lie in [0, p). */
+/* The int obj as a coefficient mod p, checked to lie in [0, p). */
 static int
-read_coeff(PyObject *obj, i64 p, int reduce, i64 *out)
+read_coeff(PyObject *obj, i64 p, i64 *out)
 {
     int overflow;
     i64 v;
@@ -79,12 +77,7 @@ read_coeff(PyObject *obj, i64 p, int reduce, i64 *out)
         PyErr_Format(PyExc_OverflowError, "coefficient %R does not fit in 64 bits", obj);
         return -1;
     }
-    if (reduce) {
-        v %= p;
-        if (v < 0)
-            v += p;
-    }
-    else if (v < 0 || v >= p) {
+    if (v < 0 || v >= p) {
         PyErr_Format(PyExc_ValueError, "coefficient %lld does not lie in [0, %lld)", v, p);
         return -1;
     }
@@ -109,14 +102,14 @@ read_poly(PyObject *a, i64 p, i64 *buf)
     Py_ssize_t i, n = PyList_GET_SIZE(a);
 
     for (i = 0; i < n; i++)
-        if (read_coeff(PyList_GET_ITEM(a, i), p, 0, &buf[i]) < 0)
+        if (read_coeff(PyList_GET_ITEM(a, i), p, &buf[i]) < 0)
             return -1;
     return strip(buf, n);
 }
 
 /* The n x m matrix a, a list of n lists of m ints, row by row into buf. */
 static int
-read_matrix(PyObject *a, Py_ssize_t m, i64 p, int reduce, i64 *buf)
+read_matrix(PyObject *a, Py_ssize_t m, i64 p, i64 *buf)
 {
     Py_ssize_t i, j, n = PyList_GET_SIZE(a);
 
@@ -129,7 +122,7 @@ read_matrix(PyObject *a, Py_ssize_t m, i64 p, int reduce, i64 *buf)
             return -1;
         }
         for (j = 0; j < m; j++)
-            if (read_coeff(PyList_GET_ITEM(row, j), p, reduce, &buf[i * m + j]) < 0)
+            if (read_coeff(PyList_GET_ITEM(row, j), p, &buf[i * m + j]) < 0)
                 return -1;
     }
     return 0;
@@ -340,7 +333,7 @@ k_normalize(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     if (check_nargs("normalize", nargs, 1) < 0 || (n = list_len(args[0])) < 0)
         return NULL;
     for (i = 0; i < n; i++) {
-        if (read_coeff(PyList_GET_ITEM(args[0], i), LLONG_MAX, 0, &c) < 0)
+        if (read_coeff(PyList_GET_ITEM(args[0], i), LLONG_MAX, &c) < 0)
             return NULL;
         if (c)
             last = i + 1;
@@ -383,24 +376,6 @@ static PyObject *
 k_sub(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
     return add_or_sub("sub", args, nargs, -1);
-}
-
-static PyObject *
-k_neg(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
-{
-    Py_ssize_t n, i;
-    i64 p, *a;
-    PyObject *result = NULL;
-
-    if (read_args("neg", args, nargs, 1, &n, &p) < 0 || !(a = new_buffer(n)))
-        return NULL;
-    if (read_poly(args[0], p, a) >= 0) {
-        for (i = 0; i < n; i++)
-            a[i] = a[i] ? p - a[i] : 0;
-        result = to_list(a, n);
-    }
-    PyMem_Free(a);
-    return result;
 }
 
 static PyObject *
@@ -730,7 +705,7 @@ k_mat_mul(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     if (!(buf = new_buffer(n * k + (k + n) * m)))
         return NULL;
     a = buf, b = a + n * k, out = b + k * m;
-    if (read_matrix(args[0], k, p, 0, a) < 0 || read_matrix(args[1], m, p, 0, b) < 0)
+    if (read_matrix(args[0], k, p, a) < 0 || read_matrix(args[1], m, p, b) < 0)
         goto done;
     for (i = 0; i < n * m; i++)
         out[i] = 0;
@@ -791,7 +766,7 @@ k_mat_det(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     if (!(a = new_buffer(n * n)))
         return NULL;
-    if (read_matrix(args[0], n, p, 1, a) < 0)
+    if (read_matrix(args[0], n, p, a) < 0)
         goto done;
     for (col = 0; col < n; col++) {
         if ((pivot = find_pivot(a, n, col)) < 0) {
@@ -806,7 +781,7 @@ k_mat_det(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
             if ((f = a[r * n + col] * inv % p))
                 eliminate(a, n, r, col, f, p);
     }
-    result = PyLong_FromLongLong(det % p);
+    result = PyLong_FromLongLong(det);
 done:
     PyMem_Free(a);
     return result;
@@ -818,7 +793,6 @@ static PyMethodDef methods[] = {
     KERNEL(normalize, "normalize(a): a without its trailing zeros"),
     KERNEL(add, "add(a, b, p): a + b"),
     KERNEL(sub, "sub(a, b, p): a - b"),
-    KERNEL(neg, "neg(a, p): -a, entry by entry"),
     KERNEL(mul, "mul(a, b, p): a * b"),
     KERNEL(divmod_poly, "divmod_poly(num, den, p): quotient and remainder"),
     KERNEL(rem, "rem(a, m, p): a mod m, no quotient formed"),
@@ -829,7 +803,7 @@ static PyMethodDef methods[] = {
     KERNEL(powmod, "powmod(a, e, m, p): a^e mod m, right-to-left binary"),
     KERNEL(frobenius_matrix, "frobenius_matrix(m, q, p): the rows x^(q*i) mod m, i < deg m, padded to deg m"),
     KERNEL(mat_mul, "mat_mul(a, b, p): the product of an n x k and a k x m matrix"),
-    KERNEL(mat_det, "mat_det(a, p): the determinant, entries taken mod p"),
+    KERNEL(mat_det, "mat_det(a, p): the determinant"),
     {NULL, NULL, 0, NULL},
 };
 

@@ -5,19 +5,18 @@ polynomials are little-endian lists of the ring's raw element data with no
 trailing zeros, matrices are lists of rows, and entries combine through the
 ring's ``_add``, ``_sub``, ``_mul``, ``_neg``, ``_inv``, ``_is_zero`` and
 ``_is_invertible``; the constants are the ring's stored raw ``_zero`` and
-``_one``.  Over a local ring, ``mat_det`` pivots on units and finishes a
-block of at most 6 columns without one by cofactors.  Nothing here reads
-the data itself, so one body serves every data format: Fractions over Q,
-tuples over large F_q, discrete logs over a table field and coordinate
-tuples over an Artinian ring.  As in ``pure``, division reduces in place:
-``divmod_poly``, ``gcd``, ``invmod``, ``powmod`` and the rows of
-``frobenius_matrix`` run one ``_reduce`` on a list of their own, ``gcd``
-and ``rem`` form no quotient, and ``monic`` is one scalar pass.
+``_one``.  ``mat_det`` eliminates on unit pivots and finishes a block
+with no unit left in its first column by a division-free determinant, so
+it is total, a non-unit determinant over a local ring included.  Nothing
+here reads the data itself, so one body serves every data format:
+Fractions over Q, tuples over large F_q, discrete logs over a table field
+and coordinate tuples over an Artinian ring.  As in ``pure``, division
+reduces in place: ``divmod_poly``, ``gcd``, ``invmod``, ``powmod`` and the
+rows of ``frobenius_matrix`` run one ``_reduce`` on a list of their own,
+``gcd`` and ``rem`` form no quotient, and ``monic`` is one scalar pass.
 """
 
 from __future__ import annotations
-
-from ..errors import NonUnitError
 
 
 def _normalize(a: list, ring) -> list:
@@ -38,11 +37,8 @@ def add(a: list, b: list, ring) -> list:
 
 
 def sub(a: list, b: list, ring) -> list:
-    return add(a, neg(b, ring), ring)
-
-
-def neg(a: list, ring) -> list:
-    return [ring._neg(c) for c in a]
+    out = [ring._sub(x, y) for x, y in zip(a, b)] + a[len(b):] + [ring._neg(c) for c in b[len(a):]]
+    return _normalize(out, ring)
 
 
 def mul(a: list, b: list, ring) -> list:
@@ -205,47 +201,36 @@ def mat_mul(a: list, b: list, ring) -> list:
     return out
 
 
-def _unit_pivot(m: list, col: int, ring) -> int:
-    """First row at or below col whose entry in col is a unit, or -1."""
-    for r in range(col, len(m)):
-        if ring._is_invertible(m[r][col]):
-            return r
-    return -1
+def _det_division_free(a: list, ring):
+    """det a with no division, by Bird's iteration X <- mu(X) a, n - 1 times from X = a.
 
-
-def _det_cofactor(m: list, ring):
-    n = len(m)
-    if n == 0:
+    mu(X) keeps the strict upper triangle of X, zeros the lower one and puts
+    -(x_(i+1,i+1) + ... + x_(n,n)) at (i, i); det a is (-1)^(n-1) times the
+    (1, 1) entry of the last X.  O(n^4) ring products (R. S. Bird, "A simple
+    division-free algorithm for computing determinants", IPL 111, 2011).
+    """
+    n = len(a)
+    if not n:
         return ring._one
-    if n == 1:
-        return m[0][0]
-    det = ring._zero
-    for j in range(n):
-        c = m[0][j]
-        if ring._is_zero(c):
-            continue
-        minor = [[m[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = ring._mul(c, _det_cofactor(minor, ring))
-        det = ring._add(det, term) if j % 2 == 0 else ring._sub(det, term)
-    return det
+    x = a
+    for _ in range(n - 1):
+        mu, tail = [], ring._zero
+        for i in range(n - 1, -1, -1):
+            mu.append([ring._zero] * i + [ring._neg(tail)] + x[i][i + 1:])
+            tail = ring._add(tail, x[i][i])
+        x = mat_mul(mu[::-1], a, ring)
+    return x[0][0] if n % 2 else ring._neg(x[0][0])
 
 
 def mat_det(a: list, ring):
-    """Determinant over a field or a local ring; small blocks without a unit pivot go by cofactors."""
+    """Determinant by elimination on unit pivots; the block left at a column with no unit goes by ``_det_division_free``."""
     n = len(a)
     m = [list(row) for row in a]
     det = ring._one
     for col in range(n):
-        pivot = _unit_pivot(m, col, ring)
+        pivot = next((r for r in range(col, n) if ring._is_invertible(m[r][col])), -1)
         if pivot < 0:
-            if ring.is_field:
-                if all(ring._is_zero(m[r][col]) for r in range(col, n)):
-                    return ring._zero
-                raise AssertionError("field element neither zero nor invertible")
-            if n - col <= 6:
-                rest = _det_cofactor([row[col:] for row in m[col:]], ring)
-                return ring._mul(det, rest)
-            raise NonUnitError("matrix has no invertible pivot over the local ring")
+            return ring._mul(det, _det_division_free([row[col:] for row in m[col:]], ring))
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
             det = ring._neg(det)

@@ -3,8 +3,8 @@
 Polynomials over F_p are plain lists of ints in ``[0, p)``, little-endian
 (index = exponent); results carry no trailing zeros, and ``[]`` is the
 zero polynomial.  A polynomial argument may carry trailing zeros: every
-kernel but ``neg`` reads it as its normalized list, as ``_core`` does, and
-those that copy an argument copy it with ``normalize``.  Matrices are
+kernel reads it as its normalized list, as ``_core`` does, and those that
+copy an argument copy it with ``normalize``.  Matrices are
 lists of row lists.  These functions are the reference semantics (the
 package docstring states the contract).  ``mul`` packs a polynomial into
 one big int, a coefficient per slot of bits, so a product is one C-level
@@ -50,10 +50,6 @@ def sub(a: list[int], b: list[int], p: int) -> list[int]:
         y = b[i] if i < len(b) else 0
         out[i] = (x - y) % p
     return normalize(out)
-
-
-def neg(a: list[int], p: int) -> list[int]:
-    return [(-c) % p for c in a]
 
 
 def _pack(a: list[int], s: int) -> int:
@@ -352,7 +348,7 @@ def mat_det(a: list[list[int]], p: int) -> int:
     for col in range(n):
         pivot = -1
         for r in range(col, n):
-            if m[r][col] % p:
+            if m[r][col]:
                 pivot = r
                 break
         if pivot < 0:
@@ -360,7 +356,7 @@ def mat_det(a: list[list[int]], p: int) -> int:
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
             det = (-det) % p
-        pv = m[col][col] % p
+        pv = m[col][col]
         det = (det * pv) % p
         inv = pow(pv, -1, p)
         for r in range(col + 1, n):
@@ -369,5 +365,5 @@ def mat_det(a: list[list[int]], p: int) -> int:
                 mr, mc = m[r], m[col]
                 for j in range(col, n):
                     mr[j] = (mr[j] - f * mc[j]) % p
-    return det % p
+    return det
 

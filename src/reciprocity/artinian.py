@@ -29,6 +29,10 @@ from .errors import NonUnitError
 from .fields import AlgebraElement, BaseField, CoefficientRing, lift
 from .formatting import format_terms, power_string, split_sign
 
+# largest dimension a ring spec is parsed at: the structure tables hold
+# dimension^2 monomial products, about 3 ms to build at 64 and 45 ms at 256
+DIMENSION_BUDGET = 64
+
 
 class ArtinianAlgebra(CoefficientRing):
     def __init__(self, base: BaseField, generators):

@@ -151,8 +151,7 @@ def cocycle_det(s1: BlockOperator, s2: BlockOperator) -> SymbolValue:
     # gamma_1 beta_2 has inner dimension wneg; with wneg = 0 it is the zero block,
     # which a matrix product with no inner terms cannot shape
     d3 = mat_add(mat_mul(s1.gamma, s2.beta, ring), d1d2) if s1.wneg else d1d2
-    # over a local ring mat_det raises for a large block with no unit pivot
-    # and returns a non-unit for a small one, whose inverse raises
+    # mat_det is total, so a singular d3 comes back as a non-unit whose inverse raises
     try:
         inv_det3 = mat_det(d3, ring).inverse()
     except NonUnitError:

@@ -89,7 +89,6 @@ class CoefficientRing:
     Each subclass stores the raw data of 0 and 1 as ``_zero`` and ``_one``.
     """
 
-    is_field = False
     characteristic = 0
 
     def __init__(self):
@@ -159,8 +158,6 @@ class CoefficientRing:
 
 class BaseField(CoefficientRing):
     """A coefficient ring that is a field (rationals, F_p, F_p[u]/(m))."""
-
-    is_field = True
 
     @property
     def prime_subfield(self) -> "BaseField":

@@ -38,6 +38,10 @@ DEFAULT_PRECISION = 32
 # largest precision a series is parsed at: a product of two dense series
 # costs prec^2 coefficient products, about 2.5 s over Q at 512
 PRECISION_BUDGET = 512
+# most negative peels one factorization makes: the count grows exponentially
+# with the nilpotency order once the negative part has two terms, and 512
+# peels cost about 2.5 s over Q[e]/(e^64)
+PEEL_BUDGET = 512
 
 
 def _min_prec(a: int | None, b: int | None) -> int | None:
@@ -197,7 +201,7 @@ class LaurentSeries:
 
     def __neg__(self):
         ring = self.ring
-        return LaurentSeries._from_raw(ring, self.offset, ring.kernels.neg(self.data, ring.kernel_arg), self.prec)
+        return LaurentSeries._from_raw(ring, self.offset, ring.kernels.sub([], self.data, ring.kernel_arg), self.prec)
 
     def __mul__(self, other):
         other = self._operand(other)
@@ -419,7 +423,8 @@ def cc_factorize(f: LaurentSeries, prec: int | None = None) -> PrincipalUnitFact
 
     Negative factors are peeled from the most negative exponent upward,
     sweeping until the negative part is exactly zero (this terminates by the
-    nilpotency filtration); then the z^0 factor, then positive factors in
+    nilpotency filtration, after at most ``PEEL_BUDGET`` peels or a
+    ``DomainError``); then the z^0 factor, then positive factors in
     ascending order up to the target precision.
     """
     ring = f.ring
@@ -438,11 +443,10 @@ def cc_factorize(f: LaurentSeries, prec: int | None = None) -> PrincipalUnitFact
 
     unit, neg_raw = ring._is_invertible, ring._neg
     neg, neg_powers = [], []
-    guard = (ring.nil_index + 1) * (max(-f.offset, 0) + 2) * 8 + 32
     work = f
     while work.offset < 0:
-        if len(neg) > guard:
-            raise AssertionError("negative peeling failed to terminate")
+        if len(neg) == PEEL_BUDGET:
+            raise DomainError(f"negative peeling needs more than {PEEL_BUDGET} peels: the budget is peels <= {PEEL_BUDGET}")
         e, c = work.offset, work.data[0]
         if unit(c):
             raise DomainError("negative coefficient is not nilpotent; input outside the domain")

@@ -15,8 +15,9 @@ Matrix helpers work over any coefficient ring and take and return matrices
 of elements.  Each one unwraps its arguments to raw data once, makes one
 call to the ring's kernels (see :mod:`reciprocity.fields`) and wraps the
 result: Gaussian elimination modulo p over F_p, and the generic elimination
-of :mod:`reciprocity._kernels.generic` elsewhere, which over a local ring
-pivots on units and finishes small blocks without one by cofactors.
+of :mod:`reciprocity._kernels.generic` elsewhere, which pivots on units and
+finishes a block with no unit pivot by a division-free determinant, so the
+determinant of a matrix over a local ring is exact, a non-unit included.
 """
 
 from __future__ import annotations

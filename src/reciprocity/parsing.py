@@ -31,7 +31,8 @@ as series `inverse`/`power` at the parse precision.
 
 Field specs: `Q`, `F5`, `F9:u^2+1` (modulus over F_p in `u`; omitted
 modulus picks the lexicographically first irreducible).  Ring specs:
-`Q[e1,e2]/(e1^2,e2^2)` with one pure-power relation per generator.
+`Q[e1,e2]/(e1^2,e2^2)` with one pure-power relation per generator, of
+dimension (the product of the orders) at most `artinian.DIMENSION_BUDGET`.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import operator
 import re
 from functools import wraps
 
-from .artinian import ArtinianAlgebra
+from .artinian import DIMENSION_BUDGET, ArtinianAlgebra
 from .curve import RationalFunction
 from .errors import DomainError, ExpressionError, FactorError
 from .factor import DEGREE_BUDGET
@@ -587,4 +588,9 @@ def parse_ring_spec(spec: str):
         rels[name] = order
     if set(rels) != set(names):
         raise ExpressionError("relations must cover each generator exactly once")
+    dimension = 1
+    for n in names:
+        dimension *= rels[n]
+        if dimension > DIMENSION_BUDGET:
+            raise DomainError(f"ring dimension {dimension} or more is above the budget: dimension <= {DIMENSION_BUDGET}")
     return ArtinianAlgebra(base, [(n, rels[n]) for n in names])

@@ -125,7 +125,7 @@ class Polynomial:
 
     def __neg__(self):
         f = self.field
-        return _from_data(f, f.kernels.neg(self._data, f.kernel_arg))
+        return _from_data(f, f.kernels.sub([], self._data, f.kernel_arg))
 
     def __mul__(self, other):
         other = self._coerce_other(other)

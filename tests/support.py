@@ -8,7 +8,7 @@ norm/determinant compatibility of block matrices, the block trace read cell
 by cell, the derivatives of a rational function and of a loop matrix, adele
 orthogonality over a list of test functions, the schoolbook loops of the
 packed and in-place F_p kernels, the row-by-row Frobenius matrix, the
-generic extended Euclid, the finite-field factoring chain that normalized
+generic extended Euclid, the Leibniz determinant, the finite-field factoring chain that normalized
 every stage, the printers and generic divisions that boxed elements and
 formed a fresh quotient per step, Miller-Rabin to all 14 bases, the
 earlier series arithmetic on dicts of elements, Contou-Carrère loops and
@@ -18,6 +18,7 @@ tokenizer, and random series, operators and factored rational functions.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -377,6 +378,18 @@ def xgcd_invmod(a: list, m: list, ring) -> list:
     if len(g) != 1:
         raise ZeroDivisionError("element is not invertible modulo the given polynomial")
     return generic.divmod_poly(s, m, ring)[1]
+
+
+def leibniz_det(a: list, ring):
+    """det a on raw data over any commutative ring: the signed sum over all n! permutations."""
+    n, det = len(a), ring._zero
+    for perm in itertools.permutations(range(n)):
+        term = ring._one
+        for i, j in enumerate(perm):
+            term = ring._mul(term, a[i][j])
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        det = ring._sub(det, term) if inversions % 2 else ring._add(det, term)
+    return det
 
 
 # -- the printers and generic divisions the raw-data ones replaced ---------------

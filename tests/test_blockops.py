@@ -126,9 +126,9 @@ def test_singular_delta_rejected(Q):
 def test_nilpotent_pair_leaves_the_cocycle_domain(w):
     """Multiplication by the constant e of F7[e]/(e^2) gives D = e^2 = 0.
 
-    At w = 3 the determinant of D goes by cofactors and is the non-unit 0;
-    at w = 7 the generic elimination finds no unit pivot and raises itself.
-    Both raise with the cocycle-domain message.
+    At both widths the generic elimination finds no unit pivot and returns
+    the determinant of D, the non-unit 0, by its division-free block; its
+    inverse raises with the cocycle-domain message.
     """
     ring = parse_ring_spec("F7[e]/(e^2)")
     e_op = multiplication_operator(LaurentSeries.constant(ring, ring.generator(0)), w, w)

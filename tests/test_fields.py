@@ -322,7 +322,7 @@ def test_log_tables_match_the_kernels(q, data):
     assert F._canonical(F._mul(la, lb)) == pad(pure.mulmod(ka, kb, m, p))
     assert F._canonical(F._add(la, lb)) == pad(pure.add(ka, kb, p))
     assert F._canonical(F._sub(la, lb)) == pad(pure.sub(ka, kb, p))
-    assert F._canonical(F._neg(la)) == pad(pure.neg(ka, p))
+    assert F._canonical(F._neg(la)) == pad(pure.sub([], ka, p))
     assert F._is_zero(la) == (not any(a)) and F._is_invertible(la) == any(a)
     if any(a):
         assert F._canonical(F._inv(la)) == pad(pure.invmod(ka, m, p))

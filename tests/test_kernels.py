@@ -21,7 +21,7 @@ from reciprocity.fields import QQ, TABLE_MAX_ORDER, ExtensionField, PrimeField, 
 from reciprocity.parsing import parse_ring_spec
 from reciprocity.poly import Polynomial
 from support import (RAW_DATA_SPECS, TupleField, earlier_divmod_poly, earlier_gcd, earlier_invmod, earlier_monic,
-                     earlier_powmod, loop_divmod_poly, loop_frobenius_matrix, loop_gcd, loop_invmod, loop_mul,
+                     earlier_powmod, leibniz_det, loop_divmod_poly, loop_frobenius_matrix, loop_gcd, loop_invmod, loop_mul,
                      loop_powmod, row_frobenius_matrix, xgcd_invmod)
 
 try:
@@ -218,6 +218,38 @@ def test_generic_kernels_build_no_elements(monkeypatch):
     generic.mat_det(matrix, ring)
 
 
+# rings whose matrices, with entries mostly in the maximal ideal (zero over a
+# field), leave the unit-pivot elimination for the division-free block
+DET_RINGS = {spec: parse_ring_spec(spec) for spec in
+             ("F7[e]/(e^3)", "F7[e,d]/(e^3,d^2)", "Q[a,b]/(a^2,b^2)", "F9[e]/(e^2)", "F7", "Q")}
+
+
+@pytest.mark.parametrize("spec", sorted(DET_RINGS))
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32), n=st.integers(0, 6), unit_share=st.sampled_from([0.0, 0.15, 0.5]))
+def test_generic_mat_det_matches_leibniz(spec, seed, n, unit_share):
+    ring, rng = DET_RINGS[spec], random.Random(seed)
+
+    def entry():
+        x = ring.random_element(rng).data
+        if rng.random() < unit_share:
+            return x
+        return (ring.base._zero,) + x[1:] if isinstance(ring, ArtinianAlgebra) else ring._zero
+
+    a = [[entry() for _ in range(n)] for _ in range(n)]
+    kept = copy.deepcopy(a)
+    assert generic.mat_det(a, ring) == leibniz_det(a, ring), a
+    assert a == kept
+
+
+def test_generic_mat_det_of_a_nilpotent_scalar_matrix():
+    """e*I, 12 x 12 over F7[e]/(e^13), has no unit pivot anywhere and determinant e^12."""
+    ring = parse_ring_spec("F7[e]/(e^13)")
+    e = ring.generator(0)
+    a = [[e.data if i == j else ring._zero for j in range(12)] for i in range(12)]
+    assert generic.mat_det(a, ring) == (e ** 12).data
+
+
 def kernel_calls(p):
     """Kernel name -> strategy of its full argument tuples at p.
 
@@ -245,7 +277,6 @@ def kernel_calls(p):
     with_p = {
         "add": st.tuples(poly, poly),
         "sub": st.tuples(poly, poly),
-        "neg": st.tuples(poly),
         "mul": st.tuples(poly, poly),
         "divmod_poly": st.tuples(poly, poly),
         "rem": st.tuples(poly, poly),
@@ -341,7 +372,7 @@ def test_core_exports_exactly_the_namespace():
 
 # one call of each kernel that takes p, with coefficients below 7
 CALLS_AT_7 = {
-    "add": ([1, 2], [3]), "sub": ([1, 2], [3]), "neg": ([1, 2],), "mul": ([1, 2], [3]),
+    "add": ([1, 2], [3]), "sub": ([1, 2], [3]), "mul": ([1, 2], [3]),
     "divmod_poly": ([1, 2, 3], [1, 1]), "rem": ([1, 2, 3], [1, 1]), "monic": ([1, 2],), "gcd": ([1, 2], [3, 1]), "invmod": ([1, 2], [1, 0, 1]),
     "mulmod": ([1, 2], [3], [1, 0, 1]), "powmod": ([1, 2], 5, [1, 0, 1]), "frobenius_matrix": ([1, 2, 1], 7),
     "mat_mul": ([[1, 2]], [[3], [4]]), "mat_det": ([[1, 2], [3, 4]],),
@@ -358,10 +389,9 @@ def test_core_refuses_p_and_coefficients_out_of_range(name):
         with pytest.raises(ValueError):
             fn(*args, p)
     first = args[0]
-    if name != "mat_det":  # it takes its entries mod p
-        for bad in (7, -1):
-            with pytest.raises(ValueError):
-                fn([[bad, *first[0][1:]], *first[1:]] if name == "mat_mul" else [bad, *first], *args[1:], 7)
+    for bad in (7, -1):
+        with pytest.raises(ValueError):
+            fn([[bad, *first[0][1:]], *first[1:]] if name.startswith("mat_") else [bad, *first], *args[1:], 7)
 
 
 def leak_calls(p):
@@ -370,7 +400,7 @@ def leak_calls(p):
     square = [[40000, 50000], [60000, 30000]]
     calls = [("normalize", ([40000, 50000, 0, 0],), None)]
     calls += [(name, (*args, p), None) for name, args in {
-        "add": (a, b), "sub": (a, b), "neg": (a,), "mul": (a, b), "divmod_poly": (a, b), "rem": (a, b),
+        "add": (a, b), "sub": (a, b), "mul": (a, b), "divmod_poly": (a, b), "rem": (a, b),
         "monic": (b,), "gcd": (a, b), "invmod": (a, m), "mulmod": (a, b, m), "powmod": (a, -(2**70 + 3), m),
         "frobenius_matrix": (m, 2**70 + 3),
         "mat_mul": (square, square), "mat_det": (square,),
@@ -617,7 +647,7 @@ def public_functions(module) -> set:
 # The argument and result shapes of each generic function: e an element, p a
 # polynomial, m a matrix, i an int.  A result of more than one letter is a tuple.
 SHAPES = {
-    "add": ("pp", "p"), "sub": ("pp", "p"), "neg": ("p", "p"), "mul": ("pp", "p"),
+    "add": ("pp", "p"), "sub": ("pp", "p"), "mul": ("pp", "p"),
     "divmod_poly": ("pp", "pp"), "rem": ("pp", "p"), "monic": ("p", "p"), "gcd": ("pp", "p"),
     "invmod": ("pp", "p"), "powmod": ("pip", "p"), "frobenius_matrix": ("pi", "m"),
     "mat_mul": ("mm", "m"), "mat_det": ("m", "e"),
@@ -665,7 +695,6 @@ def log_kernel_calls(F):
     return {
         "add": st.tuples(poly, poly),
         "sub": st.tuples(poly, poly),
-        "neg": st.tuples(poly),
         "mul": st.tuples(poly, poly),
         "divmod_poly": st.tuples(poly, st.one_of(poly, divisor)),
         "rem": st.tuples(poly, st.one_of(poly, divisor)),
@@ -768,7 +797,7 @@ def test_log_kernels_touch_no_tuple_arithmetic(monkeypatch):
     a, m = [u, one, u], [one, zero, u]
     matrix = [[u, one], [zero, u]]
     calls = {
-        "add": (a, m), "sub": (a, m), "neg": (a,), "mul": (a, a), "divmod_poly": (a, m), "rem": (a, m),
+        "add": (a, m), "sub": (a, m), "mul": (a, a), "divmod_poly": (a, m), "rem": (a, m),
         "monic": (a,), "gcd": (a, m), "invmod": (a, [u, one]), "powmod": (a, -10, [u, one]), "frobenius_matrix": (a, 9),
         "mat_mul": (matrix, matrix), "mat_det": (matrix,),
     }

@@ -10,6 +10,7 @@ from reciprocity.norms import (
     algebra_trace,
     relative_norm,
 )
+from reciprocity.parsing import parse_ring_spec
 from support import norm_det_compat
 
 
@@ -109,6 +110,13 @@ def test_relative_norm_examples(F3, F9):
     assert rn == rn.ring.one()
     y = A.one() + lift(F9.one(), A) * e1e2
     assert relative_norm(y, F3) == relative_norm(y, F3).ring.one() + 2 * relative_norm(y, F3).ring.generator(0) * relative_norm(y, F3).ring.generator(1)
+
+
+def test_relative_norm_of_a_nilpotent(F2):
+    """N(e) from F256[e]/(e^9) down to F2[e]/(e^9) is det(e*I) over 8 columns, e^8."""
+    ring = parse_ring_spec("F256[e]/(e^9)")
+    norm = relative_norm(ring.generator(0), F2)
+    assert norm == norm.ring.generator(0) ** 8
 
 
 def test_relative_norm_identity_when_same_base(Q):

@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 import reciprocity
 from reciprocity import cli, curve, factor, fields, parsing
-from reciprocity.artinian import ArtinianAlgebra
+from reciprocity.artinian import DIMENSION_BUDGET, ArtinianAlgebra
 from reciprocity.corpus import random_rational_pair
 from reciprocity.curve import RationalFunction
 from reciprocity.errors import DomainError, ExpressionError, FactorError, ReciprocityError
 from reciprocity.fields import PRIME_TEST_BOUND, QQ, ExtensionField, find_irreducible, is_prime
-from reciprocity.laurent import DEFAULT_PRECISION, PRECISION_BUDGET, LaurentSeries
+from reciprocity.laurent import DEFAULT_PRECISION, PEEL_BUDGET, PRECISION_BUDGET, LaurentSeries
 from reciprocity.parsing import (
     parse_ast,
     parse_factored_rational,
@@ -379,9 +379,22 @@ def test_tiny_inputs_over_budget_fail_fast(field, f, message):
      "precision 0 is out of range"),
     (["sweep", "--field", "F7", "--count", "1", "--jobs", "0"], "--jobs 0 is out of range: jobs >= 1"),
     (["sweep", "--field", "F7", "--count", "1", "--jobs", "-3"], "--jobs -3 is out of range"),
+    (["symbol-cc", "--ring", "F7[e]/(e^16)", "-f", "1+e*z^-1+e*z^-2", "-g", "1+e*z+e*z^2"],
+     "negative peeling needs more than 512 peels: the budget is peels <= 512"),
+    (["symbol-cc", "--ring", "F7[e,d]/(e^8,d^8)", "-f", "1+e*z^-1+d*z^-2", "-g", "1+d*z^3"],
+     "negative peeling needs more than 512 peels"),
+    (["symbol-cc", "--ring", "Q[e]/(e^14)", "-f", "1+e*z^-5+e*z^-4", "-g", "1+e*z^5"],
+     "negative peeling needs more than 512 peels"),
+    (["symbol-cc", "--ring", "Q[e,d]/(e^60,d^60)", "-f", "1", "-g", "1"],
+     "ring dimension 3600 or more is above the budget: dimension <= 64"),
+    (["symbol-cc", "--ring", "F7[e,d,f]/(e^20,d^20,f^20)", "-f", "1", "-g", "1"],
+     "ring dimension 400 or more is above the budget"),
+    (["symbol-cc", "--ring", f"F7[e]/(e^{10**100})", "-f", "1", "-g", "1"],
+     f"ring dimension {10**100} or more is above the budget"),
 ], ids=["factored-nested-power", "window", "default-window", "series-prec", "local-data-prec",
         "series-prec-zero", "ring-series-prec-negative", "gf-prec-negative", "local-data-prec-zero",
-        "jobs-zero", "jobs-negative"])
+        "jobs-zero", "jobs-negative", "peels-two-terms", "peels-two-generators", "peels-far-poles",
+        "ring-dimension", "ring-three-generators", "ring-order-googol"])
 def test_commands_over_budget_fail_fast(argv, message, tmp_path):
     data = tmp_path / "local.json"
     data.write_text('{"entries": [{"f": "1/(1-z)", "g": "z"}]}')
@@ -395,9 +408,18 @@ def test_precision_one_is_accepted(capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
+def test_peel_budget_boundary_is_accepted(capsys):
+    """412 negative peels, within the budget; over Q[e]/(e^14) the same f takes 1,377."""
+    assert cli.main(["symbol-cc", "--ring", "Q[e]/(e^12)", "-f", "1+e*z^-5+e*z^-4", "-g", "1+e*z^5"]) == 0
+    assert capsys.readouterr().out.strip() == "1 + 5*e^2 + 15*e^4 + 35*e^6 + 70*e^8 - e^9 + 126*e^10 - 10*e^11"
+
+
 def test_budgets_are_above_every_benchmark_op():
-    # local_symbols parses at the default precision, with windows of at most 2*4 + 1
-    assert DEFAULT_PRECISION <= PRECISION_BUDGET and 9 <= WINDOW_BUDGET
+    # local_symbols parses at the default precision, with windows of at most 2*4 + 1,
+    # makes at most 29 negative peels per factorization at seeds 1 and 2, and
+    # runs symbol-cc over a ring of dimension 6
+    assert DEFAULT_PRECISION <= PRECISION_BUDGET and 9 <= WINDOW_BUDGET and 29 <= PEEL_BUDGET
+    assert parse_ring_spec("F7[e,d]/(e^3,d^2)").dimension == 6 <= DIMENSION_BUDGET
     assert parse_series("1/(1-z)", QQ, PRECISION_BUDGET).prec == PRECISION_BUDGET
     f = parse_series("z^-4 + z^4", QQ)
     assert tate_residue(f, f, WINDOW_BUDGET // 8) == 0
