@@ -5,15 +5,16 @@ polynomials are little-endian lists of the ring's raw element data with no
 trailing zeros, matrices are lists of rows, and entries combine through the
 ring's ``_add``, ``_sub``, ``_mul``, ``_neg``, ``_inv``, ``_is_zero`` and
 ``_is_invertible``; the constants are the ring's stored raw ``_zero`` and
-``_one``.  ``mat_det`` eliminates on unit pivots and finishes a block
-with no unit left in its first column by a division-free determinant, so
-it is total, a non-unit determinant over a local ring included.  Nothing
-here reads the data itself, so one body serves every data format:
-Fractions over Q, tuples over large F_q, discrete logs over a table field
-and coordinate tuples over an Artinian ring.  As in ``pure``, division
-reduces in place: ``divmod_poly``, ``gcd``, ``invmod``, ``powmod`` and the
-rows of ``frobenius_matrix`` run one ``_reduce`` on a list of their own,
-``gcd`` and ``rem`` form no quotient, and ``monic`` is one scalar pass.
+``_one``.  ``mat_det`` eliminates on unit pivots and, at a first column
+with no unit left, returns 0 if it is all zero (always, over a field) or
+finishes the block by a division-free determinant, so it is total, a
+non-unit determinant over a local ring included.  Nothing here reads the
+data itself, so one body serves every data format: Fractions over Q, tuples
+over large F_q, discrete logs over a table field and coordinate tuples over
+an Artinian ring.  As in ``pure``, division reduces in place:
+``divmod_poly``, ``gcd``, ``invmod``, ``powmod`` and the rows of
+``frobenius_matrix`` run one ``_reduce`` on a list of their own, ``gcd``
+and ``rem`` form no quotient, and ``monic`` is one scalar pass.
 """
 
 from __future__ import annotations
@@ -223,13 +224,15 @@ def _det_division_free(a: list, ring):
 
 
 def mat_det(a: list, ring):
-    """Determinant by elimination on unit pivots; the block left at a column with no unit goes by ``_det_division_free``."""
+    """Determinant by elimination on unit pivots; a column with no unit left gives 0 or its block's ``_det_division_free``."""
     n = len(a)
     m = [list(row) for row in a]
     det = ring._one
     for col in range(n):
         pivot = next((r for r in range(col, n) if ring._is_invertible(m[r][col])), -1)
         if pivot < 0:
+            if all(ring._is_zero(m[r][col]) for r in range(col, n)):
+                return ring._zero
             return ring._mul(det, _det_division_free([row[col:] for row in m[col:]], ring))
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]

@@ -7,6 +7,8 @@ the identity by contract.  An operator is stored through its four blocks
     alpha: V^- -> V^-     beta:  V^+ -> V^-
     gamma: V^- -> V^+     delta: V^+ -> V^+
 
+each a list of rows of the ring's raw data, as every matrix of
+:mod:`reciprocity.norms` is; only a cocycle value is boxed as an element.
 The determinant 2-cocycle of a pair with invertible delta blocks is
 det(delta_1 delta_2 (gamma_1 beta_2 + delta_1 delta_2)^{-1}), computed as
 det(delta_1 delta_2) / det(gamma_1 beta_2 + delta_1 delta_2).  Its ratio in
@@ -18,7 +20,7 @@ dual numbers it gives the Lie cocycle (``lie_cocycle_dual``).  The additive
 (Lie) cocycle is tr(gamma_2 beta_1) - tr(gamma_1 beta_2), each trace summed
 term by term without forming the product.  The multiplication operator of a
 Laurent polynomial is Toeplitz: every row of every block is a slice of one
-list of its coefficients.  Its gamma block (z^c -> z^r, c < 0 <= r) holds
+list of its raw coefficients.  Its gamma block (z^c -> z^r, c < 0 <= r) holds
 the coefficient of z^(r - c), which is zero once r - c exceeds the degree,
 and its beta block is zero once c - r exceeds the pole order; so the nonzero
 cells of each sit in the corner triangle next to the split of the window, of
@@ -38,7 +40,7 @@ from .artinian import ArtinianAlgebra, dual_coefficient, dual_numbers
 from .errors import DomainError, NonUnitError, WindowError
 from .fields import AlgebraElement, BaseField, CoefficientRing, lift
 from .laurent import LaurentSeries
-from .norms import mat_add, mat_det, mat_identity, mat_mul
+from .norms import mat_det, mat_mul
 
 SymbolValue = AlgebraElement
 
@@ -84,13 +86,16 @@ class BlockOperator:
 
     def lift_dual(self, target: ArtinianAlgebra, eps: AlgebraElement) -> "BlockOperator":
         """1 + eps * self, over the Artinian ring `target`."""
+        ring, mul, add, e = self.ring, target._mul, target._add, eps.data
 
-        def lifted(block):
-            return [[lift(c, target) * eps for c in row] for row in block]
+        def lifted(block, one=False):
+            rows = [[mul(lift(AlgebraElement(ring, c), target).data, e) for c in row] for row in block]
+            for i in range(len(rows) if one else 0):
+                rows[i][i] = add(target._one, rows[i][i])
+            return rows
 
-        alpha = mat_add(mat_identity(target, self.wneg), lifted(self.alpha))
-        delta = mat_add(mat_identity(target, self.wpos), lifted(self.delta))
-        return BlockOperator(target, self.wneg, self.wpos, alpha, lifted(self.beta), lifted(self.gamma), delta)
+        return BlockOperator(target, self.wneg, self.wpos, lifted(self.alpha, True), lifted(self.beta),
+                             lifted(self.gamma), lifted(self.delta, True))
 
     def __eq__(self, other):
         if not isinstance(other, BlockOperator):
@@ -120,14 +125,11 @@ def multiplication_operator(f: LaurentSeries, wneg: int, wpos: int) -> BlockOper
         raise WindowError(
             f"window ({wneg},{wpos}) is below the support bound {pole + deg} of the multiplier"
         )
-    n = wneg + wpos
-    zero = ring.zero()
-    # line[k] is the coefficient of z^(n - 1 - k), so the row of exponent r,
-    # entries z^(r - c) for c = -wneg .. wpos - 1, starts at k = wpos - 1 - r,
-    # and its part in each block is one slice of the line; each coefficient
-    # is boxed once and shared by every row that holds it
-    boxed = [AlgebraElement(ring, c) for c in f.data]
-    line = [boxed[i] if 0 <= (i := e - f.offset) < len(boxed) else zero for e in range(n - 1, -n, -1)]
+    n, data, zero = wneg + wpos, f.data, ring._zero
+    # line[k] is the raw coefficient of z^(n - 1 - k), so the row of exponent
+    # r, entries z^(r - c) for c = -wneg .. wpos - 1, starts at k = wpos - 1 - r,
+    # and its part in each block is one slice of the line
+    line = [data[i] if 0 <= (i := e - f.offset) < len(data) else zero for e in range(n - 1, -n, -1)]
     neg_rows, pos_rows = range(wpos + wneg - 1, wpos - 1, -1), range(wpos - 1, -1, -1)
     alpha = [line[k:k + wneg] for k in neg_rows]
     beta = [line[k + wneg:k + n] for k in neg_rows]
@@ -150,7 +152,7 @@ def cocycle_det(s1: BlockOperator, s2: BlockOperator) -> SymbolValue:
     d1d2 = mat_mul(s1.delta, s2.delta, ring)
     # gamma_1 beta_2 has inner dimension wneg; with wneg = 0 it is the zero block,
     # which a matrix product with no inner terms cannot shape
-    d3 = mat_add(mat_mul(s1.gamma, s2.beta, ring), d1d2) if s1.wneg else d1d2
+    d3 = [list(map(ring._add, g, d)) for g, d in zip(mat_mul(s1.gamma, s2.beta, ring), d1d2)] if s1.wneg else d1d2
     # mat_det is total, so a singular d3 comes back as a non-unit whose inverse raises
     try:
         inv_det3 = mat_det(d3, ring).inverse()
@@ -176,9 +178,8 @@ def cocycle_commutator(s: BlockOperator, t: BlockOperator) -> SymbolValue:
 def _corner_trace(gamma, beta, side: int, ring: CoefficientRing):
     """Raw tr(gamma beta) summed over the corner triangle i + (wneg - 1 - j) < side only.
 
-    gamma is wpos x wneg and beta wneg x wpos; the cells outside the
-    triangle are zero in one of the two factors.  Each entry's data is read
-    in the loop, and only an entry of another ring is coerced.
+    gamma is wpos x wneg and beta wneg x wpos, both raw; the cells outside
+    the triangle are zero in one of the two factors.
     """
     add, mul, is_zero = ring._add, ring._mul, ring._is_zero
     last = len(beta) - 1
@@ -187,8 +188,6 @@ def _corner_trace(gamma, beta, side: int, ring: CoefficientRing):
         row = gamma[i]
         for j in range(last, max(last - (side - i), -1), -1):
             x, y = row[j], beta[j][i]
-            x = x.data if x.ring is ring else ring.coerce(x).data
-            y = y.data if y.ring is ring else ring.coerce(y).data
             if not is_zero(x) and not is_zero(y):
                 t = add(t, mul(x, y))
     return t

@@ -52,6 +52,7 @@ from .symbols import (
     gelfand_fuchs_cocycle,
     tame_symbol,
     tate_residue,
+    tate_window,
 )
 
 EXIT_OK = 0
@@ -221,9 +222,7 @@ def _cmd_tate(args) -> int:
     field = parse_field_spec(args.field)
     f = parse_series(args.f, field)
     g = parse_series(args.g, field)
-    supports = [e for s in (f, g) for e in s.support()]
-    bound = max([0] + [abs(e) for e in supports])
-    window = args.window if args.window is not None else 2 * bound + 1
+    window = args.window if args.window is not None else tate_window(f, g)
     return _emit_value(args, tate_residue(f, g, window), {"window": window})
 
 

@@ -539,15 +539,15 @@ def _residue_class_norm(cls: Polynomial, place: Place) -> AlgebraElement:
     """Norm_{k(P)/k} of cls, reduced mod P: the determinant of multiplication by cls on k[x]/(P).
 
     Column 0 is cls itself and column j + 1 is x times column j, reduced mod
-    P, on raw data; so a degree-1 place forms no product and no remainder.
+    P, on raw data, and the matrix is raw too; so a degree-1 place forms no
+    product and no remainder, and only the determinant is boxed.
     """
     field, p = place.field, place.poly
     rem, zero = field.kernels.rem, field._zero
     cols = [cls._data]
     while len(cols) < p.degree:
         cols.append(rem([zero] + cols[-1], p._data, field.kernel_arg))
-    return mat_det([[AlgebraElement(field, col[i] if i < len(col) else zero) for col in cols]
-                    for i in range(p.degree)], field)
+    return mat_det([[col[i] if i < len(col) else zero for col in cols] for i in range(p.degree)], field)
 
 
 def verify_wrl(f: RationalFunction, g: RationalFunction) -> VerificationReport:

@@ -456,6 +456,8 @@ def cc_factorize(f: LaurentSeries, prec: int | None = None) -> PrincipalUnitFact
         work = _divide_by_peel(work, e, neg_powers[-1])
 
     pos, pos_powers = [], []
+    if work.prec is not None and work.prec <= 0:  # the negative peels lowered it past z^0
+        raise PrecisionError(f"coefficient of z^0 is beyond the tracked precision O(z^{work.prec})")
     c0 = work._at(0)
     a0 = ring._sub(ring._one, c0)
     if not ring._is_zero(a0):

@@ -11,16 +11,18 @@ coordinates are read and built only through the ring's own ``coordinates``
 and ``from_coordinates`` (see :mod:`reciprocity.fields` and
 :mod:`reciprocity.artinian`).
 
-Matrix helpers work over any coefficient ring and take and return matrices
-of elements.  Each one unwraps its arguments to raw data once, makes one
-call to the ring's kernels (see :mod:`reciprocity.fields`) and wraps the
-result: Gaussian elimination modulo p over F_p, and the generic elimination
-of :mod:`reciprocity._kernels.generic` elsewhere, which pivots on units and
+A matrix is a list of rows of the ring's raw data; only a determinant or a
+trace is boxed as an element.  ``mat_mul`` and ``mat_det`` are one call each
+to the ring's kernels (see :mod:`reciprocity.fields`): Gaussian elimination
+modulo p over F_p, and the generic elimination of
+:mod:`reciprocity._kernels.generic` elsewhere, which pivots on units and
 finishes a block with no unit pivot by a division-free determinant, so the
 determinant of a matrix over a local ring is exact, a non-unit included.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 from .artinian import ArtinianAlgebra
 from .errors import TowerError
@@ -54,10 +56,10 @@ def coordinates(elem: AlgebraElement, over: BaseField) -> list[AlgebraElement]:
     raise TowerError(f"{ring!r} is not an algebra over {over!r}")
 
 
-def multiplication_matrix(r: AlgebraElement, over: BaseField) -> list[list[AlgebraElement]]:
-    """Matrix of x -> r*x on r's parent ring, over the subfield `over`."""
+def multiplication_matrix(r: AlgebraElement, over: BaseField) -> list[list]:
+    """Raw matrix of x -> r*x on r's parent ring, over the subfield `over`."""
     basis = vector_basis(r.ring, over)
-    cols = [coordinates(r * b, over) for b in basis]
+    cols = [[c.data for c in coordinates(r * b, over)] for b in basis]
     n = len(basis)
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
@@ -65,37 +67,14 @@ def multiplication_matrix(r: AlgebraElement, over: BaseField) -> list[list[Algeb
 # -- matrix helpers ----------------------------------------------------------
 
 
-def _unwrap(m, ring: CoefficientRing) -> list[list]:
-    return [[c.data if c.ring is ring else ring.coerce(c).data for c in row] for row in m]
+def mat_mul(a: list[list], b: list[list], ring: CoefficientRing) -> list[list]:
+    """a b of raw matrices, as a raw matrix."""
+    return ring.kernels.mat_mul(a, b, ring.kernel_arg)
 
 
-def _wrap(m, ring: CoefficientRing) -> list[list[AlgebraElement]]:
-    return [[AlgebraElement(ring, c) for c in row] for row in m]
-
-
-def mat_identity(ring: CoefficientRing, n: int) -> list[list[AlgebraElement]]:
-    z, o = ring.zero(), ring.one()
-    return [[o if i == j else z for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b, ring: CoefficientRing) -> list[list[AlgebraElement]]:
-    return _wrap(ring.kernels.mat_mul(_unwrap(a, ring), _unwrap(b, ring), ring.kernel_arg), ring)
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_trace(a, ring: CoefficientRing) -> AlgebraElement:
-    t = ring.zero()
-    for i in range(len(a)):
-        t = t + a[i][i]
-    return t
-
-
-def mat_det(a, ring: CoefficientRing) -> AlgebraElement:
-    """Determinant over a field or a local ring."""
-    return AlgebraElement(ring, ring.kernels.mat_det(_unwrap(a, ring), ring.kernel_arg))
+def mat_det(a: list[list], ring: CoefficientRing) -> AlgebraElement:
+    """Determinant of a raw matrix over a field or a local ring."""
+    return AlgebraElement(ring, ring.kernels.mat_det(a, ring.kernel_arg))
 
 
 # -- norms and traces --------------------------------------------------------
@@ -112,7 +91,8 @@ def algebra_trace(r: AlgebraElement, over: BaseField) -> AlgebraElement:
     """trace of multiplication-by-r on its parent, as an element of `over`."""
     if r.ring == over:
         return r
-    return mat_trace(multiplication_matrix(r, over), over)
+    m = multiplication_matrix(r, over)
+    return AlgebraElement(over, reduce(over._add, (m[i][i] for i in range(len(m))), over._zero))
 
 
 # -- relative norm along the residue-field part ------------------------------
@@ -137,6 +117,6 @@ def relative_norm(elem: AlgebraElement, down_to: BaseField) -> AlgebraElement:
     cols = []
     for b in vector_basis(kprime, down_to):
         parts = [coordinates(c, down_to) for c in ring.coordinates(elem * ring.embed_from_below(b))]
-        cols.append([target.from_coordinates(row) for row in zip(*parts)])
+        cols.append([target.from_coordinates(row).data for row in zip(*parts)])
     n = len(cols)
     return mat_det([[cols[j][i] for j in range(n)] for i in range(n)], target)

@@ -68,7 +68,7 @@ def contou_carrere_symbol(
     analogous product with the roles swapped; (i,j) is the gcd.  The
     products are finite because negative peel coefficients are nilpotent
     and positive ones lie in the maximal ideal, whose nilpotency order
-    bounds the contributing exponents.
+    bounds the contributing exponents.  An input known to less than they read raises ``PrecisionError``.
     """
     ring = f.ring
     if not isinstance(ring, ArtinianAlgebra) or g.ring != ring:
@@ -80,6 +80,9 @@ def contou_carrere_symbol(
     # other; peeling can push negative support down to nil_index * initial
     prec_f = max(2, m_nil * max(-g.offset, 0) * (m_nil - 1) + 2)
     prec_g = max(2, m_nil * max(-f.offset, 0) * (m_nil - 1) + 2)
+    for name, s, needed in (("f", f, prec_f), ("g", g, prec_g)):
+        if s.prec is not None and s.prec < needed:
+            raise PrecisionError(f"{name} is known only to O(z^{s.prec}); the symbol reads it to O(z^{needed})")
     fac_f = cc_factorize(f, prec_f)
     fac_g = cc_factorize(g, prec_g)
 
@@ -149,13 +152,18 @@ def residue_coefficient(
     return algebra_trace(c, base)
 
 
+def tate_window(f1: LaurentSeries, f2: LaurentSeries) -> int:
+    """The least window ``tate_residue`` takes: the larger pole order plus the larger degree of f1, f2."""
+    (p1, d1), (p2, d2) = support_bound(f1), support_bound(f2)
+    return max(p1, p2) + max(d1, d2)
+
+
 def tate_residue(f1: LaurentSeries, f2: LaurentSeries, window: int) -> SymbolValue:
     """res f1 df2 as the block trace tr(gamma_2 beta_1 - gamma_1 beta_2), one ``lie_cocycle``.
 
     The multiplication operators of f1, f2 are restricted to the window
-    z^{-window}..z^{window}; the window must be at least the larger pole
-    order plus the larger polynomial degree of the two inputs, and at most
-    WINDOW_BUDGET.  The cells the traces read are the same at every such
+    z^{-window}..z^{window}; the window runs from ``tate_window`` of the
+    inputs to WINDOW_BUDGET.  The traces read the same cells at every such
     window, so the value does not depend on it; the tests check this.
     """
     if window > WINDOW_BUDGET:
@@ -164,8 +172,7 @@ def tate_residue(f1: LaurentSeries, f2: LaurentSeries, window: int) -> SymbolVal
         raise DomainError("Tate residues need exact Laurent polynomials")
     if f1.ring != f2.ring:
         raise DomainError("series live over different rings")
-    (p1, d1), (p2, d2) = support_bound(f1), support_bound(f2)
-    needed = max(p1, p2) + max(d1, d2)
+    needed = tate_window(f1, f2)
     if window < needed:
         raise WindowError(f"window {window} is below the required bound {needed}")
     return lie_cocycle(multiplication_operator(f1, window, window + 1),

@@ -3,10 +3,11 @@
 The library keeps what its own commands call; the independent checks the
 tests compare it against live here: tuple-format extension fields,
 expanding a factorization back into what it factors, comparing truncated
-series, the whole loop-matrix and window-operator products, the
-norm/determinant compatibility of block matrices, the block trace read cell
-by cell, the derivatives of a rational function and of a loop matrix, adele
-orthogonality over a list of test functions, the schoolbook loops of the
+series, the whole loop-matrix and window-operator products, the identity,
+sum and trace of raw matrices, the norm/determinant compatibility of block
+matrices, the block trace read cell by cell, the derivatives of a rational
+function and of a loop matrix, adele orthogonality over a list of test
+functions, the schoolbook loops of the
 packed and in-place F_p kernels, the row-by-row Frobenius matrix, the
 generic extended Euclid, the Leibniz determinant, the finite-field factoring chain that normalized
 every stage, the printers and generic divisions that boxed elements and
@@ -36,7 +37,6 @@ from reciprocity.laurent import DEFAULT_PRECISION, LaurentSeries, PrincipalUnitF
 from reciprocity.norms import (
     algebra_norm,
     mat_det,
-    mat_identity,
     mat_mul,
     multiplication_matrix,
     relative_norm,
@@ -83,16 +83,37 @@ class TupleField(ExtensionField):
     """
 
 
+# -- raw matrices: lists of rows of a ring's raw data, as the library's -----------
+
+
+def identity_matrix(ring, n: int) -> list[list]:
+    """The raw n x n identity."""
+    return [[ring._one if i == j else ring._zero for j in range(n)] for i in range(n)]
+
+
+def matrix_sum(a, b, ring) -> list[list]:
+    """a + b of two raw matrices."""
+    return [[ring._add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def matrix_trace(a, ring) -> AlgebraElement:
+    """The trace of a raw square matrix, boxed."""
+    t = ring._zero
+    for i in range(len(a)):
+        t = ring._add(t, a[i][i])
+    return AlgebraElement(ring, t)
+
+
 def identity_operator(ring, wneg: int, wpos: int) -> BlockOperator:
-    z = ring.zero()
+    z = ring._zero
     return BlockOperator(
         ring,
         wneg,
         wpos,
-        mat_identity(ring, wneg),
+        identity_matrix(ring, wneg),
         [[z] * wpos for _ in range(wneg)],
         [[z] * wneg for _ in range(wpos)],
-        mat_identity(ring, wpos),
+        identity_matrix(ring, wpos),
     )
 
 
@@ -135,16 +156,16 @@ def bracket(a: LoopMatrix, b: LoopMatrix) -> LoopMatrix:
 
 
 def trace_of_product(a, b, ring) -> AlgebraElement:
-    """tr(a b) of an n x k and a k x n matrix, summed over every cell without forming a b.
+    """tr(a b) of a raw n x k and k x n matrix, summed over every cell without forming a b.
 
     The reference for ``blockops.lie_cocycle``, which reads only the corner
     triangles where a multiplication operator's blocks can be nonzero.
     """
-    t = ring.zero()
+    t = ring._zero
     for i, row in enumerate(a):
         for j, x in enumerate(row):
-            t = t + ring.coerce(x) * ring.coerce(b[j][i])
-    return t
+            t = ring._add(t, ring._mul(x, b[j][i]))
+    return AlgebraElement(ring, t)
 
 
 def agrees_with(a: LaurentSeries, b: LaurentSeries) -> bool:
@@ -193,10 +214,10 @@ def norm_det_compat(T, over: BaseField):
         for t in row:
             if t.ring != kprime:
                 raise TowerError("matrix entries live in different rings")
-    norm = algebra_norm(mat_det(T, kprime), over)
+    norm = algebra_norm(mat_det([[t.data for t in row] for row in T], kprime), over)
     d = len(vector_basis(kprime, over))
     n = len(T)
-    big = [[over.zero()] * (n * d) for _ in range(n * d)]
+    big = [[over._zero] * (n * d) for _ in range(n * d)]
     for i in range(n):
         for j in range(n):
             block = multiplication_matrix(T[i][j], over)
@@ -876,7 +897,7 @@ def reference_cc_factorize(f: ReferenceSeries, prec: int | None = None) -> Princ
         neg.append((-e, -work.coeffs[e]))
         work = reference_divide_by_peel(work, e, -work.coeffs[e])
     pos = []
-    c0 = work.coeffs.get(0, ring.zero())
+    c0 = work.coefficient(0)
     a0 = ring.one() - c0
     if not a0.is_zero():
         if is_unit(a0):
@@ -907,8 +928,12 @@ def reference_cc_symbol(f: ReferenceSeries, g: ReferenceSeries) -> AlgebraElemen
     def deepest(s: ReferenceSeries) -> int:
         return abs(min((e for e in s.coeffs if e < 0), default=0))
 
-    fac_f = reference_cc_factorize(f, max(2, m * deepest(g) * (m - 1) + 2))
-    fac_g = reference_cc_factorize(g, max(2, m * deepest(f) * (m - 1) + 2))
+    prec_f, prec_g = max(2, m * deepest(g) * (m - 1) + 2), max(2, m * deepest(f) * (m - 1) + 2)
+    for name, s, needed in (("f", f, prec_f), ("g", g, prec_g)):
+        if s.prec is not None and s.prec < needed:
+            raise PrecisionError(f"{name} is known only to O(z^{s.prec}); the symbol reads it to O(z^{needed})")
+    fac_f = reference_cc_factorize(f, prec_f)
+    fac_g = reference_cc_factorize(g, prec_g)
     value = loop_double_product(ring, fac_f, fac_g) * loop_double_product(ring, fac_g, fac_f).inverse()
     return relative_norm(value, ring.base)
 
@@ -1020,12 +1045,12 @@ def random_principal_unit(rng: random.Random, ring: ArtinianAlgebra, min_exp: in
 
 
 def random_matrix(rng: random.Random, ring, n: int):
-    """n x n entries, from -4..4 over Q and uniform over other rings."""
+    """n x n raw entries, from -4..4 over Q and uniform over other rings."""
 
     def entry():
         if ring == QQ:
-            return ring.from_int(rng.randint(-4, 4))
-        return ring.random_element(rng)
+            return ring.from_int(rng.randint(-4, 4)).data
+        return ring.random_element(rng).data
 
     return [[entry() for _ in range(n)] for _ in range(n)]
 
@@ -1035,8 +1060,8 @@ def random_block_operator(rng: random.Random, ring, wneg: int, wpos: int,
     while True:
         alpha = random_matrix(rng, ring, wneg)
         delta = random_matrix(rng, ring, wpos)
-        beta = [[ring.random_element(rng) for _ in range(wpos)] for _ in range(wneg)]
-        gamma = [[ring.random_element(rng) for _ in range(wneg)] for _ in range(wpos)]
+        beta = [[ring.random_element(rng).data for _ in range(wpos)] for _ in range(wneg)]
+        gamma = [[ring.random_element(rng).data for _ in range(wneg)] for _ in range(wpos)]
         op = BlockOperator(ring, wneg, wpos, alpha, beta, gamma, delta)
         if not invertible_delta:
             return op

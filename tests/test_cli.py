@@ -344,3 +344,32 @@ def test_sweep_takes_the_boundary_sizes(monkeypatch, capsys, count, max_degree):
     argv = ["sweep", "--field", "F7", "--count", str(count), "--max-degree", str(max_degree)]
     assert cli.main(argv) == cli.EXIT_OK
     assert len(payloads) == count and {p[4] for p in payloads} == {max_degree}
+
+
+CC_TRUNCATION = ["symbol-cc", "--ring", "F7[e,d]/(e^2,d^2)", "-g", "1 + d*z^-5"]
+
+
+@pytest.mark.parametrize("f, prec, known", [
+    ("1 + O(z^3)", [], 3),
+    ("1/(1-e*z^5)", ["--prec", "3"], 3),
+    ("1/(1-e*z^5)", ["--prec", "5"], 5),
+    ("1 + e*z^5 + O(z^6)", [], 6),
+])
+def test_a_truncated_symbol_argument_is_refused(capsys, f, prec, known):
+    """The double product reads f to O(z^32) against the pole of g; less is an input error, not a value."""
+    assert cli.main([*CC_TRUNCATION, "-f", f, *prec]) == cli.EXIT_INPUT
+    assert f"f is known only to O(z^{known}); the symbol reads it to O(z^32)" in capsys.readouterr().err
+
+
+def test_an_exact_symbol_argument_reads_every_factor(capsys):
+    assert cli.main([*CC_TRUNCATION, "-f", "1 + e*z^5"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.strip() == "1 + 2*e*d"
+
+
+def test_the_default_tate_window_is_the_least_one_taken(capsys):
+    """max pole + max degree: 3 + 3 for z^-3 + 1 against z^3; one less is refused."""
+    argv = ["tate-residue", "--field", "Q", "-f", "z^-3+1", "-g", "z^3", "--json"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {"value": "3", "window": 6}
+    assert cli.main([*argv, "--window", "5"]) == cli.EXIT_INPUT
+    assert "window 5 is below the required bound 6" in capsys.readouterr().err

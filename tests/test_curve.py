@@ -30,8 +30,9 @@ from reciprocity.curve import (
     wrl_local_factor,
 )
 from reciprocity.errors import DomainError, FactorError, TowerError
-from reciprocity.fields import QQ, ExtensionField, PrimeField, find_irreducible, lift
+from reciprocity.fields import QQ, AlgebraElement, ExtensionField, PrimeField, find_irreducible, lift
 from reciprocity.laurent import LaurentSeries
+from reciprocity.norms import algebra_norm
 from reciprocity.poly import Polynomial
 from reciprocity.symbols import residue_coefficient
 from support import agrees_with, random_factored_rational, rational_derivative, rational_x, sigma_perp_forward
@@ -162,6 +163,24 @@ def both_unit_values(f, g, place):
     cls = divided_unit_value(f, place).pow_mod(vg, p) * divided_unit_value(g, place).pow_mod(-vf, p) % p
     value = _residue_class_norm(cls, place)
     return -value if (vf * vg * place.degree) % 2 else value
+
+
+def test_residue_class_norm_boxes_only_the_determinant(F7, monkeypatch):
+    """At a degree-3 place the columns and the matrix are raw data; the one element built is the norm."""
+    place = Place.finite(Polynomial(F7, find_irreducible(7, 3)))
+    cls = Polynomial(F7, [3, 5, 2])
+    want = algebra_norm(place.residue_field.from_coordinates([3, 5, 2]), F7)
+    built, init = [], AlgebraElement.__init__
+
+    def counting(self, ring, data):
+        built.append(data)
+        init(self, ring, data)
+
+    monkeypatch.setattr(AlgebraElement, "__init__", counting)
+    value = _residue_class_norm(cls, place)
+    monkeypatch.undo()
+    assert len(built) <= 1
+    assert value == want
 
 
 class TestWRL:

@@ -7,7 +7,9 @@ import copy
 import inspect
 import random
 import sys
+import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -248,6 +250,16 @@ def test_generic_mat_det_of_a_nilpotent_scalar_matrix():
     e = ring.generator(0)
     a = [[e.data if i == j else ring._zero for j in range(12)] for i in range(12)]
     assert generic.mat_det(a, ring) == (e ** 12).data
+
+
+def test_generic_mat_det_of_a_zero_column_is_zero_at_once():
+    """32 x 32 over Q with a zero first column: 0, by no division-free block (about 2 s before)."""
+    rng = random.Random(32)
+    a = [[Fraction(0)] + [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(31)] for _ in range(32)]
+    start = time.perf_counter()
+    det = generic.mat_det(a, QQ)
+    assert time.perf_counter() - start < 0.1
+    assert det == QQ._zero
 
 
 def kernel_calls(p):

@@ -4,14 +4,17 @@ import pytest
 
 from reciprocity.artinian import ArtinianAlgebra, dual_numbers
 from reciprocity.errors import TowerError
-from reciprocity.fields import QQ, ExtensionField, PrimeField, lift
+from reciprocity.fields import QQ, AlgebraElement, ExtensionField, PrimeField, lift
 from reciprocity.norms import (
     algebra_norm,
     algebra_trace,
+    mat_det,
+    mat_mul,
+    multiplication_matrix,
     relative_norm,
 )
 from reciprocity.parsing import parse_ring_spec
-from support import norm_det_compat
+from support import leibniz_det, norm_det_compat
 
 
 def test_norm_examples(F2, F3, F4, Q):
@@ -128,3 +131,31 @@ def test_relative_norm_identity_when_same_base(Q):
 def test_tower_errors(F5, F9):
     with pytest.raises(TowerError):
         algebra_norm(F9.generator(), F5)
+
+
+@pytest.mark.parametrize("spec", ["Q", "F7", "F9", "F7[e,d]/(e^3,d^2)"])
+def test_raw_matrix_product_and_determinant(rng, spec):
+    """mat_mul is the kernel's raw product and mat_det boxes the Leibniz determinant, det(ab) = det a det b."""
+    ring = parse_ring_spec(spec)
+    for n in range(5):
+        for k in (n + 2, n):
+            a = [[ring.random_element(rng).data for _ in range(k)] for _ in range(n)]
+            b = [[ring.random_element(rng).data for _ in range(n)] for _ in range(k)]
+            ab = mat_mul(a, b, ring)
+            assert ab == ring.kernels.mat_mul(a, b, ring.kernel_arg)
+            assert not any(isinstance(c, AlgebraElement) for row in ab for c in row)
+        det_a, det_b = mat_det(a, ring), mat_det(b, ring)  # the square pair, k = n
+        assert det_a.ring is ring and det_a == AlgebraElement(ring, leibniz_det(a, ring))
+        assert det_a == AlgebraElement(ring, ring.kernels.mat_det(a, ring.kernel_arg))
+        assert mat_det(mat_mul(a, b, ring), ring) == det_a * det_b
+
+
+def test_multiplication_matrix_is_raw(rng, F9):
+    """Entries are the raw coordinates over the subfield; the trace is the sum of the diagonal."""
+    F3 = PrimeField(3)
+    for ring, over in ((F9, F3), (ArtinianAlgebra(F9, [("e", 2)]), F3), (dual_numbers(QQ), QQ)):
+        for _ in range(10):
+            r = ring.random_element(rng)
+            m = multiplication_matrix(r, over)
+            assert not any(isinstance(c, AlgebraElement) for row in m for c in row)
+            assert algebra_trace(r, over) == sum((AlgebraElement(over, m[i][i]) for i in range(len(m))), over.zero())

@@ -183,6 +183,11 @@ class TestResidues:
         a = LaurentSeries(Q, {-1: 1, 2: 5})
         assert residue_from_dual_symbol(a, a) == 0
 
+    def test_dual_route_refuses_a_truncated_input(self, Q):
+        """res (1 + z + O(z^2)) d(z^-3) reads the unknown z^3 coefficient; the symbol reads 1 + e1 alpha to O(z^20)."""
+        with pytest.raises(PrecisionError, match=r"f is known only to O\(z\^2\); the symbol reads it to O\(z\^20\)"):
+            residue_from_dual_symbol(parse_series("1 + z + O(z^2)", Q), zpow(Q, -3))
+
     def test_coefficient_route_examples(self, Q, F3, F9):
         assert residue_coefficient(zpow(Q, -1), zpow(Q, 1)) == 1
         for n in (-3, 0, 1, 4):
@@ -425,6 +430,30 @@ def test_negative_peel_repeats_exponents():
     assert len(set(exponents)) < len(exponents)
     got, want = both_ways(cc_factorize, f)
     assert got == want
+
+
+@pytest.mark.parametrize("spec", sorted(CC_RINGS))
+@settings(max_examples=30, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(3, 12), st.integers(1, 16))
+def test_truncated_inputs_are_refused_or_keep_the_symbol(spec, rng, top, prec):
+    """Truncating either argument of an exact pair raises PrecisionError or leaves <f, g> as it was.
+
+    f is 1 plus terms up to z^top and g is 1 + b z^-top, so the factors
+    (1 - a z^top) of f and (1 - b z^-top) of g pair to 1 - a b, which a
+    truncation of f can drop; and the peel of g lowers the precision of a
+    truncated g by up to top times the nilpotency order.  With one negative
+    term in all, the peels stay far below ``PEEL_BUDGET``.
+    """
+    ring = CC_RINGS[spec]
+    f, g = random_principal_unit(rng, ring, 0, top), random_principal_unit(rng, ring, -top, -top)
+    for a, b in ((f, g), (g, f)):
+        exact = contou_carrere_symbol(a, b)
+        for t, u in ((a.truncate(prec), b), (a, b.truncate(prec))):
+            try:
+                value = contou_carrere_symbol(t, u)
+            except PrecisionError:
+                continue
+            assert value == exact
 
 
 # the first symbol-cc pair of the local_symbols benchmark at seed 1
