@@ -18,11 +18,11 @@ asking for a coefficient at or beyond prec raises PrecisionError.
 A series is a *declared unit* when its lowest stored coefficient is
 invertible in the ring (for fields: nonzero; over an Artinian ring:
 invertible modulo the maximal ideal).  Only declared units can be inverted;
-the principal-unit factorization below divides by (1 - c z^k) factors with
-nilpotent c instead: the quotient w' of a series w by the factor solves
-w'[t] = w[t] + c w'[t - k], a first-order recurrence run in place on w's
-raw list with one fused multiply-add (``ArtinianAlgebra._mul_add``) per
-nonzero coefficient, and it is finite because c is nilpotent.
+the principal-unit factorization below peels (1 - c z^k) factors with
+nilpotent c instead, in sweeps from z^-1 down: the quotient w' of a series w
+by the factor solves w'[t] = w[t] + c w'[t - k], a first-order recurrence
+run in place on w's raw list with one fused multiply-add per nonzero
+coefficient (``ArtinianAlgebra._mul_add``), finite because c is nilpotent.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ DEFAULT_PRECISION = 32
 # largest precision a series is parsed at: a product of two dense series
 # costs prec^2 coefficient products, about 2.5 s over Q at 512
 PRECISION_BUDGET = 512
-# most negative peels one factorization makes: the count grows exponentially
-# with the nilpotency order once the negative part has two terms, and 512
-# peels cost about 2.5 s over Q[e]/(e^64)
-PEEL_BUDGET = 512
+# most base products (length times ``_mul_add_cost``, peel by peel) the negative
+# peels of one factorization form; 10^6 take 0.8-2.5 s over Q[e]/(e^64) and 0.2-0.3
+# s over F7 or F101 (pure backend, one x86-64 core)
+PEEL_BUDGET = 10**6
 
 
 def _min_prec(a: int | None, b: int | None) -> int | None:
@@ -353,7 +353,7 @@ class PrincipalUnitFactorization(namedtuple("PrincipalUnitFactorization", "ring 
 
     Negative-exponent coefficients are nilpotent; positive ones (including
     the z^0 factor) lie in the maximal ideal.  The neg list is in peel order
-    (most negative exponent first) and may repeat exponents.  ``neg_powers``
+    (sweeps from z^-1 down) and repeats exponents only across sweeps.  ``neg_powers``
     and ``pos_powers`` hold, entry for entry, the ``nilpotent_powers`` of each
     coefficient that the peel divided by, so the symbol forms none of them
     again; the z^0 factor, which no peel divides by, has ``None``.
@@ -421,11 +421,10 @@ def _divide_by_peel(work: LaurentSeries, exponent: int, powers: tuple) -> Lauren
 def cc_factorize(f: LaurentSeries, prec: int | None = None) -> PrincipalUnitFactorization:
     """Peel a principal unit into (1 - c z^{+-i}) factors.
 
-    Negative factors are peeled from the most negative exponent upward,
-    sweeping until the negative part is exactly zero (this terminates by the
-    nilpotency filtration, after at most ``PEEL_BUDGET`` peels or a
-    ``DomainError``); then the z^0 factor, then positive factors in
-    ascending order up to the target precision.
+    Negative factors are peeled in sweeps from z^-1 down to the lowest
+    exponent until the negative part is zero; each sweep raises its m-adic
+    order, so fewer than nil_index run, or a DomainError past PEEL_BUDGET.
+    Then come the z^0 factor and the positive factors up to the target.
     """
     ring = f.ring
     if not isinstance(ring, ArtinianAlgebra):
@@ -434,52 +433,45 @@ def cc_factorize(f: LaurentSeries, prec: int | None = None) -> PrincipalUnitFact
         raise DomainError(
             "series is not a principal unit (reduction mod the maximal ideal must be 1)"
         )
-    target = prec
-    if target is None:
-        # one past the highest exponent, which is at least 0 for a principal unit
-        target = f.prec if f.prec is not None else f.offset + len(f.data)
+    # the factors reach z^0 at least, and by default one past the highest exponent
+    target = max(1, prec if prec is not None else f.prec if f.prec is not None else f.offset + len(f.data))
     if f.prec is not None:
         target = min(target, f.prec)
 
-    unit, neg_raw = ring._is_invertible, ring._neg
+    is_zero, neg_raw = ring._is_zero, ring._neg
     neg, neg_powers = [], []
-    work = f
+    work, cost, e = f, 0, 0
     while work.offset < 0:
-        if len(neg) == PEEL_BUDGET:
-            raise DomainError(f"negative peeling needs more than {PEEL_BUDGET} peels: the budget is peels <= {PEEL_BUDGET}")
-        e, c = work.offset, work.data[0]
-        if unit(c):
-            raise DomainError("negative coefficient is not nilpotent; input outside the domain")
+        e = e - 1 if e > work.offset else -1  # down to the lowest exponent, then a new sweep
+        c = work._at(e)
+        if is_zero(c):
+            continue
         a = neg_raw(c)
+        cost += len(work.data) * ring._mul_add_cost(a)
+        if cost > PEEL_BUDGET:
+            raise DomainError(f"negative peeling takes more than {PEEL_BUDGET} base products: the budget is products <= {PEEL_BUDGET}")
         neg.append((-e, AlgebraElement(ring, a)))
         neg_powers.append(nilpotent_powers(ring, a))
         work = _divide_by_peel(work, e, neg_powers[-1])
+        if work.prec is not None and work.prec < target:  # a negative peel lowers prec, a positive one keeps it
+            raise PrecisionError(f"not enough precision to factorize to O(z^{target}): the negative peels leave O(z^{work.prec})")
 
     pos, pos_powers = [], []
-    if work.prec is not None and work.prec <= 0:  # the negative peels lowered it past z^0
-        raise PrecisionError(f"coefficient of z^0 is beyond the tracked precision O(z^{work.prec})")
     c0 = work._at(0)
     a0 = ring._sub(ring._one, c0)
-    if not ring._is_zero(a0):
-        if unit(a0):
-            raise DomainError("constant term does not reduce to 1")
+    if not is_zero(a0):
         pos.append((0, AlgebraElement(ring, a0)))
         pos_powers.append(None)
         work = work * LaurentSeries._from_raw(ring, 0, [ring._inv(c0)])
-    # no positive peel reads past the bound, so an exact work stops growing there
-    bound = target if work.prec is None else min(target, work.prec)
-    work = work.truncate(bound)
-    for i in range(1, bound):
+    # no positive peel reads past the target, so an exact work stops growing there
+    work = work.truncate(target)
+    for i in range(1, target):
         ci = work._at(i)
-        if ring._is_zero(ci):
+        if is_zero(ci):
             continue
-        if unit(ci):
-            raise DomainError("positive coefficient outside the maximal ideal")
         ai = neg_raw(ci)
         pos.append((i, AlgebraElement(ring, ai)))
         pos_powers.append(nilpotent_powers(ring, ai))
         work = _divide_by_peel(work, i, pos_powers[-1])
-    if work.prec is not None and work.prec < target:
-        raise PrecisionError("not enough precision to factorize to the requested bound")
     return PrincipalUnitFactorization(ring, tuple(neg), tuple(pos), target,
                                       tuple(neg_powers), tuple(pos_powers))

@@ -66,9 +66,13 @@ def contou_carrere_symbol(
     Returns Norm along the residue-field part of the ratio of double
     products prod(1 - a_i^{j/(i,j)} bbar_j^{i/(i,j)})^{(i,j)} over the
     analogous product with the roles swapped; (i,j) is the gcd.  The
-    products are finite because negative peel coefficients are nilpotent
-    and positive ones lie in the maximal ideal, whose nilpotency order
-    bounds the contributing exponents.  An input known to less than they read raises ``PrecisionError``.
+    products are finite, and read f to O(z^((m - 1)^2 P + 1)) with m =
+    nil_index and P the pole order of g (g likewise): a product of m
+    elements of the maximal ideal is 0, so a term the peels of g reach sums
+    at most m - 1 of g's exponents and g's negative factors j are at most
+    (m - 1) P; ``_double_product`` pairs f's positive factor i with j only
+    if i / gcd(i, j) <= m - 1, the most powers a nilpotent has, so
+    i <= (m - 1)^2 P.  An input known to less raises ``PrecisionError``.
     """
     ring = f.ring
     if not isinstance(ring, ArtinianAlgebra) or g.ring != ring:
@@ -76,10 +80,8 @@ def contou_carrere_symbol(
     if base is None:
         base = ring.base
     m_nil = ring.nil_index
-    # positive factors of one argument pair against negative factors of the
-    # other; peeling can push negative support down to nil_index * initial
-    prec_f = max(2, m_nil * max(-g.offset, 0) * (m_nil - 1) + 2)
-    prec_g = max(2, m_nil * max(-f.offset, 0) * (m_nil - 1) + 2)
+    prec_f = (m_nil - 1) ** 2 * max(-g.offset, 0) + 1
+    prec_g = (m_nil - 1) ** 2 * max(-f.offset, 0) + 1
     for name, s, needed in (("f", f, prec_f), ("g", g, prec_g)):
         if s.prec is not None and s.prec < needed:
             raise PrecisionError(f"{name} is known only to O(z^{s.prec}); the symbol reads it to O(z^{needed})")

@@ -882,6 +882,7 @@ def reference_cc_factorize(f: ReferenceSeries, prec: int | None = None) -> Princ
         target = f.prec if f.prec is not None else max(f.coeffs, default=0) + 1
     if f.prec is not None:
         target = min(target, f.prec)
+    target = max(target, 1)
 
     def powers(c: AlgebraElement) -> tuple:
         out = [c]
@@ -891,11 +892,19 @@ def reference_cc_factorize(f: ReferenceSeries, prec: int | None = None) -> Princ
 
     neg, work = [], f
     while any(e < 0 for e in work.coeffs):
-        e = min(work.coeffs)
-        if is_unit(work.coeffs[e]):
-            raise DomainError("negative coefficient is not nilpotent; input outside the domain")
-        neg.append((-e, -work.coeffs[e]))
-        work = reference_divide_by_peel(work, e, -work.coeffs[e])
+        # one sweep: z^-1, z^-2, ... down to the lowest exponent, which the peels lower
+        e = -1
+        while e >= min(work.coeffs, default=0):
+            if e in work.coeffs:
+                c = work.coeffs[e]
+                if is_unit(c):
+                    raise DomainError("negative coefficient is not nilpotent; input outside the domain")
+                neg.append((-e, -c))
+                work = reference_divide_by_peel(work, e, -c)
+                if work.prec is not None and work.prec < target:
+                    raise PrecisionError(f"not enough precision to factorize to O(z^{target}): "
+                                         f"the negative peels leave O(z^{work.prec})")
+            e -= 1
     pos = []
     c0 = work.coefficient(0)
     a0 = ring.one() - c0
@@ -912,8 +921,6 @@ def reference_cc_factorize(f: ReferenceSeries, prec: int | None = None) -> Princ
             raise DomainError("positive coefficient outside the maximal ideal")
         pos.append((i, -ci))
         work = reference_divide_by_peel(work, i, -ci)
-    if work.prec is not None and work.prec < target:
-        raise PrecisionError("not enough precision to factorize to the requested bound")
     return PrincipalUnitFactorization(ring, tuple(neg), tuple(pos), target, tuple(powers(c) for _, c in neg),
                                       tuple(None if i == 0 else powers(c) for i, c in pos))
 
@@ -928,7 +935,7 @@ def reference_cc_symbol(f: ReferenceSeries, g: ReferenceSeries) -> AlgebraElemen
     def deepest(s: ReferenceSeries) -> int:
         return abs(min((e for e in s.coeffs if e < 0), default=0))
 
-    prec_f, prec_g = max(2, m * deepest(g) * (m - 1) + 2), max(2, m * deepest(f) * (m - 1) + 2)
+    prec_f, prec_g = (m - 1) ** 2 * deepest(g) + 1, (m - 1) ** 2 * deepest(f) + 1
     for name, s, needed in (("f", f, prec_f), ("g", g, prec_g)):
         if s.prec is not None and s.prec < needed:
             raise PrecisionError(f"{name} is known only to O(z^{s.prec}); the symbol reads it to O(z^{needed})")

@@ -356,14 +356,28 @@ CC_TRUNCATION = ["symbol-cc", "--ring", "F7[e,d]/(e^2,d^2)", "-g", "1 + d*z^-5"]
     ("1 + e*z^5 + O(z^6)", [], 6),
 ])
 def test_a_truncated_symbol_argument_is_refused(capsys, f, prec, known):
-    """The double product reads f to O(z^32) against the pole of g; less is an input error, not a value."""
+    """The double product reads f to O(z^21) against the pole of g; less is an input error, not a value."""
     assert cli.main([*CC_TRUNCATION, "-f", f, *prec]) == cli.EXIT_INPUT
-    assert f"f is known only to O(z^{known}); the symbol reads it to O(z^32)" in capsys.readouterr().err
+    assert f"f is known only to O(z^{known}); the symbol reads it to O(z^21)" in capsys.readouterr().err
 
 
 def test_an_exact_symbol_argument_reads_every_factor(capsys):
     assert cli.main([*CC_TRUNCATION, "-f", "1 + e*z^5"]) == cli.EXIT_OK
     assert capsys.readouterr().out.strip() == "1 + 2*e*d"
+
+
+@pytest.mark.parametrize("f", ["1 + e*z^-1", "1 + e*z^-1 + O(z^14)"])
+def test_a_symbol_argument_known_past_its_own_peels_is_read(capsys, f):
+    """The bound is 3^2 * 1 + 1 = 10; the peel of e*z^-1 lowers O(z^14) by 3, to O(z^11)."""
+    assert cli.main(["symbol-cc", "--ring", "F2[e]/(e^4)", "-f", f, "-g", "1 + e*z^-1"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.strip() == "1"
+
+
+def test_a_symbol_argument_its_own_peels_leave_short_names_both_precisions(capsys):
+    argv = ["symbol-cc", "--ring", "F2[e]/(e^4)", "-f", "1 + e*z^-1 + O(z^12)", "-g", "1 + e*z^-1"]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "not enough precision to factorize to O(z^10): the negative peels leave O(z^9)" in err
 
 
 def test_the_default_tate_window_is_the_least_one_taken(capsys):

@@ -121,7 +121,7 @@ def test_cc_factorize_examples():
 
     h = LaurentSeries(D, {0: D.one(), -2: e1, -1: e1})
     fh = cc_factorize(h)
-    assert fh.neg == ((2, -e1), (1, -e1))
+    assert fh.neg == ((1, -e1), (2, -e1))
     assert fh.pos == ()
     assert agrees_with(expand(fh), h)
 
@@ -378,6 +378,26 @@ def test_mul_add_is_add_of_mul(spec, rng):
     pool = [ring.random_element(rng).data, nilpotent(ring, rng).data, ring._zero, ring._one]
     acc, a, b = (rng.choice(pool) for _ in range(3))
     assert ring._mul_add(acc, a, b) == ring._add(acc, ring._mul(a, b))
+
+
+@pytest.mark.parametrize("spec", sorted(PEEL_RINGS))
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_mul_add_cost_bounds_the_base_products(spec, rng):
+    """``PEEL_BUDGET`` counts ``_mul_add_cost``: one _mul_add by a forms at most that many base products, and
+    exactly that many against a b with no zero coordinate."""
+    ring = PEEL_RINGS[spec]
+    a, b = nilpotent(ring, rng).data, ring.random_element(rng).data
+    dense = (ring.base._one,) * ring.dimension
+    calls = []
+    base_mul = ring.base._mul
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ring.base, "_mul", lambda x, y: calls.append(1) or base_mul(x, y))
+        ring._mul_add(ring._zero, a, b)
+        assert len(calls) <= ring._mul_add_cost(a)
+        calls.clear()
+        ring._mul_add(ring._zero, a, dense)
+        assert len(calls) == ring._mul_add_cost(a)
 
 
 @pytest.mark.parametrize("spec", sorted(PEEL_RINGS))

@@ -379,12 +379,16 @@ def test_tiny_inputs_over_budget_fail_fast(field, f, message):
      "precision 0 is out of range"),
     (["sweep", "--field", "F7", "--count", "1", "--jobs", "0"], "--jobs 0 is out of range: jobs >= 1"),
     (["sweep", "--field", "F7", "--count", "1", "--jobs", "-3"], "--jobs -3 is out of range"),
-    (["symbol-cc", "--ring", "F7[e]/(e^16)", "-f", "1+e*z^-1+e*z^-2", "-g", "1+e*z+e*z^2"],
-     "negative peeling needs more than 512 peels: the budget is peels <= 512"),
-    (["symbol-cc", "--ring", "F7[e,d]/(e^8,d^8)", "-f", "1+e*z^-1+d*z^-2", "-g", "1+d*z^3"],
-     "negative peeling needs more than 512 peels"),
-    (["symbol-cc", "--ring", "Q[e]/(e^14)", "-f", "1+e*z^-5+e*z^-4", "-g", "1+e*z^5"],
-     "negative peeling needs more than 512 peels"),
+    (["symbol-cc", "--ring", "F7[e]/(e^64)", "-f", "1+e*z^-16+e*z^-15", "-g", "1+e*z"],
+     "negative peeling takes more than 1000000 base products: the budget is products <= 1000000"),
+    (["symbol-cc", "--ring", "Q[e,d]/(e^8,d^8)", "-f", "1+(e+d)*z^-16+(e+2*d)*z^-15", "-g", "1+d*z^3"],
+     "negative peeling takes more than 1000000 base products"),
+    (["symbol-cc", "--ring", "Q[e]/(e^64)", "-f", "1+e*z^-64+e*z^-63", "-g", "1+e*z"],
+     "negative peeling takes more than 1000000 base products"),
+    (["symbol-cc", "--ring", "Q[e]/(e^64)", "-f", "1+e*z^-9+e*z^-8", "-g", "1+e*z"],
+     "negative peeling takes more than 1000000 base products"),
+    (["symbol-cc", "--ring", "F101[e]/(e^64)", "-f", "1+e*z^-30+e*z^-29+e*z^-1", "-g", "1+e*z"],
+     "negative peeling takes more than 1000000 base products"),
     (["symbol-cc", "--ring", "Q[e,d]/(e^60,d^60)", "-f", "1", "-g", "1"],
      "ring dimension 3600 or more is above the budget: dimension <= 64"),
     (["symbol-cc", "--ring", "F7[e,d,f]/(e^20,d^20,f^20)", "-f", "1", "-g", "1"],
@@ -394,6 +398,7 @@ def test_tiny_inputs_over_budget_fail_fast(field, f, message):
 ], ids=["factored-nested-power", "window", "default-window", "series-prec", "local-data-prec",
         "series-prec-zero", "ring-series-prec-negative", "gf-prec-negative", "local-data-prec-zero",
         "jobs-zero", "jobs-negative", "peels-two-terms", "peels-two-generators", "peels-far-poles",
+        "peels-over-Q", "peels-three-terms",
         "ring-dimension", "ring-three-generators", "ring-order-googol"])
 def test_commands_over_budget_fail_fast(argv, message, tmp_path):
     data = tmp_path / "local.json"
@@ -409,16 +414,31 @@ def test_precision_one_is_accepted(capsys):
 
 
 def test_peel_budget_boundary_is_accepted(capsys):
-    """412 negative peels, within the budget; over Q[e]/(e^14) the same f takes 1,377."""
-    assert cli.main(["symbol-cc", "--ring", "Q[e]/(e^12)", "-f", "1+e*z^-5+e*z^-4", "-g", "1+e*z^5"]) == 0
-    assert capsys.readouterr().out.strip() == "1 + 5*e^2 + 15*e^4 + 35*e^6 + 70*e^8 - e^9 + 126*e^10 - 10*e^11"
+    """142 negative peels of f form about 7.7e5 of the 10^6 base products the budget allows."""
+    assert cli.main(["symbol-cc", "--ring", "Q[e]/(e^32)", "-f", "1+e*z^5", "-g", "1+e*z^-5+e*z^-4"]) == 0
+    assert capsys.readouterr().out.strip() == "1 - 5*e^2 + 10*e^4 - 10*e^6 + 5*e^8 + e^9 - e^10"
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["--ring", "F7[e]/(e^16)", "-f", "1+e*z^-1+e*z^-2", "-g", "1+e*z+e*z^2"],
+     "1 + 3*e^2 + 5*e^3 + 2*e^4 + 2*e^5 + 3*e^6 + 2*e^7 + 5*e^8 + 4*e^10 + 4*e^11 + 5*e^12 + 4*e^13 + 2*e^15"),
+    (["--ring", "F7[e,d]/(e^8,d^8)", "-f", "1+e*z^-1+d*z^-2", "-g", "1+d*z^3"],
+     "1 + 4*e*d^2 + e^3*d + 6*d^5 + 2*e^2*d^4 + e^4*d^3 + 6*e*d^7 + e^6*d^2 + 6*e^3*d^6 + 6*e^5*d^5 + 5*e^7*d^4"
+     " + e^6*d^7"),
+    (["--ring", "Q[e]/(e^14)", "-f", "1+e*z^-5+e*z^-4", "-g", "1+e*z^5"],
+     "1 + 5*e^2 + 15*e^4 + 35*e^6 + 70*e^8 - e^9 + 126*e^10 - 10*e^11 + 210*e^12 - 55*e^13"),
+], ids=["two-terms", "two-generators", "far-poles"])
+def test_symbols_of_two_term_poles_are_computed(capsys, argv, value):
+    """Each value equals that of a loop that peels the lowest exponent first, run without a budget."""
+    assert cli.main(["symbol-cc", *argv]) == 0
+    assert capsys.readouterr().out.strip() == value
 
 
 def test_budgets_are_above_every_benchmark_op():
     # local_symbols parses at the default precision, with windows of at most 2*4 + 1,
-    # makes at most 29 negative peels per factorization at seeds 1 and 2, and
-    # runs symbol-cc over a ring of dimension 6
-    assert DEFAULT_PRECISION <= PRECISION_BUDGET and 9 <= WINDOW_BUDGET and 29 <= PEEL_BUDGET
+    # makes at most 16 negative peels and 645 base products per factorization at
+    # seeds 1-3, and runs symbol-cc over a ring of dimension 6
+    assert DEFAULT_PRECISION <= PRECISION_BUDGET and 9 <= WINDOW_BUDGET and 645 <= PEEL_BUDGET
     assert parse_ring_spec("F7[e,d]/(e^3,d^2)").dimension == 6 <= DIMENSION_BUDGET
     assert parse_series("1/(1-z)", QQ, PRECISION_BUDGET).prec == PRECISION_BUDGET
     f = parse_series("z^-4 + z^4", QQ)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from reciprocity import symbols
 from reciprocity.artinian import ArtinianAlgebra, dual_numbers
+from reciprocity.blockops import cocycle_commutator, multiplication_operator
 from reciprocity.errors import DomainError, NonUnitError, PrecisionError, ReciprocityError, WindowError
 from reciprocity.fields import QQ, ExtensionField, PrimeField, lift
 from reciprocity.laurent import LaurentSeries, cc_factorize, unit_factorize
@@ -20,6 +21,7 @@ from reciprocity.symbols import (
     residue_from_dual_symbol,
     tame_symbol,
     tate_residue,
+    tate_window,
 )
 from support import (
     bracket,
@@ -184,8 +186,8 @@ class TestResidues:
         assert residue_from_dual_symbol(a, a) == 0
 
     def test_dual_route_refuses_a_truncated_input(self, Q):
-        """res (1 + z + O(z^2)) d(z^-3) reads the unknown z^3 coefficient; the symbol reads 1 + e1 alpha to O(z^20)."""
-        with pytest.raises(PrecisionError, match=r"f is known only to O\(z\^2\); the symbol reads it to O\(z\^20\)"):
+        """res (1 + z + O(z^2)) d(z^-3) reads the unknown z^3 coefficient; the symbol reads 1 + e1 alpha to O(z^13)."""
+        with pytest.raises(PrecisionError, match=r"f is known only to O\(z\^2\); the symbol reads it to O\(z\^13\)"):
             residue_from_dual_symbol(parse_series("1 + z + O(z^2)", Q), zpow(Q, -3))
 
     def test_coefficient_route_examples(self, Q, F3, F9):
@@ -430,6 +432,30 @@ def test_negative_peel_repeats_exponents():
     assert len(set(exponents)) < len(exponents)
     got, want = both_ways(cc_factorize, f)
     assert got == want
+
+
+def test_negative_peel_count_is_linear_in_the_nilpotency_index():
+    """Sweeps from z^-1 down peel 1 + e z^-5 + e z^-4 over Q[e]/(e^N) 5, 12, 22, ... times.  A sweep
+    raises the m-adic order of the negative part, so fewer than N sweeps run, each with exponents rising."""
+    for n, peels in ((4, 5), (6, 12), (8, 22), (10, 32), (12, 42), (14, 52), (32, 142)):
+        fac = cc_factorize(parse_series("1 + e*z^-5 + e*z^-4", parse_ring_spec(f"Q[e]/(e^{n})")), 2)
+        exponents = [i for i, _ in fac.neg]
+        assert len(exponents) == peels
+        assert 1 + sum(b <= a for a, b in zip(exponents, exponents[1:])) < n
+
+
+CC_DET_RING = parse_ring_spec("F101[e]/(e^8)")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_contou_carrere_symbol_is_the_determinant_commutator(rng):
+    """At nilpotency 8 the symbol is the det-cocycle commutator of the two multiplication operators at
+    window nil_index * tate_window."""
+    f, g = random_principal_unit(rng, CC_DET_RING), random_principal_unit(rng, CC_DET_RING)
+    w = CC_DET_RING.nil_index * tate_window(f, g)
+    det = cocycle_commutator(multiplication_operator(f, w, w), multiplication_operator(g, w, w))
+    assert contou_carrere_symbol(f, g) == det
 
 
 @pytest.mark.parametrize("spec", sorted(CC_RINGS))
