@@ -4,13 +4,16 @@ Element data is a tuple of the base field's raw data (int, Fraction or F_q
 tuple), one coordinate per monomial e_1^a_1 ... e_r^a_r with 0 <= a_i < n_i.
 The monomials are in lexicographic order of their exponent vectors
 (a_1, ..., a_r), the last generator's exponent varying fastest, so the
-constant coordinate comes first; this is the coordinate order everywhere.  Multiplication runs over structure constants
-computed once per algebra: the triples (i, j, k) with monomial_i *
-monomial_j = monomial_k, so every product in which some exponent reaches
-its generator's order is truncated.  The one loop over them is
-``_mul_add`` (acc + a b); ``_mul`` is its case acc = 0.  The maximal
-ideal (everything with zero constant coordinate) is therefore nilpotent
-and an element is invertible exactly when its residue in the base field is.
+constant coordinate comes first; this is the coordinate order everywhere.
+Multiplication runs over structure constants computed once per shape (the
+tuple of generator orders, ``_shape``) and shared by every algebra of that
+shape, whatever its base field and generator names: the triples (i, j, k)
+with monomial_i * monomial_j = monomial_k, so every product in which some
+exponent reaches its generator's order is truncated.  The one loop over
+them is ``_mul_add`` (acc + a b); ``_mul`` is its case acc = 0.  The
+maximal ideal (everything with zero constant coordinate) is therefore
+nilpotent and an element is invertible exactly when its residue in the
+base field is.
 
 Only this module knows the data format; elsewhere coordinates are read and
 built through ``residue``, ``coordinates``, ``from_coordinates``,
@@ -24,14 +27,39 @@ of two monomials, ``None`` where it is truncated) and ``_from_monomials``
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from .errors import NonUnitError
 from .fields import AlgebraElement, BaseField, CoefficientRing, lift
 from .formatting import format_terms, power_string, split_sign
 
-# largest dimension a ring spec is parsed at: the structure tables hold
-# dimension^2 monomial products, about 3 ms to build at 64 and 45 ms at 256
+# largest dimension a ring spec is parsed at: the structure tables of a shape
+# hold dimension^2 monomial products, built once per shape (``_shape``) in
+# 0.04-0.08 ms for the orders (3, 2), 3-6 ms at dimension 64 ((8, 8) or (64,))
+# and 60-100 ms at 256 (pure Python, one x86-64 core shared with other load)
 DIMENSION_BUDGET = 64
+
+
+@lru_cache(maxsize=32)
+def _shape(orders: tuple[int, ...]) -> tuple:
+    """The structure tables of every algebra whose generators have these orders, whatever their names and base.
+
+    ``(monomials, index, monomial_products, generator_monomials, table,
+    str_order)``: the exponent vectors in coordinate order and the index of
+    each; ``monomial_products[i][j] = k`` for monomial_i * monomial_j =
+    monomial_k, ``None`` where truncated; the monomial index of each
+    generator; the structure constants grouped by the left factor, ``(i,
+    ((j, k), ...))``; and the coordinates in printing order, by total degree.
+    Every algebra of this shape shares the cached tables, so nothing may
+    mutate them.
+    """
+    monomials = tuple(itertools.product(*(range(o) for o in orders)))
+    index = {m: i for i, m in enumerate(monomials)}
+    products = tuple(tuple(index.get(tuple(x + y for x, y in zip(a, b))) for b in monomials) for a in monomials)
+    generators = tuple(index[tuple(int(i == g) for i in range(len(orders)))] for g in range(len(orders)))
+    table = tuple((i, tuple((j, k) for j, k in enumerate(row) if k is not None)) for i, row in enumerate(products))
+    str_order = tuple(sorted(range(len(monomials)), key=lambda i: (sum(monomials[i]), i)))
+    return monomials, index, products, generators, table, str_order
 
 
 class ArtinianAlgebra(CoefficientRing):
@@ -53,25 +81,11 @@ class ArtinianAlgebra(CoefficientRing):
         self.orders = tuple(order for _, order in gens)
         self.names = tuple(names)
         self.characteristic = base.characteristic
-        self._monomials = tuple(itertools.product(*(range(o) for o in self.orders)))
+        (self._monomials, self._index, self.monomial_products, self.generator_monomials,
+         self._table, self._str_order) = _shape(self.orders)
         self.dimension = len(self._monomials)
-        self._index = {m: i for i, m in enumerate(self._monomials)}
-        # monomial_products[i][j] = k for monomial_i * monomial_j = monomial_k, None where truncated
-        self.monomial_products = tuple(
-            tuple(self._index.get(tuple(x + y for x, y in zip(a, b))) for b in self._monomials)
-            for a in self._monomials
-        )
-        # the monomial index of each generator, in generator order
-        self.generator_monomials = tuple(self._index[tuple(int(i == g) for i in range(len(gens)))]
-                                         for g in range(len(gens)))
-        # structure constants, grouped by the left factor: (i, ((j, k), ...))
-        self._table = tuple(
-            (i, tuple((j, k) for j, k in enumerate(row) if k is not None))
-            for i, row in enumerate(self.monomial_products)
-        )
         self._zero = (base._zero,) * self.dimension
         self._one = (base._one,) + self._zero[1:]
-        self._str_order = sorted(range(self.dimension), key=lambda i: (sum(self._monomials[i]), i))
         # smallest M with m^M = 0
         self.nil_index = sum(o - 1 for o in self.orders) + 1
 

@@ -38,9 +38,9 @@ DEFAULT_PRECISION = 32
 # largest precision a series is parsed at: a product of two dense series
 # costs prec^2 coefficient products, about 2.5 s over Q at 512
 PRECISION_BUDGET = 512
-# most base products (length times ``_mul_add_cost``, peel by peel) the negative
-# peels of one factorization form; 10^6 take 0.8-2.5 s over Q[e]/(e^64) and 0.2-0.3
-# s over F7 or F101 (pure backend, one x86-64 core)
+# most base products (length times ``_mul_add_cost``, peel by peel) the peels of
+# one factorization form, negative and positive together; 10^6 take 0.8-2.5 s
+# over Q[e]/(e^64) and 0.2-0.3 s over F7 or F101 (pure backend, one x86-64 core)
 PEEL_BUDGET = 10**6
 
 
@@ -418,13 +418,23 @@ def _divide_by_peel(work: LaurentSeries, exponent: int, powers: tuple) -> Lauren
     return LaurentSeries._from_raw(ring, work.offset, out, prec)
 
 
+def _peel_cost(work: LaurentSeries, a, cost: int, sign: str) -> int:
+    """cost plus the base products of one peel of work by the raw coefficient a; a DomainError past PEEL_BUDGET."""
+    cost += len(work.data) * work.ring._mul_add_cost(a)
+    if cost > PEEL_BUDGET:
+        raise DomainError(f"{sign} peeling takes more than {PEEL_BUDGET} base products: the budget is products <= {PEEL_BUDGET}")
+    return cost
+
+
 def cc_factorize(f: LaurentSeries, prec: int | None = None) -> PrincipalUnitFactorization:
     """Peel a principal unit into (1 - c z^{+-i}) factors.
 
     Negative factors are peeled in sweeps from z^-1 down to the lowest
     exponent until the negative part is zero; each sweep raises its m-adic
-    order, so fewer than nil_index run, or a DomainError past PEEL_BUDGET.
-    Then come the z^0 factor and the positive factors up to the target.
+    order, so fewer than nil_index run.  Then come the z^0 factor and the
+    positive factors up to the target.  The peels of both signs count their
+    base products against one PEEL_BUDGET, and a DomainError names the sign
+    of the peel that passes it.
     """
     ring = f.ring
     if not isinstance(ring, ArtinianAlgebra):
@@ -447,9 +457,7 @@ def cc_factorize(f: LaurentSeries, prec: int | None = None) -> PrincipalUnitFact
         if is_zero(c):
             continue
         a = neg_raw(c)
-        cost += len(work.data) * ring._mul_add_cost(a)
-        if cost > PEEL_BUDGET:
-            raise DomainError(f"negative peeling takes more than {PEEL_BUDGET} base products: the budget is products <= {PEEL_BUDGET}")
+        cost = _peel_cost(work, a, cost, "negative")
         neg.append((-e, AlgebraElement(ring, a)))
         neg_powers.append(nilpotent_powers(ring, a))
         work = _divide_by_peel(work, e, neg_powers[-1])
@@ -470,6 +478,7 @@ def cc_factorize(f: LaurentSeries, prec: int | None = None) -> PrincipalUnitFact
         if is_zero(ci):
             continue
         ai = neg_raw(ci)
+        cost = _peel_cost(work, ai, cost, "positive")
         pos.append((i, AlgebraElement(ring, ai)))
         pos_powers.append(nilpotent_powers(ring, ai))
         work = _divide_by_peel(work, i, pos_powers[-1])

@@ -12,27 +12,36 @@ round-trips.  Series are parsed at a precision of at most
 
 Syntax: one `re.findall` splits the text into words, and a word that starts
 with a character outside the grammar is refused before parsing.  The parser
-reads the word list by index and builds a tree of tuples: ("num", n),
-("name", word, index), ("neg", child), (op, left, right) for op in `+-*/`,
-("^", base, e) and ("O", e).  A column is computed from the text only for an
-error (`_column`), so a name keeps the index of its word.
+reads the word list by index in one pass: each grammar method returns the
+value of what it read, from an evaluator, and a sum is added up in a loop,
+so only parentheses and chains of signs nest.  A syntax error comes before
+an error of a value, as if the whole text were read first: a parse that
+meets an error of a value reads the text again with no values (``_SYNTAX``)
+and raises the first syntax error, if there is one.  A column is computed
+from the text only for an error (`_column`), so a name keeps the index of
+its word.
 
-Evaluation: a value is a term map {(k, m): c}, the sum of c * mono_m * v^k,
-with v the variable, mono_m the monomial of index m of an Artinian ring (m
-is 0 over a field) and c nonzero raw data of the base field.  An integer or
-a name is one term, and zero the empty map.  `+` and `-` stay in the map,
-and so do `*` by a single term, `/` by a unit monomial (one term with m = 0)
-and `^` of a single term, negative only for a unit monomial; so text such as
-`3*e^2*d*z^-2` or `98*x^7` costs no ring product, kernel call or series.
-Any other operation lifts both sides once to the top type, a Polynomial or
+Evaluation: a value is a single term (k, m, c) or a term map {(k, m): c},
+the sum of c * mono_m * v^k, with v the variable, mono_m the monomial of
+index m of an Artinian ring (m is 0 over a field) and c nonzero raw data of
+the base field.  An integer or a name is one term, and zero the empty map.
+`*` of two single terms is one single term, so a product of factors such as
+`3*e^2*d*z^-2` or `98*x^7` folds into one triple.  `+` and `-` stay in the
+map, and so do `*` by a single term, `/` by a unit monomial (one term with
+m = 0) and `^` of a single term, negative only for a unit monomial; so text
+such as a printed series costs no ring product, kernel call or series.  Any
+other operation lifts both sides once to the top type, a Polynomial or
 RationalFunction for rational input and an exact LaurentSeries for series,
 and goes on there: `/` and a negative `^` as RationalFunction arithmetic, or
-as series `inverse`/`power` at the parse precision.
+as series `inverse`/`power` at the parse precision.  Factored input goes
+through the same pass, with an evaluator that collects the product
+(``_ProductEvaluator``).
 
 Field specs: `Q`, `F5`, `F9:u^2+1` (modulus over F_p in `u`; omitted
 modulus picks the lexicographically first irreducible).  Ring specs:
 `Q[e1,e2]/(e1^2,e2^2)` with one pure-power relation per generator, of
-dimension (the product of the orders) at most `artinian.DIMENSION_BUDGET`.
+dimension (the product of the orders) at most `artinian.DIMENSION_BUDGET`;
+a generator may not be named `z`, `O` or, over F_q, `u`.
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ from functools import wraps
 
 from .artinian import DIMENSION_BUDGET, ArtinianAlgebra
 from .curve import RationalFunction
-from .errors import DomainError, ExpressionError, FactorError
+from .errors import DomainError, ExpressionError, FactorError, ReciprocityError
 from .factor import DEGREE_BUDGET
 from .fields import PRIME_TEST_BOUND, BaseField, ExtensionField, PrimeField, QQ, find_irreducible, is_prime
 from .laurent import DEFAULT_PRECISION, PRECISION_BUDGET, LaurentSeries
@@ -86,11 +95,26 @@ def _column(text: str, i: int) -> int:
     return len(text) + 1
 
 
+# errors that reading a value can raise; a parse that meets one looks for a
+# syntax error first (``_Parser.parse``)
+_VALUE_ERRORS = (ReciprocityError, ArithmeticError, ValueError)
+
+
 class _Parser:
-    def __init__(self, text: str, series_var: str | None):
+    """One pass over the words of text: each grammar method returns the value of what it read, from ``ev``.
+
+    The evaluator ``ev`` gives a value to each leaf (``number``, ``name``,
+    ``big_o``) and to each operation on values (``negate``, ``raise_to`` and
+    ``apply``); ``_SYNTAX`` reads the text and gives no value at all.  An
+    evaluator whose ``sums`` is False adds no terms: the parser reads a sum
+    again with its ``terms`` evaluator (``sum_factor``).
+    """
+
+    def __init__(self, text: str, ev, series_var: str | None = None):
         self.text = text
         self.words = _words(text) + [""]
         self.i = 0
+        self.ev = ev
         self.series_var = series_var
 
     def error(self, message: str):
@@ -104,41 +128,99 @@ class _Parser:
         self.i += 1
 
     def parse(self):
-        node = self.expr()
+        """The value of the whole text; a syntax error anywhere in it comes before an error of a value."""
+        try:
+            value = self.expr()
+            self.end()
+        except _VALUE_ERRORS:
+            self.read(0, _SYNTAX)
+            self.end()
+            raise
+        return value
+
+    def end(self):
         if self.words[self.i]:
             self.error(f"unexpected {self.words[self.i]!r}")
-        return node
+
+    def read(self, start: int, ev):
+        """The value ``ev`` gives the expression from word start on."""
+        self.i, outer, self.ev = start, self.ev, ev
+        try:
+            return self.expr()
+        finally:
+            self.ev = outer
 
     def expr(self):
-        node = self.term()
-        while (op := self.words[self.i]) == "+" or op == "-":
+        start, ev = self.i, self.ev
+        value = self.term()
+        op = self.words[self.i]
+        if (op == "+" or op == "-") and not ev.sums:
+            return self.sum_factor(start)
+        while op == "+" or op == "-":
             self.i += 1
-            node = (op, node, self.term())
-        return node
+            value = ev.apply(op, value, self.term())
+            op = self.words[self.i]
+        return value
+
+    def sum_factor(self, start: int):
+        """The sum from word start on, read again by the term evaluator, as one factor of a product.
+
+        An error of its value is the factor, so that the product meets it in
+        its place; a syntax error in the sum is raised at once.
+        """
+        ev = self.ev
+        try:
+            value = self.read(start, ev.terms)
+        except _VALUE_ERRORS as exc:
+            self.read(start, _SYNTAX)
+            value = exc
+        return ev.factor(value)
 
     def term(self):
-        node = self.factor()
+        value = self.factor()
+        ev = self.ev
         while (op := self.words[self.i]) == "*" or op == "/":
             self.i += 1
-            node = (op, node, self.factor())
-        return node
+            value = ev.apply(op, value, self.factor())
+        return value
 
     def factor(self):
-        word = self.words[self.i]
-        if word == "-":
-            self.i += 1
-            return ("neg", self.factor())
-        if word == "+":
-            self.i += 1
+        """A signed number, name or group, raised to a power if `^` follows it."""
+        i = self.i
+        word = self.words[i]
+        kind = _KIND.get(word[:1], "NAME")
+        self.i = i + 1
+        if kind == "NAME":
+            value = self.big_o() if word == "O" and self.series_var is not None else self.ev.name(word, i)
+        elif kind == "INT":
+            value = self.ev.number(int(word))
+        elif kind == "LPAREN":
+            value = self.group()
+        elif word == "-":
+            return self.ev.negate(self.factor())
+        elif word == "+":
             return self.factor()
-        node = self.atom()
+        else:
+            self.i = i
+            self.error("unexpected end of input" if kind == "EOF" else f"unexpected {word!r}")
         if self.words[self.i] != "^":
-            return node
+            return value
         self.i += 1
         e = self.signed_int()
         if abs(e) > DEGREE_BUDGET:
             raise DomainError(f"exponent {e} is above the budget: |e| <= {DEGREE_BUDGET}")
-        return ("^", node, e)
+        return self.ev.raise_to(value, e)
+
+    def group(self):
+        """The expression in parentheses after a "("; the caller has read the "(".
+
+        A group is a call of its own, so each level of parentheses takes four
+        frames (expr, term, factor, group), and about 250 levels reach the
+        interpreter's recursion limit: "nests too deeply".
+        """
+        value = self.expr()
+        self.expect(")", "RPAREN")
+        return value
 
     def signed_int(self) -> int:
         word = self.words[self.i]
@@ -157,25 +239,6 @@ class _Parser:
         self.i += 1
         return sign * int(word)
 
-    def atom(self):
-        i = self.i
-        word = self.words[i]
-        kind = _KIND.get(word[:1], "NAME")
-        if kind == "INT":
-            self.i += 1
-            return ("num", int(word))
-        if kind == "NAME":
-            self.i += 1
-            if word == "O" and self.series_var is not None:
-                return self.big_o()
-            return ("name", word, i)
-        if kind == "LPAREN":
-            self.i += 1
-            node = self.expr()
-            self.expect(")", "RPAREN")
-            return node
-        self.error("unexpected end of input" if kind == "EOF" else f"unexpected {word!r}")
-
     def big_o(self):
         self.expect("(", "LPAREN")
         var = self.words[self.i]
@@ -189,11 +252,21 @@ class _Parser:
             self.i += 1
             e = self.signed_int()
         self.expect(")", "RPAREN")
-        return ("O", e)
+        return self.ev.big_o(e)
 
 
-def parse_ast(text: str, series_var: str | None = None):
-    return _Parser(text, series_var).parse()
+class _Syntax:
+    """The evaluator of a syntax check: every value is None."""
+
+    sums = True
+
+    def _none(self, *args):
+        return None
+
+    number = name = big_o = negate = raise_to = apply = _none
+
+
+_SYNTAX = _Syntax()
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -201,80 +274,89 @@ def parse_ast(text: str, series_var: str | None = None):
 
 # every binary operator but `/`, which ``divide`` takes to the top type
 _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+# the types of a value on terms: a single term and a term map
+_TERMS = (tuple, dict)
 
 
 class _Evaluator:
-    """The one AST walk, on term maps until an operation needs the top type.
+    """Values on term maps until an operation needs the top type.
 
-    Subclasses give the top type: ``top`` lifts a term map to it, and
-    ``divide`` and ``power`` are `/` and a negative `^` there.
+    A value is a single term (k, m, c), a term map {(k, m): c} or a value
+    of the top type.  Subclasses give the top type: ``top`` lifts a term map
+    to it, and ``divide`` and ``power`` are `/` and a negative `^` there.  A
+    term map an operation returns is new, so an operation may write into its
+    left operand.
     """
+
+    sums = True
 
     def __init__(self, ring, var: str, text: str):
         self.ring, self.text = ring, text
-        # name -> (key, raw base coefficient) of its one term
+        # name -> its one term
         if isinstance(ring, ArtinianAlgebra):
             base, self.products = ring.base, ring.monomial_products
-            names = {name: ((0, m), base._one) for name, m in zip(ring.names, ring.generator_monomials)}
+            names = {name: (0, m, base._one) for name, m in zip(ring.names, ring.generator_monomials)}
         else:
             # a field has one monomial, 1
             base, self.products, names = ring, ((0,),), {}
         if isinstance(base, ExtensionField):
-            names[base.name] = ((0, 0), base.generator().data)
-        names[var] = ((1, 0), base._one)
+            names[base.name] = (0, 0, base.generator().data)
+        names[var] = (1, 0, base._one)
         self.base, self.names = base, names
 
-    def eval(self, node):
-        """The value of node; a term map it returns is new, so an operator may write into its left operand."""
-        # the kinds in the order of their share of the benchmark texts
-        kind = node[0]
-        if kind == "name":
-            term = self.names.get(node[1])
-            if term is None:
-                raise ExpressionError(f"unknown name {node[1]!r}", column=_column(self.text, node[2]))
-            key, c = term
-            return {key: c}
-        if kind == "num":
-            c = self.base.from_int(node[1]).data
-            return {} if self.base._is_zero(c) else {(0, 0): c}
-        if kind in _OPERATORS or kind == "/":
-            return self.apply(kind, self.eval(node[1]), self.eval(node[2]))
-        if kind == "^":
-            return self.raise_to(self.eval(node[1]), node[2])
-        if kind == "neg":
-            value = self.eval(node[1])
-            if type(value) is not dict:
-                return -value
-            neg = self.base._neg
-            for key, c in value.items():
-                value[key] = neg(c)
-            return value
-        return LaurentSeries.zero(self.ring, node[1])
+    def number(self, n: int):
+        c = self.base.from_int(n).data
+        return {} if self.base._is_zero(c) else (0, 0, c)
+
+    def name(self, word: str, i: int):
+        term = self.names.get(word)
+        if term is None:
+            raise ExpressionError(f"unknown name {word!r}", column=_column(self.text, i))
+        return term
+
+    def big_o(self, e: int):
+        return LaurentSeries.zero(self.ring, e)
+
+    def negate(self, value):
+        kind = type(value)
+        if kind is tuple:
+            k, m, c = value
+            return k, m, self.base._neg(c)
+        if kind is not dict:
+            return -value
+        neg = self.base._neg
+        for key, c in value.items():
+            value[key] = neg(c)
+        return value
 
     def apply(self, kind: str, left, right):
         """left kind right for a binary operator kind."""
-        if type(left) is dict and type(right) is dict:
+        if type(right) is tuple and kind == "*" and type(left) is tuple:
+            # the common case, a product of single terms, folds to one
+            return self.times(left, right)
+        if type(left) in _TERMS and type(right) in _TERMS:
             if kind == "+" or kind == "-":
                 return self.add(left, right, kind == "-")
             if kind == "*":
                 if not (left and right):
                     return {}
-                if len(right) == 1:
-                    return self.times_term(left, right)
-                if len(left) == 1:
-                    return self.times_term(right, left)
-            elif len(right) == 1:
-                ((k, m), c), = right.items()
-                if m == 0:
-                    return self.times_term(left, {(-k, 0): self.base._inv(c)})
+                if (term := _single(right)) is not None:
+                    return self.times(left, term)
+                if (term := _single(left)) is not None:
+                    return self.times(right, term)
+            elif (term := _single(right)) is not None and term[1] == 0:
+                k, _, c = term
+                return self.times(left, (-k, 0, self.base._inv(c)))
         left, right = self.lift(left), self.lift(right)
         return _OPERATORS.get(kind, self.divide)(left, right)
 
-    def add(self, terms: dict, other: dict, subtract: bool) -> dict:
-        """terms +- other, written into terms."""
+    def add(self, terms, other, subtract: bool) -> dict:
+        """terms +- other, written into terms if it is a map."""
         base = self.base
         op, is_zero = base._sub if subtract else base._add, base._is_zero
-        for key, c in other.items():
+        if type(terms) is tuple:
+            terms = {terms[:2]: terms[2]}
+        for key, c in ((other[:2], other[2]),) if type(other) is tuple else other.items():
             if key in terms:
                 s = op(terms[key], c)
                 if is_zero(s):
@@ -285,23 +367,28 @@ class _Evaluator:
                 terms[key] = base._neg(c) if subtract else c
         return terms
 
-    def times_term(self, terms: dict, term: dict) -> dict:
-        """terms times the single term of ``term``, in a new map; a truncated monomial drops out."""
-        ((k1, m1), c1), = term.items()
+    def times(self, value, term: tuple):
+        """value times the single term ``term``; a truncated monomial drops out."""
+        k1, m1, c1 = term
         row, mul = self.products[m1], self.base._mul
+        if type(value) is tuple:
+            k, m, c = value
+            m2 = row[m]
+            return {} if m2 is None else (k + k1, m2, mul(c, c1))
         out = {}
-        for (k, m), c in terms.items():
+        for (k, m), c in value.items():
             m2 = row[m]
             if m2 is not None:
                 out[k + k1, m2] = mul(c, c1)
         return out
 
     def raise_to(self, value, e: int):
-        if type(value) is dict:
+        if type(value) in _TERMS:
             if e == 0:
-                return {(0, 0): self.base._one}
-            if len(value) == 1:
-                ((k, m), c), = value.items()
+                return 0, 0, self.base._one
+            term = _single(value)
+            if term is not None:
+                k, m, c = term
                 # a monomial of higher degree goes through the top type, which checks the budget
                 if (e > 0 or m == 0) and abs(k * e) <= DEGREE_BUDGET:
                     if e < 0:
@@ -311,13 +398,26 @@ class _Evaluator:
                         c2, m2 = mul(c2, c), row[m2]
                         if m2 is None:
                             return {}
-                    return {(k * e, m2): c2}
-            value = self.top(value)
+                    return k * e, m2, c2
+            value = self.lift(value)
         _check_power(value, e)
         return value**e if e >= 0 else self.power(value, e)
 
     def lift(self, value):
-        return self.top(value) if type(value) is dict else value
+        kind = type(value)
+        if kind is tuple:
+            return self.top({value[:2]: value[2]})
+        return self.top(value) if kind is dict else value
+
+
+def _single(value):
+    """The single term (k, m, c) of a term value, or None if it has none or more than one."""
+    if type(value) is tuple:
+        return value
+    if len(value) == 1:
+        (key, c), = value.items()
+        return (*key, c)
+    return None
 
 
 def _check_power(base, exponent: int):
@@ -413,6 +513,70 @@ class _SeriesEvaluator(_Evaluator):
         return base.power(e, rel_prec=self.prec)
 
 
+class _ProductEvaluator:
+    """A product of factors with integer powers: a list of (factor, power) in the order of the text.
+
+    `*`, `/`, `^` and unary minus combine products; an integer is a factor
+    of the constant, and a name or a sum (``_Parser.sum_factor``) is one
+    declared factor, read by ``terms``.  A factor may be the error its
+    reading raised: ``product`` raises it in its place, after the checks of
+    every factor before it, where a walk of the expression from the top
+    would meet it.
+    """
+
+    sums = False
+
+    def __init__(self, field: BaseField, text: str):
+        self.field, self.terms = field, _RationalEvaluator(field, text)
+
+    def number(self, n: int):
+        return [(n, 1)]
+
+    def name(self, word: str, i: int):
+        try:
+            return self.factor(self.terms.name(word, i))
+        except ExpressionError as exc:
+            return self.factor(exc)
+
+    def factor(self, value):
+        return [(value, 1)]
+
+    def negate(self, value):
+        return [(-1, 1)] + value
+
+    def raise_to(self, value, e: int):
+        return [(x, power * e) for x, power in value]
+
+    def apply(self, kind: str, left, right):
+        # every op returns a new list, so left may grow in place
+        left += right if kind == "*" else [(x, -power) for x, power in right]
+        return left
+
+    def product(self, factors) -> RationalFunction:
+        """The product of the factors, each declared factor checked, made monic and counted."""
+        field = self.field
+        constant = field.one()
+        powers: dict[Polynomial, int] = {}
+        for value, power in factors:
+            if type(value) is int:
+                constant = constant * field.from_int(value) ** power
+                continue
+            if isinstance(value, Exception):
+                raise value
+            error = FactorError("factored input must be a product of polynomial factors")
+            poly = self.terms.polynomial(value, error)
+            if poly.is_zero():
+                raise FactorError("zero factor in factored input")
+            constant = constant * poly.leading_coefficient() ** power
+            if poly.degree == 0:
+                continue
+            _check_power(poly, power)
+            poly = poly.monic()
+            powers[poly] = powers.get(poly, 0) + power
+        pairs = [(p, e) for p, e in powers.items() if e]
+        return RationalFunction.from_factored(field, constant, pairs)
+
+
 def _bounded_depth(parse):
     """parse, with input nested deeper than the interpreter's stack an ExpressionError."""
 
@@ -430,7 +594,7 @@ def _bounded_depth(parse):
 def parse_rational(text: str, field: BaseField) -> RationalFunction:
     """Parse a rational function in x over the field."""
     evaluator = _RationalEvaluator(field, text)
-    return evaluator.rational(evaluator.eval(parse_ast(text)))
+    return evaluator.rational(_Parser(text, evaluator).parse())
 
 
 @_bounded_depth
@@ -441,14 +605,14 @@ def parse_series(text: str, ring, prec: int = DEFAULT_PRECISION) -> LaurentSerie
     if prec > PRECISION_BUDGET:
         raise DomainError(f"precision {prec} is above the budget: prec <= {PRECISION_BUDGET}")
     evaluator = _SeriesEvaluator(ring, text, prec)
-    return evaluator.lift(evaluator.eval(parse_ast(text, series_var="z")))
+    return evaluator.lift(_Parser(text, evaluator, series_var="z").parse())
 
 
 @_bounded_depth
 def parse_polynomial(text: str, field: BaseField) -> Polynomial:
     """Parse a polynomial in u over the field, as a field modulus is written."""
     evaluator = _RationalEvaluator(field, text, "u")
-    value = evaluator.eval(parse_ast(text))
+    value = _Parser(text, evaluator).parse()
     return evaluator.polynomial(value, ExpressionError("expected a polynomial, found a denominator"))
 
 
@@ -456,46 +620,12 @@ def parse_polynomial(text: str, field: BaseField) -> Polynomial:
 def parse_factored_rational(text: str, field: BaseField) -> RationalFunction:
     """Parse a product of declared-irreducible factors into a cached form.
 
-    The expression tree is walked structurally: `*`, `/`, `^` and unary
-    minus combine factors; every other subtree is evaluated and becomes one
-    declared factor (its leading coefficient joins the constant).
+    `*`, `/`, `^` and unary minus combine factors; every other
+    subexpression, a name or a sum, is read as one declared factor (its
+    leading coefficient joins the constant).
     """
-    ast = parse_ast(text)
-    evaluator = _RationalEvaluator(field, text)
-    constant = [field.one()]
-    factors: dict[Polynomial, int] = {}
-
-    def walk(node, power: int):
-        kind = node[0]
-        if kind == "*" or kind == "/":
-            walk(node[1], power)
-            walk(node[2], power if kind == "*" else -power)
-            return
-        if kind == "^":
-            walk(node[1], power * node[2])
-            return
-        if kind == "neg":
-            constant[0] = constant[0] * field.from_int(-1) ** power
-            walk(node[1], power)
-            return
-        if kind == "num":
-            constant[0] = constant[0] * field.from_int(node[1]) ** power
-            return
-        error = FactorError("factored input must be a product of polynomial factors")
-        poly = evaluator.polynomial(evaluator.eval(node), error)
-        if poly.is_zero():
-            raise FactorError("zero factor in factored input")
-        lc = poly.leading_coefficient()
-        constant[0] = constant[0] * lc**power
-        if poly.degree == 0:
-            return
-        _check_power(poly, power)
-        poly = poly.monic()
-        factors[poly] = factors.get(poly, 0) + power
-
-    walk(ast, 1)
-    pairs = [(p, e) for p, e in factors.items() if e]
-    return RationalFunction.from_factored(field, constant[0], pairs)
+    evaluator = _ProductEvaluator(field, text)
+    return evaluator.product(_Parser(text, evaluator).parse())
 
 
 # -- field and ring specs -----------------------------------------------------
@@ -569,6 +699,13 @@ def parse_ring_spec(spec: str):
         raise ExpressionError("ring spec is missing ']'")
     names_part, tail = rest.split("]", 1)
     names = [n.strip() for n in names_part.split(",") if n.strip()]
+    # a series text reads these names first, so a generator of the same name could never be written
+    reserved = {"z": "the series variable", "O": "the precision marker O(z^N)"}
+    if isinstance(base, ExtensionField):
+        reserved[base.name] = f"the generator of {head.strip()}"
+    for name in names:
+        if name in reserved:
+            raise ExpressionError(f"generator name {name!r} is reserved for {reserved[name]}")
     tail = tail.strip()
     if not tail.startswith("/(") or not tail.endswith(")"):
         raise ExpressionError("ring spec needs relations of the form /(e1^2,e2^2)")

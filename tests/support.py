@@ -12,8 +12,8 @@ packed and in-place F_p kernels, the row-by-row Frobenius matrix, the
 generic extended Euclid, the Leibniz determinant, the finite-field factoring chain that normalized
 every stage, the printers and generic divisions that boxed elements and
 formed a fresh quotient per step, Miller-Rabin to all 14 bases, the
-earlier series arithmetic on dicts of elements, Contou-Carrère loops and
-tokenizer, and random series, operators and factored rational functions.
+earlier series arithmetic on dicts of elements, Contou-Carrère loops,
+tokenizer and expression tree, and random series, operators and factored rational functions.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from reciprocity.artinian import ArtinianAlgebra
 from reciprocity.blockops import BlockOperator
 from reciprocity.curve import AdeleVector, RationalFunction, residue_pairing_sum
 from reciprocity.errors import DomainError, ExpressionError, NonUnitError, PrecisionError, TowerError
-from reciprocity.factor import Factorization
+from reciprocity.factor import DEGREE_BUDGET, Factorization
 from reciprocity.fields import _MR_WITNESSES, AlgebraElement, BaseField, ExtensionField, QQ, power
 from reciprocity.laurent import DEFAULT_PRECISION, LaurentSeries, PrincipalUnitFactorization, UnitFactorization
 from reciprocity.norms import (
@@ -986,6 +986,104 @@ def loop_tokenize(text: str) -> list[tuple[str, str, int]]:
             raise ExpressionError(f"unexpected character {ch!r}", column=col)
     tokens.append(("EOF", "", n + 1))
     return tokens
+
+
+def tree_parse(text: str, series_var: str | None = None):
+    """The expression tree of text, by recursive descent over ``loop_tokenize``, with the library's errors.
+
+    Nodes: ("num", n), ("name", word, column), ("neg", child), (op, left,
+    right) for op in `+-*/`, ("^", base, e) and ("O", e).  The differential
+    tests evaluate it with an evaluator of their own, so the oracle shares
+    no code with the one-pass parser.
+    """
+    tokens = loop_tokenize(text)
+    pos = 0
+
+    def peek() -> str:
+        return tokens[pos][1]
+
+    def take() -> str:
+        nonlocal pos
+        pos += 1
+        return tokens[pos - 1][1]
+
+    def error(message: str):
+        # at the end of the input, the column of the last token
+        column = tokens[pos][2] if tokens[pos][0] != "EOF" else tokens[pos - 1][2] if pos else 1
+        raise ExpressionError(message, column=column)
+
+    def expect(word: str, kind: str):
+        if peek() != word:
+            error(f"expected {kind!r}")
+        take()
+
+    def expr():
+        node = term()
+        while peek() in ("+", "-"):
+            node = (take(), node, term())
+        return node
+
+    def term():
+        node = factor()
+        while peek() in ("*", "/"):
+            node = (take(), node, factor())
+        return node
+
+    def factor():
+        if peek() in ("+", "-"):
+            return ("neg", factor()) if take() == "-" else factor()
+        node = atom()
+        if peek() != "^":
+            return node
+        take()
+        e = signed_int()
+        if abs(e) > DEGREE_BUDGET:
+            raise DomainError(f"exponent {e} is above the budget: |e| <= {DEGREE_BUDGET}")
+        return ("^", node, e)
+
+    def signed_int() -> int:
+        if peek() == "(":
+            take()
+            value = signed_int()
+            expect(")", "RPAREN")
+            return value
+        sign = -1 if peek() in ("+", "-") and take() == "-" else 1
+        if tokens[pos][0] != "INT":
+            error("expected an integer exponent")
+        return sign * int(take())
+
+    def atom():
+        kind, word, column = tokens[pos]
+        if kind == "INT":
+            take()
+            return ("num", int(word))
+        if kind == "NAME":
+            take()
+            return big_o() if word == "O" and series_var is not None else ("name", word, column)
+        if kind == "LPAREN":
+            take()
+            node = expr()
+            expect(")", "RPAREN")
+            return node
+        error("unexpected end of input" if kind == "EOF" else f"unexpected {word!r}")
+
+    def big_o():
+        expect("(", "LPAREN")
+        if tokens[pos][0] != "NAME":
+            error("expected 'NAME'")
+        if take() != series_var:
+            error(f"precision marker must use {series_var!r}")
+        e = 1
+        if peek() == "^":
+            take()
+            e = signed_int()
+        expect(")", "RPAREN")
+        return ("O", e)
+
+    node = expr()
+    if tokens[pos][0] != "EOF":
+        error(f"unexpected {peek()!r}")
+    return node
 
 
 # -- seeded generators ----------------------------------------------------------

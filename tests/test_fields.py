@@ -161,6 +161,31 @@ def test_artinian_truncation():
     assert not A.residue(A.one() + e1).is_zero()
 
 
+def test_algebras_of_one_shape_share_their_tables():
+    """The structure tables depend on the generator orders alone, not on the base or the names."""
+    A = ArtinianAlgebra(QQ, [("e", 3), ("d", 2)])
+    B = ArtinianAlgebra(ExtensionField(3, [1, 0, 1]), [("a", 3), ("b", 2)])
+    for table in ("_monomials", "_index", "monomial_products", "generator_monomials", "_table", "_str_order"):
+        assert getattr(A, table) is getattr(B, table), table
+    assert ArtinianAlgebra(QQ, [("e", 2), ("d", 3)]).monomial_products is not A.monomial_products
+    assert dual_numbers(QQ)._table is dual_numbers(PrimeField(7))._table is dual_numbers(QQ)._table
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(2, 8), min_size=1, max_size=6).filter(lambda orders: math.prod(orders) <= 64))
+def test_monomial_products_match_a_brute_force_product(orders):
+    A = ArtinianAlgebra(QQ, [(f"e{i}", o) for i, o in enumerate(orders)])
+    monomials = list(itertools.product(*(range(o) for o in orders)))
+    assert list(A._monomials) == monomials
+    for i, a in enumerate(monomials):
+        for j, b in enumerate(monomials):
+            product = tuple(x + y for x, y in zip(a, b))
+            want = monomials.index(product) if all(x < o for x, o in zip(product, orders)) else None
+            assert A.monomial_products[i][j] == want
+    assert [monomials[m] for m in A.generator_monomials] == [
+        tuple(int(i == g) for i in range(len(orders))) for g in range(len(orders))]
+
+
 def test_artinian_inverse_and_errors():
     A = dual_numbers(QQ)
     e1, e2 = A.generator(0), A.generator(1)

@@ -15,7 +15,6 @@ from reciprocity.errors import DomainError, ExpressionError, FactorError, Recipr
 from reciprocity.fields import PRIME_TEST_BOUND, QQ, ExtensionField, find_irreducible, is_prime
 from reciprocity.laurent import DEFAULT_PRECISION, PEEL_BUDGET, PRECISION_BUDGET, LaurentSeries
 from reciprocity.parsing import (
-    parse_ast,
     parse_factored_rational,
     parse_field_spec,
     parse_rational,
@@ -24,7 +23,7 @@ from reciprocity.parsing import (
 )
 from reciprocity.poly import Polynomial
 from reciprocity.symbols import WINDOW_BUDGET, tate_residue
-from support import loop_tokenize, random_laurent_polynomial, rational_x
+from support import loop_tokenize, random_laurent_polynomial, rational_x, tree_parse
 
 FIELDS = ["Q", "F7", "F9:u^2+1"]
 RINGS = FIELDS + ["F7[e,d]/(e^3,d^2)"]
@@ -130,9 +129,9 @@ def test_non_ascii_digits_are_refused_with_their_column(text, column, capsys):
 
 DEEP = {
     "parentheses": "(" * 300 + "x" + ")" * 300,
-    "sum": "+".join(["x"] * 3000),
     "minus": "-" * 3000 + "x",
 }
+FLAT_SUM = "+".join(["x"] * 3000)
 
 
 @pytest.mark.parametrize("text", DEEP.values(), ids=DEEP.keys())
@@ -144,13 +143,24 @@ def test_deep_nesting_is_an_input_error(text, capsys):
             parse(text.replace("x", "z") if parse is parse_series else text, QQ)
 
 
-def test_deep_factored_input_is_an_input_error(capsys):
-    argv = ["residue", "--factored", "--field", "Q", "-f=" + DEEP["sum"], "-g=x"]
-    assert cli.main(argv) == cli.EXIT_INPUT
-    assert "nests too deeply" in capsys.readouterr().err
+def test_a_long_flat_sum_is_added_up(capsys):
+    """A sum is read in a loop, so its length does not nest."""
+    assert parse_rational(FLAT_SUM, QQ) == rational_x(QQ) * 3000
+    assert parse_series(FLAT_SUM.replace("x", "z"), QQ) == LaurentSeries(QQ, {1: 3000})
+    assert cli.main(["residue", "--field", "Q", f"-f={FLAT_SUM}", "-g=x"]) == 0
+    out = capsys.readouterr().out
+    assert "f=3000*x, g=x" in out and "verified: True" in out
 
 
-# -- the one evaluator against the per-grammar evaluators it replaced ----------
+def test_a_long_flat_factor_is_added_up(capsys):
+    assert cli.main(["residue", "--factored", "--field", "Q", "-f=" + FLAT_SUM, "-g=x"]) == 0
+    out = capsys.readouterr().out
+    assert "f=3000*x, g=x" in out and "verified: True" in out
+    f = parse_factored_rational(FLAT_SUM, QQ)
+    assert f == rational_x(QQ) * 3000 and [str(p) for p, _ in f.factors] == ["x"]
+
+
+# -- the one-pass parser against a tree parser and evaluators of the tests' own --
 
 
 def reference_names(ring) -> dict:
@@ -168,8 +178,8 @@ def reference_names(ring) -> dict:
     return names
 
 
-def reference_evaluate(node, ring, prec=None, text=""):
-    """node of text with every leaf a RationalFunction (prec None) or a LaurentSeries in z."""
+def reference_evaluate(node, ring, prec=None):
+    """The value of a ``tree_parse`` node with every leaf a RationalFunction (prec None) or a LaurentSeries in z."""
     names = reference_names(ring)
 
     def leaf(c):
@@ -186,7 +196,7 @@ def reference_evaluate(node, ring, prec=None, text=""):
                 return rational_x(ring) if prec is None else LaurentSeries(ring, {1: 1})
             if node[1] in names:
                 return leaf(names[node[1]])
-            raise ExpressionError(f"unknown name {node[1]!r}", column=parsing._column(text, node[2]))
+            raise ExpressionError(f"unknown name {node[1]!r}", column=node[2])
         if kind == "neg":
             return -walk(node[1])
         if kind == "^":
@@ -244,21 +254,57 @@ def generator_leaves(ring) -> list:
     return leaves + (["u"] if isinstance(base, ExtensionField) else [])
 
 
+def reference_factored(text: str, field) -> RationalFunction:
+    """parse_factored_rational by a walk of ``tree_parse`` from the top: `*`, `/`, `^` and unary minus
+    combine factors, and every other subtree is evaluated by ``reference_evaluate`` as one declared factor."""
+    constant = [field.one()]
+    factors = {}
+
+    def walk(node, power: int):
+        kind = node[0]
+        if kind == "*" or kind == "/":
+            walk(node[1], power)
+            walk(node[2], power if kind == "*" else -power)
+        elif kind == "^":
+            walk(node[1], power * node[2])
+        elif kind == "neg":
+            constant[0] = constant[0] * field.from_int(-1) ** power
+            walk(node[1], power)
+        elif kind == "num":
+            constant[0] = constant[0] * field.from_int(node[1]) ** power
+        else:
+            value = reference_evaluate(node, field)
+            if value.den.degree != 0:
+                raise FactorError("factored input must be a product of polynomial factors")
+            poly = value.num
+            if poly.is_zero():
+                raise FactorError("zero factor in factored input")
+            constant[0] = constant[0] * poly.leading_coefficient() ** power
+            if poly.degree == 0:
+                return
+            if poly.degree * abs(power) > factor.DEGREE_BUDGET:
+                raise DomainError(f"a power of degree {poly.degree * abs(power)} is above the budget: "
+                                  f"degree <= {factor.DEGREE_BUDGET}")
+            poly = poly.monic()
+            factors[poly] = factors.get(poly, 0) + power
+
+    walk(tree_parse(text), 1)
+    return RationalFunction.from_factored(field, constant[0], [(p, e) for p, e in factors.items() if e])
+
+
 @pytest.mark.parametrize("spec", EVAL_FIELDS)
-def test_rational_evaluator_matches_reference(spec, monkeypatch):
+def test_rational_evaluator_matches_reference(spec):
     field = parse_field_spec(spec)
     leaves = CONSTANTS + ["x", "x", "x", "x^-2", "2/x^2", "y"] + generator_leaves(field)
     rng = random.Random(f"evaluator:rational:{spec}")
     for _ in range(150):
         text = random_expression(rng, leaves, 4)
-        reference = outcome(reference_evaluate, parse_ast(text), field, None, text)
+        reference = outcome(lambda: reference_evaluate(tree_parse(text), field))
         assert outcome(parse_rational, text, field) == reference, text
     for _ in range(150):
         text = random_expression(rng, leaves, 3)
         got = outcome(parse_factored_rational, text, field)
-        with monkeypatch.context() as m:
-            m.setattr(parsing._Evaluator, "eval", lambda self, node: reference_evaluate(node, self.ring, None, text))
-            want = outcome(parse_factored_rational, text, field)
+        want = outcome(reference_factored, text, field)
         assert got == want, text
         if isinstance(got, tuple) and len(got) == 2:
             assert got[1].factors == want[1].factors, text
@@ -272,8 +318,20 @@ def test_series_evaluator_matches_reference(spec):
     rng = random.Random(f"evaluator:series:{spec}")
     for _ in range(200):
         text = random_expression(rng, leaves, 4)
-        reference = outcome(reference_evaluate, parse_ast(text, series_var="z"), ring, 6, text)
+        reference = outcome(lambda: reference_evaluate(tree_parse(text, series_var="z"), ring, 6))
         assert outcome(parse_series, text, ring, 6) == reference, text
+
+
+@pytest.mark.parametrize("text", [
+    "y + )", "1/0 +", "(x + y", "y^2^3", "1/0 * x^100", "-y)", "(1/0) - 1 2", "x / (y - y",
+], ids=lambda text: text)
+def test_a_syntax_error_comes_before_an_error_of_a_value(text):
+    """Each text also has an unknown name or a division by zero before its syntax error."""
+    want = outcome(tree_parse, text)
+    assert want[0] in (ExpressionError, DomainError)
+    assert outcome(parse_rational, text, QQ) == want
+    assert outcome(parse_factored_rational, text, QQ) == want
+    assert outcome(parse_series, text.replace("x", "z"), QQ) == outcome(tree_parse, text.replace("x", "z"), "z")
 
 
 def test_rational_pins_over_f7():
@@ -389,6 +447,8 @@ def test_tiny_inputs_over_budget_fail_fast(field, f, message):
      "negative peeling takes more than 1000000 base products"),
     (["symbol-cc", "--ring", "F101[e]/(e^64)", "-f", "1+e*z^-30+e*z^-29+e*z^-1", "-g", "1+e*z"],
      "negative peeling takes more than 1000000 base products"),
+    (["symbol-cc", "--ring", "Q[e,d]/(e^8,d^8)", "-f", "1+(e+d)/(1-z)", "-g", "1+e*z^-2", "--prec", "512"],
+     "positive peeling takes more than 1000000 base products"),
     (["symbol-cc", "--ring", "Q[e,d]/(e^60,d^60)", "-f", "1", "-g", "1"],
      "ring dimension 3600 or more is above the budget: dimension <= 64"),
     (["symbol-cc", "--ring", "F7[e,d,f]/(e^20,d^20,f^20)", "-f", "1", "-g", "1"],
@@ -398,7 +458,7 @@ def test_tiny_inputs_over_budget_fail_fast(field, f, message):
 ], ids=["factored-nested-power", "window", "default-window", "series-prec", "local-data-prec",
         "series-prec-zero", "ring-series-prec-negative", "gf-prec-negative", "local-data-prec-zero",
         "jobs-zero", "jobs-negative", "peels-two-terms", "peels-two-generators", "peels-far-poles",
-        "peels-over-Q", "peels-three-terms",
+        "peels-over-Q", "peels-three-terms", "peels-positive",
         "ring-dimension", "ring-three-generators", "ring-order-googol"])
 def test_commands_over_budget_fail_fast(argv, message, tmp_path):
     data = tmp_path / "local.json"
@@ -406,6 +466,20 @@ def test_commands_over_budget_fail_fast(argv, message, tmp_path):
     code, err = run_cli_alone([a.format(data=data) for a in argv])
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize("ring, f, g, message", [
+    ("F7[z]/(z^2)", "1+z", "1+z^-1", "generator name 'z' is reserved for the series variable"),
+    ("F7[e,O]/(e^2,O^2)", "1+O*z", "1+O*z^-1", "generator name 'O' is reserved for the precision marker"),
+    ("F9[u]/(u^2)", "1+u*z", "1+u*z^-1", "generator name 'u' is reserved for the generator of F9"),
+], ids=["z", "O", "u-over-F9"])
+def test_a_generator_may_not_take_a_reserved_name(ring, f, g, message, capsys):
+    assert cli.main(["symbol-cc", "--ring", ring, "-f", f, "-g", g]) == cli.EXIT_INPUT
+    assert message in capsys.readouterr().err
+    with pytest.raises(ExpressionError, match=message):
+        parse_ring_spec(ring)
+    # u is free over a prime field
+    assert parse_ring_spec("F7[u]/(u^2)").names == ("u",)
 
 
 def test_precision_one_is_accepted(capsys):
@@ -436,9 +510,9 @@ def test_symbols_of_two_term_poles_are_computed(capsys, argv, value):
 
 def test_budgets_are_above_every_benchmark_op():
     # local_symbols parses at the default precision, with windows of at most 2*4 + 1,
-    # makes at most 16 negative peels and 645 base products per factorization at
-    # seeds 1-3, and runs symbol-cc over a ring of dimension 6
-    assert DEFAULT_PRECISION <= PRECISION_BUDGET and 9 <= WINDOW_BUDGET and 645 <= PEEL_BUDGET
+    # makes at most 16 negative and 8 positive peels and 934 base products per
+    # factorization at seeds 1-3, and runs symbol-cc over a ring of dimension 6
+    assert DEFAULT_PRECISION <= PRECISION_BUDGET and 9 <= WINDOW_BUDGET and 934 <= PEEL_BUDGET
     assert parse_ring_spec("F7[e,d]/(e^3,d^2)").dimension == 6 <= DIMENSION_BUDGET
     assert parse_series("1/(1-z)", QQ, PRECISION_BUDGET).prec == PRECISION_BUDGET
     f = parse_series("z^-4 + z^4", QQ)
