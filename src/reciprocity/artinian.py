@@ -10,7 +10,8 @@ tuple of generator orders, ``_shape``) and shared by every algebra of that
 shape, whatever its base field and generator names: the triples (i, j, k)
 with monomial_i * monomial_j = monomial_k, so every product in which some
 exponent reaches its generator's order is truncated.  The one loop over
-them is ``_mul_add`` (acc + a b); ``_mul`` is its case acc = 0.  The
+them is ``_mul_add`` (acc + a b), which makes one call of the base field's
+own ``_mul_add`` per structure constant; ``_mul`` is its case acc = 0.  The
 maximal ideal (everything with zero constant coordinate) is therefore
 nilpotent and an element is invertible exactly when its residue in the
 base field is.
@@ -105,7 +106,7 @@ class ArtinianAlgebra(CoefficientRing):
         """acc + a b in one pass over the structure constants."""
         # base data is canonical, so a zero coordinate equals the base's zero
         base = self.base
-        add, mul, zero = base._add, base._mul, base._zero
+        mul_add, zero = base._mul_add, base._zero
         out = list(acc)
         for i, row in self._table:
             x = a[i]
@@ -113,7 +114,7 @@ class ArtinianAlgebra(CoefficientRing):
                 for j, k in row:
                     y = b[j]
                     if y != zero:
-                        out[k] = add(out[k], mul(x, y))
+                        out[k] = mul_add(out[k], x, y)
         return tuple(out)
 
     def _mul_add_cost(self, a) -> int:

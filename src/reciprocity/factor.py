@@ -195,13 +195,14 @@ def _equal_degree_split(f: Polynomial, d: int, draws, frobenius: _Frobenius) -> 
         if r.degree < 1:
             continue
         if field.characteristic == 2:
+            # the trace sum_(i < md) r^(2^i) mod f, by Horner on raw lists:
+            # t <- t^2 + r from t = r mod f, since squaring is additive
             m = field.degree if isinstance(field, ExtensionField) else 1
-            t = Polynomial.zero(field)
-            power = r % f
-            for _ in range(m * d):
-                t = (t + power) % f
-                power = (power * power) % f
-            g = f.gcd(t)
+            k, arg, fd = field.kernels, field.kernel_arg, f._data
+            t = rd = k.rem(r._data, fd, arg)
+            for _ in range(m * d - 1):
+                t = k.rem(k.add(k.mul(t, t, arg), rd, arg), fd, arg)
+            g = f.gcd(_from_data(field, t))
         else:
             norm = image = r
             for _ in range(d - 1):

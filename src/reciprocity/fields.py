@@ -87,6 +87,10 @@ class CoefficientRing:
     """Common protocol for every coefficient ring in the tower.
 
     Each subclass stores the raw data of 0 and 1 as ``_zero`` and ``_one``.
+    The raw operations take and return data, never elements: ``_add``,
+    ``_sub``, ``_mul``, ``_neg`` and ``_inv``, and ``_mul_add(acc, a, b)``,
+    acc + a b in one call, which a ring overrides where fusing the two
+    saves work (an Artinian product makes one per structure constant).
     """
 
     characteristic = 0
@@ -107,6 +111,9 @@ class CoefficientRing:
 
     def _neg(self, a):
         raise NotImplementedError
+
+    def _mul_add(self, acc, a, b):
+        return self._add(acc, self._mul(a, b))
 
     def _inv(self, a):
         raise NotImplementedError
@@ -184,6 +191,9 @@ class RationalField(BaseField):
     def _mul(self, a, b):
         return a * b
 
+    def _mul_add(self, acc, a, b):
+        return acc + a * b
+
     def _neg(self, a):
         return -a
 
@@ -242,6 +252,9 @@ class PrimeField(BaseField):
 
     def _mul(self, a, b):
         return (a * b) % self.p
+
+    def _mul_add(self, acc, a, b):
+        return (acc + a * b) % self.p
 
     def _neg(self, a):
         return (-a) % self.p

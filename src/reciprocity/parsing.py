@@ -13,8 +13,11 @@ round-trips.  Series are parsed at a precision of at most
 Syntax: one `re.findall` splits the text into words, and a word that starts
 with a character outside the grammar is refused before parsing.  The parser
 reads the word list by index in one pass: each grammar method returns the
-value of what it read, from an evaluator, and a sum is added up in a loop,
-so only parentheses and chains of signs nest.  A syntax error comes before
+value of what it read, from an evaluator, and a sum, a product and a run of
+signs are each read in a loop, so only parentheses nest.  Before parsing,
+text whose parentheses nest more than ``NESTING_BUDGET`` deep, or with a run
+of more than that many unary signs, is refused ("nests too deeply"), so the
+parser's depth of calls is bounded by the budget.  A syntax error comes before
 an error of a value, as if the whole text were read first: a parse that
 meets an error of a value reads the text again with no values (``_SYNTAX``)
 and raises the first syntax error, if there is one.  A column is computed
@@ -41,7 +44,11 @@ Field specs: `Q`, `F5`, `F9:u^2+1` (modulus over F_p in `u`; omitted
 modulus picks the lexicographically first irreducible).  Ring specs:
 `Q[e1,e2]/(e1^2,e2^2)` with one pure-power relation per generator, of
 dimension (the product of the orders) at most `artinian.DIMENSION_BUDGET`;
-a generator may not be named `z`, `O` or, over F_q, `u`.
+a generator may not be named `z`, `O` or, over F_q, `u`.  Each spec is built
+once per process: `parse_field_spec` and `parse_ring_spec` keep the last 32
+fields and rings they built, keyed by the spec text without its surrounding
+spaces, and every caller of a spec shares the one immutable value.  A
+refused spec is not kept, so it raises on every call.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from functools import wraps
+from functools import lru_cache
 
 from .artinian import DIMENSION_BUDGET, ArtinianAlgebra
 from .curve import RationalFunction
@@ -87,6 +94,48 @@ def _words(text: str) -> list[str]:
     return words
 
 
+# deepest nesting a text may have, counted on its words before it is parsed:
+# levels of parentheses, and unary signs in one run.  The parser spends four
+# calls (expr, term, factor, group) per level of parentheses and reads a run
+# of signs in a loop, so 100 levels take about 400 of the interpreter's
+# default 1000 frames, which leaves room for a deep caller such as a test
+# runner on every Python version.
+NESTING_BUDGET = 100
+# NESTING_BUDGET + 1 sign words in a row, which any run of more than
+# NESTING_BUDGET unary signs contains
+_SIGN_RUN = r"(?:[+-]\s*){%d}" % (NESTING_BUDGET + 1)
+
+
+def _check_nesting(text: str, words: list[str]):
+    """Refuse text nested deeper than NESTING_BUDGET, before it is parsed.
+
+    The depth of parentheses, and the length of each run of unary signs (a
+    sign at the start, after "(" or after an operator); a sign after an
+    operand is a binary operator.  Text with few parentheses or few signs
+    can nest no deeper than it has of them, so only the rare long text reads
+    its words here.
+    """
+    if text.count("(") > NESTING_BUDGET:
+        depth = 0
+        for word in words:
+            if word == "(":
+                depth += 1
+                if depth > NESTING_BUDGET:
+                    raise ExpressionError("expression nests too deeply")
+            elif word == ")":
+                depth -= 1
+    if text.count("-") + text.count("+") > NESTING_BUDGET and re.search(_SIGN_RUN, text):
+        run, prev = 0, ""
+        for word in words:
+            if word != "+" and word != "-":
+                run = 0
+            elif _KIND.get(prev[:1], "NAME") in ("OP", "LPAREN", "EOF"):
+                run += 1
+                if run > NESTING_BUDGET:
+                    raise ExpressionError("expression nests too deeply")
+            prev = word
+
+
 def _column(text: str, i: int) -> int:
     """The column of word i of text; one past the end of the text for i = len(words)."""
     for j, match in enumerate(re.finditer(_WORD, text)):
@@ -112,7 +161,9 @@ class _Parser:
 
     def __init__(self, text: str, ev, series_var: str | None = None):
         self.text = text
-        self.words = _words(text) + [""]
+        self.words = _words(text)
+        _check_nesting(text, self.words)
+        self.words.append("")
         self.i = 0
         self.ev = ev
         self.series_var = series_var
@@ -185,9 +236,16 @@ class _Parser:
         return value
 
     def factor(self):
-        """A signed number, name or group, raised to a power if `^` follows it."""
-        i = self.i
-        word = self.words[i]
+        """A number, name or group, raised to a power if `^` follows it, after a run of signs.
+
+        The signs are read in a loop, and an odd number of minus signs
+        negates the power once: --x is x, and -x^2 is -(x^2).
+        """
+        i, words = self.i, self.words
+        negate = False
+        while (word := words[i]) == "-" or word == "+":
+            negate ^= word == "-"
+            i += 1
         kind = _KIND.get(word[:1], "NAME")
         self.i = i + 1
         if kind == "NAME":
@@ -196,27 +254,23 @@ class _Parser:
             value = self.ev.number(int(word))
         elif kind == "LPAREN":
             value = self.group()
-        elif word == "-":
-            return self.ev.negate(self.factor())
-        elif word == "+":
-            return self.factor()
         else:
             self.i = i
             self.error("unexpected end of input" if kind == "EOF" else f"unexpected {word!r}")
-        if self.words[self.i] != "^":
-            return value
-        self.i += 1
-        e = self.signed_int()
-        if abs(e) > DEGREE_BUDGET:
-            raise DomainError(f"exponent {e} is above the budget: |e| <= {DEGREE_BUDGET}")
-        return self.ev.raise_to(value, e)
+        if words[self.i] == "^":
+            self.i += 1
+            e = self.signed_int()
+            if abs(e) > DEGREE_BUDGET:
+                raise DomainError(f"exponent {e} is above the budget: |e| <= {DEGREE_BUDGET}")
+            value = self.ev.raise_to(value, e)
+        return self.ev.negate(value) if negate else value
 
     def group(self):
         """The expression in parentheses after a "("; the caller has read the "(".
 
         A group is a call of its own, so each level of parentheses takes four
-        frames (expr, term, factor, group), and about 250 levels reach the
-        interpreter's recursion limit: "nests too deeply".
+        frames (expr, term, factor, group); ``_check_nesting`` bounds the
+        levels before parsing.
         """
         value = self.expr()
         self.expect(")", "RPAREN")
@@ -553,7 +607,12 @@ class _ProductEvaluator:
         return left
 
     def product(self, factors) -> RationalFunction:
-        """The product of the factors, each declared factor checked, made monic and counted."""
+        """The product of the factors, each declared factor checked, made monic and counted.
+
+        The total power of each factor, and the degrees of the numerator and
+        the denominator, are checked against DEGREE_BUDGET before the product
+        is built.
+        """
         field = self.field
         constant = field.one()
         powers: dict[Polynomial, int] = {}
@@ -574,30 +633,23 @@ class _ProductEvaluator:
             poly = poly.monic()
             powers[poly] = powers.get(poly, 0) + power
         pairs = [(p, e) for p, e in powers.items() if e]
+        # a factor written many times, or many factors, pass the budget only together
+        degrees = {"numerator": 0, "denominator": 0}
+        for p, e in pairs:
+            _check_power(p, e)
+            degrees["numerator" if e > 0 else "denominator"] += p.degree * abs(e)
+        for part, degree in degrees.items():
+            if degree > DEGREE_BUDGET:
+                raise DomainError(f"a {part} of degree {degree} is above the budget: degree <= {DEGREE_BUDGET}")
         return RationalFunction.from_factored(field, constant, pairs)
 
 
-def _bounded_depth(parse):
-    """parse, with input nested deeper than the interpreter's stack an ExpressionError."""
-
-    @wraps(parse)
-    def bounded(*args, **kwargs):
-        try:
-            return parse(*args, **kwargs)
-        except RecursionError:
-            raise ExpressionError("expression nests too deeply") from None
-
-    return bounded
-
-
-@_bounded_depth
 def parse_rational(text: str, field: BaseField) -> RationalFunction:
     """Parse a rational function in x over the field."""
     evaluator = _RationalEvaluator(field, text)
     return evaluator.rational(_Parser(text, evaluator).parse())
 
 
-@_bounded_depth
 def parse_series(text: str, ring, prec: int = DEFAULT_PRECISION) -> LaurentSeries:
     """Parse a Laurent series in z over the coefficient ring, at a precision from 1 to PRECISION_BUDGET."""
     if prec < 1:
@@ -608,7 +660,6 @@ def parse_series(text: str, ring, prec: int = DEFAULT_PRECISION) -> LaurentSerie
     return evaluator.lift(_Parser(text, evaluator, series_var="z").parse())
 
 
-@_bounded_depth
 def parse_polynomial(text: str, field: BaseField) -> Polynomial:
     """Parse a polynomial in u over the field, as a field modulus is written."""
     evaluator = _RationalEvaluator(field, text, "u")
@@ -616,7 +667,6 @@ def parse_polynomial(text: str, field: BaseField) -> Polynomial:
     return evaluator.polynomial(value, ExpressionError("expected a polynomial, found a denominator"))
 
 
-@_bounded_depth
 def parse_factored_rational(text: str, field: BaseField) -> RationalFunction:
     """Parse a product of declared-irreducible factors into a cached form.
 
@@ -632,11 +682,16 @@ def parse_factored_rational(text: str, field: BaseField) -> RationalFunction:
 
 
 def parse_field_spec(spec: str) -> BaseField:
-    s = spec.strip()
+    """`Q`, `F5` or `F9:u^2+1` -> the field, built once per spec (``_field_spec``)."""
+    return _field_spec(spec.strip())
+
+
+@lru_cache(maxsize=32)
+def _field_spec(s: str) -> BaseField:
     if s in ("Q", "QQ"):
         return QQ
     if not s.startswith("F"):
-        raise ExpressionError(f"unknown field spec {spec!r}")
+        raise ExpressionError(f"unknown field spec {s!r}")
     body = s[1:]
     modulus_text = None
     if ":" in body:
@@ -644,7 +699,7 @@ def parse_field_spec(spec: str) -> BaseField:
     try:
         q = int(body)
     except ValueError:
-        raise ExpressionError(f"unknown field spec {spec!r}") from None
+        raise ExpressionError(f"unknown field spec {s!r}") from None
     if q < 2:
         raise ExpressionError(f"invalid field size {q}")
     if q >= PRIME_TEST_BOUND:
@@ -689,8 +744,12 @@ def _integer_root(n: int, d: int) -> int:
 
 
 def parse_ring_spec(spec: str):
-    """`Q[e1,e2]/(e1^2,e2^2)` -> ArtinianAlgebra; a bare field spec -> field."""
-    s = spec.strip()
+    """`Q[e1,e2]/(e1^2,e2^2)` -> ArtinianAlgebra; a bare field spec -> field; built once per spec (``_ring_spec``)."""
+    return _ring_spec(spec.strip())
+
+
+@lru_cache(maxsize=32)
+def _ring_spec(s: str):
     if "[" not in s:
         return parse_field_spec(s)
     head, rest = s.split("[", 1)

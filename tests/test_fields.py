@@ -19,7 +19,7 @@ from reciprocity.fields import (
     is_prime,
     lift,
 )
-from reciprocity.parsing import parse_series
+from reciprocity.parsing import parse_ring_spec, parse_series
 from reciprocity.poly import Polynomial
 from support import TupleField, earlier_artinian_str, earlier_extension_str, is_prime_all_bases
 
@@ -293,6 +293,27 @@ def test_artinian_elements_print_as_before(base_name, data):
                       min_size=A.dimension, max_size=A.dimension)
     x = A.from_coordinates(data.draw(coords))
     assert str(x) == earlier_artinian_str(A, x.data)
+
+
+# fields of every data format: Fraction, int (below and above 2^64), table
+# logs (F9, and F256 in characteristic 2) and tuples (F729), and Artinian
+# rings over three of them
+MUL_ADD_FIELDS = ["Q", "F7", "F18446744073709551629", "F9:u^2+1", "F256", "F729"]
+MUL_ADD_RINGS = MUL_ADD_FIELDS + ["Q[e,d]/(e^3,d^2)", "F7[e,d]/(e^3,d^2)", "F9[e1,e2]/(e1^2,e2^2)"]
+
+
+@pytest.mark.parametrize("spec", MUL_ADD_RINGS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mul_add_is_the_sum_of_the_product(spec, data):
+    """The fused raw op of every ring: ``_mul_add(acc, a, b) == _add(acc, _mul(a, b))``, zeros included."""
+    ring = parse_ring_spec(spec)
+    rng = data.draw(st.randoms(use_true_random=False))
+    acc, a, b = (ring.zero() if data.draw(st.integers(0, 4)) == 0 else ring.random_element(rng) for _ in range(3))
+    if isinstance(ring, ArtinianAlgebra):
+        # sparse coordinates take the loop's zero skips
+        a = ring.from_coordinates([c if rng.random() < 0.5 else 0 for c in ring.coordinates(a)])
+    assert ring._mul_add(acc.data, a.data, b.data) == ring._add(acc.data, ring._mul(a.data, b.data))
 
 
 @pytest.mark.parametrize("ring", [PrimeField(101), RationalField(), ExtensionField(3, [1, 0, 1])], ids=repr)

@@ -390,9 +390,10 @@ def test_mul_add_cost_bounds_the_base_products(spec, rng):
     a, b = nilpotent(ring, rng).data, ring.random_element(rng).data
     dense = (ring.base._one,) * ring.dimension
     calls = []
-    base_mul = ring.base._mul
+    base_mul_add = ring.base._mul_add
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ring.base, "_mul", lambda x, y: calls.append(1) or base_mul(x, y))
+        # each base product is one fused base._mul_add call
+        mp.setattr(ring.base, "_mul_add", lambda acc, x, y: calls.append(1) or base_mul_add(acc, x, y))
         ring._mul_add(ring._zero, a, b)
         assert len(calls) <= ring._mul_add_cost(a)
         calls.clear()

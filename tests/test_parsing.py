@@ -143,6 +143,39 @@ def test_deep_nesting_is_an_input_error(text, capsys):
             parse(text.replace("x", "z") if parse is parse_series else text, QQ)
 
 
+@pytest.mark.parametrize("kind", ["parentheses", "minus"])
+def test_nesting_at_the_budget_parses_and_one_level_more_is_refused(kind, capsys):
+    """The budget is counted on the words, the same under every parser and the --factored command."""
+    def nest(text, n):
+        return "(" * n + text + ")" * n if kind == "parentheses" else "-" * n + text
+
+    x = rational_x(QQ)
+    # a sum, so that --factored reads one declared factor
+    x1 = "x+1" if kind == "parentheses" else "(x+1)"
+    for n in (parsing.NESTING_BUDGET, parsing.NESTING_BUDGET + 1):
+        sign = -1 if kind == "minus" and n % 2 else 1
+        refused = n > parsing.NESTING_BUDGET
+        for parse, text, want in ((parse_rational, nest("x", n), x * sign),
+                                  (parse_series, nest("z", n), LaurentSeries(QQ, {1: sign})),
+                                  (parse_factored_rational, nest(x1, n), (x + 1) * sign)):
+            if refused:
+                with pytest.raises(ExpressionError, match="nests too deeply"):
+                    parse(text, QQ)
+            else:
+                assert parse(text, QQ) == want
+        code = cli.main(["residue", "--factored", "--field", "Q", f"-f={nest(x1, n)}", "-g=x"])
+        assert code == (cli.EXIT_INPUT if refused else 0)
+        assert ("nests too deeply" in capsys.readouterr().err) == refused
+
+
+def test_only_unary_signs_and_open_parentheses_count():
+    """A sign after an operand is a binary operator, and a sign in front of each group nests no call."""
+    n, x = parsing.NESTING_BUDGET, rational_x(QQ)
+    assert parse_rational("x" + "-" * (n + 1) + "1", QQ) == x - 1
+    assert parse_rational("-(" * n + "x" + ")" * n, QQ) == x
+    assert parse_rational("+".join(["(x)"] * (n + 1)), QQ) == x * (n + 1)
+
+
 def test_a_long_flat_sum_is_added_up(capsys):
     """A sum is read in a loop, so its length does not nest."""
     assert parse_rational(FLAT_SUM, QQ) == rational_x(QQ) * 3000
@@ -158,6 +191,29 @@ def test_a_long_flat_factor_is_added_up(capsys):
     assert "f=3000*x, g=x" in out and "verified: True" in out
     f = parse_factored_rational(FLAT_SUM, QQ)
     assert f == rational_x(QQ) * 3000 and [str(p) for p, _ in f.factors] == ["x"]
+
+
+FACTORED_OVER_BUDGET = {
+    "repeated": ("(x+1)^40*(x+1)^40", "a power of degree 80"),
+    "flat-1024": ("*".join(["(x+1)"] * 1024), "a power of degree 1024"),
+    "numerator": ("(x+1)^32*(x+2)^33", "a numerator of degree 65"),
+    "denominator": ("x/((x+1)^32*(x+2)^33)", "a denominator of degree 65"),
+}
+
+
+@pytest.mark.parametrize("text, message", FACTORED_OVER_BUDGET.values(), ids=FACTORED_OVER_BUDGET.keys())
+def test_a_factored_product_past_the_degree_budget_is_refused_before_it_is_built(text, message, monkeypatch, capsys):
+    monkeypatch.setattr(RationalFunction, "from_factored", lambda *args: pytest.fail("the product was built"))
+    with pytest.raises(DomainError, match=f"^{message} is above the budget: degree <= {factor.DEGREE_BUDGET}$"):
+        parse_factored_rational(text, QQ)
+    assert cli.main(["verify-wrl", "--field", "Q", "--factored", f"-f={text}", "-g=x"]) == cli.EXIT_INPUT
+    assert message in capsys.readouterr().err
+
+
+def test_a_factored_product_at_the_degree_budget_parses():
+    f = parse_factored_rational("(x+1)^32*(x+2)^32", QQ)
+    assert (f.num.degree, f.den.degree) == (64, 0)
+    assert [(str(p), e) for p, e in f.factors] == [("x + 1", 32), ("x + 2", 32)]
 
 
 # -- the one-pass parser against a tree parser and evaluators of the tests' own --
@@ -607,5 +663,34 @@ def test_a_prime_field_spec_is_tested_for_primality_once(monkeypatch):
         monkeypatch.setattr(module, "is_prime", counting)
     for q in (101, 2**31 - 1, 18446744073709551629):
         calls.clear()
+        # a spec is built once per process, so each parse here builds it anew
+        parsing._field_spec.cache_clear()
         assert parse_field_spec(f"F{q}").order == q
         assert calls.count(q) == 1
+
+
+@pytest.mark.parametrize("spec", ["Q", "F7", "F2147483647", "F9:u^2+1", "F256", "F7[e,d]/(e^3,d^2)"])
+def test_a_spec_is_built_once(spec):
+    """Every parse of one spec, with or without surrounding spaces, returns the one value."""
+    parse = parse_ring_spec if "[" in spec else parse_field_spec
+    assert parse(spec) is parse(spec) is parse(f"  {spec}\t")
+    assert parse_ring_spec(spec) is parse_ring_spec(f" {spec} ")
+
+
+@pytest.mark.parametrize("spec", ["F6", "F4:u^2+1", "F7[z]/(z^2)"])
+def test_a_refused_spec_raises_on_every_call(spec):
+    parse = parse_ring_spec if "[" in spec else parse_field_spec
+    for _ in range(2):
+        with pytest.raises((ReciprocityError, ValueError)):
+            parse(spec)
+
+
+def test_the_spec_caches_are_bounded():
+    for cache in (parsing._field_spec, parsing._ring_spec):
+        assert cache.cache_info().maxsize == 32
+    primes = [p for p in range(2, 300) if is_prime(p)]
+    for order, p in zip(range(2, 50), primes):
+        parse_ring_spec(f"F7[e]/(e^{order})")
+        parse_field_spec(f"F{p}")
+    for cache in (parsing._field_spec, parsing._ring_spec):
+        assert cache.cache_info().currsize == 32
