@@ -186,13 +186,26 @@ def _matrix_arg(text: str, option: str):
 
 
 def _load_local_data(path: str, prec: int | None):
+    """The entries of a --local-data file, a JSON object whose "entries" is a list of objects.
+
+    Each entry holds the series "f" and "g" as strings and, optionally, the
+    field spec "field" (by default Q) as a string; any other shape is an
+    input error that names the entry and the key.
+    """
     if prec is None:
         prec = DEFAULT_PRECISION
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
+    if not isinstance(payload, dict) or not isinstance(payload.get("entries"), list):
+        raise ReciprocityError('local data must be a JSON object whose "entries" is a list')
     entries = []
-    for entry in payload.get("entries", []):
+    for i, entry in enumerate(payload["entries"]):
+        if not isinstance(entry, dict):
+            raise ReciprocityError(f"local data entry {i} must be a JSON object")
         spec = entry.get("field", "Q")
+        for key, value in (("field", spec), ("f", entry.get("f")), ("g", entry.get("g"))):
+            if not isinstance(value, str):
+                raise ReciprocityError(f'local data entry {i} needs "{key}" as a JSON string')
         kprime = parse_field_spec(spec)
         fs = parse_series(entry["f"], kprime, prec)
         gs = parse_series(entry["g"], kprime, prec)

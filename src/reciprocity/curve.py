@@ -13,12 +13,19 @@ infinity, for the Gelfand-Fuchs cocycle and adele components, and over F_p
 at every place, with coefficients in its residue field; over Q and F_q
 higher-degree places expose the valuation and the unit value in k[x]/(p).
 
-Verifiers return a VerificationReport with one row per place and the global
-product (reciprocity) or sum (residues); exactness is the contract, so
+Every global law is a product (reciprocity) or sum (residues, Gelfand-Fuchs)
+over the places of a local term (Tate, "Residues of differentials on
+curves", 1968), and one loop, ``_global_law``, states them all: it folds the
+local terms in place order from the law's identity, writes one row per place
+and returns the VerificationReport.  A verifier supplies only its local term
+and its row fields, so a new law, or a new route to a local term, is that
+term and its rows, not another loop.  Exactness is the contract, so
 "verified" means the product is literally 1 or the sum literally 0.
 """
 
 from __future__ import annotations
+
+import operator
 
 from .errors import DomainError, FactorError, TowerError
 from .factor import is_irreducible, poly_factor
@@ -512,6 +519,37 @@ def _uncertified(f: RationalFunction, g: RationalFunction) -> list[str]:
     return [str(p) for p in sorted(set(f.trusted) | set(g.trusted), key=Polynomial.sort_key)]
 
 
+def _pair_input(f: RationalFunction, g: RationalFunction, **more) -> dict:
+    """The input of a report on f and g, with more before the field."""
+    return {"f": str(f), "g": str(g), **more, "field": repr(f.field)}
+
+
+def _place_row(place: Place, f: RationalFunction, g: RationalFunction) -> dict:
+    """The row fields of a place of f and g: its name, degree and the valuations there."""
+    return {"place": str(place), "deg": place.degree, "v_f": f.valuation_at(place), "v_g": g.valuation_at(place)}
+
+
+def _entry_row(idx: int, kprime: BaseField, base: BaseField) -> dict:
+    """The row fields of entry idx of local data, whose series live over kprime."""
+    return {"place": f"local#{idx}", "deg": kprime.extension_degree_over(base)}
+
+
+def _global_law(kind: str, input: dict, terms, op, identity, key: str, check: bool = True,
+                **report) -> VerificationReport:
+    """The report of a global law: the local terms, folded by op from identity, must give identity.
+
+    terms yields (local term, row fields) in place order, and each row gains
+    its term under key.  The verdict also needs check; report passes
+    ``extras`` and ``uncertified`` through.
+    """
+    rows, total = [], identity
+    for term, row in terms:
+        total = op(total, term)
+        row[key] = str(term)
+        rows.append(row)
+    return VerificationReport(kind, input, rows, str(total), check and total == identity, **report)
+
+
 # -- Weil reciprocity ---------------------------------------------------------
 
 
@@ -552,61 +590,17 @@ def _residue_class_norm(cls: Polynomial, place: Place) -> AlgebraElement:
 
 def verify_wrl(f: RationalFunction, g: RationalFunction) -> VerificationReport:
     """Product over all relevant places of the signed local factors; must be 1."""
-    field = f.field
-    places = relevant_places(f, g)
-    rows = []
-    product = field.one()
-    for place in places:
-        factor = wrl_local_factor(f, g, place)
-        product = product * factor
-        rows.append(
-            {
-                "place": str(place),
-                "deg": place.degree,
-                "v_f": f.valuation_at(place),
-                "v_g": g.valuation_at(place),
-                "local_factor": str(factor),
-            }
-        )
-    verified = product == field.one()
-    return VerificationReport(
-        kind="weil-reciprocity",
-        input={"f": str(f), "g": str(g), "field": repr(field)},
-        places=rows,
-        global_value=str(product),
-        verified=verified,
-        uncertified=_uncertified(f, g),
-    )
+    terms = ((wrl_local_factor(f, g, p), _place_row(p, f, g)) for p in relevant_places(f, g))
+    return _global_law("weil-reciprocity", _pair_input(f, g), terms, operator.mul, f.field.one(), "local_factor",
+                       uncertified=_uncertified(f, g))
 
 
 def verify_residue_theorem(f: RationalFunction, g: RationalFunction) -> VerificationReport:
     """Sum over all relevant places of tr res_P(f dg); must be 0."""
-    field = f.field
     omega = Differential(f, g)
-    places = relevant_places(f, g)
-    rows = []
-    total = field.zero()
-    for place in places:
-        res = trace_residue_at_place(omega, place)
-        total = total + res
-        rows.append(
-            {
-                "place": str(place),
-                "deg": place.degree,
-                "v_f": f.valuation_at(place),
-                "v_g": g.valuation_at(place),
-                "residue": str(res),
-            }
-        )
-    verified = total.is_zero()
-    return VerificationReport(
-        kind="residue-theorem",
-        input={"f": str(f), "g": str(g), "field": repr(field)},
-        places=rows,
-        global_value=str(total),
-        verified=verified,
-        uncertified=_uncertified(f, g),
-    )
+    terms = ((trace_residue_at_place(omega, p), _place_row(p, f, g)) for p in relevant_places(f, g))
+    return _global_law("residue-theorem", _pair_input(f, g), terms, operator.add, f.field.zero(), "residue",
+                       uncertified=_uncertified(f, g))
 
 
 # -- raw local data mode ------------------------------------------------------
@@ -619,50 +613,19 @@ def verify_wrl_local_data(entries, base: BaseField) -> VerificationReport:
     lives over its entry's field.  The aggregation is the same signed
     product; correctness of the global input is the caller's business.
     """
-    rows = []
-    product = base.one()
-    for idx, (kprime, fs, gs) in enumerate(entries):
-        factor = tame_symbol(fs, gs, base)
-        product = product * factor
-        rows.append(
-            {
-                "place": f"local#{idx}",
-                "deg": kprime.extension_degree_over(base),
-                "v_f": fs.valuation(),
-                "v_g": gs.valuation(),
-                "local_factor": str(factor),
-            }
-        )
-    return VerificationReport(
-        kind="weil-reciprocity-local-data",
-        input={"entries": len(rows), "field": repr(base)},
-        places=rows,
-        global_value=str(product),
-        verified=product == base.one(),
-    )
+    entries = list(entries)
+    terms = ((tame_symbol(fs, gs, base), {**_entry_row(i, k, base), "v_f": fs.valuation(), "v_g": gs.valuation()})
+             for i, (k, fs, gs) in enumerate(entries))
+    return _global_law("weil-reciprocity-local-data", {"entries": len(entries), "field": repr(base)}, terms,
+                       operator.mul, base.one(), "local_factor")
 
 
 def verify_residues_local_data(entries, base: BaseField) -> VerificationReport:
     """Residue theorem over user-supplied local expansions of (alpha, beta)."""
-    rows = []
-    total = base.zero()
-    for idx, (kprime, fs, gs) in enumerate(entries):
-        res = residue_coefficient(fs, gs, base)
-        total = total + res
-        rows.append(
-            {
-                "place": f"local#{idx}",
-                "deg": kprime.extension_degree_over(base),
-                "residue": str(res),
-            }
-        )
-    return VerificationReport(
-        kind="residue-theorem-local-data",
-        input={"entries": len(rows), "field": repr(base)},
-        places=rows,
-        global_value=str(total),
-        verified=total.is_zero(),
-    )
+    entries = list(entries)
+    terms = ((residue_coefficient(fs, gs, base), _entry_row(i, k, base)) for i, (k, fs, gs) in enumerate(entries))
+    return _global_law("residue-theorem-local-data", {"entries": len(entries), "field": repr(base)}, terms,
+                       operator.add, base.zero(), "residue")
 
 
 # -- adeles and the orthogonality check --------------------------------------
@@ -729,8 +692,12 @@ def residue_pairing_sum(adele: AdeleVector, g: RationalFunction) -> AlgebraEleme
 # -- global Gelfand-Fuchs ------------------------------------------------------
 
 
-def _coerce_matrix(field: BaseField, m):
-    return [[field.coerce(c) for c in row] for row in m]
+def _square_pair(field: BaseField, s, t):
+    """S and T as raw data over field; they must be square and of one size."""
+    s, t = ([[field.coerce(c).data for c in row] for row in m] for m in (s, t))
+    if len(s) != len(t) or any(len(row) != len(s) for row in s + t):
+        raise DomainError("S and T must be square matrices of equal size")
+    return s, t
 
 
 def verify_gf_global(s_matrix, t_matrix, f: RationalFunction, g: RationalFunction) -> VerificationReport:
@@ -740,48 +707,35 @@ def verify_gf_global(s_matrix, t_matrix, f: RationalFunction, g: RationalFunctio
     local Gelfand-Fuchs cocycle; higher-degree places use the scalar trace
     residue times tr(ST).  The result is cross-checked against tr(ST) times
     the residue-theorem sum, whose trace residues are computed once per
-    place and also feed the higher-degree contributions.
+    place and also feed the higher-degree contributions.  S and T are
+    checked once, here, and every place builds its loops from their raw data.
 
     At those places f and g are expanded at ``_pairing_precision`` of their
     valuations there.
     """
     field = f.field
-    s_m = _coerce_matrix(field, s_matrix)
-    t_m = _coerce_matrix(field, t_matrix)
-    if len(s_m) != len(t_m) or any(len(r) != len(s_m) for r in s_m + t_m):
-        raise DomainError("S and T must be square matrices of equal size")
+    s_m, t_m = _square_pair(field, s_matrix, t_matrix)
     # tr(ST) = sum_ij S_ij T_ji, without the rest of the product
-    tr_st = sum((s * t for s_row, t_col in zip(s_m, zip(*t_m)) for s, t in zip(s_row, t_col)),
-                field.zero())
+    tr_st = field._zero
+    for s_row, t_col in zip(s_m, zip(*t_m)):
+        for s, t in zip(s_row, t_col):
+            tr_st = field._mul_add(tr_st, s, t)
+    tr_st = AlgebraElement(field, tr_st)
     omega = Differential(f, g)
     places = relevant_places(f, g)
-    rows = []
-    total = field.zero()
-    residue_sum = field.zero()
-    for place in places:
-        residue = trace_residue_at_place(omega, place)
-        residue_sum = residue_sum + residue
-        if place.degree == 1 or place.is_infinite:
-            need = _pairing_precision(f.valuation_at(place), g.valuation_at(place))
-            f_local = local_expansion(f, place, need)
-            g_local = local_expansion(g, place, need)
-            # at infinity the expansions are in t = 1/x and dg = (dg/dt) dt,
-            # so the cocycle in t is already the residue there
-            a_loop = LoopMatrix.from_tensor(s_m, f_local)
-            b_loop = LoopMatrix.from_tensor(t_m, g_local)
-            contrib = gelfand_fuchs_cocycle(a_loop, b_loop, field)
-        else:
-            contrib = tr_st * residue
-        total = total + contrib
-        rows.append({"place": str(place), "deg": place.degree, "residue": str(contrib)})
-    cross = tr_st * residue_sum
-    verified = total.is_zero() and cross.is_zero()
-    return VerificationReport(
-        kind="gelfand-fuchs-global",
-        input={"f": str(f), "g": str(g), "n": len(s_m), "field": repr(field)},
-        places=rows,
-        global_value=str(total),
-        verified=verified,
-        extras={"cross_check": str(cross)},
-        uncertified=_uncertified(f, g),
-    )
+    residues = [trace_residue_at_place(omega, place) for place in places]
+    cross = tr_st * sum(residues, field.zero())
+
+    def term(place: Place, residue: AlgebraElement) -> AlgebraElement:
+        if place.degree > 1:
+            return tr_st * residue
+        need = _pairing_precision(f.valuation_at(place), g.valuation_at(place))
+        # at infinity the expansions are in t = 1/x and dg = (dg/dt) dt,
+        # so the cocycle in t is already the residue there
+        a_loop = LoopMatrix._tensor(s_m, local_expansion(f, place, need))
+        b_loop = LoopMatrix._tensor(t_m, local_expansion(g, place, need))
+        return gelfand_fuchs_cocycle(a_loop, b_loop, field)
+
+    terms = ((term(p, r), {"place": str(p), "deg": p.degree}) for p, r in zip(places, residues))
+    return _global_law("gelfand-fuchs-global", _pair_input(f, g, n=len(s_m)), terms, operator.add, field.zero(),
+                       "residue", cross.is_zero(), extras={"cross_check": str(cross)}, uncertified=_uncertified(f, g))

@@ -5,22 +5,23 @@ field: the degree-<=1 base case.  Every later stage returns monic values
 (gcds, exact quotients of monic by monic, p-th roots of monic polynomials)
 and normalizes nothing again.
 
-Over a finite field the full chain runs on degree 2 and more: squarefree
-decomposition, distinct-degree splitting, then equal-degree splitting
-(Cantor-Zassenhaus, with the trace construction in characteristic 2) for
-every degree, roots included.  Each squarefree part f of degree 2 or more
-gets its Frobenius matrix, the rows x^(q*i) mod f, from one
-``frobenius_matrix`` kernel call, which also gives x^q mod f as row 1.
-Distinct-degree splitting starts at x^q and steps from x^(q^d) to
-x^(q^(d+1)) by one product with that matrix.  In odd characteristic the
-equal-degree split of a degree-d part raises the norm r * r^q * ... *
-r^(q^(d-1)) of a random r to (q-1)/2, its Frobenius images coming through
-the same matrix.  The randomized splits draw from a generator with a fixed
+Every field shares one squarefree decomposition, ``_squarefree`` (Musser's
+algorithm, with p-th roots in characteristic p).  Over a finite field the
+full chain runs on degree 2 and more: that decomposition, distinct-degree
+splitting, then equal-degree splitting (Cantor-Zassenhaus, with the trace
+construction in characteristic 2) for every degree, roots included.  Each
+squarefree part f of degree 2 or more gets its Frobenius matrix, the rows
+x^(q*i) mod f, from one ``frobenius_matrix`` kernel call, which also gives
+x^q mod f as row 1.  Distinct-degree splitting starts at x^q and steps from
+x^(q^d) to x^(q^(d+1)) by one product with that matrix.  In odd
+characteristic the equal-degree split of a degree-d part raises the norm
+r * r^q * ... * r^(q^(d-1)) of a random r to (q-1)/2, its Frobenius images
+coming through the same matrix.  The randomized splits draw from a generator with a fixed
 seed, created at the first split that draws, so a factorization that splits
 nothing seeds none; the factors are returned in a canonical order, so the
 output does not depend on the seed.
 
-Over the rationals only content extraction, Yun's squarefree decomposition
+Over the rationals only content extraction, the squarefree decomposition
 and rational-root splitting are attempted.  Factors of degree <= 3 without
 rational roots are certified irreducible; anything bigger is returned
 uncertified and callers must treat it as irreducible or reject it.  The root
@@ -67,8 +68,13 @@ def _frobenius_root(c: AlgebraElement, field) -> AlgebraElement:
     return c ** (q // field.characteristic)
 
 
-def _squarefree_finite(f: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Monic f over a finite field -> [(g_i, i)] with f = prod g_i^i."""
+def _squarefree(f: Polynomial) -> list[tuple[Polynomial, int]]:
+    """Monic f over any field -> [(g_i, i)] with f = prod g_i^i, each g_i squarefree.
+
+    Musser's algorithm; the p-th roots are taken only in characteristic p,
+    since over Q a nonconstant f has a nonzero derivative and the loop ends
+    with c = 1.
+    """
     field = f.field
     p = field.characteristic
     out: dict[int, Polynomial] = {}
@@ -107,7 +113,8 @@ def _squarefree_finite(f: Polynomial) -> list[tuple[Polynomial, int]]:
             coeffs.append(_frobenius_root(g.coefficient(i), field))
         return Polynomial(field, coeffs)
 
-    helper(f, 1)
+    if f.degree >= 1:  # 1 has no parts, and its zero derivative is no p-th power over Q
+        helper(f, 1)
     return [(out[mult], mult) for mult in sorted(out)]
 
 
@@ -226,7 +233,7 @@ def _factor_finite(f: Polynomial) -> list[tuple[Polynomial, int, bool]]:
         return rng
 
     out = []
-    for g, mult in _squarefree_finite(f):
+    for g, mult in _squarefree(f):
         frobenius = _Frobenius(g)
         for h, d in _distinct_degree(g, frobenius):
             for irr in _equal_degree_split(h, d, draws, frobenius):
@@ -236,25 +243,6 @@ def _factor_finite(f: Polynomial) -> list[tuple[Polynomial, int, bool]]:
 
 
 # -- rationals -------------------------------------------------------------
-
-
-def _yun_squarefree(f: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Char-zero squarefree decomposition of a monic polynomial."""
-    out = []
-    d = f.derivative()
-    a = f.gcd(d)
-    b = f.exact_divide(a)
-    c = d.exact_divide(a)
-    i = 1
-    while b.degree >= 1:
-        step = b.gcd(c - b.derivative())
-        if step.degree >= 1:
-            out.append((step, i))
-        b2 = b.exact_divide(step)
-        c = (c - b.derivative()).exact_divide(step)
-        b = b2
-        i += 1
-    return out
 
 
 def _rational_roots(f: Polynomial) -> list[Fraction]:
@@ -314,7 +302,7 @@ def _factor_rational(f: Polynomial) -> list[tuple[Polynomial, int, bool]]:
     if v:
         out.append((Polynomial.x(field), v, True))
         f = Polynomial(field, f.coeffs[v:])
-    for g, mult in _yun_squarefree(f):
+    for g, mult in _squarefree(f):
         remaining = g
         for root in _rational_roots(g):
             lin = Polynomial(field, [-root, 1])

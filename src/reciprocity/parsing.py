@@ -44,7 +44,10 @@ Field specs: `Q`, `F5`, `F9:u^2+1` (modulus over F_p in `u`; omitted
 modulus picks the lexicographically first irreducible).  Ring specs:
 `Q[e1,e2]/(e1^2,e2^2)` with one pure-power relation per generator, of
 dimension (the product of the orders) at most `artinian.DIMENSION_BUDGET`;
-a generator may not be named `z`, `O` or, over F_q, `u`.  Each spec is built
+a generator may not be named `z`, `O` or, over F_q, `u`.  The field size
+and the orders are ASCII digits `[0-9]+`, spaces around them aside, as in
+expressions: a sign, an underscore or a digit of another script, which
+`int()` would read (`F+7`, `F1_0_1`, `F٧`), is refused.  Each spec is built
 once per process: `parse_field_spec` and `parse_ring_spec` keep the last 32
 fields and rings they built, keyed by the spec text without its surrounding
 spaces, and every caller of a spec shares the one immutable value.  A
@@ -696,10 +699,9 @@ def _field_spec(s: str) -> BaseField:
     modulus_text = None
     if ":" in body:
         body, modulus_text = body.split(":", 1)
-    try:
-        q = int(body)
-    except ValueError:
-        raise ExpressionError(f"unknown field spec {s!r}") from None
+    q = _spec_int(body)
+    if q is None:
+        raise ExpressionError(f"unknown field spec {s!r}")
     if q < 2:
         raise ExpressionError(f"invalid field size {q}")
     if q >= PRIME_TEST_BOUND:
@@ -723,6 +725,13 @@ def _field_spec(s: str) -> BaseField:
     if modulus.degree != d:
         raise ExpressionError(f"modulus degree {modulus.degree} does not match F{q}")
     return ExtensionField(p, [c.data for c in modulus.coeffs])
+
+
+def _spec_int(text: str) -> int | None:
+    """The integer text spells in ASCII digits, [0-9]+ with spaces around it, or None."""
+    text = text.strip()
+    # an ASCII character is a digit only if it is one of 0-9
+    return int(text) if text.isascii() and text.isdigit() else None
 
 
 def _prime_power(q: int):
@@ -775,10 +784,9 @@ def _ring_spec(s: str):
             raise ExpressionError(f"relation {chunk!r} must be a pure power")
         name, order_text = chunk.split("^", 1)
         name = name.strip()
-        try:
-            order = int(order_text)
-        except ValueError:
-            raise ExpressionError(f"bad exponent in relation {chunk!r}") from None
+        order = _spec_int(order_text)
+        if order is None:
+            raise ExpressionError(f"bad exponent in relation {chunk!r}")
         if name in rels:
             raise ExpressionError(f"duplicate relation for {name!r}")
         rels[name] = order

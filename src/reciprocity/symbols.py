@@ -198,7 +198,16 @@ class LoopMatrix:
 
     @classmethod
     def from_tensor(cls, s, alpha: LaurentSeries) -> "LoopMatrix":
-        """The pure tensor S (x) alpha: entry (i, j) is alpha * S[i][j].
+        """The pure tensor S (x) alpha: entry (i, j) is alpha * S[i][j]; S must be square."""
+        ring = alpha.ring
+        s = [[ring.coerce(c).data for c in row] for row in s]
+        if any(len(row) != len(s) for row in s):
+            raise DomainError("loop matrices must be square")
+        return cls._tensor(s, alpha)
+
+    @classmethod
+    def _tensor(cls, s, alpha: LaurentSeries) -> "LoopMatrix":
+        """S (x) alpha for a square S of raw data over alpha's ring, which is not checked again.
 
         Each entry scales alpha's raw coefficients, one ``_mul`` each; a zero
         S[i][j] gives the exact zero series, as ``alpha * 0`` does.
@@ -208,12 +217,14 @@ class LoopMatrix:
         zero = LaurentSeries.zero(ring)
 
         def scaled(c):
-            c = ring.coerce(c).data
             if ring._is_zero(c):
                 return zero
             return LaurentSeries._from_raw(ring, alpha.offset, [mul(x, c) for x in data], alpha.prec)
 
-        return cls(ring, [[scaled(c) for c in row] for row in s])
+        out = object.__new__(cls)
+        out.ring, out.n = ring, len(s)
+        out.entries = tuple(tuple(scaled(c) for c in row) for row in s)
+        return out
 
 
 def _derivative_low(b: LaurentSeries, char: int) -> int | None:

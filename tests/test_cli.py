@@ -180,6 +180,22 @@ def test_residue_is_another_name_of_verify_residues(capsys, tmp_path):
         assert json.loads(capsys.readouterr().out)["global"] == "1"
 
 
+@pytest.mark.parametrize("payload, message", [
+    ([], 'local data must be a JSON object whose "entries" is a list'),
+    ({"entries": 5}, 'local data must be a JSON object whose "entries" is a list'),
+    ({"entries": [{"g": "z"}]}, 'local data entry 0 needs "f" as a JSON string'),
+    ({"entries": [{"field": 5, "f": "z", "g": "z"}]}, 'local data entry 0 needs "field" as a JSON string'),
+    ({"entries": [{"f": 3, "g": "z"}]}, 'local data entry 0 needs "f" as a JSON string'),
+    ({"entries": [{"f": "z", "g": "z"}, "z"]}, "local data entry 1 must be a JSON object"),
+], ids=["a-list", "entries-not-a-list", "no-f", "field-not-a-string", "f-not-a-string", "entry-not-an-object"])
+@pytest.mark.parametrize("command", ["verify-wrl", "verify-residues"])
+def test_malformed_local_data_is_an_input_error(capsys, tmp_path, command, payload, message):
+    data = tmp_path / "local.json"
+    data.write_text(json.dumps(payload))
+    assert cli.main([command, "--field", "F5", "--local-data", str(data)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_sweep_jobs_capped_at_cpu_count(monkeypatch, capsys):
     import concurrent.futures
 

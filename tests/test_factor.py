@@ -84,6 +84,17 @@ def test_rational_path_and_unsplit(Q):
     assert is_irreducible(hard) is None
 
 
+def test_rational_multiplicities_of_three_and_more(Q):
+    """Over Q, multiplicities of 3 and more come out of the squarefree decomposition the finite fields use."""
+    x = Polynomial.x(Q)
+    f = (x - 1) ** 3 * (x + 2) ** 4 * (x**2 + 1) ** 3 * (2 * x + 3) * Q.from_int(5)
+    fac = poly_factor(f)
+    assert expand(fac) == f and fac.certified()
+    assert {str(p): m for p, m, _ in fac.factors} == {"x - 1": 3, "x + 2": 4, "x^2 + 1": 3, "x + 3/2": 1}
+    # x^k alone leaves the squarefree decomposition the constant 1, whose derivative is zero
+    assert [(str(p), m) for p, m, _ in poly_factor(x**3 * Q.from_int(2)).factors] == [("x", 3)]
+
+
 def test_rational_root_fractions(Q):
     x = Polynomial.x(Q)
     f = (2 * x - 1) * (3 * x + 2)
@@ -358,7 +369,7 @@ def test_the_earlier_chain_draws_where_a_split_needs_it(F5):
 @pytest.mark.parametrize("key", ["Q", *EARLIER_FIELDS])
 def test_a_linear_polynomial_is_its_own_factor(key, monkeypatch):
     field = QQ if key == "Q" else EARLIER_FIELDS[key]
-    stages = ("_squarefree_finite", "_factor_rational", "_yun_squarefree", "_rational_roots")
+    stages = ("_squarefree", "_factor_rational", "_rational_roots")
     for name in stages:
         monkeypatch.setattr(factor, name, lambda *args: pytest.fail("a stage ran on a linear polynomial"))
     for coeffs in ([0, 1], [1, 1], [field.from_int(3), field.from_int(5)]):

@@ -80,6 +80,26 @@ def test_bad_field_specs(spec):
         parse_field_spec(spec)
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("F1_0_1", "unknown field spec 'F1_0_1'"),
+    ("F\u0667", "unknown field spec 'F\u0667'"),
+    ("F+7", "unknown field spec 'F+7'"),
+    ("F7_0", "unknown field spec 'F7_0'"),
+    ("F7[e]/(e^\u0663)", "bad exponent in relation 'e^\u0663'"),
+], ids=["underscores", "arabic-indic-seven", "sign", "underscore-zero", "arabic-indic-order"])
+def test_spec_integers_are_ascii_digits(spec, message):
+    """int() reads all five; the expression tokenizer refuses the same characters (x+\u0663)."""
+    parse = parse_ring_spec if "[" in spec else parse_field_spec
+    with pytest.raises(ExpressionError) as info:
+        parse(spec)
+    assert str(info.value) == message
+
+
+def test_spec_integers_may_have_spaces_around_them():
+    assert parse_field_spec("F 7 ") == parse_field_spec("F7")
+    assert parse_ring_spec("F7[e]/(e^ 3 )").dimension == 3
+
+
 @pytest.mark.parametrize("text", ["2x", "x^y", "x^2^3", "1.5"])
 def test_bad_expressions(text):
     with pytest.raises(ExpressionError):
