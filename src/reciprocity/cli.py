@@ -3,22 +3,25 @@
 Exit codes: 0 = value computed / identity verified; 1 = a theorem identity
 was violated (always an implementation bug, so the binary is a CI
 property-test harness; a failed ``sweep`` instance prints a reproducer: the
-verifier command of its first failed check, or, when only its divisor degree
-failed, the ``sweep`` that ends at it);
+command of its first failed law, or, when only its divisor degree failed,
+the ``sweep`` that ends at it);
 2 = input error: a missing -f or -g, a ``--prec`` too small for what was
 asked, or a size outside its range; 3 = internal failure: an exception the
 CLI does not handle (an ``AssertionError``, say), or a ``PrecisionError``
 from a command that chose every precision itself (``sweep``, ``verify-gf``,
-and ``verify-wrl`` or ``verify-residues`` without ``--local-data``).
-``residue`` is another name of ``verify-residues``.  ``--prec`` is taken only
-where it can change a value, so ``tate-residue`` (exact input, which parses
-alike at every precision), and ``verify-wrl`` and ``verify-residues`` without
+and a law's command without ``--local-data``).  A global law of a pair is
+one entry of ``_laws``, its command, aliases and verifiers, and the law
+commands, ``sweep --mode`` and the reproducer read only that table.  A
+``--local-data`` entry without ``"field"`` is over ``--field``.  ``--prec``
+is taken only where it can change a value, so ``tate-residue`` (exact input,
+which parses alike at every precision), and the law commands without
 ``--local-data``, refuse it.  Over Q, ``sweep`` draws declared factors.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import os
 import random
@@ -63,6 +66,17 @@ EXIT_INTERNAL = 3
 # most instances one sweep runs; at the default degree each takes 1-15 ms (pure backend, one x86-64 core)
 SWEEP_BUDGET = 10_000
 
+Law = collections.namedtuple("Law", "command help aliases verify verify_local_data")
+
+
+def _laws() -> dict:
+    """Each global law of a pair by its sweep mode, in sweep order; built per call, so a patched verifier runs."""
+    return {
+        "wrl": Law("verify-wrl", "verify the Weil reciprocity product", [], verify_wrl, verify_wrl_local_data),
+        "residues": Law("verify-residues", "per-place residues of f dg; verify that they sum to zero", ["residue"],
+                        verify_residue_theorem, verify_residues_local_data),
+    }
+
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The full parser, and each command name and alias mapped to its own parser."""
@@ -72,9 +86,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, help, aliases=()):
+    def command(name, handler, help, aliases=(), chooses_precision=False, **defaults):
+        """chooses_precision: the command sets every precision itself, unless it reads --local-data."""
         p = sub.add_parser(name, help=help, description=help, aliases=list(aliases))
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, chooses_precision=chooses_precision, **defaults)
         return p
 
     def add_common(p, ring=False, series=False, prec=False, rational=False, local_data=False):
@@ -115,24 +130,22 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("-S", required=True, help="integer matrix as JSON, e.g. [[0,1],[0,0]]")
     p.add_argument("-T", required=True, help="integer matrix as JSON")
 
-    p = command("verify-wrl", _cmd_verify_wrl, "verify the Weil reciprocity product")
-    add_common(p, rational=True, local_data=True)
+    for mode, law in _laws().items():
+        p = command(law.command, _cmd_verify, law.help, law.aliases, chooses_precision=True, law=mode)
+        add_common(p, rational=True, local_data=True)
 
-    p = command("verify-residues", _cmd_verify_residues,
-                "per-place residues of f dg; verify that they sum to zero", aliases=["residue"])
-    add_common(p, rational=True, local_data=True)
-
-    p = command("verify-gf", _cmd_verify_gf, "verify global Gelfand-Fuchs vanishing")
+    p = command("verify-gf", _cmd_verify_gf, "verify global Gelfand-Fuchs vanishing", chooses_precision=True)
     add_common(p, rational=True)
     p.add_argument("-S", required=True, help="integer matrix as JSON")
     p.add_argument("-T", required=True, help="integer matrix as JSON")
 
     p = command("sweep", _cmd_sweep, "run seeded random verification instances; each failed one prints "
-                "a command that reruns it (the sweep up to it when only its divisor degree failed)")
+                "a command that reruns it (the sweep up to it when only its divisor degree failed)",
+                chooses_precision=True)
     add_common(p)
     p.add_argument("--seed", type=int, default=0, help="seed of the instance generator")
     p.add_argument("--count", type=int, default=50, help=f"number of instances, 1 to {SWEEP_BUDGET}")
-    p.add_argument("--mode", choices=["wrl", "residues", "all"], default="all")
+    p.add_argument("--mode", choices=[*_laws(), "all"], default="all")
     p.add_argument("--max-degree", type=int, default=5, help=f"degree bound of num and den, 0 to {DEGREE_BUDGET - 2}")
     p.add_argument("--jobs", type=int, default=1, help="worker processes, at least 1; capped at the CPU count")
     return parser, sub.choices
@@ -185,15 +198,17 @@ def _matrix_arg(text: str, option: str):
     return m
 
 
-def _load_local_data(path: str, prec: int | None):
+def _load_local_data(path: str, prec: int | None, field_spec: str):
     """The entries of a --local-data file, a JSON object whose "entries" is a list of objects.
 
     Each entry holds the series "f" and "g" as strings and, optionally, the
-    field spec "field" (by default Q) as a string; any other shape is an
-    input error that names the entry and the key.
+    spec "field" of a field over field_spec's prime field (by default
+    field_spec itself) as a string; any other shape or field is an input
+    error that names the entry.
     """
     if prec is None:
         prec = DEFAULT_PRECISION
+    base = parse_field_spec(field_spec).prime_subfield
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict) or not isinstance(payload.get("entries"), list):
@@ -202,11 +217,13 @@ def _load_local_data(path: str, prec: int | None):
     for i, entry in enumerate(payload["entries"]):
         if not isinstance(entry, dict):
             raise ReciprocityError(f"local data entry {i} must be a JSON object")
-        spec = entry.get("field", "Q")
+        spec = entry.get("field", field_spec)
         for key, value in (("field", spec), ("f", entry.get("f")), ("g", entry.get("g"))):
             if not isinstance(value, str):
                 raise ReciprocityError(f'local data entry {i} needs "{key}" as a JSON string')
         kprime = parse_field_spec(spec)
+        if kprime.prime_subfield != base:
+            raise ReciprocityError(f"local data entry {i}: {kprime!r} is not an extension of {base!r}")
         fs = parse_series(entry["f"], kprime, prec)
         gs = parse_series(entry["g"], kprime, prec)
         entries.append((kprime, fs, gs))
@@ -250,22 +267,14 @@ def _cmd_cocycle_gf(args) -> int:
     return _emit_value(args, gelfand_fuchs_cocycle(a_loop, b_loop, field.prime_subfield))
 
 
-def _cmd_verify_wrl(args) -> int:
+def _cmd_verify(args) -> int:
+    law = _laws()[args.law]
     field = parse_field_spec(args.field)
     if args.local_data:
-        entries = _load_local_data(args.local_data, args.prec)
-        return _emit_report(args, verify_wrl_local_data(entries, field.prime_subfield))
+        entries = _load_local_data(args.local_data, args.prec, args.field)
+        return _emit_report(args, law.verify_local_data(entries, field.prime_subfield))
     f, g = _parse_pair(args, field)
-    return _emit_report(args, verify_wrl(f, g))
-
-
-def _cmd_verify_residues(args) -> int:
-    field = parse_field_spec(args.field)
-    if args.local_data:
-        entries = _load_local_data(args.local_data, args.prec)
-        return _emit_report(args, verify_residues_local_data(entries, field.prime_subfield))
-    f, g = _parse_pair(args, field)
-    return _emit_report(args, verify_residue_theorem(f, g))
+    return _emit_report(args, law.verify(f, g))
 
 
 def _cmd_verify_gf(args) -> int:
@@ -283,36 +292,31 @@ def _sweep_instance(payload) -> dict:
     factored = isinstance(field, RationalField)
     text = corpus.factored_text if factored else str
     out = {"index": index, "f": text(f), "g": text(g), "factored": factored}
-    ok = True
-    if mode in ("wrl", "all"):
-        rep = verify_wrl(f, g)
-        out["wrl"] = rep.verified
-        ok = ok and rep.verified
-    if mode in ("residues", "all"):
-        rep = verify_residue_theorem(f, g)
-        out["residues"] = rep.verified
-        ok = ok and rep.verified
+    for name, law in _laws().items():
+        if mode in (name, "all"):
+            out[name] = law.verify(f, g).verified
     out["divisor_degree_zero"] = divisor_of(f).degree == 0 and divisor_of(g).degree == 0
-    out["ok"] = ok and out["divisor_degree_zero"]
+    out["ok"] = all(out.get(name, True) for name in _laws()) and out["divisor_degree_zero"]
     return out
 
 
 def _reproducer(args, result: dict) -> str:
     """The command that reruns the first failed check of a sweep instance.
 
-    A failed verifier reruns on the instance's f and g.  No command prints a
-    divisor, so a failed divisor degree reruns the sweep up to this instance,
-    which depends only on the seed and its index: it is the last one run.
+    The first failed law in table order reruns its command on the instance's
+    f and g.  No command prints a divisor, so a failed divisor degree reruns
+    the sweep up to this instance, which depends only on the seed and its
+    index: it is the last one run.
     """
     import shlex
 
-    if result.get("wrl", True) and result.get("residues", True):
+    failed = [law.command for mode, law in _laws().items() if not result.get(mode, True)]
+    if not failed:
         return shlex.join(["reciprocity", "sweep", "--field", args.field, "--seed", str(args.seed),
                            "--count", str(result["index"] + 1), "--max-degree", str(args.max_degree),
                            "--mode", args.mode])
-    command = "verify-wrl" if not result.get("wrl", True) else "verify-residues"
     factored = ["--factored"] if result["factored"] else []  # over Q only the declared factors factor again
-    return shlex.join(["reciprocity", command, "--field", args.field, *factored, "-f", result["f"], "-g", result["g"]])
+    return shlex.join(["reciprocity", failed[0], "--field", args.field, *factored, "-f", result["f"], "-g", result["g"]])
 
 
 def _cmd_sweep(args) -> int:
@@ -353,12 +357,6 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK if passed == args.count else EXIT_VIOLATION
 
 
-def _chose_every_precision(args) -> bool:
-    """True when the command set every precision itself, so running short of one is a library fault."""
-    return (args.handler in (_cmd_verify_wrl, _cmd_verify_residues, _cmd_verify_gf, _cmd_sweep)
-            and not getattr(args, "local_data", None))
-
-
 # built on the first call and reused: parse_args keeps no state between calls
 _PARSERS = None
 
@@ -391,7 +389,7 @@ def main(argv=None) -> int:
         return args.handler(args)
     except PrecisionError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL if _chose_every_precision(args) else EXIT_INPUT
+        return EXIT_INTERNAL if args.chooses_precision and not getattr(args, "local_data", None) else EXIT_INPUT
     except ReciprocityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

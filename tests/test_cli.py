@@ -1,4 +1,6 @@
 import argparse
+import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -187,13 +189,29 @@ def test_residue_is_another_name_of_verify_residues(capsys, tmp_path):
     ({"entries": [{"field": 5, "f": "z", "g": "z"}]}, 'local data entry 0 needs "field" as a JSON string'),
     ({"entries": [{"f": 3, "g": "z"}]}, 'local data entry 0 needs "f" as a JSON string'),
     ({"entries": [{"f": "z", "g": "z"}, "z"]}, "local data entry 1 must be a JSON object"),
-], ids=["a-list", "entries-not-a-list", "no-f", "field-not-a-string", "f-not-a-string", "entry-not-an-object"])
+    ({"entries": [{"f": "z", "g": "z"}, {"field": "Q", "f": "z", "g": "z"}]},
+     "local data entry 1: Q is not an extension of F5"),
+], ids=["a-list", "entries-not-a-list", "no-f", "field-not-a-string", "f-not-a-string", "entry-not-an-object",
+        "field-not-over-the-field-option"])
 @pytest.mark.parametrize("command", ["verify-wrl", "verify-residues"])
 def test_malformed_local_data_is_an_input_error(capsys, tmp_path, command, payload, message):
     data = tmp_path / "local.json"
     data.write_text(json.dumps(payload))
     assert cli.main([command, "--field", "F5", "--local-data", str(data)]) == cli.EXIT_INPUT
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["verify-wrl", "verify-residues"])
+def test_a_local_data_entry_without_a_field_is_over_the_field_option(capsys, tmp_path, command):
+    """Over F5, z against z^-1 gives the local factor -1 = 4 and the residue -1 = 4, over Q -1."""
+    reports = []
+    for entry in ({"f": "z", "g": "z^-1"}, {"field": "F5", "f": "z", "g": "z^-1"}):
+        data = tmp_path / "local.json"
+        data.write_text(json.dumps({"entries": [entry]}))
+        assert cli.main([command, "--field", "F5", "--local-data", str(data), "--json"]) == cli.EXIT_VIOLATION
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0] == reports[1]
+    assert reports[0]["global"] == "4" and reports[0]["input"]["field"] == "F5"
 
 
 def test_sweep_jobs_capped_at_cpu_count(monkeypatch, capsys):
@@ -283,6 +301,19 @@ def test_sweep_failure_prints_a_reproducer(monkeypatch, capsys, mode, verifier, 
         assert "verified: True" in capsys.readouterr().out
 
 
+def test_an_instance_that_fails_both_laws_reruns_the_first_in_table_order(monkeypatch, capsys):
+    """With both laws failed, the reproducer names verify-wrl, the first law of the table; unpatched, it verifies."""
+    for verifier in ("verify_wrl", "verify_residue_theorem"):
+        monkeypatch.setattr(cli, verifier, lambda f, g: FailedReport())
+    argv = ["sweep", "--field", "F9", "--count", "2", "--mode", "all", "--max-degree", "2", "--seed", "3"]
+    assert cli.main(argv) == cli.EXIT_VIOLATION
+    monkeypatch.undo()
+    for words in reproducers(capsys, 2):
+        assert words[:4] == ["reciprocity", "verify-wrl", "--field", "F9"]
+        assert cli.main(words[1:]) == cli.EXIT_OK
+        assert "verified: True" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("mode, verifier, command", [
     ("wrl", "verify_wrl", "verify-wrl"),
     ("residues", "verify_residue_theorem", "verify-residues"),
@@ -316,6 +347,29 @@ def test_a_divisor_of_nonzero_degree_is_a_failed_instance(monkeypatch, capsys):
     # rerun, the command fails again, and its last instance is the one that failed
     assert cli.main([*commands[1][1:], "--json"]) == cli.EXIT_VIOLATION
     assert json.loads(capsys.readouterr().out)["failures"][-1] == failures[1]
+
+
+@pytest.mark.parametrize("failing, digest", [
+    ((), "df70ce2628329511e16bf5d8461e4ab082d6432814a10df3fd71557d446b40f6"),
+    (("verify_wrl",), "5f38fa8e9baab2b245a1e31b75a6ac5cb3c3da0e37be84a475577d90370b8ec9"),
+    (("verify_residue_theorem",), "68f52f9063a81cc2c3ec7c023b771334211eeb49bbd69bd372c6ea90b1e08e9c"),
+    (("verify_wrl", "verify_residue_theorem"), "a2c1c5a4ca037f0a79a3cb31ba637484f588df8ba4997019e00a287084542255"),
+], ids=["none", "wrl", "residues", "both"])
+def test_sweep_output_is_pinned(monkeypatch, capsys, failing, digest):
+    """The digest of every sweep's exit code, text and JSON at seeds 0-3 over Q, F7 and F9 in each mode.
+
+    With a verifier forced to fail, the output holds each failed instance's
+    dict, its key order included, and its FAILED reproducer line.
+    """
+    for name in failing:
+        monkeypatch.setattr(cli, name, lambda f, g: FailedReport())
+    h = hashlib.sha256()
+    for field, seed, mode, json_flag in itertools.product(["Q", "F7", "F9"], range(4), ["wrl", "residues", "all"],
+                                                          [[], ["--json"]]):
+        argv = ["sweep", "--field", field, "--seed", str(seed), "--count", "6", "--mode", mode, *json_flag]
+        code = cli.main(argv)
+        h.update(json.dumps([argv, code, capsys.readouterr().out]).encode() + b"\n")
+    assert h.hexdigest() == digest
 
 
 @pytest.mark.parametrize("field", ["Q", "F7", "F9"])
