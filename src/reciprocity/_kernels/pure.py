@@ -11,9 +11,15 @@ one big int, a coefficient per slot of bits, so a product is one C-level
 multiply.  ``powmod`` and ``frobenius_matrix`` share one packing of the
 residues mod m with its reduction rows (``_packing``) and one
 sliding-window powering (``_power``); ``frobenius_matrix`` forms x^q that
-way and each later row as one more packed product.  ``divmod_poly``,
-``gcd`` and ``invmod`` reduce lazily, each remainder in place in its own
-list, and ``gcd`` and ``rem`` form no quotient.  The compiled module ``_core``, the C
+way and each later row as one more packed product.  A packed product is
+reduced mod p in every slot at once, by a multiply with a precomputed
+reciprocal of p that is exact below the slots' bound 2^t (Granlund and
+Montgomery, "Division by invariant integers using multiplication", PLDI
+1994), so each coefficient is reduced once and never by its own ``%``.
+``mat_mul`` likewise adds an entry's products unreduced and reduces it
+once.  ``divmod_poly``, ``gcd`` and ``invmod`` reduce lazily, each
+remainder in place in its own list, and ``gcd`` and ``rem`` form no
+quotient.  The compiled module ``_core``, the C
 file ``_core.c``, runs schoolbook loops on int64 buffers, each product
 reduced as it is formed, and a right-to-left binary powering, with
 identical results.
@@ -66,6 +72,16 @@ def _unpack(x: int, s: int, n: int, p: int) -> list[int]:
     out = []
     for _ in range(n):
         out.append((x & mask) % p)
+        x >>= s
+    return out
+
+
+def _slots(x: int, s: int, n: int) -> list[int]:
+    """The n lowest s-bit slots of x, read as they are: slots already in [0, p)."""
+    mask = (1 << s) - 1
+    out = []
+    for _ in range(n):
+        out.append(x & mask)
         x >>= s
     return out
 
@@ -222,36 +238,52 @@ def _window(bits: int) -> int:
 def _packing(m: list[int], p: int):
     """(s, reduce): the packed residues mod m and their reduction, m normalized of degree n >= 0.
 
-    A residue r is one int with r[i] in the s-bit slot i, s = 2*bitlen(p-1)
-    + bitlen(2n).  The rows x^(n+k) mod m for k < n-1 are packed once: row
-    0 is the monic tail -m/lead, and each next row is the last one shifted
-    up a slot and reduced.  ``reduce`` takes the product of two residues,
-    one big-int multiply: each high slot n+k, taken mod p, times row k is
-    added to the n low slots.  The bound rests on the input contract,
-    coefficients in [0, p), which every residue keeps: a low slot then holds
-    a sum of at most n + (n-1) terms, each at most (p-1)^2, so it fits its
-    slot, and one pass taking each of the n slots mod p gives the reduced
-    residue.
+    A residue r is one int with r[i] in [0, p) in the s-bit slot i.  The rows
+    x^(n+k) mod m for k < n-1 are packed once: row 0 is the monic tail
+    -m/lead, and each next row is the last one shifted up a slot and
+    reduced.  ``reduce`` takes the product of two residues, one big-int
+    multiply, and settles its n-1 high slots; each high slot n+k times row k
+    is added to the n low slots, and the sum is settled.  The bound rests on
+    the input contract, coefficients in [0, p), which every residue keeps:
+    a product slot holds a sum of at most n terms and a low slot of the sum
+    at most n + (n-1), each at most (p-1)^2, so every slot stays below
+    2^t, t = 2*bitlen(p-1) + bitlen(2n), and nothing carries into the next.
+
+    ``settle`` takes every slot mod p at once, by exact division by the
+    invariant p (Granlund and Montgomery, "Division by invariant integers
+    using multiplication", PLDI 1994).  With k = t + bitlen(p-1) and
+    R = floor(2^k/p) + 1, the quotient floor(x*R / 2^k) is floor(x/p) for
+    every x < 2^t: x*R / 2^k exceeds x/p by x*(R - 2^k/p) / 2^k <= x/2^k
+    < 2^-bitlen(p-1) <= 1/p, too little to carry x/p, whose fraction is at
+    most (p-1)/p, past the next integer.  A slot is s = t + bitlen(R) bits
+    wide, so x*R fits in it: one multiply by R, a shift by k and a mask of
+    each slot's quotient bits give every quotient, and one multiply by p and
+    one subtraction every remainder, with no Python step per slot.
     """
     n = len(m) - 1
-    s = 2 * (p - 1).bit_length() + (2 * n).bit_length()
-    mask, low, shifts = (1 << s) - 1, (1 << (n * s)) - 1, range(0, n * s, s)
+    b = (p - 1).bit_length()
+    t = 2 * b + (2 * n).bit_length()
+    k = t + b
+    big_r = (1 << k) // p + 1
+    s = t + big_r.bit_length()
+    mask, low = (1 << s) - 1, (1 << (n * s)) - 1
+    quotients = _pack([(1 << (s - k)) - 1] * n, s)
     inv_lead = _inverse_lead(m, p)
     # for n <= 1 no product has a high slot, and row 0 goes unused
     rows = [_pack([-c * inv_lead % p for c in m[:n]], s)]
 
+    def settle(x: int) -> int:
+        return x - ((x * big_r >> k) & quotients) * p
+
     def reduce(x: int) -> int:
         acc = x & low
-        x >>= n * s
+        x = settle(x >> n * s)
         for row in rows:
             if not x:  # a product by a short residue has fewer high slots
                 break
-            acc += (x & mask) % p * row
+            acc += (x & mask) * row
             x >>= s
-        out = 0
-        for shift in shifts:
-            out |= (acc >> shift & mask) % p << shift
-        return out
+        return settle(acc)
 
     while len(rows) < n - 1:
         rows.append(reduce(rows[-1] << s))
@@ -299,7 +331,7 @@ def powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
     if not e:
         return rem([1], m, p)
     s, reduce = _packing(m, p)
-    return normalize(_unpack(_power(_pack(rem(a, m, p), s), e, reduce), s, len(m) - 1, p))
+    return normalize(_slots(_power(_pack(rem(a, m, p), s), e, reduce), s, len(m) - 1))
 
 
 def frobenius_matrix(m: list[int], q: int, p: int) -> list[list[int]]:
@@ -322,22 +354,20 @@ def frobenius_matrix(m: list[int], q: int, p: int) -> list[list[int]]:
         rows.append(xq)
         while len(rows) < n:
             rows.append(reduce(rows[-1] * xq))
-    return [_unpack(r, s, n, p) for r in rows[:n]]
+    return [_slots(r, s, n) for r in rows[:n]]
 
 
 def mat_mul(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
-    n, k = len(a), len(b)
+    """a*b with one reduction per entry: each output row adds its products unreduced and is taken mod p once."""
     m = len(b[0]) if b else 0
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
+    out = []
+    for ai in a:
+        acc = [0] * m
+        for c, bt in zip(ai, b, strict=True):
             if c:
-                bt = b[t]
                 for j in range(m):
-                    oi[j] = (oi[j] + c * bt[j]) % p
+                    acc[j] += c * bt[j]
+        out.append([x % p for x in acc])
     return out
 
 

@@ -203,8 +203,9 @@ def _load_local_data(path: str, prec: int | None, field_spec: str):
 
     Each entry holds the series "f" and "g" as strings and, optionally, the
     spec "field" of a field over field_spec's prime field (by default
-    field_spec itself) as a string; any other shape or field is an input
-    error that names the entry.
+    field_spec itself) as a string; any other shape or field, and any field
+    spec or series that does not parse, is an input error that names the
+    entry.
     """
     if prec is None:
         prec = DEFAULT_PRECISION
@@ -221,12 +222,13 @@ def _load_local_data(path: str, prec: int | None, field_spec: str):
         for key, value in (("field", spec), ("f", entry.get("f")), ("g", entry.get("g"))):
             if not isinstance(value, str):
                 raise ReciprocityError(f'local data entry {i} needs "{key}" as a JSON string')
-        kprime = parse_field_spec(spec)
-        if kprime.prime_subfield != base:
-            raise ReciprocityError(f"local data entry {i}: {kprime!r} is not an extension of {base!r}")
-        fs = parse_series(entry["f"], kprime, prec)
-        gs = parse_series(entry["g"], kprime, prec)
-        entries.append((kprime, fs, gs))
+        try:
+            kprime = parse_field_spec(spec)
+            if kprime.prime_subfield != base:
+                raise ReciprocityError(f"{kprime!r} is not an extension of {base!r}")
+            entries.append((kprime, parse_series(entry["f"], kprime, prec), parse_series(entry["g"], kprime, prec)))
+        except ReciprocityError as exc:
+            raise ReciprocityError(f"local data entry {i}: {exc}") from None
     return entries
 
 

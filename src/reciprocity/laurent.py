@@ -38,8 +38,9 @@ DEFAULT_PRECISION = 32
 # largest precision a series is parsed at: a product of two dense series
 # costs prec^2 coefficient products, about 2.5 s over Q at 512
 PRECISION_BUDGET = 512
-# most base products (length times ``_mul_add_cost``, peel by peel) the peels of
-# one factorization form, negative and positive together; 10^6 take 0.8-2.5 s
+# most base products the peels of one factorization form, negative and positive
+# together: a negative peel counts length times ``_mul_add_cost``, a positive one
+# the products its nonzero cells can form (``_positive_peel_products``); 10^6 take 0.8-2.5 s
 # over Q[e]/(e^64) and 0.2-0.3 s over F7 or F101 (pure backend, one x86-64 core)
 PEEL_BUDGET = 10**6
 
@@ -408,9 +409,7 @@ def _divide_by_peel(work: LaurentSeries, exponent: int, powers: tuple) -> Lauren
             if x != zero:
                 out[i] = mul_add(out[i], c, x)
         return LaurentSeries._from_raw(ring, work.offset - ext, out, None if prec is None else prec - ext)
-    if prec is not None:
-        ext = min(ext, prec - work.offset - len(work.data))
-    out = work.data + [zero] * ext
+    out = work.data + [zero] * _positive_extension(work, step, len(powers))
     for i in range(step, len(out)):
         x = out[i - step]
         if x != zero:
@@ -418,9 +417,53 @@ def _divide_by_peel(work: LaurentSeries, exponent: int, powers: tuple) -> Lauren
     return LaurentSeries._from_raw(ring, work.offset, out, prec)
 
 
-def _peel_cost(work: LaurentSeries, a, cost: int, sign: str) -> int:
-    """cost plus the base products of one peel of work by the raw coefficient a; a DomainError past PEEL_BUDGET."""
-    cost += len(work.data) * work.ring._mul_add_cost(a)
+def _positive_extension(work: LaurentSeries, step: int, k: int) -> int:
+    """The places a positive peel at exponent step extends work by, k = len(powers): k*step, and no further than prec."""
+    ext = step * k
+    return ext if work.prec is None else min(ext, work.prec - work.offset - len(work.data))
+
+
+def _positive_peel_products(work: LaurentSeries, step: int, powers: tuple) -> int:
+    """At least the base products ``_divide_by_peel(work, step, powers)`` forms, step > 0, counted before it runs.
+
+    The recurrence w'[t + step] = w[t + step] + c w'[t] reads w'[t] for every
+    t at least step below the end of the extended list, and a nonzero w'[t]
+    costs one product per structure constant (i, j, k) with c_i and w'[t]_j
+    nonzero.  Each w'[t] is tracked as the bit mask of the coordinates it can
+    have nonzero: those of w[t] and each k that c w'[t - step] reaches.  A
+    product that cancels leaves its bit set, so the count is never below the
+    products the peel forms.
+    """
+    ring = work.ring
+    zero, dim = ring.base._zero, ring.dimension
+    c = powers[0]
+    weight, reach = [0] * dim, [0] * dim  # per coordinate j of w'[t]: products formed, bits reached
+    for i, row in ring._table:
+        if c[i] != zero:
+            for j, k in row:
+                weight[j] += 1
+                reach[j] |= 1 << k
+    masks = [sum(1 << j for j, y in enumerate(x) if y != zero) for x in work.data]
+    masks += [0] * _positive_extension(work, step, len(powers))
+    seen = {}  # mask -> (products, bits reached)
+    total = 0
+    for t in range(len(masks) - step):
+        mask = masks[t]
+        if mask:
+            if mask not in seen:
+                js = [j for j in range(dim) if mask >> j & 1]
+                bits = 0
+                for j in js:
+                    bits |= reach[j]
+                seen[mask] = (sum(weight[j] for j in js), bits)
+            products, bits = seen[mask]
+            total += products
+            masks[t + step] |= bits
+    return total
+
+
+def _peel_cost(cost: int, sign: str) -> int:
+    """cost, the base products of the peels so far; a DomainError past PEEL_BUDGET."""
     if cost > PEEL_BUDGET:
         raise DomainError(f"{sign} peeling takes more than {PEEL_BUDGET} base products: the budget is products <= {PEEL_BUDGET}")
     return cost
@@ -433,8 +476,9 @@ def cc_factorize(f: LaurentSeries, prec: int | None = None) -> PrincipalUnitFact
     exponent until the negative part is zero; each sweep raises its m-adic
     order, so fewer than nil_index run.  Then come the z^0 factor and the
     positive factors up to the target.  The peels of both signs count their
-    base products against one PEEL_BUDGET, and a DomainError names the sign
-    of the peel that passes it.
+    base products against one PEEL_BUDGET, a positive peel before it runs
+    and only the products its nonzero cells can form, and a DomainError
+    names the sign of the peel that passes it.
     """
     ring = f.ring
     if not isinstance(ring, ArtinianAlgebra):
@@ -457,7 +501,7 @@ def cc_factorize(f: LaurentSeries, prec: int | None = None) -> PrincipalUnitFact
         if is_zero(c):
             continue
         a = neg_raw(c)
-        cost = _peel_cost(work, a, cost, "negative")
+        cost = _peel_cost(cost + len(work.data) * ring._mul_add_cost(a), "negative")
         neg.append((-e, AlgebraElement(ring, a)))
         neg_powers.append(nilpotent_powers(ring, a))
         work = _divide_by_peel(work, e, neg_powers[-1])
@@ -473,14 +517,18 @@ def cc_factorize(f: LaurentSeries, prec: int | None = None) -> PrincipalUnitFact
         work = work * LaurentSeries._from_raw(ring, 0, [ring._inv(c0)])
     # no positive peel reads past the target, so an exact work stops growing there
     work = work.truncate(target)
+    # peel i visits at most target - i places, each forming at most dim^2
+    # products; when that sum fits the budget, no peel's products need counting
+    counted = cost + ring.dimension ** 2 * target * (target - 1) // 2 > PEEL_BUDGET
     for i in range(1, target):
         ci = work._at(i)
         if is_zero(ci):
             continue
         ai = neg_raw(ci)
-        cost = _peel_cost(work, ai, cost, "positive")
         pos.append((i, AlgebraElement(ring, ai)))
         pos_powers.append(nilpotent_powers(ring, ai))
+        if counted:
+            cost = _peel_cost(cost + _positive_peel_products(work, i, pos_powers[-1]), "positive")
         work = _divide_by_peel(work, i, pos_powers[-1])
     return PrincipalUnitFactorization(ring, tuple(neg), tuple(pos), target,
                                       tuple(neg_powers), tuple(pos_powers))

@@ -191,8 +191,12 @@ def test_residue_is_another_name_of_verify_residues(capsys, tmp_path):
     ({"entries": [{"f": "z", "g": "z"}, "z"]}, "local data entry 1 must be a JSON object"),
     ({"entries": [{"f": "z", "g": "z"}, {"field": "Q", "f": "z", "g": "z"}]},
      "local data entry 1: Q is not an extension of F5"),
+    ({"entries": [{"f": "z", "g": "z^-1"}, {"field": "F6", "f": "z", "g": "z"}]},
+     "local data entry 1: 6 is not a prime power"),
+    ({"entries": [{"f": "z", "g": "z^-1"}, {"f": "z+", "g": "z"}]},
+     "local data entry 1: unexpected end of input (line 1, column 2)"),
 ], ids=["a-list", "entries-not-a-list", "no-f", "field-not-a-string", "f-not-a-string", "entry-not-an-object",
-        "field-not-over-the-field-option"])
+        "field-not-over-the-field-option", "field-spec-does-not-parse", "series-does-not-parse"])
 @pytest.mark.parametrize("command", ["verify-wrl", "verify-residues"])
 def test_malformed_local_data_is_an_input_error(capsys, tmp_path, command, payload, message):
     data = tmp_path / "local.json"

@@ -81,6 +81,21 @@ def test_matrix_ops_agree(p):
         b = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
         assert core.mat_mul(a, b, p) == pure.mat_mul(a, b, p)
         assert core.mat_det(a, p) == pure.mat_det(a, p)
+    # pure adds a row's products unreduced; every entry p - 1 makes each sum its largest
+    a, b = [[p - 1] * DEGREE_BUDGET] * 2, [[p - 1] * 3] * DEGREE_BUDGET
+    assert core.mat_mul(a, b, p) == pure.mat_mul(a, b, p) == [[DEGREE_BUDGET * (p - 1) ** 2 % p] * 3] * 2
+
+
+@pytest.mark.parametrize("p", [2, 13, 2**31 - 1, 2**61 - 1])
+def test_pure_mat_mul_is_the_product_mod_p(p):
+    """Random and all-(p - 1) factors, up to inner dimension DEGREE_BUDGET, against each entry's sum taken mod p."""
+    rng = random.Random(p + 7)
+    for n, k, m in ((1, 1, 1), (1, 8, 8), (3, 5, 2), (2, DEGREE_BUDGET, 3)):
+        for fill in (lambda: rng.randrange(p), lambda: p - 1):
+            a = [[fill() for _ in range(k)] for _ in range(n)]
+            b = [[fill() for _ in range(m)] for _ in range(k)]
+            assert pure.mat_mul(a, b, p) == [[sum(a[i][t] * b[t][j] for t in range(k)) % p for j in range(m)]
+                                             for i in range(n)]
 
 
 def test_backend_is_the_built_one():
@@ -486,7 +501,11 @@ def test_core_leaks_no_memory_or_references():
 
 
 # 2^61 - 1 is above PMAX, so fields of that size run ``pure`` under either backend.
-PACKED_PRIMES = [2, 3, 101, 2**31 - 1, 2**61 - 1]
+# The packed settle is exact for slots below 2^t, t from bitlen(p - 1), as its
+# error stays below 2^-bitlen(p - 1) <= 1/p.  The primes take p - 1 a power of
+# two (65537), p just below one (the Mersenne primes, where the two sides of
+# that bound nearly meet) and p above 2^64, where the settle slots are widest.
+PACKED_PRIMES = [2, 3, 101, 65537, 2**31 - 1, 2**61 - 1, 18446744073709551629]
 
 
 def coefficient_lists(p, max_size=20):
@@ -595,6 +614,15 @@ def test_packed_slots_hold_the_largest_sums(p):
     base = pure.normalize([p - 1] * (n - 1) + [(n - 2) * pow(2, -1, p) % p if p > 2 else 0])
     for e in (2, 3):
         assert pure.powmod(base, e, m, p) == loop_powmod(base, e, m, p)
+    # Every slot sum stays below 2^t, t = 2*bitlen(p-1) + bitlen(2n), and the
+    # settle must take any slot below that mod p.  A residue with no high slots
+    # is reduced by the settle alone, so its slots can be set to the edge.
+    for n in (1, 2, 3, 8, DEGREE_BUDGET - 1, DEGREE_BUDGET):
+        s, reduce = pure._packing([1] * (n + 1), p)
+        top = (1 << 2 * (p - 1).bit_length() + (2 * n).bit_length()) - 1
+        edge = [top, top - (top + 1) % p, top - p, p, p - 1, 0]  # top - (top + 1) % p is p - 1 mod p
+        slots = [edge[i % len(edge)] for i in range(n)]
+        assert pure._slots(reduce(pure._pack(slots, s)), s, n) == [x % p for x in slots], n
 
 
 @pytest.mark.parametrize("p", PACKED_PRIMES)

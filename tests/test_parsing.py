@@ -577,9 +577,13 @@ def test_peel_budget_boundary_is_accepted(capsys):
      " + e^6*d^7"),
     (["--ring", "Q[e]/(e^14)", "-f", "1+e*z^-5+e*z^-4", "-g", "1+e*z^5"],
      "1 + 5*e^2 + 15*e^4 + 35*e^6 + 70*e^8 - e^9 + 126*e^10 - 10*e^11 + 210*e^12 - 55*e^13"),
-], ids=["two-terms", "two-generators", "far-poles"])
+    (["--ring", "F7[e]/(e^16)", "-f", "1+e/(1-z)", "-g", "1+e*z^-1", "--prec", "512"],
+     "1 + 6*e^2 + 2*e^3 + 4*e^4 + 4*e^5 + 2*e^6 + 6*e^7 + e^9 + 5*e^10 + 3*e^11 + 3*e^12 + 5*e^13 + e^14"),
+], ids=["two-terms", "two-generators", "far-poles", "sparse-positive-peels"])
 def test_symbols_of_two_term_poles_are_computed(capsys, argv, value):
-    """Each value equals that of a loop that peels the lowest exponent first, run without a budget."""
+    """Each value equals that of a loop that peels the lowest exponent first, run without a budget.  The 225
+    positive peels of the last f can form about 9.9e5 base products, where length times ``_mul_add_cost``
+    charged them 4.8e6."""
     assert cli.main(["symbol-cc", *argv]) == 0
     assert capsys.readouterr().out.strip() == value
 

@@ -1,10 +1,11 @@
 import contextlib
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reciprocity import symbols
+from reciprocity import laurent, symbols
 from reciprocity.artinian import ArtinianAlgebra, dual_numbers
 from reciprocity.blockops import cocycle_commutator, multiplication_operator
 from reciprocity.errors import DomainError, NonUnitError, PrecisionError, ReciprocityError, WindowError
@@ -412,6 +413,55 @@ def test_cc_factorize_matches_the_earlier_loops(spec, rng, f_prec, prec):
     f = principal_unit(CC_RINGS[spec], rng, f_prec)
     got, want = both_ways(cc_factorize, f, prec)
     assert got == want
+
+
+def check_positive_peel_counts(f, prec):
+    """Before each positive peel of cc_factorize(f, prec), the count is at least the base products the peel
+    forms, and at most dim^2 for each of the prec - i places it can visit, the bound under which
+    cc_factorize counts none."""
+    ring = f.ring
+    formed, checked = [0], []
+    base_mul_add, divide = ring.base._mul_add, laurent._divide_by_peel
+
+    def counting_mul_add(acc, a, b):
+        formed[0] += 1
+        return base_mul_add(acc, a, b)
+
+    def counted_divide(work, exponent, powers):
+        if exponent < 0:
+            return divide(work, exponent, powers)
+        bound = laurent._positive_peel_products(work, exponent, powers)
+        formed[0] = 0
+        with mock.patch.object(ring.base, "_mul_add", counting_mul_add):
+            out = divide(work, exponent, powers)
+        assert formed[0] <= bound <= ring.dimension ** 2 * (work.prec - exponent)
+        checked.append(bound)
+        return out
+
+    with mock.patch.object(laurent, "_divide_by_peel", counted_divide):
+        try:
+            fac = cc_factorize(f, prec)
+        except PrecisionError:
+            return
+    assert len(checked) == sum(i > 0 for i, _ in fac.pos)
+
+
+@pytest.mark.parametrize("spec", sorted(CC_RINGS))
+@settings(max_examples=30, deadline=None)
+@given(st.randoms(use_true_random=False), st.none() | st.integers(1, 60), st.none() | st.integers(1, 40))
+def test_positive_peel_products_bound_the_products_formed(spec, rng, f_prec, prec):
+    check_positive_peel_counts(principal_unit(CC_RINGS[spec], rng, f_prec), prec)
+
+
+@pytest.mark.parametrize("ring, f, prec", [
+    ("F7[e,d]/(e^3,d^2)", "1 + e*z + e*z^5", 12),
+    ("Q[e,d]/(e^4,d^2)", "1 + e*z^2 + d*z^3 + e*z^9", 24),
+    ("F2[e]/(e^4)", "1 + e*z + e*z^4 + e*z^7", 16),
+], ids=["gap", "two-gaps", "char-2"])
+def test_positive_peel_counts_reach_the_places_a_peel_fills(ring, f, prec):
+    """Past a gap of f, a peel's quotient is nonzero where f is zero, and the count must reach it."""
+    ring = parse_ring_spec(ring)
+    check_positive_peel_counts(parse_series(f, ring, prec), prec)
 
 
 @pytest.mark.parametrize("spec", sorted(CC_RINGS))
